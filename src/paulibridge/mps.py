@@ -15,10 +15,11 @@ import numpy as np
 import scipy.linalg
 
 from paulibridge.pauli import (
-    PAULI_MATRICES,
     PauliString,
     PauliSum,
     TooLarge,
+    n_words,
+    pack_strings,
     to_dense,
 )
 
@@ -36,10 +37,18 @@ __all__ = [
     "mps_to_json",
     "overlap",
     "string_expectation",
+    "string_expectations",
 ]
 
 FORMAT_NAME = "mps-v1"
 STATE_DENSE_LIMIT = 20
+# strings swept together; the sampler's chunk size, so memory stays flat
+CHUNK_STRINGS = 4096
+
+# Pauli code c maps physical row s of a ket to row s ^ _FLIPS[c], times
+# _ROW_PHASES[c, s]: sigma_c[s, t] = _ROW_PHASES[c, s] when t = s ^ flip
+_FLIPS = np.array([False, True, True, False])
+_ROW_PHASES = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]], dtype=np.complex128)
 
 
 class DegenerateGroundState(UserWarning):
@@ -176,11 +185,40 @@ def string_expectation(m: Mps, p: PauliString) -> complex:
     """``<psi|P|psi>`` by transfer-matrix contraction."""
     if p.n_sites != m.n_sites:
         raise ValueError(f"string has {p.n_sites} sites, state has {m.n_sites}")
-    env = np.ones((1, 1), dtype=np.complex128)
-    for t, code in zip(m.tensors, p.codes):
-        sigma = PAULI_MATRICES[code]
-        env = np.einsum("acs,st,ab,bdt->cd", t.conj(), sigma, env, t)
-    return complex(env[0, 0])
+    return complex(string_expectations(m, pack_strings([p], p.n_sites))[0])
+
+
+def string_expectations(m: Mps, packed: np.ndarray) -> np.ndarray:
+    """``<psi|P|psi>`` for every row of a pack_strings array.
+
+    One left-to-right transfer sweep carries the environments of up to
+    CHUNK_STRINGS strings at once. Per site, one tensordot contracts the
+    environments with the ket tensor, the Pauli acts as a row swap and
+    phase, and one batched matmul closes the bra.
+    """
+    n = m.n_sites
+    packed = np.asarray(packed, dtype=np.uint64)
+    if packed.ndim != 2 or packed.shape[1] != n_words(n):
+        raise ValueError(
+            f"packed strings have shape {packed.shape}, state needs (count, {n_words(n)})"
+        )
+    kets = [np.ascontiguousarray(t.transpose(0, 2, 1)) for t in m.tensors]
+    bras = [k.reshape(-1, k.shape[2]).conj().T for k in kets]
+    out = np.empty(len(packed), dtype=np.complex128)
+    for start in range(0, len(packed), CHUNK_STRINGS):
+        chunk = packed[start : start + CHUNK_STRINGS]
+        batch = len(chunk)
+        env = np.ones((batch, 1, 1), dtype=np.complex128)
+        for j, (ket, bra) in enumerate(zip(kets, bras)):
+            offset = 2 * (n - 1 - j)
+            word = chunk[:, -1 - offset // 64]
+            codes = ((word >> np.uint64(offset % 64)) & np.uint64(3)).astype(np.intp)
+            half = np.tensordot(env, ket, axes=(2, 0))
+            half = np.where(_FLIPS[codes, None, None, None], half[:, :, ::-1], half)
+            half *= _ROW_PHASES[codes, None, :, None]
+            env = bra @ half.reshape(batch, -1, ket.shape[2])
+        out[start : start + batch] = env[:, 0, 0]
+    return out
 
 
 @dataclass

@@ -44,10 +44,14 @@ __all__ = [
     "dense_string",
     "expectation",
     "multiply",
+    "n_words",
+    "pack_strings",
+    "packed_product",
     "parse_pauli_sum",
     "pauli_product",
     "serialize_pauli_sum",
     "to_dense",
+    "unpack_string",
 ]
 
 SYMBOLS = "IXYZ"
@@ -198,27 +202,26 @@ class PauliString:
         """Split into (sites < cut, sites >= cut); requires 1 <= cut < n."""
         return self.substring(0, cut), self.substring(cut, self.n_sites)
 
+    def _planes(self) -> tuple[int, int]:
+        """High and low code bits, one bit per site, site 0 most significant."""
+        digits = format(self.bits, f"0{2 * self.n_sites}b")
+        return int(digits[0::2], 2), int(digits[1::2], 2)
+
     @property
     def x_flip_mask(self) -> int:
         """Basis-index bits flipped by this string (X and Y sites)."""
-        mask = 0
-        for j, c in enumerate(self.codes):
-            if c in (1, 2):
-                mask |= 1 << (self.n_sites - 1 - j)
-        return mask
+        high, low = self._planes()
+        return high ^ low
 
     @property
     def phase_mask(self) -> int:
         """Basis-index bits contributing a (-1) phase (Y and Z sites)."""
-        mask = 0
-        for j, c in enumerate(self.codes):
-            if c in (2, 3):
-                mask |= 1 << (self.n_sites - 1 - j)
-        return mask
+        return self._planes()[0]
 
     @property
     def y_count(self) -> int:
-        return sum(1 for c in self.codes if c == 2)
+        high, low = self._planes()
+        return (high & ~low).bit_count()
 
 
 def concat(left: PauliString, right: PauliString) -> PauliString:
@@ -287,36 +290,78 @@ class PauliSum:
 
 
 # ---------------------------------------------------------------------------
-# single-site product table, derived from the dense matrices at import time
+# products: the Z2 x Z2 bit-plane rule of Aaronson & Gottesman (PRA 70,
+# 052328, 2004) on the I=0, X=1, Y=2, Z=3 packing
 
-def _build_product_tables() -> tuple[list[list[int]], list[list[complex]]]:
-    codes = [[0] * 4 for _ in range(4)]
-    phases: list[list[complex]] = [[1.0 + 0j] * 4 for _ in range(4)]
-    for a in range(4):
-        for b in range(4):
-            m = PAULI_MATRICES[a] @ PAULI_MATRICES[b]
-            for c in range(4):
-                t = np.trace(m @ PAULI_MATRICES[c].conj().T) / 2
-                if abs(t) > 0.5:
-                    codes[a][b] = c
-                    phases[a][b] = complex(round(t.real), round(t.imag))
-                    break
-    return codes, phases
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+_WORD_MASK01 = 0x5555555555555555
+_WORD_ONES = 0xFFFFFFFFFFFFFFFF
 
 
-_PROD_CODE, _PROD_PHASE = _build_product_tables()
+def _cyclic_sites(a, b, mask01):
+    """Bit sets of the sites where (a, b) is cyclic (XY, YZ, ZX) and anticyclic.
+
+    Works on Python ints and on uint64 arrays alike. A code's bits are
+    ``hl``; the successor of a non-identity code in X -> Y -> Z -> X is
+    ``(h ^ l, h)``, so a site is cyclic when ``b`` is the successor of a
+    non-identity ``a`` and anticyclic when ``a`` is the successor of ``b``.
+    The product of the two strings is ``a ^ b`` with phase
+    ``i^(#cyclic - #anticyclic)``.
+    """
+    ah, al = (a >> 1) & mask01, a & mask01
+    bh, bl = (b >> 1) & mask01, b & mask01
+    cyclic = (ah | al) & ~(bh ^ ah ^ al) & ~(bl ^ ah)
+    anticyclic = (bh | bl) & ~(ah ^ bh ^ bl) & ~(al ^ bh)
+    return cyclic, anticyclic
 
 
 def pauli_product(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
     """Product of two strings as (phase, string) with phase in {1, -1, i, -i}."""
     if a.n_sites != b.n_sites:
         raise LengthMismatch(f"{a.n_sites} sites vs {b.n_sites} sites")
-    phase: complex = 1.0 + 0j
+    cyclic, anticyclic = _cyclic_sites(a.bits, b.bits, _mask01(a.n_sites))
+    phase = _I_POWERS[(cyclic.bit_count() - anticyclic.bit_count()) % 4]
+    return phase, PauliString(a.n_sites, a.bits ^ b.bits)
+
+
+def n_words(n_sites: int) -> int:
+    """uint64 words per packed string: 32 sites to a word."""
+    return -(-n_sites // 32)
+
+
+def pack_strings(strings: Iterable[PauliString], n_sites: int) -> np.ndarray:
+    """Packed codes as a ``(count, n_words(n_sites))`` uint64 array.
+
+    ``bits`` is split into 64-bit words, most significant word first, so
+    a word holds whole sites and strings of at most 32 sites pack into
+    one word equal to ``bits``, as the sampler packs them.
+    """
+    words = n_words(n_sites)
+    shifts = [64 * (words - 1 - w) for w in range(words)]
+    rows = [[(s.bits >> sh) & _WORD_ONES for sh in shifts] for s in strings]
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), words)
+
+
+def unpack_string(row: np.ndarray, n_sites: int) -> PauliString:
+    """Inverse of pack_strings for one row."""
     bits = 0
-    for ca, cb in zip(a.codes, b.codes):
-        phase *= _PROD_PHASE[ca][cb]
-        bits = (bits << 2) | _PROD_CODE[ca][cb]
-    return phase, PauliString(a.n_sites, bits)
+    for word in row:
+        bits = (bits << 64) | int(word)
+    return PauliString(n_sites, bits)
+
+
+def packed_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Products of packed strings, broadcast over all but the last axis.
+
+    Returns ``(exponent, codes)``: the product of ``a[...]`` and ``b[...]``
+    is ``i**exponent`` times the string ``codes[...]``, with exponent in
+    0..3. This is the rule pauli_product applies to one pair.
+    """
+    cyclic, anticyclic = _cyclic_sites(a, b, _WORD_MASK01)
+    exponent = np.bitwise_count(cyclic).sum(axis=-1, dtype=np.int64)
+    exponent -= np.bitwise_count(anticyclic).sum(axis=-1, dtype=np.int64)
+    return exponent % 4, a ^ b
 
 
 def multiply(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -348,26 +393,27 @@ def to_dense(op: PauliSum, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
     """Dense matrix of a sum; refuses more than ``dense_limit`` sites."""
     if op.n_sites > dense_limit:
         raise TooLarge(f"{op.n_sites} sites exceeds dense limit {dense_limit}")
-    dim = 2**op.n_sites
-    out = np.zeros((dim, dim), dtype=np.complex128)
+    idx = np.arange(2**op.n_sites)
+    out = np.zeros((idx.size, idx.size), dtype=np.complex128)
     for term in op.terms:
-        out += term.coeff * dense_string(term.string)
+        out[idx ^ term.string.x_flip_mask, idx] += term.coeff * _string_phases(term.string, idx)
     return out
 
 
-def apply_string(p: PauliString, vec: np.ndarray) -> np.ndarray:
-    """Apply one Pauli string to a state vector without forming the matrix.
+def _string_phases(p: PauliString, idx: np.ndarray) -> np.ndarray:
+    """Phases of P|b> = i^{#Y} (-1)^{sum of b over Y,Z sites} |b xor flips>."""
+    parity = np.bitwise_count(idx & p.phase_mask) & 1
+    return (1j**p.y_count) * np.where(parity, -1.0, 1.0)
 
-    Uses P|b> = i^{#Y} (-1)^{sum of b over Y,Z sites} |b xor flips>.
-    """
+
+def apply_string(p: PauliString, vec: np.ndarray) -> np.ndarray:
+    """Apply one Pauli string to a state vector without forming the matrix."""
     n = p.n_sites
     if vec.shape != (2**n,):
         raise DimensionMismatch(f"state has shape {vec.shape}, expected ({2**n},)")
     idx = np.arange(2**n)
-    parity = np.bitwise_count(idx & p.phase_mask) & 1
-    phases = (1j**p.y_count) * np.where(parity, -1.0, 1.0)
     out = np.empty_like(vec, dtype=np.complex128)
-    out[idx ^ p.x_flip_mask] = phases * vec
+    out[idx ^ p.x_flip_mask] = _string_phases(p, idx) * vec
     return out
 
 
@@ -392,9 +438,13 @@ def expectation(op: PauliSum, state: np.ndarray, atol: float = 1e-12) -> complex
 
 def _parse_coeff(token: str, line_no: int, column: int) -> complex:
     try:
-        return complex(float(token))
+        value = float(token)
     except ValueError:
         pass
+    else:
+        if math.isfinite(value):
+            return complex(value)
+        raise MalformedLine(f"non-finite coefficient {token!r}", line_no, column)
     if token.endswith("i"):
         try:
             value = complex(token[:-1] + "j")

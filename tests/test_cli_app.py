@@ -269,6 +269,15 @@ class TestExitCodes:
                           "--output", str(tmp_path / "out.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("token", ["nan", "1e400"])
+    def test_non_finite_coefficient(self, tmp_path, token):
+        bad = tmp_path / "bad.pauli"
+        bad.write_text(f"0.5 XX\n{token} ZZ\n")
+        rc, _, err = run(["mpo", "--input", str(bad),
+                          "--output", str(tmp_path / "out.json")])
+        assert rc == 2
+        assert "line 2, column 1" in err
+
     def test_cut_out_of_range(self, pipeline, tmp_path):
         paths, _ = pipeline
         rc, _, _ = run(["compile", "--input", str(paths["op"]), "--cut", "9",

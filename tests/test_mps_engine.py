@@ -18,10 +18,13 @@ from paulibridge.mps import (
     mps_to_json,
     overlap,
     string_expectation,
+    string_expectations,
 )
+from paulibridge import mps as mps_module
 from paulibridge.pauli import (
     PauliString,
     apply_string,
+    pack_strings,
     parse_pauli_sum,
     to_dense,
 )
@@ -124,6 +127,34 @@ class TestContractions:
         p = PauliString(n_sites, bits % 4**n_sites)
         got = string_expectation(dense_to_mps(vec), p)
         assert got == pytest.approx(np.vdot(vec, apply_string(p, vec)), abs=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8), st.integers(1, 40))
+    def test_string_expectations_match_dense(self, seed, n_sites, max_bond, count):
+        rng = np.random.default_rng(seed)
+        m = dense_to_mps(random_state(rng, n_sites), max_bond=max_bond)
+        vec = mps_to_dense(m)
+        strings = [PauliString(n_sites, int(b)) for b in rng.integers(0, 4**n_sites, count)]
+        got = string_expectations(m, pack_strings(strings, n_sites))
+        want = [np.vdot(vec, apply_string(p, vec)) for p in strings]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_string_expectations_chunk_boundaries(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        m = dense_to_mps(random_state(rng, 5), max_bond=3)
+        packed = pack_strings([PauliString(5, int(b)) for b in rng.integers(0, 4**5, 11)], 5)
+        whole = string_expectations(m, packed)
+        monkeypatch.setattr(mps_module, "CHUNK_STRINGS", 3)
+        np.testing.assert_array_equal(string_expectations(m, packed), whole)
+        assert string_expectations(m, packed[:0]).shape == (0,)
+
+    def test_string_expectations_reject_bad_packing(self):
+        rng = np.random.default_rng(16)
+        m = dense_to_mps(random_state(rng, 3))
+        with pytest.raises(ValueError):
+            string_expectations(m, np.zeros((2, 2), dtype=np.uint64))
+        with pytest.raises(ValueError):
+            string_expectations(m, np.zeros(2, dtype=np.uint64))
 
     def test_overlap_length_mismatch_raises(self):
         rng = np.random.default_rng(14)

@@ -18,13 +18,17 @@ from paulibridge.pauli import (
     apply_string,
     classify,
     concat,
+    PAULI_MATRICES,
     dense_string,
     expectation,
     multiply,
+    pack_strings,
+    packed_product,
     parse_pauli_sum,
     pauli_product,
     serialize_pauli_sum,
     to_dense,
+    unpack_string,
 )
 
 from conftest import random_pauli_sum, random_state
@@ -61,6 +65,69 @@ class TestProductAgainstDense:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             pauli_product(PauliString.from_label("X"), PauliString.from_label("XY"))
+
+
+def packed_pair(a, b):
+    """(phase, string) of the batched rule for one pair."""
+    n = a.n_sites
+    exponent, codes = packed_product(pack_strings([a], n), pack_strings([b], n))
+    return 1j ** int(exponent[0]), unpack_string(codes[0], n)
+
+
+def sitewise_product(a, b):
+    """Per-site 2x2 matrix products, the phases multiplied together."""
+    phase = 1 + 0j
+    for ca, cb in zip(a.codes, b.codes):
+        m = PAULI_MATRICES[ca] @ PAULI_MATRICES[cb]
+        phase *= np.trace(m @ PAULI_MATRICES[ca ^ cb].conj().T) / 2
+    return phase, PauliString(a.n_sites, a.bits ^ b.bits)
+
+
+long_pairs = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.integers(0, 4**n - 1), st.integers(0, 4**n - 1)).map(
+        lambda bits: (PauliString(n, bits[0]), PauliString(n, bits[1]))
+    )
+)
+
+
+class TestBatchedProduct:
+    def test_single_site_pairs(self):
+        strings = all_strings(1)
+        packed = pack_strings(strings, 1)
+        exponent, codes = packed_product(packed[:, None], packed[None, :])
+        assert exponent.shape == (4, 4) and codes.shape == (4, 4, 1)
+        for i, a in enumerate(strings):
+            for j, b in enumerate(strings):
+                lhs = dense_string(a) @ dense_string(b)
+                rhs = 1j ** int(exponent[i, j]) * dense_string(unpack_string(codes[i, j], 1))
+                assert np.max(np.abs(lhs - rhs)) < 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_pairs.filter(lambda pair: pair[0].n_sites <= 4))
+    def test_random_against_dense(self, pair):
+        a, b = pair
+        phase, c = packed_pair(a, b)
+        lhs = dense_string(a) @ dense_string(b)
+        assert np.max(np.abs(lhs - phase * dense_string(c))) < 1e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(long_pairs)
+    def test_scalar_batched_and_sitewise_agree(self, pair):
+        a, b = pair
+        scalar = pauli_product(a, b)
+        assert packed_pair(*pair) == scalar
+        phase, c = sitewise_product(a, b)
+        assert c == scalar[1]
+        assert abs(phase - scalar[0]) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65])
+    def test_pack_round_trip(self, n):
+        rng = np.random.default_rng(n)
+        strings = [PauliString(n, int(rng.integers(0, 2**62)) ** 3 % 4**n) for _ in range(8)]
+        packed = pack_strings(strings, n)
+        assert packed.shape == (8, -(-n // 32)) and packed.dtype == np.uint64
+        assert [unpack_string(row, n) for row in packed] == strings
+        assert pack_strings([], n).shape == (0, -(-n // 32))
 
 
 class TestStringBasics:
@@ -115,6 +182,14 @@ class TestDense:
         op = PauliSum(13, [(1.0, PauliString.identity(13))])
         with pytest.raises(TooLarge):
             to_dense(op)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 12))
+    def test_matches_kronecker_sum(self, seed, n_sites, n_terms):
+        rng = np.random.default_rng(seed)
+        op = random_pauli_sum(rng, n_sites, n_terms, complex_coeffs=True)
+        want = sum(t.coeff * dense_string(t.string) for t in op.terms)
+        np.testing.assert_array_equal(to_dense(op), want)
 
     def test_dense_limit_override(self):
         op = PauliSum(3, [(1.0, PauliString.identity(3))])
@@ -208,6 +283,13 @@ class TestTextFormat:
             parse_pauli_sum("1.0 XQ\n")
         assert err.value.line == 1
         assert err.value.column == 5
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "-1e400"])
+    def test_non_finite_real_coefficient(self, token):
+        with pytest.raises(MalformedLine) as err:
+            parse_pauli_sum(f"1.0 XX\n  {token} ZZ\n")
+        assert err.value.line == 2
+        assert err.value.column == 3
 
     def test_malformed_token_count(self):
         with pytest.raises(MalformedLine):

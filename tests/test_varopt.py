@@ -5,11 +5,20 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from paulibridge.mps import canonicalize_mps, dense_to_mps, ground_state_reference
+from paulibridge.mps import (
+    Mps,
+    canonicalize_mps,
+    dense_to_mps,
+    ground_state_reference,
+    mps_to_dense,
+)
 from paulibridge.pauli import (
+    PAULI_MATRICES,
     DimensionMismatch,
     PauliString,
+    PauliSum,
     apply_string,
+    pauli_product,
     to_dense,
 )
 from paulibridge.varopt import (
@@ -41,18 +50,80 @@ def dense_pencil(op, pool, vec):
     return cols.conj().T @ dense @ cols, cols.conj().T @ cols
 
 
+def pairwise_pencil(op, pool, expect):
+    """Entry-by-entry assembly from scalar products and one expectation per string."""
+    k = len(pool)
+    h = np.zeros((k, k), dtype=np.complex128)
+    n = np.zeros((k, k), dtype=np.complex128)
+    for a, pa in enumerate(pool):
+        for b, pb in enumerate(pool):
+            phase, q = pauli_product(pa, pb)
+            n[a, b] = phase * expect(q)
+            for term in op.terms:
+                ph1, q1 = pauli_product(pa, term.string)
+                ph2, q2 = pauli_product(q1, pb)
+                h[a, b] += term.coeff * ph1 * ph2 * expect(q2)
+    return h, n
+
+
+def sparse_string(rng, n_sites, max_weight):
+    codes = [0] * n_sites
+    for site in rng.choice(n_sites, size=int(rng.integers(1, max_weight + 1)), replace=False):
+        codes[site] = int(rng.integers(1, 4))
+    return PauliString.from_codes(codes)
+
+
 class TestAssembly:
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
-    def test_algebraic_matches_dense(self, seed, n_sites):
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8), st.booleans())
+    def test_algebraic_matches_dense(self, seed, n_sites, max_bond, include_identity):
         rng = np.random.default_rng(seed)
         op = random_pauli_sum(rng, n_sites, 5, complex_coeffs=True)
-        vec = random_state(rng, n_sites)
+        mps = dense_to_mps(random_state(rng, n_sites), max_bond=max_bond)
+        vec = mps_to_dense(mps)
         pool = random_pool(rng, n_sites, 6)
-        pencil = assemble_pencil(op, pool, vec, include_identity=False)
-        h_ref, n_ref = dense_pencil(op, pool, vec)
-        np.testing.assert_allclose(pencil.h, h_ref, atol=1e-12)
-        np.testing.assert_allclose(pencil.n, n_ref, atol=1e-12)
+        # repeated strings and the identity inside the pool
+        ident = PauliString.identity(n_sites)
+        pool = pool + pool[:2] + (ident,)
+        if include_identity:
+            expected = (ident,) + tuple(s for s in pool if s != ident)
+        else:
+            expected = pool
+        for state in (vec, mps):
+            pencil = assemble_pencil(op, pool, state, include_identity=include_identity)
+            assert pencil.strings == expected
+            h_ref, n_ref = dense_pencil(op, pencil.strings, vec)
+            np.testing.assert_allclose(pencil.h, h_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pencil.n, n_ref, rtol=0, atol=1e-12)
+
+    def test_forty_site_product_state(self):
+        # 40 sites pack into two words; a product state's expectation is
+        # the product of its single-site ones
+        rng = np.random.default_rng(40)
+        n_sites = 40
+        sites = [random_state(rng, 1) for _ in range(n_sites)]
+        mps = Mps([v.reshape(1, 1, 2) for v in sites])
+
+        def expect(p):
+            return np.prod([np.vdot(v, PAULI_MATRICES[c] @ v) for v, c in zip(sites, p.codes)])
+
+        op = PauliSum(
+            n_sites,
+            [(complex(*rng.standard_normal(2)), sparse_string(rng, n_sites, 3)) for _ in range(6)],
+        )
+        straddle = PauliString.from_label("I" * 31 + "XY" + "I" * 7)
+        pool = (straddle,) + tuple(sparse_string(rng, n_sites, 3) for _ in range(7))
+        pencil = assemble_pencil(op, pool, mps)
+        h_ref, n_ref = pairwise_pencil(op, pencil.strings, expect)
+        np.testing.assert_allclose(pencil.h, h_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pencil.n, n_ref, rtol=0, atol=1e-12)
+        assert np.max(np.abs(n_ref)) > 0.1
+
+    def test_state_width_mismatch_raises(self, h2_subset):
+        rng = np.random.default_rng(6)
+        mps = dense_to_mps(random_state(rng, 3))
+        with pytest.raises(DimensionMismatch):
+            assemble_pencil(h2_subset, (), mps)
 
     def test_mps_and_dense_states_agree(self, h2_subset):
         rng = np.random.default_rng(2)
