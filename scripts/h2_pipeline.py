@@ -17,9 +17,9 @@ import scipy.linalg
 from paulibridge.bridge import compile as compile_bridge
 from paulibridge.bridge import decomposition_to_json, structural_hash
 from paulibridge.lcu import (
-    block_encoding_dense,
     compile_lcu,
     emit_gates,
+    encoded_block,
     program_to_json,
     update_coefficients,
 )
@@ -93,9 +93,7 @@ def main() -> int:
     prog = compile_lcu(d)
     (args.out / "lcu.json").write_text(program_to_json(prog))
     (args.out / "gates.txt").write_text(emit_gates(prog))
-    w = block_encoding_dense(prog)
-    dim = 2**op.n_sites
-    block_err = np.max(np.abs(w[:dim, :dim] - to_dense(op) / prog.lam))
+    block_err = np.max(np.abs(encoded_block(prog) - to_dense(op) / prog.lam))
     print(f"lcu: lambda {prog.lam:.6f}, block error {block_err:.3e}")
 
     rng = np.random.default_rng(args.seed)

@@ -16,13 +16,23 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from paulibridge.bridge import BridgeDecomposition, EmptyOperator
-from paulibridge.pauli import PauliString, TooLarge, dense_string
+from paulibridge.pauli import (
+    DENSE_LIMIT,
+    SYMBOLS,
+    PauliString,
+    PauliSum,
+    TooLarge,
+    concat,
+    dense_string,
+    to_dense,
+)
 
 __all__ = [
     "LcuProgram",
@@ -31,6 +41,7 @@ __all__ = [
     "block_encoding_dense",
     "compile_lcu",
     "emit_gates",
+    "encoded_block",
     "parse_gates",
     "prep_dense",
     "program_from_json",
@@ -43,6 +54,11 @@ __all__ = [
 
 FORMAT_NAME = "lcu-v1"
 GATES_FORMAT = "lcu-gates-v1"
+
+# a stored prep table further than this from unit norm is rejected as
+# malformed; smaller drift is renormalized by the Householder prep and
+# left for the block-encoding check to measure
+PREP_NORM_TOL = 1e-2
 
 
 class SupportChanged(ValueError):
@@ -298,7 +314,7 @@ def _lift_left(sel_l: np.ndarray, dim_l: int, dim_r: int, dim_sys: int) -> np.nd
 
 
 def block_encoding_dense(program: LcuProgram, dense_limit: int = 12) -> np.ndarray:
-    """Full walk unitary (Prep^dag x I) Select (Prep x I)."""
+    """Full walk unitary (Prep^dag x I) Select (Prep x I); a test oracle."""
     _check_dense_size(program, dense_limit)
     dim_sys = 2**program.n_sites
     prep = prep_dense(program)
@@ -307,15 +323,44 @@ def block_encoding_dense(program: LcuProgram, dense_limit: int = 12) -> np.ndarr
     return lifted.conj().T @ sel @ lifted
 
 
+def encoded_block(program: LcuProgram, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
+    """The encoded operator <0|(Prep^dag x I) Select (Prep x I)|0>, 2^n x 2^n.
+
+    Prep is the real Householder reflection taking |0> to the normalized
+    amplitude vector u, and Select is block diagonal over the pair
+    register, so the block is sum_j u_j^2 S_j over the pairs prep loads:
+    one weighted Pauli string each, densified by ``to_dense``. Memory is
+    O(4^n) whatever the ancilla count; only ``n > dense_limit`` is refused.
+    """
+    amps = {(a, b): amp for a, b, amp in program.prep}
+    phases = {(a, b): ph for a, b, ph in program.select}
+    if not phases.keys() >= amps.keys():
+        phases = _inrange_phases(program)
+    norm2 = sum(amp * amp for amp in amps.values())
+    cut, n = program.cut, program.n_sites
+
+    def half(labels, k, width):
+        if k < len(labels):
+            return PauliString.from_label(labels[k])
+        return PauliString.identity(width)
+
+    terms = [
+        (
+            amp * amp / norm2 * phases[(a, b)],
+            concat(half(program.left, a, cut), half(program.right, b, n - cut)),
+        )
+        for (a, b), amp in amps.items()
+    ]
+    return to_dense(PauliSum(n, terms), dense_limit)
+
+
 def success_probability(program: LcuProgram, state: np.ndarray) -> float:
     """Probability of the all-zeros ancilla outcome on a unit input state."""
     vec = np.asarray(state, dtype=np.complex128).ravel()
     dim_sys = 2**program.n_sites
     if vec.size != dim_sys:
         raise ValueError(f"state length {vec.size}, expected {dim_sys}")
-    w = block_encoding_dense(program)
-    block = w[:dim_sys, :dim_sys]
-    return float(np.linalg.norm(block @ vec) ** 2)
+    return float(np.linalg.norm(encoded_block(program) @ vec) ** 2)
 
 
 def _fmt_phase(z: complex) -> str:
@@ -428,28 +473,92 @@ def program_to_json(program: LcuProgram) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _malformed(where: str, problem: str) -> ValueError:
+    return ValueError(f"{FORMAT_NAME} field {where}: {problem}")
+
+
+def _field(doc, key: str, kind, where: str = ""):
+    # bool is an int subclass in Python but never a valid count or value
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise _malformed(where + key, f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _finite(doc, key: str, where: str = "") -> float:
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise _malformed(where + key, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _index(row, key: str, size: int, where: str) -> int:
+    value = _field(row, key, int, where)
+    if not 0 <= value < size:
+        raise _malformed(where + key, f"{value} not in 0..{size - 1}")
+    return value
+
+
+def _labels(doc: dict, key: str, width: int) -> tuple[str, ...]:
+    labels = _field(doc, key, list)
+    if not labels:
+        raise _malformed(key, "empty fragment dictionary")
+    for k, label in enumerate(labels):
+        if not (isinstance(label, str) and len(label) == width and set(label) <= set(SYMBOLS)):
+            raise _malformed(f"{key}[{k}]", f"expected a {width}-site Pauli label, got {label!r}")
+    return tuple(labels)
+
+
 def program_from_json(text: str) -> LcuProgram:
+    """Read an lcu-v1 document; every malformed field raises ValueError naming it."""
     doc = json.loads(text)
-    if doc.get("format") != FORMAT_NAME:
-        raise ValueError(f"expected format {FORMAT_NAME!r}, got {doc.get('format')!r}")
-    left = tuple(doc["left"])
-    right = tuple(doc["right"])
-    select = tuple(
-        (row["a"], row["b"], complex(row["phase_re"], row["phase_im"]))
-        for row in doc["select"]
-    )
-    for row in doc["select"]:
-        if left[row["a"]] != row["pl"] or right[row["b"]] != row["pr"]:
-            raise ValueError("select row labels disagree with the dictionaries")
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
+        got = doc.get("format") if isinstance(doc, dict) else doc
+        raise ValueError(f"expected format {FORMAT_NAME!r}, got {got!r}")
+    n_sites = _field(doc, "n_sites", int)
+    cut = _field(doc, "cut", int)
+    if not 1 <= cut < n_sites:
+        raise _malformed("cut", f"{cut} not in 1..{n_sites - 1}")
+    left = _labels(doc, "left", cut)
+    right = _labels(doc, "right", n_sites - cut)
+    lam = _finite(doc, "lambda")
+    if lam <= 0:
+        raise _malformed("lambda", f"expected a positive one-norm, got {lam!r}")
+    for key, labels in (("a_left", left), ("a_right", right)):
+        want = (len(labels) - 1).bit_length()
+        if _field(doc, key, int) != want:
+            raise _malformed(key, f"{len(labels)} fragments need {want} ancillas, got {doc[key]}")
+    prep = []
+    for k, row in enumerate(_field(doc, "prep", list)):
+        where = f"prep[{k}]."
+        prep.append(
+            (
+                _index(row, "a", len(left), where),
+                _index(row, "b", len(right), where),
+                _finite(row, "amp", where),
+            )
+        )
+    norm = math.sqrt(sum(amp * amp for _, _, amp in prep))
+    if abs(norm - 1.0) > PREP_NORM_TOL:
+        raise _malformed("prep", f"amplitude norm {norm:.6g} is not 1")
+    select = []
+    for k, row in enumerate(_field(doc, "select", list)):
+        where = f"select[{k}]."
+        a = _index(row, "a", len(left), where)
+        b = _index(row, "b", len(right), where)
+        if _field(row, "pl", str, where) != left[a] or _field(row, "pr", str, where) != right[b]:
+            raise _malformed(where + "pl/pr", "select row labels disagree with the dictionaries")
+        phase = complex(_finite(row, "phase_re", where), _finite(row, "phase_im", where))
+        select.append((a, b, phase))
     return LcuProgram(
-        n_sites=doc["n_sites"],
-        cut=doc["cut"],
+        n_sites=n_sites,
+        cut=cut,
         left=left,
         right=right,
-        lam=float(doc["lambda"]),
+        lam=lam,
         a_left=doc["a_left"],
         a_right=doc["a_right"],
-        prep=tuple((row["a"], row["b"], float(row["amp"])) for row in doc["prep"]),
-        select=select,
-        select_hash=doc["select_hash"],
+        prep=tuple(prep),
+        select=tuple(select),
+        select_hash=_field(doc, "select_hash", str),
     )

@@ -156,7 +156,9 @@ def mpo_to_dense(m: Mpo, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
         raise ValueError("boundary bond dimensions must be 1")
     acc = np.ones((1, 1, 1), dtype=np.complex128)
     for w in m.tensors:
-        acc = np.einsum("apq,abst->bpsqt", acc, w)
+        # contract the bond as one BLAS product, then interleave the new
+        # site below the old ones: (p, q, b, s, t) -> (b, p s, q t)
+        acc = np.tensordot(acc, w, axes=(0, 0)).transpose(2, 0, 3, 1, 4)
         two_p = acc.shape[1] * acc.shape[2]
         acc = acc.reshape(acc.shape[0], two_p, two_p)
     return acc[0]

@@ -23,10 +23,10 @@ from paulibridge.cli import main
 from paulibridge.lcu import program_from_json
 from paulibridge.mpo import mpo_from_json
 from paulibridge.mps import mps_from_json
-from paulibridge.pauli import parse_pauli_sum, to_dense
+from paulibridge.pauli import PauliString, PauliSum, parse_pauli_sum, serialize_pauli_sum, to_dense
 from paulibridge.sampler import pool_from_text, samples_from_text
 
-from conftest import FIXTURES
+from conftest import FIXTURES, random_pauli_sum
 
 
 def run(argv):
@@ -368,6 +368,84 @@ class TestVerifyProgram:
         line = next(l for l in stdout.splitlines()
                     if l.startswith("block_encoding FAIL"))
         assert float(line.split()[-1]) >= 1e-4
+
+
+    def test_site_count_mismatch_is_data_error(self, pipeline, tmp_path):
+        paths, _ = pipeline
+        small = tmp_path / "two.pauli"
+        small.write_text("0.5 XZ\n-0.3 ZX\n")
+        rc, stdout, err = run(["verify", "--input", str(small),
+                               "--program", str(paths["lcu"])])
+        assert rc == 2
+        assert "block_encoding" not in stdout
+        [line] = err.splitlines()
+        assert line == "error: program acts on 4 sites, operator has 2"
+
+    @pytest.mark.parametrize("field, mutate", [
+        pytest.param("select[0].a", lambda d: d["select"][0].update(a=99), id="select-index-out-of-range"),
+        pytest.param("prep[0].amp", lambda d: d["prep"][0].update(amp=None), id="null-amplitude"),
+        pytest.param("prep[1].b", lambda d: d["prep"][1].update(b=-1), id="prep-index-negative"),
+        pytest.param("prep[0].a", lambda d: d["prep"][0].update(a="0"), id="prep-index-string"),
+        pytest.param("select[2].phase_re", lambda d: d["select"][2].update(phase_re=float("nan")), id="nan-phase"),
+        pytest.param("select[1].phase_im", lambda d: d["select"][1].update(phase_im=True), id="bool-phase"),
+        pytest.param("select[0].a", lambda d: d["select"].__setitem__(0, 3), id="select-row-not-object"),
+        pytest.param("prep", lambda d: [row.update(amp=2 * row["amp"]) for row in d["prep"]], id="prep-norm-two"),
+        pytest.param("a_left", lambda d: d.update(a_left=7), id="a-left-too-wide"),
+        pytest.param("a_right", lambda d: d.update(a_right=None), id="a-right-null"),
+        pytest.param("n_sites", lambda d: d.update(n_sites="4"), id="n-sites-string"),
+        pytest.param("cut", lambda d: d.update(cut=4), id="cut-at-end"),
+        pytest.param("lambda", lambda d: d.update(**{"lambda": -1.0}), id="lambda-negative"),
+        pytest.param("lambda", lambda d: d.update(**{"lambda": float("inf")}), id="lambda-infinite"),
+        pytest.param("left[0]", lambda d: d["left"].__setitem__(0, "IIZ"), id="label-wrong-width"),
+        pytest.param("right", lambda d: d.update(right={}), id="right-not-list"),
+        pytest.param("select_hash", lambda d: d.pop("select_hash"), id="select-hash-missing"),
+    ])
+    def test_malformed_program_is_data_error(self, pipeline, tmp_path, field, mutate):
+        paths, _ = pipeline
+        doc = json.loads(paths["lcu"].read_text())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc, stdout, err = run(["verify", "--input", str(paths["op"]),
+                               "--program", str(bad)])
+        assert rc == 2
+        assert stdout == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"error: lcu-v1 field {field}")
+
+
+class TestVerifyBeyondOldCeiling:
+    """Battery runs whose walk unitaries exceed 12 qubits, which a dense
+    check of (Prep^dag x I) Select (Prep x I) used to refuse."""
+
+    @staticmethod
+    def battery(tmp_path, op):
+        src = tmp_path / "op.pauli"
+        src.write_text(serialize_pauli_sum(op))
+        return run(["verify", "--input", str(src)])
+
+    def test_five_sites_ten_terms(self, tmp_path):
+        # ten distinct two-site and three-site halves: 5 + 4 + 4 = 13
+        # qubits at cut 2
+        def word(k, width):
+            return "".join("IXYZ"[(k >> (2 * j)) & 3] for j in range(width))
+
+        op = PauliSum(5, [(0.1 * (k + 1), PauliString.from_label(word(k, 2) + word(3 * k + 1, 3)))
+                          for k in range(10)])
+        rc, stdout, _ = self.battery(tmp_path, op)
+        assert rc == 0
+        lines = stdout.splitlines()
+        assert len(lines) == 3 * 4 + 2
+        assert all(l.endswith(" pass") for l in lines)
+
+    def test_eight_sites_forty_terms(self, tmp_path):
+        # 16 qubits at cut 1, up to 20 at the middle cuts
+        op = random_pauli_sum(np.random.default_rng(0), 8, 40, complex_coeffs=True)
+        rc, stdout, _ = self.battery(tmp_path, op)
+        assert rc == 0
+        lines = stdout.splitlines()
+        assert len(lines) == 3 * 7 + 2
+        assert all(l.endswith(" pass") for l in lines)
 
 
 class TestOptimizeSweep:

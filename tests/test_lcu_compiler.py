@@ -1,10 +1,12 @@
 """LCU compilation: prep/select structure, block encoding, updates, gates."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from paulibridge.bridge import EmptyOperator, compile as compile_bridge, set_bridge
 from paulibridge.lcu import (
@@ -14,6 +16,7 @@ from paulibridge.lcu import (
     block_encoding_dense,
     compile_lcu,
     emit_gates,
+    encoded_block,
     parse_gates,
     prep_dense,
     program_from_json,
@@ -23,7 +26,7 @@ from paulibridge.lcu import (
     success_probability,
     update_coefficients,
 )
-from paulibridge.pauli import parse_pauli_sum, to_dense
+from paulibridge.pauli import PauliString, PauliSum, TooLarge, parse_pauli_sum, to_dense
 
 from conftest import random_state
 
@@ -32,6 +35,54 @@ H2_LAMBDA = 1.212874
 
 def h2_program(h2_subset, cut=2):
     return compile_lcu(compile_bridge(h2_subset, cut))
+
+
+def assert_block_matches_walk(prog):
+    dim = 2**prog.n_sites
+    np.testing.assert_allclose(
+        encoded_block(prog), block_encoding_dense(prog)[:dim, :dim], rtol=0, atol=1e-12
+    )
+
+
+_coeffs = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5, -0.25]),
+    st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)).filter(lambda c: abs(c) > 1e-3),
+)
+
+
+@st.composite
+def small_programs(draw):
+    """Compiled programs with n <= 5 and at most four terms (n + a <= 9),
+    sometimes with prep weight moved onto a pair outside the select table:
+    a padding index or an inactive in-range pair."""
+    def words(width, size):
+        return st.lists(st.text("IXYZ", min_size=width, max_size=width),
+                        min_size=size[0], max_size=size[1], unique=True)
+
+    n = draw(st.integers(2, 5))
+    cut = draw(st.integers(1, n - 1))
+    if draw(st.booleans()):
+        # a 2 x 2 grid of fragments closes a phase cycle, which often
+        # does not factorise (the XX, XY, YX, -YY case)
+        labels = [p + q for p in draw(words(cut, (2, 2))) for q in draw(words(n - cut, (2, 2)))]
+    else:
+        labels = draw(words(n, (1, 4)))
+    coeffs = draw(st.lists(_coeffs, min_size=len(labels), max_size=len(labels)))
+    op = PauliSum(n, [(c, PauliString.from_label(s)) for c, s in zip(coeffs, labels)])
+    prog = compile_lcu(compile_bridge(op, cut))
+    active = {(a, b) for a, b, _ in prog.select}
+    free = [
+        (a, b)
+        for a in range(2**prog.a_left)
+        for b in range(2**prog.a_right)
+        if (a, b) not in active
+    ]
+    if free and draw(st.booleans()):
+        a, b = draw(st.sampled_from(free))
+        rows = prog.prep + ((a, b, draw(st.floats(0.1, 1.0))),)
+        norm = np.sqrt(sum(amp**2 for *_, amp in rows))
+        prog = dataclasses.replace(prog, prep=tuple((a, b, amp / norm) for a, b, amp in rows))
+    return prog
 
 
 class TestCompile:
@@ -89,6 +140,37 @@ class TestBlockEncoding:
         np.testing.assert_allclose(
             w[:16, :16], to_dense(h2_subset) / prog.lam, atol=1e-12
         )
+        np.testing.assert_allclose(encoded_block(prog), w[:16, :16], rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_programs())
+    def test_encoded_block_matches_walk_unitary(self, prog):
+        assert_block_matches_walk(prog)
+
+    def test_encoded_block_padding_and_unnormalized_prep(self, h2_subset):
+        # weight on padding indices (left 6 and 7, right 5) and on an
+        # inactive in-range pair, with a norm that is not one: the
+        # Householder prep renormalizes it
+        prog = h2_program(h2_subset)
+        extra = ((6, 5, 0.3), (7, 0, 0.2), (0, 1, 0.25))
+        rows = tuple((a, b, 1.004 * amp) for a, b, amp in prog.prep + extra)
+        assert_block_matches_walk(dataclasses.replace(prog, prep=rows))
+
+    def test_encoded_block_has_no_ancilla_ceiling(self):
+        # 64 left and 64 right fragments: 6 + 12 = 18 qubits in the walk
+        left = [p + q + r for p in "IXYZ" for q in "IXYZ" for r in "IXYZ"]
+        op = PauliSum(6, [(1.0 + 0.01 * k, PauliString.from_label(s + s[::-1]))
+                          for k, s in enumerate(left)])
+        prog = compile_lcu(compile_bridge(op, 3))
+        assert prog.n_sites + prog.a_total == 18
+        with pytest.raises(TooLarge):
+            block_encoding_dense(prog)
+        np.testing.assert_allclose(
+            encoded_block(prog), to_dense(op) / prog.lam, rtol=0, atol=1e-12
+        )
+        wide = compile_lcu(compile_bridge(PauliSum(13, [(1.0, PauliString.from_label("X" * 13))]), 6))
+        with pytest.raises(TooLarge):
+            encoded_block(wide)
 
     def test_success_probability_eigenstate(self, h2_subset):
         prog = h2_program(h2_subset)
@@ -109,6 +191,7 @@ class TestBlockEncoding:
         assert (prog.a_left, prog.a_right) == (0, 0)
         w = block_encoding_dense(prog)
         np.testing.assert_allclose(w[:4, :4], to_dense(op), atol=1e-12)
+        assert_block_matches_walk(prog)
 
 
 class TestSelectFactorization:
@@ -130,6 +213,7 @@ class TestSelectFactorization:
         np.testing.assert_allclose(
             w[:4, :4], to_dense(op) / prog.lam, atol=1e-12
         )
+        assert_block_matches_walk(prog)
 
     def test_split_is_deterministic(self, h2_subset):
         a = select_factorized_dense(h2_program(h2_subset))

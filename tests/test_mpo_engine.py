@@ -84,12 +84,12 @@ class TestBuild:
         assert cuts[-1].col_labels == ("",)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 18))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 18))
     def test_random_exact_reconstruction(self, seed, n_sites, n_terms):
         rng = np.random.default_rng(seed)
         op = random_pauli_sum(rng, n_sites, n_terms, complex_coeffs=True)
         m = build_mpo_qr(op)
-        assert rel_err(mpo_to_dense(m), to_dense(op)) < 1e-10
+        np.testing.assert_allclose(mpo_to_dense(m), to_dense(op), rtol=0, atol=1e-12)
 
     def test_identity_is_bond_one(self):
         op = PauliSum(3, [PauliTerm(2.5, PauliString.identity(3))])
