@@ -24,7 +24,6 @@ import numpy as np
 
 from paulibridge.bridge import BridgeDecomposition, EmptyOperator
 from paulibridge.pauli import (
-    DENSE_LIMIT,
     SYMBOLS,
     PauliString,
     PauliSum,
@@ -323,19 +322,17 @@ def block_encoding_dense(program: LcuProgram, dense_limit: int = 12) -> np.ndarr
     return lifted.conj().T @ sel @ lifted
 
 
-def encoded_block(program: LcuProgram, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
+def encoded_block(program: LcuProgram) -> np.ndarray:
     """The encoded operator <0|(Prep^dag x I) Select (Prep x I)|0>, 2^n x 2^n.
 
     Prep is the real Householder reflection taking |0> to the normalized
     amplitude vector u, and Select is block diagonal over the pair
     register, so the block is sum_j u_j^2 S_j over the pairs prep loads:
     one weighted Pauli string each, densified by ``to_dense``. Memory is
-    O(4^n) whatever the ancilla count; only ``n > dense_limit`` is refused.
+    O(4^n) whatever the ancilla count; ``to_dense`` refuses only n > 12.
     """
     amps = {(a, b): amp for a, b, amp in program.prep}
-    phases = {(a, b): ph for a, b, ph in program.select}
-    if not phases.keys() >= amps.keys():
-        phases = _inrange_phases(program)
+    phases = _inrange_phases(program)
     norm2 = sum(amp * amp for amp in amps.values())
     cut, n = program.cut, program.n_sites
 
@@ -346,12 +343,12 @@ def encoded_block(program: LcuProgram, dense_limit: int = DENSE_LIMIT) -> np.nda
 
     terms = [
         (
-            amp * amp / norm2 * phases[(a, b)],
+            amp * amp / norm2 * phases.get((a, b), 1.0),
             concat(half(program.left, a, cut), half(program.right, b, n - cut)),
         )
         for (a, b), amp in amps.items()
     ]
-    return to_dense(PauliSum(n, terms), dense_limit)
+    return to_dense(PauliSum(n, terms))
 
 
 def success_probability(program: LcuProgram, state: np.ndarray) -> float:
@@ -528,28 +525,29 @@ def program_from_json(text: str) -> LcuProgram:
         want = (len(labels) - 1).bit_length()
         if _field(doc, key, int) != want:
             raise _malformed(key, f"{len(labels)} fragments need {want} ancillas, got {doc[key]}")
-    prep = []
-    for k, row in enumerate(_field(doc, "prep", list)):
-        where = f"prep[{k}]."
-        prep.append(
-            (
-                _index(row, "a", len(left), where),
-                _index(row, "b", len(right), where),
-                _finite(row, "amp", where),
-            )
-        )
-    norm = math.sqrt(sum(amp * amp for _, _, amp in prep))
-    if abs(norm - 1.0) > PREP_NORM_TOL:
-        raise _malformed("prep", f"amplitude norm {norm:.6g} is not 1")
-    select = []
+    select = {}
     for k, row in enumerate(_field(doc, "select", list)):
         where = f"select[{k}]."
         a = _index(row, "a", len(left), where)
         b = _index(row, "b", len(right), where)
         if _field(row, "pl", str, where) != left[a] or _field(row, "pr", str, where) != right[b]:
             raise _malformed(where + "pl/pr", "select row labels disagree with the dictionaries")
-        phase = complex(_finite(row, "phase_re", where), _finite(row, "phase_im", where))
-        select.append((a, b, phase))
+        if (a, b) in select:
+            raise _malformed(f"select[{k}]", f"pair ({a}, {b}) appears twice")
+        select[(a, b)] = complex(_finite(row, "phase_re", where), _finite(row, "phase_im", where))
+    prep = {}
+    for k, row in enumerate(_field(doc, "prep", list)):
+        where = f"prep[{k}]."
+        a = _index(row, "a", len(left), where)
+        b = _index(row, "b", len(right), where)
+        if (a, b) not in select:
+            raise _malformed(f"prep[{k}]", f"pair ({a}, {b}) has no select row")
+        if (a, b) in prep:
+            raise _malformed(f"prep[{k}]", f"pair ({a}, {b}) appears twice")
+        prep[(a, b)] = _finite(row, "amp", where)
+    norm = math.sqrt(sum(amp * amp for amp in prep.values()))
+    if abs(norm - 1.0) > PREP_NORM_TOL:
+        raise _malformed("prep", f"amplitude norm {norm:.6g} is not 1")
     return LcuProgram(
         n_sites=n_sites,
         cut=cut,
@@ -558,7 +556,7 @@ def program_from_json(text: str) -> LcuProgram:
         lam=lam,
         a_left=doc["a_left"],
         a_right=doc["a_right"],
-        prep=tuple(prep),
-        select=tuple(select),
+        prep=tuple((a, b, amp) for (a, b), amp in prep.items()),
+        select=tuple((a, b, ph) for (a, b), ph in select.items()),
         select_hash=_field(doc, "select_hash", str),
     )

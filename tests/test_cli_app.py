@@ -399,6 +399,10 @@ class TestVerifyProgram:
         pytest.param("left[0]", lambda d: d["left"].__setitem__(0, "IIZ"), id="label-wrong-width"),
         pytest.param("right", lambda d: d.update(right={}), id="right-not-list"),
         pytest.param("select_hash", lambda d: d.pop("select_hash"), id="select-hash-missing"),
+        pytest.param("prep[4]", lambda d: d["prep"][4].update(b=1), id="prep-pair-without-select-row"),
+        pytest.param("prep[1]", lambda d: d["prep"][1].update(a=0, b=0), id="prep-pair-twice"),
+        pytest.param("select[1]", lambda d: d["select"][1].update(
+            a=0, b=0, pl=d["left"][0], pr=d["right"][0]), id="select-pair-twice"),
     ])
     def test_malformed_program_is_data_error(self, pipeline, tmp_path, field, mutate):
         paths, _ = pipeline

@@ -63,8 +63,10 @@ def small_programs(draw):
     cut = draw(st.integers(1, n - 1))
     if draw(st.booleans()):
         # a 2 x 2 grid of fragments closes a phase cycle, which often
-        # does not factorise (the XX, XY, YX, -YY case)
-        labels = [p + q for p in draw(words(cut, (2, 2))) for q in draw(words(n - cut, (2, 2)))]
+        # does not factorise (the XX, XY, YX, -YY case); a third left
+        # fragment with one partner leaves an inactive in-range pair
+        lw, rw = draw(words(cut, (2, 3))), draw(words(n - cut, (2, 2)))
+        labels = [p + q for p in lw[:2] for q in rw] + [p + draw(st.sampled_from(rw)) for p in lw[2:]]
     else:
         labels = draw(words(n, (1, 4)))
     coeffs = draw(st.lists(_coeffs, min_size=len(labels), max_size=len(labels)))
@@ -214,6 +216,27 @@ class TestSelectFactorization:
             w[:4, :4], to_dense(op) / prog.lam, atol=1e-12
         )
         assert_block_matches_walk(prog)
+
+    def test_inactive_pair_weight_with_unfactorizable_phases(self):
+        # a 3 x 2 grid with one pair missing: prep weight on that pair has
+        # no select row and the phase cycle admits no rank-1 split
+        op = parse_pauli_sum("1.0 XX\n1.0 XY\n1.0 YX\n-1.0 YY\n0.5 ZX\n")
+        prog = compile_lcu(compile_bridge(op, 1))
+        [(a, b)] = [
+            (a, b) for a in range(len(prog.left)) for b in range(len(prog.right))
+            if (a, b) not in {(a, b) for a, b, _ in prog.select}
+        ]
+        rows = prog.prep + ((a, b, 0.4),)
+        norm = np.sqrt(sum(amp**2 for *_, amp in rows))
+        moved = dataclasses.replace(prog, prep=tuple((a, b, amp / norm) for a, b, amp in rows))
+        with pytest.raises(PhaseNotFactorizable):
+            select_factorized_dense(moved)
+        assert_block_matches_walk(moved)
+        psi = random_state(np.random.default_rng(3), 2)
+        walk = block_encoding_dense(moved)[:4, :4]
+        assert success_probability(moved, psi) == pytest.approx(np.linalg.norm(walk @ psi) ** 2, abs=1e-12)
+        with pytest.raises(ValueError, match=rf"prep\[{len(prog.prep)}\]: pair \({a}, {b}\) has no select row"):
+            program_from_json(program_to_json(moved))
 
     def test_split_is_deterministic(self, h2_subset):
         a = select_factorized_dense(h2_program(h2_subset))

@@ -89,6 +89,7 @@ class TestBuild:
         rng = np.random.default_rng(seed)
         op = random_pauli_sum(rng, n_sites, n_terms, complex_coeffs=True)
         m = build_mpo_qr(op)
+        assert rel_err(mpo_to_dense(m), to_dense(op)) < 1e-10
         np.testing.assert_allclose(mpo_to_dense(m), to_dense(op), rtol=0, atol=1e-12)
 
     def test_identity_is_bond_one(self):
