@@ -26,10 +26,20 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from paulibridge.pauli import PauliString, PauliSum, PauliTerm, concat
+from paulibridge.pauli import (
+    PauliString,
+    PauliSum,
+    PauliTerm,
+    concat,
+    json_document,
+    json_field,
+    json_finite,
+    malformed,
+)
 
 __all__ = [
     "Bridge",
@@ -46,6 +56,11 @@ __all__ = [
     "set_bridge",
     "structural_hash",
 ]
+
+FORMAT_NAME = "bridge-v1"
+_malformed = partial(malformed, FORMAT_NAME)
+_field = partial(json_field, FORMAT_NAME)
+_finite = partial(json_finite, FORMAT_NAME)
 
 
 class CutOutOfRange(ValueError):
@@ -283,7 +298,7 @@ def structural_hash(d: BridgeDecomposition) -> str:
 def decomposition_to_json(d: BridgeDecomposition) -> str:
     """Deterministic JSON form; exact float round trip."""
     doc = {
-        "format": "bridge-v1",
+        "format": FORMAT_NAME,
         "n_sites": d.n_sites,
         "cut": d.cut,
         "left_fragments": list(d.left.labels),
@@ -304,26 +319,37 @@ def decomposition_to_json(d: BridgeDecomposition) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _fragments(doc: dict, side: str) -> FragmentDictionary:
+    key = f"{side}_fragments"
+    labels = _field(doc, key, list)
+    for k, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise _malformed(f"{key}[{k}]", f"expected a Pauli label, got {label!r}")
+    return FragmentDictionary(side, tuple(PauliString.from_label(s) for s in labels))
+
+
 def decomposition_from_json(text: str) -> BridgeDecomposition:
-    """Rebuild a decomposition; graphs are rederived from the fragments."""
-    doc = json.loads(text)
-    if doc.get("format") != "bridge-v1":
-        raise ValueError(f"unsupported format {doc.get('format')!r}")
-    left = FragmentDictionary(
-        "left", tuple(PauliString.from_label(s) for s in doc["left_fragments"])
-    )
-    right = FragmentDictionary(
-        "right", tuple(PauliString.from_label(s) for s in doc["right_fragments"])
-    )
-    cut = int(doc["cut"])
+    """Rebuild a decomposition; graphs are rederived from the fragments.
+
+    Every malformed field raises ValueError naming it, e.g. ``bridge[3].re``.
+    """
+    doc = json_document(text, FORMAT_NAME)
+    left = _fragments(doc, "left")
+    right = _fragments(doc, "right")
+    cut = _field(doc, "cut", int)
     if cut != left.width:
-        raise ValueError(f"cut {cut} does not match left fragment width {left.width}")
-    entries = {
-        (int(e["a"]), int(e["b"])): complex(e["re"], e["im"]) for e in doc["bridge"]
-    }
-    for a, b in entries:
+        raise _malformed("cut", f"{cut} does not match left fragment width {left.width}")
+    entries: dict[tuple[int, int], complex] = {}
+    for k, e in enumerate(_field(doc, "bridge", list)):
+        where = f"bridge[{k}]"
+        a, b = _field(e, "a", int, where + "."), _field(e, "b", int, where + ".")
         if not (0 <= a < len(left) and 0 <= b < len(right)):
-            raise IndexOutOfRange(f"pair ({a}, {b}) outside ({len(left)}, {len(right)})")
+            raise IndexOutOfRange(
+                f"{FORMAT_NAME} field {where}: pair ({a}, {b}) outside ({len(left)}, {len(right)})"
+            )
+        if (a, b) in entries:
+            raise _malformed(where, f"pair ({a}, {b}) appears twice")
+        entries[(a, b)] = complex(_finite(e, "re", where + "."), _finite(e, "im", where + "."))
     return BridgeDecomposition(
         cut=cut,
         left=left,

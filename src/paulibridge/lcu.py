@@ -19,6 +19,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +31,10 @@ from paulibridge.pauli import (
     TooLarge,
     concat,
     dense_string,
+    json_document,
+    json_field,
+    json_finite,
+    malformed,
     to_dense,
 )
 
@@ -470,23 +475,9 @@ def program_to_json(program: LcuProgram) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _malformed(where: str, problem: str) -> ValueError:
-    return ValueError(f"{FORMAT_NAME} field {where}: {problem}")
-
-
-def _field(doc, key: str, kind, where: str = ""):
-    # bool is an int subclass in Python but never a valid count or value
-    value = doc.get(key) if isinstance(doc, dict) else None
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise _malformed(where + key, f"expected {kind.__name__}, got {value!r}")
-    return value
-
-
-def _finite(doc, key: str, where: str = "") -> float:
-    value = doc.get(key) if isinstance(doc, dict) else None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise _malformed(where + key, f"expected a finite number, got {value!r}")
-    return float(value)
+_malformed = partial(malformed, FORMAT_NAME)
+_field = partial(json_field, FORMAT_NAME)
+_finite = partial(json_finite, FORMAT_NAME)
 
 
 def _index(row, key: str, size: int, where: str) -> int:
@@ -508,10 +499,7 @@ def _labels(doc: dict, key: str, width: int) -> tuple[str, ...]:
 
 def program_from_json(text: str) -> LcuProgram:
     """Read an lcu-v1 document; every malformed field raises ValueError naming it."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
-        got = doc.get("format") if isinstance(doc, dict) else doc
-        raise ValueError(f"expected format {FORMAT_NAME!r}, got {got!r}")
+    doc = json_document(text, FORMAT_NAME)
     n_sites = _field(doc, "n_sites", int)
     cut = _field(doc, "cut", int)
     if not 1 <= cut < n_sites:

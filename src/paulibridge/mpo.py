@@ -4,17 +4,21 @@ The left-to-right sweep keeps a carried coefficient matrix over right
 suffixes. At each site the carried matrix is regrouped into the cut matrix
 (rows: occurring (incoming bond, site symbol) pairs; columns: remaining
 suffixes), factored by column-pivoted QR, and the Q factor becomes the site
-tensor while ``R P^T`` is carried on. Bond dimensions are the numerical
-ranks ``|{m : |R_mm| > rank_tol |R_00|}|``; with ``rank_tol = 0`` the
-contraction reproduces the operator exactly.
+tensor while ``R P^T`` is carried on. Bond dimensions are numerical ranks:
+for an ``m x k`` cut matrix a pivot counts when ``|R_jj| > max(rank_tol,
+eps * max(m, k)) * |R_00|``, numpy's ``matrix_rank`` threshold at
+``rank_tol = 0``. Column pivoting (Businger & Golub, 1965) keeps every
+column of the dropped trailing block of R no longer than the first
+dropped pivot, so that block's Frobenius norm is at most ``sqrt(k)``
+times the threshold: at ``rank_tol = 0`` the contraction reproduces the
+operator up to roundoff, and roundoff pivots do not become bonds.
 
 MPO tensors are indexed ``W[left_bond, right_bond, s_out, s_in]``.
 """
 
 from __future__ import annotations
 
-import base64
-import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,7 +26,16 @@ import numpy as np
 import scipy.linalg
 
 from paulibridge.bridge import Bridge, BridgeDecomposition, EmptyOperator
-from paulibridge.pauli import DENSE_LIMIT, PAULI_MATRICES, PauliSum, SYMBOLS, TooLarge
+from paulibridge.mps import chain_from_json, chain_to_json
+from paulibridge.pauli import (
+    DENSE_LIMIT,
+    PAULI_MATRICES,
+    SYMBOLS,
+    PauliSum,
+    TooLarge,
+    pack_strings,
+    site_codes,
+)
 
 __all__ = [
     "BridgeSvd",
@@ -41,18 +54,6 @@ __all__ = [
 ]
 
 FORMAT_NAME = "mpo-v1"
-
-
-def _encode_array(arr: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<c16").tobytes()).decode()
-
-
-def _decode_array(text: str, shape: tuple[int, ...]) -> np.ndarray:
-    flat = np.frombuffer(base64.b64decode(text), dtype="<c16")
-    expected = int(np.prod(shape))
-    if flat.size != expected:
-        raise ValueError(f"payload holds {flat.size} values, shape {shape} needs {expected}")
-    return flat.reshape(shape).astype(np.complex128)
 
 
 class RankExceedsDims(UserWarning):
@@ -100,33 +101,52 @@ def build_mpo_qr(
     """Compile a Pauli sum into an MPO by the pivoted-QR sweep.
 
     ``cut_log``, when given a list, receives the CutMatrix of every step.
-    With ``rank_tol = 0`` the result contracts back to the operator
-    exactly (up to roundoff); larger tolerances trade bond dimension for
-    a controlled truncation of the cut matrices.
+    A pivot counts as rank when ``|R_jj| > max(rank_tol, eps * max(m, k))
+    * |R_00|`` for an ``m x k`` cut matrix. Each dropped trailing block of
+    R then has Frobenius norm at most ``sqrt(k)`` times that threshold, so
+    with ``rank_tol = 0`` the result contracts back to the operator up to
+    roundoff; larger tolerances trade bond dimension for a controlled
+    truncation of the cut matrices. ``rank_tol`` must be finite and
+    non-negative.
     """
     if op.n_terms == 0:
         raise EmptyOperator("cannot build an MPO from a sum with no terms")
-    if rank_tol < 0:
-        raise ValueError(f"rank_tol must be non-negative, got {rank_tol}")
+    if not (math.isfinite(rank_tol) and rank_tol >= 0):
+        raise ValueError(f"rank_tol must be finite and non-negative, got {rank_tol}")
     n = op.n_sites
-    # carried matrix: bond x unique suffixes, starting from the raw terms
-    suffixes = [t.string.label for t in op.terms]
+    # Suffix ids, right to left: the carried columns at site k have keys
+    # code_k * n_rests[k] + (id of the suffix past k), one per term at site
+    # 0 and one per distinct suffix after it. np.unique sorts the keys in
+    # label order, since I < X < Y < Z is code order.
+    codes = site_codes(pack_strings((t.string for t in op.terms), n), n, np.arange(n))
+    ids = np.zeros(op.n_terms, dtype=np.int64)
+    keys, n_rests = [], [1]
+    for k in range(n - 1, 0, -1):
+        key, ids = np.unique(codes[:, k] * n_rests[-1] + ids, return_inverse=True)
+        keys.append(key)
+        n_rests.append(key.size)
+    keys.append(codes[:, 0] * n_rests[-1] + ids)
+    keys.reverse()
+    n_rests.reverse()
+    rest_labels = [("",)]
+    if cut_log is not None:
+        for k in range(n - 1, 0, -1):
+            sym, rest = np.divmod(keys[k], n_rests[k])
+            rest_labels.insert(0, tuple(SYMBOLS[p] + rest_labels[0][r] for p, r in zip(sym, rest)))
     carried = np.array([[t.coeff for t in op.terms]], dtype=np.complex128)
     tensors: list[np.ndarray] = []
     for site in range(n):
         chi = carried.shape[0]
-        rests = sorted({s[1:] for s in suffixes})
-        rest_index = {r: k for k, r in enumerate(rests)}
-        # regroup columns into (bond, symbol) rows over remaining suffixes
-        raw = np.zeros((chi, 4, len(rests)), dtype=np.complex128)
-        for k, s in enumerate(suffixes):
-            raw[:, SYMBOLS.index(s[0]), rest_index[s[1:]]] += carried[:, k]
-        occurring = [
-            (a, p) for a in range(chi) for p in range(4) if np.any(raw[a, p] != 0)
-        ]
-        gamma = np.array([raw[a, p] for a, p in occurring])
+        # regroup columns into (bond, symbol) rows over remaining suffixes:
+        # one scatter, as the columns are distinct; += stores -0.0 as 0.0
+        sym, rest = np.divmod(keys[site], n_rests[site])
+        raw = np.zeros((chi, 4, n_rests[site]), dtype=np.complex128)
+        raw[:, sym, rest] += carried
+        bond, code = np.nonzero(np.any(raw != 0, axis=2))
+        occurring = list(zip(bond.tolist(), code.tolist()))
+        gamma = raw[bond, code]
         if cut_log is not None:
-            cut_log.append(CutMatrix(site, tuple(occurring), tuple(rests), gamma.copy()))
+            cut_log.append(CutMatrix(site, tuple(occurring), rest_labels[site], gamma))
         if site == n - 1:
             w = np.zeros((chi, 1, 2, 2), dtype=np.complex128)
             for j, (a, p) in enumerate(occurring):
@@ -135,16 +155,16 @@ def build_mpo_qr(
             break
         q, r, piv = scipy.linalg.qr(gamma, mode="economic", pivoting=True)
         diag = np.abs(np.diag(r))
-        rank = int(np.count_nonzero(diag > rank_tol * diag[0]))
+        floor = max(rank_tol, np.finfo(np.float64).eps * max(gamma.shape))
+        rank = int(np.count_nonzero(diag > floor * diag[0]))
         if rank == 0:
             raise EmptyOperator(f"cut matrix at site {site} vanished")
         w = np.zeros((chi, rank, 2, 2), dtype=np.complex128)
         for j, (a, p) in enumerate(occurring):
             w[a] += q[j, :rank, None, None] * PAULI_MATRICES[p]
         tensors.append(w)
-        carried = np.zeros((rank, len(rests)), dtype=np.complex128)
+        carried = np.zeros((rank, n_rests[site]), dtype=np.complex128)
         carried[:, piv] = r[:rank, :]
-        suffixes = rests
     return Mpo(tensors)
 
 
@@ -236,38 +256,13 @@ def compress(
 
 
 def mpo_to_json(m: Mpo) -> str:
-    """Serialize to the mpo-v1 JSON format.
-
-    Tensor payloads are base64 of little-endian complex128 values in
-    row-major order; the header carries the shapes so the payload can be
-    decoded without guessing.
-    """
-    doc = {
-        "format": FORMAT_NAME,
-        "n_sites": m.n_sites,
-        "bond_dims": m.bond_dims,
-        "gauge": list(m.gauge),
-        "tensors": [_encode_array(w) for w in m.tensors],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialize to the mpo-v1 JSON format (see mps.chain_to_json)."""
+    return chain_to_json(FORMAT_NAME, m)
 
 
 def mpo_from_json(text: str) -> Mpo:
-    doc = json.loads(text)
-    if doc.get("format") != FORMAT_NAME:
-        raise ValueError(f"expected format {FORMAT_NAME!r}, got {doc.get('format')!r}")
-    n = doc["n_sites"]
-    bonds = doc["bond_dims"]
-    if len(bonds) != n + 1 or len(doc["tensors"]) != n:
-        raise ValueError("bond_dims or tensors length inconsistent with n_sites")
-    tensors = [
-        _decode_array(payload, (bonds[i], bonds[i + 1], 2, 2))
-        for i, payload in enumerate(doc["tensors"])
-    ]
-    gauge = list(doc.get("gauge", []))
-    if gauge and len(gauge) != n:
-        raise ValueError("gauge length inconsistent with n_sites")
-    return Mpo(tensors, gauge)
+    """Read an mpo-v1 document; every malformed field raises ValueError naming it."""
+    return Mpo(*chain_from_json(text, FORMAT_NAME, (2, 2)))
 
 
 @dataclass

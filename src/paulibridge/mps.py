@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,8 +19,12 @@ from paulibridge.pauli import (
     PauliString,
     PauliSum,
     TooLarge,
+    json_document,
+    json_field,
+    malformed,
     n_words,
     pack_strings,
+    site_codes,
     to_dense,
 )
 
@@ -28,6 +33,8 @@ __all__ = [
     "GroundStateResult",
     "Mps",
     "canonicalize_mps",
+    "chain_from_json",
+    "chain_to_json",
     "dense_to_mps",
     "ground_state_reference",
     "is_left_canonical_site",
@@ -210,9 +217,7 @@ def string_expectations(m: Mps, packed: np.ndarray) -> np.ndarray:
         batch = len(chunk)
         env = np.ones((batch, 1, 1), dtype=np.complex128)
         for j, (ket, bra) in enumerate(zip(kets, bras)):
-            offset = 2 * (n - 1 - j)
-            word = chunk[:, -1 - offset // 64]
-            codes = ((word >> np.uint64(offset % 64)) & np.uint64(3)).astype(np.intp)
+            codes = site_codes(chunk, n, j)
             half = np.tensordot(env, ket, axes=(2, 0))
             half = np.where(_FLIPS[codes, None, None, None], half[:, :, ::-1], half)
             half *= _ROW_PHASES[codes, None, :, None]
@@ -261,39 +266,74 @@ def ground_state_reference(
     return GroundStateResult(energy, gap, vec, mps)
 
 
-def mps_to_json(m: Mps) -> str:
-    """Serialize to the mps-v1 JSON format (same payload scheme as mpo-v1)."""
+def chain_to_json(fmt: str, m) -> str:
+    """The mps-v1 and mpo-v1 JSON form of a tensor chain.
+
+    Tensor payloads are base64 of little-endian complex128 values in
+    row-major order; the header carries the shapes so the payload can be
+    decoded without guessing.
+    """
     doc = {
-        "format": FORMAT_NAME,
+        "format": fmt,
         "n_sites": m.n_sites,
         "bond_dims": m.bond_dims,
         "gauge": list(m.gauge),
         "tensors": [
-            base64.b64encode(
-                np.ascontiguousarray(t, dtype="<c16").tobytes()
-            ).decode()
+            base64.b64encode(np.ascontiguousarray(t, dtype="<c16").tobytes()).decode()
             for t in m.tensors
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def mps_from_json(text: str) -> Mps:
-    doc = json.loads(text)
-    if doc.get("format") != FORMAT_NAME:
-        raise ValueError(f"expected format {FORMAT_NAME!r}, got {doc.get('format')!r}")
-    n = doc["n_sites"]
-    bonds = doc["bond_dims"]
-    if len(bonds) != n + 1 or len(doc["tensors"]) != n:
-        raise ValueError("bond_dims or tensors length inconsistent with n_sites")
+def chain_from_json(text: str, fmt: str, phys: tuple[int, ...]) -> tuple[list, list]:
+    """Tensors and gauge tags of a chain_to_json document.
+
+    The header check shared by the mps-v1 and mpo-v1 readers: a positive
+    integer ``n_sites``, ``n_sites + 1`` positive integer ``bond_dims``
+    with both boundary bonds 1, one base64 string per site holding
+    exactly its shape's finite values, and optional string gauge tags.
+    Every malformed field raises ValueError naming it.
+    """
+    doc = json_document(text, fmt)
+    n = json_field(fmt, doc, "n_sites", int)
+    bonds = json_field(fmt, doc, "bond_dims", list)
+    payloads = json_field(fmt, doc, "tensors", list)
+    gauge = doc.get("gauge", [])
+    if n < 1:
+        raise malformed(fmt, "n_sites", f"expected at least 1, got {n}")
+    if len(bonds) != n + 1 or not all(type(b) is int and b >= 1 for b in bonds):
+        raise malformed(fmt, "bond_dims", f"expected {n + 1} positive integers, got {bonds!r}")
+    if bonds[0] != 1 or bonds[-1] != 1:
+        raise malformed(fmt, "bond_dims", f"boundary bonds must be 1, got {bonds!r}")
+    if len(payloads) != n:
+        raise malformed(fmt, "tensors", f"expected {n} payloads, got {len(payloads)}")
+    if not (isinstance(gauge, list) and len(gauge) in (0, n)
+            and all(isinstance(g, str) for g in gauge)):
+        raise malformed(fmt, "gauge", f"expected {n} strings, got {gauge!r}")
     tensors = []
-    for i, payload in enumerate(doc["tensors"]):
-        shape = (bonds[i], bonds[i + 1], 2)
-        flat = np.frombuffer(base64.b64decode(payload), dtype="<c16")
-        if flat.size != int(np.prod(shape)):
-            raise ValueError(f"payload size mismatch at site {i}")
-        tensors.append(flat.reshape(shape).astype(np.complex128))
-    gauge = list(doc.get("gauge", []))
-    if gauge and len(gauge) != n:
-        raise ValueError("gauge length inconsistent with n_sites")
-    return Mps(tensors, gauge)
+    for i, payload in enumerate(payloads):
+        shape = (bonds[i], bonds[i + 1], *phys)
+        try:
+            raw = base64.b64decode(payload, validate=True)
+        except (TypeError, ValueError):
+            raise malformed(fmt, f"tensors[{i}]", "expected a base64 string") from None
+        if len(raw) != 16 * math.prod(shape):
+            raise malformed(
+                fmt, f"tensors[{i}]", f"{len(raw) / 16:g} values, shape {shape} needs {math.prod(shape)}"
+            )
+        t = np.frombuffer(raw, dtype="<c16").reshape(shape).astype(np.complex128)
+        if not np.isfinite(t).all():
+            raise malformed(fmt, f"tensors[{i}]", "non-finite values")
+        tensors.append(t)
+    return tensors, gauge
+
+
+def mps_to_json(m: Mps) -> str:
+    """Serialize to the mps-v1 JSON format (see chain_to_json)."""
+    return chain_to_json(FORMAT_NAME, m)
+
+
+def mps_from_json(text: str) -> Mps:
+    """Read an mps-v1 document; every malformed field raises ValueError naming it."""
+    return Mps(*chain_from_json(text, FORMAT_NAME, (2,)))

@@ -17,6 +17,7 @@ are real (``-0.25``, ``1e-3``) or complex in ``a+bi`` form (``0.5-0.25i``).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -43,6 +44,10 @@ __all__ = [
     "concat",
     "dense_string",
     "expectation",
+    "json_document",
+    "json_field",
+    "json_finite",
+    "malformed",
     "multiply",
     "n_words",
     "pack_strings",
@@ -50,6 +55,7 @@ __all__ = [
     "parse_pauli_sum",
     "pauli_product",
     "serialize_pauli_sum",
+    "site_codes",
     "to_dense",
     "unpack_string",
 ]
@@ -151,7 +157,8 @@ class PauliString:
         bits = 0
         n = 0
         for code in codes:
-            bits = (bits << 2) | (code & 3)
+            # int() first: a numpy code would wrap bits at 32 sites
+            bits = (bits << 2) | (int(code) & 3)
             n += 1
         return cls(n, bits)
 
@@ -351,6 +358,13 @@ def unpack_string(row: np.ndarray, n_sites: int) -> PauliString:
     return PauliString(n_sites, bits)
 
 
+def site_codes(packed: np.ndarray, n_sites: int, sites) -> np.ndarray:
+    """Symbol codes of pack_strings rows at ``sites`` (an int or an array)."""
+    offset = 2 * (n_sites - 1 - np.asarray(sites))
+    word = packed[:, -1 - offset // 64]
+    return ((word >> (offset % 64).astype(np.uint64)) & np.uint64(3)).astype(np.intp)
+
+
 def packed_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Products of packed strings, broadcast over all but the last axis.
 
@@ -503,3 +517,36 @@ def serialize_pauli_sum(op: PauliSum) -> str:
     """Inverse of parse_pauli_sum; exact round trip for every float."""
     lines = [f"{_format_coeff(t.coeff)} {t.string.label}" for t in op.terms]
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# checked fields of the JSON formats; every failure is a ValueError that
+# names the format and the field
+
+def malformed(fmt: str, where: str, problem: str) -> ValueError:
+    return ValueError(f"{fmt} field {where}: {problem}")
+
+
+def json_document(text: str, fmt: str) -> dict:
+    """Parse ``text`` and check that it is a ``fmt`` document."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        got = doc.get("format") if isinstance(doc, dict) else doc
+        raise ValueError(f"expected format {fmt!r}, got {got!r}")
+    return doc
+
+
+def json_field(fmt: str, doc, key: str, kind, where: str = ""):
+    """``doc[key]`` when it is a ``kind``; ``where`` prefixes the field name."""
+    # bool is an int subclass in Python but never a valid count or value
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise malformed(fmt, where + key, f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def json_finite(fmt: str, doc, key: str, where: str = "") -> float:
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise malformed(fmt, where + key, f"expected a finite number, got {value!r}")
+    return float(value)

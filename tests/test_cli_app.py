@@ -26,7 +26,7 @@ from paulibridge.mps import mps_from_json
 from paulibridge.pauli import PauliString, PauliSum, parse_pauli_sum, serialize_pauli_sum, to_dense
 from paulibridge.sampler import pool_from_text, samples_from_text
 
-from conftest import FIXTURES, random_pauli_sum
+from conftest import CHAIN_MUTATIONS, FIXTURES, random_pauli_sum
 
 
 def run(argv):
@@ -290,6 +290,50 @@ class TestExitCodes:
         rc, _, _ = run(["lcu", "--bridge", str(bad),
                         "--output", str(tmp_path / "out.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["lcu", "update"])
+    @pytest.mark.parametrize("field, mutate", [
+        pytest.param("bridge[0].re", lambda d: d["bridge"][0].update(re=float("nan")), id="nan-re"),
+        pytest.param("bridge[0].re", lambda d: d["bridge"][0].update(re=None), id="null-re"),
+        pytest.param("bridge[1].im", lambda d: d["bridge"][1].update(im=float("inf")), id="infinite-im"),
+        pytest.param("bridge[2].a", lambda d: d["bridge"][2].update(a="0"), id="string-index"),
+        pytest.param("bridge[3].b", lambda d: d["bridge"][3].update(b=1.0), id="float-index"),
+        pytest.param("bridge[0].a", lambda d: d["bridge"].__setitem__(0, 5), id="entry-not-object"),
+        pytest.param("bridge[0]", lambda d: d["bridge"][0].update(a=99), id="index-out-of-range"),
+        pytest.param("bridge[1]", lambda d: d["bridge"][1].update(
+            a=d["bridge"][0]["a"], b=d["bridge"][0]["b"]), id="pair-twice"),
+        pytest.param("left_fragments[0]", lambda d: d["left_fragments"].__setitem__(0, None),
+                     id="null-fragment"),
+        pytest.param("cut", lambda d: d.update(cut="2"), id="cut-string"),
+    ])
+    def test_malformed_bridge_is_data_error(self, pipeline, tmp_path, command, field, mutate):
+        paths, _ = pipeline
+        doc = json.loads(paths["bridge"].read_text())
+        mutate(doc)
+        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+        bad.write_text(json.dumps(doc))
+        program = ["--program", str(paths["lcu"])] if command == "update" else []
+        rc, stdout, err = run([command, *program, "--bridge", str(bad), "--output", str(out)])
+        assert rc == 2
+        assert stdout == ""
+        assert not out.exists()
+        [line] = err.splitlines()
+        assert line.startswith(f"error: bridge-v1 field {field}:")
+
+    @pytest.mark.parametrize("field, mutate", CHAIN_MUTATIONS)
+    def test_malformed_state_is_data_error(self, pipeline, tmp_path, field, mutate):
+        paths, _ = pipeline
+        doc = json.loads(paths["mps"].read_text())
+        mutate(doc)
+        bad, out = tmp_path / "bad.json", tmp_path / "samples.txt"
+        bad.write_text(json.dumps(doc))
+        rc, stdout, err = run(["sample", "--state", str(bad), "--n-samples", "10",
+                               "--seed", "1", "--output", str(out)])
+        assert rc == 2
+        assert stdout == ""
+        assert not out.exists()
+        [line] = err.splitlines()
+        assert line.startswith(f"error: mps-v1 field {field}:")
 
     def test_update_support_change(self, pipeline, tmp_path, h2_text):
         paths, _ = pipeline

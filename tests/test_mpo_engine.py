@@ -1,6 +1,7 @@
 """MPO construction, canonical forms, compression, bridge truncation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from paulibridge.mpo import (
     mpo_to_json,
 )
 from paulibridge.pauli import (
+    PAULI_MATRICES,
     PauliString,
     PauliSum,
     PauliTerm,
@@ -31,11 +33,51 @@ from paulibridge.pauli import (
     to_dense,
 )
 
-from conftest import random_pauli_sum
+from conftest import CHAIN_MUTATIONS, random_pauli_sum
 
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def chain_operator(rng, n):
+    """Nearest-neighbour XX/YY/ZZ couplings plus X and Z fields: 5n - 3 terms."""
+    labels = [
+        "I" * i + pair + "I" * (n - i - len(pair))
+        for i in range(n)
+        for pair in (("XX", "YY", "ZZ") if i < n - 1 else ()) + ("X", "Z")
+    ]
+    return PauliSum(n, [(rng.standard_normal(), PauliString.from_label(s)) for s in labels])
+
+
+def pauli_coefficients(m, strings):
+    """Coefficient of each string in the MPO's Pauli expansion.
+
+    Each site tensor is projected onto the Pauli basis,
+    ``c[a, b, p] = tr(sigma_p W[a, b]) / 2``, so a coefficient is one
+    product of matrices and needs no dense operator.
+    """
+    sigma = np.array(PAULI_MATRICES)
+    proj = [np.einsum("abst,pts->pab", w, sigma) / 2 for w in m.tensors]
+    out = []
+    for s in strings:
+        env = np.ones((1, 1))
+        for c, code in zip(proj, s.codes):
+            env = env @ c[code]
+        out.append(env[0, 0])
+    return np.array(out)
+
+
+def reference_regroup(carried, suffixes):
+    """The string-built regroup: rows are the occurring (bond, symbol) pairs,
+    columns the sorted remaining suffixes."""
+    rests = sorted({s[1:] for s in suffixes})
+    rest_index = {r: k for k, r in enumerate(rests)}
+    raw = np.zeros((carried.shape[0], 4, len(rests)), dtype=np.complex128)
+    for k, s in enumerate(suffixes):
+        raw[:, "IXYZ".index(s[0]), rest_index[s[1:]]] += carried[:, k]
+    rows = [(a, p) for a in range(carried.shape[0]) for p in range(4) if np.any(raw[a, p] != 0)]
+    return tuple(rows), tuple(rests), np.array([raw[a, p] for a, p in rows])
 
 
 class TestBuild:
@@ -117,6 +159,80 @@ class TestBuild:
     def test_negative_rank_tol_raises(self, h2_subset):
         with pytest.raises(ValueError):
             build_mpo_qr(h2_subset, rank_tol=-0.1)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rank_tol_raises(self, h2_subset, tol):
+        with pytest.raises(ValueError, match="rank_tol"):
+            build_mpo_qr(h2_subset, rank_tol=tol)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([24, 40]))
+    def test_chain_bonds_are_exact_rank(self, seed, n_sites):
+        # the channels past a cut are identity, X, Y, Z and "done": rank 5;
+        # roundoff pivots kept as bonds used to give up to 99 (24 sites)
+        rng = np.random.default_rng(seed)
+        op = chain_operator(rng, n_sites)
+        assert op.n_terms == 5 * n_sites - 3
+        m = build_mpo_qr(op)
+        assert max(m.bond_dims) <= 5
+        absent = [PauliString.from_codes(rng.integers(0, 4, n_sites)) for _ in range(20)]
+        absent = [s for s in absent if s not in op.as_dict()]
+        strings = [t.string for t in op.terms] + absent
+        want = [t.coeff for t in op.terms] + [0.0] * len(absent)
+        np.testing.assert_allclose(pauli_coefficients(m, strings), want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 40), st.booleans())
+    def test_bonds_equal_matrix_rank_of_cut(self, seed, n_sites, n_terms, complex_coeffs):
+        rng = np.random.default_rng(seed)
+        op = random_pauli_sum(rng, n_sites, n_terms, complex_coeffs=complex_coeffs)
+        cuts = []
+        m = build_mpo_qr(op, cut_log=cuts)
+        ranks = [np.linalg.matrix_rank(c.matrix) for c in cuts[:-1]]
+        assert m.bond_dims == [1] + ranks + [1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.integers(1, 8), st.integers(30, 40)),
+        st.integers(1, 40),
+    )
+    def test_cut_log_matches_string_regroup(self, seed, n_sites, n_terms):
+        # mostly-identity strings share suffixes, so columns merge; 33 or
+        # more sites take two packed words per string
+        rng = np.random.default_rng(seed)
+        codes = rng.choice(4, size=(n_terms, n_sites), p=[0.7, 0.1, 0.1, 0.1])
+        op = PauliSum(n_sites, [
+            (complex(*rng.standard_normal(2)), PauliString.from_codes(int(c) for c in row))
+            for row in codes
+        ])
+        cuts = []
+        m = build_mpo_qr(op, cut_log=cuts)
+        assert [c.site for c in cuts] == list(range(n_sites))
+        suffixes = [t.string.label for t in op.terms]
+        carried = np.array([[t.coeff for t in op.terms]])
+        for site, cut in enumerate(cuts):
+            rows, rests, matrix = reference_regroup(carried, suffixes)
+            assert cut.row_keys == rows
+            assert cut.col_labels == rests
+            assert np.array_equal(cut.matrix, matrix)
+            if site < n_sites - 1:
+                _, r, piv = scipy.linalg.qr(cut.matrix, mode="economic", pivoting=True)
+                rank = m.bond_dims[site + 1]
+                carried = np.zeros((rank, len(rests)), dtype=np.complex128)
+                carried[:, piv] = r[:rank]
+                suffixes = rests
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 18))
+    def test_wide_coefficient_range_reconstruction(self, seed, n_sites, n_terms):
+        rng = np.random.default_rng(seed)
+        op = random_pauli_sum(rng, n_sites, n_terms, complex_coeffs=True)
+        magnitudes = 10.0 ** rng.uniform(-8, 3, op.n_terms)
+        op = PauliSum(n_sites, [
+            (t.coeff / abs(t.coeff) * mag, t.string) for t, mag in zip(op.terms, magnitudes)
+        ])
+        assert rel_err(mpo_to_dense(build_mpo_qr(op)), to_dense(op)) < 1e-12
 
     def test_rank_tol_shrinks_bonds(self, h2_subset):
         exact = build_mpo_qr(h2_subset)
@@ -302,6 +418,13 @@ class TestSerialization:
         doc = json.loads(mpo_to_json(build_mpo_qr(h2_subset)))
         doc["format"] = "mpo-v0"
         with pytest.raises(ValueError):
+            mpo_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field, mutate", CHAIN_MUTATIONS)
+    def test_malformed_document_names_field(self, h2_subset, field, mutate):
+        doc = json.loads(mpo_to_json(build_mpo_qr(h2_subset)))
+        mutate(doc)
+        with pytest.raises(ValueError, match=rf"^mpo-v1 field {re.escape(field)}:"):
             mpo_from_json(json.dumps(doc))
 
     def test_truncated_payload_rejected(self, h2_subset):

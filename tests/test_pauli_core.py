@@ -165,6 +165,11 @@ class TestStringBasics:
         assert left.label == label[:cut]
         assert right.label == label[cut:]
 
+    def test_from_numpy_codes_past_one_word(self):
+        codes = np.random.default_rng(3).integers(0, 4, 40)
+        s = PauliString.from_codes(codes)
+        assert s.label == "".join("IXYZ"[c] for c in codes)
+
     def test_needs_at_least_one_site(self):
         with pytest.raises(ValueError):
             PauliString.from_label("")
