@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -54,6 +54,7 @@ __all__ = [
     "decomposition_to_json",
     "reconstruct",
     "set_bridge",
+    "skeleton_hash",
     "structural_hash",
 ]
 
@@ -139,30 +140,17 @@ class SymbolicGraph:
         return tuple(len(gap) for gap in self.edges)
 
 
-def _left_graph(fragments: tuple[PauliString, ...]) -> SymbolicGraph:
-    width = fragments[0].n_sites
+def _graph(side: str, fragments: tuple[PauliString, ...]) -> SymbolicGraph:
+    """Layer i holds the length-i prefixes (left) or the suffixes from site i (right)."""
     labels = [f.label for f in fragments]
-    layers = []
-    for i in range(width + 1):
-        layers.append(tuple(sorted({lab[:i] for lab in labels})))
-    edges = []
-    for i in range(width):
-        gap = {(lab[:i], lab[i], lab[: i + 1]) for lab in labels}
-        edges.append(tuple(sorted(gap)))
-    return SymbolicGraph("left", tuple(layers), tuple(edges))
-
-
-def _right_graph(fragments: tuple[PauliString, ...]) -> SymbolicGraph:
-    width = fragments[0].n_sites
-    labels = [f.label for f in fragments]
-    layers = []
-    for i in range(width + 1):
-        layers.append(tuple(sorted({lab[i:] for lab in labels})))
-    edges = []
-    for i in range(width):
-        gap = {(lab[i:], lab[i], lab[i + 1 :]) for lab in labels}
-        edges.append(tuple(sorted(gap)))
-    return SymbolicGraph("right", tuple(layers), tuple(edges))
+    width = len(labels[0])
+    vertex = (lambda lab, i: lab[:i]) if side == "left" else (lambda lab, i: lab[i:])
+    layers = [tuple(sorted({vertex(lab, i) for lab in labels})) for i in range(width + 1)]
+    edges = [
+        tuple(sorted({(vertex(lab, i), lab[i], vertex(lab, i + 1)) for lab in labels}))
+        for i in range(width)
+    ]
+    return SymbolicGraph(side, tuple(layers), tuple(edges))
 
 
 @dataclass
@@ -235,8 +223,8 @@ def compile(op: PauliSum, cut: int) -> BridgeDecomposition:
         cut=cut,
         left=left,
         right=right,
-        graph_left=_left_graph(left.fragments),
-        graph_right=_right_graph(right.fragments),
+        graph_left=_graph("left", left.fragments),
+        graph_right=_graph("right", right.fragments),
         bridge=Bridge((len(left_sorted), len(right_sorted)), entries),
     )
 
@@ -267,32 +255,29 @@ def set_bridge(d: BridgeDecomposition, entries: dict[tuple[int, int], complex]) 
         if not (0 <= a < n_l and 0 <= b < n_r):
             raise IndexOutOfRange(f"pair ({a}, {b}) outside {d.bridge.shape}")
         checked[(a, b)] = complex(coeff)
-    return BridgeDecomposition(
-        cut=d.cut,
-        left=d.left,
-        right=d.right,
-        graph_left=d.graph_left,
-        graph_right=d.graph_right,
-        bridge=Bridge((n_l, n_r), checked),
-    )
+    return replace(d, bridge=Bridge((n_l, n_r), checked))
+
+
+def skeleton_hash(cut: int, left, right, pairs=()) -> str:
+    """Digest of a symbolic skeleton: cut, fragment labels and index pairs.
+
+    ``left`` and ``right`` are the fragment labels in dictionary order;
+    ``pairs`` (sorted here) is the active pair set when the digest covers
+    it, as an LCU program's select hash does. No coefficient enters.
+    """
+    parts = [f"cut={cut}", "L"] + list(left) + ["R"] + list(right) + ["P"]
+    parts += [f"{a},{b}" for a, b in sorted(pairs)]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
 def structural_hash(d: BridgeDecomposition) -> str:
-    """Digest of the symbolic skeleton only.
+    """Digest of the symbolic skeleton only: cut and fragment dictionaries.
 
-    Covers cut, fragment dictionaries, and graphs; ignores every
-    coefficient, so swapping bridge values leaves the hash fixed.
+    The layered graphs are a function of the dictionaries, so they add
+    nothing; every coefficient is ignored, so swapping bridge values
+    leaves the hash fixed.
     """
-    h = hashlib.sha256()
-    h.update(f"cut={d.cut}".encode())
-    h.update(("|L:" + ",".join(d.left.labels)).encode())
-    h.update(("|R:" + ",".join(d.right.labels)).encode())
-    for graph in (d.graph_left, d.graph_right):
-        for layer in graph.layers:
-            h.update(("|l:" + ",".join(layer)).encode())
-        for gap in graph.edges:
-            h.update(("|e:" + ",".join("/".join(e) for e in gap)).encode())
-    return h.hexdigest()
+    return skeleton_hash(d.cut, d.left.labels, d.right.labels)
 
 
 def decomposition_to_json(d: BridgeDecomposition) -> str:
@@ -354,7 +339,7 @@ def decomposition_from_json(text: str) -> BridgeDecomposition:
         cut=cut,
         left=left,
         right=right,
-        graph_left=_left_graph(left.fragments),
-        graph_right=_right_graph(right.fragments),
+        graph_left=_graph("left", left.fragments),
+        graph_right=_graph("right", right.fragments),
         bridge=Bridge((len(left), len(right)), entries),
     )

@@ -55,7 +55,6 @@ from paulibridge.mpo import (
     mpo_to_json,
 )
 from paulibridge.mps import (
-    canonicalize_mps,
     ground_state_reference,
     mps_from_json,
     mps_to_json,

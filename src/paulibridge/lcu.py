@@ -14,7 +14,6 @@ to a program with the same hash and an unchanged select skeleton.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -23,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from paulibridge.bridge import BridgeDecomposition, EmptyOperator
+from paulibridge.bridge import BridgeDecomposition, EmptyOperator, skeleton_hash
 from paulibridge.pauli import (
     SYMBOLS,
     PauliString,
@@ -96,12 +95,6 @@ class LcuProgram:
         return (a << self.a_right) | b
 
 
-def _skeleton_hash(cut: int, left, right, pairs) -> str:
-    parts = [f"cut={cut}", "L"] + list(left) + ["R"] + list(right) + ["P"]
-    parts += [f"{a},{b}" for a, b in sorted(pairs)]
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
-
-
 def compile_lcu(d: BridgeDecomposition) -> LcuProgram:
     """Compile a bridge decomposition into an LCU program."""
     active = sorted(d.bridge.active_pairs)
@@ -127,7 +120,7 @@ def compile_lcu(d: BridgeDecomposition) -> LcuProgram:
         a_right=(len(right) - 1).bit_length(),
         prep=tuple((a, b, float(amp)) for (a, b), amp in zip(active, amps)),
         select=tuple((a, b, complex(ph)) for (a, b), ph in zip(active, phases)),
-        select_hash=_skeleton_hash(d.cut, left, right, active),
+        select_hash=skeleton_hash(d.cut, left, right, active),
     )
 
 

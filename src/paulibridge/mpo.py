@@ -13,20 +13,32 @@ dropped pivot, so that block's Frobenius norm is at most ``sqrt(k)``
 times the threshold: at ``rank_tol = 0`` the contraction reproduces the
 operator up to roundoff, and roundoff pivots do not become bonds.
 
-MPO tensors are indexed ``W[left_bond, right_bond, s_out, s_in]``.
+MPO tensors are indexed ``W[left_bond, right_bond, s_out, s_in]``. The
+gauge sweep, compression, isometry checks and JSON codec are the shared
+tensor-chain ones from ``paulibridge.mps``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from paulibridge.bridge import Bridge, BridgeDecomposition, EmptyOperator
-from paulibridge.mps import chain_from_json, chain_to_json
+# The chain functions are shared with MPS states; they are re-exported
+# here under the names the MPO API has always had.
+from paulibridge.mps import (
+    TensorChain,
+    canonicalize,
+    chain_from_json,
+    chain_to_json,
+    compress,
+    is_left_canonical_site,
+    is_right_canonical_site,
+)
 from paulibridge.pauli import (
     DENSE_LIMIT,
     PAULI_MATRICES,
@@ -75,24 +87,8 @@ class CutMatrix:
     matrix: np.ndarray
 
 
-@dataclass
-class Mpo:
-    """Matrix product operator with per-site gauge tags."""
-
-    tensors: list[np.ndarray]
-    gauge: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.gauge:
-            self.gauge = ["none"] * len(self.tensors)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.tensors)
-
-    @property
-    def bond_dims(self) -> list[int]:
-        return [self.tensors[0].shape[0]] + [w.shape[1] for w in self.tensors]
+class Mpo(TensorChain):
+    """Matrix product operator: physical shape ``(2, 2)``, ``W[left, right, s_out, s_in]``."""
 
 
 def build_mpo_qr(
@@ -182,77 +178,6 @@ def mpo_to_dense(m: Mpo, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
         two_p = acc.shape[1] * acc.shape[2]
         acc = acc.reshape(acc.shape[0], two_p, two_p)
     return acc[0]
-
-
-def is_left_canonical_site(w: np.ndarray, tol: float = 1e-12) -> bool:
-    mat = w.transpose(0, 2, 3, 1).reshape(-1, w.shape[1])
-    return bool(np.allclose(mat.conj().T @ mat, np.eye(w.shape[1]), atol=tol))
-
-
-def is_right_canonical_site(w: np.ndarray, tol: float = 1e-12) -> bool:
-    mat = w.reshape(w.shape[0], -1)
-    return bool(np.allclose(mat @ mat.conj().T, np.eye(w.shape[0]), atol=tol))
-
-
-def canonicalize(m: Mpo, center: int) -> Mpo:
-    """Bring the MPO to mixed-canonical form about ``center``.
-
-    Sites left of the center satisfy the left condition
-    ``sum_{a,s,s'} W*[a,l] W[a,l'] = delta``, sites right of it the
-    mirrored right condition; the dense operator is unchanged.
-    """
-    n = m.n_sites
-    if not 0 <= center < n:
-        raise ValueError(f"center {center} out of range for {n} sites")
-    ws = [w.copy() for w in m.tensors]
-    for j in range(n - 1, center, -1):
-        l, r = ws[j].shape[0], ws[j].shape[1]
-        mat = ws[j].reshape(l, r * 4)
-        qh, rh = scipy.linalg.qr(mat.conj().T, mode="economic")
-        k = qh.shape[1]
-        ws[j] = qh.conj().T.reshape(k, r, 2, 2)
-        ws[j - 1] = np.einsum("alst,lk->akst", ws[j - 1], rh.conj().T)
-    for j in range(center):
-        l, r = ws[j].shape[0], ws[j].shape[1]
-        mat = ws[j].transpose(0, 2, 3, 1).reshape(l * 4, r)
-        q, rr = scipy.linalg.qr(mat, mode="economic")
-        k = q.shape[1]
-        ws[j] = q.reshape(l, 2, 2, k).transpose(0, 3, 1, 2)
-        ws[j + 1] = np.einsum("kr,rbst->kbst", rr, ws[j + 1])
-    gauge = ["left"] * center + ["center"] + ["right"] * (n - 1 - center)
-    return Mpo(ws, gauge)
-
-
-def compress(
-    m: Mpo, svd_tol: float = 0.0, max_bond: int | None = None
-) -> tuple[Mpo, list[float]]:
-    """Sweep of SVD truncations in mixed-canonical gauge.
-
-    Singular values below ``svd_tol`` relative to each bond's largest are
-    discarded, and bonds are capped at ``max_bond``. Returns the
-    compressed MPO and the discarded weight (sum of dropped squared
-    singular values) per bond; the Frobenius error of the dense
-    contraction obeys ``err <= sqrt(sum of discarded weights)`` up to
-    roundoff, with equality when a single bond is truncated.
-    """
-    work = canonicalize(m, 0)
-    ws = work.tensors
-    n = len(ws)
-    discarded: list[float] = []
-    for j in range(n - 1):
-        l, r = ws[j].shape[0], ws[j].shape[1]
-        mat = ws[j].transpose(0, 2, 3, 1).reshape(l * 4, r)
-        u, s, vh = scipy.linalg.svd(mat, full_matrices=False)
-        keep = int(np.count_nonzero(s > svd_tol * s[0])) if s[0] > 0 else 1
-        if max_bond is not None:
-            keep = min(keep, max_bond)
-        keep = max(keep, 1)
-        discarded.append(float(np.sum(s[keep:] ** 2)))
-        ws[j] = u[:, :keep].reshape(l, 2, 2, keep).transpose(0, 3, 1, 2)
-        carry = s[:keep, None] * vh[:keep]
-        ws[j + 1] = np.einsum("kr,rbst->kbst", carry, ws[j + 1])
-    gauge = ["left"] * (n - 1) + ["center"]
-    return Mpo(ws, gauge), discarded
 
 
 def mpo_to_json(m: Mpo) -> str:

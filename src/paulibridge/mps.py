@@ -1,6 +1,10 @@
-"""Matrix product states: construction from dense vectors, gauges, overlaps.
+"""Tensor chains (MPS and MPO) and matrix product states.
 
-Tensor layout is ``A[left_bond, right_bond, phys]`` with site 0 the most
+``TensorChain`` is the one chain type: tensors ``T[left_bond, right_bond,
+*phys]`` with per-site gauge tags. An ``Mps`` has physical shape ``(2,)``,
+an ``Mpo`` (``paulibridge.mpo``) ``(2, 2)``; both share the isometry
+checks, the QR gauge sweep (``canonicalize``), the SVD truncation sweep
+(``compress``) and the JSON codec defined here. Site 0 is the most
 significant qubit of the dense index, matching the operator conventions.
 """
 
@@ -32,9 +36,12 @@ __all__ = [
     "DegenerateGroundState",
     "GroundStateResult",
     "Mps",
+    "TensorChain",
+    "canonicalize",
     "canonicalize_mps",
     "chain_from_json",
     "chain_to_json",
+    "compress",
     "dense_to_mps",
     "ground_state_reference",
     "is_left_canonical_site",
@@ -63,8 +70,8 @@ class DegenerateGroundState(UserWarning):
 
 
 @dataclass
-class Mps:
-    """Matrix product state with per-site gauge tags."""
+class TensorChain:
+    """Tensors ``T[left_bond, right_bond, *phys]`` with per-site gauge tags."""
 
     tensors: list[np.ndarray]
     gauge: list[str] = field(default_factory=list)
@@ -80,6 +87,87 @@ class Mps:
     @property
     def bond_dims(self) -> list[int]:
         return [self.tensors[0].shape[0]] + [t.shape[1] for t in self.tensors]
+
+
+class Mps(TensorChain):
+    """Matrix product state: physical shape ``(2,)``."""
+
+
+def is_left_canonical_site(t: np.ndarray, tol: float = 1e-12) -> bool:
+    """``sum_{a,phys} T*[a,r] T[a,r'] = delta``: left bond and physical legs are isometric."""
+    mat = np.moveaxis(t, 1, -1).reshape(-1, t.shape[1])
+    return bool(np.allclose(mat.conj().T @ mat, np.eye(t.shape[1]), atol=tol))
+
+
+def is_right_canonical_site(t: np.ndarray, tol: float = 1e-12) -> bool:
+    """``sum_{b,phys} T[l,b] T*[l',b] = delta``: right bond and physical legs are isometric."""
+    mat = t.reshape(t.shape[0], -1)
+    return bool(np.allclose(mat @ mat.conj().T, np.eye(t.shape[0]), atol=tol))
+
+
+def _svd_split(mat: np.ndarray, svd_tol: float, max_bond: int | None, discard_log: list | None):
+    """Truncated SVD ``mat ~ u @ carry`` with ``u`` isometric.
+
+    Keeps the singular values above ``svd_tol`` times the largest, at most
+    ``max_bond`` and at least one; the dropped squared weight is appended
+    to ``discard_log`` when a list is given.
+    """
+    u, s, vh = scipy.linalg.svd(mat, full_matrices=False)
+    keep = int(np.count_nonzero(s > svd_tol * s[0])) if s[0] > 0 else 1
+    if max_bond is not None:
+        keep = min(keep, max_bond)
+    keep = max(keep, 1)
+    if discard_log is not None:
+        discard_log.append(float(np.sum(s[keep:] ** 2)))
+    return u[:, :keep], s[:keep, None] * vh[:keep]
+
+
+def _split_left(ts: list[np.ndarray], j: int, split) -> None:
+    """Make site j left-isometric with ``split`` and push the remainder into site j+1."""
+    t = ts[j]
+    q, carry = split(np.moveaxis(t, 1, -1).reshape(-1, t.shape[1]))
+    ts[j] = np.moveaxis(q.reshape(t.shape[0], *t.shape[2:], q.shape[1]), -1, 1)
+    ts[j + 1] = np.einsum("kr,rb...->kb...", carry, ts[j + 1])
+
+
+def canonicalize(chain: TensorChain, center: int) -> TensorChain:
+    """Bring a chain to mixed-canonical form about ``center``.
+
+    Sites left of the center satisfy the left isometry condition, sites
+    right of it the mirrored right condition; the center holds the norm
+    and the contracted chain is unchanged. Returns the input's type.
+    """
+    n = chain.n_sites
+    if not 0 <= center < n:
+        raise ValueError(f"center {center} out of range for {n} sites")
+    ts = [t.copy() for t in chain.tensors]
+    for j in range(n - 1, center, -1):
+        qh, rh = scipy.linalg.qr(ts[j].reshape(ts[j].shape[0], -1).conj().T, mode="economic")
+        ts[j] = qh.conj().T.reshape(qh.shape[1], *ts[j].shape[1:])
+        ts[j - 1] = np.einsum("al...,lk->ak...", ts[j - 1], rh.conj().T)
+    for j in range(center):
+        _split_left(ts, j, lambda mat: scipy.linalg.qr(mat, mode="economic"))
+    gauge = ["left"] * center + ["center"] + ["right"] * (n - 1 - center)
+    return type(chain)(ts, gauge)
+
+
+def compress(
+    chain: TensorChain, svd_tol: float = 0.0, max_bond: int | None = None
+) -> tuple[TensorChain, list[float]]:
+    """Sweep of SVD truncations in mixed-canonical gauge.
+
+    Singular values below ``svd_tol`` relative to each bond's largest are
+    discarded, and bonds are capped at ``max_bond``. Returns the
+    compressed chain (the input's type) and the discarded weight (sum of
+    dropped squared singular values) per bond; the Frobenius error of the
+    contraction obeys ``err <= sqrt(sum of discarded weights)`` up to
+    roundoff, with equality when a single bond is truncated.
+    """
+    ts = canonicalize(chain, 0).tensors
+    discarded: list[float] = []
+    for j in range(len(ts) - 1):
+        _split_left(ts, j, lambda mat: _svd_split(mat, svd_tol, max_bond, discarded))
+    return type(chain)(ts, ["left"] * (len(ts) - 1) + ["center"]), discarded
 
 
 def dense_to_mps(
@@ -107,15 +195,10 @@ def dense_to_mps(
     mat = vec.reshape(2, -1)
     chi = 1
     for _ in range(n - 1):
-        u, s, vh = scipy.linalg.svd(mat, full_matrices=False)
-        keep = int(np.count_nonzero(s > svd_tol * s[0])) if s[0] > 0 else 1
-        if max_bond is not None:
-            keep = min(keep, max_bond)
-        keep = max(keep, 1)
-        if discard_log is not None:
-            discard_log.append(float(np.sum(s[keep:] ** 2)))
-        tensors.append(u[:, :keep].reshape(chi, 2, keep).transpose(0, 2, 1))
-        mat = (s[:keep, None] * vh[:keep]).reshape(keep * 2, -1)
+        u, carry = _svd_split(mat, svd_tol, max_bond, discard_log)
+        keep = u.shape[1]
+        tensors.append(u.reshape(chi, 2, keep).transpose(0, 2, 1))
+        mat = carry.reshape(keep * 2, -1)
         chi = keep
     last = mat.reshape(chi, 2, 1).transpose(0, 2, 1)
     if normalize:
@@ -135,16 +218,6 @@ def mps_to_dense(m: Mps, dense_limit: int = STATE_DENSE_LIMIT) -> np.ndarray:
     return acc[0]
 
 
-def is_left_canonical_site(t: np.ndarray, tol: float = 1e-12) -> bool:
-    mat = t.transpose(0, 2, 1).reshape(-1, t.shape[1])
-    return bool(np.allclose(mat.conj().T @ mat, np.eye(t.shape[1]), atol=tol))
-
-
-def is_right_canonical_site(t: np.ndarray, tol: float = 1e-12) -> bool:
-    mat = t.reshape(t.shape[0], -1)
-    return bool(np.allclose(mat @ mat.conj().T, np.eye(t.shape[0]), atol=tol))
-
-
 def canonicalize_mps(m: Mps, form: str = "right") -> Mps:
     """Sweep into a full left or right gauge.
 
@@ -155,27 +228,7 @@ def canonicalize_mps(m: Mps, form: str = "right") -> Mps:
     """
     if form not in ("left", "right"):
         raise ValueError(f"form must be 'left' or 'right', got {form!r}")
-    ts = [t.copy() for t in m.tensors]
-    n = len(ts)
-    if form == "right":
-        for j in range(n - 1, 0, -1):
-            l, r = ts[j].shape[0], ts[j].shape[1]
-            mat = ts[j].reshape(l, r * 2)
-            qh, rh = scipy.linalg.qr(mat.conj().T, mode="economic")
-            k = qh.shape[1]
-            ts[j] = qh.conj().T.reshape(k, r, 2)
-            ts[j - 1] = np.einsum("alp,lk->akp", ts[j - 1], rh.conj().T)
-        gauge = ["center"] + ["right"] * (n - 1)
-    else:
-        for j in range(n - 1):
-            l, r = ts[j].shape[0], ts[j].shape[1]
-            mat = ts[j].transpose(0, 2, 1).reshape(l * 2, r)
-            q, rr = scipy.linalg.qr(mat, mode="economic")
-            k = q.shape[1]
-            ts[j] = q.reshape(l, 2, k).transpose(0, 2, 1)
-            ts[j + 1] = np.einsum("kr,rbp->kbp", rr, ts[j + 1])
-        gauge = ["left"] * (n - 1) + ["center"]
-    return Mps(ts, gauge)
+    return canonicalize(m, 0 if form == "right" else m.n_sites - 1)
 
 
 def overlap(a: Mps, b: Mps) -> complex:
@@ -266,7 +319,7 @@ def ground_state_reference(
     return GroundStateResult(energy, gap, vec, mps)
 
 
-def chain_to_json(fmt: str, m) -> str:
+def chain_to_json(fmt: str, m: TensorChain) -> str:
     """The mps-v1 and mpo-v1 JSON form of a tensor chain.
 
     Tensor payloads are base64 of little-endian complex128 values in

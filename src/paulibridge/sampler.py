@@ -197,6 +197,9 @@ def samples_from_text(text: str) -> tuple[np.ndarray, int]:
     if header is None:
         raise ValueError("missing samples-v1 header line")
     n_sites = int(header.group(1))
+    if not 1 <= n_sites <= 32:
+        # a sample is one uint64 of two bits per site
+        raise ValueError(f"samples-v1 header field n_sites: expected 1..32, got {n_sites}")
     values = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -240,14 +243,22 @@ def pool_from_text(text: str) -> SampledPool:
         if len(parts) != 3:
             raise ValueError(f"line {line_no}: expected 'count freq label'")
         try:
-            count = int(parts[0])
+            count, freq = int(parts[0]), float(parts[1])
             string = PauliString.from_label(parts[2])
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
+        if count < 1:
+            raise ValueError(f"line {line_no}: count must be at least 1, got {count}")
+        if not 0 <= freq <= 1:
+            raise ValueError(
+                f"line {line_no}: frequency must be a finite number in [0, 1], got {parts[1]}"
+            )
         if string.n_sites != n_sites:
             raise ValueError(
                 f"line {line_no}: string has {string.n_sites} sites, header says {n_sites}"
             )
+        if string in counts:
+            raise ValueError(f"line {line_no}: {string.label} appears twice")
         counts[string] = count
         (iz if classify(string) == "diagonal" else xy).append(string)
     return SampledPool(n_sites, n_samples, tuple(xy), tuple(iz), counts)

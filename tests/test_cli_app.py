@@ -335,6 +335,44 @@ class TestExitCodes:
         [line] = err.splitlines()
         assert line.startswith(f"error: mps-v1 field {field}:")
 
+    @pytest.mark.parametrize("n_sites", [0, 40])
+    def test_samples_beyond_one_word_is_data_error(self, tmp_path, n_sites):
+        bad, out = tmp_path / "samples.txt", tmp_path / "pool.txt"
+        bad.write_text(f"# samples-v1 n_sites={n_sites} n_samples=1\n{'X' * n_sites}\n")
+        rc, stdout, err = run(["curate", "--samples", str(bad), "--output", str(out)])
+        assert rc == 2
+        assert stdout == ""
+        assert not out.exists()
+        [line] = err.splitlines()
+        assert line.startswith("error: samples-v1 header field n_sites:")
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda p: ["0", *p[1:]], id="count-zero"),
+        pytest.param(lambda p: ["-5", *p[1:]], id="count-negative"),
+        pytest.param(lambda p: [p[0], "nan", p[2]], id="freq-nan"),
+        pytest.param(lambda p: [p[0], "1.5", p[2]], id="freq-above-one"),
+        pytest.param(lambda p: [p[0], "abc", p[2]], id="freq-text"),
+        pytest.param(None, id="label-twice"),
+    ])
+    def test_malformed_pool_is_data_error(self, pipeline, tmp_path, mutate):
+        paths, _ = pipeline
+        lines = paths["pool"].read_text().splitlines()
+        if mutate is None:
+            lines.append(lines[1])
+            where = len(lines)
+        else:
+            lines[1] = " ".join(mutate(lines[1].split()))
+            where = 2
+        bad, out = tmp_path / "pool.txt", tmp_path / "opt.json"
+        bad.write_text("\n".join(lines) + "\n")
+        rc, stdout, err = run(["optimize", "--input", str(paths["op"]), "--state",
+                               str(paths["mps"]), "--pool", str(bad), "--output", str(out)])
+        assert rc == 2
+        assert stdout == ""
+        assert not out.exists()
+        [line] = err.splitlines()
+        assert line.startswith(f"error: line {where}:")
+
     def test_update_support_change(self, pipeline, tmp_path, h2_text):
         paths, _ = pipeline
         lines = [l for l in h2_text.splitlines() if "YXXY" not in l]

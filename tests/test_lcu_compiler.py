@@ -284,6 +284,12 @@ class TestUpdate:
         d = compile_bridge(h2_subset, 2)
         halved = set_bridge(d, {p: 0.5 * c for p, c in d.bridge.entries.items()})
         assert compile_lcu(d).select_hash == compile_lcu(halved).select_hash
+        # ... but covers the active-pair set: a cancelled or an added pair moves it
+        entries = dict(d.bridge.entries)
+        dropped = {**entries, next(iter(entries)): 0.0}
+        grown = {**entries, (0, 1): 0.5}
+        hashes = {compile_lcu(set_bridge(d, e)).select_hash for e in (entries, dropped, grown)}
+        assert len(hashes) == 3
 
 
 class TestSerialization:

@@ -24,6 +24,7 @@ from paulibridge.mpo import (
     mpo_to_dense,
     mpo_to_json,
 )
+from paulibridge.mps import dense_to_mps, mps_to_dense
 from paulibridge.pauli import (
     PAULI_MATRICES,
     PauliString,
@@ -33,11 +34,21 @@ from paulibridge.pauli import (
     to_dense,
 )
 
-from conftest import CHAIN_MUTATIONS, random_pauli_sum
+from conftest import CHAIN_MUTATIONS, random_pauli_sum, random_state
 
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def h2_chains(h2_subset):
+    """(chain, its dense contraction, exact reference) for the h2 MPO and a
+    generic four-site MPS (bonds 1, 2, 4, 2, 1): the chain functions serve both."""
+    vec = random_state(np.random.default_rng(4), 4)
+    return [
+        (build_mpo_qr(h2_subset), mpo_to_dense, to_dense(h2_subset)),
+        (dense_to_mps(vec), mps_to_dense, vec),
+    ]
 
 
 def chain_operator(rng, n):
@@ -251,17 +262,18 @@ class TestBuild:
 class TestCanonicalize:
     @pytest.mark.parametrize("center", [0, 1, 2, 3])
     def test_gauge_conditions_and_invariance(self, h2_subset, center):
-        m = build_mpo_qr(h2_subset)
-        dense = mpo_to_dense(m)
-        can = canonicalize(m, center)
-        assert can.gauge == (
-            ["left"] * center + ["center"] + ["right"] * (3 - center)
-        )
-        for j in range(center):
-            assert is_left_canonical_site(can.tensors[j])
-        for j in range(center + 1, 4):
-            assert is_right_canonical_site(can.tensors[j])
-        np.testing.assert_allclose(mpo_to_dense(can), dense, atol=1e-12)
+        for m, dense_of, _ in h2_chains(h2_subset):
+            dense = dense_of(m)
+            can = canonicalize(m, center)
+            assert type(can) is type(m)
+            assert can.gauge == (
+                ["left"] * center + ["center"] + ["right"] * (3 - center)
+            )
+            for j in range(center):
+                assert is_left_canonical_site(can.tensors[j])
+            for j in range(center + 1, 4):
+                assert is_right_canonical_site(can.tensors[j])
+            np.testing.assert_allclose(dense_of(can), dense, atol=1e-12)
 
     def test_bad_center_raises(self, h2_subset):
         m = build_mpo_qr(h2_subset)
@@ -280,24 +292,25 @@ class TestCanonicalize:
 
 class TestCompress:
     def test_lossless_when_untruncated(self, h2_subset):
-        m = build_mpo_qr(h2_subset)
-        comp, discarded = compress(m)
-        assert comp.bond_dims == m.bond_dims
-        assert all(d == 0.0 for d in discarded)
-        np.testing.assert_allclose(
-            mpo_to_dense(comp), mpo_to_dense(m), atol=1e-12
-        )
-        assert comp.gauge == ["left", "left", "left", "center"]
+        for m, dense_of, _ in h2_chains(h2_subset):
+            comp, discarded = compress(m)
+            assert type(comp) is type(m)
+            assert comp.bond_dims == m.bond_dims
+            assert all(d == 0.0 for d in discarded)
+            np.testing.assert_allclose(dense_of(comp), dense_of(m), atol=1e-12)
+            assert comp.gauge == ["left", "left", "left", "center"]
 
     @pytest.mark.parametrize("max_bond", [1, 2, 3, 4])
     def test_discarded_weight_equals_squared_error(self, h2_subset, max_bond):
         # single-sweep truncations discard mutually orthogonal pieces, so
         # the dense Frobenius gap matches the weight sum exactly
-        m = build_mpo_qr(h2_subset)
-        comp, discarded = compress(m, max_bond=max_bond)
-        assert max(comp.bond_dims) <= max(max_bond, 1)
-        err = np.linalg.norm(mpo_to_dense(comp) - to_dense(h2_subset))
-        assert err == pytest.approx(np.sqrt(sum(discarded)), abs=1e-10)
+        for m, dense_of, reference in h2_chains(h2_subset):
+            comp, discarded = compress(m, max_bond=max_bond)
+            assert type(comp) is type(m)
+            assert max(comp.bond_dims) <= max(max_bond, 1)
+            assert all(is_left_canonical_site(t) for t in comp.tensors[:-1])
+            err = np.linalg.norm(dense_of(comp) - reference)
+            assert err == pytest.approx(np.sqrt(sum(discarded)), abs=1e-10)
 
     def test_single_bond_error_matches_cut_spectrum(self, h2_subset):
         # with max_bond=4 only the middle bond truncates (5 -> 4); the gap
@@ -314,6 +327,18 @@ class TestCompress:
         assert err == pytest.approx(4.0 * sigma[4], abs=1e-9)
         assert err == pytest.approx(4.0 * 0.045322, abs=1e-9)
 
+    def test_single_bond_error_matches_schmidt_spectrum(self, h2_subset):
+        # the same identity on an MPS: max_bond=3 truncates only the middle
+        # bond (4 -> 3), and the gap is the dropped Schmidt coefficient
+        [_, (m, _, vec)] = h2_chains(h2_subset)
+        comp, discarded = compress(m, max_bond=3)
+        assert comp.bond_dims == [1, 2, 3, 2, 1]
+        assert discarded[0] == 0.0 and discarded[2] == 0.0
+        sigma = scipy.linalg.svd(vec.reshape(4, 4), compute_uv=False)
+        err = np.linalg.norm(mps_to_dense(comp) - vec)
+        assert err == pytest.approx(np.sqrt(discarded[1]), abs=1e-12)
+        assert err == pytest.approx(sigma[3], abs=1e-12)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(3, 16))
     def test_random_discarded_weight_identity(self, seed, n_sites, n_terms):
@@ -325,11 +350,12 @@ class TestCompress:
         assert err == pytest.approx(np.sqrt(sum(discarded)), abs=1e-9)
 
     def test_svd_tol_drops_small_values(self, h2_subset):
-        m = build_mpo_qr(h2_subset)
-        comp, discarded = compress(m, svd_tol=0.5)
-        assert sum(comp.bond_dims) < sum(m.bond_dims)
-        err = np.linalg.norm(mpo_to_dense(comp) - to_dense(h2_subset))
-        assert err == pytest.approx(np.sqrt(sum(discarded)), abs=1e-9)
+        for m, dense_of, reference in h2_chains(h2_subset):
+            comp, discarded = compress(m, svd_tol=0.5)
+            assert type(comp) is type(m)
+            assert sum(comp.bond_dims) < sum(m.bond_dims)
+            err = np.linalg.norm(dense_of(comp) - reference)
+            assert err == pytest.approx(np.sqrt(sum(discarded)), abs=1e-9)
 
 
 class TestBridgeSvd:

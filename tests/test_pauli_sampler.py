@@ -207,6 +207,7 @@ class TestPoolText:
         assert back.iz == pool.iz
         for s in pool.strings:
             assert back.counts[s] == pool.counts[s]
+        assert pool_to_text(back) == pool_to_text(pool)
 
     def test_text_is_deterministic(self):
         pool = self.build_pool()
@@ -223,6 +224,21 @@ class TestPoolText:
     def test_wrong_width_raises(self):
         with pytest.raises(ValueError):
             pool_from_text("# pool-v1 n_sites=2 n_samples=4\n3 0.75 XXX\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("0 0.0 XX", "count must be at least 1"),
+        ("-5 0.1 XX", "count must be at least 1"),
+        ("2 nan XX", "frequency"),
+        ("2 inf XX", "frequency"),
+        ("2 -0.1 XX", "frequency"),
+        ("2 1.5 XX", "frequency"),
+        ("2 abc XX", "could not convert"),
+        ("1 0.25 ZI", "ZI appears twice"),
+    ])
+    def test_bad_line_is_named(self, line, message):
+        text = f"# pool-v1 n_sites=2 n_samples=4\n1 0.25 ZI\n{line}\n"
+        with pytest.raises(ValueError, match=f"^line 3: .*{message}"):
+            pool_from_text(text)
 
 
 class TestSamplesText:
@@ -252,3 +268,15 @@ class TestSamplesText:
     def test_wrong_width_raises(self):
         with pytest.raises(ValueError):
             samples_from_text("# samples-v1 n_sites=2 n_samples=1\nXXX\n")
+
+    @pytest.mark.parametrize("n_sites", [0, 33, 40])
+    def test_header_sites_beyond_one_word_raise(self, n_sites):
+        text = f"# samples-v1 n_sites={n_sites} n_samples=1\n{'X' * n_sites}\n"
+        with pytest.raises(ValueError, match="header field n_sites: expected 1..32"):
+            samples_from_text(text)
+
+    def test_thirty_two_sites_round_trip(self):
+        samples = np.array([2**64 - 1, 0, 0x9E3779B97F4A7C15], dtype=np.uint64)
+        back, n_sites = samples_from_text(samples_to_text(samples, 32))
+        assert n_sites == 32
+        assert np.array_equal(back, samples)

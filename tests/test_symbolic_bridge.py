@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +10,14 @@ from paulibridge.bridge import (
     Bridge,
     CutOutOfRange,
     EmptyOperator,
+    FragmentDictionary,
     IndexOutOfRange,
     compile,
     decomposition_from_json,
     decomposition_to_json,
     reconstruct,
     set_bridge,
+    skeleton_hash,
     structural_hash,
 )
 from paulibridge.pauli import PauliString, PauliSum, parse_pauli_sum
@@ -132,31 +137,70 @@ class TestSetBridge:
         scale = data.draw(st.floats(-3, 3, allow_nan=False))
         d2 = set_bridge(d, {pair: scale * c for pair, c in d.bridge.entries.items()})
         assert structural_hash(d2) == structural_hash(d)
+        assert structural_hash(d) == skeleton_hash(cut, d.left.labels, d.right.labels)
+        # the skeleton itself is hashed: another cut or one changed fragment moves it
+        if n > 2:
+            assert structural_hash(compile(op, cut % (n - 1) + 1)) != structural_hash(d)
+        side = data.draw(st.sampled_from(["left", "right"]))
+        frags = getattr(d, side)
+        fresh = sorted(
+            set(map("".join, itertools.product("IXYZ", repeat=frags.width))) - set(frags.labels)
+        )
+        if fresh:
+            k = data.draw(st.integers(0, len(frags) - 1))
+            swapped = list(frags.fragments)
+            swapped[k] = PauliString.from_label(data.draw(st.sampled_from(fresh)))
+            changed = dataclasses.replace(d, **{side: FragmentDictionary(side, tuple(swapped))})
+            assert structural_hash(changed) != structural_hash(d)
+
+
+def graph_cases(h2_subset, data):
+    """h2 and one hypothesis operator of at most six sites, each at every cut."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(2, 6))
+    op = random_pauli_sum(rng, n, data.draw(st.integers(1, 24)))
+    return [compile(o, cut) for o in (h2_subset, op) for cut in range(1, o.n_sites)]
 
 
 class TestGraphs:
-    def test_left_graph_is_prefix_trie(self, h2_subset):
-        d = compile(h2_subset, 2)
-        labels = [f.label for f in d.left.fragments]
-        for i, layer in enumerate(d.graph_left.layers):
-            assert layer == tuple(sorted({lab[:i] for lab in labels}))
-        # trie property: each non-root vertex has exactly one incoming edge
-        for gap, layer in zip(d.graph_left.edges, d.graph_left.layers[1:]):
-            targets = [e[2] for e in gap]
-            assert sorted(targets) == sorted(set(targets))
-            assert set(targets) == set(layer)
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_left_graph_is_prefix_trie(self, h2_subset, data):
+        for d in graph_cases(h2_subset, data):
+            labels = d.left.labels
+            assert len(d.graph_left.layers) == d.left.width + 1
+            for i, layer in enumerate(d.graph_left.layers):
+                assert layer == tuple(sorted({lab[:i] for lab in labels}))
+            for i, gap in enumerate(d.graph_left.edges):
+                assert set(gap) == {(lab[:i], lab[i], lab[: i + 1]) for lab in labels}
+                # each edge appends its symbol and joins layer i to i+1
+                for u, symbol, v in gap:
+                    assert u in d.graph_left.layers[i] and v == u + symbol
+            # trie property: each non-root vertex has exactly one incoming edge
+            for gap, layer in zip(d.graph_left.edges, d.graph_left.layers[1:]):
+                targets = [e[2] for e in gap]
+                assert sorted(targets) == sorted(set(targets))
+                assert set(targets) == set(layer)
 
-    def test_right_graph_strips_leading_symbol(self, h2_subset):
-        d = compile(h2_subset, 2)
-        labels = [f.label for f in d.right.fragments]
-        for i, layer in enumerate(d.graph_right.layers):
-            assert layer == tuple(sorted({lab[i:] for lab in labels}))
-        # each vertex has exactly one outgoing edge, so fragment-to-sink
-        # paths are unique
-        for gap, layer in zip(d.graph_right.edges, d.graph_right.layers):
-            sources = [e[0] for e in gap]
-            assert sorted(sources) == sorted(set(sources))
-            assert set(sources) == set(layer)
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_right_graph_strips_leading_symbol(self, h2_subset, data):
+        for d in graph_cases(h2_subset, data):
+            labels = d.right.labels
+            assert len(d.graph_right.layers) == d.right.width + 1
+            for i, layer in enumerate(d.graph_right.layers):
+                assert layer == tuple(sorted({lab[i:] for lab in labels}))
+            for i, gap in enumerate(d.graph_right.edges):
+                assert set(gap) == {(lab[i:], lab[i], lab[i + 1 :]) for lab in labels}
+                # each edge strips its symbol and joins layer i to i+1
+                for u, symbol, v in gap:
+                    assert v in d.graph_right.layers[i + 1] and u == symbol + v
+            # each vertex has exactly one outgoing edge, so fragment-to-sink
+            # paths are unique
+            for gap, layer in zip(d.graph_right.edges, d.graph_right.layers):
+                sources = [e[0] for e in gap]
+                assert sorted(sources) == sorted(set(sources))
+                assert set(sources) == set(layer)
 
     def test_unique_path_reaches_each_fragment(self, h2_subset):
         d = compile(h2_subset, 2)
