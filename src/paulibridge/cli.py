@@ -17,6 +17,7 @@ primary output (no timestamps, so reruns are byte identical);
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -349,6 +350,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else NUMERICAL_ERROR
 
 
+@functools.cache  # built once per process: main may run many times in one
 def build_parser() -> Parser:
     parser = Parser(prog="paulibridge", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)

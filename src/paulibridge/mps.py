@@ -30,6 +30,7 @@ from paulibridge.pauli import (
     pack_strings,
     site_codes,
     to_dense,
+    unique_rows,
 )
 
 __all__ = [
@@ -56,8 +57,9 @@ __all__ = [
 
 FORMAT_NAME = "mps-v1"
 STATE_DENSE_LIMIT = 20
-# strings swept together; the sampler's chunk size, so memory stays flat
-CHUNK_STRINGS = 4096
+# strings swept or contracted together; on a 2-core x86 host, 1024 ran 2x
+# faster than 4096 at bond 16 (the chunk stays cache-sized), as fast at bond 4
+CHUNK_STRINGS = 1024
 
 # Pauli code c maps physical row s of a ket to row s ^ _FLIPS[c], times
 # _ROW_PHASES[c, s]: sigma_c[s, t] = _ROW_PHASES[c, s] when t = s ^ flip
@@ -248,13 +250,38 @@ def string_expectation(m: Mps, p: PauliString) -> complex:
     return complex(string_expectations(m, pack_strings([p], p.n_sites))[0])
 
 
+def _transfer(env: np.ndarray, t: np.ndarray, codes) -> np.ndarray:
+    """``env[..., bra, ket]`` through site tensor ``t``: one tensordot with the ket,
+    the Pauli ``codes`` (broadcast over the leading axes) as a row swap and
+    phase on the physical leg, and one batched matmul with the bra."""
+    ket = np.ascontiguousarray(t.transpose(0, 2, 1))
+    half = np.tensordot(env, ket, axes=([-1], [0]))
+    half = np.where(_FLIPS[codes][..., None, None, None], half[..., ::-1, :], half)
+    half *= _ROW_PHASES[codes][..., None, :, None]
+    return ket.reshape(-1, t.shape[1]).conj().T @ half.reshape(*half.shape[:-3], -1, t.shape[1])
+
+
+def _environments(tensors: list[np.ndarray], codes: np.ndarray) -> np.ndarray:
+    """``E[string, bra, ket]`` after ``tensors``, with ``codes[string, j]`` on tensor j."""
+    chi = tensors[-1].shape[1] if tensors else 1
+    out = np.empty((len(codes), chi, chi), dtype=np.complex128)
+    for start in range(0, len(codes), CHUNK_STRINGS):
+        chunk = codes[start : start + CHUNK_STRINGS]
+        env = np.ones((len(chunk), 1, 1), dtype=np.complex128)
+        for j, t in enumerate(tensors):
+            env = _transfer(env, t, chunk[:, j])
+        out[start : start + len(chunk)] = env
+    return out
+
+
 def string_expectations(m: Mps, packed: np.ndarray) -> np.ndarray:
     """``<psi|P|psi>`` for every row of a pack_strings array.
 
-    One left-to-right transfer sweep carries the environments of up to
-    CHUNK_STRINGS strings at once. Per site, one tensordot contracts the
-    environments with the ket tensor, the Pauli acts as a row swap and
-    phase, and one batched matmul closes the bra.
+    Strings are split at the fixed cut ``c = n // 2``. Left environments
+    ``L[a, b]`` (sites ``0..c-1``) are swept once per distinct left half,
+    right ones ``R[a, b]`` once per distinct right half by the same step
+    on the mirrored chain (sites ``n-1..c``, bonds swapped); each string's
+    value ``sum_ab L[a, b] R[a, b]`` is contracted in CHUNK_STRINGS chunks.
     """
     n = m.n_sites
     packed = np.asarray(packed, dtype=np.uint64)
@@ -262,20 +289,16 @@ def string_expectations(m: Mps, packed: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"packed strings have shape {packed.shape}, state needs (count, {n_words(n)})"
         )
-    kets = [np.ascontiguousarray(t.transpose(0, 2, 1)) for t in m.tensors]
-    bras = [k.reshape(-1, k.shape[2]).conj().T for k in kets]
+    cut = n // 2
+    right_bits = pack_strings([PauliString(n, 4 ** (n - cut) - 1)], n)
+    (left, il), (right, ir) = unique_rows(packed & ~right_bits), unique_rows(packed & right_bits)
+    left_env = _environments(m.tensors[:cut], site_codes(left, n, np.arange(cut)))
+    mirrored = [t.transpose(1, 0, 2) for t in reversed(m.tensors[cut:])]
+    right_env = _environments(mirrored, site_codes(right, n, np.arange(n - 1, cut - 1, -1)))
     out = np.empty(len(packed), dtype=np.complex128)
     for start in range(0, len(packed), CHUNK_STRINGS):
-        chunk = packed[start : start + CHUNK_STRINGS]
-        batch = len(chunk)
-        env = np.ones((batch, 1, 1), dtype=np.complex128)
-        for j, (ket, bra) in enumerate(zip(kets, bras)):
-            codes = site_codes(chunk, n, j)
-            half = np.tensordot(env, ket, axes=(2, 0))
-            half = np.where(_FLIPS[codes, None, None, None], half[:, :, ::-1], half)
-            half *= _ROW_PHASES[codes, None, :, None]
-            env = bra @ half.reshape(batch, -1, ket.shape[2])
-        out[start : start + batch] = env[:, 0, 0]
+        rows = slice(start, start + CHUNK_STRINGS)
+        out[rows] = np.einsum("sab,sab->s", left_env[il[rows]], right_env[ir[rows]])
     return out
 
 

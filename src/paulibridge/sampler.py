@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from paulibridge.mps import Mps, is_right_canonical_site
-from paulibridge.pauli import PAULI_MATRICES, PauliString, classify
+from paulibridge.mps import Mps, _transfer, is_right_canonical_site
+from paulibridge.pauli import PauliString, classify
 
 __all__ = [
     "GaugeViolation",
@@ -39,9 +39,6 @@ __all__ = [
     "samples_from_text",
     "samples_to_text",
 ]
-
-SIGMA = np.stack(PAULI_MATRICES)
-
 
 class GaugeViolation(ValueError):
     """The state is not right-canonical, so conditionals would not normalize."""
@@ -77,8 +74,7 @@ def conditional_weights(
 
 def _step(tensor: np.ndarray, envs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # envs: (batch, l, l) -> weights (batch, 4), new envs (batch, 4, r, r)
-    half = np.einsum("blm,mqt->blqt", envs, tensor)
-    cand = np.einsum("ast,lrs,blqt->barq", SIGMA, tensor.conj(), half)
+    cand = _transfer(envs[:, None], tensor, np.arange(4))
     raw = np.einsum("barq,barq->ba", cand, cand.conj()).real
     total = raw.sum(axis=1, keepdims=True)
     if np.any(total <= 0):
@@ -118,6 +114,7 @@ def _sample_chunk(m: Mps, seed: int, start: int, batch: int) -> np.ndarray:
         cum = np.cumsum(weights, axis=1)
         chosen = np.minimum((cum < uniforms[:, j : j + 1]).sum(axis=1), 3)
         envs = cand[rows, chosen]
+        del cand  # free before the next site's step
         norms = np.linalg.norm(envs.reshape(batch, -1), axis=1)
         envs /= norms[:, None, None]
         packed = (packed << np.uint64(2)) | chosen.astype(np.uint64)

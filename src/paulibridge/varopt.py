@@ -5,11 +5,11 @@ prepended by default, so the reference state itself is always reachable).
 Effective matrices are assembled algebraically: products of pool and
 Hamiltonian strings reduce to single strings with phases, so each entry
 is a phase-weighted sum of reference-state expectation values and no
-dense operator is ever formed. The products are formed as arrays over
-the packed strings, all k^2 (T + 1) of them are deduplicated together,
-each distinct string is evaluated once (for an MPS, in one batched
-transfer sweep), and the values are scattered back and contracted with
-the coefficients.
+dense operator is ever formed. All k^2 (T + 1) product strings are
+formed as packed arrays and deduplicated together; each distinct one is
+split at the cut n // 2 and contracted from environments swept once per
+distinct half (``mps.string_expectations``; a dense vector becomes an
+exact MPS first), and the values are contracted with the coefficients.
 """
 
 from __future__ import annotations
@@ -20,21 +20,20 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from paulibridge.mps import Mps, string_expectations
+from paulibridge.mps import Mps, dense_to_mps, string_expectations
 from paulibridge.pauli import (
     DimensionMismatch,
     PauliString,
     PauliSum,
-    apply_string,
     pack_strings,
     packed_product,
     to_dense,
-    unpack_string,
+    unique_rows,
 )
 # Not called here; kept as module attributes because the benchmark tracer
 # (bench/tracer.py) wraps the functions it times by these names.
 from paulibridge.mps import string_expectation  # noqa: F401
-from paulibridge.pauli import pauli_product  # noqa: F401
+from paulibridge.pauli import apply_string, pauli_product  # noqa: F401
 from paulibridge.sampler import SamplerConfig, curate, sample_strings
 
 __all__ = [
@@ -86,26 +85,15 @@ class FidelityFit:
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
-def _unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # one-word rows (up to 32 sites) sort as plain uint64, about 20x
-    # faster than np.unique's row mode
-    if codes.shape[1] == 1:
-        unique, inverse = np.unique(codes[:, 0], return_inverse=True)
-        return unique[:, None], inverse
-    unique, inverse = np.unique(codes, axis=0, return_inverse=True)
-    return unique, inverse.reshape(-1)
-
-
 def _expectations(state, packed: np.ndarray, n_sites: int) -> np.ndarray:
-    if isinstance(state, Mps):
-        if state.n_sites != n_sites:
-            raise DimensionMismatch(f"state has {state.n_sites} sites, operator has {n_sites}")
-        return string_expectations(state, packed)
-    vec = np.asarray(state, dtype=np.complex128)
-    return np.array(
-        [np.vdot(vec, apply_string(unpack_string(row, n_sites), vec)) for row in packed],
-        dtype=np.complex128,
-    )
+    if not isinstance(state, Mps):
+        vec = np.asarray(state, dtype=np.complex128)
+        if vec.shape != (2**n_sites,):
+            raise DimensionMismatch(f"state has shape {vec.shape}, expected ({2**n_sites},)")
+        state = dense_to_mps(vec, normalize=False)  # exact, norm kept
+    if state.n_sites != n_sites:
+        raise DimensionMismatch(f"state has {state.n_sites} sites, operator has {n_sites}")
+    return string_expectations(state, packed)
 
 
 def assemble_pencil(
@@ -138,7 +126,7 @@ def assemble_pencil(
     pt_exp, pt_codes = packed_product(p[:, None], t[None, :])
     ptp_exp, h_codes = packed_product(pt_codes[:, :, None], p[None, None, :])
     words = p.shape[1]
-    unique, inverse = _unique_rows(
+    unique, inverse = unique_rows(
         np.concatenate([n_codes.reshape(-1, words), h_codes.reshape(-1, words)])
     )
     values = _expectations(state, unique, op.n_sites)[inverse]

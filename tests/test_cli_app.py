@@ -9,8 +9,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from paulibridge.pauli import PauliString, PauliSum, parse_pauli_sum, serialize_
 from paulibridge.sampler import pool_from_text, samples_from_text
 
 from conftest import CHAIN_MUTATIONS, FIXTURES, random_pauli_sum
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -404,6 +408,36 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__
+
+    def test_one_process_matches_fresh_runs(self, tmp_path, monkeypatch):
+        # main reuses one parser per process; a usage error must leave it
+        # as a fresh process would find it
+        calls = [
+            ["compile", "--input", "op.pauli", "--cut", "0", "--output", "bad.json"],
+            ["compile", "--input", "op.pauli", "--cut", "2", "--output", "bridge.json"],
+            ["mpo", "--input", "op.pauli", "--verify", "--output", "mpo.json"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        fresh, shared = tmp_path / "fresh", tmp_path / "shared"
+        for d in (fresh, shared):
+            d.mkdir()
+            (d / "op.pauli").write_text((FIXTURES / "h2_subset.pauli").read_text())
+        expected = []
+        for argv in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "paulibridge.cli", *argv],
+                capture_output=True, text=True, cwd=fresh, env=env,
+            )
+            expected.append((proc.returncode, proc.stdout, proc.stderr))
+        monkeypatch.chdir(shared)
+        assert [run(argv) for argv in calls] == expected
+        assert [rc for rc, _, _ in expected] == [1, 0, 0]
+        names = sorted(p.name for p in fresh.iterdir())
+        assert sorted(p.name for p in shared.iterdir()) == names
+        for name in names:
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 class TestMpoOptions:

@@ -1,5 +1,7 @@
 """MPS factorization, gauges, overlaps, dense ground-state reference."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,6 +24,7 @@ from paulibridge.mps import (
 )
 from paulibridge import mps as mps_module
 from paulibridge.pauli import (
+    PAULI_MATRICES,
     PauliString,
     apply_string,
     pack_strings,
@@ -30,6 +33,18 @@ from paulibridge.pauli import (
 )
 
 from conftest import random_state
+
+
+def random_mps(rng, n_sites, max_bond):
+    """Random tensors with bonds up to ``max_bond``, scaled to a unit-norm state."""
+    bonds = [1] + [min(max_bond, 2 ** min(j, n_sites - j)) for j in range(1, n_sites)] + [1]
+    tensors = [
+        rng.standard_normal((bonds[j], bonds[j + 1], 2))
+        + 1j * rng.standard_normal((bonds[j], bonds[j + 1], 2))
+        for j in range(n_sites)
+    ]
+    tensors[0] = tensors[0] / np.linalg.norm(mps_to_dense(Mps(tensors)))
+    return Mps(tensors)
 
 
 class TestDenseToMps:
@@ -128,15 +143,23 @@ class TestContractions:
         got = string_expectation(dense_to_mps(vec), p)
         assert got == pytest.approx(np.vdot(vec, apply_string(p, vec)), abs=1e-12)
 
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8), st.integers(1, 40))
-    def test_string_expectations_match_dense(self, seed, n_sites, max_bond, count):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 8),
+        st.integers(0, 40), st.integers(1, 8),
+    )
+    def test_string_expectations_match_dense(self, seed, n_sites, max_bond, count, chunk):
+        # random, non-canonical tensors; strings split at n // 2, with
+        # repeated rows and chunks of `chunk` strings on both sides of the cut
         rng = np.random.default_rng(seed)
-        m = dense_to_mps(random_state(rng, n_sites), max_bond=max_bond)
+        m = random_mps(rng, n_sites, max_bond)
         vec = mps_to_dense(m)
         strings = [PauliString(n_sites, int(b)) for b in rng.integers(0, 4**n_sites, count)]
-        got = string_expectations(m, pack_strings(strings, n_sites))
+        strings += strings[: count // 3]
+        with patch.object(mps_module, "CHUNK_STRINGS", chunk):
+            got = string_expectations(m, pack_strings(strings, n_sites))
         want = [np.vdot(vec, apply_string(p, vec)) for p in strings]
+        assert got.shape == (len(strings),)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_string_expectations_chunk_boundaries(self, monkeypatch):
@@ -147,6 +170,42 @@ class TestContractions:
         monkeypatch.setattr(mps_module, "CHUNK_STRINGS", 3)
         np.testing.assert_array_equal(string_expectations(m, packed), whole)
         assert string_expectations(m, packed[:0]).shape == (0,)
+
+    def test_string_expectations_past_one_chunk(self):
+        # more strings and more distinct halves than CHUNK_STRINGS
+        rng = np.random.default_rng(17)
+        n_sites = 7
+        m = random_mps(rng, n_sites, 4)
+        vec = mps_to_dense(m)
+        bits = np.concatenate([np.arange(4**n_sites), rng.integers(0, 4**n_sites, 100)])
+        strings = [PauliString(n_sites, int(b)) for b in bits]
+        assert len(strings) > mps_module.CHUNK_STRINGS
+        got = string_expectations(m, pack_strings(strings, n_sites))
+        want = [np.vdot(vec, apply_string(p, vec)) for p in strings]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for n_sites in (1, 2):
+            m = random_mps(rng, n_sites, 2)
+            assert string_expectations(m, np.zeros((0, 1), dtype=np.uint64)).shape == (0,)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(33, 40), st.integers(0, 30))
+    def test_string_expectations_multiword_product_state(self, seed, n_sites, count):
+        # past 32 sites the halves are multi-word rows; a product state's value is
+        # the product of its single-site expectations
+        rng = np.random.default_rng(seed)
+        sites = [random_state(rng, 1) for _ in range(n_sites)]
+        m = Mps([v.reshape(1, 1, 2) for v in sites])
+        codes = rng.integers(0, 4, size=(count, n_sites))
+        # sparse strings, so the expectations are not all vanishingly small
+        codes[rng.random(codes.shape) < 0.8] = 0
+        strings = [PauliString.from_codes(row) for row in codes]
+        strings += strings[: count // 3]
+        got = string_expectations(m, pack_strings(strings, n_sites))
+        want = [
+            np.prod([np.vdot(v, PAULI_MATRICES[c] @ v) for v, c in zip(sites, p.codes)])
+            for p in strings
+        ]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_string_expectations_reject_bad_packing(self):
         rng = np.random.default_rng(16)

@@ -125,15 +125,18 @@ class TestAssembly:
         with pytest.raises(DimensionMismatch):
             assemble_pencil(h2_subset, (), mps)
 
-    def test_mps_and_dense_states_agree(self, h2_subset):
-        rng = np.random.default_rng(2)
-        vec = random_state(rng, 4)
-        mps = canonicalize_mps(dense_to_mps(vec), "right")
-        pool = random_pool(rng, 4, 5)
-        a = assemble_pencil(h2_subset, pool, vec)
-        b = assemble_pencil(h2_subset, pool, mps)
-        np.testing.assert_allclose(a.h, b.h, atol=1e-10)
-        np.testing.assert_allclose(a.n, b.n, atol=1e-10)
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 12), st.integers(0, 8))
+    def test_mps_and_dense_states_agree(self, seed, n_sites, n_terms, pool_size):
+        rng = np.random.default_rng(seed)
+        op = random_pauli_sum(rng, n_sites, n_terms, complex_coeffs=True)
+        vec = random_state(rng, n_sites) * rng.uniform(0.5, 2.0)
+        mps = canonicalize_mps(dense_to_mps(vec, normalize=False), "right")
+        pool = random_pool(rng, n_sites, pool_size)
+        a = assemble_pencil(op, pool, vec)
+        b = assemble_pencil(op, pool, mps)
+        np.testing.assert_allclose(a.h, b.h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.n, b.n, rtol=0, atol=1e-12)
 
     def test_identity_prepended_once(self, h2_subset):
         rng = np.random.default_rng(3)
