@@ -381,7 +381,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("groundstate", help="dense reference ground state")
     p.add_argument("--input", required=True)
-    p.add_argument("--max-bond", type=int, default=None)
+    p.add_argument("--max-bond", type=positive_int, default=None)
     p.add_argument("--output", required=True)
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_groundstate)
@@ -407,7 +407,7 @@ def build_parser() -> Parser:
     p.add_argument("--state", required=True)
     p.add_argument("--pool", required=True)
     p.add_argument("--solver", choices=["dense", "lobpcg"], default="dense")
-    p.add_argument("--n-roots", type=int, default=1)
+    p.add_argument("--n-roots", type=positive_int, default=1)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)

@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
-from paulibridge.pauli import PauliString, PauliSum, multiply
+from paulibridge.pauli import PauliString, PauliSum, json_field, json_finite, malformed, multiply
 
 __all__ = [
     "FermionTerm",
@@ -110,13 +111,38 @@ def map_hamiltonian(terms: list[FermionTerm], n: int, hermitian_tol: float = 1e-
     return out
 
 
+_malformed = partial(malformed, "fermion")
+_field = partial(json_field, "fermion")
+_finite = partial(json_finite, "fermion")
+
+
 def load_fermion_terms(text: str) -> tuple[int, list[FermionTerm]]:
-    """Read the JSON form {"n": ..., "terms": [{kind, indices, coeff}, ...]}."""
+    """Read the JSON form {"n": ..., "terms": [{kind, indices, coeff}, ...]}.
+
+    ``coeff`` is a finite number or a ``[re, im]`` pair of them. Every
+    malformed field raises ValueError naming it, as in ``terms[3].coeff``.
+    """
     doc = json.loads(text)
-    n = int(doc["n"])
+    n = _field(doc, "n", int)
+    if n < 1:
+        raise _malformed("n", f"expected at least one mode, got {n}")
     terms = []
-    for entry in doc["terms"]:
-        raw = entry["coeff"]
-        coeff = complex(raw[0], raw[1]) if isinstance(raw, (list, tuple)) else complex(raw)
-        terms.append(FermionTerm(entry["kind"], tuple(entry["indices"]), coeff))
+    for k, entry in enumerate(_field(doc, "terms", list)):
+        where = f"terms[{k}]."
+        if not isinstance(entry, dict):
+            raise _malformed(f"terms[{k}]", f"expected an object, got {entry!r}")
+        kind = _field(entry, "kind", str, where)
+        indices = _field(entry, "indices", list, where)
+        if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n for i in indices):
+            raise _malformed(where + "indices", f"expected mode indices in 0..{n - 1}, got {indices!r}")
+        raw = entry.get("coeff")
+        if isinstance(raw, list) and len(raw) == 2:
+            pair = {"coeff[0]": raw[0], "coeff[1]": raw[1]}
+            coeff = complex(_finite(pair, "coeff[0]", where), _finite(pair, "coeff[1]", where))
+        else:
+            coeff = complex(_finite(entry, "coeff", where))
+        try:
+            terms.append(FermionTerm(kind, tuple(indices), coeff))
+        except ValueError as exc:
+            raise _malformed(f"terms[{k}]", str(exc)) from None
     return n, terms

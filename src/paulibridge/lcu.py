@@ -3,9 +3,13 @@
 The pair register is split: ``a_left`` ancilla bits address the left
 fragment, ``a_right`` the right, and a pair (alpha, beta) lives at index
 ``(alpha << a_right) | beta``. Prep loads non-negative amplitudes
-``sqrt(|C| / lambda)`` over the active pairs; coefficient phases live in
-the select rows. The top-left ancilla block of Prep^dag Select Prep is
-then the operator divided by ``lambda``, the one-norm of the bridge.
+``sqrt(|C| / lambda)`` over the active pairs. Select factors as
+Phi . Select_L . Select_R for every program: the register selects apply
+fragment strings and depend on the dictionaries only, never on a
+coefficient, and the coefficient phases form Phi, a diagonal on the pair
+register. The ``lcu-v1`` select rows store Phi; a pair without a row has
+phase 1. The top-left ancilla block of Prep^dag Select Prep is then the
+operator divided by ``lambda``, the one-norm of the bridge.
 
 The structural hash covers the fragment dictionaries and the active pair
 set only, never amplitudes or phases: coefficient-only updates recompile
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+import scipy.linalg
 
 from paulibridge.bridge import BridgeDecomposition, EmptyOperator, skeleton_hash
 from paulibridge.pauli import (
@@ -39,7 +44,6 @@ from paulibridge.pauli import (
 
 __all__ = [
     "LcuProgram",
-    "PhaseNotFactorizable",
     "SupportChanged",
     "block_encoding_dense",
     "compile_lcu",
@@ -66,10 +70,6 @@ PREP_NORM_TOL = 1e-2
 
 class SupportChanged(ValueError):
     """The new bridge has a different skeleton; a coefficient update cannot apply."""
-
-
-class PhaseNotFactorizable(ValueError):
-    """Active-pair phases do not split into per-fragment factors."""
 
 
 @dataclass(frozen=True)
@@ -139,54 +139,6 @@ def update_coefficients(program: LcuProgram, d: BridgeDecomposition) -> LcuProgr
     return fresh
 
 
-def _phase_split(program: LcuProgram) -> tuple[np.ndarray, np.ndarray]:
-    # BFS over the bipartite active-pair graph; roots get phase 1, edges
-    # propagate, and any inconsistent back edge means no rank-1 split
-    nl, nr = len(program.left), len(program.right)
-    phase_of = {(a, b): ph for a, b, ph in program.select}
-    adj_l: list[list[int]] = [[] for _ in range(nl)]
-    adj_r: list[list[int]] = [[] for _ in range(nr)]
-    for a, b, _ in program.select:
-        adj_l[a].append(b)
-        adj_r[b].append(a)
-    phi_l = np.ones(nl, dtype=np.complex128)
-    phi_r = np.ones(nr, dtype=np.complex128)
-    seen_l = [False] * nl
-    seen_r = [False] * nr
-    for root in range(nl):
-        if seen_l[root] or not adj_l[root]:
-            continue
-        seen_l[root] = True
-        queue = [("L", root)]
-        while queue:
-            side, node = queue.pop(0)
-            if side == "L":
-                for b in sorted(adj_l[node]):
-                    want = phase_of[(node, b)] / phi_l[node]
-                    if seen_r[b]:
-                        if abs(phi_r[b] - want) > 1e-10:
-                            raise PhaseNotFactorizable(
-                                f"phase cycle through pair ({node}, {b}) is inconsistent"
-                            )
-                    else:
-                        phi_r[b] = want
-                        seen_r[b] = True
-                        queue.append(("R", b))
-            else:
-                for a in sorted(adj_r[node]):
-                    want = phase_of[(a, node)] / phi_r[node]
-                    if seen_l[a]:
-                        if abs(phi_l[a] - want) > 1e-10:
-                            raise PhaseNotFactorizable(
-                                f"phase cycle through pair ({a}, {node}) is inconsistent"
-                            )
-                    else:
-                        phi_l[a] = want
-                        seen_l[a] = True
-                        queue.append(("L", a))
-    return phi_l, phi_r
-
-
 def prep_dense(program: LcuProgram) -> np.ndarray:
     """Householder reflection mapping |0> to the amplitude vector."""
     dim = 2**program.a_total
@@ -201,112 +153,58 @@ def prep_dense(program: LcuProgram) -> np.ndarray:
     return np.eye(dim) - 2.0 * np.outer(v, v) / vnorm2
 
 
-def _register_ops(labels, reg_dim: int, eye_dim: int) -> list[np.ndarray]:
+def _fragment_ops(labels, reg_dim: int, width: int) -> list[np.ndarray]:
+    # padding indices of a register act as identity on that half
     ops = [dense_string(PauliString.from_label(s)) for s in labels]
-    ops += [np.eye(eye_dim, dtype=np.complex128)] * (reg_dim - len(ops))
-    return ops
+    return ops + [np.eye(2**width, dtype=np.complex128)] * (reg_dim - len(ops))
 
 
-def _pair_blocks(program: LcuProgram, phases: dict[tuple[int, int], complex]):
-    # padding indices of either register act as identity on that half, so
-    # the monolithic form matches a per-register select circuit exactly
-    cut = program.cut
-    left_ops = _register_ops(program.left, 2**program.a_left, 2**cut)
-    right_ops = _register_ops(
-        program.right, 2**program.a_right, 2 ** (program.n_sites - cut)
-    )
-    return [
-        phases.get((a, b), 1.0 + 0.0j) * np.kron(left_ops[a], right_ops[b])
-        for a in range(2**program.a_left)
-        for b in range(2**program.a_right)
-    ]
-
-
-def _inrange_phases(program: LcuProgram) -> dict[tuple[int, int], complex]:
-    # active pairs keep their stored phases; everything else carries the
-    # factorized product when one exists (unity on padding) and 1
-    # otherwise, all of it unreachable from prep
-    try:
-        phi_l, phi_r = _phase_split(program)
-        full_l = np.ones(2**program.a_left, dtype=np.complex128)
-        full_l[: len(program.left)] = phi_l
-        full_r = np.ones(2**program.a_right, dtype=np.complex128)
-        full_r[: len(program.right)] = phi_r
-        phases = {
-            (a, b): complex(full_l[a] * full_r[b])
-            for a in range(2**program.a_left)
-            for b in range(2**program.a_right)
-        }
-    except PhaseNotFactorizable:
-        phases = {}
+def _phase_rows(program: LcuProgram) -> np.ndarray:
+    # Phi as a column of row scales: each pair's select-row phase, and 1
+    # for a pair with no select row (padding or an inactive pair)
+    phases = np.ones(2**program.a_total, dtype=np.complex128)
     for a, b, ph in program.select:
-        phases[(a, b)] = ph
-    return phases
+        phases[program.pair_index(a, b)] = ph
+    return np.repeat(phases, 2**program.n_sites)[:, None]
 
 
 def _check_dense_size(program: LcuProgram, dense_limit: int) -> None:
     total = program.a_total + program.n_sites
     if total > dense_limit:
-        raise TooLarge(
-            f"{total} total qubits exceeds dense limit {dense_limit}"
-        )
+        raise TooLarge(f"{total} total qubits exceeds dense limit {dense_limit}")
 
 
 def select_dense(program: LcuProgram, dense_limit: int = 12) -> np.ndarray:
-    """Monolithic select unitary: block diagonal over the pair register."""
+    """Monolithic select unitary: Phi times one block per register pair."""
     _check_dense_size(program, dense_limit)
-    blocks = _pair_blocks(program, _inrange_phases(program))
-    dim_sys = 2**program.n_sites
-    out = np.zeros((len(blocks) * dim_sys, len(blocks) * dim_sys), dtype=np.complex128)
-    for i, blk in enumerate(blocks):
-        out[i * dim_sys : (i + 1) * dim_sys, i * dim_sys : (i + 1) * dim_sys] = blk
+    cut, n = program.cut, program.n_sites
+    left = _fragment_ops(program.left, 2**program.a_left, cut)
+    right = _fragment_ops(program.right, 2**program.a_right, n - cut)
+    out = scipy.linalg.block_diag(*(np.kron(p, q) for p in left for q in right))
+    out *= _phase_rows(program)
     return out
 
 
 def select_factorized_dense(program: LcuProgram, dense_limit: int = 12) -> np.ndarray:
-    """Product of per-register selects; needs a rank-1 phase split.
+    """Phi . Select_L . Select_R, equal to ``select_dense`` for every program.
 
-    Raises PhaseNotFactorizable when the active-pair phases cannot be
-    written as phi_L(alpha) phi_R(beta), in which case only the
-    monolithic form represents the program.
+    Select_L applies left fragment alpha to the left sites when the left
+    register holds alpha, and Select_R does the same on the right; neither
+    depends on a coefficient. Every phase sits in Phi, a diagonal on the
+    pair register.
     """
     _check_dense_size(program, dense_limit)
-    phi_l, phi_r = _phase_split(program)
-    nl, nr = len(program.left), len(program.right)
+    cut, n = program.cut, program.n_sites
     dim_l, dim_r = 2**program.a_left, 2**program.a_right
-    cut = program.cut
-    sys_l, sys_r = 2**cut, 2 ** (program.n_sites - cut)
-    sel_l = np.zeros((dim_l * sys_l * sys_r,) * 2, dtype=np.complex128)
-    sel_r = np.zeros((dim_r * sys_l * sys_r,) * 2, dtype=np.complex128)
-    for a in range(dim_l):
-        op = (
-            phi_l[a] * np.kron(dense_string(PauliString.from_label(program.left[a])), np.eye(sys_r))
-            if a < nl
-            else np.eye(sys_l * sys_r, dtype=np.complex128)
-        )
-        sel_l[a * sys_l * sys_r : (a + 1) * sys_l * sys_r, a * sys_l * sys_r : (a + 1) * sys_l * sys_r] = op
-    for b in range(dim_r):
-        op = (
-            phi_r[b] * np.kron(np.eye(sys_l), dense_string(PauliString.from_label(program.right[b])))
-            if b < nr
-            else np.eye(sys_l * sys_r, dtype=np.complex128)
-        )
-        sel_r[b * sys_l * sys_r : (b + 1) * sys_l * sys_r, b * sys_l * sys_r : (b + 1) * sys_l * sys_r] = op
-    dim_sys = sys_l * sys_r
-    # lift to the full ancilla space; the left register holds the high
-    # bits, so its blocks repeat over every right index
-    full_l = _lift_left(sel_l, dim_l, dim_r, dim_sys)
-    full_r = np.kron(np.eye(dim_l), sel_r)
-    return full_l @ full_r
-
-
-def _lift_left(sel_l: np.ndarray, dim_l: int, dim_r: int, dim_sys: int) -> np.ndarray:
-    out = np.zeros((dim_l * dim_r * dim_sys,) * 2, dtype=np.complex128)
-    for a in range(dim_l):
-        blk = sel_l[a * dim_sys : (a + 1) * dim_sys, a * dim_sys : (a + 1) * dim_sys]
-        for b in range(dim_r):
-            i = (a * dim_r + b) * dim_sys
-            out[i : i + dim_sys, i : i + dim_sys] = blk
+    left = _fragment_ops(program.left, dim_l, cut)
+    right = _fragment_ops(program.right, dim_r, n - cut)
+    eye_l, eye_r = np.eye(2**cut), np.eye(2 ** (n - cut))
+    # the left register holds the high bits, so each of its blocks
+    # repeats over every right index
+    sel_l = scipy.linalg.block_diag(*(np.kron(np.eye(dim_r), np.kron(p, eye_r)) for p in left))
+    sel_r = np.kron(np.eye(dim_l), scipy.linalg.block_diag(*(np.kron(eye_l, q) for q in right)))
+    out = sel_l @ sel_r
+    out *= _phase_rows(program)
     return out
 
 
@@ -330,14 +228,12 @@ def encoded_block(program: LcuProgram) -> np.ndarray:
     O(4^n) whatever the ancilla count; ``to_dense`` refuses only n > 12.
     """
     amps = {(a, b): amp for a, b, amp in program.prep}
-    phases = _inrange_phases(program)
+    phases = {(a, b): ph for a, b, ph in program.select}
     norm2 = sum(amp * amp for amp in amps.values())
     cut, n = program.cut, program.n_sites
 
     def half(labels, k, width):
-        if k < len(labels):
-            return PauliString.from_label(labels[k])
-        return PauliString.identity(width)
+        return PauliString.from_label(labels[k]) if k < len(labels) else PauliString.identity(width)
 
     terms = [
         (

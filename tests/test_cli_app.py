@@ -324,6 +324,38 @@ class TestExitCodes:
         [line] = err.splitlines()
         assert line.startswith(f"error: bridge-v1 field {field}:")
 
+    @pytest.mark.parametrize("field, mutate", [
+        pytest.param("n", lambda d: d.pop("n"), id="n-missing"),
+        pytest.param("n", lambda d: d.update(n=0), id="n-zero"),
+        pytest.param("n", lambda d: d.update(n="1"), id="n-string"),
+        pytest.param("n", lambda d: d.update(n=True), id="n-bool"),
+        pytest.param("terms", lambda d: d.update(terms=None), id="terms-null"),
+        pytest.param("terms[0]", lambda d: d["terms"].__setitem__(0, 3), id="term-not-object"),
+        pytest.param("terms[0].kind", lambda d: d["terms"][0].update(kind=1), id="kind-int"),
+        pytest.param("terms[0]", lambda d: d["terms"][0].update(kind="three_body"), id="kind-unknown"),
+        pytest.param("terms[0]", lambda d: d["terms"][0].update(indices=[0]), id="indices-short"),
+        pytest.param("terms[0].indices", lambda d: d["terms"][0].update(indices="00"), id="indices-string"),
+        pytest.param("terms[0].indices", lambda d: d["terms"][0].update(indices=[0, "a"]), id="index-string"),
+        pytest.param("terms[0].indices", lambda d: d["terms"][0].update(indices=[0, 1]), id="index-out-of-range"),
+        pytest.param("terms[0].coeff", lambda d: d["terms"][0].update(coeff=float("nan")), id="coeff-nan"),
+        pytest.param("terms[0].coeff", lambda d: d["terms"][0].update(coeff="1.0"), id="coeff-string"),
+        pytest.param("terms[0].coeff", lambda d: d["terms"][0].update(coeff=[1.0, 0.0, 0.0]), id="coeff-triple"),
+        pytest.param("terms[0].coeff[1]", lambda d: d["terms"][0].update(coeff=[1.0, float("inf")]),
+                     id="coeff-pair-infinite"),
+    ])
+    def test_malformed_fermion_terms_is_data_error(self, pipeline, tmp_path, field, mutate):
+        paths, _ = pipeline
+        doc = json.loads(paths["fermion"].read_text())
+        mutate(doc)
+        bad, out = tmp_path / "bad.json", tmp_path / "out.pauli"
+        bad.write_text(json.dumps(doc))
+        rc, stdout, err = run(["jw", "--input", str(bad), "--output", str(out)])
+        assert rc == 2
+        assert stdout == ""
+        assert not out.exists()
+        [line] = err.splitlines()
+        assert line.startswith(f"error: fermion field {field}:")
+
     @pytest.mark.parametrize("field, mutate", CHAIN_MUTATIONS)
     def test_malformed_state_is_data_error(self, pipeline, tmp_path, field, mutate):
         paths, _ = pipeline
@@ -589,6 +621,25 @@ class TestUsageValidation:
                           "0", "--output", str(tmp_path / "x.json")])
         assert rc == 1
         assert "at least 1" in err
+
+    @pytest.mark.parametrize("bond", ["0", "-3"])
+    def test_groundstate_max_bond_below_one_is_usage_error(self, pipeline, tmp_path, bond):
+        paths, _ = pipeline
+        out = tmp_path / "mps.json"
+        rc, _, err = run(["groundstate", "--input", str(paths["op"]), "--max-bond",
+                          bond, "--output", str(out)])
+        assert rc == 1
+        assert "at least 1" in err
+        assert not out.exists()
+
+    def test_optimize_zero_roots_is_usage_error(self, pipeline, tmp_path):
+        paths, _ = pipeline
+        out = tmp_path / "opt.json"
+        rc, _, err = run(["optimize", "--input", str(paths["op"]), "--state", str(paths["mps"]),
+                          "--pool", str(paths["pool"]), "--n-roots", "0", "--output", str(out)])
+        assert rc == 1
+        assert "at least 1" in err
+        assert not out.exists()
 
     def test_empty_operator_file(self, tmp_path):
         empty = tmp_path / "empty.pauli"

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from paulibridge.bridge import EmptyOperator, compile as compile_bridge, set_bridge
 from paulibridge.lcu import (
     LcuProgram,
-    PhaseNotFactorizable,
     SupportChanged,
     block_encoding_dense,
     compile_lcu,
@@ -62,9 +61,9 @@ def small_programs(draw):
     n = draw(st.integers(2, 5))
     cut = draw(st.integers(1, n - 1))
     if draw(st.booleans()):
-        # a 2 x 2 grid of fragments closes a phase cycle, which often
-        # does not factorise (the XX, XY, YX, -YY case); a third left
-        # fragment with one partner leaves an inactive in-range pair
+        # a 2 x 2 grid of fragments closes a phase cycle, which often has
+        # no per-fragment phase split (the XX, XY, YX, -YY case); a third
+        # left fragment with one partner leaves an inactive in-range pair
         lw, rw = draw(words(cut, (2, 3))), draw(words(n - cut, (2, 2)))
         labels = [p + q for p in lw[:2] for q in rw] + [p + draw(st.sampled_from(rw)) for p in lw[2:]]
     else:
@@ -204,13 +203,22 @@ class TestSelectFactorization:
             select_factorized_dense(prog), select_dense(prog), atol=1e-12
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(small_programs())
+    def test_factorized_matches_monolithic_on_random_programs(self, prog):
+        np.testing.assert_allclose(
+            select_factorized_dense(prog), select_dense(prog), rtol=0, atol=1e-12
+        )
+
     def test_phase_cycle_not_factorizable(self):
         # sign pattern ++,+- on a 2x2 support has cycle product -1, which
-        # no per-fragment assignment can produce
+        # no per-fragment phase assignment can produce; the pair-register
+        # diagonal still carries it, so the factorized select holds
         op = parse_pauli_sum("1.0 XX\n1.0 XY\n1.0 YX\n-1.0 YY\n")
         prog = compile_lcu(compile_bridge(op, 1))
-        with pytest.raises(PhaseNotFactorizable):
-            select_factorized_dense(prog)
+        np.testing.assert_allclose(
+            select_factorized_dense(prog), select_dense(prog), rtol=0, atol=1e-12
+        )
         w = block_encoding_dense(prog)
         np.testing.assert_allclose(
             w[:4, :4], to_dense(op) / prog.lam, atol=1e-12
@@ -219,7 +227,8 @@ class TestSelectFactorization:
 
     def test_inactive_pair_weight_with_unfactorizable_phases(self):
         # a 3 x 2 grid with one pair missing: prep weight on that pair has
-        # no select row and the phase cycle admits no rank-1 split
+        # no select row, so its phase is 1, and the phase cycle admits no
+        # per-fragment split; the factorized select still holds
         op = parse_pauli_sum("1.0 XX\n1.0 XY\n1.0 YX\n-1.0 YY\n0.5 ZX\n")
         prog = compile_lcu(compile_bridge(op, 1))
         [(a, b)] = [
@@ -229,8 +238,9 @@ class TestSelectFactorization:
         rows = prog.prep + ((a, b, 0.4),)
         norm = np.sqrt(sum(amp**2 for *_, amp in rows))
         moved = dataclasses.replace(prog, prep=tuple((a, b, amp / norm) for a, b, amp in rows))
-        with pytest.raises(PhaseNotFactorizable):
-            select_factorized_dense(moved)
+        np.testing.assert_allclose(
+            select_factorized_dense(moved), select_dense(moved), rtol=0, atol=1e-12
+        )
         assert_block_matches_walk(moved)
         psi = random_state(np.random.default_rng(3), 2)
         walk = block_encoding_dense(moved)[:4, :4]
@@ -255,6 +265,27 @@ class TestUpdate:
         w = block_encoding_dense(updated)
         np.testing.assert_allclose(
             w[:16, :16], 2.0 * to_dense(h2_subset) / updated.lam, atol=1e-12
+        )
+
+    def test_coefficient_update_moves_only_pair_register_phases(self, h2_subset):
+        # sign flips and complex phases leave Select_L . Select_R alone:
+        # the new select is the old one row-scaled by ph_new / ph_old
+        d = compile_bridge(h2_subset, 2)
+        prog = compile_lcu(d)
+        rng = np.random.default_rng(11)
+        turns = {p: rng.choice([-1.0, 1j, np.exp(0.7j)]) for p in d.bridge.entries}
+        new = update_coefficients(prog, set_bridge(d, {p: c * turns[p] for p, c in d.bridge.entries.items()}))
+        assert new.select_hash == prog.select_hash
+
+        def phases(program):
+            out = np.ones(2**program.a_total, dtype=np.complex128)
+            for a, b, ph in program.select:
+                out[program.pair_index(a, b)] = ph
+            return np.repeat(out, 2**program.n_sites)[:, None]
+
+        assert not np.allclose(phases(new), phases(prog))
+        np.testing.assert_allclose(
+            select_dense(new), phases(new) / phases(prog) * select_dense(prog), rtol=0, atol=1e-12
         )
 
     def test_support_growth_rejected(self, h2_subset):
