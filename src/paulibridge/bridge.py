@@ -6,10 +6,12 @@ half-strings) joined by a sparse coefficient matrix, the bridge: the
 operator is the sum over active index pairs (a, b) of
 ``C[a, b] * left[a] (x) right[b]``.
 
-The symbolic side (dictionaries plus the layered prefix/suffix graphs that
-generate them) is decoupled from the numeric side (the bridge entries).
-Coefficients can be swapped without touching the symbolic skeleton, which
-is what ``set_bridge`` does and what the structural hash certifies.
+The symbolic side (the dictionaries, stored as sorted label tuples) is
+decoupled from the numeric side (the bridge entries). The layered
+prefix/suffix graphs that generate the dictionaries are derived from the
+labels on demand, never stored. Coefficients can be swapped without
+touching the symbolic skeleton, which is what ``set_bridge`` does and
+what the structural hash certifies.
 
 Layout conventions fixed here and relied on downstream:
 
@@ -34,10 +36,10 @@ from paulibridge.pauli import (
     PauliString,
     PauliSum,
     PauliTerm,
-    concat,
     json_document,
     json_field,
     json_finite,
+    json_labels,
     malformed,
 )
 
@@ -78,41 +80,27 @@ class IndexOutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class FragmentDictionary:
-    """Ordered, duplicate-free half-strings for one side of the cut.
+    """Ordered, duplicate-free half-string labels for one side of the cut.
 
-    Attributes
-    ----------
-    side:
-        "left" or "right".
-    fragments:
-        Lexicographically sorted Pauli strings, all of one length.
+    ``labels`` are sorted lexicographically with I < X < Y < Z (ASCII
+    order agrees), all of one length.
     """
 
-    side: str
-    fragments: tuple[PauliString, ...]
+    labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
-        if not self.fragments:
+        if not self.labels:
             raise ValueError("a fragment dictionary cannot be empty")
-        lengths = {f.n_sites for f in self.fragments}
+        lengths = {len(s) for s in self.labels}
         if len(lengths) != 1:
             raise ValueError(f"mixed fragment lengths {sorted(lengths)}")
 
     def __len__(self) -> int:
-        return len(self.fragments)
+        return len(self.labels)
 
     @property
     def width(self) -> int:
-        return self.fragments[0].n_sites
-
-    def index(self, fragment: PauliString) -> int:
-        return self.fragments.index(fragment)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(f.label for f in self.fragments)
+        return len(self.labels[0])
 
 
 @dataclass(frozen=True)
@@ -127,7 +115,6 @@ class SymbolicGraph:
     leading symbol.
     """
 
-    side: str
     layers: tuple[tuple[str, ...], ...]
     edges: tuple[tuple[tuple[str, str, str], ...], ...]
 
@@ -140,9 +127,8 @@ class SymbolicGraph:
         return tuple(len(gap) for gap in self.edges)
 
 
-def _graph(side: str, fragments: tuple[PauliString, ...]) -> SymbolicGraph:
+def _graph(side: str, labels: tuple[str, ...]) -> SymbolicGraph:
     """Layer i holds the length-i prefixes (left) or the suffixes from site i (right)."""
-    labels = [f.label for f in fragments]
     width = len(labels[0])
     vertex = (lambda lab, i: lab[:i]) if side == "left" else (lambda lab, i: lab[i:])
     layers = [tuple(sorted({vertex(lab, i) for lab in labels})) for i in range(width + 1)]
@@ -150,7 +136,7 @@ def _graph(side: str, fragments: tuple[PauliString, ...]) -> SymbolicGraph:
         tuple(sorted({(vertex(lab, i), lab[i], vertex(lab, i + 1)) for lab in labels}))
         for i in range(width)
     ]
-    return SymbolicGraph(side, tuple(layers), tuple(edges))
+    return SymbolicGraph(tuple(layers), tuple(edges))
 
 
 @dataclass
@@ -182,51 +168,46 @@ class Bridge:
 
 @dataclass
 class BridgeDecomposition:
-    """A Pauli sum factored at one cut: dictionaries, graphs, bridge."""
+    """A Pauli sum factored at one cut: dictionaries and bridge."""
 
     cut: int
     left: FragmentDictionary
     right: FragmentDictionary
-    graph_left: SymbolicGraph
-    graph_right: SymbolicGraph
     bridge: Bridge
 
     @property
     def n_sites(self) -> int:
         return self.left.width + self.right.width
 
+    @property
+    def graph_left(self) -> SymbolicGraph:
+        return _graph("left", self.left.labels)
+
+    @property
+    def graph_right(self) -> SymbolicGraph:
+        return _graph("right", self.right.labels)
+
 
 def compile(op: PauliSum, cut: int) -> BridgeDecomposition:
-    """Factor ``op`` at ``cut`` into dictionaries, graphs, and a bridge.
+    """Factor ``op`` at ``cut`` into dictionaries and a bridge.
 
-    The dictionaries are the deduplicated half-strings sorted
-    lexicographically; the bridge accumulates each term's coefficient at
-    its (left fragment, right fragment) index pair. Reconstruction is
+    The dictionaries are the deduplicated half-string labels sorted
+    lexicographically; the bridge holds each term's coefficient at its
+    (left fragment, right fragment) index pair. Reconstruction is
     exact: ``reconstruct(compile(op, cut)) == op`` up to term order.
     """
     if op.n_terms == 0:
         raise EmptyOperator("cannot compile a sum with no terms")
     if not 1 <= cut <= op.n_sites - 1:
         raise CutOutOfRange(f"cut {cut} not in 1..{op.n_sites - 1}")
-    split_terms = [(t.string.split(cut), t.coeff) for t in op.terms]
-    left_sorted = sorted({l for (l, _), _ in split_terms})
-    right_sorted = sorted({r for (_, r), _ in split_terms})
-    left_index = {f: i for i, f in enumerate(left_sorted)}
-    right_index = {f: i for i, f in enumerate(right_sorted)}
-    entries: dict[tuple[int, int], complex] = {}
-    for (l, r), coeff in split_terms:
-        key = (left_index[l], right_index[r])
-        entries[key] = entries.get(key, 0j) + coeff
-    left = FragmentDictionary("left", tuple(left_sorted))
-    right = FragmentDictionary("right", tuple(right_sorted))
-    return BridgeDecomposition(
-        cut=cut,
-        left=left,
-        right=right,
-        graph_left=_graph("left", left.fragments),
-        graph_right=_graph("right", right.fragments),
-        bridge=Bridge((len(left_sorted), len(right_sorted)), entries),
-    )
+    labels = [t.string.label for t in op.terms]
+    left = FragmentDictionary(tuple(sorted({s[:cut] for s in labels})))
+    right = FragmentDictionary(tuple(sorted({s[cut:] for s in labels})))
+    left_index = {s: i for i, s in enumerate(left.labels)}
+    right_index = {s: i for i, s in enumerate(right.labels)}
+    # PauliSum terms are distinct, so each index pair occurs once
+    entries = {(left_index[s[:cut]], right_index[s[cut:]]): t.coeff for s, t in zip(labels, op.terms)}
+    return BridgeDecomposition(cut, left, right, Bridge((len(left), len(right)), entries))
 
 
 def reconstruct(d: BridgeDecomposition) -> PauliSum:
@@ -236,7 +217,7 @@ def reconstruct(d: BridgeDecomposition) -> PauliSum:
     sum (an all-cancelled bridge reconstructs to an empty sum).
     """
     terms = [
-        PauliTerm(coeff, concat(d.left.fragments[a], d.right.fragments[b]))
+        PauliTerm(coeff, PauliString.from_label(d.left.labels[a] + d.right.labels[b]))
         for (a, b), coeff in sorted(d.bridge.entries.items())
     ]
     return PauliSum(d.n_sites, terms)
@@ -292,38 +273,24 @@ def decomposition_to_json(d: BridgeDecomposition) -> str:
             {"a": a, "b": b, "re": d.bridge.entries[(a, b)].real, "im": d.bridge.entries[(a, b)].imag}
             for a, b in sorted(d.bridge.entries)
         ],
-        "graph_left": {
-            "layer_sizes": list(d.graph_left.layer_sizes),
-            "edge_counts": list(d.graph_left.edge_counts),
-        },
-        "graph_right": {
-            "layer_sizes": list(d.graph_right.layer_sizes),
-            "edge_counts": list(d.graph_right.edge_counts),
-        },
     }
+    for key, graph in (("graph_left", d.graph_left), ("graph_right", d.graph_right)):
+        doc[key] = {"layer_sizes": list(graph.layer_sizes), "edge_counts": list(graph.edge_counts)}
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _fragments(doc: dict, side: str) -> FragmentDictionary:
-    key = f"{side}_fragments"
-    labels = _field(doc, key, list)
-    for k, label in enumerate(labels):
-        if not isinstance(label, str):
-            raise _malformed(f"{key}[{k}]", f"expected a Pauli label, got {label!r}")
-    return FragmentDictionary(side, tuple(PauliString.from_label(s) for s in labels))
-
-
 def decomposition_from_json(text: str) -> BridgeDecomposition:
-    """Rebuild a decomposition; graphs are rederived from the fragments.
+    """Rebuild a decomposition from its labels and bridge entries.
 
     Every malformed field raises ValueError naming it, e.g. ``bridge[3].re``.
     """
     doc = json_document(text, FORMAT_NAME)
-    left = _fragments(doc, "left")
-    right = _fragments(doc, "right")
+    n_sites = _field(doc, "n_sites", int)
     cut = _field(doc, "cut", int)
-    if cut != left.width:
-        raise _malformed("cut", f"{cut} does not match left fragment width {left.width}")
+    if not 1 <= cut < n_sites:
+        raise _malformed("cut", f"{cut} not in 1..{n_sites - 1}")
+    left = FragmentDictionary(json_labels(FORMAT_NAME, doc, "left_fragments", cut))
+    right = FragmentDictionary(json_labels(FORMAT_NAME, doc, "right_fragments", n_sites - cut))
     entries: dict[tuple[int, int], complex] = {}
     for k, e in enumerate(_field(doc, "bridge", list)):
         where = f"bridge[{k}]"
@@ -335,11 +302,4 @@ def decomposition_from_json(text: str) -> BridgeDecomposition:
         if (a, b) in entries:
             raise _malformed(where, f"pair ({a}, {b}) appears twice")
         entries[(a, b)] = complex(_finite(e, "re", where + "."), _finite(e, "im", where + "."))
-    return BridgeDecomposition(
-        cut=cut,
-        left=left,
-        right=right,
-        graph_left=_graph("left", left.fragments),
-        graph_right=_graph("right", right.fragments),
-        bridge=Bridge((len(left), len(right)), entries),
-    )
+    return BridgeDecomposition(cut, left, right, Bridge((len(left), len(right)), entries))

@@ -107,6 +107,13 @@ def positive_int(token: str) -> int:
     return value
 
 
+def tolerance(token: str) -> float:
+    value = float(token)
+    if not 0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {token}")
+    return value
+
+
 def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -233,6 +240,8 @@ def cmd_optimize(args) -> int:
     op = parse_pauli_sum(_read(args.input))
     state = mps_from_json(_read(args.state))
     pool = pool_from_text(_read(args.pool))
+    if pool.n_sites != op.n_sites:
+        raise ValueError(f"pool has {pool.n_sites} sites, operator has {op.n_sites}")
     pencil = assemble_pencil(op, pool.strings, state)
     if args.solver == "dense":
         sol = solve_ritz_dense(pencil, n_roots=args.n_roots)
@@ -371,7 +380,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("mpo", help="compile an operator into an MPO")
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=0.0)
+    p.add_argument("--tol", type=tolerance, default=0.0)
     p.add_argument("--max-bond", type=positive_int, default=None)
     p.add_argument("--verify", action="store_true",
                    help="print the dense reconstruction error")
@@ -408,7 +417,7 @@ def build_parser() -> Parser:
     p.add_argument("--pool", required=True)
     p.add_argument("--solver", choices=["dense", "lobpcg"], default="dense")
     p.add_argument("--n-roots", type=positive_int, default=1)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=1e-9)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweep-csv", default=None,
@@ -441,7 +450,7 @@ def build_parser() -> Parser:
     p.add_argument("--program", default=None,
                    help="compiled program to check against the operator")
     p.add_argument("--cut", type=positive_int, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=tolerance, default=1e-10)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -33,11 +33,11 @@ from paulibridge.pauli import (
     PauliString,
     PauliSum,
     TooLarge,
-    concat,
     dense_string,
     json_document,
     json_field,
     json_finite,
+    json_labels,
     malformed,
     to_dense,
 )
@@ -233,12 +233,12 @@ def encoded_block(program: LcuProgram) -> np.ndarray:
     cut, n = program.cut, program.n_sites
 
     def half(labels, k, width):
-        return PauliString.from_label(labels[k]) if k < len(labels) else PauliString.identity(width)
+        return labels[k] if k < len(labels) else "I" * width
 
     terms = [
         (
             amp * amp / norm2 * phases.get((a, b), 1.0),
-            concat(half(program.left, a, cut), half(program.right, b, n - cut)),
+            PauliString.from_label(half(program.left, a, cut) + half(program.right, b, n - cut)),
         )
         for (a, b), amp in amps.items()
     ]
@@ -294,44 +294,55 @@ def emit_gates(program: LcuProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _gate_number(token: str, line_no: int, parse=float):
+    try:
+        value = parse(token)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"line {line_no}: expected a finite number, got {token!r}")
+    return value
+
+
 def parse_gates(text: str) -> dict:
-    """Parse a gate listing back into its structured pieces."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse a gate listing back into its structured pieces.
+
+    Every malformed line raises ValueError naming its 1-based number.
+    """
+    lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    first_no, first = lines[0] if lines else (1, "")
     header = re.match(
         rf"#\s*{GATES_FORMAT}\s+n_sites=(\d+)\s+cut=(\d+)\s+a_left=(\d+)"
-        r"\s+a_right=(\d+)\s+lambda=([\d.eE+-]+)",
-        lines[0],
+        r"\s+a_right=(\d+)\s+lambda=(\S+)",
+        first,
     )
     if header is None:
-        raise ValueError("missing gate listing header")
-    out = {
-        "n_sites": int(header.group(1)),
-        "cut": int(header.group(2)),
-        "a_left": int(header.group(3)),
-        "a_right": int(header.group(4)),
-        "lam": float(header.group(5)),
-        "amps": {},
-        "rows": [],
-    }
-    if not lines[-1].strip() == "unprep":
-        raise ValueError("listing must end with unprep")
-    for line in lines[1:-1]:
+        raise ValueError(f"line {first_no}: missing {GATES_FORMAT} header")
+    out = {key: int(v) for key, v in zip(("n_sites", "cut", "a_left", "a_right"), header.groups())}
+    out.update(lam=_gate_number(header.group(5), first_no), amps={}, rows=[])
+    if lines[-1][1] != "unprep":
+        raise ValueError(f"line {lines[-1][0]}: listing must end with unprep")
+    n_sites, width = out["n_sites"], out["a_left"] + out["a_right"]
+    for line_no, line in lines[1:-1]:
         parts = line.split()
         if parts[0] == "prep":
             for token in parts[1:]:
-                idx, amp = token.split(":")
-                out["amps"][int(idx)] = float(amp)
-        elif parts[0] == "cpauli":
+                idx, _, amp = token.partition(":")
+                out["amps"][_gate_number(idx, line_no, int)] = _gate_number(amp, line_no)
+        elif parts[0] == "cpauli" and len(parts) in (3, 4):
+            _, pattern, label, *annotation = parts
+            if not ((len(pattern) == width and set(pattern) <= {"0", "1"}) if width else pattern == "-"):
+                raise ValueError(f"line {line_no}: control pattern {pattern!r} is not {width} bits")
+            if len(label) != n_sites or not set(label) <= set(SYMBOLS):
+                raise ValueError(f"line {line_no}: expected a {n_sites}-site Pauli label, got {label!r}")
             phase = 1.0 + 0.0j
-            if len(parts) == 4:
-                if not parts[3].startswith("phase="):
-                    raise ValueError(f"bad annotation {parts[3]!r}")
-                phase = _parse_phase(parts[3][len("phase=") :])
-            elif len(parts) != 3:
-                raise ValueError(f"bad gate row {line!r}")
-            out["rows"].append((parts[1], parts[2], phase))
+            if annotation:
+                if not annotation[0].startswith("phase="):
+                    raise ValueError(f"line {line_no}: bad annotation {annotation[0]!r}")
+                phase = _gate_number(annotation[0][len("phase=") :], line_no, _parse_phase)
+            out["rows"].append((pattern, label, phase))
         else:
-            raise ValueError(f"unknown gate {parts[0]!r}")
+            raise ValueError(f"line {line_no}: bad gate row {line!r}")
     return out
 
 
@@ -376,16 +387,6 @@ def _index(row, key: str, size: int, where: str) -> int:
     return value
 
 
-def _labels(doc: dict, key: str, width: int) -> tuple[str, ...]:
-    labels = _field(doc, key, list)
-    if not labels:
-        raise _malformed(key, "empty fragment dictionary")
-    for k, label in enumerate(labels):
-        if not (isinstance(label, str) and len(label) == width and set(label) <= set(SYMBOLS)):
-            raise _malformed(f"{key}[{k}]", f"expected a {width}-site Pauli label, got {label!r}")
-    return tuple(labels)
-
-
 def program_from_json(text: str) -> LcuProgram:
     """Read an lcu-v1 document; every malformed field raises ValueError naming it."""
     doc = json_document(text, FORMAT_NAME)
@@ -393,8 +394,8 @@ def program_from_json(text: str) -> LcuProgram:
     cut = _field(doc, "cut", int)
     if not 1 <= cut < n_sites:
         raise _malformed("cut", f"{cut} not in 1..{n_sites - 1}")
-    left = _labels(doc, "left", cut)
-    right = _labels(doc, "right", n_sites - cut)
+    left = json_labels(FORMAT_NAME, doc, "left", cut)
+    right = json_labels(FORMAT_NAME, doc, "right", n_sites - cut)
     lam = _finite(doc, "lambda")
     if lam <= 0:
         raise _malformed("lambda", f"expected a positive one-norm, got {lam!r}")

@@ -41,12 +41,12 @@ __all__ = [
     "PAULI_MATRICES",
     "apply_string",
     "classify",
-    "concat",
     "dense_string",
     "expectation",
     "json_document",
     "json_field",
     "json_finite",
+    "json_labels",
     "malformed",
     "multiply",
     "n_words",
@@ -198,18 +198,6 @@ class PauliString:
         """True when every site is I or Z."""
         return ((self.bits ^ (self.bits >> 1)) & _mask01(self.n_sites)) == 0
 
-    def substring(self, start: int, stop: int) -> "PauliString":
-        """Sites ``start:stop`` as a new string (non-empty slice required)."""
-        if not 0 <= start < stop <= self.n_sites:
-            raise PauliError(f"bad slice [{start}:{stop}] of {self.n_sites} sites")
-        length = stop - start
-        shifted = self.bits >> (2 * (self.n_sites - stop))
-        return PauliString(length, shifted & (4**length - 1))
-
-    def split(self, cut: int) -> tuple["PauliString", "PauliString"]:
-        """Split into (sites < cut, sites >= cut); requires 1 <= cut < n."""
-        return self.substring(0, cut), self.substring(cut, self.n_sites)
-
     def _planes(self) -> tuple[int, int]:
         """High and low code bits, one bit per site, site 0 most significant."""
         digits = format(self.bits, f"0{2 * self.n_sites}b")
@@ -230,14 +218,6 @@ class PauliString:
     def y_count(self) -> int:
         high, low = self._planes()
         return (high & ~low).bit_count()
-
-
-def concat(left: PauliString, right: PauliString) -> PauliString:
-    """Concatenate two strings into one over the combined sites."""
-    return PauliString(
-        left.n_sites + right.n_sites,
-        (left.bits << (2 * right.n_sites)) | right.bits,
-    )
 
 
 @dataclass(frozen=True)
@@ -560,3 +540,14 @@ def json_finite(fmt: str, doc, key: str, where: str = "") -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise malformed(fmt, where + key, f"expected a finite number, got {value!r}")
     return float(value)
+
+
+def json_labels(fmt: str, doc, key: str, width: int) -> tuple[str, ...]:
+    """``doc[key]`` as a non-empty list of ``width``-site Pauli labels."""
+    labels = json_field(fmt, doc, key, list)
+    if not labels:
+        raise malformed(fmt, key, "empty fragment dictionary")
+    for k, label in enumerate(labels):
+        if not (isinstance(label, str) and len(label) == width and set(label) <= set(SYMBOLS)):
+            raise malformed(fmt, f"{key}[{k}]", f"expected a {width}-site Pauli label, got {label!r}")
+    return tuple(labels)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from paulibridge.mps import Mps, _transfer, is_right_canonical_site
-from paulibridge.pauli import PauliString, classify
+from paulibridge.pauli import PauliError, PauliString, classify
 
 __all__ = [
     "GaugeViolation",
@@ -202,7 +202,10 @@ def samples_from_text(text: str) -> tuple[np.ndarray, int]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        string = PauliString.from_label(stripped)
+        try:
+            string = PauliString.from_label(stripped)
+        except PauliError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
         if string.n_sites != n_sites:
             raise ValueError(
                 f"line {line_no}: string has {string.n_sites} sites, header says {n_sites}"
@@ -229,6 +232,8 @@ def pool_from_text(text: str) -> SampledPool:
     if header is None:
         raise ValueError("missing pool-v1 header line")
     n_sites, n_samples = int(header.group(1)), int(header.group(2))
+    if n_sites < 1:
+        raise ValueError(f"pool-v1 header field n_sites: expected at least 1, got {n_sites}")
     counts: dict[PauliString, int] = {}
     xy: list[PauliString] = []
     iz: list[PauliString] = []
@@ -258,4 +263,6 @@ def pool_from_text(text: str) -> SampledPool:
             raise ValueError(f"line {line_no}: {string.label} appears twice")
         counts[string] = count
         (iz if classify(string) == "diagonal" else xy).append(string)
+    if sum(counts.values()) > n_samples:
+        raise ValueError(f"counts sum to {sum(counts.values())}, above header n_samples={n_samples}")
     return SampledPool(n_sites, n_samples, tuple(xy), tuple(iz), counts)

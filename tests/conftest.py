@@ -72,3 +72,86 @@ CHAIN_MUTATIONS = [
     pytest.param("gauge", lambda d: d.update(gauge=None), id="gauge-null"),
     pytest.param("gauge", lambda d: d["gauge"].pop(), id="gauge-short"),
 ]
+
+
+# (field named in the error, mutation) for the bridge-v1 document that
+# compiling the h2 fixture at cut 2 writes
+BRIDGE_MUTATIONS = [
+    pytest.param("bridge[0].re", lambda d: d["bridge"][0].update(re=float("nan")), id="nan-re"),
+    pytest.param("bridge[0].re", lambda d: d["bridge"][0].update(re=None), id="null-re"),
+    pytest.param("bridge[1].im", lambda d: d["bridge"][1].update(im=float("inf")), id="infinite-im"),
+    pytest.param("bridge[2].a", lambda d: d["bridge"][2].update(a="0"), id="string-index"),
+    pytest.param("bridge[3].b", lambda d: d["bridge"][3].update(b=1.0), id="float-index"),
+    pytest.param("bridge[0].a", lambda d: d["bridge"].__setitem__(0, 5), id="entry-not-object"),
+    pytest.param("bridge[0]", lambda d: d["bridge"][0].update(a=99), id="index-out-of-range"),
+    pytest.param("bridge[1]", lambda d: d["bridge"][1].update(
+        a=d["bridge"][0]["a"], b=d["bridge"][0]["b"]), id="pair-twice"),
+    pytest.param("left_fragments[0]", lambda d: d["left_fragments"].__setitem__(0, None),
+                 id="null-fragment"),
+    pytest.param("cut", lambda d: d.update(cut="2"), id="cut-string"),
+    pytest.param("left_fragments[0]", lambda d: d["left_fragments"].__setitem__(0, ""), id="label-empty"),
+    pytest.param("left_fragments[1]", lambda d: d["left_fragments"].__setitem__(1, "XQ"), id="label-bad-symbol"),
+    pytest.param("right_fragments[1]", lambda d: d["right_fragments"].__setitem__(1, "XYZ"),
+                 id="label-mixed-widths"),
+    pytest.param("left_fragments[0]", lambda d: d.update(cut=1), id="left-width-not-cut"),
+    pytest.param("n_sites", lambda d: d.update(n_sites="4"), id="n-sites-string"),
+    pytest.param("cut", lambda d: d.update(n_sites=2), id="n-sites-at-cut"),
+    pytest.param("right_fragments[0]", lambda d: d.update(n_sites=3), id="n-sites-below-width"),
+]
+
+# (field named in the error, mutation) for tests/fixtures/number_op.json
+FERMION_MUTATIONS = [
+    pytest.param("n", lambda d: d.pop("n"), id="n-missing"),
+    pytest.param("n", lambda d: d.update(n=0), id="n-zero"),
+    pytest.param("n", lambda d: d.update(n="1"), id="n-string"),
+    pytest.param("n", lambda d: d.update(n=True), id="n-bool"),
+    pytest.param("terms", lambda d: d.update(terms=None), id="terms-null"),
+    pytest.param("terms[0]", lambda d: d["terms"].__setitem__(0, 3), id="term-not-object"),
+    pytest.param("terms[0].kind", lambda d: d["terms"][0].update(kind=1), id="kind-int"),
+    pytest.param("terms[0]", lambda d: d["terms"][0].update(kind="three_body"), id="kind-unknown"),
+    pytest.param("terms[0]", lambda d: d["terms"][0].update(indices=[0]), id="indices-short"),
+    pytest.param("terms[0].indices", lambda d: d["terms"][0].update(indices="00"), id="indices-string"),
+    pytest.param("terms[0].indices", lambda d: d["terms"][0].update(indices=[0, "a"]), id="index-string"),
+    pytest.param("terms[0].indices", lambda d: d["terms"][0].update(indices=[0, 1]), id="index-out-of-range"),
+    pytest.param("terms[0].coeff", lambda d: d["terms"][0].update(coeff=float("nan")), id="coeff-nan"),
+    pytest.param("terms[0].coeff", lambda d: d["terms"][0].update(coeff="1.0"), id="coeff-string"),
+    pytest.param("terms[0].coeff", lambda d: d["terms"][0].update(coeff=[1.0, 0.0, 0.0]), id="coeff-triple"),
+    pytest.param("terms[0].coeff[1]", lambda d: d["terms"][0].update(coeff=[1.0, float("inf")]),
+                 id="coeff-pair-infinite"),
+]
+
+# (field named in the error, mutation) for the lcu-v1 program of that bridge
+PROGRAM_MUTATIONS = [
+    pytest.param("select[0].a", lambda d: d["select"][0].update(a=99), id="select-index-out-of-range"),
+    pytest.param("prep[0].amp", lambda d: d["prep"][0].update(amp=None), id="null-amplitude"),
+    pytest.param("prep[1].b", lambda d: d["prep"][1].update(b=-1), id="prep-index-negative"),
+    pytest.param("prep[0].a", lambda d: d["prep"][0].update(a="0"), id="prep-index-string"),
+    pytest.param("select[2].phase_re", lambda d: d["select"][2].update(phase_re=float("nan")), id="nan-phase"),
+    pytest.param("select[1].phase_im", lambda d: d["select"][1].update(phase_im=True), id="bool-phase"),
+    pytest.param("select[0].a", lambda d: d["select"].__setitem__(0, 3), id="select-row-not-object"),
+    pytest.param("prep", lambda d: [row.update(amp=2 * row["amp"]) for row in d["prep"]], id="prep-norm-two"),
+    pytest.param("a_left", lambda d: d.update(a_left=7), id="a-left-too-wide"),
+    pytest.param("a_right", lambda d: d.update(a_right=None), id="a-right-null"),
+    pytest.param("n_sites", lambda d: d.update(n_sites="4"), id="n-sites-string"),
+    pytest.param("cut", lambda d: d.update(cut=4), id="cut-at-end"),
+    pytest.param("lambda", lambda d: d.update(**{"lambda": -1.0}), id="lambda-negative"),
+    pytest.param("lambda", lambda d: d.update(**{"lambda": float("inf")}), id="lambda-infinite"),
+    pytest.param("left[0]", lambda d: d["left"].__setitem__(0, "IIZ"), id="label-wrong-width"),
+    pytest.param("right", lambda d: d.update(right={}), id="right-not-list"),
+    pytest.param("select_hash", lambda d: d.pop("select_hash"), id="select-hash-missing"),
+    pytest.param("prep[4]", lambda d: d["prep"][4].update(b=1), id="prep-pair-without-select-row"),
+    pytest.param("prep[1]", lambda d: d["prep"][1].update(a=0, b=0), id="prep-pair-twice"),
+    pytest.param("select[1]", lambda d: d["select"][1].update(
+        a=0, b=0, pl=d["left"][0], pr=d["right"][0]), id="select-pair-twice"),
+]
+
+# edits of the first pool-v1 entry line, split into its three tokens;
+# None appends a copy of that line
+POOL_MUTATIONS = [
+    pytest.param(lambda p: ["0", *p[1:]], id="count-zero"),
+    pytest.param(lambda p: ["-5", *p[1:]], id="count-negative"),
+    pytest.param(lambda p: [p[0], "nan", p[2]], id="freq-nan"),
+    pytest.param(lambda p: [p[0], "1.5", p[2]], id="freq-above-one"),
+    pytest.param(lambda p: [p[0], "abc", p[2]], id="freq-text"),
+    pytest.param(None, id="label-twice"),
+]

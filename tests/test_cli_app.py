@@ -6,6 +6,7 @@ captured stdout, exit codes, and manifest determinism.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -17,6 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paulibridge import __version__
 from paulibridge.bridge import compile as compile_bridge
@@ -28,7 +31,15 @@ from paulibridge.mps import mps_from_json
 from paulibridge.pauli import PauliString, PauliSum, parse_pauli_sum, serialize_pauli_sum, to_dense
 from paulibridge.sampler import pool_from_text, samples_from_text
 
-from conftest import CHAIN_MUTATIONS, FIXTURES, random_pauli_sum
+from conftest import (
+    BRIDGE_MUTATIONS,
+    CHAIN_MUTATIONS,
+    FERMION_MUTATIONS,
+    FIXTURES,
+    POOL_MUTATIONS,
+    PROGRAM_MUTATIONS,
+    random_pauli_sum,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -296,20 +307,7 @@ class TestExitCodes:
         assert rc == 2
 
     @pytest.mark.parametrize("command", ["lcu", "update"])
-    @pytest.mark.parametrize("field, mutate", [
-        pytest.param("bridge[0].re", lambda d: d["bridge"][0].update(re=float("nan")), id="nan-re"),
-        pytest.param("bridge[0].re", lambda d: d["bridge"][0].update(re=None), id="null-re"),
-        pytest.param("bridge[1].im", lambda d: d["bridge"][1].update(im=float("inf")), id="infinite-im"),
-        pytest.param("bridge[2].a", lambda d: d["bridge"][2].update(a="0"), id="string-index"),
-        pytest.param("bridge[3].b", lambda d: d["bridge"][3].update(b=1.0), id="float-index"),
-        pytest.param("bridge[0].a", lambda d: d["bridge"].__setitem__(0, 5), id="entry-not-object"),
-        pytest.param("bridge[0]", lambda d: d["bridge"][0].update(a=99), id="index-out-of-range"),
-        pytest.param("bridge[1]", lambda d: d["bridge"][1].update(
-            a=d["bridge"][0]["a"], b=d["bridge"][0]["b"]), id="pair-twice"),
-        pytest.param("left_fragments[0]", lambda d: d["left_fragments"].__setitem__(0, None),
-                     id="null-fragment"),
-        pytest.param("cut", lambda d: d.update(cut="2"), id="cut-string"),
-    ])
+    @pytest.mark.parametrize("field, mutate", BRIDGE_MUTATIONS)
     def test_malformed_bridge_is_data_error(self, pipeline, tmp_path, command, field, mutate):
         paths, _ = pipeline
         doc = json.loads(paths["bridge"].read_text())
@@ -324,25 +322,7 @@ class TestExitCodes:
         [line] = err.splitlines()
         assert line.startswith(f"error: bridge-v1 field {field}:")
 
-    @pytest.mark.parametrize("field, mutate", [
-        pytest.param("n", lambda d: d.pop("n"), id="n-missing"),
-        pytest.param("n", lambda d: d.update(n=0), id="n-zero"),
-        pytest.param("n", lambda d: d.update(n="1"), id="n-string"),
-        pytest.param("n", lambda d: d.update(n=True), id="n-bool"),
-        pytest.param("terms", lambda d: d.update(terms=None), id="terms-null"),
-        pytest.param("terms[0]", lambda d: d["terms"].__setitem__(0, 3), id="term-not-object"),
-        pytest.param("terms[0].kind", lambda d: d["terms"][0].update(kind=1), id="kind-int"),
-        pytest.param("terms[0]", lambda d: d["terms"][0].update(kind="three_body"), id="kind-unknown"),
-        pytest.param("terms[0]", lambda d: d["terms"][0].update(indices=[0]), id="indices-short"),
-        pytest.param("terms[0].indices", lambda d: d["terms"][0].update(indices="00"), id="indices-string"),
-        pytest.param("terms[0].indices", lambda d: d["terms"][0].update(indices=[0, "a"]), id="index-string"),
-        pytest.param("terms[0].indices", lambda d: d["terms"][0].update(indices=[0, 1]), id="index-out-of-range"),
-        pytest.param("terms[0].coeff", lambda d: d["terms"][0].update(coeff=float("nan")), id="coeff-nan"),
-        pytest.param("terms[0].coeff", lambda d: d["terms"][0].update(coeff="1.0"), id="coeff-string"),
-        pytest.param("terms[0].coeff", lambda d: d["terms"][0].update(coeff=[1.0, 0.0, 0.0]), id="coeff-triple"),
-        pytest.param("terms[0].coeff[1]", lambda d: d["terms"][0].update(coeff=[1.0, float("inf")]),
-                     id="coeff-pair-infinite"),
-    ])
+    @pytest.mark.parametrize("field, mutate", FERMION_MUTATIONS)
     def test_malformed_fermion_terms_is_data_error(self, pipeline, tmp_path, field, mutate):
         paths, _ = pipeline
         doc = json.loads(paths["fermion"].read_text())
@@ -382,14 +362,17 @@ class TestExitCodes:
         [line] = err.splitlines()
         assert line.startswith("error: samples-v1 header field n_sites:")
 
-    @pytest.mark.parametrize("mutate", [
-        pytest.param(lambda p: ["0", *p[1:]], id="count-zero"),
-        pytest.param(lambda p: ["-5", *p[1:]], id="count-negative"),
-        pytest.param(lambda p: [p[0], "nan", p[2]], id="freq-nan"),
-        pytest.param(lambda p: [p[0], "1.5", p[2]], id="freq-above-one"),
-        pytest.param(lambda p: [p[0], "abc", p[2]], id="freq-text"),
-        pytest.param(None, id="label-twice"),
-    ])
+    def test_bad_sample_label_names_line(self, tmp_path):
+        bad, out = tmp_path / "samples.txt", tmp_path / "pool.txt"
+        bad.write_text("# samples-v1 n_sites=2 n_samples=2\nXZ\nXQ\n")
+        rc, stdout, err = run(["curate", "--samples", str(bad), "--output", str(out)])
+        assert rc == 2
+        assert stdout == ""
+        assert not out.exists()
+        [line] = err.splitlines()
+        assert line.startswith("error: line 3: invalid Pauli symbol 'Q'")
+
+    @pytest.mark.parametrize("mutate", POOL_MUTATIONS)
     def test_malformed_pool_is_data_error(self, pipeline, tmp_path, mutate):
         paths, _ = pipeline
         lines = paths["pool"].read_text().splitlines()
@@ -408,6 +391,25 @@ class TestExitCodes:
         assert not out.exists()
         [line] = err.splitlines()
         assert line.startswith(f"error: line {where}:")
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("# pool-v1 n_sites=0 n_samples=0\n", "pool-v1 header field n_sites:", id="no-sites"),
+        pytest.param("# pool-v1 n_sites=3 n_samples=0\n", "pool has 3 sites, operator has 4",
+                     id="site-count-mismatch"),
+        pytest.param("# pool-v1 n_sites=4 n_samples=0\n1 0.5 XXYY\n", "counts sum to 1,",
+                     id="counts-above-samples"),
+    ])
+    def test_inconsistent_pool_is_data_error(self, pipeline, tmp_path, text, message):
+        paths, _ = pipeline
+        bad, out = tmp_path / "pool.txt", tmp_path / "opt.json"
+        bad.write_text(text)
+        rc, stdout, err = run(["optimize", "--input", str(paths["op"]), "--state",
+                               str(paths["mps"]), "--pool", str(bad), "--output", str(out)])
+        assert rc == 2
+        assert stdout == ""
+        assert not out.exists()
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {message}")
 
     def test_update_support_change(self, pipeline, tmp_path, h2_text):
         paths, _ = pipeline
@@ -529,29 +531,7 @@ class TestVerifyProgram:
         [line] = err.splitlines()
         assert line == "error: program acts on 4 sites, operator has 2"
 
-    @pytest.mark.parametrize("field, mutate", [
-        pytest.param("select[0].a", lambda d: d["select"][0].update(a=99), id="select-index-out-of-range"),
-        pytest.param("prep[0].amp", lambda d: d["prep"][0].update(amp=None), id="null-amplitude"),
-        pytest.param("prep[1].b", lambda d: d["prep"][1].update(b=-1), id="prep-index-negative"),
-        pytest.param("prep[0].a", lambda d: d["prep"][0].update(a="0"), id="prep-index-string"),
-        pytest.param("select[2].phase_re", lambda d: d["select"][2].update(phase_re=float("nan")), id="nan-phase"),
-        pytest.param("select[1].phase_im", lambda d: d["select"][1].update(phase_im=True), id="bool-phase"),
-        pytest.param("select[0].a", lambda d: d["select"].__setitem__(0, 3), id="select-row-not-object"),
-        pytest.param("prep", lambda d: [row.update(amp=2 * row["amp"]) for row in d["prep"]], id="prep-norm-two"),
-        pytest.param("a_left", lambda d: d.update(a_left=7), id="a-left-too-wide"),
-        pytest.param("a_right", lambda d: d.update(a_right=None), id="a-right-null"),
-        pytest.param("n_sites", lambda d: d.update(n_sites="4"), id="n-sites-string"),
-        pytest.param("cut", lambda d: d.update(cut=4), id="cut-at-end"),
-        pytest.param("lambda", lambda d: d.update(**{"lambda": -1.0}), id="lambda-negative"),
-        pytest.param("lambda", lambda d: d.update(**{"lambda": float("inf")}), id="lambda-infinite"),
-        pytest.param("left[0]", lambda d: d["left"].__setitem__(0, "IIZ"), id="label-wrong-width"),
-        pytest.param("right", lambda d: d.update(right={}), id="right-not-list"),
-        pytest.param("select_hash", lambda d: d.pop("select_hash"), id="select-hash-missing"),
-        pytest.param("prep[4]", lambda d: d["prep"][4].update(b=1), id="prep-pair-without-select-row"),
-        pytest.param("prep[1]", lambda d: d["prep"][1].update(a=0, b=0), id="prep-pair-twice"),
-        pytest.param("select[1]", lambda d: d["select"][1].update(
-            a=0, b=0, pl=d["left"][0], pr=d["right"][0]), id="select-pair-twice"),
-    ])
+    @pytest.mark.parametrize("field, mutate", PROGRAM_MUTATIONS)
     def test_malformed_program_is_data_error(self, pipeline, tmp_path, field, mutate):
         paths, _ = pipeline
         doc = json.loads(paths["lcu"].read_text())
@@ -641,9 +621,131 @@ class TestUsageValidation:
         assert "at least 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("command", ["verify", "optimize", "mpo"])
+    def test_bad_tolerance_is_usage_error(self, pipeline, tmp_path, command, tol):
+        paths, _ = pipeline
+        out = tmp_path / "out.json"
+        argv = {
+            "verify": ["verify", "--input", str(paths["op"])],
+            "optimize": ["optimize", "--input", str(paths["op"]), "--state", str(paths["mps"]),
+                         "--pool", str(paths["pool"]), "--solver", "lobpcg", "--output", str(out)],
+            "mpo": ["mpo", "--input", str(paths["op"]), "--output", str(out)],
+        }[command]
+        rc, stdout, err = run([*argv, "--tol", tol])
+        assert rc == 1
+        assert stdout == ""
+        assert "must be a finite number >= 0" in err
+        assert not out.exists()
+
     def test_empty_operator_file(self, tmp_path):
         empty = tmp_path / "empty.pauli"
         empty.write_text("")
         rc, _, err = run(["compile", "--input", str(empty), "--cut", "1",
                           "--output", str(tmp_path / "x.json")])
         assert rc == 2
+
+
+H2 = Path(__file__).resolve().parents[1] / "artifacts" / "h2"
+BAD = "{bad}"  # placeholder for the mutated input in a reader's argv
+
+# replacement values of another type, or NaN, for one JSON field or token
+JSON_SWAPS = [None, "X", "", 1.5, -1, 0, True, [], {}, float("nan"), float("inf")]
+TEXT_SWAPS = ["nan", "inf", "-1", "0", "1e400", "abc", "XQ", "IIIII", "", "#"]
+
+
+def seed_mutations(params):
+    return [p.values[-1] for p in params]
+
+
+def pool_edit(mutate):
+    """A POOL_MUTATIONS entry as an edit of the pool's lines."""
+    if mutate is None:
+        return lambda lines: [*lines, lines[1]]
+    return lambda lines: [lines[0], " ".join(mutate(lines[1].split())), *lines[2:]]
+
+
+def reader_cases(paths):
+    """Per reader a subcommand reads: its h2 input, argv, seed mutations."""
+    op, out = str(paths["op"]), str(paths["root"] / "property.out")
+    return {
+        "pauli": (paths["op"], ["mpo", "--input", BAD, "--output", out], []),
+        "fermion": (paths["fermion"], ["jw", "--input", BAD, "--output", out],
+                    seed_mutations(FERMION_MUTATIONS)),
+        "bridge-v1": (H2 / "bridge.json", ["lcu", "--bridge", BAD, "--output", out],
+                      seed_mutations(BRIDGE_MUTATIONS)),
+        "lcu-v1": (H2 / "lcu.json", ["update", "--program", BAD, "--bridge", str(H2 / "bridge.json"),
+                                     "--output", out], seed_mutations(PROGRAM_MUTATIONS)),
+        "mps-v1": (H2 / "groundstate.json", ["sample", "--state", BAD, "--n-samples", "10", "--seed", "1",
+                                            "--output", out], seed_mutations(CHAIN_MUTATIONS)),
+        "samples-v1": (H2 / "samples.txt", ["curate", "--samples", BAD, "--output", out], []),
+        "pool-v1": (H2 / "pool.txt", ["optimize", "--input", op, "--state", str(H2 / "groundstate.json"),
+                                      "--pool", BAD, "--output", out],
+                    [pool_edit(m) for m in seed_mutations(POOL_MUTATIONS)]),
+    }
+
+
+def json_nodes(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from json_nodes(child, path + (key,))
+
+
+@st.composite
+def json_mutation(draw, doc):
+    """One field of ``doc`` dropped, swapped for another type, set to NaN or emptied."""
+    *path, key = draw(st.sampled_from([p for p in json_nodes(doc) if p]))
+    parent = functools.reduce(lambda node, k: node[k], path, doc)
+    action = draw(st.sampled_from(["drop", "swap", "empty"]))
+    if action == "drop":
+        del parent[key]
+    elif action == "swap":
+        parent[key] = draw(st.sampled_from(JSON_SWAPS))
+    else:
+        parent[key] = type(parent[key])() if isinstance(parent[key], (list, dict, str)) else []
+    return doc
+
+
+@st.composite
+def text_mutation(draw, lines):
+    """One line dropped, one token dropped or swapped, or the text emptied."""
+    action = draw(st.sampled_from(["drop-line", "drop-token", "swap-token", "empty"]))
+    if action == "empty" or not lines:
+        return []
+    k = draw(st.integers(0, len(lines) - 1))
+    if action == "drop-line":
+        return lines[:k] + lines[k + 1 :]
+    tokens = lines[k].split()
+    j = draw(st.integers(0, max(len(tokens) - 1, 0)))
+    if action == "swap-token":
+        tokens[j:j + 1] = [draw(st.sampled_from(TEXT_SWAPS))]
+    elif tokens:
+        # a header token keeps its key: n_sites=4 becomes n_sites=
+        tokens[j] = tokens[j].split("=")[0] + "=" if "=" in tokens[j] else ""
+    return lines[:k] + [" ".join(tokens)] + lines[k + 1 :]
+
+
+class TestReaderProperty:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_reader_exits_zero_or_data_error(self, pipeline, data):
+        paths, _ = pipeline
+        cases = reader_cases(paths)
+        name = data.draw(st.sampled_from(sorted(cases)), label="reader")
+        source, argv, seeds = cases[name]
+        is_json = source.suffix == ".json"
+        original = json.loads(source.read_text()) if is_json else source.read_text().splitlines()
+        if seeds and data.draw(st.booleans(), label="seeded"):
+            # JSON seeds edit the document in place; pool edits return new lines
+            edited = data.draw(st.sampled_from(seeds), label="seed")(original)
+            mutated = original if is_json else edited
+        else:
+            mutated = data.draw(json_mutation(original) if is_json else text_mutation(original))
+        bad = paths["root"] / f"property{source.suffix}"
+        bad.write_text(json.dumps(mutated) if is_json else "\n".join(mutated) + "\n")
+        rc, _, err = run([str(bad) if a == BAD else a for a in argv])
+        assert rc in (0, 2), f"{name}: exit {rc}\n{err}"
+        if rc == 2:
+            [line] = err.splitlines()
+            assert line.startswith("error: ")

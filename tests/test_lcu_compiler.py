@@ -391,3 +391,35 @@ class TestGates:
         text = emit_gates(h2_program(h2_subset)).replace("unprep\n", "")
         with pytest.raises(ValueError):
             parse_gates(text)
+
+    @pytest.mark.parametrize("line, text", [
+        pytest.param(1, None, id="empty"),
+        pytest.param(1, "# lcu-gates-v1 n_sites=4 cut=2", id="header-short"),
+        pytest.param(1, "# lcu-gates-v1 n_sites=4 cut=2 a_left=3 a_right=3 lambda=nan", id="lambda-nan"),
+        pytest.param(2, "prep 0:abc", id="amp-text"),
+        pytest.param(2, "prep 0:inf", id="amp-infinite"),
+        pytest.param(2, "prep x:0.5", id="index-text"),
+        pytest.param(3, "cpauli 000000 IIII phase=nani", id="phase-nan"),
+        pytest.param(3, "cpauli 000000 IIII phase=abc", id="phase-text"),
+        pytest.param(3, "cpauli 000000 IIXQ", id="label-symbol"),
+        pytest.param(3, "cpauli 000000 III", id="label-short"),
+        pytest.param(3, "cpauli 00000 IIII", id="pattern-short"),
+        pytest.param(3, "cpauli 00000a IIII", id="pattern-not-bits"),
+        pytest.param(3, "cpauli - IIII", id="pattern-dash"),
+    ])
+    def test_malformed_listing_names_line(self, h2_subset, line, text):
+        lines = emit_gates(h2_program(h2_subset)).splitlines()
+        if text is None:
+            lines = []
+        else:
+            lines[line - 1] = text
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            parse_gates("\n".join(lines))
+
+    def test_no_ancillas_pattern_is_dash(self):
+        prog = compile_lcu(compile_bridge(parse_pauli_sum("-2.0 XZ\n"), 1))
+        parsed = parse_gates(emit_gates(prog))
+        assert (parsed["a_left"], parsed["a_right"]) == (0, 0)
+        assert parsed["rows"] == [("-", "XZ", -1 + 0j)]
+        with pytest.raises(ValueError, match="^line 3: control pattern '0'"):
+            parse_gates(emit_gates(prog).replace("cpauli -", "cpauli 0"))

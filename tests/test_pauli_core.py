@@ -17,7 +17,6 @@ from paulibridge.pauli import (
     TooLarge,
     apply_string,
     classify,
-    concat,
     PAULI_MATRICES,
     dense_string,
     expectation,
@@ -153,17 +152,6 @@ class TestStringBasics:
         by_value = sorted(strings)
         by_label = sorted(strings, key=lambda s: s.label)
         assert [s.label for s in by_value] == [s.label for s in by_label]
-
-    @given(labels, st.data())
-    def test_split_concat_roundtrip(self, label, data):
-        s = PauliString.from_label(label)
-        if s.n_sites < 2:
-            return
-        cut = data.draw(st.integers(1, s.n_sites - 1))
-        left, right = s.split(cut)
-        assert concat(left, right) == s
-        assert left.label == label[:cut]
-        assert right.label == label[cut:]
 
     def test_from_numpy_codes_past_one_word(self):
         codes = np.random.default_rng(3).integers(0, 4, 40)

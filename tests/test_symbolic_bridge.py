@@ -20,7 +20,7 @@ from paulibridge.bridge import (
     skeleton_hash,
     structural_hash,
 )
-from paulibridge.pauli import PauliString, PauliSum, parse_pauli_sum
+from paulibridge.pauli import PauliSum, parse_pauli_sum
 
 from conftest import random_pauli_sum
 
@@ -31,8 +31,8 @@ class TestWorkedExample:
         assert d.left.labels == ("II", "IZ", "XX", "YX", "ZI", "ZZ")
         assert d.right.labels == ("II", "XY", "YY", "ZI", "ZZ")
         assert len(d.bridge.entries) == 9
-        a = d.left.index(PauliString.from_label("YX"))
-        b = d.right.index(PauliString.from_label("XY"))
+        a = d.left.labels.index("YX")
+        b = d.right.labels.index("XY")
         assert d.bridge.entries[(a, b)] == pytest.approx(0.045322, abs=1e-12)
 
     def test_first_cut_matrix(self, h2_subset):
@@ -83,6 +83,22 @@ class TestRoundTrips:
         d2 = decomposition_from_json(text)
         assert d2 == d
         assert decomposition_to_json(d2) == text
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_labels_sliced_at_every_cut(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(2, 6))
+        op = random_pauli_sum(rng, n, data.draw(st.integers(1, 16)), complex_coeffs=data.draw(st.booleans()))
+        labels = [t.string.label for t in op.terms]
+        for cut in range(1, n):
+            d = compile(op, cut)
+            assert d.left.labels == tuple(sorted({s[:cut] for s in labels}))
+            assert d.right.labels == tuple(sorted({s[cut:] for s in labels}))
+            assert reconstruct(d).as_dict() == op.as_dict()
+            back = decomposition_from_json(decomposition_to_json(d))
+            assert (back.left, back.right, back.bridge.entries) == (d.left, d.right, d.bridge.entries)
+            assert (back.graph_left, back.graph_right) == (d.graph_left, d.graph_right)
 
     def test_compile_deterministic_bytes(self, h2_text, h2_subset):
         a = decomposition_to_json(compile(parse_pauli_sum(h2_text), 2))
@@ -148,9 +164,9 @@ class TestSetBridge:
         )
         if fresh:
             k = data.draw(st.integers(0, len(frags) - 1))
-            swapped = list(frags.fragments)
-            swapped[k] = PauliString.from_label(data.draw(st.sampled_from(fresh)))
-            changed = dataclasses.replace(d, **{side: FragmentDictionary(side, tuple(swapped))})
+            swapped = list(frags.labels)
+            swapped[k] = data.draw(st.sampled_from(fresh))
+            changed = dataclasses.replace(d, **{side: FragmentDictionary(tuple(swapped))})
             assert structural_hash(changed) != structural_hash(d)
 
 
