@@ -4,8 +4,8 @@ Subcommands cover the full pipeline: jw (fermion to Pauli), compile
 (bridge decomposition), mpo, groundstate, sample, curate, optimize, lcu,
 update (coefficient-only recompile), and verify (consistency battery or
 a dense check of a compiled program). verify compares the block a
-program encodes with the operator, so it takes up to 12 sites whatever
-the ancilla count.
+program encodes with the operator, so it takes up to DENSE_LIMIT (12)
+sites whatever the ancilla count.
 
 Exit codes: 0 success, 1 usage error, 2 input or data error, 3 numerical
 failure. Every writing subcommand records a deterministic JSON manifest
@@ -48,14 +48,9 @@ from paulibridge.lcu import (
 # Not called here; kept as a module attribute because the benchmark tracer
 # (bench/tracer.py) wraps the functions it times by these names.
 from paulibridge.lcu import block_encoding_dense  # noqa: F401
-from paulibridge.mpo import (
-    build_mpo_qr,
-    compress,
-    mpo_from_json,
-    mpo_to_dense,
-    mpo_to_json,
-)
+from paulibridge.mpo import build_mpo_qr, mpo_from_json, mpo_to_dense, mpo_to_json
 from paulibridge.mps import (
+    compress,
     ground_state_reference,
     mps_from_json,
     mps_to_json,
@@ -329,34 +324,33 @@ def cmd_verify(args) -> int:
             )
         err = float(np.max(np.abs(encoded_block(prog) - dense / prog.lam)))
         ok = err <= args.tol
-        print(f"block_encoding {'PASS' if ok else 'FAIL'} error {err:.6e}")
+        print(f"block_encoding {'PASS' if ok else 'FAIL'} tol {args.tol:g} error {err:.6e}")
         return 0 if ok else NUMERICAL_ERROR
-    checks: list[tuple[str, bool]] = []
+    # (name, passed, measured error or None for exact checks)
+    checks: list[tuple[str, bool, float | None]] = []
     cuts = [args.cut] if args.cut is not None else list(range(1, op.n_sites))
     for cut in cuts:
         d = compile_bridge(op, cut)
         exact = reconstruct(d).as_dict() == op.as_dict()
-        checks.append((f"bridge_round_trip_cut_{cut}", exact))
+        checks.append((f"bridge_round_trip_cut_{cut}", exact, None))
         back = decomposition_from_json(decomposition_to_json(d))
-        checks.append(
-            (f"bridge_json_round_trip_cut_{cut}", structural_hash(back) == structural_hash(d))
-        )
+        same_hash = structural_hash(back) == structural_hash(d)
+        checks.append((f"bridge_json_round_trip_cut_{cut}", same_hash, None))
         prog = compile_lcu(d)
         block_err = float(np.max(np.abs(encoded_block(prog) - dense / prog.lam)))
-        checks.append((f"block_encoding_cut_{cut}", block_err <= args.tol))
+        checks.append((f"block_encoding_cut_{cut}", block_err <= args.tol, block_err))
     m = build_mpo_qr(op)
-    err = np.linalg.norm(mpo_to_dense(m) - dense) / np.linalg.norm(dense)
-    checks.append(("mpo_exact_reconstruction", bool(err <= args.tol)))
+    err = float(np.linalg.norm(mpo_to_dense(m) - dense) / np.linalg.norm(dense))
+    checks.append(("mpo_exact_reconstruction", err <= args.tol, err))
     back = mpo_from_json(mpo_to_json(m))
     same = all(
         np.array_equal(a, b) for a, b in zip(back.tensors, m.tensors)
     )
-    checks.append(("mpo_json_round_trip", same))
-    ok = True
-    for name, passed in checks:
-        print(f"{name} {'pass' if passed else 'FAIL'}")
-        ok = ok and passed
-    return 0 if ok else NUMERICAL_ERROR
+    checks.append(("mpo_json_round_trip", same, None))
+    for name, passed, measured in checks:
+        shown = "" if measured is None else f" error {measured:.6e} tol {args.tol:g}"
+        print(f"{name}{shown} {'pass' if passed else 'FAIL'}")
+    return 0 if all(passed for _, passed, _ in checks) else NUMERICAL_ERROR
 
 
 @functools.cache  # built once per process: main may run many times in one

@@ -23,6 +23,8 @@ __all__ = [
     "map_hamiltonian",
 ]
 
+HERMITIAN_TOL = 1e-12  # relative imaginary residue above which map_hamiltonian warns
+
 
 class IndexOutOfRange(ValueError):
     """A mode index falls outside [0, n)."""
@@ -74,12 +76,12 @@ def _mode_product(factors: list[tuple[str, int]], n: int) -> PauliSum:
     return acc
 
 
-def map_hamiltonian(terms: list[FermionTerm], n: int, hermitian_tol: float = 1e-12) -> PauliSum:
+def map_hamiltonian(terms: list[FermionTerm], n: int) -> PauliSum:
     """Map a fermionic Hamiltonian to one merged Pauli sum.
 
     Two-body coefficients enter with the conventional 1/2 prefactor.
     Emits a NonHermitianInput warning when the merged coefficients keep an
-    imaginary part above ``hermitian_tol`` relative to the largest one.
+    imaginary part above HERMITIAN_TOL relative to the largest one.
     """
     entries = []
     for term in terms:
@@ -101,7 +103,7 @@ def map_hamiltonian(terms: list[FermionTerm], n: int, hermitian_tol: float = 1e-
     if out.n_terms:
         top = max(abs(t.coeff) for t in out.terms)
         residue = max(abs(t.coeff.imag) for t in out.terms)
-        if residue > hermitian_tol * max(top, 1.0):
+        if residue > HERMITIAN_TOL * max(top, 1.0):
             warnings.warn(
                 f"mapped coefficients keep imaginary parts up to {residue:.2e}; "
                 "input term list is not Hermitian-closed",

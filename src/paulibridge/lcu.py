@@ -29,6 +29,7 @@ import scipy.linalg
 
 from paulibridge.bridge import BridgeDecomposition, EmptyOperator, skeleton_hash
 from paulibridge.pauli import (
+    DENSE_LIMIT,
     SYMBOLS,
     PauliString,
     PauliSum,
@@ -168,15 +169,15 @@ def _phase_rows(program: LcuProgram) -> np.ndarray:
     return np.repeat(phases, 2**program.n_sites)[:, None]
 
 
-def _check_dense_size(program: LcuProgram, dense_limit: int) -> None:
+def _check_dense_size(program: LcuProgram) -> None:
     total = program.a_total + program.n_sites
-    if total > dense_limit:
-        raise TooLarge(f"{total} total qubits exceeds dense limit {dense_limit}")
+    if total > DENSE_LIMIT:
+        raise TooLarge(f"{total} total qubits exceeds dense limit {DENSE_LIMIT}")
 
 
-def select_dense(program: LcuProgram, dense_limit: int = 12) -> np.ndarray:
+def select_dense(program: LcuProgram) -> np.ndarray:
     """Monolithic select unitary: Phi times one block per register pair."""
-    _check_dense_size(program, dense_limit)
+    _check_dense_size(program)
     cut, n = program.cut, program.n_sites
     left = _fragment_ops(program.left, 2**program.a_left, cut)
     right = _fragment_ops(program.right, 2**program.a_right, n - cut)
@@ -185,7 +186,7 @@ def select_dense(program: LcuProgram, dense_limit: int = 12) -> np.ndarray:
     return out
 
 
-def select_factorized_dense(program: LcuProgram, dense_limit: int = 12) -> np.ndarray:
+def select_factorized_dense(program: LcuProgram) -> np.ndarray:
     """Phi . Select_L . Select_R, equal to ``select_dense`` for every program.
 
     Select_L applies left fragment alpha to the left sites when the left
@@ -193,7 +194,7 @@ def select_factorized_dense(program: LcuProgram, dense_limit: int = 12) -> np.nd
     depends on a coefficient. Every phase sits in Phi, a diagonal on the
     pair register.
     """
-    _check_dense_size(program, dense_limit)
+    _check_dense_size(program)
     cut, n = program.cut, program.n_sites
     dim_l, dim_r = 2**program.a_left, 2**program.a_right
     left = _fragment_ops(program.left, dim_l, cut)
@@ -208,12 +209,12 @@ def select_factorized_dense(program: LcuProgram, dense_limit: int = 12) -> np.nd
     return out
 
 
-def block_encoding_dense(program: LcuProgram, dense_limit: int = 12) -> np.ndarray:
+def block_encoding_dense(program: LcuProgram) -> np.ndarray:
     """Full walk unitary (Prep^dag x I) Select (Prep x I); a test oracle."""
-    _check_dense_size(program, dense_limit)
+    _check_dense_size(program)
     dim_sys = 2**program.n_sites
     prep = prep_dense(program)
-    sel = select_dense(program, dense_limit)
+    sel = select_dense(program)
     lifted = np.kron(prep, np.eye(dim_sys))
     return lifted.conj().T @ sel @ lifted
 
@@ -225,7 +226,7 @@ def encoded_block(program: LcuProgram) -> np.ndarray:
     amplitude vector u, and Select is block diagonal over the pair
     register, so the block is sum_j u_j^2 S_j over the pairs prep loads:
     one weighted Pauli string each, densified by ``to_dense``. Memory is
-    O(4^n) whatever the ancilla count; ``to_dense`` refuses only n > 12.
+    O(4^n) whatever the ancilla count; ``to_dense`` refuses n > DENSE_LIMIT.
     """
     amps = {(a, b): amp for a, b, amp in program.prep}
     phases = {(a, b): ph for a, b, ph in program.select}
@@ -323,12 +324,17 @@ def parse_gates(text: str) -> dict:
     if lines[-1][1] != "unprep":
         raise ValueError(f"line {lines[-1][0]}: listing must end with unprep")
     n_sites, width = out["n_sites"], out["a_left"] + out["a_right"]
+    prep_lines = {}
     for line_no, line in lines[1:-1]:
         parts = line.split()
         if parts[0] == "prep":
             for token in parts[1:]:
                 idx, _, amp = token.partition(":")
-                out["amps"][_gate_number(idx, line_no, int)] = _gate_number(amp, line_no)
+                idx = _gate_number(idx, line_no, int)
+                if not 0 <= idx < 2**width:
+                    raise ValueError(f"line {line_no}: prep index {idx} not in 0..{2**width - 1}")
+                out["amps"][idx] = _gate_number(amp, line_no)
+                prep_lines[idx] = line_no
         elif parts[0] == "cpauli" and len(parts) in (3, 4):
             _, pattern, label, *annotation = parts
             if not ((len(pattern) == width and set(pattern) <= {"0", "1"}) if width else pattern == "-"):
@@ -343,6 +349,10 @@ def parse_gates(text: str) -> dict:
             out["rows"].append((pattern, label, phase))
         else:
             raise ValueError(f"line {line_no}: bad gate row {line!r}")
+    rows = {int(pattern, 2) if width else 0 for pattern, _, _ in out["rows"]}
+    for idx, line_no in prep_lines.items():
+        if idx not in rows:
+            raise ValueError(f"line {line_no}: prep index {idx} has no cpauli row")
     return out
 
 

@@ -15,7 +15,7 @@ operator up to roundoff, and roundoff pivots do not become bonds.
 
 MPO tensors are indexed ``W[left_bond, right_bond, s_out, s_in]``. The
 gauge sweep, compression, isometry checks and JSON codec are the shared
-tensor-chain ones from ``paulibridge.mps``.
+tensor-chain ones of ``paulibridge.mps``.
 """
 
 from __future__ import annotations
@@ -28,17 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from paulibridge.bridge import Bridge, BridgeDecomposition, EmptyOperator
-# The chain functions are shared with MPS states; they are re-exported
-# here under the names the MPO API has always had.
-from paulibridge.mps import (
-    TensorChain,
-    canonicalize,
-    chain_from_json,
-    chain_to_json,
-    compress,
-    is_left_canonical_site,
-    is_right_canonical_site,
-)
+from paulibridge.mps import TensorChain, chain_from_json, chain_to_json
 from paulibridge.pauli import (
     DENSE_LIMIT,
     PAULI_MATRICES,
@@ -56,10 +46,6 @@ __all__ = [
     "RankExceedsDims",
     "bridge_svd",
     "build_mpo_qr",
-    "canonicalize",
-    "compress",
-    "is_left_canonical_site",
-    "is_right_canonical_site",
     "mpo_from_json",
     "mpo_to_dense",
     "mpo_to_json",
@@ -164,10 +150,10 @@ def build_mpo_qr(
     return Mpo(tensors)
 
 
-def mpo_to_dense(m: Mpo, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
+def mpo_to_dense(m: Mpo) -> np.ndarray:
     """Contract to the dense matrix (site 0 most significant)."""
-    if m.n_sites > dense_limit:
-        raise TooLarge(f"{m.n_sites} sites exceeds dense limit {dense_limit}")
+    if m.n_sites > DENSE_LIMIT:
+        raise TooLarge(f"{m.n_sites} sites exceeds dense limit {DENSE_LIMIT}")
     if m.tensors[0].shape[0] != 1 or m.tensors[-1].shape[1] != 1:
         raise ValueError("boundary bond dimensions must be 1")
     acc = np.ones((1, 1, 1), dtype=np.complex128)

@@ -56,7 +56,8 @@ __all__ = [
 ]
 
 FORMAT_NAME = "mps-v1"
-STATE_DENSE_LIMIT = 20
+STATE_DENSE_LIMIT = 20  # most sites of a dense state vector
+DEGENERACY_TOL = 1e-8  # spectral gap below which ground_state_reference warns
 # strings swept or contracted together; on a 2-core x86 host, 1024 ran 2x
 # faster than 4096 at bond 16 (the chunk stays cache-sized), as fast at bond 4
 CHUNK_STRINGS = 1024
@@ -209,9 +210,9 @@ def dense_to_mps(
     return Mps(tensors, ["left"] * (n - 1) + ["center"])
 
 
-def mps_to_dense(m: Mps, dense_limit: int = STATE_DENSE_LIMIT) -> np.ndarray:
-    if m.n_sites > dense_limit:
-        raise TooLarge(f"{m.n_sites} sites exceeds dense limit {dense_limit}")
+def mps_to_dense(m: Mps) -> np.ndarray:
+    if m.n_sites > STATE_DENSE_LIMIT:
+        raise TooLarge(f"{m.n_sites} sites exceeds dense limit {STATE_DENSE_LIMIT}")
     if m.tensors[0].shape[0] != 1 or m.tensors[-1].shape[1] != 1:
         raise ValueError("boundary bond dimensions must be 1")
     acc = np.ones((1, 1), dtype=np.complex128)
@@ -310,28 +311,23 @@ class GroundStateResult:
     mps: Mps
 
 
-def ground_state_reference(
-    op: PauliSum,
-    max_bond: int | None = None,
-    degeneracy_tol: float = 1e-8,
-    dense_limit: int = 12,
-) -> GroundStateResult:
+def ground_state_reference(op: PauliSum, max_bond: int | None = None) -> GroundStateResult:
     """Dense lowest eigenpair, returned as a right-canonical MPS.
 
     The global phase is fixed by making the largest-magnitude component
     real and positive, so repeated runs agree bit for bit. Warns when the
-    spectral gap falls below ``degeneracy_tol``, in which case the chosen
+    spectral gap falls below DEGENERACY_TOL, in which case the chosen
     eigenvector is a basis-dependent representative.
     """
-    dense = to_dense(op, dense_limit=dense_limit)
+    dense = to_dense(op)
     if np.linalg.norm(dense - dense.conj().T) > 1e-10 * max(np.linalg.norm(dense), 1.0):
         raise ValueError("operator is not Hermitian")
     vals, vecs = scipy.linalg.eigh(dense)
     energy = float(vals[0])
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else np.inf
-    if gap < degeneracy_tol:
+    if gap < DEGENERACY_TOL:
         warnings.warn(
-            f"spectral gap {gap:.3e} below {degeneracy_tol:.3e}",
+            f"spectral gap {gap:.3e} below {DEGENERACY_TOL:.3e}",
             DegenerateGroundState,
             stacklevel=2,
         )

@@ -40,7 +40,6 @@ __all__ = [
     "TooLarge",
     "PAULI_MATRICES",
     "apply_string",
-    "classify",
     "dense_string",
     "expectation",
     "json_document",
@@ -70,7 +69,9 @@ PAULI_MATRICES: tuple[np.ndarray, ...] = (
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
 
+# most qubits of any dense matrix: sites, plus ancillas for an lcu walk unitary
 DENSE_LIMIT = 12
+NORM_TOL = 1e-12  # largest |norm - 1| expectation accepts
 
 
 class PauliError(ValueError):
@@ -102,7 +103,7 @@ class LengthMismatch(PauliError):
 
 
 class TooLarge(PauliError):
-    """A dense object would exceed the configured qubit limit."""
+    """A dense object would exceed DENSE_LIMIT (matrices) or mps.STATE_DENSE_LIMIT (vectors)."""
 
 
 class DimensionMismatch(PauliError):
@@ -380,11 +381,6 @@ def multiply(a: PauliSum, b: PauliSum) -> PauliSum:
     return PauliSum(a.n_sites, out)
 
 
-def classify(p: PauliString) -> str:
-    """Partition label: "diagonal" for strings over {I, Z}, else "offdiagonal"."""
-    return "diagonal" if p.is_diagonal else "offdiagonal"
-
-
 # ---------------------------------------------------------------------------
 # dense forms and state-vector application
 
@@ -393,10 +389,10 @@ def dense_string(p: PauliString) -> np.ndarray:
     return reduce(np.kron, (PAULI_MATRICES[c] for c in p.codes))
 
 
-def to_dense(op: PauliSum, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
-    """Dense matrix of a sum; refuses more than ``dense_limit`` sites."""
-    if op.n_sites > dense_limit:
-        raise TooLarge(f"{op.n_sites} sites exceeds dense limit {dense_limit}")
+def to_dense(op: PauliSum) -> np.ndarray:
+    """Dense matrix of a sum; refuses more than DENSE_LIMIT sites."""
+    if op.n_sites > DENSE_LIMIT:
+        raise TooLarge(f"{op.n_sites} sites exceeds dense limit {DENSE_LIMIT}")
     idx = np.arange(2**op.n_sites)
     out = np.zeros((idx.size, idx.size), dtype=np.complex128)
     for term in op.terms:
@@ -421,7 +417,7 @@ def apply_string(p: PauliString, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def expectation(op: PauliSum, state: np.ndarray, atol: float = 1e-12) -> complex:
+def expectation(op: PauliSum, state: np.ndarray) -> complex:
     """<state|op|state> evaluated term by term on the vector."""
     state = np.asarray(state, dtype=np.complex128)
     if state.shape != (2**op.n_sites,):
@@ -429,8 +425,8 @@ def expectation(op: PauliSum, state: np.ndarray, atol: float = 1e-12) -> complex
             f"state has shape {state.shape}, operator needs ({2**op.n_sites},)"
         )
     norm = float(np.linalg.norm(state))
-    if abs(norm - 1.0) > atol:
-        raise NotNormalized(f"state norm {norm} deviates from 1 beyond {atol}")
+    if abs(norm - 1.0) > NORM_TOL:
+        raise NotNormalized(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
     acc = 0j
     for term in op.terms:
         acc += term.coeff * np.vdot(state, apply_string(term.string, state))
@@ -543,11 +539,13 @@ def json_finite(fmt: str, doc, key: str, where: str = "") -> float:
 
 
 def json_labels(fmt: str, doc, key: str, width: int) -> tuple[str, ...]:
-    """``doc[key]`` as a non-empty list of ``width``-site Pauli labels."""
+    """``doc[key]`` as a non-empty, strictly increasing list of ``width``-site Pauli labels."""
     labels = json_field(fmt, doc, key, list)
     if not labels:
         raise malformed(fmt, key, "empty fragment dictionary")
     for k, label in enumerate(labels):
         if not (isinstance(label, str) and len(label) == width and set(label) <= set(SYMBOLS)):
             raise malformed(fmt, f"{key}[{k}]", f"expected a {width}-site Pauli label, got {label!r}")
+        if k and label <= labels[k - 1]:  # ASCII order is the I < X < Y < Z order
+            raise malformed(fmt, f"{key}[{k}]", f"not increasing: {label!r} after {labels[k - 1]!r}")
     return tuple(labels)

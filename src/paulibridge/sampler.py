@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from paulibridge.mps import Mps, _transfer, is_right_canonical_site
-from paulibridge.pauli import PauliError, PauliString, classify
+from paulibridge.pauli import PauliError, PauliString
 
 __all__ = [
     "GaugeViolation",
@@ -40,6 +40,9 @@ __all__ = [
     "samples_to_text",
 ]
 
+GAUGE_TOL = 1e-10  # largest right-isometry deviation sample_strings accepts
+
+
 class GaugeViolation(ValueError):
     """The state is not right-canonical, so conditionals would not normalize."""
 
@@ -49,7 +52,6 @@ class SamplerConfig:
     n_samples: int
     seed: int
     chunk_size: int = 4096
-    gauge_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
@@ -88,9 +90,9 @@ def sample_strings(m: Mps, config: SamplerConfig) -> np.ndarray:
     if n > 32:
         raise ValueError(f"{n} sites exceeds the 32-site packing limit")
     for j, t in enumerate(m.tensors):
-        if not is_right_canonical_site(t, tol=config.gauge_tol):
+        if not is_right_canonical_site(t, tol=GAUGE_TOL):
             raise GaugeViolation(
-                f"site {j} violates the right gauge condition at {config.gauge_tol}; "
+                f"site {j} violates the right gauge condition at {GAUGE_TOL}; "
                 "canonicalize first"
             )
     out = np.empty(config.n_samples, dtype=np.uint64)
@@ -160,7 +162,7 @@ def curate(
     for string, count in counts.items():
         if string.is_identity:
             continue
-        if classify(string) == "diagonal":
+        if string.is_diagonal:
             iz.append((count, string))
         else:
             xy.append((count, string))
@@ -262,7 +264,7 @@ def pool_from_text(text: str) -> SampledPool:
         if string in counts:
             raise ValueError(f"line {line_no}: {string.label} appears twice")
         counts[string] = count
-        (iz if classify(string) == "diagonal" else xy).append(string)
+        (iz if string.is_diagonal else xy).append(string)
     if sum(counts.values()) > n_samples:
         raise ValueError(f"counts sum to {sum(counts.values())}, above header n_samples={n_samples}")
     return SampledPool(n_sites, n_samples, tuple(xy), tuple(iz), counts)

@@ -83,6 +83,8 @@ class FidelityFit:
 
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
+NULL_TOL = 1e-12  # metric eigenvalues below this times the largest are deflated
+RIDGE = 1e-10  # fidelity_fit's ridge, relative to the metric's mean diagonal
 
 
 def _expectations(state, packed: np.ndarray, n_sites: int) -> np.ndarray:
@@ -138,13 +140,13 @@ def assemble_pencil(
     return EffectivePencil(h, n, pool)
 
 
-def _whiten(pencil: EffectivePencil, null_tol: float):
+def _whiten(pencil: EffectivePencil):
     h, n = pencil.h, pencil.n
     herm_gap = np.linalg.norm(h - h.conj().T)
     if herm_gap > 1e-10 * max(np.linalg.norm(h), 1.0):
         raise ValueError("effective Hamiltonian is not Hermitian")
     w, v = scipy.linalg.eigh(n)
-    keep = w > null_tol * max(w[-1], 0.0)
+    keep = w > NULL_TOL * max(w[-1], 0.0)
     if not np.any(keep):
         raise ValueError("overlap metric is numerically zero")
     basis = v[:, keep] / np.sqrt(w[keep])
@@ -152,18 +154,16 @@ def _whiten(pencil: EffectivePencil, null_tol: float):
     return (a + a.conj().T) / 2, basis
 
 
-def solve_ritz_dense(
-    pencil: EffectivePencil, n_roots: int = 1, null_tol: float = 1e-12
-) -> RitzSolution:
+def solve_ritz_dense(pencil: EffectivePencil, n_roots: int = 1) -> RitzSolution:
     """Lowest generalized Ritz pairs by null-space deflation.
 
-    Directions of the overlap metric below ``null_tol`` (relative to its
+    Directions of the overlap metric below NULL_TOL (relative to its
     largest eigenvalue) are projected out before whitening; for pools
     built from a single state the metric's null space lies inside the
     effective Hamiltonian's, so deflation keeps the variational bound
     intact rather than regularizing it away.
     """
-    a, basis = _whiten(pencil, null_tol)
+    a, basis = _whiten(pencil)
     vals, vecs = scipy.linalg.eigh(a)
     k = min(n_roots, a.shape[0])
     return RitzSolution(vals[:k], basis @ vecs[:, :k], n_kept=a.shape[0])
@@ -175,7 +175,6 @@ def solve_ritz_lobpcg(
     tol: float = 1e-9,
     max_iter: int = 200,
     seed: int = 0,
-    null_tol: float = 1e-12,
 ) -> RitzSolution:
     """Block Rayleigh-Ritz iteration with residual and momentum blocks.
 
@@ -184,7 +183,7 @@ def solve_ritz_lobpcg(
     ConvergenceFailure when residual norms stay above ``tol`` times the
     operator norm after ``max_iter`` steps.
     """
-    a, basis = _whiten(pencil, null_tol)
+    a, basis = _whiten(pencil)
     m = a.shape[0]
     k = min(n_roots, m)
     anorm = np.linalg.norm(a, 2)
@@ -223,9 +222,7 @@ def solve_ritz_lobpcg(
     )
 
 
-def fidelity_fit(
-    pencil: EffectivePencil, overlaps: np.ndarray, eta: float = 1e-10
-) -> FidelityFit:
+def fidelity_fit(pencil: EffectivePencil, overlaps: np.ndarray) -> FidelityFit:
     """Best pool approximation to a unit-norm target state.
 
     ``overlaps[k] = <P_k psi|phi>``; solves the ridge-regularized normal
@@ -239,7 +236,7 @@ def fidelity_fit(
     k = pencil.size
     scale = max(np.trace(pencil.n).real / k, 1e-300)
     x = scipy.linalg.solve(
-        pencil.n + eta * scale * np.eye(k), b, assume_a="her"
+        pencil.n + RIDGE * scale * np.eye(k), b, assume_a="her"
     )
     denom = float((x.conj() @ pencil.n @ x).real)
     if denom <= 0:

@@ -40,6 +40,15 @@ def random_pauli_sum(rng: np.random.Generator, n_sites: int, n_terms: int,
     return PauliSum(n_sites, entries)
 
 
+def thirteen_qubit_op() -> PauliSum:
+    """Ten distinct two-site and three-site halves: 5 sites + 4 + 4 ancillas at cut 2."""
+    def word(k, width):
+        return "".join("IXYZ"[(k >> (2 * j)) & 3] for j in range(width))
+
+    return PauliSum(5, [(0.1 * (k + 1), PauliString.from_label(word(k, 2) + word(3 * k + 1, 3)))
+                        for k in range(10)])
+
+
 def random_state(rng: np.random.Generator, n_sites: int) -> np.ndarray:
     v = rng.standard_normal(2**n_sites) + 1j * rng.standard_normal(2**n_sites)
     return v / np.linalg.norm(v)
@@ -93,6 +102,9 @@ BRIDGE_MUTATIONS = [
     pytest.param("left_fragments[1]", lambda d: d["left_fragments"].__setitem__(1, "XQ"), id="label-bad-symbol"),
     pytest.param("right_fragments[1]", lambda d: d["right_fragments"].__setitem__(1, "XYZ"),
                  id="label-mixed-widths"),
+    pytest.param("left_fragments[1]", lambda d: d["left_fragments"].__setitem__(1, "II"),
+                 id="label-repeated"),
+    pytest.param("right_fragments[1]", lambda d: d["right_fragments"].reverse(), id="labels-reversed"),
     pytest.param("left_fragments[0]", lambda d: d.update(cut=1), id="left-width-not-cut"),
     pytest.param("n_sites", lambda d: d.update(n_sites="4"), id="n-sites-string"),
     pytest.param("cut", lambda d: d.update(n_sites=2), id="n-sites-at-cut"),
@@ -138,6 +150,8 @@ PROGRAM_MUTATIONS = [
     pytest.param("lambda", lambda d: d.update(**{"lambda": float("inf")}), id="lambda-infinite"),
     pytest.param("left[0]", lambda d: d["left"].__setitem__(0, "IIZ"), id="label-wrong-width"),
     pytest.param("right", lambda d: d.update(right={}), id="right-not-list"),
+    pytest.param("left[1]", lambda d: d["left"].__setitem__(1, "II"), id="label-repeated"),
+    pytest.param("right[1]", lambda d: d["right"].reverse(), id="labels-reversed"),
     pytest.param("select_hash", lambda d: d.pop("select_hash"), id="select-hash-missing"),
     pytest.param("prep[4]", lambda d: d["prep"][4].update(b=1), id="prep-pair-without-select-row"),
     pytest.param("prep[1]", lambda d: d["prep"][1].update(a=0, b=0), id="prep-pair-twice"),

@@ -23,16 +23,16 @@ from paulibridge.lcu import (
     success_probability,
     update_coefficients,
 )
-from paulibridge.mpo import (
-    bridge_svd,
-    build_mpo_qr,
+from paulibridge.mpo import bridge_svd, build_mpo_qr, mpo_to_dense
+from paulibridge.mps import (
     canonicalize,
+    canonicalize_mps,
     compress,
+    dense_to_mps,
+    ground_state_reference,
     is_left_canonical_site,
     is_right_canonical_site,
-    mpo_to_dense,
 )
-from paulibridge.mps import canonicalize_mps, dense_to_mps, ground_state_reference
 from paulibridge.pauli import PauliString, PauliSum, apply_string, to_dense
 from paulibridge.sampler import (
     SamplerConfig,

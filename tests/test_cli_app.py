@@ -28,7 +28,7 @@ from paulibridge.cli import main
 from paulibridge.lcu import program_from_json
 from paulibridge.mpo import mpo_from_json
 from paulibridge.mps import mps_from_json
-from paulibridge.pauli import PauliString, PauliSum, parse_pauli_sum, serialize_pauli_sum, to_dense
+from paulibridge.pauli import parse_pauli_sum, serialize_pauli_sum, to_dense
 from paulibridge.sampler import pool_from_text, samples_from_text
 
 from conftest import (
@@ -39,6 +39,7 @@ from conftest import (
     POOL_MUTATIONS,
     PROGRAM_MUTATIONS,
     random_pauli_sum,
+    thirteen_qubit_op,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -185,6 +186,15 @@ class TestPipelineArtifacts:
         assert len(lines) == 11
         assert all(l.endswith(" pass") for l in lines)
         assert sum("block_encoding" in l for l in lines) == 3
+        # measured checks print "<name> error E tol T pass"
+        measured = [l.split() for l in lines if " error " in l]
+        assert [w[0] for w in measured] == [
+            "block_encoding_cut_1", "block_encoding_cut_2", "block_encoding_cut_3",
+            "mpo_exact_reconstruction",
+        ]
+        for _, key, err, tol_key, tol, _ in measured:
+            assert (key, tol_key, tol) == ("error", "tol", "1e-10")
+            assert float(err) <= 1e-10
 
 
 class TestManifests:
@@ -504,7 +514,9 @@ class TestVerifyProgram:
         rc, stdout, _ = run(["verify", "--input", str(paths["op"]),
                              "--program", str(paths["lcu"])])
         assert rc == 0
-        assert "block_encoding PASS" in stdout
+        [line] = stdout.splitlines()
+        assert line.startswith("block_encoding PASS tol 1e-10 error ")
+        assert float(line.split()[-1]) <= 1e-10
 
     def test_tampered_amplitude_fails_with_error(self, pipeline, tmp_path):
         paths, _ = pipeline
@@ -557,14 +569,7 @@ class TestVerifyBeyondOldCeiling:
         return run(["verify", "--input", str(src)])
 
     def test_five_sites_ten_terms(self, tmp_path):
-        # ten distinct two-site and three-site halves: 5 + 4 + 4 = 13
-        # qubits at cut 2
-        def word(k, width):
-            return "".join("IXYZ"[(k >> (2 * j)) & 3] for j in range(width))
-
-        op = PauliSum(5, [(0.1 * (k + 1), PauliString.from_label(word(k, 2) + word(3 * k + 1, 3)))
-                          for k in range(10)])
-        rc, stdout, _ = self.battery(tmp_path, op)
+        rc, stdout, _ = self.battery(tmp_path, thirteen_qubit_op())
         assert rc == 0
         lines = stdout.splitlines()
         assert len(lines) == 3 * 4 + 2

@@ -399,6 +399,9 @@ class TestGates:
         pytest.param(2, "prep 0:abc", id="amp-text"),
         pytest.param(2, "prep 0:inf", id="amp-infinite"),
         pytest.param(2, "prep x:0.5", id="index-text"),
+        pytest.param(2, "prep -1:0.1 99:0.2", id="index-negative"),
+        pytest.param(2, "prep 0:0.5 64:0.5", id="index-past-register"),
+        pytest.param(2, "prep 0:0.5 1:0.5", id="index-without-row"),
         pytest.param(3, "cpauli 000000 IIII phase=nani", id="phase-nan"),
         pytest.param(3, "cpauli 000000 IIII phase=abc", id="phase-text"),
         pytest.param(3, "cpauli 000000 IIXQ", id="label-symbol"),

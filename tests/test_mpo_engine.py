@@ -16,15 +16,18 @@ from paulibridge.mpo import (
     RankExceedsDims,
     bridge_svd,
     build_mpo_qr,
-    canonicalize,
-    compress,
-    is_left_canonical_site,
-    is_right_canonical_site,
     mpo_from_json,
     mpo_to_dense,
     mpo_to_json,
 )
-from paulibridge.mps import dense_to_mps, mps_to_dense
+from paulibridge.mps import (
+    canonicalize,
+    compress,
+    dense_to_mps,
+    is_left_canonical_site,
+    is_right_canonical_site,
+    mps_to_dense,
+)
 from paulibridge.pauli import (
     PAULI_MATRICES,
     PauliString,

@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paulibridge.bridge import compile as compile_bridge
+from paulibridge.lcu import block_encoding_dense, compile_lcu, select_dense, select_factorized_dense
+from paulibridge.mpo import Mpo, mpo_to_dense
+from paulibridge.mps import Mps, ground_state_reference, mps_to_dense
 from paulibridge.pauli import (
     DimensionMismatch,
     EmptyInput,
@@ -16,7 +20,6 @@ from paulibridge.pauli import (
     PauliSum,
     TooLarge,
     apply_string,
-    classify,
     PAULI_MATRICES,
     dense_string,
     expectation,
@@ -30,7 +33,18 @@ from paulibridge.pauli import (
     unpack_string,
 )
 
-from conftest import random_pauli_sum, random_state
+from conftest import random_pauli_sum, random_state, thirteen_qubit_op
+
+
+def identity_sum(n_sites):
+    return PauliSum(n_sites, [(1.0, PauliString.identity(n_sites))])
+
+
+def thirteen_qubit_program():
+    prog = compile_lcu(compile_bridge(thirteen_qubit_op(), 2))
+    assert prog.n_sites + prog.a_total == 13
+    return prog
+
 
 PHASES = {1 + 0j, -1 + 0j, 1j, -1j}
 
@@ -142,10 +156,11 @@ class TestStringBasics:
         _, c = pauli_product(a, b)
         assert c.weight <= a.weight + b.weight
 
-    def test_classify(self):
-        assert classify(PauliString.from_label("IZZI")) == "diagonal"
-        assert classify(PauliString.from_label("IXZI")) == "offdiagonal"
-        assert classify(PauliString.identity(3)) == "diagonal"
+    def test_is_diagonal(self):
+        assert PauliString.from_label("IZZI").is_diagonal
+        assert not PauliString.from_label("IXZI").is_diagonal
+        assert not PauliString.from_label("ZZYZ").is_diagonal
+        assert PauliString.identity(3).is_diagonal
 
     def test_lexicographic_order(self):
         strings = all_strings(2)
@@ -184,10 +199,21 @@ class TestDense:
         want = sum(t.coeff * dense_string(t.string) for t in op.terms)
         np.testing.assert_array_equal(to_dense(op), want)
 
-    def test_dense_limit_override(self):
-        op = PauliSum(3, [(1.0, PauliString.identity(3))])
+    @pytest.mark.parametrize("densify", [
+        pytest.param(lambda: to_dense(identity_sum(13)), id="to_dense"),
+        pytest.param(lambda: mpo_to_dense(Mpo([np.ones((1, 1, 2, 2))] * 13)), id="mpo_to_dense"),
+        pytest.param(lambda: ground_state_reference(identity_sum(13)), id="ground_state_reference"),
+        pytest.param(lambda: select_dense(thirteen_qubit_program()), id="select_dense"),
+        pytest.param(lambda: select_factorized_dense(thirteen_qubit_program()),
+                     id="select_factorized_dense"),
+        pytest.param(lambda: block_encoding_dense(thirteen_qubit_program()), id="block_encoding_dense"),
+        pytest.param(lambda: mps_to_dense(Mps([np.ones((1, 1, 2))] * 21)), id="mps_to_dense"),
+    ])
+    def test_fixed_dense_limits(self, densify):
+        # matrices stop at DENSE_LIMIT = 12 qubits, system plus ancilla;
+        # state vectors at STATE_DENSE_LIMIT = 20 sites
         with pytest.raises(TooLarge):
-            to_dense(op, dense_limit=2)
+            densify()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_apply_string_matches_dense(self, n):

@@ -6,7 +6,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from paulibridge.mps import canonicalize_mps, dense_to_mps, ground_state_reference
-from paulibridge.pauli import PauliString, apply_string, classify
+from paulibridge.pauli import PauliString, apply_string
 from paulibridge.sampler import (
     GaugeViolation,
     SampledPool,
@@ -184,10 +184,8 @@ class TestCurate:
         m = right_canonical_mps(random_state(rng, 3))
         samples = sample_strings(m, SamplerConfig(n_samples=300, seed=2))
         pool = curate(samples, 3, keep_iz=4)
-        for s in pool.xy:
-            assert classify(s) == "offdiagonal"
-        for s in pool.iz:
-            assert classify(s) == "diagonal"
+        assert not any(s.is_diagonal for s in pool.xy)
+        assert all(s.is_diagonal for s in pool.iz)
         assert len(pool.iz) <= 4
 
 
