@@ -8,10 +8,11 @@ operator is the sum over active index pairs (a, b) of
 
 The symbolic side (the dictionaries, stored as sorted label tuples) is
 decoupled from the numeric side (the bridge entries). The layered
-prefix/suffix graphs that generate the dictionaries are derived from the
-labels on demand, never stored. Coefficients can be swapped without
-touching the symbolic skeleton, which is what ``set_bridge`` does and
-what the structural hash certifies.
+prefix/suffix graphs that generate the dictionaries are never built; the
+``bridge-v1`` document reports their layer sizes and edge counts, counted
+from the labels. Coefficients can be swapped without touching the
+symbolic skeleton, which is what ``set_bridge`` does and what the
+structural hash certifies.
 
 Layout conventions fixed here and relied on downstream:
 
@@ -50,7 +51,6 @@ __all__ = [
     "EmptyOperator",
     "FragmentDictionary",
     "IndexOutOfRange",
-    "SymbolicGraph",
     "compile",
     "decomposition_from_json",
     "decomposition_to_json",
@@ -103,42 +103,6 @@ class FragmentDictionary:
         return len(self.labels[0])
 
 
-@dataclass(frozen=True)
-class SymbolicGraph:
-    """Layered labeled graph generating one fragment dictionary.
-
-    ``layers[i]`` holds vertex labels (plain strings, the empty string is
-    the root or sink), ``edges[i]`` the labeled transitions from layer i to
-    layer i+1 as (from_vertex, symbol, to_vertex) triples. For the left
-    side this is a prefix trie grown from the empty word; for the right
-    side layer 0 holds the full fragments and each transition strips the
-    leading symbol.
-    """
-
-    layers: tuple[tuple[str, ...], ...]
-    edges: tuple[tuple[tuple[str, str, str], ...], ...]
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.layers)
-
-    @property
-    def edge_counts(self) -> tuple[int, ...]:
-        return tuple(len(gap) for gap in self.edges)
-
-
-def _graph(side: str, labels: tuple[str, ...]) -> SymbolicGraph:
-    """Layer i holds the length-i prefixes (left) or the suffixes from site i (right)."""
-    width = len(labels[0])
-    vertex = (lambda lab, i: lab[:i]) if side == "left" else (lambda lab, i: lab[i:])
-    layers = [tuple(sorted({vertex(lab, i) for lab in labels})) for i in range(width + 1)]
-    edges = [
-        tuple(sorted({(vertex(lab, i), lab[i], vertex(lab, i + 1)) for lab in labels}))
-        for i in range(width)
-    ]
-    return SymbolicGraph(tuple(layers), tuple(edges))
-
-
 @dataclass
 class Bridge:
     """Sparse coefficient matrix over fragment index pairs.
@@ -178,14 +142,6 @@ class BridgeDecomposition:
     @property
     def n_sites(self) -> int:
         return self.left.width + self.right.width
-
-    @property
-    def graph_left(self) -> SymbolicGraph:
-        return _graph("left", self.left.labels)
-
-    @property
-    def graph_right(self) -> SymbolicGraph:
-        return _graph("right", self.right.labels)
 
 
 def compile(op: PauliSum, cut: int) -> BridgeDecomposition:
@@ -274,8 +230,12 @@ def decomposition_to_json(d: BridgeDecomposition) -> str:
             for a, b in sorted(d.bridge.entries)
         ],
     }
-    for key, graph in (("graph_left", d.graph_left), ("graph_right", d.graph_right)):
-        doc[key] = {"layer_sizes": list(graph.layer_sizes), "edge_counts": list(graph.edge_counts)}
+    # sizes of the layered graphs generating the dictionaries: each left
+    # edge ends at a distinct prefix, each right edge starts at a distinct suffix
+    left = [len({s[:i] for s in d.left.labels}) for i in range(d.cut + 1)]
+    right = [len({s[i:] for s in d.right.labels}) for i in range(d.right.width + 1)]
+    for side, sizes, edges in (("left", left, left[1:]), ("right", right, right[:-1])):
+        doc[f"graph_{side}"] = {"layer_sizes": sizes, "edge_counts": edges}
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -34,19 +34,20 @@ from paulibridge.pauli import (
     PauliString,
     PauliSum,
     TooLarge,
+    apply_string,
     dense_string,
     json_document,
     json_field,
     json_finite,
     json_labels,
     malformed,
-    to_dense,
 )
 
 __all__ = [
     "LcuProgram",
     "SupportChanged",
     "block_encoding_dense",
+    "block_error",
     "compile_lcu",
     "emit_gates",
     "encoded_block",
@@ -219,14 +220,13 @@ def block_encoding_dense(program: LcuProgram) -> np.ndarray:
     return lifted.conj().T @ sel @ lifted
 
 
-def encoded_block(program: LcuProgram) -> np.ndarray:
-    """The encoded operator <0|(Prep^dag x I) Select (Prep x I)|0>, 2^n x 2^n.
+def encoded_block(program: LcuProgram) -> PauliSum:
+    """The encoded operator <0|(Prep^dag x I) Select (Prep x I)|0> as a Pauli sum.
 
     Prep is the real Householder reflection taking |0> to the normalized
     amplitude vector u, and Select is block diagonal over the pair
-    register, so the block is sum_j u_j^2 S_j over the pairs prep loads:
-    one weighted Pauli string each, densified by ``to_dense``. Memory is
-    O(4^n) whatever the ancilla count; ``to_dense`` refuses n > DENSE_LIMIT.
+    register, so the block is sum_j u_j^2 Phi_j S_j over the pairs prep
+    loads, with S_j the pair's string; a padding half is the identity.
     """
     amps = {(a, b): amp for a, b, amp in program.prep}
     phases = {(a, b): ph for a, b, ph in program.select}
@@ -243,16 +243,33 @@ def encoded_block(program: LcuProgram) -> np.ndarray:
         )
         for (a, b), amp in amps.items()
     ]
-    return to_dense(PauliSum(n, terms))
+    return PauliSum(n, terms)
+
+
+def block_error(program: LcuProgram, op: PauliSum) -> float:
+    """The l1 norm of the Pauli coefficients of ``encoded_block(program) - op / lambda``.
+
+    Every Pauli string has spectral norm 1, so this bounds the
+    spectral-norm error of the block encoding without densifying.
+    """
+    if program.n_sites != op.n_sites:
+        raise ValueError(f"program acts on {program.n_sites} sites, operator has {op.n_sites}")
+    target = [(-t.coeff / program.lam, t.string) for t in op.terms]
+    return float(sum(abs(t.coeff) for t in PauliSum(op.n_sites, [*encoded_block(program), *target])))
 
 
 def success_probability(program: LcuProgram, state: np.ndarray) -> float:
-    """Probability of the all-zeros ancilla outcome on a unit input state."""
+    """Probability of the all-zeros ancilla outcome on a unit input state.
+
+    The block's strings act on the vector one at a time, so the only
+    dense object is the state itself.
+    """
     vec = np.asarray(state, dtype=np.complex128).ravel()
     dim_sys = 2**program.n_sites
     if vec.size != dim_sys:
         raise ValueError(f"state length {vec.size}, expected {dim_sys}")
-    return float(np.linalg.norm(encoded_block(program) @ vec) ** 2)
+    out = sum(t.coeff * apply_string(t.string, vec) for t in encoded_block(program))
+    return float(np.vdot(out, out).real)
 
 
 def _fmt_phase(z: complex) -> str:
@@ -324,21 +341,29 @@ def parse_gates(text: str) -> dict:
     if lines[-1][1] != "unprep":
         raise ValueError(f"line {lines[-1][0]}: listing must end with unprep")
     n_sites, width = out["n_sites"], out["a_left"] + out["a_right"]
-    prep_lines = {}
+    prep_line, row_lines = None, {}
     for line_no, line in lines[1:-1]:
         parts = line.split()
         if parts[0] == "prep":
+            if prep_line is not None:
+                raise ValueError(f"line {line_no}: second prep line, the first is line {prep_line}")
+            prep_line = line_no
             for token in parts[1:]:
                 idx, _, amp = token.partition(":")
                 idx = _gate_number(idx, line_no, int)
                 if not 0 <= idx < 2**width:
                     raise ValueError(f"line {line_no}: prep index {idx} not in 0..{2**width - 1}")
+                if idx in out["amps"]:
+                    raise ValueError(f"line {line_no}: prep index {idx} appears twice")
                 out["amps"][idx] = _gate_number(amp, line_no)
-                prep_lines[idx] = line_no
         elif parts[0] == "cpauli" and len(parts) in (3, 4):
             _, pattern, label, *annotation = parts
             if not ((len(pattern) == width and set(pattern) <= {"0", "1"}) if width else pattern == "-"):
                 raise ValueError(f"line {line_no}: control pattern {pattern!r} is not {width} bits")
+            index = int(pattern, 2) if width else 0
+            if index in row_lines:
+                raise ValueError(f"line {line_no}: control pattern {pattern} repeats line {row_lines[index]}")
+            row_lines[index] = line_no
             if len(label) != n_sites or not set(label) <= set(SYMBOLS):
                 raise ValueError(f"line {line_no}: expected a {n_sites}-site Pauli label, got {label!r}")
             phase = 1.0 + 0.0j
@@ -349,10 +374,9 @@ def parse_gates(text: str) -> dict:
             out["rows"].append((pattern, label, phase))
         else:
             raise ValueError(f"line {line_no}: bad gate row {line!r}")
-    rows = {int(pattern, 2) if width else 0 for pattern, _, _ in out["rows"]}
-    for idx, line_no in prep_lines.items():
-        if idx not in rows:
-            raise ValueError(f"line {line_no}: prep index {idx} has no cpauli row")
+    for idx in out["amps"]:
+        if idx not in row_lines:
+            raise ValueError(f"line {prep_line}: prep index {idx} has no cpauli row")
     return out
 
 

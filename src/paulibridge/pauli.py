@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -386,7 +385,7 @@ def multiply(a: PauliSum, b: PauliSum) -> PauliSum:
 
 def dense_string(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a single string (site 0 most significant)."""
-    return reduce(np.kron, (PAULI_MATRICES[c] for c in p.codes))
+    return to_dense(PauliSum(p.n_sites, [(1.0, p)]))
 
 
 def to_dense(op: PauliSum) -> np.ndarray:

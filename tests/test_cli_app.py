@@ -543,6 +543,32 @@ class TestVerifyProgram:
         [line] = err.splitlines()
         assert line == "error: program acts on 4 sites, operator has 2"
 
+    @staticmethod
+    def chain_program(tmp_path):
+        """A 24-site Ising chain, compiled at cut 12: past every matrix limit."""
+        n = 24
+        words = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
+        words += ["I" * i + "X" + "I" * (n - i - 1) for i in range(n)]
+        op, bridge, prog = tmp_path / "chain.pauli", tmp_path / "chain.bridge.json", tmp_path / "chain.lcu.json"
+        op.write_text("".join(f"{0.1 * (k % 7) - 0.35} {w}\n" for k, w in enumerate(words)))
+        assert run(["compile", "--input", str(op), "--cut", "12", "--output", str(bridge)])[0] == 0
+        assert run(["lcu", "--bridge", str(bridge), "--output", str(prog)])[0] == 0
+        return op, prog
+
+    def test_twenty_four_sites(self, tmp_path):
+        op, prog = self.chain_program(tmp_path)
+        rc, stdout, _ = run(["verify", "--input", str(op), "--program", str(prog)])
+        assert rc == 0
+        [line] = stdout.splitlines()
+        assert line.startswith("block_encoding PASS tol 1e-10 error ")
+        assert float(line.split()[-1]) <= 1e-10
+        doc = json.loads(prog.read_text())
+        doc["select"][3]["phase_re"] *= -1
+        prog.write_text(json.dumps(doc))
+        rc, stdout, _ = run(["verify", "--input", str(op), "--program", str(prog)])
+        assert rc == 3
+        assert stdout.startswith("block_encoding FAIL tol 1e-10 error ")
+
     @pytest.mark.parametrize("field, mutate", PROGRAM_MUTATIONS)
     def test_malformed_program_is_data_error(self, pipeline, tmp_path, field, mutate):
         paths, _ = pipeline

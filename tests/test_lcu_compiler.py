@@ -13,6 +13,7 @@ from paulibridge.lcu import (
     LcuProgram,
     SupportChanged,
     block_encoding_dense,
+    block_error,
     compile_lcu,
     emit_gates,
     encoded_block,
@@ -25,7 +26,7 @@ from paulibridge.lcu import (
     success_probability,
     update_coefficients,
 )
-from paulibridge.pauli import PauliString, PauliSum, TooLarge, parse_pauli_sum, to_dense
+from paulibridge.pauli import PauliString, PauliSum, TooLarge, dense_string, parse_pauli_sum, to_dense
 
 from conftest import random_state
 
@@ -39,7 +40,7 @@ def h2_program(h2_subset, cut=2):
 def assert_block_matches_walk(prog):
     dim = 2**prog.n_sites
     np.testing.assert_allclose(
-        encoded_block(prog), block_encoding_dense(prog)[:dim, :dim], rtol=0, atol=1e-12
+        to_dense(encoded_block(prog)), block_encoding_dense(prog)[:dim, :dim], rtol=0, atol=1e-12
     )
 
 
@@ -141,7 +142,7 @@ class TestBlockEncoding:
         np.testing.assert_allclose(
             w[:16, :16], to_dense(h2_subset) / prog.lam, atol=1e-12
         )
-        np.testing.assert_allclose(encoded_block(prog), w[:16, :16], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(to_dense(encoded_block(prog)), w[:16, :16], rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(small_programs())
@@ -167,11 +168,31 @@ class TestBlockEncoding:
         with pytest.raises(TooLarge):
             block_encoding_dense(prog)
         np.testing.assert_allclose(
-            encoded_block(prog), to_dense(op) / prog.lam, rtol=0, atol=1e-12
+            to_dense(encoded_block(prog)), to_dense(op) / prog.lam, rtol=0, atol=1e-12
         )
-        wide = compile_lcu(compile_bridge(PauliSum(13, [(1.0, PauliString.from_label("X" * 13))]), 6))
+        # the block is a Pauli sum: only densifying it meets the matrix limit
+        wide_op = PauliSum(13, [(1.0, PauliString.from_label("X" * 13))])
+        wide = compile_lcu(compile_bridge(wide_op, 6))
+        assert encoded_block(wide) == wide_op
         with pytest.raises(TooLarge):
-            encoded_block(wide)
+            to_dense(encoded_block(wide))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_programs(), st.data())
+    def test_block_error_is_pauli_l1_distance(self, prog, data):
+        n, dim = prog.n_sites, 2**prog.n_sites
+        # the encoded operator with terms rescaled or dropped, plus one drawn string
+        terms = [(prog.lam * t.coeff * data.draw(st.sampled_from([1.0, 1.0, 0.9, 0.0])), t.string)
+                 for t in encoded_block(prog)]
+        extra = PauliString.from_label(data.draw(st.text("IXYZ", min_size=n, max_size=n)))
+        op = PauliSum(n, terms + [(data.draw(_coeffs), extra)])
+        # brute force: Pauli coefficients Tr(P^dag D) / 2^n of the dense
+        # difference to the walk unitary's block
+        diff = block_encoding_dense(prog)[:dim, :dim] - to_dense(op) / prog.lam
+        brute = sum(abs(np.vdot(dense_string(PauliString(n, bits)), diff)) / dim for bits in range(4**n))
+        err = block_error(prog, op)
+        assert err == pytest.approx(brute, rel=0, abs=1e-12)
+        assert err >= np.max(np.abs(diff)) - 1e-15
 
     def test_success_probability_eigenstate(self, h2_subset):
         prog = h2_program(h2_subset)
@@ -185,6 +206,19 @@ class TestBlockEncoding:
         phi = random_state(rng, 4)
         expected = np.linalg.norm((to_dense(h2_subset) / prog.lam) @ phi) ** 2
         assert success_probability(prog, phi) == pytest.approx(expected, abs=1e-10)
+
+    def test_success_probability_past_matrix_limit(self):
+        # 14 sites: a diagonal operator has each basis state |b> as an
+        # eigenstate, with energy E = sum_j c_j (-1)^(parity of b on j's Z sites)
+        rng = np.random.default_rng(5)
+        words = {"".join(rng.choice(["I", "Z"], 14)) for _ in range(20)}
+        op = PauliSum(14, [(rng.standard_normal(), PauliString.from_label(w)) for w in sorted(words)])
+        prog = compile_lcu(compile_bridge(op, 7))
+        b = 0b10110011100101
+        state = np.zeros(2**14)
+        state[b] = 1.0
+        energy = sum(t.coeff.real * (-1) ** (b & t.string.phase_mask).bit_count() for t in op)
+        assert success_probability(prog, state) == pytest.approx((energy / prog.lam) ** 2, abs=1e-12)
 
     def test_single_pair_operator(self):
         op = parse_pauli_sum("1.0 XX\n")
@@ -402,6 +436,9 @@ class TestGates:
         pytest.param(2, "prep -1:0.1 99:0.2", id="index-negative"),
         pytest.param(2, "prep 0:0.5 64:0.5", id="index-past-register"),
         pytest.param(2, "prep 0:0.5 1:0.5", id="index-without-row"),
+        pytest.param(2, "prep 0:0.28550337452 3:0.428584149054 0:0.9", id="index-repeated"),
+        pytest.param(3, "prep 0:1.0", id="prep-twice"),
+        pytest.param(4, "cpauli 000000 IIII phase=-1", id="pattern-repeated"),
         pytest.param(3, "cpauli 000000 IIII phase=nani", id="phase-nan"),
         pytest.param(3, "cpauli 000000 IIII phase=abc", id="phase-text"),
         pytest.param(3, "cpauli 000000 IIXQ", id="label-symbol"),

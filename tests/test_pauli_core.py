@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -196,11 +197,15 @@ class TestDense:
     def test_matches_kronecker_sum(self, seed, n_sites, n_terms):
         rng = np.random.default_rng(seed)
         op = random_pauli_sum(rng, n_sites, n_terms, complex_coeffs=True)
-        want = sum(t.coeff * dense_string(t.string) for t in op.terms)
+        kron = {t.string: functools.reduce(np.kron, (PAULI_MATRICES[c] for c in t.string.codes)) for t in op}
+        want = sum(t.coeff * kron[t.string] for t in op.terms)
         np.testing.assert_array_equal(to_dense(op), want)
+        for string, matrix in kron.items():
+            np.testing.assert_array_equal(dense_string(string), matrix)
 
     @pytest.mark.parametrize("densify", [
         pytest.param(lambda: to_dense(identity_sum(13)), id="to_dense"),
+        pytest.param(lambda: dense_string(PauliString.identity(13)), id="dense_string"),
         pytest.param(lambda: mpo_to_dense(Mpo([np.ones((1, 1, 2, 2))] * 13)), id="mpo_to_dense"),
         pytest.param(lambda: ground_state_reference(identity_sum(13)), id="ground_state_reference"),
         pytest.param(lambda: select_dense(thirteen_qubit_program()), id="select_dense"),

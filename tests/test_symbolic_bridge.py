@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ class TestRoundTrips:
             assert reconstruct(d).as_dict() == op.as_dict()
             back = decomposition_from_json(decomposition_to_json(d))
             assert (back.left, back.right, back.bridge.entries) == (d.left, d.right, d.bridge.entries)
-            assert (back.graph_left, back.graph_right) == (d.graph_left, d.graph_right)
+            assert decomposition_to_json(back) == decomposition_to_json(d)
 
     def test_compile_deterministic_bytes(self, h2_text, h2_subset):
         a = decomposition_to_json(compile(parse_pauli_sum(h2_text), 2))
@@ -178,60 +179,72 @@ def graph_cases(h2_subset, data):
     return [compile(o, cut) for o in (h2_subset, op) for cut in range(1, o.n_sites)]
 
 
+def layered_graph(side, labels):
+    """Vertex layers and labeled edges of the graph generating ``labels``.
+
+    Left: a prefix trie, layer i holding the length-i prefixes. Right: a
+    suffix chain, layer i holding the suffixes from site i, each edge
+    stripping the leading symbol.
+    """
+    vertex = (lambda lab, i: lab[:i]) if side == "left" else (lambda lab, i: lab[i:])
+    width = len(labels[0])
+    layers = [{vertex(lab, i) for lab in labels} for i in range(width + 1)]
+    edges = [{(vertex(lab, i), lab[i], vertex(lab, i + 1)) for lab in labels} for i in range(width)]
+    return layers, edges
+
+
+def json_counts(d, side):
+    graph = json.loads(decomposition_to_json(d))[f"graph_{side}"]
+    return graph["layer_sizes"], graph["edge_counts"]
+
+
 class TestGraphs:
+    """The bridge-v1 counts are the sizes of the graphs built here from the labels."""
+
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_left_graph_is_prefix_trie(self, h2_subset, data):
         for d in graph_cases(h2_subset, data):
-            labels = d.left.labels
-            assert len(d.graph_left.layers) == d.left.width + 1
-            for i, layer in enumerate(d.graph_left.layers):
-                assert layer == tuple(sorted({lab[:i] for lab in labels}))
-            for i, gap in enumerate(d.graph_left.edges):
-                assert set(gap) == {(lab[:i], lab[i], lab[: i + 1]) for lab in labels}
-                # each edge appends its symbol and joins layer i to i+1
-                for u, symbol, v in gap:
-                    assert u in d.graph_left.layers[i] and v == u + symbol
-            # trie property: each non-root vertex has exactly one incoming edge
-            for gap, layer in zip(d.graph_left.edges, d.graph_left.layers[1:]):
-                targets = [e[2] for e in gap]
-                assert sorted(targets) == sorted(set(targets))
-                assert set(targets) == set(layer)
+            layers, edges = layered_graph("left", d.left.labels)
+            assert json_counts(d, "left") == ([len(v) for v in layers], [len(e) for e in edges])
+            assert layers[-1] == set(d.left.labels)
+            for i, gap in enumerate(edges):
+                # each edge appends its symbol; each non-root vertex has
+                # exactly one incoming edge
+                assert all(u in layers[i] and v == u + symbol for u, symbol, v in gap)
+                assert sorted(v for _, _, v in gap) == sorted(layers[i + 1])
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_right_graph_strips_leading_symbol(self, h2_subset, data):
         for d in graph_cases(h2_subset, data):
-            labels = d.right.labels
-            assert len(d.graph_right.layers) == d.right.width + 1
-            for i, layer in enumerate(d.graph_right.layers):
-                assert layer == tuple(sorted({lab[i:] for lab in labels}))
-            for i, gap in enumerate(d.graph_right.edges):
-                assert set(gap) == {(lab[i:], lab[i], lab[i + 1 :]) for lab in labels}
-                # each edge strips its symbol and joins layer i to i+1
-                for u, symbol, v in gap:
-                    assert v in d.graph_right.layers[i + 1] and u == symbol + v
-            # each vertex has exactly one outgoing edge, so fragment-to-sink
-            # paths are unique
-            for gap, layer in zip(d.graph_right.edges, d.graph_right.layers):
-                sources = [e[0] for e in gap]
-                assert sorted(sources) == sorted(set(sources))
-                assert set(sources) == set(layer)
+            layers, edges = layered_graph("right", d.right.labels)
+            assert json_counts(d, "right") == ([len(v) for v in layers], [len(e) for e in edges])
+            assert layers[0] == set(d.right.labels)
+            for i, gap in enumerate(edges):
+                # each edge strips its symbol; each vertex above the sink
+                # has exactly one outgoing edge
+                assert all(v in layers[i + 1] and u == symbol + v for u, symbol, v in gap)
+                assert sorted(u for u, _, _ in gap) == sorted(layers[i])
 
     def test_unique_path_reaches_each_fragment(self, h2_subset):
         d = compile(h2_subset, 2)
+        _, edges = layered_graph("left", d.left.labels)
         for frag in d.left.labels:
             vertex = ""
             for i, symbol in enumerate(frag):
-                matches = [e for e in d.graph_left.edges[i] if e[0] == vertex and e[1] == symbol]
-                assert len(matches) == 1
-                vertex = matches[0][2]
+                [(_, _, vertex)] = [e for e in edges[i] if e[0] == vertex and e[1] == symbol]
             assert vertex == frag
 
     def test_layer_sizes_monotone_amortized(self, h2_subset):
         d = compile(h2_subset, 2)
-        assert d.graph_left.layers[0] == ("",)
-        assert d.graph_right.layers[-1] == ("",)
+        assert json_counts(d, "left") == ([1, 4, 6], [4, 6])
+        assert json_counts(d, "right") == ([5, 3, 1], [5, 3])
+        # one root on the left and one sink on the right at every cut
+        for cut in range(1, h2_subset.n_sites):
+            d = compile(h2_subset, cut)
+            assert json_counts(d, "left")[0][0] == 1
+            assert json_counts(d, "right")[0][-1] == 1
 
 
 class TestErrors:
