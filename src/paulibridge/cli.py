@@ -96,11 +96,15 @@ class Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
-def positive_int(token: str) -> int:
+def positive_int(token: str, low: int = 1) -> int:
     value = int(token)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def non_negative_int(token: str) -> int:
+    return positive_int(token, low=0)
 
 
 def tolerance(token: str) -> float:
@@ -204,10 +208,7 @@ def cmd_groundstate(args) -> int:
 
 def cmd_sample(args) -> int:
     m = mps_from_json(_read(args.state))
-    config = SamplerConfig(
-        n_samples=args.n_samples, seed=args.seed, chunk_size=args.chunk_size
-    )
-    samples = sample_strings(m, config)
+    samples = sample_strings(m, SamplerConfig(n_samples=args.n_samples, seed=args.seed))
     Path(args.output).write_text(samples_to_text(samples, m.n_sites, seed=args.seed))
     print(f"n_samples {samples.size}")
     _write_manifest(
@@ -215,7 +216,7 @@ def cmd_sample(args) -> int:
         "sample",
         [args.state],
         [args.output],
-        {"n_samples": args.n_samples, "seed": args.seed, "chunk_size": args.chunk_size},
+        {"n_samples": args.n_samples, "seed": args.seed},
     )
     return 0
 
@@ -386,16 +387,15 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("sample", help="draw Pauli strings from a state")
     p.add_argument("--state", required=True)
-    p.add_argument("--n-samples", type=int, required=True)
+    p.add_argument("--n-samples", type=positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--chunk-size", type=int, default=4096)
     p.add_argument("--output", required=True)
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("curate", help="build an operator pool from samples")
     p.add_argument("--samples", required=True)
-    p.add_argument("--keep-iz", type=int, default=None)
+    p.add_argument("--keep-iz", type=non_negative_int, default=None)
     p.add_argument("--output", required=True)
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_curate)
@@ -407,7 +407,7 @@ def build_parser() -> Parser:
     p.add_argument("--solver", choices=["dense", "lobpcg"], default="dense")
     p.add_argument("--n-roots", type=positive_int, default=1)
     p.add_argument("--tol", type=tolerance, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--max-iter", type=positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweep-csv", default=None,
                    help="also write an energy-vs-samples sweep CSV here")

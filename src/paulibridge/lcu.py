@@ -7,13 +7,15 @@ fragment, ``a_right`` the right, and a pair (alpha, beta) lives at index
 Phi . Select_L . Select_R for every program: the register selects apply
 fragment strings and depend on the dictionaries only, never on a
 coefficient, and the coefficient phases form Phi, a diagonal on the pair
-register. The ``lcu-v1`` select rows store Phi; a pair without a row has
-phase 1. The top-left ancilla block of Prep^dag Select Prep is then the
-operator divided by ``lambda``, the one-norm of the bridge.
+register. A program holds the dictionaries and one Prep table with a
+row ``(a, b, amp, phase)`` per pair; Select is the table's pair list over
+the dictionaries, and the ``lcu-v1`` select rows store Phi. The top-left
+ancilla block of Prep^dag Select Prep is then the operator divided by
+``lambda``, the one-norm of the bridge.
 
-The structural hash covers the fragment dictionaries and the active pair
-set only, never amplitudes or phases: coefficient-only updates recompile
-to a program with the same hash and an unchanged select skeleton.
+The select hash covers the fragment dictionaries and the pair list only,
+never amplitudes or phases: coefficient-only updates recompile to a
+program with the same hash and an unchanged select skeleton.
 """
 
 from __future__ import annotations
@@ -76,22 +78,37 @@ class SupportChanged(ValueError):
 
 @dataclass(frozen=True)
 class LcuProgram:
-    """Compiled prep/select description of one bridge decomposition."""
+    """A bridge's skeleton (cut and dictionaries) plus its Prep table.
 
-    n_sites: int
+    ``prep`` has one row ``(a, b, amp, phase)`` per pair; everything else
+    about Select, the ancilla widths and the select hash follows.
+    """
+
     cut: int
     left: tuple[str, ...]
     right: tuple[str, ...]
     lam: float
-    a_left: int
-    a_right: int
-    prep: tuple[tuple[int, int, float], ...]
-    select: tuple[tuple[int, int, complex], ...]
-    select_hash: str
+    prep: tuple[tuple[int, int, float, complex], ...]
+
+    @property
+    def n_sites(self) -> int:
+        return self.cut + len(self.right[0])
+
+    @property
+    def a_left(self) -> int:
+        return (len(self.left) - 1).bit_length()
+
+    @property
+    def a_right(self) -> int:
+        return (len(self.right) - 1).bit_length()
 
     @property
     def a_total(self) -> int:
         return self.a_left + self.a_right
+
+    @property
+    def select_hash(self) -> str:
+        return skeleton_hash(self.cut, self.left, self.right, [(a, b) for a, b, *_ in self.prep])
 
     def pair_index(self, a: int, b: int) -> int:
         return (a << self.a_right) | b
@@ -106,23 +123,13 @@ def compile_lcu(d: BridgeDecomposition) -> LcuProgram:
     lam = float(np.sum(np.abs(coeffs)))
     amps = np.sqrt(np.abs(coeffs) / lam)
     amps /= np.linalg.norm(amps)
-    phases = [
-        complex(1.0 if c.real > 0 else -1.0) if c.imag == 0 else complex(c / abs(c))
-        for c in coeffs
-    ]
-    left = d.left.labels
-    right = d.right.labels
+    phases = [complex(1.0 if c.real > 0 else -1.0) if c.imag == 0 else complex(c / abs(c)) for c in coeffs]
     return LcuProgram(
-        n_sites=d.n_sites,
         cut=d.cut,
-        left=left,
-        right=right,
+        left=d.left.labels,
+        right=d.right.labels,
         lam=lam,
-        a_left=(len(left) - 1).bit_length(),
-        a_right=(len(right) - 1).bit_length(),
-        prep=tuple((a, b, float(amp)) for (a, b), amp in zip(active, amps)),
-        select=tuple((a, b, complex(ph)) for (a, b), ph in zip(active, phases)),
-        select_hash=skeleton_hash(d.cut, left, right, active),
+        prep=tuple((a, b, float(amp), ph) for (a, b), amp, ph in zip(active, amps, phases)),
     )
 
 
@@ -145,7 +152,7 @@ def prep_dense(program: LcuProgram) -> np.ndarray:
     """Householder reflection mapping |0> to the amplitude vector."""
     dim = 2**program.a_total
     u = np.zeros(dim)
-    for a, b, amp in program.prep:
+    for a, b, amp, _ in program.prep:
         u[program.pair_index(a, b)] = amp
     u /= np.linalg.norm(u)
     v = u - np.eye(dim)[:, 0]
@@ -162,10 +169,10 @@ def _fragment_ops(labels, reg_dim: int, width: int) -> list[np.ndarray]:
 
 
 def _phase_rows(program: LcuProgram) -> np.ndarray:
-    # Phi as a column of row scales: each pair's select-row phase, and 1
-    # for a pair with no select row (padding or an inactive pair)
+    # Phi as a column of row scales: each pair's phase; an index Prep does
+    # not load gets no amplitude, so its scale is left at 1
     phases = np.ones(2**program.a_total, dtype=np.complex128)
-    for a, b, ph in program.select:
+    for a, b, _, ph in program.prep:
         phases[program.pair_index(a, b)] = ph
     return np.repeat(phases, 2**program.n_sites)[:, None]
 
@@ -225,25 +232,15 @@ def encoded_block(program: LcuProgram) -> PauliSum:
 
     Prep is the real Householder reflection taking |0> to the normalized
     amplitude vector u, and Select is block diagonal over the pair
-    register, so the block is sum_j u_j^2 Phi_j S_j over the pairs prep
-    loads, with S_j the pair's string; a padding half is the identity.
+    register, so the block is sum_j u_j^2 Phi_j S_j over the table's pairs,
+    with S_j the pair's string; a padding half is the identity.
     """
-    amps = {(a, b): amp for a, b, amp in program.prep}
-    phases = {(a, b): ph for a, b, ph in program.select}
-    norm2 = sum(amp * amp for amp in amps.values())
+    norm2 = sum(amp * amp for _, _, amp, _ in program.prep)
     cut, n = program.cut, program.n_sites
-
-    def half(labels, k, width):
-        return labels[k] if k < len(labels) else "I" * width
-
-    terms = [
-        (
-            amp * amp / norm2 * phases.get((a, b), 1.0),
-            PauliString.from_label(half(program.left, a, cut) + half(program.right, b, n - cut)),
-        )
-        for (a, b), amp in amps.items()
-    ]
-    return PauliSum(n, terms)
+    left = program.left + ("I" * cut,) * (2**program.a_left - len(program.left))
+    right = program.right + ("I" * (n - cut),) * (2**program.a_right - len(program.right))
+    return PauliSum(n, [(amp * amp / norm2 * ph, PauliString.from_label(left[a] + right[b]))
+                        for a, b, amp, ph in program.prep])
 
 
 def block_error(program: LcuProgram, op: PauliSum) -> float:
@@ -298,11 +295,8 @@ def emit_gates(program: LcuProgram) -> str:
         f" a_left={program.a_left} a_right={program.a_right}"
         f" lambda={program.lam:.12g}"
     ]
-    amp_tokens = " ".join(
-        f"{program.pair_index(a, b)}:{amp:.12g}" for a, b, amp in program.prep
-    )
-    lines.append(f"prep {amp_tokens}")
-    for a, b, ph in program.select:
+    lines.append("prep " + " ".join(f"{program.pair_index(a, b)}:{amp:.12g}" for a, b, amp, _ in program.prep))
+    for a, b, _, ph in program.prep:
         pattern = format(program.pair_index(a, b), f"0{width}b") if width else "-"
         row = f"cpauli {pattern} {program.left[a]}{program.right[b]}"
         if ph != 1:
@@ -325,7 +319,8 @@ def _gate_number(token: str, line_no: int, parse=float):
 def parse_gates(text: str) -> dict:
     """Parse a gate listing back into its structured pieces.
 
-    Every malformed line raises ValueError naming its 1-based number.
+    Every malformed line raises ValueError naming its 1-based number; a
+    prep index and a cpauli row must pair up, as in the program's table.
     """
     lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     first_no, first = lines[0] if lines else (1, "")
@@ -377,6 +372,9 @@ def parse_gates(text: str) -> dict:
     for idx in out["amps"]:
         if idx not in row_lines:
             raise ValueError(f"line {prep_line}: prep index {idx} has no cpauli row")
+    for idx, line_no in row_lines.items():
+        if idx not in out["amps"]:
+            raise ValueError(f"line {line_no}: cpauli row has no prep weight")
     return out
 
 
@@ -390,19 +388,11 @@ def program_to_json(program: LcuProgram) -> str:
         "lambda": program.lam,
         "a_left": program.a_left,
         "a_right": program.a_right,
-        "prep": [
-            {"a": a, "b": b, "amp": amp} for a, b, amp in program.prep
-        ],
+        "prep": [{"a": a, "b": b, "amp": amp} for a, b, amp, _ in program.prep],
         "select": [
-            {
-                "a": a,
-                "b": b,
-                "pl": program.left[a],
-                "pr": program.right[b],
-                "phase_re": ph.real,
-                "phase_im": ph.imag,
-            }
-            for a, b, ph in program.select
+            {"a": a, "b": b, "pl": program.left[a], "pr": program.right[b],
+             "phase_re": ph.real, "phase_im": ph.imag}
+            for a, b, _, ph in program.prep
         ],
         "select_hash": program.select_hash,
     }
@@ -422,7 +412,12 @@ def _index(row, key: str, size: int, where: str) -> int:
 
 
 def program_from_json(text: str) -> LcuProgram:
-    """Read an lcu-v1 document; every malformed field raises ValueError naming it."""
+    """Read an lcu-v1 document; every malformed field raises ValueError naming it.
+
+    ``prep[k]`` and ``select[k]`` are one row of the program's table, so
+    they must name the same pair, and ``select_hash`` must be the hash of
+    the dictionaries and pairs read.
+    """
     doc = json_document(text, FORMAT_NAME)
     n_sites = _field(doc, "n_sites", int)
     cut = _field(doc, "cut", int)
@@ -437,38 +432,28 @@ def program_from_json(text: str) -> LcuProgram:
         want = (len(labels) - 1).bit_length()
         if _field(doc, key, int) != want:
             raise _malformed(key, f"{len(labels)} fragments need {want} ancillas, got {doc[key]}")
-    select = {}
-    for k, row in enumerate(_field(doc, "select", list)):
+    preps, selects = _field(doc, "prep", list), _field(doc, "select", list)
+    if len(preps) != len(selects):
+        raise _malformed("select", f"{len(selects)} rows, prep has {len(preps)}")
+    rows = {}
+    for k, (p_row, s_row) in enumerate(zip(preps, selects)):
         where = f"select[{k}]."
-        a = _index(row, "a", len(left), where)
-        b = _index(row, "b", len(right), where)
-        if _field(row, "pl", str, where) != left[a] or _field(row, "pr", str, where) != right[b]:
+        a = _index(s_row, "a", len(left), where)
+        b = _index(s_row, "b", len(right), where)
+        if _field(s_row, "pl", str, where) != left[a] or _field(s_row, "pr", str, where) != right[b]:
             raise _malformed(where + "pl/pr", "select row labels disagree with the dictionaries")
-        if (a, b) in select:
+        if (a, b) in rows:
             raise _malformed(f"select[{k}]", f"pair ({a}, {b}) appears twice")
-        select[(a, b)] = complex(_finite(row, "phase_re", where), _finite(row, "phase_im", where))
-    prep = {}
-    for k, row in enumerate(_field(doc, "prep", list)):
+        phase = complex(_finite(s_row, "phase_re", where), _finite(s_row, "phase_im", where))
         where = f"prep[{k}]."
-        a = _index(row, "a", len(left), where)
-        b = _index(row, "b", len(right), where)
-        if (a, b) not in select:
-            raise _malformed(f"prep[{k}]", f"pair ({a}, {b}) has no select row")
-        if (a, b) in prep:
-            raise _malformed(f"prep[{k}]", f"pair ({a}, {b}) appears twice")
-        prep[(a, b)] = _finite(row, "amp", where)
-    norm = math.sqrt(sum(amp * amp for amp in prep.values()))
+        pair = (_index(p_row, "a", len(left), where), _index(p_row, "b", len(right), where))
+        if pair != (a, b):
+            raise _malformed(f"prep[{k}]", f"pair {pair} is not the pair ({a}, {b}) of select[{k}]")
+        rows[pair] = (a, b, _finite(p_row, "amp", where), phase)
+    norm = math.sqrt(sum(amp * amp for _, _, amp, _ in rows.values()))
     if abs(norm - 1.0) > PREP_NORM_TOL:
         raise _malformed("prep", f"amplitude norm {norm:.6g} is not 1")
-    return LcuProgram(
-        n_sites=n_sites,
-        cut=cut,
-        left=left,
-        right=right,
-        lam=lam,
-        a_left=doc["a_left"],
-        a_right=doc["a_right"],
-        prep=tuple((a, b, amp) for (a, b), amp in prep.items()),
-        select=tuple((a, b, ph) for (a, b), ph in select.items()),
-        select_hash=_field(doc, "select_hash", str),
-    )
+    program = LcuProgram(cut=cut, left=left, right=right, lam=lam, prep=tuple(rows.values()))
+    if _field(doc, "select_hash", str) != program.select_hash:
+        raise _malformed("select_hash", "is not the hash of the dictionaries and pairs")
+    return program

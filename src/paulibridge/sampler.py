@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from paulibridge import mps
 from paulibridge.mps import Mps, _transfer, is_right_canonical_site
 from paulibridge.pauli import PauliError, PauliString
 
@@ -51,13 +52,10 @@ class GaugeViolation(ValueError):
 class SamplerConfig:
     n_samples: int
     seed: int
-    chunk_size: int = 4096
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {self.chunk_size}")
 
 
 def conditional_weights(
@@ -96,8 +94,8 @@ def sample_strings(m: Mps, config: SamplerConfig) -> np.ndarray:
                 "canonicalize first"
             )
     out = np.empty(config.n_samples, dtype=np.uint64)
-    for start in range(0, config.n_samples, config.chunk_size):
-        stop = min(start + config.chunk_size, config.n_samples)
+    for start in range(0, config.n_samples, mps.CHUNK_STRINGS):
+        stop = min(start + mps.CHUNK_STRINGS, config.n_samples)
         out[start:stop] = _sample_chunk(m, config.seed, start, stop - start)
     return out
 

@@ -4,9 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from paulibridge.bridge import compile as compile_bridge
+from paulibridge.lcu import compile_lcu
 from paulibridge.pauli import PauliString, PauliSum, parse_pauli_sum
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# three terms on the four sites of the h2 fixture, with another skeleton
+OTHER_OPERATOR = "1.0 XXXX\n0.5 ZZZZ\n-0.25 XZZX\n"
 
 
 @pytest.fixture(scope="session")
@@ -132,6 +137,9 @@ FERMION_MUTATIONS = [
                  id="coeff-pair-infinite"),
 ]
 
+# the select hash of another three-term operator's program at cut 2
+OTHER_SELECT_HASH = compile_lcu(compile_bridge(parse_pauli_sum(OTHER_OPERATOR), 2)).select_hash
+
 # (field named in the error, mutation) for the lcu-v1 program of that bridge
 PROGRAM_MUTATIONS = [
     pytest.param("select[0].a", lambda d: d["select"][0].update(a=99), id="select-index-out-of-range"),
@@ -157,6 +165,8 @@ PROGRAM_MUTATIONS = [
     pytest.param("prep[1]", lambda d: d["prep"][1].update(a=0, b=0), id="prep-pair-twice"),
     pytest.param("select[1]", lambda d: d["select"][1].update(
         a=0, b=0, pl=d["left"][0], pr=d["right"][0]), id="select-pair-twice"),
+    pytest.param("select", lambda d: d["select"].pop(), id="select-row-dropped"),
+    pytest.param("select_hash", lambda d: d.update(select_hash=OTHER_SELECT_HASH), id="select-hash-stale"),
 ]
 
 # edits of the first pool-v1 entry line, split into its three tokens;

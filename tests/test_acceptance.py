@@ -199,8 +199,8 @@ def test_criterion_4_static_select_invariance(h2_subset):
         assert updated.select_hash == prog.select_hash
         # Selection logic is unchanged; only row phases may move, since
         # they carry the coefficient signs.
-        pairs = [(a, b) for a, b, _ in updated.select]
-        assert pairs == [(a, b) for a, b, _ in prog.select]
+        pairs = [(a, b) for a, b, *_ in updated.prep]
+        assert pairs == [(a, b) for a, b, *_ in prog.prep]
         assert updated.left == prog.left
         assert updated.right == prog.right
         if trial % 5 == 0 and op.n_terms > 1:

@@ -36,6 +36,7 @@ from conftest import (
     CHAIN_MUTATIONS,
     FERMION_MUTATIONS,
     FIXTURES,
+    OTHER_OPERATOR,
     POOL_MUTATIONS,
     PROGRAM_MUTATIONS,
     random_pauli_sum,
@@ -434,14 +435,14 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in err
 
-    def test_lobpcg_no_iterations_is_numerical_error(self, pipeline, tmp_path):
+    def test_lobpcg_unconverged_is_numerical_error(self, pipeline, tmp_path):
         paths, _ = pipeline
         rc, _, err = run(["optimize", "--input", str(paths["op"]), "--state",
                           str(paths["mps"]), "--pool", str(paths["pool"]),
-                          "--solver", "lobpcg", "--max-iter", "0",
+                          "--solver", "lobpcg", "--max-iter", "1",
                           "--output", str(tmp_path / "out.json")])
         assert rc == 3
-        assert "error:" in err
+        assert err == "error: residual above 1e-09 after 1 iterations\n"
 
 
 class TestConsoleScript:
@@ -584,6 +585,27 @@ class TestVerifyProgram:
         assert line.startswith(f"error: lcu-v1 field {field}")
 
 
+    def test_stale_select_hash_is_data_error(self, pipeline, tmp_path):
+        # the h2 program carrying another operator's select hash must not
+        # pass as a program of that operator's skeleton
+        paths, _ = pipeline
+        other, bridge, program = tmp_path / "other.pauli", tmp_path / "other.json", tmp_path / "other.lcu.json"
+        other.write_text(OTHER_OPERATOR)
+        assert run(["compile", "--input", str(other), "--cut", "2", "--output", str(bridge)])[0] == 0
+        assert run(["lcu", "--bridge", str(bridge), "--output", str(program)])[0] == 0
+        doc = json.loads(paths["lcu"].read_text())
+        doc["select_hash"] = json.loads(program.read_text())["select_hash"]
+        stale, out = tmp_path / "stale.json", tmp_path / "out.json"
+        stale.write_text(json.dumps(doc))
+        for argv in (["update", "--program", str(stale), "--bridge", str(bridge), "--output", str(out)],
+                     ["verify", "--input", str(paths["op"]), "--program", str(stale)]):
+            rc, stdout, err = run(argv)
+            assert rc == 2
+            assert stdout == ""
+            assert err.startswith("error: lcu-v1 field select_hash:")
+        assert not out.exists()
+
+
 class TestVerifyBeyondOldCeiling:
     """Battery runs whose walk unitaries exceed 12 qubits, which a dense
     check of (Prep^dag x I) Select (Prep x I) used to refuse."""
@@ -650,6 +672,27 @@ class TestUsageValidation:
                           "--pool", str(paths["pool"]), "--n-roots", "0", "--output", str(out)])
         assert rc == 1
         assert "at least 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, option, value, low", [
+        ("sample", "--n-samples", "0", 1),
+        ("sample", "--n-samples", "-5", 1),
+        ("optimize", "--max-iter", "0", 1),
+        ("curate", "--keep-iz", "-1", 0),
+    ])
+    def test_count_below_minimum_is_usage_error(self, pipeline, tmp_path, command, option, value, low):
+        paths, _ = pipeline
+        out = tmp_path / "out.txt"
+        argv = {
+            "sample": ["sample", "--state", str(paths["mps"]), "--seed", "1"],
+            "optimize": ["optimize", "--input", str(paths["op"]), "--state", str(paths["mps"]),
+                         "--pool", str(paths["pool"]), "--solver", "lobpcg"],
+            "curate": ["curate", "--samples", str(paths["samples"])],
+        }[command]
+        rc, stdout, err = run([*argv, option, value, "--output", str(out)])
+        assert rc == 1
+        assert stdout == ""
+        assert f"argument {option}: must be at least {low}, got {value}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

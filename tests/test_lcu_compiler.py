@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from paulibridge.bridge import EmptyOperator, compile as compile_bridge, set_bridge
+from paulibridge.bridge import EmptyOperator, compile as compile_bridge, set_bridge, skeleton_hash
 from paulibridge.lcu import (
     LcuProgram,
     SupportChanged,
@@ -53,8 +53,8 @@ _coeffs = st.one_of(
 @st.composite
 def small_programs(draw):
     """Compiled programs with n <= 5 and at most four terms (n + a <= 9),
-    sometimes with prep weight moved onto a pair outside the select table:
-    a padding index or an inactive in-range pair."""
+    sometimes with prep weight moved onto one more row of the table: a
+    padding index or an inactive in-range pair, with a drawn phase."""
     def words(width, size):
         return st.lists(st.text("IXYZ", min_size=width, max_size=width),
                         min_size=size[0], max_size=size[1], unique=True)
@@ -72,7 +72,7 @@ def small_programs(draw):
     coeffs = draw(st.lists(_coeffs, min_size=len(labels), max_size=len(labels)))
     op = PauliSum(n, [(c, PauliString.from_label(s)) for c, s in zip(coeffs, labels)])
     prog = compile_lcu(compile_bridge(op, cut))
-    active = {(a, b) for a, b, _ in prog.select}
+    active = {(a, b) for a, b, *_ in prog.prep}
     free = [
         (a, b)
         for a in range(2**prog.a_left)
@@ -81,9 +81,10 @@ def small_programs(draw):
     ]
     if free and draw(st.booleans()):
         a, b = draw(st.sampled_from(free))
-        rows = prog.prep + ((a, b, draw(st.floats(0.1, 1.0))),)
-        norm = np.sqrt(sum(amp**2 for *_, amp in rows))
-        prog = dataclasses.replace(prog, prep=tuple((a, b, amp / norm) for a, b, amp in rows))
+        c = complex(draw(_coeffs))
+        rows = prog.prep + ((a, b, draw(st.floats(0.1, 1.0)), c / abs(c)),)
+        norm = np.sqrt(sum(amp**2 for _, _, amp, _ in rows))
+        prog = dataclasses.replace(prog, prep=tuple((a, b, amp / norm, ph) for a, b, amp, ph in rows))
     return prog
 
 
@@ -100,20 +101,31 @@ class TestCompile:
 
     def test_prep_amplitudes(self, h2_subset):
         prog = h2_program(h2_subset)
-        amps = np.array([amp for _, _, amp in prog.prep])
+        amps = np.array([amp for _, _, amp, _ in prog.prep])
         assert np.all(amps > 0)
         assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
         d = compile_bridge(h2_subset, 2)
-        for (a, b, amp) in prog.prep:
+        for a, b, amp, _ in prog.prep:
             coeff = d.bridge.entries[(a, b)]
             assert amp**2 == pytest.approx(abs(coeff) / prog.lam, abs=1e-12)
 
     def test_select_phases_are_signs(self, h2_subset):
         prog = h2_program(h2_subset)
         d = compile_bridge(h2_subset, 2)
-        for a, b, ph in prog.select:
+        for a, b, _, ph in prog.prep:
             coeff = d.bridge.entries[(a, b)]
             assert ph == (1.0 if coeff.real > 0 else -1.0)
+
+    @pytest.mark.parametrize("cut", [1, 2, 3])
+    def test_program_is_skeleton_plus_prep_table(self, h2_subset, cut):
+        assert [f.name for f in dataclasses.fields(LcuProgram)] == ["cut", "left", "right", "lam", "prep"]
+        d = compile_bridge(h2_subset, cut)
+        prog = compile_lcu(d)
+        assert prog.n_sites == d.n_sites
+        assert (prog.a_left, prog.a_right) == ((len(d.left.labels) - 1).bit_length(),
+                                               (len(d.right.labels) - 1).bit_length())
+        assert [(a, b) for a, b, *_ in prog.prep] == sorted(d.bridge.active_pairs)
+        assert prog.select_hash == skeleton_hash(cut, d.left.labels, d.right.labels, d.bridge.active_pairs)
 
     def test_empty_bridge_raises(self, h2_subset):
         d = compile_bridge(h2_subset, 2)
@@ -128,7 +140,7 @@ class TestBlockEncoding:
         h = prep_dense(prog)
         np.testing.assert_allclose(h @ h.T, np.eye(h.shape[0]), atol=1e-12)
         u = np.zeros(2**prog.a_total)
-        for a, b, amp in prog.prep:
+        for a, b, amp, _ in prog.prep:
             u[prog.pair_index(a, b)] = amp
         np.testing.assert_allclose(h[:, 0], u, atol=1e-12)
 
@@ -150,12 +162,12 @@ class TestBlockEncoding:
         assert_block_matches_walk(prog)
 
     def test_encoded_block_padding_and_unnormalized_prep(self, h2_subset):
-        # weight on padding indices (left 6 and 7, right 5) and on an
+        # rows on padding indices (left 6 and 7, right 5) and on an
         # inactive in-range pair, with a norm that is not one: the
         # Householder prep renormalizes it
         prog = h2_program(h2_subset)
-        extra = ((6, 5, 0.3), (7, 0, 0.2), (0, 1, 0.25))
-        rows = tuple((a, b, 1.004 * amp) for a, b, amp in prog.prep + extra)
+        extra = ((6, 5, 0.3, 1j), (7, 0, 0.2, -1.0 + 0j), (0, 1, 0.25, np.exp(0.4j)))
+        rows = tuple((a, b, 1.004 * amp, ph) for a, b, amp, ph in prog.prep + extra)
         assert_block_matches_walk(dataclasses.replace(prog, prep=rows))
 
     def test_encoded_block_has_no_ancilla_ceiling(self):
@@ -260,18 +272,18 @@ class TestSelectFactorization:
         assert_block_matches_walk(prog)
 
     def test_inactive_pair_weight_with_unfactorizable_phases(self):
-        # a 3 x 2 grid with one pair missing: prep weight on that pair has
-        # no select row, so its phase is 1, and the phase cycle admits no
-        # per-fragment split; the factorized select still holds
+        # a 3 x 2 grid with one pair missing: a row on that pair carries
+        # its own phase, and the phase cycle admits no per-fragment split;
+        # the factorized select still holds
         op = parse_pauli_sum("1.0 XX\n1.0 XY\n1.0 YX\n-1.0 YY\n0.5 ZX\n")
         prog = compile_lcu(compile_bridge(op, 1))
         [(a, b)] = [
             (a, b) for a in range(len(prog.left)) for b in range(len(prog.right))
-            if (a, b) not in {(a, b) for a, b, _ in prog.select}
+            if (a, b) not in {(a, b) for a, b, *_ in prog.prep}
         ]
-        rows = prog.prep + ((a, b, 0.4),)
-        norm = np.sqrt(sum(amp**2 for *_, amp in rows))
-        moved = dataclasses.replace(prog, prep=tuple((a, b, amp / norm) for a, b, amp in rows))
+        rows = prog.prep + ((a, b, 0.4, -1j),)
+        norm = np.sqrt(sum(amp**2 for _, _, amp, _ in rows))
+        moved = dataclasses.replace(prog, prep=tuple((a, b, amp / norm, ph) for a, b, amp, ph in rows))
         np.testing.assert_allclose(
             select_factorized_dense(moved), select_dense(moved), rtol=0, atol=1e-12
         )
@@ -279,8 +291,16 @@ class TestSelectFactorization:
         psi = random_state(np.random.default_rng(3), 2)
         walk = block_encoding_dense(moved)[:4, :4]
         assert success_probability(moved, psi) == pytest.approx(np.linalg.norm(walk @ psi) ** 2, abs=1e-12)
-        with pytest.raises(ValueError, match=rf"prep\[{len(prog.prep)}\]: pair \({a}, {b}\) has no select row"):
-            program_from_json(program_to_json(moved))
+        # the new row moves the select hash; the reader refuses the table
+        # without the row's select half, and the old program's hash
+        doc = json.loads(program_to_json(moved))
+        assert program_from_json(json.dumps(doc)) == moved
+        assert doc["select_hash"] != prog.select_hash
+        short = {**doc, "select": doc["select"][:-1]}
+        with pytest.raises(ValueError, match=rf"^lcu-v1 field select: {len(prog.prep)} rows, prep has {len(moved.prep)}$"):
+            program_from_json(json.dumps(short))
+        with pytest.raises(ValueError, match="^lcu-v1 field select_hash: "):
+            program_from_json(json.dumps({**doc, "select_hash": prog.select_hash}))
 
     def test_split_is_deterministic(self, h2_subset):
         a = select_factorized_dense(h2_program(h2_subset))
@@ -313,7 +333,7 @@ class TestUpdate:
 
         def phases(program):
             out = np.ones(2**program.a_total, dtype=np.complex128)
-            for a, b, ph in program.select:
+            for a, b, _, ph in program.prep:
                 out[program.pair_index(a, b)] = ph
             return np.repeat(out, 2**program.n_sites)[:, None]
 
@@ -395,10 +415,10 @@ class TestGates:
         assert parsed["lam"] == pytest.approx(prog.lam, abs=1e-9)
         assert parsed["amps"] == {
             prog.pair_index(a, b): pytest.approx(amp, abs=1e-9)
-            for a, b, amp in prog.prep
+            for a, b, amp, _ in prog.prep
         }
-        assert len(parsed["rows"]) == len(prog.select)
-        for (pattern, label, phase), (a, b, ph) in zip(parsed["rows"], prog.select):
+        assert len(parsed["rows"]) == len(prog.prep)
+        for (pattern, label, phase), (a, b, _, ph) in zip(parsed["rows"], prog.prep):
             assert int(pattern, 2) == prog.pair_index(a, b)
             assert label == prog.left[a] + prog.right[b]
             assert phase == pytest.approx(ph, abs=1e-9)
@@ -455,6 +475,17 @@ class TestGates:
             lines[line - 1] = text
         with pytest.raises(ValueError, match=f"^line {line}: "):
             parse_gates("\n".join(lines))
+
+    def test_cpauli_row_without_prep_weight_names_line(self, h2_subset):
+        # every row, first to last, loses its prep weight in turn
+        prog = h2_program(h2_subset)
+        lines = emit_gates(prog).splitlines()
+        tokens = lines[1].split()
+        for k, (a, b, *_) in enumerate(prog.prep):
+            assert lines[2 + k].startswith(f"cpauli {prog.pair_index(a, b):06b} ")
+            lines[1] = " ".join(t for t in tokens if t != tokens[1 + k])
+            with pytest.raises(ValueError, match=f"^line {3 + k}: cpauli row has no prep weight$"):
+                parse_gates("\n".join(lines))
 
     def test_no_ancillas_pattern_is_dash(self):
         prog = compile_lcu(compile_bridge(parse_pauli_sum("-2.0 XZ\n"), 1))

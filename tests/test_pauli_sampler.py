@@ -1,10 +1,13 @@
 """Sampler correctness: chain rule, distribution, determinism, curation."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from paulibridge import mps as mps_module, sampler as sampler_module
 from paulibridge.mps import canonicalize_mps, dense_to_mps, ground_state_reference
 from paulibridge.pauli import PauliString, apply_string
 from paulibridge.sampler import (
@@ -98,7 +101,10 @@ class TestSampling:
         long = sample_strings(m, SamplerConfig(n_samples=50, seed=7))
         short = sample_strings(m, SamplerConfig(n_samples=20, seed=7))
         np.testing.assert_array_equal(long[:20], short)
-        chunked = sample_strings(m, SamplerConfig(n_samples=50, seed=7, chunk_size=3))
+        with patch.object(mps_module, "CHUNK_STRINGS", 3), \
+                patch.object(sampler_module, "_sample_chunk", wraps=sampler_module._sample_chunk) as chunk:
+            chunked = sample_strings(m, SamplerConfig(n_samples=50, seed=7))
+        assert chunk.call_count == 17
         np.testing.assert_array_equal(long, chunked)
 
     def test_samples_live_on_support(self):
@@ -133,8 +139,6 @@ class TestSampling:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(n_samples=0, seed=1)
-        with pytest.raises(ValueError):
-            SamplerConfig(n_samples=4, seed=1, chunk_size=0)
 
 
 class TestCurate:
