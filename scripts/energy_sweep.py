@@ -59,7 +59,7 @@ def main() -> int:
     print(f"dense reference energy {res.energy:.9f}")
     print(f"sampling state truncated to bond {args.max_bond}")
 
-    rows = energy_vs_samples_sweep(op, res.mps, args.sizes, seed=args.seed)
+    rows = energy_vs_samples_sweep(op, res.mps, args.sizes, seed=args.seed, reference=res.energy)
     for r in rows:
         print(
             f"n_samples {r.n_samples:5d}  pool {r.pool_size:4d}  "

@@ -266,7 +266,7 @@ def cmd_optimize(args) -> int:
     outputs = [args.output]
     if args.sweep_csv:
         rows = energy_vs_samples_sweep(
-            op, state, args.sweep_sizes, seed=args.seed
+            op, state, args.sweep_sizes, seed=args.seed, reference=reference
         )
         Path(args.sweep_csv).write_text(sweep_to_csv(rows))
         outputs.append(args.sweep_csv)

