@@ -210,7 +210,7 @@ def cmd_sample(args) -> int:
     m = mps_from_json(_read(args.state))
     samples = sample_strings(m, SamplerConfig(n_samples=args.n_samples, seed=args.seed))
     Path(args.output).write_text(samples_to_text(samples, m.n_sites, seed=args.seed))
-    print(f"n_samples {samples.size}")
+    print(f"n_samples {len(samples)}")
     _write_manifest(
         args,
         "sample",

@@ -70,6 +70,9 @@ GATES_FORMAT = "lcu-gates-v1"
 # malformed; smaller drift is renormalized by the Householder prep and
 # left for the block-encoding check to measure
 PREP_NORM_TOL = 1e-2
+# a select phase this far off the unit circle makes Select non-unitary and is
+# rejected; the listing's 12 significant digits stay well inside it
+PHASE_TOL = 1e-9
 
 
 class SupportChanged(ValueError):
@@ -333,6 +336,8 @@ def parse_gates(text: str) -> dict:
         raise ValueError(f"line {first_no}: missing {GATES_FORMAT} header")
     out = {key: int(v) for key, v in zip(("n_sites", "cut", "a_left", "a_right"), header.groups())}
     out.update(lam=_gate_number(header.group(5), first_no), amps={}, rows=[])
+    if out["lam"] <= 0:
+        raise ValueError(f"line {first_no}: expected a positive lambda, got {header.group(5)!r}")
     if lines[-1][1] != "unprep":
         raise ValueError(f"line {lines[-1][0]}: listing must end with unprep")
     n_sites, width = out["n_sites"], out["a_left"] + out["a_right"]
@@ -365,7 +370,10 @@ def parse_gates(text: str) -> dict:
             if annotation:
                 if not annotation[0].startswith("phase="):
                     raise ValueError(f"line {line_no}: bad annotation {annotation[0]!r}")
-                phase = _gate_number(annotation[0][len("phase=") :], line_no, _parse_phase)
+                token = annotation[0][len("phase=") :]
+                phase = _gate_number(token, line_no, _parse_phase)
+                if abs(abs(phase) - 1) > PHASE_TOL:
+                    raise ValueError(f"line {line_no}: phase {token} is not on the unit circle")
             out["rows"].append((pattern, label, phase))
         else:
             raise ValueError(f"line {line_no}: bad gate row {line!r}")
@@ -445,6 +453,8 @@ def program_from_json(text: str) -> LcuProgram:
         if (a, b) in rows:
             raise _malformed(f"select[{k}]", f"pair ({a}, {b}) appears twice")
         phase = complex(_finite(s_row, "phase_re", where), _finite(s_row, "phase_im", where))
+        if abs(abs(phase) - 1) > PHASE_TOL:
+            raise _malformed(f"select[{k}]", f"phase {phase} has modulus {abs(phase):.6g}, not 1")
         where = f"prep[{k}]."
         pair = (_index(p_row, "a", len(left), where), _index(p_row, "b", len(right), where))
         if pair != (a, b):

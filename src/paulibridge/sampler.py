@@ -14,7 +14,8 @@ them per site reproduces the joint distribution with no rejection step.
 
 Each sample consumes an independent Philox stream keyed by
 ``(seed, sample_index)``, so sample i is the same regardless of batch
-size or chunking.
+size or chunking. Samples are ``pauli.pack_strings`` rows, so any site
+count fits and the layout is pauli's alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ import numpy as np
 
 from paulibridge import mps
 from paulibridge.mps import Mps, _transfer, is_right_canonical_site
-from paulibridge.pauli import PauliError, PauliString
+from paulibridge.pauli import (
+    SYMBOLS,
+    PauliError,
+    PauliString,
+    n_words,
+    pack_strings,
+    unique_rows,
+    unpack_strings,
+)
 
 __all__ = [
     "GaugeViolation",
@@ -83,31 +92,32 @@ def _step(tensor: np.ndarray, envs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def sample_strings(m: Mps, config: SamplerConfig) -> np.ndarray:
-    """Draw packed Pauli strings, one uint64 of 2-bit codes per sample."""
+    """Draw Pauli strings as ``(n_samples, n_words(n_sites))`` pack_strings rows."""
     n = m.n_sites
-    if n > 32:
-        raise ValueError(f"{n} sites exceeds the 32-site packing limit")
     for j, t in enumerate(m.tensors):
         if not is_right_canonical_site(t, tol=GAUGE_TOL):
             raise GaugeViolation(
                 f"site {j} violates the right gauge condition at {GAUGE_TOL}; "
                 "canonicalize first"
             )
-    out = np.empty(config.n_samples, dtype=np.uint64)
+    # site_rows[j, c]: the row of symbol c alone on site j; a sample ORs one per site
+    labels = ("I" * j + c + "I" * (n - 1 - j) for j in range(n) for c in SYMBOLS)
+    site_rows = pack_strings(map(PauliString.from_label, labels), n).reshape(n, 4, -1)
+    out = np.empty((config.n_samples, n_words(n)), dtype=np.uint64)
     for start in range(0, config.n_samples, mps.CHUNK_STRINGS):
         stop = min(start + mps.CHUNK_STRINGS, config.n_samples)
-        out[start:stop] = _sample_chunk(m, config.seed, start, stop - start)
+        out[start:stop] = _sample_chunk(m, site_rows, config.seed, start, stop - start)
     return out
 
 
-def _sample_chunk(m: Mps, seed: int, start: int, batch: int) -> np.ndarray:
+def _sample_chunk(m: Mps, site_rows: np.ndarray, seed: int, start: int, batch: int) -> np.ndarray:
     n = m.n_sites
     uniforms = np.empty((batch, n))
     for i in range(batch):
         gen = np.random.Generator(np.random.Philox(key=[seed, start + i]))
         uniforms[i] = gen.random(n)
     envs = np.ones((batch, 1, 1), dtype=np.complex128)
-    packed = np.zeros(batch, dtype=np.uint64)
+    packed = np.zeros((batch, site_rows.shape[2]), dtype=np.uint64)
     rows = np.arange(batch)
     for j, tensor in enumerate(m.tensors):
         weights, cand = _step(tensor, envs)
@@ -117,7 +127,7 @@ def _sample_chunk(m: Mps, seed: int, start: int, batch: int) -> np.ndarray:
         del cand  # free before the next site's step
         norms = np.linalg.norm(envs.reshape(batch, -1), axis=1)
         envs /= norms[:, None, None]
-        packed = (packed << np.uint64(2)) | chosen.astype(np.uint64)
+        packed |= site_rows[j, chosen]
     return packed
 
 
@@ -145,77 +155,69 @@ class SampledPool:
 def curate(
     samples: np.ndarray, n_sites: int, keep_iz: int | None = None
 ) -> SampledPool:
-    """Tally samples and select the pool.
+    """Tally pack_strings rows and select the pool.
 
     Off-diagonal strings are all kept; diagonal ones are ranked by
     multiplicity (ties broken lexicographically) and capped at
     ``keep_iz``. The identity never enters the pool.
     """
-    values, freq = np.unique(np.asarray(samples, dtype=np.uint64), return_counts=True)
-    counts = {
-        PauliString(n_sites, int(v)): int(c) for v, c in zip(values, freq)
-    }
-    xy: list[tuple[int, PauliString]] = []
-    iz: list[tuple[int, PauliString]] = []
-    for string, count in counts.items():
-        if string.is_identity:
-            continue
-        if string.is_diagonal:
-            iz.append((count, string))
-        else:
-            xy.append((count, string))
-    xy.sort(key=lambda item: (-item[0], item[1].label))
-    iz.sort(key=lambda item: (-item[0], item[1].label))
-    if keep_iz is not None:
-        if keep_iz < 0:
-            raise ValueError(f"keep_iz must be non-negative, got {keep_iz}")
-        iz = iz[:keep_iz]
-    return SampledPool(
-        n_sites,
-        int(np.asarray(samples).size),
-        tuple(s for _, s in xy),
-        tuple(s for _, s in iz),
-        counts,
-    )
+    if keep_iz is not None and keep_iz < 0:
+        raise ValueError(f"keep_iz must be non-negative, got {keep_iz}")
+    unique, inverse = unique_rows(samples)
+    freq = np.bincount(inverse, minlength=len(unique))
+    counts = dict(zip(unpack_strings(unique, n_sites), freq.tolist()))
+    ranked = sorted(counts, key=lambda s: (-counts[s], s.label))
+    xy = tuple(s for s in ranked if not s.is_diagonal)
+    iz = tuple(s for s in ranked if s.is_diagonal and not s.is_identity)
+    return SampledPool(n_sites, len(samples), xy, iz[:keep_iz], counts)
 
 
 def samples_to_text(samples: np.ndarray, n_sites: int, seed: int | None = None) -> str:
     """Raw sample listing, one string label per line."""
-    header = f"# samples-v1 n_sites={n_sites} n_samples={np.asarray(samples).size}"
+    header = f"# samples-v1 n_sites={n_sites} n_samples={len(samples)}"
     if seed is not None:
         header += f" seed={seed}"
-    lines = [header]
-    lines += [PauliString(n_sites, int(v)).label for v in np.asarray(samples)]
-    return "\n".join(lines) + "\n"
+    return "\n".join([header, *(s.label for s in unpack_strings(samples, n_sites))]) + "\n"
 
 
-def samples_from_text(text: str) -> tuple[np.ndarray, int]:
-    header = re.match(r"#\s*samples-v1\s+n_sites=(\d+)\s+n_samples=(\d+)", text)
+def _read_listing(text: str, fmt: str, fields: str) -> tuple[int, int, list]:
+    """The header sizes and data lines of a ``fmt`` listing.
+
+    ``fields`` names a line's whitespace-separated fields, the label
+    last. Each data line comes back as ``(line number, its other fields,
+    its string)``; blank and ``#`` lines are skipped.
+    """
+    header = re.match(rf"#\s*{fmt}\s+n_sites=(\d+)\s+n_samples=(\d+)", text)
     if header is None:
-        raise ValueError("missing samples-v1 header line")
-    n_sites = int(header.group(1))
-    if not 1 <= n_sites <= 32:
-        # a sample is one uint64 of two bits per site
-        raise ValueError(f"samples-v1 header field n_sites: expected 1..32, got {n_sites}")
-    values = []
+        raise ValueError(f"missing {fmt} header line")
+    n_sites, n_samples = int(header.group(1)), int(header.group(2))
+    if n_sites < 1:
+        raise ValueError(f"{fmt} header field n_sites: expected at least 1, got {n_sites}")
+    lines = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
             continue
+        if len(parts) != len(fields.split()):
+            raise ValueError(f"line {line_no}: expected {fields!r}")
         try:
-            string = PauliString.from_label(stripped)
+            string = PauliString.from_label(parts[-1])
         except PauliError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
         if string.n_sites != n_sites:
             raise ValueError(
                 f"line {line_no}: string has {string.n_sites} sites, header says {n_sites}"
             )
-        values.append(string.bits)
-    if len(values) != int(header.group(2)):
-        raise ValueError(
-            f"header says {header.group(2)} samples, found {len(values)}"
-        )
-    return np.array(values, dtype=np.uint64), n_sites
+        lines.append((line_no, parts[:-1], string))
+    return n_sites, n_samples, lines
+
+
+def samples_from_text(text: str) -> tuple[np.ndarray, int]:
+    """A samples-v1 listing as pack_strings rows and its site count."""
+    n_sites, n_samples, lines = _read_listing(text, "samples-v1", "label")
+    if len(lines) != n_samples:
+        raise ValueError(f"header says {n_samples} samples, found {len(lines)}")
+    return pack_strings((string for _, _, string in lines), n_sites), n_sites
 
 
 def pool_to_text(pool: SampledPool) -> str:
@@ -228,36 +230,20 @@ def pool_to_text(pool: SampledPool) -> str:
 
 
 def pool_from_text(text: str) -> SampledPool:
-    header = re.match(r"#\s*pool-v1\s+n_sites=(\d+)\s+n_samples=(\d+)", text)
-    if header is None:
-        raise ValueError("missing pool-v1 header line")
-    n_sites, n_samples = int(header.group(1)), int(header.group(2))
-    if n_sites < 1:
-        raise ValueError(f"pool-v1 header field n_sites: expected at least 1, got {n_sites}")
+    n_sites, n_samples, lines = _read_listing(text, "pool-v1", "count freq label")
     counts: dict[PauliString, int] = {}
     xy: list[PauliString] = []
     iz: list[PauliString] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {line_no}: expected 'count freq label'")
+    for line_no, (count_token, freq_token), string in lines:
         try:
-            count, freq = int(parts[0]), float(parts[1])
-            string = PauliString.from_label(parts[2])
+            count, freq = int(count_token), float(freq_token)
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
         if count < 1:
             raise ValueError(f"line {line_no}: count must be at least 1, got {count}")
         if not 0 <= freq <= 1:
             raise ValueError(
-                f"line {line_no}: frequency must be a finite number in [0, 1], got {parts[1]}"
-            )
-        if string.n_sites != n_sites:
-            raise ValueError(
-                f"line {line_no}: string has {string.n_sites} sites, header says {n_sites}"
+                f"line {line_no}: frequency must be a finite number in [0, 1], got {freq_token}"
             )
         if string in counts:
             raise ValueError(f"line {line_no}: {string.label} appears twice")

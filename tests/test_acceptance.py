@@ -248,7 +248,7 @@ def test_criterion_5_perfect_sampling():
     m = right_canonical_mps(random_chi4)
     n = 100_000
     samples = sample_strings(m, SamplerConfig(n_samples=n, seed=515))
-    observed = np.bincount(samples.astype(np.int64), minlength=256).astype(float)
+    observed = np.bincount(samples[:, 0].astype(np.int64), minlength=256).astype(float)
     expected = n * probs
     # Pool bins whose expectation is too small for the chi-square
     # approximation into one tail bin.

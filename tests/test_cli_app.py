@@ -27,7 +27,7 @@ from paulibridge.bridge import decomposition_from_json, decomposition_to_json
 from paulibridge.cli import main
 from paulibridge.lcu import program_from_json
 from paulibridge.mpo import mpo_from_json
-from paulibridge.mps import mps_from_json
+from paulibridge.mps import Mps, mps_from_json, mps_to_json
 from paulibridge.pauli import parse_pauli_sum, serialize_pauli_sum, to_dense
 from paulibridge.sampler import pool_from_text, samples_from_text
 
@@ -145,14 +145,14 @@ class TestPipelineArtifacts:
         assert text.startswith("# samples-v1 n_sites=4 n_samples=400 seed=7")
         samples, n_sites = samples_from_text(text)
         assert n_sites == 4
-        assert samples.size == 400
+        assert samples.shape == (400, 1)
 
     def test_pool_counts(self, pipeline):
         paths, _ = pipeline
         pool = pool_from_text(paths["pool"].read_text())
         assert pool.n_samples == 400
         samples, _ = samples_from_text(paths["samples"].read_text())
-        n_identity = int(np.count_nonzero(samples == 0))
+        n_identity = int(np.count_nonzero(~samples.any(axis=1)))
         assert sum(pool.counts.values()) == 400 - n_identity
 
     def test_optimize_result(self, pipeline):
@@ -362,7 +362,7 @@ class TestExitCodes:
         [line] = err.splitlines()
         assert line.startswith(f"error: mps-v1 field {field}:")
 
-    @pytest.mark.parametrize("n_sites", [0, 40])
+    @pytest.mark.parametrize("n_sites", [0])
     def test_samples_beyond_one_word_is_data_error(self, tmp_path, n_sites):
         bad, out = tmp_path / "samples.txt", tmp_path / "pool.txt"
         bad.write_text(f"# samples-v1 n_sites={n_sites} n_samples=1\n{'X' * n_sites}\n")
@@ -372,6 +372,24 @@ class TestExitCodes:
         assert not out.exists()
         [line] = err.splitlines()
         assert line.startswith("error: samples-v1 header field n_sites:")
+
+    def test_sample_and_curate_past_one_word(self, tmp_path):
+        # a 40-site product state: each sample is a two-word row
+        rng = np.random.default_rng(40)
+        sites = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(40)]
+        state, samples, pool = tmp_path / "mps.json", tmp_path / "samples.txt", tmp_path / "pool.txt"
+        state.write_text(mps_to_json(Mps([(v / np.linalg.norm(v)).reshape(1, 1, 2) for v in sites])))
+        rc, stdout, err = run(["sample", "--state", str(state), "--n-samples", "300", "--seed", "3",
+                               "--output", str(samples)])
+        assert (rc, err) == (0, "")
+        assert stdout.splitlines() == ["n_samples 300"]
+        rows, n_sites = samples_from_text(samples.read_text())
+        assert rows.shape == (300, 2) and n_sites == 40
+        rc, _, err = run(["curate", "--samples", str(samples), "--output", str(pool)])
+        assert (rc, err) == (0, "")
+        back = pool_from_text(pool.read_text())
+        assert back.n_sites == 40 and back.n_samples == 300
+        assert sum(back.counts.values()) == 300 - int(np.count_nonzero(~rows.any(axis=1)))
 
     def test_bad_sample_label_names_line(self, tmp_path):
         bad, out = tmp_path / "samples.txt", tmp_path / "pool.txt"

@@ -28,7 +28,7 @@ from paulibridge.lcu import (
 )
 from paulibridge.pauli import PauliString, PauliSum, TooLarge, dense_string, parse_pauli_sum, to_dense
 
-from conftest import random_state
+from conftest import random_pauli_sum, random_state
 
 H2_LAMBDA = 1.212874
 
@@ -423,6 +423,18 @@ class TestGates:
             assert label == prog.left[a] + prog.right[b]
             assert phase == pytest.approx(ph, abs=1e-9)
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_complex_phases_read_back(self, seed):
+        # 12 significant digits keep every unit phase inside PHASE_TOL,
+        # in the listing and in the JSON
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        prog = compile_lcu(compile_bridge(random_pauli_sum(rng, n, int(rng.integers(1, 12)), True), n // 2))
+        parsed = parse_gates(emit_gates(prog))
+        assert [phase for *_, phase in parsed["rows"]] == pytest.approx([ph for *_, ph in prog.prep], abs=1e-11)
+        assert program_from_json(program_to_json(prog)) == prog
+
     def test_unit_phases_omitted(self, h2_subset):
         text = emit_gates(h2_program(h2_subset))
         positives = [ln for ln in text.splitlines() if " IZZI" in ln]
@@ -450,6 +462,8 @@ class TestGates:
         pytest.param(1, None, id="empty"),
         pytest.param(1, "# lcu-gates-v1 n_sites=4 cut=2", id="header-short"),
         pytest.param(1, "# lcu-gates-v1 n_sites=4 cut=2 a_left=3 a_right=3 lambda=nan", id="lambda-nan"),
+        pytest.param(1, "# lcu-gates-v1 n_sites=4 cut=2 a_left=3 a_right=3 lambda=-1.212874", id="lambda-negative"),
+        pytest.param(1, "# lcu-gates-v1 n_sites=4 cut=2 a_left=3 a_right=3 lambda=0", id="lambda-zero"),
         pytest.param(2, "prep 0:abc", id="amp-text"),
         pytest.param(2, "prep 0:inf", id="amp-infinite"),
         pytest.param(2, "prep x:0.5", id="index-text"),
@@ -461,6 +475,8 @@ class TestGates:
         pytest.param(4, "cpauli 000000 IIII phase=-1", id="pattern-repeated"),
         pytest.param(3, "cpauli 000000 IIII phase=nani", id="phase-nan"),
         pytest.param(3, "cpauli 000000 IIII phase=abc", id="phase-text"),
+        pytest.param(3, "cpauli 000000 IIII phase=5", id="phase-off-unit-circle"),
+        pytest.param(3, "cpauli 000000 IIII phase=0.6+0.6i", id="phase-complex-off-unit-circle"),
         pytest.param(3, "cpauli 000000 IIXQ", id="label-symbol"),
         pytest.param(3, "cpauli 000000 III", id="label-short"),
         pytest.param(3, "cpauli 00000 IIII", id="pattern-short"),

@@ -8,8 +8,14 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from paulibridge import mps as mps_module, sampler as sampler_module
-from paulibridge.mps import canonicalize_mps, dense_to_mps, ground_state_reference
-from paulibridge.pauli import PauliString, apply_string
+from paulibridge.mps import (
+    Mps,
+    canonicalize_mps,
+    dense_to_mps,
+    ground_state_reference,
+    string_expectations,
+)
+from paulibridge.pauli import PauliString, PauliSum, apply_string, pack_strings, unpack_strings
 from paulibridge.sampler import (
     GaugeViolation,
     SampledPool,
@@ -22,6 +28,7 @@ from paulibridge.sampler import (
     samples_from_text,
     samples_to_text,
 )
+from paulibridge.varopt import assemble_pencil, solve_ritz_dense
 
 from conftest import random_state
 
@@ -113,7 +120,8 @@ class TestSampling:
         m = right_canonical_mps(vec)
         probs = exact_probs(vec, 3)
         samples = sample_strings(m, SamplerConfig(n_samples=200, seed=5))
-        assert np.all(probs[samples.astype(np.int64)] > 1e-14)
+        assert samples.shape == (200, 1)
+        assert np.all(probs[samples[:, 0].astype(np.int64)] > 1e-14)
 
     def test_chi_square_goodness_of_fit(self):
         rng = np.random.default_rng(22)
@@ -122,7 +130,7 @@ class TestSampling:
         probs = exact_probs(vec, 2)
         n = 4000
         samples = sample_strings(m, SamplerConfig(n_samples=n, seed=123))
-        observed = np.bincount(samples.astype(np.int64), minlength=16)
+        observed = np.bincount(samples[:, 0].astype(np.int64), minlength=16)
         support = probs > 1e-12
         assert observed[~support].sum() == 0
         expected = n * probs[support]
@@ -134,7 +142,7 @@ class TestSampling:
         res = ground_state_reference(h2_subset)
         samples = sample_strings(res.mps, SamplerConfig(n_samples=256, seed=11))
         probs = exact_probs(res.vector, 4)
-        assert np.all(probs[samples.astype(np.int64)] > 1e-14)
+        assert np.all(probs[samples[:, 0].astype(np.int64)] > 1e-14)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -142,14 +150,11 @@ class TestSampling:
 
 
 class TestCurate:
-    def pack(self, label):
-        return np.uint64(PauliString.from_label(label).bits)
+    def pack(self, labels):
+        return pack_strings([PauliString.from_label(label) for label in labels], len(labels[0]))
 
     def test_split_and_counts(self):
-        samples = np.array(
-            [self.pack(s) for s in ["XX", "XX", "ZI", "II", "ZZ", "ZZ", "ZZ", "XY"]],
-            dtype=np.uint64,
-        )
+        samples = self.pack(["XX", "XX", "ZI", "II", "ZZ", "ZZ", "ZZ", "XY"])
         pool = curate(samples, 2)
         assert pool.n_samples == 8
         assert pool.xy == (
@@ -164,24 +169,29 @@ class TestCurate:
         assert PauliString.from_label("II") not in pool.strings
 
     def test_keep_iz_cap_and_tie_break(self):
-        samples = np.array(
-            [self.pack(s) for s in ["ZI", "IZ", "ZZ", "ZZ", "XX"]], dtype=np.uint64
-        )
-        pool = curate(samples, 2, keep_iz=2)
+        pool = curate(self.pack(["ZI", "IZ", "ZZ", "ZZ", "XX"]), 2, keep_iz=2)
         assert pool.iz == (
             PauliString.from_label("ZZ"),
             PauliString.from_label("IZ"),
         )
 
     def test_keep_iz_zero_keeps_offdiagonal_only(self):
-        samples = np.array([self.pack(s) for s in ["ZI", "XX"]], dtype=np.uint64)
-        pool = curate(samples, 2, keep_iz=0)
+        pool = curate(self.pack(["ZI", "XX"]), 2, keep_iz=0)
         assert pool.iz == ()
         assert pool.xy == (PauliString.from_label("XX"),)
 
     def test_negative_keep_iz_raises(self):
         with pytest.raises(ValueError):
-            curate(np.array([0], dtype=np.uint64), 2, keep_iz=-1)
+            curate(self.pack(["II"]), 2, keep_iz=-1)
+
+    def test_counts_past_one_word(self):
+        # 40-site rows that agree on their low word and differ in the high one
+        a, b = "X" + "I" * 39, "Z" + "I" * 39
+        pool = curate(self.pack([a, b, b, "I" * 40]), 40)
+        assert pool.n_samples == 4
+        assert pool.xy == (PauliString.from_label(a),)
+        assert pool.iz == (PauliString.from_label(b),)
+        assert pool.counts[PauliString.from_label(b)] == 2
 
     def test_groups_are_classified_correctly(self):
         rng = np.random.default_rng(30)
@@ -254,9 +264,9 @@ class TestSamplesText:
         assert np.array_equal(back, samples)
 
     def test_header_records_seed(self):
-        text = samples_to_text(np.array([0], dtype=np.uint64), 2, seed=9)
+        text = samples_to_text(np.zeros((1, 1), dtype=np.uint64), 2, seed=9)
         assert text.splitlines()[0] == "# samples-v1 n_sites=2 n_samples=1 seed=9"
-        text = samples_to_text(np.array([0], dtype=np.uint64), 2)
+        text = samples_to_text(np.zeros((1, 1), dtype=np.uint64), 2)
         assert text.splitlines()[0] == "# samples-v1 n_sites=2 n_samples=1"
 
     def test_missing_header_raises(self):
@@ -271,14 +281,85 @@ class TestSamplesText:
         with pytest.raises(ValueError):
             samples_from_text("# samples-v1 n_sites=2 n_samples=1\nXXX\n")
 
-    @pytest.mark.parametrize("n_sites", [0, 33, 40])
+    @pytest.mark.parametrize("n_sites", [0])
     def test_header_sites_beyond_one_word_raise(self, n_sites):
         text = f"# samples-v1 n_sites={n_sites} n_samples=1\n{'X' * n_sites}\n"
-        with pytest.raises(ValueError, match="header field n_sites: expected 1..32"):
+        with pytest.raises(ValueError, match="^samples-v1 header field n_sites: expected at least 1, got 0$"):
             samples_from_text(text)
 
+    @pytest.mark.parametrize("n_sites", [33, 40])
+    def test_header_sites_beyond_one_word_read(self, n_sites):
+        labels = ["X" * n_sites, "Z" + "I" * (n_sites - 1)]
+        back, got_sites = samples_from_text(f"# samples-v1 n_sites={n_sites} n_samples=2\n" + "\n".join(labels))
+        assert got_sites == n_sites
+        assert back.shape == (2, 2)
+        assert [s.label for s in unpack_strings(back, n_sites)] == labels
+
     def test_thirty_two_sites_round_trip(self):
-        samples = np.array([2**64 - 1, 0, 0x9E3779B97F4A7C15], dtype=np.uint64)
+        samples = np.array([[2**64 - 1], [0], [0x9E3779B97F4A7C15]], dtype=np.uint64)
         back, n_sites = samples_from_text(samples_to_text(samples, 32))
         assert n_sites == 32
         assert np.array_equal(back, samples)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 31, 32, 33, 64, 65]), st.integers(0, 2**32 - 1), st.integers(0, 12))
+    def test_round_trip_at_word_edges(self, n_sites, seed, count):
+        rng = np.random.default_rng(seed)
+        strings = [PauliString.from_codes(rng.integers(0, 4, n_sites)) for _ in range(count)]
+        rows = pack_strings(strings, n_sites)
+        back, got_sites = samples_from_text(samples_to_text(rows, n_sites, seed=seed))
+        assert got_sites == n_sites
+        assert back.dtype == np.uint64 and back.shape == rows.shape
+        assert np.array_equal(back, rows)
+
+
+class TestPastOneWord:
+    def test_single_column_is_the_string_bits(self):
+        # up to 32 sites a row is one word, the old one-uint64 layout
+        rng = np.random.default_rng(40)
+        for n_sites in (1, 3, 5):
+            m = right_canonical_mps(random_state(rng, n_sites))
+            samples = sample_strings(m, SamplerConfig(n_samples=50, seed=n_sites))
+            assert samples.shape == (50, 1)
+            assert samples[:, 0].tolist() == [s.bits for s in unpack_strings(samples, n_sites)]
+
+    def test_product_state_site_frequencies(self):
+        # a product state's strings factor over sites: site j draws symbol c
+        # with probability <sigma_c>_j^2 / 2, whatever word holds the site
+        rng = np.random.default_rng(41)
+        n_sites, n = 40, 2000
+        sites = [random_state(rng, 1) for _ in range(n_sites)]
+        samples = sample_strings(Mps([v.reshape(1, 1, 2) for v in sites]),
+                                 SamplerConfig(n_samples=n, seed=41))
+        assert samples.shape == (n, 2)
+        codes = np.array([s.codes for s in unpack_strings(samples, n_sites)])
+        paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+        observed = np.array([np.bincount(codes[:, j], minlength=4) for j in range(n_sites)])
+        expected = n * np.array([[np.vdot(v, p @ v).real ** 2 / 2 for p in paulis] for v in sites])
+        support = expected > 0
+        assert observed[~support].sum() == 0
+        stat = float(np.sum((observed[support] - expected[support]) ** 2 / expected[support]))
+        dof = int(support.sum()) - n_sites
+        assert stat < scipy.stats.chi2.ppf(0.999, dof)
+
+    def test_sampled_pool_bounds_a_forty_site_chain(self):
+        # sample -> curate -> pencil -> Ritz past one word; the identity is in
+        # the pool, so the Ritz energy is at most <psi|H|psi>
+        rng = np.random.default_rng(42)
+        n_sites = 40
+        terms = [(rng.normal(), PauliString.from_label("I" * j + "ZZ" + "I" * (n_sites - 2 - j)))
+                 for j in range(n_sites - 1)]
+        terms += [(rng.normal(), PauliString.from_label("I" * j + "X" + "I" * (n_sites - 1 - j)))
+                  for j in range(n_sites)]
+        op = PauliSum(n_sites, terms)
+        bonds = [1] + [2] * (n_sites - 1) + [1]
+        raw = Mps([rng.standard_normal((bonds[j], bonds[j + 1], 2))
+                   + 1j * rng.standard_normal((bonds[j], bonds[j + 1], 2)) for j in range(n_sites)])
+        state = canonicalize_mps(raw, "right")
+        state.tensors[0] /= np.linalg.norm(state.tensors[0])
+        pool = curate(sample_strings(state, SamplerConfig(n_samples=20, seed=4)), n_sites)
+        assert pool.strings
+        energy = solve_ritz_dense(assemble_pencil(op, pool.strings, state)).energies[0]
+        coeffs = np.array([t.coeff for t in op.terms])
+        mean = float((coeffs @ string_expectations(state, pack_strings([t.string for t in op.terms], n_sites))).real)
+        assert energy <= mean + 1e-10
