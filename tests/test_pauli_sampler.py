@@ -315,13 +315,21 @@ class TestSamplesText:
 
 class TestPastOneWord:
     def test_single_column_is_the_string_bits(self):
-        # up to 32 sites a row is one word, the old one-uint64 layout
+        # up to 32 sites a row is one word equal to PauliString.bits, the old
+        # one-uint64 layout; each sample is redrawn here one site at a time
         rng = np.random.default_rng(40)
         for n_sites in (1, 3, 5):
             m = right_canonical_mps(random_state(rng, n_sites))
-            samples = sample_strings(m, SamplerConfig(n_samples=50, seed=n_sites))
-            assert samples.shape == (50, 1)
-            assert samples[:, 0].tolist() == [s.bits for s in unpack_strings(samples, n_sites)]
+            samples = sample_strings(m, SamplerConfig(n_samples=20, seed=n_sites))
+            assert samples.shape == (20, 1)
+            for i, word in enumerate(samples[:, 0].tolist()):
+                uniforms = np.random.Generator(np.random.Philox(key=[n_sites, i])).random(n_sites)
+                env, codes = np.ones((1, 1), dtype=np.complex128), []
+                for tensor, u in zip(m.tensors, uniforms):
+                    weights, envs = conditional_weights(tensor, env)
+                    codes.append(min(int(np.sum(np.cumsum(weights) < u)), 3))
+                    env = envs[codes[-1]] / np.linalg.norm(envs[codes[-1]])
+                assert word == PauliString.from_codes(codes).bits
 
     def test_product_state_site_frequencies(self):
         # a product state's strings factor over sites: site j draws symbol c
