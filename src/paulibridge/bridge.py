@@ -27,7 +27,6 @@ Layout conventions fixed here and relied on downstream:
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -41,6 +40,7 @@ from paulibridge.pauli import (
     json_field,
     json_finite,
     json_labels,
+    json_text,
     malformed,
 )
 
@@ -236,7 +236,7 @@ def decomposition_to_json(d: BridgeDecomposition) -> str:
     right = [len({s[i:] for s in d.right.labels}) for i in range(d.right.width + 1)]
     for side, sizes, edges in (("left", left, left[1:]), ("right", right, right[:-1])):
         doc[f"graph_{side}"] = {"layer_sizes": sizes, "edge_counts": edges}
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)
 
 
 def decomposition_from_json(text: str) -> BridgeDecomposition:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 import warnings
 from pathlib import Path
@@ -58,6 +57,7 @@ from paulibridge.mps import (
 )
 from paulibridge.pauli import (
     PauliError,
+    json_text,
     parse_pauli_sum,
     serialize_pauli_sum,
     to_dense,
@@ -131,7 +131,7 @@ def _write_manifest(args, command: str, inputs: list[str], outputs: list[str], p
             "scipy": scipy.__version__,
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json_text(doc))
 
 
 def _read(path: str) -> str:
@@ -260,7 +260,7 @@ def cmd_optimize(args) -> int:
         "energies": [float(e) for e in sol.energies],
         "reference_energy": reference,
     }
-    Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(args.output).write_text(json_text(doc))
     print(f"energy {sol.energies[0]:.12f}")
     print(f"reference {reference:.12f}")
     outputs = [args.output]

@@ -20,7 +20,6 @@ program with the same hash and an unchanged select skeleton.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -42,6 +41,7 @@ from paulibridge.pauli import (
     json_field,
     json_finite,
     json_labels,
+    json_text,
     malformed,
 )
 
@@ -123,7 +123,10 @@ def compile_lcu(d: BridgeDecomposition) -> LcuProgram:
     if not active:
         raise EmptyOperator("bridge has no active pairs")
     coeffs = np.array([d.bridge.entries[p] for p in active])
-    lam = float(np.sum(np.abs(coeffs)))
+    with np.errstate(over="ignore"):
+        lam = float(np.sum(np.abs(coeffs)))
+    if not math.isfinite(lam):
+        raise ValueError(f"the one-norm lambda of the bridge overflows to {lam}")
     amps = np.sqrt(np.abs(coeffs) / lam)
     amps /= np.linalg.norm(amps)
     phases = [complex(1.0 if c.real > 0 else -1.0) if c.imag == 0 else complex(c / abs(c)) for c in coeffs]
@@ -404,7 +407,7 @@ def program_to_json(program: LcuProgram) -> str:
         ],
         "select_hash": program.select_hash,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)
 
 
 _malformed = partial(malformed, FORMAT_NAME)

@@ -136,6 +136,8 @@ def build_mpo_qr(
             tensors.append(w)
             break
         q, r, piv = scipy.linalg.qr(gamma, mode="economic", pivoting=True)
+        if not (np.isfinite(q).all() and np.isfinite(r).all()):
+            raise ValueError(f"cut matrix at site {site} overflows in the QR")
         diag = np.abs(np.diag(r))
         floor = max(rank_tol, np.finfo(np.float64).eps * max(gamma.shape))
         rank = int(np.count_nonzero(diag > floor * diag[0]))

@@ -11,7 +11,6 @@ significant qubit of the dense index, matching the operator conventions.
 from __future__ import annotations
 
 import base64
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,6 +24,7 @@ from paulibridge.pauli import (
     TooLarge,
     json_document,
     json_field,
+    json_text,
     malformed,
     n_words,
     pack_strings,
@@ -338,13 +338,22 @@ def ground_state_reference(op: PauliSum, max_bond: int | None = None) -> GroundS
     return GroundStateResult(energy, gap, vec, mps)
 
 
+def _check_finite(fmt: str, i: int, t: np.ndarray) -> None:
+    """Refuse a non-finite tensor: neither side of the format accepts one."""
+    if not np.isfinite(t).all():
+        raise malformed(fmt, f"tensors[{i}]", "non-finite values")
+
+
 def chain_to_json(fmt: str, m: TensorChain) -> str:
     """The mps-v1 and mpo-v1 JSON form of a tensor chain.
 
     Tensor payloads are base64 of little-endian complex128 values in
     row-major order; the header carries the shapes so the payload can be
-    decoded without guessing.
+    decoded without guessing. A non-finite tensor raises ValueError
+    naming it, as chain_from_json would.
     """
+    for i, t in enumerate(m.tensors):
+        _check_finite(fmt, i, t)
     doc = {
         "format": fmt,
         "n_sites": m.n_sites,
@@ -355,7 +364,7 @@ def chain_to_json(fmt: str, m: TensorChain) -> str:
             for t in m.tensors
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)
 
 
 def chain_from_json(text: str, fmt: str, phys: tuple[int, ...]) -> tuple[list, list]:
@@ -395,8 +404,7 @@ def chain_from_json(text: str, fmt: str, phys: tuple[int, ...]) -> tuple[list, l
                 fmt, f"tensors[{i}]", f"{len(raw) / 16:g} values, shape {shape} needs {math.prod(shape)}"
             )
         t = np.frombuffer(raw, dtype="<c16").reshape(shape).astype(np.complex128)
-        if not np.isfinite(t).all():
-            raise malformed(fmt, f"tensors[{i}]", "non-finite values")
+        _check_finite(fmt, i, t)
         tensors.append(t)
     return tensors, gauge
 

@@ -17,6 +17,9 @@ are real (``-0.25``, ``1e-3``) or complex in ``a+bi`` form (``0.5-0.25i``).
 
 from __future__ import annotations
 
+import cmath
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -45,6 +48,7 @@ __all__ = [
     "json_field",
     "json_finite",
     "json_labels",
+    "json_text",
     "malformed",
     "multiply",
     "n_words",
@@ -470,7 +474,8 @@ def parse_pauli_sum(text: str) -> PauliSum:
 
     Duplicate strings are merged, exactly-zero results dropped, term order
     is first occurrence. Raises MalformedLine / InconsistentLength /
-    EmptyInput on bad input.
+    EmptyInput on bad input; a merge that overflows is a MalformedLine
+    naming the line that made it overflow.
     """
     entries: list[tuple[complex, PauliString]] = []
     n_sites: int | None = None
@@ -503,7 +508,19 @@ def parse_pauli_sum(text: str) -> PauliSum:
         entries.append((coeff, string))
     if n_sites is None:
         raise EmptyInput("no terms in input")
-    return PauliSum(n_sites, entries)
+    op = PauliSum(n_sites, entries)
+    if op.n_terms < len(entries) and not all(cmath.isfinite(t.coeff) for t in op.terms):
+        # a merge overflowed: replay the merges, one per non-blank line, to name the line
+        lines = [(no, raw) for no, raw in enumerate(text.splitlines(), start=1) if raw.split("#", 1)[0].strip()]
+        totals: dict[PauliString, complex] = {}
+        for (line_no, raw), (coeff, string) in zip(lines, entries):
+            totals[string] = totals.get(string, 0j) + coeff
+            if not cmath.isfinite(totals[string]):
+                raise MalformedLine(
+                    f"coefficient of {string} is not finite once merged with earlier lines",
+                    line_no, len(raw) - len(raw.lstrip()) + 1,
+                )
+    return op
 
 
 def serialize_pauli_sum(op: PauliSum) -> str:
@@ -556,3 +573,64 @@ def json_labels(fmt: str, doc, key: str, width: int) -> tuple[str, ...]:
         if k and label <= labels[k - 1]:  # ASCII order is the I < X < Y < Z order
             raise malformed(fmt, f"{key}[{k}]", f"not increasing: {label!r} after {labels[k - 1]!r}")
     return tuple(labels)
+
+
+# ---------------------------------------------------------------------------
+# the one JSON writer: every format is laid out as json.dumps(indent=2) would
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """C encoder whose item separator ends in the indent of ``depth`` levels."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False).encode
+
+
+def _holds_container(values) -> bool:
+    # one issubclass per distinct type; map and set iterate in C
+    return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+
+
+def _emit(value, depth: int, out: list[str]) -> None:
+    """Append the pieces of ``value`` laid out as json.dumps(indent=2) lays it out."""
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))) or not value:  # a scalar, "[]" or "{}"
+        out.append(_flat_encoder(depth)(value))
+        return
+    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    if not _holds_container(value.values() if is_dict else value):
+        # the C encoder lays out a flat container but for its brackets
+        text = _flat_encoder(depth + 1)(value)
+        out += (text[0], inner, text[1:-1], outer, text[-1])
+        return
+    if (not is_dict and set(map(type, value)) == {dict} and all(value)
+            and not _holds_container(itertools.chain.from_iterable(map(dict.values, value)))):
+        # flat rows: every newline the encoder writes is a separator, since
+        # an encoded string escapes its own, so "},<newline>{" only ends a row
+        row = inner + "  "
+        text = _flat_encoder(depth + 2)(value)[2:-2]
+        out += ("[", inner, "{", row, text.replace("}," + row + "{", inner + "}," + inner + "{" + row),
+                inner, "}", outer, "]")
+        return
+    out.append("{" if is_dict else "[")
+    separator = inner
+    for key, child in value.items() if is_dict else enumerate(value):
+        out.append(separator)
+        separator = "," + inner
+        if is_dict:
+            out.append(json.encoder.encode_basestring_ascii(key) + ": ")
+        _emit(child, depth + 1, out)
+    out += (outer, "}" if is_dict else "]")
+
+
+def json_text(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"``, encoded in C a container at a time.
+
+    Byte-identical for every document with string keys; a NaN or an
+    infinity raises ValueError instead of being written as invalid JSON.
+    """
+    out: list[str] = []
+    _emit(doc, 0, out)
+    out.append("\n")
+    return "".join(out)

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from paulibridge.pauli import parse_pauli_sum, serialize_pauli_sum, to_dense
 from paulibridge.sampler import pool_from_text, samples_from_text
 
 from conftest import (
+    BYTE_IDENTITY,
     BRIDGE_MUTATIONS,
     CHAIN_MUTATIONS,
     FERMION_MUTATIONS,
@@ -303,6 +305,38 @@ class TestExitCodes:
                           "--output", str(tmp_path / "out.json")])
         assert rc == 2
         assert "line 2, column 1" in err
+
+    @pytest.mark.parametrize("command", ["compile", "mpo", "groundstate"])
+    def test_merge_that_overflows_names_its_line(self, tmp_path, command):
+        bad, out = tmp_path / "bad.pauli", tmp_path / "out.json"
+        bad.write_text("1e308 XZ\n1e308 XZ\n0.5 ZZ\n")
+        cut = ["--cut", "1"] if command == "compile" else []
+        rc, _, err = run([command, "--input", str(bad), *cut, "--output", str(out)])
+        assert rc == 2
+        assert "line 2, column 1" in err
+        assert not out.exists()
+
+    def test_overflowing_one_norm_writes_nothing(self, tmp_path):
+        # each coefficient is finite, their one-norm is not
+        src, bridge = tmp_path / "big.pauli", tmp_path / "big.bridge.json"
+        src.write_text("1e308 XZ\n1e308 ZZ\n")
+        assert run(["compile", "--input", str(src), "--cut", "1", "--output", str(bridge)])[0] == 0
+        (tmp_path / "unit.pauli").write_text("1.0 XZ\n1.0 ZZ\n")
+        program = tmp_path / "unit.lcu.json"
+        assert run(["compile", "--input", str(tmp_path / "unit.pauli"), "--cut", "1",
+                    "--output", str(tmp_path / "unit.bridge.json")])[0] == 0
+        assert run(["lcu", "--bridge", str(tmp_path / "unit.bridge.json"), "--output", str(program)])[0] == 0
+        out, gates = tmp_path / "out.json", tmp_path / "gates.txt"
+        for argv in (["lcu", "--bridge", str(bridge), "--output", str(out), "--gates", str(gates)],
+                     ["update", "--program", str(program), "--bridge", str(bridge), "--output", str(out)]):
+            rc, _, err = run(argv)
+            assert rc == 2
+            assert "one-norm lambda of the bridge overflows" in err
+            assert not out.exists() and not gates.exists()
+        rc, _, err = run(["mpo", "--input", str(src), "--output", str(out)])
+        assert rc == 2
+        assert "cut matrix at site 0 overflows" in err
+        assert not out.exists()
 
     def test_cut_out_of_range(self, pipeline, tmp_path):
         paths, _ = pipeline
@@ -845,3 +879,58 @@ class TestReaderProperty:
         if rc == 2:
             [line] = err.splitlines()
             assert line.startswith("error: ")
+
+
+_layout_coeffs = st.one_of(st.sampled_from([1.0, -0.5, 1e-05, 1e16]),
+                           st.floats(-10, 10).filter(lambda x: abs(x) > 1e-3))
+
+
+@st.composite
+def layout_operators(draw):
+    """Distinct labels on 2 to 4 sites; complex coefficients for the compiler
+    and, for the variational chain, real ones within [-10, 10]: optimize
+    refuses some Hermitian operators whose coefficients span 1e16, since
+    its Hermiticity tolerance scales with a norm that cancellation shrinks."""
+    n = draw(st.integers(2, 4))
+    labels = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=6, unique=True))
+    k = len(labels)
+    re = draw(st.lists(_layout_coeffs, min_size=k, max_size=k))
+    im = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, -3.0]), min_size=k, max_size=k))
+    herm = draw(st.lists(st.floats(-10, 10).filter(lambda x: abs(x) > 1e-3), min_size=k, max_size=k))
+    return n, labels, re, im, herm
+
+
+class TestJsonLayout:
+    @BYTE_IDENTITY
+    @given(layout_operators())
+    def test_every_document_is_json_dumps_indent_2(self, case):
+        # every JSON file the CLI writes: bridge-v1 at every cut, lcu-v1 from
+        # lcu and update, mpo-v1, mps-v1, optimize-v1 and the manifests
+        n, labels, re, im, herm = case
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "op.pauli").write_text("".join(f"{x!r}{y:+}i {s}\n" for x, y, s in zip(re, im, labels)))
+            (d / "herm.pauli").write_text("".join(f"{x!r} {s}\n" for x, s in zip(herm, labels)))
+            steps = [["compile", "--input", d / "op.pauli", "--cut", c, "--output", d / f"bridge{c}.json"]
+                     for c in range(1, n)]
+            steps += [
+                ["lcu", "--bridge", d / "bridge1.json", "--output", d / "lcu.json"],
+                ["update", "--program", d / "lcu.json", "--bridge", d / "bridge1.json",
+                 "--output", d / "updated.json"],
+                ["mpo", "--input", d / "op.pauli", "--output", d / "mpo.json"],
+                ["groundstate", "--input", d / "herm.pauli", "--output", d / "mps.json"],
+                ["sample", "--state", d / "mps.json", "--n-samples", "20", "--seed", "1",
+                 "--output", d / "samples.txt"],
+                ["curate", "--samples", d / "samples.txt", "--output", d / "pool.txt"],
+                ["optimize", "--input", d / "herm.pauli", "--state", d / "mps.json",
+                 "--pool", d / "pool.txt", "--output", d / "opt.json"],
+            ]
+            for argv in steps:
+                rc, _, err = run([str(a) for a in argv])
+                assert rc == 0, err
+            written = sorted(d.glob("*.json"))
+            # n - 1 bridges, five more documents, a manifest for each step
+            assert len(written) == (n - 1 + 5) + len(steps)
+            for path in written:
+                text = path.read_text()
+                assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name

@@ -127,6 +127,11 @@ class TestCompile:
         assert [(a, b) for a, b, *_ in prog.prep] == sorted(d.bridge.active_pairs)
         assert prog.select_hash == skeleton_hash(cut, d.left.labels, d.right.labels, d.bridge.active_pairs)
 
+    def test_overflowing_one_norm_raises(self):
+        d = compile_bridge(parse_pauli_sum("1e308 XZ\n1e308 ZZ\n"), 1)
+        with pytest.raises(ValueError, match="one-norm lambda of the bridge overflows"):
+            compile_lcu(d)
+
     def test_empty_bridge_raises(self, h2_subset):
         d = compile_bridge(h2_subset, 2)
         zeroed = set_bridge(d, {p: 0.0 for p in d.bridge.entries})

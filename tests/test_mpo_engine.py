@@ -443,6 +443,17 @@ class TestSerialization:
         assert doc["bond_dims"] == [1, 4, 5, 3, 1]
         assert len(doc["tensors"]) == 4
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor_not_written(self, h2_subset, value):
+        m = build_mpo_qr(h2_subset)
+        m.tensors[2][0, 0, 1, 1] = value
+        with pytest.raises(ValueError, match=r"^mpo-v1 field tensors\[2\]: non-finite values"):
+            mpo_to_json(m)
+
+    def test_overflowing_qr_names_site(self):
+        with pytest.raises(ValueError, match="cut matrix at site 0 overflows"):
+            build_mpo_qr(parse_pauli_sum("1e308 XZ\n1e308 ZZ\n"))
+
     def test_wrong_format_rejected(self, h2_subset):
         doc = json.loads(mpo_to_json(build_mpo_qr(h2_subset)))
         doc["format"] = "mpo-v0"

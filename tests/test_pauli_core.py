@@ -1,9 +1,11 @@
 import functools
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulibridge.bridge import compile as compile_bridge
@@ -26,6 +28,7 @@ from paulibridge.pauli import (
     SYMBOLS,
     dense_string,
     expectation,
+    json_text,
     multiply,
     pack_strings,
     packed_product,
@@ -355,6 +358,15 @@ class TestTextFormat:
         assert err.value.line == 2
         assert err.value.column == 3
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("1e308 XZ\n1e308 XZ\n0.5 ZZ\n", 2, 1),
+        ("0.5 ZZ\n1e308i XZ\n  -1e308+1e308i XZ\n", 3, 3),
+    ])
+    def test_merge_that_overflows_names_its_line(self, text, line, column):
+        with pytest.raises(MalformedLine, match="not finite once merged") as err:
+            parse_pauli_sum(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_malformed_token_count(self):
         with pytest.raises(MalformedLine):
             parse_pauli_sum("1.0 XX YY\n")
@@ -382,3 +394,44 @@ class TestTextFormat:
 
     def test_roundtrip_exact_decimals(self, h2_text, h2_subset):
         assert parse_pauli_sum(serialize_pauli_sum(h2_subset)) == h2_subset
+
+
+# strings holding every character the indent-2 layout writes or escapes
+_json_strings = st.text(st.one_of(st.sampled_from('"\\{}[],: \n\t\x00\x1f\x7fé€'), st.characters()))
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), _json_strings,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e-05, 5e-324, 1e16, 2**80]),
+)
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(_json_strings, inner, max_size=4),
+        # the row lists of bridge-v1 and lcu-v1, with differing and empty rows
+        st.lists(st.dictionaries(_json_strings, _json_scalars, max_size=4), max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonText:
+    @BYTE_IDENTITY
+    @given(_json_docs)
+    @example({"rows": [{"a": -0.0, "b": 1e-05}, {}, {"c": 5e-324, '"\\{},:\n\t\x01é': 1e16}],
+              "big": 2**80, "flags": [True, False, None], "empty": {"e": {}, "l": [[], [{}]]}})
+    @example([{"s": "},\n    {"}, {"s": "x}"}])
+    def test_equals_json_dumps_indent_2(self, doc):
+        assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("place", [
+        pytest.param(lambda v: v, id="top"),
+        pytest.param(lambda v: {"format": "x", "n": v}, id="mixed-object"),
+        pytest.param(lambda v: [1.0, v], id="flat-list"),
+        pytest.param(lambda v: {"rows": [{"a": 1, "re": v}]}, id="row"),
+        pytest.param(lambda v: {"a": [[v]]}, id="nested"),
+    ])
+    def test_non_finite_raises(self, value, place):
+        with pytest.raises(ValueError):
+            json_text(place(value))
