@@ -23,6 +23,7 @@ import numpy as np
 from paulibridge.pauli import (
     PauliString,
     PauliSum,
+    _I_POWERS,
     json_field,
     json_finite,
     malformed,
@@ -90,7 +91,6 @@ def jordan_wigner_op(kind: str, p: int, n: int) -> PauliSum:
 
 # i-exponents of the ladder operators' Y coefficients: -0.5j = 0.5 i^3, 0.5j = 0.5 i^1
 _Y_EXPONENT = {"create": 3, "annihilate": 1}
-_I_POWERS = np.array([1, 1j, -1, -1j])
 _LADDERS = {
     "one_body": ("create", "annihilate"),
     "two_body": ("create", "create", "annihilate", "annihilate"),

@@ -35,7 +35,7 @@ from paulibridge.pauli import (
     PauliString,
     PauliSum,
     TooLarge,
-    apply_string,
+    _act,
     dense_string,
     json_document,
     json_field,
@@ -264,14 +264,10 @@ def block_error(program: LcuProgram, op: PauliSum) -> float:
 def success_probability(program: LcuProgram, state: np.ndarray) -> float:
     """Probability of the all-zeros ancilla outcome on a unit input state.
 
-    The block's strings act on the vector one at a time, so the only
-    dense object is the state itself.
+    The block acts on the vector through its flip-mask groups, so the
+    only dense objects are the state and one diagonal per mask.
     """
-    vec = np.asarray(state, dtype=np.complex128).ravel()
-    dim_sys = 2**program.n_sites
-    if vec.size != dim_sys:
-        raise ValueError(f"state length {vec.size}, expected {dim_sys}")
-    out = sum(t.coeff * apply_string(t.string, vec) for t in encoded_block(program))
+    out = _act(encoded_block(program), np.asarray(state, dtype=np.complex128).ravel())
     return float(np.vdot(out, out).real)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from paulibridge.pauli import (
+    PAULI_MATRICES,
     PauliString,
     PauliSum,
     TooLarge,
@@ -64,8 +65,9 @@ CHUNK_STRINGS = 1024
 
 # Pauli code c maps physical row s of a ket to row s ^ _FLIPS[c], times
 # _ROW_PHASES[c, s]: sigma_c[s, t] = _ROW_PHASES[c, s] when t = s ^ flip
-_FLIPS = np.array([False, True, True, False])
-_ROW_PHASES = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]], dtype=np.complex128)
+_SIGMA = np.stack(PAULI_MATRICES)
+_FLIPS = _SIGMA[:, 0, 0] == 0
+_ROW_PHASES = _SIGMA[np.arange(4)[:, None], [0, 1], [0, 1] ^ _FLIPS[:, None]]
 
 
 class DegenerateGroundState(UserWarning):
@@ -108,15 +110,15 @@ def is_right_canonical_site(t: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.allclose(mat @ mat.conj().T, np.eye(t.shape[0]), atol=tol))
 
 
-def _svd_split(mat: np.ndarray, svd_tol: float, max_bond: int | None, discard_log: list | None):
+def _svd_split(mat: np.ndarray, max_bond: int | None, discard_log: list | None):
     """Truncated SVD ``mat ~ u @ carry`` with ``u`` isometric.
 
-    Keeps the singular values above ``svd_tol`` times the largest, at most
-    ``max_bond`` and at least one; the dropped squared weight is appended
-    to ``discard_log`` when a list is given.
+    Keeps the nonzero singular values, at most ``max_bond`` and at least
+    one; the dropped squared weight is appended to ``discard_log`` when a
+    list is given.
     """
     u, s, vh = scipy.linalg.svd(mat, full_matrices=False)
-    keep = int(np.count_nonzero(s > svd_tol * s[0])) if s[0] > 0 else 1
+    keep = int(np.count_nonzero(s))
     if max_bond is not None:
         keep = min(keep, max_bond)
     keep = max(keep, 1)
@@ -154,39 +156,36 @@ def canonicalize(chain: TensorChain, center: int) -> TensorChain:
     return type(chain)(ts, gauge)
 
 
-def compress(
-    chain: TensorChain, svd_tol: float = 0.0, max_bond: int | None = None
-) -> tuple[TensorChain, list[float]]:
+def compress(chain: TensorChain, max_bond: int | None = None) -> tuple[TensorChain, list[float]]:
     """Sweep of SVD truncations in mixed-canonical gauge.
 
-    Singular values below ``svd_tol`` relative to each bond's largest are
-    discarded, and bonds are capped at ``max_bond``. Returns the
-    compressed chain (the input's type) and the discarded weight (sum of
-    dropped squared singular values) per bond; the Frobenius error of the
-    contraction obeys ``err <= sqrt(sum of discarded weights)`` up to
-    roundoff, with equality when a single bond is truncated.
+    Zero singular values are discarded, and bonds are capped at
+    ``max_bond``. Returns the compressed chain (the input's type) and the
+    discarded weight (sum of dropped squared singular values) per bond;
+    the Frobenius error of the contraction obeys ``err <= sqrt(sum of
+    discarded weights)`` up to roundoff, with equality when a single bond
+    is truncated.
     """
     ts = canonicalize(chain, 0).tensors
     discarded: list[float] = []
     for j in range(len(ts) - 1):
-        _split_left(ts, j, lambda mat: _svd_split(mat, svd_tol, max_bond, discarded))
+        _split_left(ts, j, lambda mat: _svd_split(mat, max_bond, discarded))
     return type(chain)(ts, ["left"] * (len(ts) - 1) + ["center"]), discarded
 
 
 def dense_to_mps(
     state: np.ndarray,
     max_bond: int | None = None,
-    svd_tol: float = 0.0,
     normalize: bool = True,
     discard_log: list[float] | None = None,
 ) -> Mps:
     """Factor a dense state vector by successive SVDs.
 
     All but the last tensor come out left-isometric. Truncation keeps
-    singular values above ``svd_tol`` relative to each bond's largest,
-    capped at ``max_bond``; dropped squared weights are appended to
-    ``discard_log`` when a list is given. With ``normalize`` the result
-    has unit norm regardless of input scale or truncation.
+    the nonzero singular values, capped at ``max_bond``; dropped squared
+    weights are appended to ``discard_log`` when a list is given. With
+    ``normalize`` the result has unit norm regardless of input scale or
+    truncation.
     """
     vec = np.asarray(state, dtype=np.complex128).ravel()
     n = vec.size.bit_length() - 1
@@ -198,7 +197,7 @@ def dense_to_mps(
     mat = vec.reshape(2, -1)
     chi = 1
     for _ in range(n - 1):
-        u, carry = _svd_split(mat, svd_tol, max_bond, discard_log)
+        u, carry = _svd_split(mat, max_bond, discard_log)
         keep = u.shape[1]
         tensors.append(u.reshape(chi, 2, keep).transpose(0, 2, 1))
         mat = carry.reshape(keep * 2, -1)

@@ -10,6 +10,11 @@ Dense conventions: site 0 is the most significant qubit, i.e. the dense
 matrix of a string is ``kron(sigma[s_0], kron(sigma[s_1], ...))`` and bit j
 of a computational basis index addresses site j from the left.
 
+The one action rule, the binary (x, z) form of Aaronson & Gottesman (PRA
+70, 052328, 2004): with x the basis bits of the X and Y sites and z those
+of the Y and Z sites, a string maps |b> to i^{#Y} (-1)^{|b & z|} |b ^ x>.
+Every dense or matrix-free action sums the terms sharing x into one diagonal.
+
 The text format for weighted sums is line oriented: one ``<coeff> <STRING>``
 pair per line, ``#`` starts a comment, blank lines are skipped. Coefficients
 are real (``-0.25``, ``1e-3``) or complex in ``a+bi`` form (``0.5-0.25i``).
@@ -75,6 +80,7 @@ PAULI_MATRICES: tuple[np.ndarray, ...] = (
 # most qubits of any dense matrix: sites, plus ancillas for an lcu walk unitary
 DENSE_LIMIT = 12
 NORM_TOL = 1e-12  # largest |norm - 1| expectation accepts
+CHUNK_ENTRIES = 2**20  # (term, basis state) signs formed at once by the action rule
 
 
 class PauliError(ValueError):
@@ -206,27 +212,6 @@ class PauliString:
         """True when every site is I or Z."""
         return ((self.bits ^ (self.bits >> 1)) & _mask01(self.n_sites)) == 0
 
-    def _planes(self) -> tuple[int, int]:
-        """High and low code bits, one bit per site, site 0 most significant."""
-        digits = format(self.bits, f"0{2 * self.n_sites}b")
-        return int(digits[0::2], 2), int(digits[1::2], 2)
-
-    @property
-    def x_flip_mask(self) -> int:
-        """Basis-index bits flipped by this string (X and Y sites)."""
-        high, low = self._planes()
-        return high ^ low
-
-    @property
-    def phase_mask(self) -> int:
-        """Basis-index bits contributing a (-1) phase (Y and Z sites)."""
-        return self._planes()[0]
-
-    @property
-    def y_count(self) -> int:
-        high, low = self._planes()
-        return (high & ~low).bit_count()
-
 
 @dataclass(frozen=True)
 class PauliTerm:
@@ -289,7 +274,7 @@ class PauliSum:
 # products: the Z2 x Z2 bit-plane rule of Aaronson & Gottesman (PRA 70,
 # 052328, 2004) on the I=0, X=1, Y=2, Z=3 packing
 
-_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 _WORD_MASK01 = 0x5555555555555555
 _WORD_ONES = 0xFFFFFFFFFFFFFFFF
@@ -317,7 +302,7 @@ def pauli_product(a: PauliString, b: PauliString) -> tuple[complex, PauliString]
     if a.n_sites != b.n_sites:
         raise LengthMismatch(f"{a.n_sites} sites vs {b.n_sites} sites")
     cyclic, anticyclic = _cyclic_sites(a.bits, b.bits, _mask01(a.n_sites))
-    phase = _I_POWERS[(cyclic.bit_count() - anticyclic.bit_count()) % 4]
+    phase = complex(_I_POWERS[(cyclic.bit_count() - anticyclic.bit_count()) % 4])
     return phase, PauliString(a.n_sites, a.bits ^ b.bits)
 
 
@@ -396,48 +381,60 @@ def dense_string(p: PauliString) -> np.ndarray:
     return to_dense(PauliSum(p.n_sites, [(1.0, p)]))
 
 
+def _flip_groups(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct flip masks x of the terms and, per mask, the diagonal with
+    ``op[b ^ x, b] = diagonal[b]``: its terms' ``c_t i^{#Y} (-1)^{|b & z_t|}``
+    added in term order."""
+    n = op.n_sites
+    codes = site_codes(pack_strings((t.string for t in op.terms), n), n, np.arange(n))
+    place = 1 << np.arange(n - 1, -1, -1)  # site 0 is the most significant bit
+    flips = ((codes ^ (codes >> 1)) & 1) @ place  # X = 01 and Y = 10
+    z = (codes >> 1) @ place  # Y = 10 and Z = 11
+    coeffs = np.array([t.coeff for t in op.terms], dtype=np.complex128)
+    phases = (coeffs * _I_POWERS[np.count_nonzero(codes == 2, axis=1) % 4])[:, None]
+    masks, group = np.unique(flips, return_inverse=True)
+    idx = np.arange(2**n)
+    diagonals = np.zeros((len(masks), idx.size), dtype=np.complex128)
+    for rows in np.array_split(np.arange(len(z)), max(1, len(z) * idx.size // CHUNK_ENTRIES)):
+        signed = np.where(np.bitwise_count(idx & z[rows, None]) & 1, -phases[rows], phases[rows])
+        # flat indices take add.at's one-dimensional fast path
+        np.add.at(diagonals.reshape(-1), (group[rows, None] * idx.size + idx).ravel(), signed.ravel())
+    return masks, diagonals
+
+
+def _act(op: PauliSum, vec: np.ndarray) -> np.ndarray:
+    """``op @ vec`` as one gather: ``(op vec)[r]`` sums ``diagonal[r ^ x] vec[r ^ x]``."""
+    if vec.shape != (2**op.n_sites,):
+        raise DimensionMismatch(f"state has shape {vec.shape}, operator needs ({2**op.n_sites},)")
+    masks, diagonals = _flip_groups(op)
+    diagonals *= vec
+    return np.take_along_axis(diagonals, np.arange(vec.size) ^ masks[:, None], axis=1).sum(axis=0)
+
+
 def to_dense(op: PauliSum) -> np.ndarray:
     """Dense matrix of a sum; refuses more than DENSE_LIMIT sites."""
     if op.n_sites > DENSE_LIMIT:
         raise TooLarge(f"{op.n_sites} sites exceeds dense limit {DENSE_LIMIT}")
+    masks, diagonals = _flip_groups(op)
     idx = np.arange(2**op.n_sites)
     out = np.zeros((idx.size, idx.size), dtype=np.complex128)
-    for term in op.terms:
-        out[idx ^ term.string.x_flip_mask, idx] += term.coeff * _string_phases(term.string, idx)
+    out[idx ^ masks[:, None], idx] = diagonals
     return out
-
-
-def _string_phases(p: PauliString, idx: np.ndarray) -> np.ndarray:
-    """Phases of P|b> = i^{#Y} (-1)^{sum of b over Y,Z sites} |b xor flips>."""
-    parity = np.bitwise_count(idx & p.phase_mask) & 1
-    return (1j**p.y_count) * np.where(parity, -1.0, 1.0)
 
 
 def apply_string(p: PauliString, vec: np.ndarray) -> np.ndarray:
     """Apply one Pauli string to a state vector without forming the matrix."""
-    n = p.n_sites
-    if vec.shape != (2**n,):
-        raise DimensionMismatch(f"state has shape {vec.shape}, expected ({2**n},)")
-    idx = np.arange(2**n)
-    out = np.empty_like(vec, dtype=np.complex128)
-    out[idx ^ p.x_flip_mask] = _string_phases(p, idx) * vec
-    return out
+    return _act(PauliSum(p.n_sites, [(1.0, p)]), vec)
 
 
 def expectation(op: PauliSum, state: np.ndarray) -> complex:
-    """<state|op|state> evaluated term by term on the vector."""
+    """<state|op|state>, with op acting on the vector through its flip-mask groups."""
     state = np.asarray(state, dtype=np.complex128)
-    if state.shape != (2**op.n_sites,):
-        raise DimensionMismatch(
-            f"state has shape {state.shape}, operator needs ({2**op.n_sites},)"
-        )
+    image = _act(op, state)
     norm = float(np.linalg.norm(state))
     if abs(norm - 1.0) > NORM_TOL:
         raise NotNormalized(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
-    acc = 0j
-    for term in op.terms:
-        acc += term.coeff * np.vdot(state, apply_string(term.string, state))
-    return acc
+    return complex(np.vdot(state, image))
 
 
 # ---------------------------------------------------------------------------

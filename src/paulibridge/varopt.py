@@ -25,6 +25,7 @@ from paulibridge.pauli import (
     DimensionMismatch,
     PauliString,
     PauliSum,
+    _I_POWERS,
     pack_strings,
     packed_product,
     to_dense,
@@ -57,11 +58,13 @@ class ConvergenceFailure(RuntimeError):
 
 @dataclass
 class EffectivePencil:
-    """Pool-space matrices H_kl = <P_k psi|H|P_l psi>, N_kl = <P_k psi|P_l psi>."""
+    """Pool-space matrices H_kl = <P_k psi|H|P_l psi>, N_kl = <P_k psi|P_l psi>;
+    ``coeff_norm``, the one-norm of H's coefficients, scales h's rounding."""
 
     h: np.ndarray
     n: np.ndarray
     strings: tuple[PauliString, ...]
+    coeff_norm: float
 
     @property
     def size(self) -> int:
@@ -82,8 +85,8 @@ class FidelityFit:
     fidelity: float
 
 
-_I_POWERS = np.array([1, 1j, -1, -1j])
 NULL_TOL = 1e-12  # metric eigenvalues below this times the largest are deflated
+HERMITIAN_TOL = 1e-10  # largest ||h - h^dag|| relative to coeff_norm * ||N||
 RIDGE = 1e-10  # fidelity_fit's ridge, relative to the metric's mean diagonal
 
 
@@ -137,13 +140,13 @@ def assemble_pencil(
         k, len(coeffs), k
     )
     h = np.tensordot(coeffs, h_entries, axes=(0, 1))
-    return EffectivePencil(h, n, pool)
+    return EffectivePencil(h, n, pool, float(np.abs(coeffs).sum()))
 
 
 def _whiten(pencil: EffectivePencil):
     h, n = pencil.h, pencil.n
     herm_gap = np.linalg.norm(h - h.conj().T)
-    if herm_gap > 1e-10 * max(np.linalg.norm(h), 1.0):
+    if herm_gap > HERMITIAN_TOL * pencil.coeff_norm * np.linalg.norm(n):
         raise ValueError("effective Hamiltonian is not Hermitian")
     w, v = scipy.linalg.eigh(n)
     keep = w > NULL_TOL * max(w[-1], 0.0)

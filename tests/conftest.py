@@ -1,4 +1,5 @@
 import base64
+import functools
 import os
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import settings
 
 from paulibridge.bridge import compile as compile_bridge
 from paulibridge.lcu import compile_lcu
-from paulibridge.pauli import PauliString, PauliSum, parse_pauli_sum
+from paulibridge.pauli import PAULI_MATRICES, PauliString, PauliSum, parse_pauli_sum
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -66,6 +67,35 @@ def thirteen_qubit_op() -> PauliSum:
 def random_state(rng: np.random.Generator, n_sites: int) -> np.ndarray:
     v = rng.standard_normal(2**n_sites) + 1j * rng.standard_normal(2**n_sites)
     return v / np.linalg.norm(v)
+
+
+def kron_string(string: PauliString) -> np.ndarray:
+    """Dense oracle of one string: the Kronecker product of its site matrices."""
+    return functools.reduce(np.kron, (PAULI_MATRICES[c] for c in string.codes))
+
+
+def kron_dense(op: PauliSum) -> np.ndarray:
+    """Dense oracle of a sum: its terms' Kronecker products added in term order."""
+    zero = np.zeros((2**op.n_sites,) * 2, dtype=np.complex128)
+    return sum((t.coeff * kron_string(t.string) for t in op.terms), zero)
+
+
+def scatter_dense(op: PauliSum) -> np.ndarray:
+    """Byte oracle of to_dense: each term scattered on its own, in term order.
+
+    A string maps |b> to i^{#Y} (-1)^{|b & z|} |b ^ x>, with the masks x
+    (X and Y sites) and z (Y and Z sites) read off the label, site 0 the
+    most significant bit.
+    """
+    idx = np.arange(2**op.n_sites)
+    out = np.zeros((idx.size, idx.size), dtype=np.complex128)
+    for t in op.terms:
+        label = t.string.label
+        x = int("".join("1" if s in "XY" else "0" for s in label), 2)
+        z = int("".join("1" if s in "YZ" else "0" for s in label), 2)
+        signs = np.where(np.bitwise_count(idx & z) & 1, -1.0, 1.0)
+        out[idx ^ x, idx] += t.coeff * (1j ** label.count("Y") * signs)
+    return out
 
 
 def _set_first_value_nan(doc):

@@ -703,6 +703,43 @@ class TestOptimizeSweep:
         assert all(line.endswith(f",{reference:.12f}") for line in lines[1:])
 
 
+def optimize_chain(tmp_path, state_op, opt_op):
+    """groundstate of ``state_op``, 20 samples (seed 1), curate, then optimize ``opt_op``."""
+    (tmp_path / "state.pauli").write_text(state_op)
+    (tmp_path / "opt.pauli").write_text(opt_op)
+    steps = [
+        ["groundstate", "--input", "state.pauli", "--output", "mps.json"],
+        ["sample", "--state", "mps.json", "--n-samples", "20", "--seed", "1", "--output", "samples.txt"],
+        ["curate", "--samples", "samples.txt", "--output", "pool.txt"],
+        ["optimize", "--input", "opt.pauli", "--state", "mps.json", "--pool", "pool.txt",
+         "--output", "opt.json"],
+    ]
+    for argv in steps:
+        rc, _, err = run([str(tmp_path / a) if a.endswith((".pauli", ".json", ".txt")) else a for a in argv])
+        if rc != 0:
+            break
+    return argv[0], rc, err
+
+
+class TestOptimizeHermiticity:
+    def test_coefficients_spanning_1e16(self, tmp_path):
+        # the 1e16 terms cancel in h: ||h|| is far below h's rounding, which
+        # scales with sum |c| * ||N||
+        op = "1e16 III\n1e16 IXX\n3.0 IYZ\n"
+        assert optimize_chain(tmp_path, op, op) == ("optimize", 0, "")
+
+    def test_non_hermitian_operator_is_refused(self, tmp_path):
+        step, rc, err = optimize_chain(tmp_path, "1.0 XX\n0.5 ZZ\n", "1.0 XX\n0.5i ZZ\n")
+        assert (step, rc, err) == ("optimize", 2, "error: effective Hamiltonian is not Hermitian\n")
+        pencil = varopt.assemble_pencil(
+            parse_pauli_sum("1.0 XX\n0.5i ZZ\n"),
+            pool_from_text((tmp_path / "pool.txt").read_text()).strings,
+            mps_from_json((tmp_path / "mps.json").read_text()),
+        )
+        with pytest.raises(ValueError, match="not Hermitian"):
+            varopt.solve_ritz_dense(pencil)
+
+
 class TestUsageValidation:
     def test_cut_zero_is_usage_error(self, pipeline, tmp_path):
         paths, _ = pipeline
@@ -888,15 +925,13 @@ _layout_coeffs = st.one_of(st.sampled_from([1.0, -0.5, 1e-05, 1e16]),
 @st.composite
 def layout_operators(draw):
     """Distinct labels on 2 to 4 sites; complex coefficients for the compiler
-    and, for the variational chain, real ones within [-10, 10]: optimize
-    refuses some Hermitian operators whose coefficients span 1e16, since
-    its Hermiticity tolerance scales with a norm that cancellation shrinks."""
+    and real ones for the variational chain."""
     n = draw(st.integers(2, 4))
     labels = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=6, unique=True))
     k = len(labels)
     re = draw(st.lists(_layout_coeffs, min_size=k, max_size=k))
     im = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, -3.0]), min_size=k, max_size=k))
-    herm = draw(st.lists(st.floats(-10, 10).filter(lambda x: abs(x) > 1e-3), min_size=k, max_size=k))
+    herm = draw(st.lists(_layout_coeffs, min_size=k, max_size=k))
     return n, labels, re, im, herm
 
 

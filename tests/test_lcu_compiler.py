@@ -28,7 +28,7 @@ from paulibridge.lcu import (
 )
 from paulibridge.pauli import PauliString, PauliSum, TooLarge, dense_string, parse_pauli_sum, to_dense
 
-from conftest import random_pauli_sum, random_state
+from conftest import kron_dense, random_pauli_sum, random_state
 
 H2_LAMBDA = 1.212874
 
@@ -224,6 +224,13 @@ class TestBlockEncoding:
         expected = np.linalg.norm((to_dense(h2_subset) / prog.lam) @ phi) ** 2
         assert success_probability(prog, phi) == pytest.approx(expected, abs=1e-10)
 
+    @settings(max_examples=40, deadline=None)
+    @given(small_programs(), st.integers(0, 2**32 - 1))
+    def test_success_probability_matches_kronecker_block(self, prog, seed):
+        psi = random_state(np.random.default_rng(seed), prog.n_sites)
+        want = np.linalg.norm(kron_dense(encoded_block(prog)) @ psi) ** 2
+        assert success_probability(prog, psi) == pytest.approx(want, rel=0, abs=1e-12)
+
     def test_success_probability_past_matrix_limit(self):
         # 14 sites: a diagonal operator has each basis state |b> as an
         # eigenstate, with energy E = sum_j c_j (-1)^(parity of b on j's Z sites)
@@ -234,7 +241,9 @@ class TestBlockEncoding:
         b = 0b10110011100101
         state = np.zeros(2**14)
         state[b] = 1.0
-        energy = sum(t.coeff.real * (-1) ** (b & t.string.phase_mask).bit_count() for t in op)
+        # a label read as binary with Z = 1 is its Z-site mask, site 0 the top bit
+        z_masks = [int(t.string.label.replace("I", "0").replace("Z", "1"), 2) for t in op]
+        energy = sum(t.coeff.real * (-1) ** (b & z).bit_count() for t, z in zip(op, z_masks))
         assert success_probability(prog, state) == pytest.approx((energy / prog.lam) ** 2, abs=1e-12)
 
     def test_single_pair_operator(self):

@@ -352,14 +352,6 @@ class TestCompress:
         err = np.linalg.norm(mpo_to_dense(comp) - to_dense(op))
         assert err == pytest.approx(np.sqrt(sum(discarded)), abs=1e-9)
 
-    def test_svd_tol_drops_small_values(self, h2_subset):
-        for m, dense_of, reference in h2_chains(h2_subset):
-            comp, discarded = compress(m, svd_tol=0.5)
-            assert type(comp) is type(m)
-            assert sum(comp.bond_dims) < sum(m.bond_dims)
-            err = np.linalg.norm(dense_of(comp) - reference)
-            assert err == pytest.approx(np.sqrt(sum(discarded)), abs=1e-9)
-
 
 class TestBridgeSvd:
     def test_h2_cut1_spectrum(self, h2_subset):

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import json
 import math
@@ -39,7 +38,15 @@ from paulibridge.pauli import (
     unpack_strings,
 )
 
-from conftest import BYTE_IDENTITY, random_pauli_sum, random_state, thirteen_qubit_op
+from conftest import (
+    BYTE_IDENTITY,
+    kron_dense,
+    kron_string,
+    random_pauli_sum,
+    random_state,
+    scatter_dense,
+    thirteen_qubit_op,
+)
 
 
 def identity_sum(n_sites):
@@ -57,6 +64,17 @@ PHASES = {1 + 0j, -1 + 0j, 1j, -1j}
 
 def all_strings(n):
     return [PauliString.from_label("".join(w)) for w in itertools.product("IXYZ", repeat=n)]
+
+
+@st.composite
+def dense_operators(draw):
+    """Sums on 1 to 6 sites with complex coefficients spread over 32 orders
+    of magnitude, so that the order in which an entry's terms add shows."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    op = random_pauli_sum(rng, n, draw(st.integers(1, 40)), complex_coeffs=True)
+    scales = 10.0 ** rng.integers(-16, 17, op.n_terms)
+    return PauliSum(n, [(t.coeff * s, t.string) for t, s in zip(op, scales)])
 
 
 labels = st.integers(1, 5).flatmap(
@@ -238,13 +256,23 @@ class TestDense:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 12))
     def test_matches_kronecker_sum(self, seed, n_sites, n_terms):
+        # the dense forms equal it exactly, the actions on a state to 1e-12
         rng = np.random.default_rng(seed)
         op = random_pauli_sum(rng, n_sites, n_terms, complex_coeffs=True)
-        kron = {t.string: functools.reduce(np.kron, (PAULI_MATRICES[c] for c in t.string.codes)) for t in op}
-        want = sum(t.coeff * kron[t.string] for t in op.terms)
-        np.testing.assert_array_equal(to_dense(op), want)
-        for string, matrix in kron.items():
-            np.testing.assert_array_equal(dense_string(string), matrix)
+        vec = random_state(rng, n_sites)
+        np.testing.assert_array_equal(to_dense(op), kron_dense(op))
+        assert abs(expectation(op, vec) - np.vdot(vec, kron_dense(op) @ vec)) <= 1e-12
+        for t in op:
+            np.testing.assert_array_equal(dense_string(t.string), kron_string(t.string))
+            np.testing.assert_allclose(apply_string(t.string, vec), kron_string(t.string) @ vec, rtol=0, atol=1e-12)
+
+    @BYTE_IDENTITY
+    @given(dense_operators())
+    @example(PauliSum(3, [(0.5, PauliString.from_label("XYZ")), (-0.5, PauliString.from_label("XYZ"))]))
+    def test_bytes_match_per_term_scatter(self, op):
+        # the flip-mask groups add each entry's terms in the order the
+        # per-term scatter does, so not one bit moves
+        assert to_dense(op).tobytes() == scatter_dense(op).tobytes()
 
     @pytest.mark.parametrize("densify", [
         pytest.param(lambda: to_dense(identity_sum(13)), id="to_dense"),
