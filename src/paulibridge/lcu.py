@@ -21,7 +21,6 @@ program with the same hash and an unchanged select skeleton.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import partial
 
@@ -31,7 +30,6 @@ import scipy.linalg
 from paulibridge.bridge import BridgeDecomposition, EmptyOperator, skeleton_hash
 from paulibridge.pauli import (
     DENSE_LIMIT,
-    SYMBOLS,
     PauliString,
     PauliSum,
     TooLarge,
@@ -53,7 +51,6 @@ __all__ = [
     "compile_lcu",
     "emit_gates",
     "encoded_block",
-    "parse_gates",
     "prep_dense",
     "program_from_json",
     "program_to_json",
@@ -71,7 +68,7 @@ GATES_FORMAT = "lcu-gates-v1"
 # left for the block-encoding check to measure
 PREP_NORM_TOL = 1e-2
 # a select phase this far off the unit circle makes Select non-unitary and is
-# rejected; the listing's 12 significant digits stay well inside it
+# rejected
 PHASE_TOL = 1e-9
 
 
@@ -279,12 +276,6 @@ def _fmt_phase(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
-def _parse_phase(token: str) -> complex:
-    if token.endswith("i"):
-        return complex(token[:-1].replace("i", "j") + "j")
-    return complex(float(token))
-
-
 def emit_gates(program: LcuProgram) -> str:
     """Text listing: prep pseudo-gate, one controlled Pauli per pair.
 
@@ -306,83 +297,6 @@ def emit_gates(program: LcuProgram) -> str:
         lines.append(row)
     lines.append("unprep")
     return "\n".join(lines) + "\n"
-
-
-def _gate_number(token: str, line_no: int, parse=float):
-    try:
-        value = parse(token)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ValueError(f"line {line_no}: expected a finite number, got {token!r}")
-    return value
-
-
-def parse_gates(text: str) -> dict:
-    """Parse a gate listing back into its structured pieces.
-
-    Every malformed line raises ValueError naming its 1-based number; a
-    prep index and a cpauli row must pair up, as in the program's table.
-    """
-    lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    first_no, first = lines[0] if lines else (1, "")
-    header = re.match(
-        rf"#\s*{GATES_FORMAT}\s+n_sites=(\d+)\s+cut=(\d+)\s+a_left=(\d+)"
-        r"\s+a_right=(\d+)\s+lambda=(\S+)",
-        first,
-    )
-    if header is None:
-        raise ValueError(f"line {first_no}: missing {GATES_FORMAT} header")
-    out = {key: int(v) for key, v in zip(("n_sites", "cut", "a_left", "a_right"), header.groups())}
-    out.update(lam=_gate_number(header.group(5), first_no), amps={}, rows=[])
-    if out["lam"] <= 0:
-        raise ValueError(f"line {first_no}: expected a positive lambda, got {header.group(5)!r}")
-    if lines[-1][1] != "unprep":
-        raise ValueError(f"line {lines[-1][0]}: listing must end with unprep")
-    n_sites, width = out["n_sites"], out["a_left"] + out["a_right"]
-    prep_line, row_lines = None, {}
-    for line_no, line in lines[1:-1]:
-        parts = line.split()
-        if parts[0] == "prep":
-            if prep_line is not None:
-                raise ValueError(f"line {line_no}: second prep line, the first is line {prep_line}")
-            prep_line = line_no
-            for token in parts[1:]:
-                idx, _, amp = token.partition(":")
-                idx = _gate_number(idx, line_no, int)
-                if not 0 <= idx < 2**width:
-                    raise ValueError(f"line {line_no}: prep index {idx} not in 0..{2**width - 1}")
-                if idx in out["amps"]:
-                    raise ValueError(f"line {line_no}: prep index {idx} appears twice")
-                out["amps"][idx] = _gate_number(amp, line_no)
-        elif parts[0] == "cpauli" and len(parts) in (3, 4):
-            _, pattern, label, *annotation = parts
-            if not ((len(pattern) == width and set(pattern) <= {"0", "1"}) if width else pattern == "-"):
-                raise ValueError(f"line {line_no}: control pattern {pattern!r} is not {width} bits")
-            index = int(pattern, 2) if width else 0
-            if index in row_lines:
-                raise ValueError(f"line {line_no}: control pattern {pattern} repeats line {row_lines[index]}")
-            row_lines[index] = line_no
-            if len(label) != n_sites or not set(label) <= set(SYMBOLS):
-                raise ValueError(f"line {line_no}: expected a {n_sites}-site Pauli label, got {label!r}")
-            phase = 1.0 + 0.0j
-            if annotation:
-                if not annotation[0].startswith("phase="):
-                    raise ValueError(f"line {line_no}: bad annotation {annotation[0]!r}")
-                token = annotation[0][len("phase=") :]
-                phase = _gate_number(token, line_no, _parse_phase)
-                if abs(abs(phase) - 1) > PHASE_TOL:
-                    raise ValueError(f"line {line_no}: phase {token} is not on the unit circle")
-            out["rows"].append((pattern, label, phase))
-        else:
-            raise ValueError(f"line {line_no}: bad gate row {line!r}")
-    for idx in out["amps"]:
-        if idx not in row_lines:
-            raise ValueError(f"line {prep_line}: prep index {idx} has no cpauli row")
-    for idx, line_no in row_lines.items():
-        if idx not in out["amps"]:
-            raise ValueError(f"line {line_no}: cpauli row has no prep weight")
-    return out
 
 
 def program_to_json(program: LcuProgram) -> str:

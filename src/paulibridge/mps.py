@@ -220,17 +220,15 @@ def mps_to_dense(m: Mps) -> np.ndarray:
     return acc[0]
 
 
-def canonicalize_mps(m: Mps, form: str = "right") -> Mps:
-    """Sweep into a full left or right gauge.
+def canonicalize_mps(m: Mps) -> Mps:
+    """Sweep into the full right gauge, as the sampler needs it.
 
-    The norm collects in the terminal site (the last for ``"left"``, the
-    first for ``"right"``), which is tagged ``"center"``; for a unit-norm
-    state that site then satisfies the same isometry condition as the
-    rest, which is what the sampling chain rule requires.
+    The norm collects in site 0, which is tagged ``"center"``; for a
+    unit-norm state that site then satisfies the same isometry condition
+    as the rest, which is what the sampling chain rule requires. The left
+    gauge is ``canonicalize(m, m.n_sites - 1)``.
     """
-    if form not in ("left", "right"):
-        raise ValueError(f"form must be 'left' or 'right', got {form!r}")
-    return canonicalize(m, 0 if form == "right" else m.n_sites - 1)
+    return canonicalize(m, 0)
 
 
 def overlap(a: Mps, b: Mps) -> complex:
@@ -333,7 +331,7 @@ def ground_state_reference(op: PauliSum, max_bond: int | None = None) -> GroundS
     vec = vecs[:, 0]
     pivot = int(np.argmax(np.abs(vec)))
     vec = vec * (np.abs(vec[pivot]) / vec[pivot])
-    mps = canonicalize_mps(dense_to_mps(vec, max_bond=max_bond), "right")
+    mps = canonicalize_mps(dense_to_mps(vec, max_bond=max_bond))
     return GroundStateResult(energy, gap, vec, mps)
 
 

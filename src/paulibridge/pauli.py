@@ -80,7 +80,7 @@ PAULI_MATRICES: tuple[np.ndarray, ...] = (
 # most qubits of any dense matrix: sites, plus ancillas for an lcu walk unitary
 DENSE_LIMIT = 12
 NORM_TOL = 1e-12  # largest |norm - 1| expectation accepts
-CHUNK_ENTRIES = 2**20  # (term, basis state) signs formed at once by the action rule
+CHUNK_ENTRIES = 2**20  # signs, and diagonal entries, the action rule forms at once
 
 
 class PauliError(ValueError):
@@ -381,10 +381,11 @@ def dense_string(p: PauliString) -> np.ndarray:
     return to_dense(PauliSum(p.n_sites, [(1.0, p)]))
 
 
-def _flip_groups(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct flip masks x of the terms and, per mask, the diagonal with
-    ``op[b ^ x, b] = diagonal[b]``: its terms' ``c_t i^{#Y} (-1)^{|b & z_t|}``
-    added in term order."""
+def _flip_groups(op: PauliSum) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(masks, diagonals)`` blocks: distinct flip masks x of the terms
+    and, per mask, the diagonal with ``op[b ^ x, b] = diagonal[b]``, its
+    terms' ``c_t i^{#Y} (-1)^{|b & z_t|}`` added in term order. A block holds
+    at most CHUNK_ENTRIES diagonal entries, or one mask when 2^n is more."""
     n = op.n_sites
     codes = site_codes(pack_strings((t.string for t in op.terms), n), n, np.arange(n))
     place = 1 << np.arange(n - 1, -1, -1)  # site 0 is the most significant bit
@@ -394,31 +395,41 @@ def _flip_groups(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     phases = (coeffs * _I_POWERS[np.count_nonzero(codes == 2, axis=1) % 4])[:, None]
     masks, group = np.unique(flips, return_inverse=True)
     idx = np.arange(2**n)
-    diagonals = np.zeros((len(masks), idx.size), dtype=np.complex128)
-    for rows in np.array_split(np.arange(len(z)), max(1, len(z) * idx.size // CHUNK_ENTRIES)):
-        signed = np.where(np.bitwise_count(idx & z[rows, None]) & 1, -phases[rows], phases[rows])
-        # flat indices take add.at's one-dimensional fast path
-        np.add.at(diagonals.reshape(-1), (group[rows, None] * idx.size + idx).ravel(), signed.ravel())
-    return masks, diagonals
+    per_block = max(1, CHUNK_ENTRIES // idx.size)
+    for lo in range(0, len(masks), per_block):
+        terms = np.flatnonzero((group >= lo) & (group < lo + per_block))  # in term order
+        diagonals = np.zeros((min(per_block, len(masks) - lo), idx.size), dtype=np.complex128)
+        for rows in np.array_split(terms, max(1, len(terms) * idx.size // CHUNK_ENTRIES)):
+            # flat indices take add.at's 1-D fast path; no chunk outlives the call
+            np.add.at(
+                diagonals.reshape(-1),
+                ((group[rows, None] - lo) * idx.size + idx).ravel(),
+                np.where(np.bitwise_count(idx & z[rows, None]) & 1, -phases[rows], phases[rows]).ravel(),
+            )
+        yield masks[lo : lo + per_block], diagonals
 
 
 def _act(op: PauliSum, vec: np.ndarray) -> np.ndarray:
-    """``op @ vec`` as one gather: ``(op vec)[r]`` sums ``diagonal[r ^ x] vec[r ^ x]``."""
+    """``op @ vec`` a block of masks at a time: ``(op vec)[r]`` sums
+    ``diagonal[r ^ x] vec[r ^ x]`` over the masks x."""
     if vec.shape != (2**op.n_sites,):
         raise DimensionMismatch(f"state has shape {vec.shape}, operator needs ({2**op.n_sites},)")
-    masks, diagonals = _flip_groups(op)
-    diagonals *= vec
-    return np.take_along_axis(diagonals, np.arange(vec.size) ^ masks[:, None], axis=1).sum(axis=0)
+    idx = np.arange(vec.size)
+    out = np.zeros(vec.size, dtype=np.complex128)
+    for masks, diagonals in _flip_groups(op):
+        diagonals *= vec
+        out += np.take_along_axis(diagonals, idx ^ masks[:, None], axis=1).sum(axis=0)
+    return out
 
 
 def to_dense(op: PauliSum) -> np.ndarray:
     """Dense matrix of a sum; refuses more than DENSE_LIMIT sites."""
     if op.n_sites > DENSE_LIMIT:
         raise TooLarge(f"{op.n_sites} sites exceeds dense limit {DENSE_LIMIT}")
-    masks, diagonals = _flip_groups(op)
     idx = np.arange(2**op.n_sites)
     out = np.zeros((idx.size, idx.size), dtype=np.complex128)
-    out[idx ^ masks[:, None], idx] = diagonals
+    for masks, diagonals in _flip_groups(op):
+        out[idx ^ masks[:, None], idx] = diagonals
     return out
 
 

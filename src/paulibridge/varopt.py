@@ -1,15 +1,15 @@
 """Variational energy estimates over sampled Pauli pools.
 
-The ansatz space is span{P_k |psi>} for pool strings P_k (identity
-prepended by default, so the reference state itself is always reachable).
+The ansatz space is span{P_k |psi>} for pool strings P_k, with the
+identity always first, so the reference state itself is reachable.
 Effective matrices are assembled algebraically: products of pool and
 Hamiltonian strings reduce to single strings with phases, so each entry
 is a phase-weighted sum of reference-state expectation values and no
 dense operator is ever formed. All k^2 (T + 1) product strings are
 formed as packed arrays and deduplicated together; each distinct one is
-split at the cut n // 2 and contracted from environments swept once per
-distinct half (``mps.string_expectations``; a dense vector becomes an
-exact MPS first), and the values are contracted with the coefficients.
+split at the cut n // 2 and contracted from the MPS's environments,
+swept once per distinct half (``mps.string_expectations``), and the
+values are contracted with the coefficients.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from paulibridge.mps import Mps, dense_to_mps, string_expectations
+from paulibridge.mps import Mps, string_expectations
 from paulibridge.pauli import (
     DimensionMismatch,
     PauliString,
@@ -40,12 +40,10 @@ from paulibridge.sampler import SamplerConfig, curate, sample_strings
 __all__ = [
     "ConvergenceFailure",
     "EffectivePencil",
-    "FidelityFit",
     "RitzSolution",
     "SweepRow",
     "assemble_pencil",
     "energy_vs_samples_sweep",
-    "fidelity_fit",
     "solve_ritz_dense",
     "solve_ritz_lobpcg",
     "sweep_to_csv",
@@ -79,45 +77,22 @@ class RitzSolution:
     iterations: int = 0
 
 
-@dataclass
-class FidelityFit:
-    coefficients: np.ndarray
-    fidelity: float
-
-
 NULL_TOL = 1e-12  # metric eigenvalues below this times the largest are deflated
 HERMITIAN_TOL = 1e-10  # largest ||h - h^dag|| relative to coeff_norm * ||N||
-RIDGE = 1e-10  # fidelity_fit's ridge, relative to the metric's mean diagonal
 
 
-def _expectations(state, packed: np.ndarray, n_sites: int) -> np.ndarray:
-    if not isinstance(state, Mps):
-        vec = np.asarray(state, dtype=np.complex128)
-        if vec.shape != (2**n_sites,):
-            raise DimensionMismatch(f"state has shape {vec.shape}, expected ({2**n_sites},)")
-        state = dense_to_mps(vec, normalize=False)  # exact, norm kept
-    if state.n_sites != n_sites:
-        raise DimensionMismatch(f"state has {state.n_sites} sites, operator has {n_sites}")
-    return string_expectations(state, packed)
+def assemble_pencil(op: PauliSum, strings: Sequence[PauliString], state: Mps) -> EffectivePencil:
+    """Build the effective pencil for a pool over a reference MPS.
 
-
-def assemble_pencil(
-    op: PauliSum,
-    strings: Sequence[PauliString],
-    state,
-    include_identity: bool = True,
-) -> EffectivePencil:
-    """Build the effective pencil for a pool over a reference state.
-
-    ``state`` is an Mps or a dense vector. Pool strings are Hermitian, so
-    N_ab = <P_a P_b> and H_ab = sum_t c_t <P_a T_t P_b>; the k^2 (T + 1)
-    product strings are deduplicated and each distinct one is evaluated
-    once.
+    The identity is moved to the front of the pool, or prepended. Pool
+    strings are Hermitian, so N_ab = <P_a P_b> and H_ab = sum_t c_t
+    <P_a T_t P_b>; the k^2 (T + 1) product strings are deduplicated and
+    each distinct one is evaluated once.
     """
-    pool = tuple(strings)
-    if include_identity:
-        ident = PauliString.identity(op.n_sites)
-        pool = (ident,) + tuple(s for s in pool if s != ident)
+    if state.n_sites != op.n_sites:
+        raise DimensionMismatch(f"state has {state.n_sites} sites, operator has {op.n_sites}")
+    ident = PauliString.identity(op.n_sites)
+    pool = (ident,) + tuple(s for s in strings if s != ident)
     for s in pool:
         if s.n_sites != op.n_sites:
             raise DimensionMismatch(
@@ -134,7 +109,7 @@ def assemble_pencil(
     unique, inverse = unique_rows(
         np.concatenate([n_codes.reshape(-1, words), h_codes.reshape(-1, words)])
     )
-    values = _expectations(state, unique, op.n_sites)[inverse]
+    values = string_expectations(state, unique)[inverse]
     n = _I_POWERS[n_exp] * values[: k * k].reshape(k, k)
     h_entries = _I_POWERS[(pt_exp[:, :, None] + ptp_exp) % 4] * values[k * k :].reshape(
         k, len(coeffs), k
@@ -225,28 +200,6 @@ def solve_ritz_lobpcg(
     )
 
 
-def fidelity_fit(pencil: EffectivePencil, overlaps: np.ndarray) -> FidelityFit:
-    """Best pool approximation to a unit-norm target state.
-
-    ``overlaps[k] = <P_k psi|phi>``; solves the ridge-regularized normal
-    equations and reports the squared normalized overlap achieved.
-    """
-    b = np.asarray(overlaps, dtype=np.complex128)
-    if b.shape != (pencil.size,):
-        raise DimensionMismatch(
-            f"expected {pencil.size} overlaps, got shape {b.shape}"
-        )
-    k = pencil.size
-    scale = max(np.trace(pencil.n).real / k, 1e-300)
-    x = scipy.linalg.solve(
-        pencil.n + RIDGE * scale * np.eye(k), b, assume_a="her"
-    )
-    denom = float((x.conj() @ pencil.n @ x).real)
-    if denom <= 0:
-        raise ValueError("fitted state has vanishing norm")
-    return FidelityFit(x, float(abs(x.conj() @ b) ** 2 / denom))
-
-
 @dataclass(frozen=True)
 class SweepRow:
     n_samples: int
@@ -259,7 +212,6 @@ def energy_vs_samples_sweep(
     op: PauliSum,
     state: Mps,
     sample_sizes: Sequence[int],
-    keep_iz: int | None = None,
     seed: int = 0,
     reference: float | None = None,
 ) -> list[SweepRow]:
@@ -279,7 +231,7 @@ def energy_vs_samples_sweep(
     union: dict[PauliString, None] = {}
     rows: list[SweepRow] = []
     for n in sizes:
-        pool = curate(samples[:n], op.n_sites, keep_iz)
+        pool = curate(samples[:n], op.n_sites)
         for s in pool.strings:
             union.setdefault(s)
         pencil = assemble_pencil(op, tuple(union), state)

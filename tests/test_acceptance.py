@@ -102,7 +102,7 @@ def chain_rule_probs(m) -> np.ndarray:
 
 
 def right_canonical_mps(vec: np.ndarray):
-    return canonicalize_mps(dense_to_mps(vec), "right")
+    return canonicalize_mps(dense_to_mps(vec))
 
 
 def rescaled(op: PauliSum, rng: np.random.Generator) -> PauliSum:
@@ -315,8 +315,9 @@ def test_criterion_7_canonical_forms_and_compression(h2_subset):
             elif j > center:
                 assert is_right_canonical_site(canon.tensors[j], tol=1e-12)
     state = random_state(rng, 4)
-    left = canonicalize_mps(dense_to_mps(state), "left")
-    right = canonicalize_mps(dense_to_mps(state), "right")
+    raw = dense_to_mps(state)
+    left = canonicalize(raw, raw.n_sites - 1)
+    right = canonicalize_mps(raw)
     for j in range(3):
         t = left.tensors[j]
         g = np.einsum("lrp,lsp->rs", t.conj(), t)

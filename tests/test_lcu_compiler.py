@@ -17,7 +17,6 @@ from paulibridge.lcu import (
     compile_lcu,
     emit_gates,
     encoded_block,
-    parse_gates,
     prep_dense,
     program_from_json,
     program_to_json,
@@ -420,22 +419,32 @@ class TestSerialization:
             program_from_json(text)
 
 
+def read_listing(text):
+    """An lcu-gates-v1 listing split into header fields, prep amplitudes and row tokens."""
+    lines = text.splitlines()
+    header = dict(field.split("=") for field in lines[0].split()[2:])
+    amps = {int(i): float(amp) for i, _, amp in (t.partition(":") for t in lines[1].split()[1:])}
+    rows = [line.split() for line in lines if line.startswith("cpauli ")]
+    return header, amps, rows
+
+
+def pattern(prog, a, b):
+    return format(prog.pair_index(a, b), f"0{prog.a_total}b") if prog.a_total else "-"
+
+
 class TestGates:
     def test_round_trip(self, h2_subset):
         prog = h2_program(h2_subset)
-        parsed = parse_gates(emit_gates(prog))
-        assert parsed["n_sites"] == 4
-        assert parsed["cut"] == 2
-        assert parsed["lam"] == pytest.approx(prog.lam, abs=1e-9)
-        assert parsed["amps"] == {
+        header, amps, rows = read_listing(emit_gates(prog))
+        assert (header["n_sites"], header["cut"]) == ("4", "2")
+        assert float(header["lambda"]) == pytest.approx(prog.lam, abs=1e-9)
+        assert amps == {
             prog.pair_index(a, b): pytest.approx(amp, abs=1e-9)
             for a, b, amp, _ in prog.prep
         }
-        assert len(parsed["rows"]) == len(prog.prep)
-        for (pattern, label, phase), (a, b, _, ph) in zip(parsed["rows"], prog.prep):
-            assert int(pattern, 2) == prog.pair_index(a, b)
-            assert label == prog.left[a] + prog.right[b]
-            assert phase == pytest.approx(ph, abs=1e-9)
+        assert [row[1:3] for row in rows] == [
+            [pattern(prog, a, b), prog.left[a] + prog.right[b]] for a, b, *_ in prog.prep
+        ]
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -445,8 +454,9 @@ class TestGates:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
         prog = compile_lcu(compile_bridge(random_pauli_sum(rng, n, int(rng.integers(1, 12)), True), n // 2))
-        parsed = parse_gates(emit_gates(prog))
-        assert [phase for *_, phase in parsed["rows"]] == pytest.approx([ph for *_, ph in prog.prep], abs=1e-11)
+        _, _, rows = read_listing(emit_gates(prog))
+        phases = [complex(row[3].removeprefix("phase=").replace("i", "j")) if len(row) > 3 else 1 for row in rows]
+        assert phases == pytest.approx([ph for *_, ph in prog.prep], abs=1e-11)
         assert program_from_json(program_to_json(prog)) == prog
 
     def test_unit_phases_omitted(self, h2_subset):
@@ -463,64 +473,9 @@ class TestGates:
         assert lines[-1] == "unprep"
         assert sum(1 for ln in lines if ln.startswith("cpauli ")) == 9
 
-    def test_missing_header_raises(self):
-        with pytest.raises(ValueError):
-            parse_gates("prep 0:1.0\nunprep\n")
-
-    def test_missing_unprep_raises(self, h2_subset):
-        text = emit_gates(h2_program(h2_subset)).replace("unprep\n", "")
-        with pytest.raises(ValueError):
-            parse_gates(text)
-
-    @pytest.mark.parametrize("line, text", [
-        pytest.param(1, None, id="empty"),
-        pytest.param(1, "# lcu-gates-v1 n_sites=4 cut=2", id="header-short"),
-        pytest.param(1, "# lcu-gates-v1 n_sites=4 cut=2 a_left=3 a_right=3 lambda=nan", id="lambda-nan"),
-        pytest.param(1, "# lcu-gates-v1 n_sites=4 cut=2 a_left=3 a_right=3 lambda=-1.212874", id="lambda-negative"),
-        pytest.param(1, "# lcu-gates-v1 n_sites=4 cut=2 a_left=3 a_right=3 lambda=0", id="lambda-zero"),
-        pytest.param(2, "prep 0:abc", id="amp-text"),
-        pytest.param(2, "prep 0:inf", id="amp-infinite"),
-        pytest.param(2, "prep x:0.5", id="index-text"),
-        pytest.param(2, "prep -1:0.1 99:0.2", id="index-negative"),
-        pytest.param(2, "prep 0:0.5 64:0.5", id="index-past-register"),
-        pytest.param(2, "prep 0:0.5 1:0.5", id="index-without-row"),
-        pytest.param(2, "prep 0:0.28550337452 3:0.428584149054 0:0.9", id="index-repeated"),
-        pytest.param(3, "prep 0:1.0", id="prep-twice"),
-        pytest.param(4, "cpauli 000000 IIII phase=-1", id="pattern-repeated"),
-        pytest.param(3, "cpauli 000000 IIII phase=nani", id="phase-nan"),
-        pytest.param(3, "cpauli 000000 IIII phase=abc", id="phase-text"),
-        pytest.param(3, "cpauli 000000 IIII phase=5", id="phase-off-unit-circle"),
-        pytest.param(3, "cpauli 000000 IIII phase=0.6+0.6i", id="phase-complex-off-unit-circle"),
-        pytest.param(3, "cpauli 000000 IIXQ", id="label-symbol"),
-        pytest.param(3, "cpauli 000000 III", id="label-short"),
-        pytest.param(3, "cpauli 00000 IIII", id="pattern-short"),
-        pytest.param(3, "cpauli 00000a IIII", id="pattern-not-bits"),
-        pytest.param(3, "cpauli - IIII", id="pattern-dash"),
-    ])
-    def test_malformed_listing_names_line(self, h2_subset, line, text):
-        lines = emit_gates(h2_program(h2_subset)).splitlines()
-        if text is None:
-            lines = []
-        else:
-            lines[line - 1] = text
-        with pytest.raises(ValueError, match=f"^line {line}: "):
-            parse_gates("\n".join(lines))
-
-    def test_cpauli_row_without_prep_weight_names_line(self, h2_subset):
-        # every row, first to last, loses its prep weight in turn
-        prog = h2_program(h2_subset)
-        lines = emit_gates(prog).splitlines()
-        tokens = lines[1].split()
-        for k, (a, b, *_) in enumerate(prog.prep):
-            assert lines[2 + k].startswith(f"cpauli {prog.pair_index(a, b):06b} ")
-            lines[1] = " ".join(t for t in tokens if t != tokens[1 + k])
-            with pytest.raises(ValueError, match=f"^line {3 + k}: cpauli row has no prep weight$"):
-                parse_gates("\n".join(lines))
-
     def test_no_ancillas_pattern_is_dash(self):
         prog = compile_lcu(compile_bridge(parse_pauli_sum("-2.0 XZ\n"), 1))
-        parsed = parse_gates(emit_gates(prog))
-        assert (parsed["a_left"], parsed["a_right"]) == (0, 0)
-        assert parsed["rows"] == [("-", "XZ", -1 + 0j)]
-        with pytest.raises(ValueError, match="^line 3: control pattern '0'"):
-            parse_gates(emit_gates(prog).replace("cpauli -", "cpauli 0"))
+        header, amps, rows = read_listing(emit_gates(prog))
+        assert (header["a_left"], header["a_right"]) == ("0", "0")
+        assert amps == {0: pytest.approx(1.0, abs=1e-12)}
+        assert rows == [["cpauli", "-", "XZ", "phase=-1"]]

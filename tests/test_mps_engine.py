@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from paulibridge.mps import (
     DegenerateGroundState,
     Mps,
+    canonicalize,
     canonicalize_mps,
     dense_to_mps,
     ground_state_reference,
@@ -103,7 +104,8 @@ class TestGauges:
     def test_canonical_conditions(self, form):
         rng = np.random.default_rng(11)
         vec = random_state(rng, 6)
-        m = canonicalize_mps(dense_to_mps(vec), form)
+        raw = dense_to_mps(vec)
+        m = canonicalize(raw, raw.n_sites - 1) if form == "left" else canonicalize_mps(raw)
         check = is_left_canonical_site if form == "left" else is_right_canonical_site
         interior = m.tensors[:-1] if form == "left" else m.tensors[1:]
         for t in interior:
@@ -114,15 +116,9 @@ class TestGauges:
         # the sampling chain rule needs every site right-isometric, which
         # holds once the norm collected at site 0 equals one
         rng = np.random.default_rng(12)
-        m = canonicalize_mps(dense_to_mps(random_state(rng, 5)), "right")
+        m = canonicalize_mps(dense_to_mps(random_state(rng, 5)))
         for t in m.tensors:
             assert is_right_canonical_site(t)
-
-    def test_bad_form_raises(self):
-        rng = np.random.default_rng(13)
-        m = dense_to_mps(random_state(rng, 3))
-        with pytest.raises(ValueError):
-            canonicalize_mps(m, "center")
 
 
 class TestContractions:
@@ -260,7 +256,7 @@ class TestGroundState:
 class TestSerialization:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(21)
-        m = canonicalize_mps(dense_to_mps(random_state(rng, 5)), "right")
+        m = canonicalize_mps(dense_to_mps(random_state(rng, 5)))
         back = mps_from_json(mps_to_json(m))
         assert back.bond_dims == m.bond_dims
         assert back.gauge == m.gauge

@@ -1,12 +1,15 @@
 import itertools
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from paulibridge import pauli
 from paulibridge.bridge import compile as compile_bridge
 from paulibridge.lcu import block_encoding_dense, compile_lcu, select_dense, select_factorized_dense
 from paulibridge.mpo import Mpo, mpo_to_dense
@@ -75,6 +78,19 @@ def dense_operators(draw):
     op = random_pauli_sum(rng, n, draw(st.integers(1, 40)), complex_coeffs=True)
     scales = 10.0 ** rng.integers(-16, 17, op.n_terms)
     return PauliSum(n, [(t.coeff * s, t.string) for t, s in zip(op, scales)])
+
+
+def action_by_terms(op, vec):
+    """``op @ vec`` one term at a time from its label: |b> -> i^{#Y} (-1)^{|b & z|} |b ^ x>."""
+    idx = np.arange(vec.size)
+    out = np.zeros(vec.size, dtype=np.complex128)
+    for t in op:
+        label = t.string.label
+        x = int("".join("1" if c in "XY" else "0" for c in label), 2)
+        z = int("".join("1" if c in "YZ" else "0" for c in label), 2)
+        signs = np.where(np.bitwise_count(idx & z) & 1, -1, 1)
+        out[idx ^ x] += t.coeff * 1j ** label.count("Y") * signs * vec
+    return out
 
 
 labels = st.integers(1, 5).flatmap(
@@ -315,6 +331,34 @@ class TestExpectation:
             vec = random_state(rng, 3)
             want = np.vdot(vec, to_dense(op) @ vec)
             assert abs(expectation(op, vec) - want) < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 60), st.integers(1, 4))
+    def test_mask_blocks_match_dense(self, seed, n_sites, n_terms, masks_per_block):
+        # blocks of one to four masks, so most operators cross many block
+        # boundaries; the blocked dense form keeps every bit
+        rng = np.random.default_rng(seed)
+        op = random_pauli_sum(rng, n_sites, n_terms, complex_coeffs=True)
+        vec = random_state(rng, n_sites)
+        dense = to_dense(op)
+        with mock.patch.object(pauli, "CHUNK_ENTRIES", masks_per_block * 2**n_sites):
+            np.testing.assert_allclose(pauli._act(op, vec), dense @ vec, rtol=0, atol=1e-12)
+            assert to_dense(op).tobytes() == dense.tobytes()
+
+    def test_sixteen_sites_in_bounded_memory(self):
+        # one block of diagonals at a time: holding every mask's diagonal
+        # peaked at 500 MiB on this operator
+        rng = np.random.default_rng(16)
+        op = random_pauli_sum(rng, 16, 200, complex_coeffs=True)
+        vec = random_state(rng, 16)
+        tracemalloc.start()
+        try:
+            value = expectation(op, vec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+        assert abs(value - np.vdot(vec, action_by_terms(op, vec))) <= 1e-12
 
     def test_rejects_unnormalized(self):
         op = PauliSum(2, [(1.0, PauliString.identity(2))])

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from paulibridge import mps as mps_module, sampler as sampler_module
 from paulibridge.mps import (
     Mps,
+    canonicalize,
     canonicalize_mps,
     dense_to_mps,
     ground_state_reference,
@@ -43,7 +44,7 @@ def exact_probs(vec, n_sites):
 
 
 def right_canonical_mps(vec):
-    return canonicalize_mps(dense_to_mps(vec), "right")
+    return canonicalize_mps(dense_to_mps(vec))
 
 
 class TestChainRule:
@@ -83,7 +84,8 @@ class TestChainRule:
 class TestSampling:
     def test_gauge_violation_raises(self):
         rng = np.random.default_rng(17)
-        left = canonicalize_mps(dense_to_mps(random_state(rng, 4)), "left")
+        raw = dense_to_mps(random_state(rng, 4))
+        left = canonicalize(raw, raw.n_sites - 1)
         with pytest.raises(GaugeViolation):
             sample_strings(left, SamplerConfig(n_samples=4, seed=0))
 
@@ -363,7 +365,7 @@ class TestPastOneWord:
         bonds = [1] + [2] * (n_sites - 1) + [1]
         raw = Mps([rng.standard_normal((bonds[j], bonds[j + 1], 2))
                    + 1j * rng.standard_normal((bonds[j], bonds[j + 1], 2)) for j in range(n_sites)])
-        state = canonicalize_mps(raw, "right")
+        state = canonicalize_mps(raw)
         state.tensors[0] /= np.linalg.norm(state.tensors[0])
         pool = curate(sample_strings(state, SamplerConfig(n_samples=20, seed=4)), n_sites)
         assert pool.strings

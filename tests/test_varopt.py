@@ -1,4 +1,4 @@
-"""Effective pencil assembly, Ritz solvers, fidelity fit, sample sweep."""
+"""Effective pencil assembly, Ritz solvers, sample sweep."""
 
 import numpy as np
 import pytest
@@ -25,7 +25,6 @@ from paulibridge.varopt import (
     ConvergenceFailure,
     assemble_pencil,
     energy_vs_samples_sweep,
-    fidelity_fit,
     solve_ritz_dense,
     solve_ritz_lobpcg,
     sweep_to_csv,
@@ -42,6 +41,11 @@ def hermitian_sum(rng, n_sites, n_terms):
 def random_pool(rng, n_sites, size):
     bits = rng.choice(4**n_sites, size=min(size, 4**n_sites), replace=False)
     return tuple(PauliString(n_sites, int(b)) for b in bits)
+
+
+def exact_mps(vec):
+    """The MPS of a dense vector, untruncated and with its norm kept."""
+    return dense_to_mps(vec, normalize=False)
 
 
 def dense_pencil(op, pool, vec):
@@ -75,26 +79,23 @@ def sparse_string(rng, n_sites, max_weight):
 
 class TestAssembly:
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8), st.booleans())
-    def test_algebraic_matches_dense(self, seed, n_sites, max_bond, include_identity):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8))
+    def test_algebraic_matches_dense(self, seed, n_sites, max_bond):
         rng = np.random.default_rng(seed)
         op = random_pauli_sum(rng, n_sites, 5, complex_coeffs=True)
-        mps = dense_to_mps(random_state(rng, n_sites), max_bond=max_bond)
+        # a truncated, right-canonical state whose norm is not one
+        scaled = random_state(rng, n_sites) * rng.uniform(0.5, 2.0)
+        mps = canonicalize_mps(dense_to_mps(scaled, max_bond=max_bond, normalize=False))
         vec = mps_to_dense(mps)
         pool = random_pool(rng, n_sites, 6)
         # repeated strings and the identity inside the pool
         ident = PauliString.identity(n_sites)
         pool = pool + pool[:2] + (ident,)
-        if include_identity:
-            expected = (ident,) + tuple(s for s in pool if s != ident)
-        else:
-            expected = pool
-        for state in (vec, mps):
-            pencil = assemble_pencil(op, pool, state, include_identity=include_identity)
-            assert pencil.strings == expected
-            h_ref, n_ref = dense_pencil(op, pencil.strings, vec)
-            np.testing.assert_allclose(pencil.h, h_ref, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(pencil.n, n_ref, rtol=0, atol=1e-12)
+        pencil = assemble_pencil(op, pool, mps)
+        assert pencil.strings == (ident,) + tuple(s for s in pool if s != ident)
+        h_ref, n_ref = dense_pencil(op, pencil.strings, vec)
+        np.testing.assert_allclose(pencil.h, h_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pencil.n, n_ref, rtol=0, atol=1e-12)
 
     def test_forty_site_product_state(self):
         # 40 sites pack into two words; a product state's expectation is
@@ -125,25 +126,12 @@ class TestAssembly:
         with pytest.raises(DimensionMismatch):
             assemble_pencil(h2_subset, (), mps)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 12), st.integers(0, 8))
-    def test_mps_and_dense_states_agree(self, seed, n_sites, n_terms, pool_size):
-        rng = np.random.default_rng(seed)
-        op = random_pauli_sum(rng, n_sites, n_terms, complex_coeffs=True)
-        vec = random_state(rng, n_sites) * rng.uniform(0.5, 2.0)
-        mps = canonicalize_mps(dense_to_mps(vec, normalize=False), "right")
-        pool = random_pool(rng, n_sites, pool_size)
-        a = assemble_pencil(op, pool, vec)
-        b = assemble_pencil(op, pool, mps)
-        np.testing.assert_allclose(a.h, b.h, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(a.n, b.n, rtol=0, atol=1e-12)
-
     def test_identity_prepended_once(self, h2_subset):
         rng = np.random.default_rng(3)
         vec = random_state(rng, 4)
         ident = PauliString.identity(4)
         pool = (ident, PauliString.from_label("XXYY"))
-        pencil = assemble_pencil(h2_subset, pool, vec)
+        pencil = assemble_pencil(h2_subset, pool, exact_mps(vec))
         assert pencil.strings[0] == ident
         assert pencil.strings.count(ident) == 1
         assert pencil.size == 2
@@ -151,7 +139,7 @@ class TestAssembly:
     def test_hermitian_and_psd(self, h2_subset):
         rng = np.random.default_rng(4)
         vec = random_state(rng, 4)
-        pencil = assemble_pencil(h2_subset, random_pool(rng, 4, 8), vec)
+        pencil = assemble_pencil(h2_subset, random_pool(rng, 4, 8), exact_mps(vec))
         np.testing.assert_allclose(pencil.h, pencil.h.conj().T, atol=1e-12)
         np.testing.assert_allclose(pencil.n, pencil.n.conj().T, atol=1e-12)
         assert scipy.linalg.eigvalsh(pencil.n)[0] > -1e-12
@@ -159,7 +147,7 @@ class TestAssembly:
     def test_width_mismatch_raises(self, h2_subset):
         rng = np.random.default_rng(5)
         with pytest.raises(DimensionMismatch):
-            assemble_pencil(h2_subset, (PauliString.from_label("XX"),), random_state(rng, 4))
+            assemble_pencil(h2_subset, (PauliString.from_label("XX"),), exact_mps(random_state(rng, 4)))
 
 
 class TestRitzDense:
@@ -168,7 +156,7 @@ class TestRitzDense:
         op = hermitian_sum(rng, 2, 6)
         vec = random_state(rng, 2)
         pool = tuple(PauliString(2, b) for b in range(16))
-        sol = solve_ritz_dense(assemble_pencil(op, pool, vec))
+        sol = solve_ritz_dense(assemble_pencil(op, pool, exact_mps(vec)))
         exact = scipy.linalg.eigvalsh(to_dense(op))[0]
         assert sol.energies[0] == pytest.approx(exact, abs=1e-10)
 
@@ -178,7 +166,7 @@ class TestRitzDense:
         rng = np.random.default_rng(seed)
         op = hermitian_sum(rng, 3, 6)
         vec = random_state(rng, 3)
-        sol = solve_ritz_dense(assemble_pencil(op, random_pool(rng, 3, 5), vec))
+        sol = solve_ritz_dense(assemble_pencil(op, random_pool(rng, 3, 5), exact_mps(vec)))
         exact = scipy.linalg.eigvalsh(to_dense(op))[0]
         assert sol.energies[0] >= exact - 1e-10
 
@@ -188,7 +176,7 @@ class TestRitzDense:
         vec = random_state(rng, 3)
         pool = random_pool(rng, 3, 9)
         energies = [
-            solve_ritz_dense(assemble_pencil(op, pool[:k], vec)).energies[0]
+            solve_ritz_dense(assemble_pencil(op, pool[:k], exact_mps(vec))).energies[0]
             for k in (0, 3, 6, 9)
         ]
         for lo, hi in zip(energies[1:], energies[:-1]):
@@ -197,7 +185,7 @@ class TestRitzDense:
     def test_identity_only_is_rayleigh_quotient(self, h2_subset):
         rng = np.random.default_rng(12)
         vec = random_state(rng, 4)
-        sol = solve_ritz_dense(assemble_pencil(h2_subset, (), vec))
+        sol = solve_ritz_dense(assemble_pencil(h2_subset, (), exact_mps(vec)))
         quot = np.vdot(vec, to_dense(h2_subset) @ vec).real
         assert sol.energies[0] == pytest.approx(quot, abs=1e-10)
 
@@ -209,7 +197,7 @@ class TestRitzDense:
         vec = np.zeros(4, dtype=np.complex128)
         vec[0] = 1.0
         pool = (PauliString.from_label("ZI"), PauliString.from_label("XI"))
-        pencil = assemble_pencil(op, pool, vec)
+        pencil = assemble_pencil(op, pool, exact_mps(vec))
         assert scipy.linalg.eigvalsh(pencil.n)[0] < 1e-12
         sol = solve_ritz_dense(pencil)
         assert sol.n_kept < pencil.size
@@ -221,7 +209,7 @@ class TestRitzDense:
         op = hermitian_sum(rng, 2, 6)
         vec = random_state(rng, 2)
         pool = tuple(PauliString(2, b) for b in range(16))
-        sol = solve_ritz_dense(assemble_pencil(op, pool, vec), n_roots=3)
+        sol = solve_ritz_dense(assemble_pencil(op, pool, exact_mps(vec)), n_roots=3)
         exact = scipy.linalg.eigvalsh(to_dense(op))
         np.testing.assert_allclose(sol.energies, exact[:3], atol=1e-9)
 
@@ -231,7 +219,7 @@ class TestRitzIterative:
         rng = np.random.default_rng(20)
         op = hermitian_sum(rng, 3, 10)
         vec = random_state(rng, 3)
-        pencil = assemble_pencil(op, random_pool(rng, 3, 12), vec)
+        pencil = assemble_pencil(op, random_pool(rng, 3, 12), exact_mps(vec))
         dense = solve_ritz_dense(pencil, n_roots=2)
         iterative = solve_ritz_lobpcg(pencil, n_roots=2, tol=1e-11, seed=1)
         np.testing.assert_allclose(iterative.energies, dense.energies, atol=1e-7)
@@ -241,7 +229,7 @@ class TestRitzIterative:
         rng = np.random.default_rng(21)
         op = hermitian_sum(rng, 3, 8)
         vec = random_state(rng, 3)
-        pencil = assemble_pencil(op, random_pool(rng, 3, 10), vec)
+        pencil = assemble_pencil(op, random_pool(rng, 3, 10), exact_mps(vec))
         a = solve_ritz_lobpcg(pencil, seed=5)
         b = solve_ritz_lobpcg(pencil, seed=5)
         np.testing.assert_array_equal(a.energies, b.energies)
@@ -250,60 +238,17 @@ class TestRitzIterative:
         rng = np.random.default_rng(22)
         op = hermitian_sum(rng, 3, 12)
         vec = random_state(rng, 3)
-        pencil = assemble_pencil(op, random_pool(rng, 3, 20), vec)
+        pencil = assemble_pencil(op, random_pool(rng, 3, 20), exact_mps(vec))
         with pytest.raises(ConvergenceFailure):
             solve_ritz_lobpcg(pencil, tol=1e-16, max_iter=1, seed=0)
-
-
-class TestFidelityFit:
-    def test_reference_state_fits_itself(self, h2_subset):
-        rng = np.random.default_rng(30)
-        vec = random_state(rng, 4)
-        pencil = assemble_pencil(h2_subset, random_pool(rng, 4, 4), vec)
-        overlaps = np.array(
-            [np.vdot(apply_string(p, vec), vec) for p in pencil.strings]
-        )
-        fit = fidelity_fit(pencil, overlaps)
-        assert fit.fidelity == pytest.approx(1.0, abs=1e-8)
-
-    def test_full_pool_reaches_any_target(self):
-        rng = np.random.default_rng(31)
-        op = hermitian_sum(rng, 2, 5)
-        vec = random_state(rng, 2)
-        target = random_state(rng, 2)
-        pool = tuple(PauliString(2, b) for b in range(16))
-        pencil = assemble_pencil(op, pool, vec)
-        overlaps = np.array(
-            [np.vdot(apply_string(p, vec), target) for p in pencil.strings]
-        )
-        fit = fidelity_fit(pencil, overlaps)
-        assert fit.fidelity == pytest.approx(1.0, abs=1e-6)
-
-    def test_partial_pool_below_one(self):
-        rng = np.random.default_rng(32)
-        op = hermitian_sum(rng, 2, 5)
-        vec = random_state(rng, 2)
-        target = random_state(rng, 2)
-        pencil = assemble_pencil(op, (), vec)
-        overlaps = np.array(
-            [np.vdot(apply_string(p, vec), target) for p in pencil.strings]
-        )
-        fit = fidelity_fit(pencil, overlaps)
-        assert fit.fidelity <= 1.0 + 1e-10
-
-    def test_shape_mismatch_raises(self, h2_subset):
-        rng = np.random.default_rng(33)
-        pencil = assemble_pencil(h2_subset, (), random_state(rng, 4))
-        with pytest.raises(DimensionMismatch):
-            fidelity_fit(pencil, np.zeros(5))
 
 
 class TestSweep:
     def test_h2_truncated_state_sweep(self, h2_subset):
         res = ground_state_reference(h2_subset, max_bond=1)
-        state = canonicalize_mps(res.mps, "right")
+        state = canonicalize_mps(res.mps)
         rows = energy_vs_samples_sweep(
-            h2_subset, state, [16, 64, 256], keep_iz=4, seed=9
+            h2_subset, state, [16, 64, 256], seed=9
         )
         exact = scipy.linalg.eigvalsh(to_dense(h2_subset))[0]
         assert [r.n_samples for r in rows] == [16, 64, 256]
@@ -316,14 +261,14 @@ class TestSweep:
 
     def test_sweep_deterministic(self, h2_subset):
         res = ground_state_reference(h2_subset, max_bond=1)
-        state = canonicalize_mps(res.mps, "right")
+        state = canonicalize_mps(res.mps)
         a = energy_vs_samples_sweep(h2_subset, state, [8, 32], seed=4)
         b = energy_vs_samples_sweep(h2_subset, state, [8, 32], seed=4)
         assert a == b
 
     def test_csv_shape(self, h2_subset):
         res = ground_state_reference(h2_subset, max_bond=1)
-        state = canonicalize_mps(res.mps, "right")
+        state = canonicalize_mps(res.mps)
         rows = energy_vs_samples_sweep(h2_subset, state, [8, 32], seed=4)
         text = sweep_to_csv(rows)
         lines = text.strip().split("\n")
