@@ -36,6 +36,7 @@ from paulibridge.pauli import (
     PauliString,
     PauliSum,
     PauliTerm,
+    _row_labels,
     json_document,
     json_field,
     json_finite,
@@ -156,13 +157,13 @@ def compile(op: PauliSum, cut: int) -> BridgeDecomposition:
         raise EmptyOperator("cannot compile a sum with no terms")
     if not 1 <= cut <= op.n_sites - 1:
         raise CutOutOfRange(f"cut {cut} not in 1..{op.n_sites - 1}")
-    labels = [t.string.label for t in op.terms]
+    labels = _row_labels(op.rows, op.n_sites)
     left = FragmentDictionary(tuple(sorted({s[:cut] for s in labels})))
     right = FragmentDictionary(tuple(sorted({s[cut:] for s in labels})))
     left_index = {s: i for i, s in enumerate(left.labels)}
     right_index = {s: i for i, s in enumerate(right.labels)}
     # PauliSum terms are distinct, so each index pair occurs once
-    entries = {(left_index[s[:cut]], right_index[s[cut:]]): t.coeff for s, t in zip(labels, op.terms)}
+    entries = {(left_index[s[:cut]], right_index[s[cut:]]): c for s, c in zip(labels, op.coeffs.tolist())}
     return BridgeDecomposition(cut, left, right, Bridge((len(left), len(right)), entries))
 
 

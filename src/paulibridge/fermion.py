@@ -27,10 +27,7 @@ from paulibridge.pauli import (
     json_field,
     json_finite,
     malformed,
-    pack_strings,
     packed_product,
-    unique_rows,
-    unpack_strings,
 )
 # Not called here; kept as a module attribute because the benchmark tracer
 # (bench/tracer.py) wraps the function it times by this name.
@@ -125,13 +122,9 @@ def map_hamiltonian(terms: list[FermionTerm], n: int) -> PauliSum:
     Emits a NonHermitianInput warning when the merged coefficients keep an
     imaginary part above HERMITIAN_TOL relative to the largest one.
     """
-    for term in terms:
-        for idx in term.indices:
-            if not 0 <= idx < n:
-                raise IndexOutOfRange(f"mode {idx} out of range for {n} modes")
-    table = pack_strings(
-        [t.string for p in range(n) for t in jordan_wigner_op("create", p, n).terms], n
-    ).reshape(n, 2, -1)
+    for idx in (i for term in terms for i in term.indices if not 0 <= i < n):
+        raise IndexOutOfRange(f"mode {idx} out of range for {n} modes")
+    table = np.stack([jordan_wigner_op("create", p, n).rows for p in range(n)])
     # each term's nonzero products, keyed by term position then product position (< 16)
     keys, rows, values = [], [], []
     for kind, ladders in _LADDERS.items():
@@ -148,22 +141,15 @@ def map_hamiltonian(terms: list[FermionTerm], n: int) -> PauliSum:
         rows.append(codes[keep])
         values.append((scale[:, None] * merged)[keep])
     order = np.argsort(np.concatenate(keys))
-    unique, inverse = unique_rows(np.concatenate(rows)[order])
-    by_first = np.argsort(np.unique(inverse, return_index=True)[1])
-    total = np.zeros(len(unique), dtype=np.complex128)
-    # one add per product in input order, as PauliSum merges
-    np.add.at(total, np.argsort(by_first)[inverse], np.concatenate(values)[order])
-    out = PauliSum(n, zip(total.tolist(), unpack_strings(unique[by_first], n)))
-    if out.n_terms:
-        top = max(abs(t.coeff) for t in out.terms)
-        residue = max(abs(t.coeff.imag) for t in out.terms)
-        if residue > HERMITIAN_TOL * max(top, 1.0):
-            warnings.warn(
-                f"mapped coefficients keep imaginary parts up to {residue:.2e}; "
-                "input term list is not Hermitian-closed",
-                NonHermitianInput,
-                stacklevel=2,
-            )
+    out = PauliSum.from_rows(n, np.concatenate(rows)[order], np.concatenate(values)[order])
+    top, residue = np.abs(out.coeffs).max(initial=0.0), np.abs(out.coeffs.imag).max(initial=0.0)
+    if residue > HERMITIAN_TOL * max(top, 1.0):
+        warnings.warn(
+            f"mapped coefficients keep imaginary parts up to {residue:.2e}; "
+            "input term list is not Hermitian-closed",
+            NonHermitianInput,
+            stacklevel=2,
+        )
     return out
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -106,7 +106,7 @@ class LcuProgram:
     def a_total(self) -> int:
         return self.a_left + self.a_right
 
-    @property
+    @cached_property  # a program is frozen, so its skeleton is hashed once
     def select_hash(self) -> str:
         return skeleton_hash(self.cut, self.left, self.right, [(a, b) for a, b, *_ in self.prep])
 

@@ -28,14 +28,12 @@ import numpy as np
 import scipy.linalg
 
 from paulibridge.bridge import Bridge, BridgeDecomposition, EmptyOperator
-from paulibridge.mps import TensorChain, chain_from_json, chain_to_json
+from paulibridge.mps import _SIGMA, TensorChain, chain_from_json, chain_to_json
 from paulibridge.pauli import (
     DENSE_LIMIT,
-    PAULI_MATRICES,
     SYMBOLS,
     PauliSum,
     TooLarge,
-    pack_strings,
     site_codes,
 )
 
@@ -100,7 +98,7 @@ def build_mpo_qr(
     # code_k * n_rests[k] + (id of the suffix past k), one per term at site
     # 0 and one per distinct suffix after it. np.unique sorts the keys in
     # label order, since I < X < Y < Z is code order.
-    codes = site_codes(pack_strings((t.string for t in op.terms), n), n, np.arange(n))
+    codes = site_codes(op.rows, n, np.arange(n))
     ids = np.zeros(op.n_terms, dtype=np.int64)
     keys, n_rests = [], [1]
     for k in range(n - 1, 0, -1):
@@ -115,7 +113,7 @@ def build_mpo_qr(
         for k in range(n - 1, 0, -1):
             sym, rest = np.divmod(keys[k], n_rests[k])
             rest_labels.insert(0, tuple(SYMBOLS[p] + rest_labels[0][r] for p, r in zip(sym, rest)))
-    carried = np.array([[t.coeff for t in op.terms]], dtype=np.complex128)
+    carried = op.coeffs[None]
     tensors: list[np.ndarray] = []
     for site in range(n):
         chi = carried.shape[0]
@@ -125,30 +123,28 @@ def build_mpo_qr(
         raw = np.zeros((chi, 4, n_rests[site]), dtype=np.complex128)
         raw[:, sym, rest] += carried
         bond, code = np.nonzero(np.any(raw != 0, axis=2))
-        occurring = list(zip(bond.tolist(), code.tolist()))
         gamma = raw[bond, code]
         if cut_log is not None:
-            cut_log.append(CutMatrix(site, tuple(occurring), rest_labels[site], gamma))
+            cut_log.append(CutMatrix(site, tuple(zip(bond.tolist(), code.tolist())), rest_labels[site], gamma))
         if site == n - 1:
-            w = np.zeros((chi, 1, 2, 2), dtype=np.complex128)
-            for j, (a, p) in enumerate(occurring):
-                w[a, 0] += gamma[j, 0] * PAULI_MATRICES[p]
-            tensors.append(w)
-            break
-        q, r, piv = scipy.linalg.qr(gamma, mode="economic", pivoting=True)
-        if not (np.isfinite(q).all() and np.isfinite(r).all()):
-            raise ValueError(f"cut matrix at site {site} overflows in the QR")
-        diag = np.abs(np.diag(r))
-        floor = max(rank_tol, np.finfo(np.float64).eps * max(gamma.shape))
-        rank = int(np.count_nonzero(diag > floor * diag[0]))
-        if rank == 0:
-            raise EmptyOperator(f"cut matrix at site {site} vanished")
-        w = np.zeros((chi, rank, 2, 2), dtype=np.complex128)
-        for j, (a, p) in enumerate(occurring):
-            w[a] += q[j, :rank, None, None] * PAULI_MATRICES[p]
+            q, rank = gamma, 1  # one column: the last site's tensor takes it whole
+        else:
+            q, r, piv = scipy.linalg.qr(gamma, mode="economic", pivoting=True)
+            if not (np.isfinite(q).all() and np.isfinite(r).all()):
+                raise ValueError(f"cut matrix at site {site} overflows in the QR")
+            diag = np.abs(np.diag(r))
+            floor = max(rank_tol, np.finfo(np.float64).eps * max(gamma.shape))
+            rank = int(np.count_nonzero(diag > floor * diag[0]))
+            if rank == 0:
+                raise EmptyOperator(f"cut matrix at site {site} vanished")
+            carried = np.zeros((rank, n_rests[site]), dtype=np.complex128)
+            carried[:, piv] = r[:rank, :]
+        # one add per row and entry, in row order, so each bond takes its
+        # symbols in ascending order; flat indices take add.at's 1-D fast path
+        w, block = np.zeros((chi, rank, 2, 2), dtype=np.complex128), 4 * rank
+        terms = q[:, :rank, None, None] * _SIGMA[code, None]
+        np.add.at(w.reshape(-1), (bond[:, None] * block + np.arange(block)).ravel(), terms.ravel())
         tensors.append(w)
-        carried = np.zeros((rank, n_rests[site]), dtype=np.complex128)
-        carried[:, piv] = r[:rank, :]
     return Mpo(tensors)
 
 

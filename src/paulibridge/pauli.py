@@ -15,14 +15,18 @@ The one action rule, the binary (x, z) form of Aaronson & Gottesman (PRA
 of the Y and Z sites, a string maps |b> to i^{#Y} (-1)^{|b & z|} |b ^ x>.
 Every dense or matrix-free action sums the terms sharing x into one diagonal.
 
+A PauliSum is held as pack_strings ``rows`` and a complex128 ``coeffs``
+vector, merged under one rule whether built from arrays or from terms.
+
 The text format for weighted sums is line oriented: one ``<coeff> <STRING>``
 pair per line, ``#`` starts a comment, blank lines are skipped. Coefficients
-are real (``-0.25``, ``1e-3``) or complex in ``a+bi`` form (``0.5-0.25i``).
+are ASCII real literals (``-0.25``, ``1e-3``) or complex ``a+bi`` (``0.5-0.25i``).
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import itertools
 import json
@@ -167,27 +171,15 @@ class PauliString:
 
     @classmethod
     def from_codes(cls, codes: Iterable[int]) -> "PauliString":
-        bits = 0
-        n = 0
-        for code in codes:
-            # int() first: a numpy code would wrap bits at 32 sites
-            bits = (bits << 2) | (int(code) & 3)
-            n += 1
-        return cls(n, bits)
+        return cls.from_label("".join(SYMBOLS[code] for code in codes))
 
     @classmethod
     def identity(cls, n_sites: int) -> "PauliString":
         return cls(n_sites, 0)
 
-    def code(self, site: int) -> int:
-        """Symbol code (0..3) at ``site``."""
-        if not 0 <= site < self.n_sites:
-            raise IndexError(f"site {site} out of range")
-        return (self.bits >> (2 * (self.n_sites - 1 - site))) & 3
-
     @property
     def codes(self) -> tuple[int, ...]:
-        return tuple(self.code(j) for j in range(self.n_sites))
+        return tuple((self.bits >> (2 * (self.n_sites - 1 - j))) & 3 for j in range(self.n_sites))
 
     @property
     def label(self) -> str:
@@ -224,36 +216,73 @@ class PauliTerm:
 class PauliSum:
     """An ordered, duplicate-free weighted sum of Pauli strings.
 
-    Terms passed to the constructor are merged by string (coefficients
-    added), preserving first-occurrence order; exactly-zero coefficients
-    are dropped after merging. All strings must share one site count.
+    Held as read-only arrays, ``rows`` of pack_strings and ``coeffs`` of
+    complex128, or as ``terms``, PauliTerm objects; ``PauliSum(n, terms)``
+    merges in a dict, ``from_rows`` in arrays, and the view a constructor
+    was not given is derived on first use. The one merge rule: strings
+    keep their first-occurrence order, each one's coefficients are added
+    in input order from 0j, and exact zeros are dropped.
     """
 
-    __slots__ = ("n_sites", "terms")
+    __slots__ = ("n_sites", "_terms", "_rows", "_coeffs")
 
     def __init__(self, n_sites: int, terms: Iterable[PauliTerm | tuple[complex, PauliString]]):
         merged: dict[PauliString, complex] = {}
         for item in terms:
-            if isinstance(item, PauliTerm):
-                coeff, string = item.coeff, item.string
-            else:
-                coeff, string = item
+            coeff, string = (item.coeff, item.string) if isinstance(item, PauliTerm) else item
             if string.n_sites != n_sites:
-                raise InconsistentLength(
-                    f"string {string} has {string.n_sites} sites, expected {n_sites}"
-                )
+                raise InconsistentLength(f"string {string} has {string.n_sites} sites, expected {n_sites}")
             merged[string] = merged.get(string, 0j) + complex(coeff)
         self.n_sites = n_sites
-        self.terms: tuple[PauliTerm, ...] = tuple(
-            PauliTerm(c, s) for s, c in merged.items() if c != 0
-        )
+        self._terms = tuple(PauliTerm(c, s) for s, c in merged.items() if c != 0)
+        self._rows = self._coeffs = None
+
+    @classmethod
+    def from_rows(cls, n_sites: int, rows: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
+        """Merge pack_strings ``rows`` weighted by ``coeffs`` under the one rule."""
+        rows, coeffs = np.ascontiguousarray(rows, dtype=np.uint64), np.asarray(coeffs, dtype=np.complex128)
+        if (n_sites < 1 or coeffs.ndim != 1 or rows.shape != (len(coeffs), n_words(n_sites))
+                or np.any(rows[:, 0] >> np.uint64(2 * (n_sites - 32 * (rows.shape[1] - 1))))):  # past the sites
+            raise PauliError(f"rows {rows.shape} and coeffs {coeffs.shape} do not fit {n_sites} sites")
+        # each row as one key: a uint64 when the row is one word, as that sorts fastest
+        keys = rows[:, 0] if rows.shape[1] == 1 else rows.view(f"V{8 * rows.shape[1]}")[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        group = np.argsort(np.argsort(first))[inverse]  # numbered in first-occurrence order
+        # bincount adds each group's weights in input order from +0.0, one part at a time
+        total = np.empty(len(first), dtype=np.complex128)
+        total.real = np.bincount(group, coeffs.real, len(first))
+        total.imag = np.bincount(group, coeffs.imag, len(first))
+        keep = total != 0
+        op = cls.__new__(cls)
+        op.n_sites, op._terms, op._rows, op._coeffs = n_sites, None, rows[np.sort(first)[keep]], total[keep]
+        op._rows.flags.writeable = op._coeffs.flags.writeable = False
+        return op
+
+    @property
+    def terms(self) -> tuple[PauliTerm, ...]:
+        if self._terms is None:
+            self._terms = tuple(map(PauliTerm, self._coeffs.tolist(), unpack_strings(self._rows, self.n_sites)))
+        return self._terms
+
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:  # a term list's two arrays, built together
+            self._rows = pack_strings((t.string for t in self._terms), self.n_sites)
+            self._coeffs = np.array([t.coeff for t in self._terms], dtype=np.complex128)
+            self._rows.flags.writeable = self._coeffs.flags.writeable = False
+        return self._rows
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        self.rows  # a term list's coeffs are built with its rows
+        return self._coeffs
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
+        return len(self._terms if self._terms is not None else self._coeffs)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return self.n_terms
 
     def __iter__(self) -> Iterator[PauliTerm]:
         return iter(self.terms)
@@ -361,16 +390,19 @@ def packed_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return exponent % 4, a ^ b
 
 
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x * y`` rounded as Python rounds a complex product; numpy's vector loop may fuse a multiply-add."""
+    parts = (x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real)
+    return np.stack(parts, axis=-1).view(np.complex128)[..., 0]
+
+
 def multiply(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Term-by-term product of two sums, merged."""
+    """Term-by-term product of two sums, merged: one packed_product over all pairs."""
     if a.n_sites != b.n_sites:
         raise LengthMismatch(f"{a.n_sites} sites vs {b.n_sites} sites")
-    out: list[tuple[complex, PauliString]] = []
-    for ta in a.terms:
-        for tb in b.terms:
-            phase, s = pauli_product(ta.string, tb.string)
-            out.append((ta.coeff * tb.coeff * phase, s))
-    return PauliSum(a.n_sites, out)
+    exponent, rows = packed_product(a.rows[:, None], b.rows[None, :])
+    coeffs = _times(_times(a.coeffs[:, None], b.coeffs[None, :]), _I_POWERS[exponent])
+    return PauliSum.from_rows(a.n_sites, rows.reshape(-1, rows.shape[-1]), coeffs.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +419,11 @@ def _flip_groups(op: PauliSum) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     terms' ``c_t i^{#Y} (-1)^{|b & z_t|}`` added in term order. A block holds
     at most CHUNK_ENTRIES diagonal entries, or one mask when 2^n is more."""
     n = op.n_sites
-    codes = site_codes(pack_strings((t.string for t in op.terms), n), n, np.arange(n))
+    codes = site_codes(op.rows, n, np.arange(n))
     place = 1 << np.arange(n - 1, -1, -1)  # site 0 is the most significant bit
     flips = ((codes ^ (codes >> 1)) & 1) @ place  # X = 01 and Y = 10
     z = (codes >> 1) @ place  # Y = 10 and Z = 11
-    coeffs = np.array([t.coeff for t in op.terms], dtype=np.complex128)
-    phases = (coeffs * _I_POWERS[np.count_nonzero(codes == 2, axis=1) % 4])[:, None]
+    phases = (op.coeffs * _I_POWERS[np.count_nonzero(codes == 2, axis=1) % 4])[:, None]
     masks, group = np.unique(flips, return_inverse=True)
     idx = np.arange(2**n)
     per_block = max(1, CHUNK_ENTRIES // idx.size)
@@ -452,6 +483,9 @@ def expectation(op: PauliSum, state: np.ndarray) -> complex:
 # text format
 
 def _parse_coeff(token: str) -> complex:
+    # float() and complex() also take "_" separators and non-ASCII digits
+    if not token.isascii() or "_" in token:
+        raise PauliError(f"bad coefficient {token!r}")
     try:
         value = float(token)
     except ValueError:
@@ -477,64 +511,86 @@ def _format_coeff(c: complex) -> str:
     return f"{c.real!r}{sign}{abs(c.imag)!r}i"
 
 
-def parse_pauli_sum(text: str) -> PauliSum:
-    """Parse the line-oriented ``<coeff> <STRING>`` format.
+# byte -> symbol code, 4 for a byte that is no symbol; and code -> code point
+_BYTE_CODES = np.array([SYMBOLS.find(chr(b)) % 5 for b in range(256)], dtype=np.uint8)
+_CODE_POINTS = np.array([ord(c) for c in SYMBOLS], dtype=np.uint32)
+_WORD_SHIFTS = np.arange(62, -1, -2, dtype=np.uint64)  # the 32 sites of a word, first site highest
 
-    Duplicate strings are merged, exactly-zero results dropped, term order
-    is first occurrence. Raises MalformedLine / InconsistentLength /
-    EmptyInput on bad input; a merge that overflows is a MalformedLine
-    naming the line that made it overflow.
-    """
-    entries: list[tuple[complex, PauliString]] = []
-    n_sites: int | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
+
+def _pack_codes(codes: np.ndarray) -> np.ndarray:
+    """pack_strings rows of a ``(count, n_sites)`` array of symbol codes."""
+    count, n = codes.shape
+    padded = np.zeros((count, 32 * n_words(n)), dtype=np.uint64)
+    padded[:, padded.shape[1] - n :] = codes  # the first word holds the leftover sites
+    return (padded.reshape(count, -1, 32) << _WORD_SHIFTS).sum(axis=2, dtype=np.uint64)
+
+
+def _row_labels(rows: np.ndarray, n_sites: int) -> list[str]:
+    """The labels of pack_strings rows: codes to code points, viewed as one string each."""
+    points = np.ascontiguousarray(_CODE_POINTS[site_codes(rows, n_sites, np.arange(n_sites))])
+    return points.view(f"U{n_sites}").reshape(-1).tolist()
+
+
+def _line_error(body: list[tuple[int, str]], width: int) -> PauliError:
+    """The error of the first body line that breaks the format; ``width`` is the first label's length."""
+    for line_no, line in body:
         tokens = line.split()
-        if len(tokens) != 2:
-            raise MalformedLine(
-                f"expected '<coeff> <STRING>', got {len(tokens)} tokens",
-                line_no, line.index(tokens[0]) + 1,
-            )
-        # columns are looked up only on the way out: a good line needs none
+        column = line.index(tokens[0]) + 1
         try:
-            coeff = _parse_coeff(tokens[0])
+            if len(tokens) != 2:
+                raise PauliError(f"expected '<coeff> <STRING>', got {len(tokens)} tokens")
+            _parse_coeff(tokens[0])
+            column = line.index(tokens[1], column - 1 + len(tokens[0])) + 1
+            PauliString.from_label(tokens[1])
         except PauliError as exc:
-            raise MalformedLine(str(exc), line_no, line.index(tokens[0]) + 1) from None
-        try:
-            string = PauliString.from_label(tokens[1])
-        except PauliError as exc:
-            string_col = line.index(tokens[1], line.index(tokens[0]) + len(tokens[0])) + 1
-            raise MalformedLine(str(exc), line_no, string_col) from None
-        if n_sites is None:
-            n_sites = string.n_sites
-        elif string.n_sites != n_sites:
-            raise InconsistentLength(
-                f"line {line_no}: string length {string.n_sites} != {n_sites}"
-            )
-        entries.append((coeff, string))
-    if n_sites is None:
+            return MalformedLine(str(exc), line_no, column)
+        if len(tokens[1]) != width:
+            return InconsistentLength(f"line {line_no}: string length {len(tokens[1])} != {width}")
+    raise AssertionError("every line is well formed")
+
+
+def parse_pauli_sum(text: str) -> PauliSum:
+    """Parse the line-oriented ``<coeff> <STRING>`` format into a merged sum.
+
+    Raises MalformedLine / InconsistentLength / EmptyInput on bad input,
+    checked in bulk and reported for the first bad line; a merge that
+    overflows is a MalformedLine naming the line that made it overflow.
+    """
+    body = [(no, line) for no, raw in enumerate(text.splitlines(), 1) if (line := raw.split("#", 1)[0]).strip()]
+    if not body:
         raise EmptyInput("no terms in input")
-    op = PauliSum(n_sites, entries)
-    if op.n_terms < len(entries) and not all(cmath.isfinite(t.coeff) for t in op.terms):
-        # a merge overflowed: replay the merges, one per non-blank line, to name the line
-        lines = [(no, raw) for no, raw in enumerate(text.splitlines(), start=1) if raw.split("#", 1)[0].strip()]
-        totals: dict[PauliString, complex] = {}
-        for (line_no, raw), (coeff, string) in zip(lines, entries):
-            totals[string] = totals.get(string, 0j) + coeff
-            if not cmath.isfinite(totals[string]):
-                raise MalformedLine(
-                    f"coefficient of {string} is not finite once merged with earlier lines",
-                    line_no, len(raw) - len(raw.lstrip()) + 1,
-                )
+    pairs = [line.split() for _, line in body]
+    width = len(pairs[0][-1])
+    if set(map(len, pairs)) != {2}:
+        raise _line_error(body, width)
+    tokens, labels = zip(*pairs)
+    numbers, joined = "".join(tokens), "".join(labels)
+    coeffs = None
+    try:  # real tokens at C speed; a complex one sends every token through _parse_coeff
+        coeffs = np.array(list(map(float, tokens)), dtype=np.complex128)
+    except ValueError:
+        with contextlib.suppress(PauliError):
+            coeffs = np.array(list(map(_parse_coeff, tokens)), dtype=np.complex128)
+    codes = _BYTE_CODES[np.frombuffer(joined.encode(errors="surrogatepass"), dtype=np.uint8)]
+    if (coeffs is None or not np.isfinite(coeffs).all() or not numbers.isascii() or "_" in numbers
+            or codes.max() > 3 or set(map(len, labels)) != {width}):
+        raise _line_error(body, width)
+    op = PauliSum.from_rows(width, _pack_codes(codes.reshape(-1, width)), coeffs)
+    if not np.isfinite(op.coeffs).all():
+        # a merge overflowed: replay the merges, one per body line, to name the line
+        totals: dict[str, complex] = {}
+        for (line_no, line), label, coeff in zip(body, labels, coeffs.tolist()):
+            totals[label] = totals.get(label, 0j) + coeff
+            if not cmath.isfinite(totals[label]):
+                message = f"coefficient of {label} is not finite once merged with earlier lines"
+                raise MalformedLine(message, line_no, len(line) - len(line.lstrip()) + 1)
     return op
 
 
 def serialize_pauli_sum(op: PauliSum) -> str:
     """Inverse of parse_pauli_sum; exact round trip for every float."""
-    lines = [f"{_format_coeff(t.coeff)} {t.string.label}" for t in op.terms]
-    return "\n".join(lines) + "\n"
+    coeffs = map(_format_coeff, op.coeffs.tolist())
+    return "\n".join(map("{} {}".format, coeffs, _row_labels(op.rows, op.n_sites))) + "\n"
 
 
 # ---------------------------------------------------------------------------

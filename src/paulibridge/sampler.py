@@ -187,7 +187,7 @@ def _read_listing(text: str, fmt: str, fields: str) -> tuple[int, int, list]:
     last. Each data line comes back as ``(line number, its other fields,
     its string)``; blank and ``#`` lines are skipped.
     """
-    header = re.match(rf"#\s*{fmt}\s+n_sites=(\d+)\s+n_samples=(\d+)", text)
+    header = re.match(rf"#\s*{fmt}\s+n_sites=([0-9]+)\s+n_samples=([0-9]+)", text)
     if header is None:
         raise ValueError(f"missing {fmt} header line")
     n_sites, n_samples = int(header.group(1)), int(header.group(2))
@@ -235,6 +235,9 @@ def pool_from_text(text: str) -> SampledPool:
     xy: list[PauliString] = []
     iz: list[PauliString] = []
     for line_no, (count_token, freq_token), string in lines:
+        numbers = count_token + freq_token  # int() and float() also take "_" and non-ASCII digits
+        if not numbers.isascii() or "_" in numbers:
+            raise ValueError(f"line {line_no}: count and frequency must be ASCII numbers without '_'")
         try:
             count, freq = int(count_token), float(freq_token)
         except ValueError as exc:

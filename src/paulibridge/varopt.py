@@ -100,10 +100,8 @@ def assemble_pencil(op: PauliSum, strings: Sequence[PauliString], state: Mps) ->
             )
     k = len(pool)
     p = pack_strings(pool, op.n_sites)
-    t = pack_strings((term.string for term in op.terms), op.n_sites)
-    coeffs = np.array([term.coeff for term in op.terms], dtype=np.complex128)
     n_exp, n_codes = packed_product(p[:, None], p[None, :])
-    pt_exp, pt_codes = packed_product(p[:, None], t[None, :])
+    pt_exp, pt_codes = packed_product(p[:, None], op.rows[None, :])
     ptp_exp, h_codes = packed_product(pt_codes[:, :, None], p[None, None, :])
     words = p.shape[1]
     unique, inverse = unique_rows(
@@ -112,10 +110,10 @@ def assemble_pencil(op: PauliSum, strings: Sequence[PauliString], state: Mps) ->
     values = string_expectations(state, unique)[inverse]
     n = _I_POWERS[n_exp] * values[: k * k].reshape(k, k)
     h_entries = _I_POWERS[(pt_exp[:, :, None] + ptp_exp) % 4] * values[k * k :].reshape(
-        k, len(coeffs), k
+        k, op.n_terms, k
     )
-    h = np.tensordot(coeffs, h_entries, axes=(0, 1))
-    return EffectivePencil(h, n, pool, float(np.abs(coeffs).sum()))
+    h = np.tensordot(op.coeffs, h_entries, axes=(0, 1))
+    return EffectivePencil(h, n, pool, float(np.abs(op.coeffs).sum()))
 
 
 def _whiten(pencil: EffectivePencil):

@@ -22,8 +22,9 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from paulibridge import __version__, varopt
+from paulibridge import __version__, lcu, varopt
 from paulibridge.bridge import compile as compile_bridge
+from paulibridge.bridge import skeleton_hash
 from paulibridge.bridge import decomposition_from_json, decomposition_to_json
 from paulibridge.cli import main
 from paulibridge.lcu import program_from_json
@@ -183,6 +184,22 @@ class TestPipelineArtifacts:
         paths, _ = pipeline
         assert paths["updated"].read_bytes() == paths["lcu"].read_bytes()
 
+    def test_update_hashes_the_skeleton_twice(self, pipeline, tmp_path, monkeypatch):
+        # once for the program read and once for the recompiled one; each
+        # program keeps its select_hash for the check, the JSON and stdout
+        paths, _ = pipeline
+        calls = []
+        monkeypatch.setattr(lcu, "skeleton_hash", lambda *args: calls.append(args) or skeleton_hash(*args))
+        out = tmp_path / "updated.json"
+        rc, stdout, _ = run(["update", "--program", str(paths["lcu"]), "--bridge", str(paths["bridge"]),
+                             "--output", str(out)])
+        assert rc == 0
+        assert len(calls) == 2
+        want = json.loads(paths["lcu"].read_text())["select_hash"]
+        assert want == skeleton_hash(*calls[0]) == skeleton_hash(*calls[1])
+        assert json.loads(out.read_text())["select_hash"] == want
+        assert f"select_hash {want}\n" in stdout
+
     def test_verify_all_pass(self, pipeline):
         _, stdout = pipeline
         lines = [l for l in stdout["verify"].splitlines() if l]
@@ -289,6 +306,14 @@ class TestExitCodes:
                           "--output", str(tmp_path / "out.json")])
         assert rc == 2
         assert "error:" in err
+
+    def test_numerals_must_be_ascii(self, tmp_path):
+        # float() would read these as 10, 3 and 0.55+10i
+        bad, out = tmp_path / "bad.pauli", tmp_path / "out.json"
+        bad.write_bytes(b"1_0 XZ\n\xd9\xa3 ZZ\n0.5_5+1_0i XX\n")
+        rc, stdout, err = run(["compile", "--input", str(bad), "--cut", "1", "--output", str(out)])
+        assert (rc, stdout, err) == (2, "", "error: line 1, column 1: bad coefficient '1_0'\n")
+        assert not out.exists()
 
     def test_malformed_operator_text(self, tmp_path):
         bad = tmp_path / "bad.pauli"

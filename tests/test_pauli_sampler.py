@@ -254,6 +254,22 @@ class TestPoolText:
         with pytest.raises(ValueError, match=f"^line 3: .*{message}"):
             pool_from_text(text)
 
+    @pytest.mark.parametrize("line", ["1_0 0.25 XX", "\u0663 0.25 XX", "2 0.2_5 XX", "2 \u0660.25 XX"])
+    def test_numbers_are_ascii_literals(self, line):
+        # int() and float() read "1_0" as 10 and the Arabic-Indic digit three as 3
+        text = f"# pool-v1 n_sites=2 n_samples=40\n1 0.025 ZI\n{line}\n"
+        with pytest.raises(ValueError, match="^line 3: count and frequency must be ASCII numbers"):
+            pool_from_text(text)
+
+    @pytest.mark.parametrize("reader, header", [
+        (pool_from_text, "# pool-v1 n_sites=\u0662 n_samples=4"),
+        (pool_from_text, "# pool-v1 n_sites=2 n_samples=\u0664"),
+        (samples_from_text, "# samples-v1 n_sites=\u0662 n_samples=1"),
+    ])
+    def test_header_digits_are_ascii(self, reader, header):
+        with pytest.raises(ValueError, match="^missing (pool|samples)-v1 header line$"):
+            reader(f"{header}\n1 0.25 XX\n" if reader is pool_from_text else f"{header}\nXX\n")
+
 
 class TestSamplesText:
     def test_round_trip(self):
