@@ -7,7 +7,8 @@ operator is the sum over active index pairs (a, b) of
 ``C[a, b] * left[a] (x) right[b]``.
 
 The symbolic side (the dictionaries, stored as sorted label tuples) is
-decoupled from the numeric side (the bridge entries). The layered
+decoupled from the numeric side (the bridge, held as an index-pair column
+and a coefficient column, sorted by pair). The layered
 prefix/suffix graphs that generate the dictionaries are never built; the
 ``bridge-v1`` document reports their layer sizes and edge counts, counted
 from the labels. Coefficients can be swapped without touching the
@@ -27,20 +28,23 @@ Layout conventions fixed here and relied on downstream:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
-from functools import partial
+import itertools
+import operator
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 
 import numpy as np
 
 from paulibridge.pauli import (
     PauliString,
     PauliSum,
-    PauliTerm,
     _row_labels,
     json_document,
+    json_columns,
     json_field,
     json_finite,
     json_labels,
+    json_rows,
     json_text,
     malformed,
 )
@@ -92,7 +96,7 @@ class FragmentDictionary:
     def __post_init__(self) -> None:
         if not self.labels:
             raise ValueError("a fragment dictionary cannot be empty")
-        lengths = {len(s) for s in self.labels}
+        lengths = set(map(len, self.labels))
         if len(lengths) != 1:
             raise ValueError(f"mixed fragment lengths {sorted(lengths)}")
 
@@ -104,31 +108,54 @@ class FragmentDictionary:
         return len(self.labels[0])
 
 
-@dataclass
 class Bridge:
     """Sparse coefficient matrix over fragment index pairs.
 
-    ``entries`` maps (left index, right index) to a complex coefficient.
+    Held as read-only columns: ``pairs``, a ``(P, 2)`` int64 array sorted
+    by (a, b), and ``coeffs``, their complex128 values. ``Bridge(shape,
+    entries)`` takes a dict from (a, b) to a complex, ``from_columns`` the
+    sorted arrays, and ``entries`` is the dict again, built on first use.
     Zero values are legitimate entries: they mark cancelled pairs that
     still belong to the active index set.
     """
 
-    shape: tuple[int, int]
-    entries: dict[tuple[int, int], complex] = field(default_factory=dict)
+    def __init__(self, shape: tuple[int, int], entries: dict[tuple[int, int], complex] | None = None):
+        items = sorted((entries or {}).items())
+        self.shape = tuple(shape)
+        self.pairs = np.array([p for p, _ in items], dtype=np.int64).reshape(-1, 2)
+        self.coeffs = np.array([c for _, c in items], dtype=np.complex128)
+        self.pairs.flags.writeable = self.coeffs.flags.writeable = False
+
+    @classmethod
+    def from_columns(cls, shape: tuple[int, int], pairs: np.ndarray, coeffs: np.ndarray) -> "Bridge":
+        """A bridge over int64 ``pairs`` sorted by (a, b), none repeated, weighted by complex128 ``coeffs``."""
+        bridge = cls.__new__(cls)
+        bridge.shape, bridge.pairs, bridge.coeffs = tuple(shape), pairs, coeffs
+        pairs.flags.writeable = coeffs.flags.writeable = False
+        return bridge
+
+    @cached_property
+    def entries(self) -> dict[tuple[int, int], complex]:
+        return dict(zip(map(tuple, self.pairs.tolist()), self.coeffs.tolist()))
 
     @property
     def active_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(p for p, c in self.entries.items() if c != 0))
+        return tuple(map(tuple, self.pairs[self.coeffs != 0].tolist()))
 
     @property
     def cancelled_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(p for p, c in self.entries.items() if c == 0))
+        return tuple(map(tuple, self.pairs[self.coeffs == 0].tolist()))
 
     def to_matrix(self) -> np.ndarray:
         m = np.zeros(self.shape, dtype=np.complex128)
-        for (a, b), c in self.entries.items():
-            m[a, b] = c
+        m[self.pairs[:, 0], self.pairs[:, 1]] = self.coeffs
         return m
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Bridge):
+            return NotImplemented
+        return (self.shape == other.shape and np.array_equal(self.pairs, other.pairs)
+                and np.array_equal(self.coeffs, other.coeffs))
 
 
 @dataclass
@@ -157,14 +184,17 @@ def compile(op: PauliSum, cut: int) -> BridgeDecomposition:
         raise EmptyOperator("cannot compile a sum with no terms")
     if not 1 <= cut <= op.n_sites - 1:
         raise CutOutOfRange(f"cut {cut} not in 1..{op.n_sites - 1}")
-    labels = _row_labels(op.rows, op.n_sites)
-    left = FragmentDictionary(tuple(sorted({s[:cut] for s in labels})))
-    right = FragmentDictionary(tuple(sorted({s[cut:] for s in labels})))
-    left_index = {s: i for i, s in enumerate(left.labels)}
-    right_index = {s: i for i, s in enumerate(right.labels)}
-    # PauliSum terms are distinct, so each index pair occurs once
-    entries = {(left_index[s[:cut]], right_index[s[cut:]]): c for s, c in zip(labels, op.coeffs.tolist())}
-    return BridgeDecomposition(cut, left, right, Bridge((len(left), len(right)), entries))
+    order = np.lexsort(op.rows.T[::-1])  # label order, so (a, b) order; PauliSum terms are distinct
+    labels = _row_labels(op.rows[order], op.n_sites).tolist()
+    sides = []
+    for part in (slice(None, cut), slice(cut, None)):
+        halves = list(map(operator.itemgetter(part), labels))
+        fragments = sorted(set(halves))
+        index = dict(zip(fragments, itertools.count()))
+        sides.append((FragmentDictionary(tuple(fragments)), list(map(index.get, halves))))
+    (left, a), (right, b) = sides
+    bridge = Bridge.from_columns((len(left), len(right)), np.array([a, b], dtype=np.int64).T, op.coeffs[order])
+    return BridgeDecomposition(cut, left, right, bridge)
 
 
 def reconstruct(d: BridgeDecomposition) -> PauliSum:
@@ -173,11 +203,8 @@ def reconstruct(d: BridgeDecomposition) -> PauliSum:
     Terms come out in bridge index order; zero entries drop out of the
     sum (an all-cancelled bridge reconstructs to an empty sum).
     """
-    terms = [
-        PauliTerm(coeff, PauliString.from_label(d.left.labels[a] + d.right.labels[b]))
-        for (a, b), coeff in sorted(d.bridge.entries.items())
-    ]
-    return PauliSum(d.n_sites, terms)
+    labels = [d.left.labels[a] + d.right.labels[b] for a, b in d.bridge.pairs.tolist()]
+    return PauliSum(d.n_sites, list(zip(d.bridge.coeffs.tolist(), map(PauliString.from_label, labels))))
 
 
 def set_bridge(d: BridgeDecomposition, entries: dict[tuple[int, int], complex]) -> BridgeDecomposition:
@@ -203,9 +230,9 @@ def skeleton_hash(cut: int, left, right, pairs=()) -> str:
     ``pairs`` (sorted here) is the active pair set when the digest covers
     it, as an LCU program's select hash does. No coefficient enters.
     """
-    parts = [f"cut={cut}", "L"] + list(left) + ["R"] + list(right) + ["P"]
-    parts += [f"{a},{b}" for a, b in sorted(pairs)]
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    pairs = tuple(itertools.chain.from_iterable(sorted(pairs)))
+    text = "\n".join([f"cut={cut}", "L", *left, "R", *right, "P"]) + "\n%d,%d" * (len(pairs) // 2) % pairs
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def structural_hash(d: BridgeDecomposition) -> str:
@@ -226,15 +253,16 @@ def decomposition_to_json(d: BridgeDecomposition) -> str:
         "cut": d.cut,
         "left_fragments": list(d.left.labels),
         "right_fragments": list(d.right.labels),
-        "bridge": [
-            {"a": a, "b": b, "re": d.bridge.entries[(a, b)].real, "im": d.bridge.entries[(a, b)].imag}
-            for a, b in sorted(d.bridge.entries)
-        ],
+        "bridge": json_rows(
+            {"a": "%d", "b": "%d", "re": "%r", "im": "%r"},
+            [*d.bridge.pairs.T.tolist(), d.bridge.coeffs.real.tolist(), d.bridge.coeffs.imag.tolist()],
+        ),
     }
     # sizes of the layered graphs generating the dictionaries: each left
     # edge ends at a distinct prefix, each right edge starts at a distinct suffix
-    left = [len({s[:i] for s in d.left.labels}) for i in range(d.cut + 1)]
-    right = [len({s[i:] for s in d.right.labels}) for i in range(d.right.width + 1)]
+    left = [len(set(map(operator.itemgetter(slice(i)), d.left.labels))) for i in range(d.cut + 1)]
+    right = [len(set(map(operator.itemgetter(slice(i, None)), d.right.labels)))
+             for i in range(d.right.width + 1)]
     for side, sizes, edges in (("left", left, left[1:]), ("right", right, right[:-1])):
         doc[f"graph_{side}"] = {"layer_sizes": sizes, "edge_counts": edges}
     return json_text(doc)
@@ -252,15 +280,26 @@ def decomposition_from_json(text: str) -> BridgeDecomposition:
         raise _malformed("cut", f"{cut} not in 1..{n_sites - 1}")
     left = FragmentDictionary(json_labels(FORMAT_NAME, doc, "left_fragments", cut))
     right = FragmentDictionary(json_labels(FORMAT_NAME, doc, "right_fragments", n_sites - cut))
-    entries: dict[tuple[int, int], complex] = {}
-    for k, e in enumerate(_field(doc, "bridge", list)):
+    rows = _field(doc, "bridge", list)
+    columns = json_columns(rows, ("a", "b", "re", "im"), (len(left), len(right), float, float))
+    if columns is None or len(set(zip(*columns[:2]))) < len(rows):
+        _raise_row_error(rows, len(left), len(right))
+    a, b, re, im = zip(*sorted(zip(*columns))) if rows else columns  # by pair, as no two rows share one
+    coeffs = np.array(list(map(complex, re, im)), dtype=np.complex128)
+    bridge = Bridge.from_columns((len(left), len(right)), np.array([a, b], dtype=np.int64).T, coeffs)
+    return BridgeDecomposition(cut, left, right, bridge)
+
+
+def _raise_row_error(rows: list, n_left: int, n_right: int):
+    """Raise the error of the first bridge row that breaks the format."""
+    seen = set()
+    for k, e in enumerate(rows):
         where = f"bridge[{k}]"
         a, b = _field(e, "a", int, where + "."), _field(e, "b", int, where + ".")
-        if not (0 <= a < len(left) and 0 <= b < len(right)):
-            raise IndexOutOfRange(
-                f"{FORMAT_NAME} field {where}: pair ({a}, {b}) outside ({len(left)}, {len(right)})"
-            )
-        if (a, b) in entries:
+        if not (0 <= a < n_left and 0 <= b < n_right):
+            raise IndexOutOfRange(f"{FORMAT_NAME} field {where}: pair ({a}, {b}) outside ({n_left}, {n_right})")
+        if (a, b) in seen:
             raise _malformed(where, f"pair ({a}, {b}) appears twice")
-        entries[(a, b)] = complex(_finite(e, "re", where + "."), _finite(e, "im", where + "."))
-    return BridgeDecomposition(cut, left, right, Bridge((len(left), len(right)), entries))
+        seen.add((a, b))
+        _finite(e, "re", where + "."), _finite(e, "im", where + ".")
+    raise AssertionError("every bridge row is well formed")

@@ -96,8 +96,15 @@ class Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
+def _numeral(token: str) -> str:
+    # int() and float() also take "_" separators and non-ASCII digits; the text formats refuse both
+    if not token.isascii() or "_" in token:
+        raise argparse.ArgumentTypeError(f"expected an ASCII number without '_', got {token!r}")
+    return token
+
+
 def positive_int(token: str, low: int = 1) -> int:
-    value = int(token)
+    value = int(_numeral(token))
     if value < low:
         raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
@@ -108,7 +115,7 @@ def non_negative_int(token: str) -> int:
 
 
 def tolerance(token: str) -> float:
-    value = float(token)
+    value = float(_numeral(token))
     if not 0 <= value < np.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {token}")
     return value

@@ -8,8 +8,9 @@ Phi . Select_L . Select_R for every program: the register selects apply
 fragment strings and depend on the dictionaries only, never on a
 coefficient, and the coefficient phases form Phi, a diagonal on the pair
 register. A program holds the dictionaries and one Prep table with a
-row ``(a, b, amp, phase)`` per pair; Select is the table's pair list over
-the dictionaries, and the ``lcu-v1`` select rows store Phi. The top-left
+row ``(a, b, amp, phase)`` per pair, kept as the columns ``a``, ``b``,
+``amp`` and ``phase``; Select is the table's pair list over the
+dictionaries, and the ``lcu-v1`` select rows store Phi. The top-left
 ancilla block of Prep^dag Select Prep is then the operator divided by
 ``lambda``, the one-norm of the bridge.
 
@@ -20,7 +21,10 @@ program with the same hash and an unchanged select skeleton.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -35,10 +39,12 @@ from paulibridge.pauli import (
     TooLarge,
     _act,
     dense_string,
+    json_columns,
     json_document,
     json_field,
     json_finite,
     json_labels,
+    json_rows,
     json_text,
     malformed,
 )
@@ -76,12 +82,18 @@ class SupportChanged(ValueError):
     """The new bridge has a different skeleton; a coefficient update cannot apply."""
 
 
+# the Prep table as columns, one entry per pair; a program holds them read-only
+PrepColumns = collections.namedtuple("PrepColumns", "a b amp phase")
+
+
 @dataclass(frozen=True)
 class LcuProgram:
     """A bridge's skeleton (cut and dictionaries) plus its Prep table.
 
     ``prep`` has one row ``(a, b, amp, phase)`` per pair; everything else
-    about Select, the ancilla widths and the select hash follows.
+    about Select, the ancilla widths and the select hash follows. The table
+    is given as row tuples or as PrepColumns, and the form not given is
+    derived on first use: ``prep`` reads the rows, ``columns`` the columns.
     """
 
     cut: int
@@ -89,6 +101,27 @@ class LcuProgram:
     right: tuple[str, ...]
     lam: float
     prep: tuple[tuple[int, int, float, complex], ...]
+
+    @property  # the fifth field: rows or columns, each derived from the other on first use
+    def prep(self) -> tuple[tuple[int, int, float, complex], ...]:
+        if self._rows is None:
+            self.__dict__["_rows"] = tuple(zip(*(column.tolist() for column in self._columns)))
+        return self._rows
+
+    @prep.setter  # called once, by the dataclass __init__
+    def prep(self, table) -> None:
+        is_columns = isinstance(table, PrepColumns)
+        self.__dict__.update(_rows=None if is_columns else tuple(table), _columns=table if is_columns else None)
+        for column in table if is_columns else ():
+            column.flags.writeable = False
+
+    @property
+    def columns(self) -> PrepColumns:
+        if self._columns is None:
+            columns = zip(*self._rows) if self._rows else ((),) * 4
+            dtypes = (np.int64, np.int64, np.float64, np.complex128)
+            self.__dict__["_columns"] = PrepColumns(*map(np.array, columns, dtypes))
+        return self._columns
 
     @property
     def n_sites(self) -> int:
@@ -108,7 +141,8 @@ class LcuProgram:
 
     @cached_property  # a program is frozen, so its skeleton is hashed once
     def select_hash(self) -> str:
-        return skeleton_hash(self.cut, self.left, self.right, [(a, b) for a, b, *_ in self.prep])
+        pairs = list(zip(self.columns.a.tolist(), self.columns.b.tolist()))
+        return skeleton_hash(self.cut, self.left, self.right, pairs)
 
     def pair_index(self, a: int, b: int) -> int:
         return (a << self.a_right) | b
@@ -116,24 +150,22 @@ class LcuProgram:
 
 def compile_lcu(d: BridgeDecomposition) -> LcuProgram:
     """Compile a bridge decomposition into an LCU program."""
-    active = sorted(d.bridge.active_pairs)
-    if not active:
+    pairs, coeffs = d.bridge.pairs, d.bridge.coeffs
+    if np.count_nonzero(coeffs) < len(coeffs):  # cancelled pairs carry no amplitude
+        pairs, coeffs = pairs[coeffs != 0], coeffs[coeffs != 0]
+    if not len(coeffs):
         raise EmptyOperator("bridge has no active pairs")
-    coeffs = np.array([d.bridge.entries[p] for p in active])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a complex subnormal c has no finite 1 / |c|; writers refuse its phase
         lam = float(np.sum(np.abs(coeffs)))
+        # +-1 for a real coefficient, else c / |c| rounded as numpy divides a complex scalar
+        unit = coeffs / np.hypot(coeffs.real, coeffs.imag)
+    phases = np.where(coeffs.imag == 0, np.copysign(1.0, coeffs.real), unit)
     if not math.isfinite(lam):
         raise ValueError(f"the one-norm lambda of the bridge overflows to {lam}")
     amps = np.sqrt(np.abs(coeffs) / lam)
     amps /= np.linalg.norm(amps)
-    phases = [complex(1.0 if c.real > 0 else -1.0) if c.imag == 0 else complex(c / abs(c)) for c in coeffs]
-    return LcuProgram(
-        cut=d.cut,
-        left=d.left.labels,
-        right=d.right.labels,
-        lam=lam,
-        prep=tuple((a, b, float(amp), ph) for (a, b), amp, ph in zip(active, amps, phases)),
-    )
+    table = PrepColumns(pairs[:, 0], pairs[:, 1], amps, phases)
+    return LcuProgram(cut=d.cut, left=d.left.labels, right=d.right.labels, lam=lam, prep=table)
 
 
 def update_coefficients(program: LcuProgram, d: BridgeDecomposition) -> LcuProgram:
@@ -151,12 +183,15 @@ def update_coefficients(program: LcuProgram, d: BridgeDecomposition) -> LcuProgr
     return fresh
 
 
+def _pair_indices(program: LcuProgram) -> np.ndarray:
+    return (program.columns.a << program.a_right) | program.columns.b
+
+
 def prep_dense(program: LcuProgram) -> np.ndarray:
     """Householder reflection mapping |0> to the amplitude vector."""
     dim = 2**program.a_total
     u = np.zeros(dim)
-    for a, b, amp, _ in program.prep:
-        u[program.pair_index(a, b)] = amp
+    u[_pair_indices(program)] = program.columns.amp
     u /= np.linalg.norm(u)
     v = u - np.eye(dim)[:, 0]
     vnorm2 = float(v @ v)
@@ -175,8 +210,7 @@ def _phase_rows(program: LcuProgram) -> np.ndarray:
     # Phi as a column of row scales: each pair's phase; an index Prep does
     # not load gets no amplitude, so its scale is left at 1
     phases = np.ones(2**program.a_total, dtype=np.complex128)
-    for a, b, _, ph in program.prep:
-        phases[program.pair_index(a, b)] = ph
+    phases[_pair_indices(program)] = program.columns.phase
     return np.repeat(phases, 2**program.n_sites)[:, None]
 
 
@@ -282,24 +316,30 @@ def emit_gates(program: LcuProgram) -> str:
     The control pattern is the pair index in binary (left register bits
     first); unit phases are omitted from the annotation.
     """
-    width = program.a_total
-    lines = [
+    width, columns, index = program.a_total, program.columns, _pair_indices(program)
+    head = (
         f"# {GATES_FORMAT} n_sites={program.n_sites} cut={program.cut}"
         f" a_left={program.a_left} a_right={program.a_right}"
         f" lambda={program.lam:.12g}"
-    ]
-    lines.append("prep " + " ".join(f"{program.pair_index(a, b)}:{amp:.12g}" for a, b, amp, _ in program.prep))
-    for a, b, _, ph in program.prep:
-        pattern = format(program.pair_index(a, b), f"0{width}b") if width else "-"
-        row = f"cpauli {pattern} {program.left[a]}{program.right[b]}"
-        if ph != 1:
-            row += f" phase={_fmt_phase(ph)}"
-        lines.append(row)
-    lines.append("unprep")
-    return "\n".join(lines) + "\n"
+    )
+    amps = tuple(itertools.chain.from_iterable(zip(index.tolist(), columns.amp.tolist())))
+    prep = " ".join(["%d:%.12g"] * len(index)) % amps
+    if width:  # the bits of each index, most significant first, as one ASCII string each
+        bits = (index[:, None] >> np.arange(width - 1, -1, -1)) & 1
+        patterns = (bits + ord("0")).astype(np.uint8).view(f"S{width}").ravel().astype(f"U{width}").tolist()
+    else:
+        patterns = ["-"] * len(index)
+    phases = columns.phase.tolist()
+    notes = {ph: "" if ph == 1 else f" phase={_fmt_phase(ph)}" for ph in set(phases)}
+    rows = zip(patterns, map(program.left.__getitem__, columns.a.tolist()),
+               map(program.right.__getitem__, columns.b.tolist()), map(notes.__getitem__, phases))
+    cpauli = "".join(["cpauli %s %s%s%s\n"] * len(index)) % tuple(itertools.chain.from_iterable(rows))
+    return f"{head}\nprep {prep}\n{cpauli}unprep\n"
 
 
 def program_to_json(program: LcuProgram) -> str:
+    columns = program.columns
+    a, b = columns.a.tolist(), columns.b.tolist()
     doc = {
         "format": FORMAT_NAME,
         "n_sites": program.n_sites,
@@ -309,12 +349,13 @@ def program_to_json(program: LcuProgram) -> str:
         "lambda": program.lam,
         "a_left": program.a_left,
         "a_right": program.a_right,
-        "prep": [{"a": a, "b": b, "amp": amp} for a, b, amp, _ in program.prep],
-        "select": [
-            {"a": a, "b": b, "pl": program.left[a], "pr": program.right[b],
-             "phase_re": ph.real, "phase_im": ph.imag}
-            for a, b, _, ph in program.prep
-        ],
+        "prep": json_rows({"a": "%d", "b": "%d", "amp": "%r"}, [a, b, columns.amp.tolist()]),
+        "select": json_rows(
+            # labels are IXYZ only, so they need no escape
+            {"a": "%d", "b": "%d", "pl": '"%s"', "pr": '"%s"', "phase_re": "%r", "phase_im": "%r"},
+            [a, b, list(map(program.left.__getitem__, a)), list(map(program.right.__getitem__, b)),
+             columns.phase.real.tolist(), columns.phase.imag.tolist()],
+        ),
         "select_hash": program.select_hash,
     }
     return json_text(doc)
@@ -323,13 +364,6 @@ def program_to_json(program: LcuProgram) -> str:
 _malformed = partial(malformed, FORMAT_NAME)
 _field = partial(json_field, FORMAT_NAME)
 _finite = partial(json_finite, FORMAT_NAME)
-
-
-def _index(row, key: str, size: int, where: str) -> int:
-    value = _field(row, key, int, where)
-    if not 0 <= value < size:
-        raise _malformed(where + key, f"{value} not in 0..{size - 1}")
-    return value
 
 
 def program_from_json(text: str) -> LcuProgram:
@@ -356,15 +390,53 @@ def program_from_json(text: str) -> LcuProgram:
     preps, selects = _field(doc, "prep", list), _field(doc, "select", list)
     if len(preps) != len(selects):
         raise _malformed("select", f"{len(selects)} rows, prep has {len(preps)}")
-    rows = {}
+    table = _read_table(preps, selects, left, right)
+    amps = table.amp.tolist()
+    norm = math.sqrt(sum(map(operator.mul, amps, amps)))  # summed in row order, as a loop over the rows would
+    if abs(norm - 1.0) > PREP_NORM_TOL:
+        raise _malformed("prep", f"amplitude norm {norm:.6g} is not 1")
+    program = LcuProgram(cut=cut, left=left, right=right, lam=lam, prep=table)
+    if _field(doc, "select_hash", str) != program.select_hash:
+        raise _malformed("select_hash", "is not the hash of the dictionaries and pairs")
+    return program
+
+
+def _read_table(preps: list, selects: list, left: tuple[str, ...], right: tuple[str, ...]) -> PrepColumns:
+    """The table of equally long ``prep`` and ``select`` rows, in file order, checked in bulk."""
+    sizes = (len(left), len(right))
+    keys = ("a", "b", "pl", "pr", "phase_re", "phase_im")
+    s_cols = json_columns(selects, keys, (*sizes, str, str, float, float))
+    p_cols = json_columns(preps, keys[:2] + ("amp",), (*sizes, float))
+    if (s_cols is None or p_cols is None or p_cols[:2] != s_cols[:2]
+            or len(set(zip(*s_cols[:2]))) < len(selects)
+            or tuple(map(left.__getitem__, s_cols[0])) != s_cols[2]
+            or tuple(map(right.__getitem__, s_cols[1])) != s_cols[3]
+            # np.hypot rounds as abs(complex) does
+            or not (np.abs(np.hypot(s_cols[4], s_cols[5]) - 1) <= PHASE_TOL).all()):
+        _raise_row_error(preps, selects, left, right)
+    phase = np.array(list(map(complex, *s_cols[4:])), dtype=np.complex128)
+    return PrepColumns(*(np.array(column, dtype=np.int64) for column in s_cols[:2]), np.array(p_cols[2]), phase)
+
+
+def _index(row, key: str, size: int, where: str) -> int:
+    value = _field(row, key, int, where)
+    if not 0 <= value < size:
+        raise _malformed(where + key, f"{value} not in 0..{size - 1}")
+    return value
+
+
+def _raise_row_error(preps: list, selects: list, left: tuple[str, ...], right: tuple[str, ...]):
+    """Raise the error of the first prep/select row pair that breaks the format."""
+    seen = set()
     for k, (p_row, s_row) in enumerate(zip(preps, selects)):
         where = f"select[{k}]."
         a = _index(s_row, "a", len(left), where)
         b = _index(s_row, "b", len(right), where)
         if _field(s_row, "pl", str, where) != left[a] or _field(s_row, "pr", str, where) != right[b]:
             raise _malformed(where + "pl/pr", "select row labels disagree with the dictionaries")
-        if (a, b) in rows:
+        if (a, b) in seen:
             raise _malformed(f"select[{k}]", f"pair ({a}, {b}) appears twice")
+        seen.add((a, b))
         phase = complex(_finite(s_row, "phase_re", where), _finite(s_row, "phase_im", where))
         if abs(abs(phase) - 1) > PHASE_TOL:
             raise _malformed(f"select[{k}]", f"phase {phase} has modulus {abs(phase):.6g}, not 1")
@@ -372,11 +444,5 @@ def program_from_json(text: str) -> LcuProgram:
         pair = (_index(p_row, "a", len(left), where), _index(p_row, "b", len(right), where))
         if pair != (a, b):
             raise _malformed(f"prep[{k}]", f"pair {pair} is not the pair ({a}, {b}) of select[{k}]")
-        rows[pair] = (a, b, _finite(p_row, "amp", where), phase)
-    norm = math.sqrt(sum(amp * amp for _, _, amp, _ in rows.values()))
-    if abs(norm - 1.0) > PREP_NORM_TOL:
-        raise _malformed("prep", f"amplitude norm {norm:.6g} is not 1")
-    program = LcuProgram(cut=cut, left=left, right=right, lam=lam, prep=tuple(rows.values()))
-    if _field(doc, "select_hash", str) != program.select_hash:
-        raise _malformed("select_hash", "is not the hash of the dictionaries and pairs")
-    return program
+        _finite(p_row, "amp", where)
+    raise AssertionError("every prep and select row is well formed")

@@ -98,7 +98,7 @@ def build_mpo_qr(
     # code_k * n_rests[k] + (id of the suffix past k), one per term at site
     # 0 and one per distinct suffix after it. np.unique sorts the keys in
     # label order, since I < X < Y < Z is code order.
-    codes = site_codes(op.rows, n, np.arange(n))
+    codes = site_codes(op.rows, n)
     ids = np.zeros(op.n_terms, dtype=np.int64)
     keys, n_rests = [], [1]
     for k in range(n - 1, 0, -1):
@@ -205,10 +205,6 @@ def bridge_svd(d: BridgeDecomposition, rank: int) -> BridgeSvd:
     left = u[:, :rank] * root
     right = root[:, None] * vh[:rank]
     approx = (u[:, :rank] * s[:rank]) @ vh[:rank]
-    entries = {
-        (a, b): complex(approx[a, b])
-        for a in range(approx.shape[0])
-        for b in range(approx.shape[1])
-        if approx[a, b] != 0
-    }
-    return BridgeSvd(left, s, right, Bridge(d.bridge.shape, entries))
+    a, b = np.nonzero(approx)  # row-major, so the pairs come sorted
+    truncated = Bridge.from_columns(d.bridge.shape, np.stack([a, b], axis=1), approx[a, b])
+    return BridgeSvd(left, s, right, truncated)

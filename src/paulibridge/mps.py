@@ -22,6 +22,7 @@ from paulibridge.pauli import (
     PAULI_MATRICES,
     PauliString,
     PauliSum,
+    JsonText,
     TooLarge,
     json_document,
     json_field,
@@ -356,10 +357,10 @@ def chain_to_json(fmt: str, m: TensorChain) -> str:
         "n_sites": m.n_sites,
         "bond_dims": m.bond_dims,
         "gauge": list(m.gauge),
-        "tensors": [
-            base64.b64encode(np.ascontiguousarray(t, dtype="<c16").tobytes()).decode()
-            for t in m.tensors
-        ],
+        # base64 never needs a JSON escape, so the payloads are placed verbatim
+        "tensors": JsonText('[\n    "' + '",\n    "'.join(
+            base64.b64encode(np.ascontiguousarray(t, dtype="<c16").tobytes()).decode() for t in m.tensors
+        ) + '"\n  ]'),
     }
     return json_text(doc)
 

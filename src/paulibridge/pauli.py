@@ -31,6 +31,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -40,6 +41,7 @@ __all__ = [
     "DimensionMismatch",
     "EmptyInput",
     "InconsistentLength",
+    "JsonText",
     "LengthMismatch",
     "MalformedLine",
     "NotNormalized",
@@ -54,9 +56,11 @@ __all__ = [
     "dense_string",
     "expectation",
     "json_document",
+    "json_columns",
     "json_field",
     "json_finite",
     "json_labels",
+    "json_rows",
     "json_text",
     "malformed",
     "multiply",
@@ -361,11 +365,20 @@ def unpack_strings(rows: np.ndarray, n_sites: int) -> list[PauliString]:
     return [PauliString(n_sites, b) for b in bits]
 
 
-def site_codes(packed: np.ndarray, n_sites: int, sites) -> np.ndarray:
-    """Symbol codes of pack_strings rows at ``sites`` (an int or an array)."""
+def site_codes(packed: np.ndarray, n_sites: int, sites=None) -> np.ndarray:
+    """Symbol codes of pack_strings rows at ``sites`` (an int or an array; every site in order by default)."""
+    word, shift = _every_site_offsets(n_sites) if sites is None else _site_offsets(n_sites, sites)
+    return ((packed[:, word] >> shift) & np.uint64(3)).astype(np.intp)
+
+
+def _site_offsets(n_sites: int, sites) -> tuple[np.ndarray, np.ndarray]:
+    """The word column and the shift that hold each of ``sites`` in a pack_strings row."""
     offset = 2 * (n_sites - 1 - np.asarray(sites))
-    word = packed[:, -1 - offset // 64]
-    return ((word >> (offset % 64).astype(np.uint64)) & np.uint64(3)).astype(np.intp)
+    return -1 - offset // 64, (offset % 64).astype(np.uint64)
+
+
+# the default's offsets, formed once per site count: small sums pay more for them than for the codes
+_every_site_offsets = functools.cache(lambda n_sites: _site_offsets(n_sites, np.arange(n_sites)))
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -401,8 +414,13 @@ def multiply(a: PauliSum, b: PauliSum) -> PauliSum:
     if a.n_sites != b.n_sites:
         raise LengthMismatch(f"{a.n_sites} sites vs {b.n_sites} sites")
     exponent, rows = packed_product(a.rows[:, None], b.rows[None, :])
-    coeffs = _times(_times(a.coeffs[:, None], b.coeffs[None, :]), _I_POWERS[exponent])
-    return PauliSum.from_rows(a.n_sites, rows.reshape(-1, rows.shape[-1]), coeffs.reshape(-1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a term that overflows leaves its merged sum non-finite
+        coeffs = _times(_times(a.coeffs[:, None], b.coeffs[None, :]), _I_POWERS[exponent])
+        product = PauliSum.from_rows(a.n_sites, rows.reshape(-1, rows.shape[-1]), coeffs.reshape(-1))
+    if not np.isfinite(product.coeffs).all():
+        bad = product.rows[np.argmin(np.isfinite(product.coeffs))]
+        raise ValueError(f"the product coefficient of {_row_labels(bad[None], a.n_sites)[0]} overflows")
+    return product
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +437,7 @@ def _flip_groups(op: PauliSum) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     terms' ``c_t i^{#Y} (-1)^{|b & z_t|}`` added in term order. A block holds
     at most CHUNK_ENTRIES diagonal entries, or one mask when 2^n is more."""
     n = op.n_sites
-    codes = site_codes(op.rows, n, np.arange(n))
+    codes = site_codes(op.rows, n)
     place = 1 << np.arange(n - 1, -1, -1)  # site 0 is the most significant bit
     flips = ((codes ^ (codes >> 1)) & 1) @ place  # X = 01 and Y = 10
     z = (codes >> 1) @ place  # Y = 10 and Z = 11
@@ -525,10 +543,10 @@ def _pack_codes(codes: np.ndarray) -> np.ndarray:
     return (padded.reshape(count, -1, 32) << _WORD_SHIFTS).sum(axis=2, dtype=np.uint64)
 
 
-def _row_labels(rows: np.ndarray, n_sites: int) -> list[str]:
-    """The labels of pack_strings rows: codes to code points, viewed as one string each."""
-    points = np.ascontiguousarray(_CODE_POINTS[site_codes(rows, n_sites, np.arange(n_sites))])
-    return points.view(f"U{n_sites}").reshape(-1).tolist()
+def _row_labels(rows: np.ndarray, n_sites: int) -> np.ndarray:
+    """The labels of pack_strings rows: codes to code points, viewed as one ``U`` string each."""
+    points = np.ascontiguousarray(_CODE_POINTS[site_codes(rows, n_sites)])
+    return points.view(f"U{n_sites}").reshape(-1)
 
 
 def _line_error(body: list[tuple[int, str]], width: int) -> PauliError:
@@ -590,7 +608,7 @@ def parse_pauli_sum(text: str) -> PauliSum:
 def serialize_pauli_sum(op: PauliSum) -> str:
     """Inverse of parse_pauli_sum; exact round trip for every float."""
     coeffs = map(_format_coeff, op.coeffs.tolist())
-    return "\n".join(map("{} {}".format, coeffs, _row_labels(op.rows, op.n_sites))) + "\n"
+    return "\n".join(map("{} {}".format, coeffs, _row_labels(op.rows, op.n_sites).tolist())) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -626,23 +644,52 @@ def json_finite(fmt: str, doc, key: str, where: str = "") -> float:
     return float(value)
 
 
+def json_columns(rows: list, keys: tuple[str, ...], kinds: tuple) -> list[tuple] | None:
+    """The ``keys`` of every row as one tuple per key, or None unless every row is a dict
+    holding each key as its kind: ``str``, ``float`` (a finite number, read as a float;
+    never a bool) or a size (an int in 0..size-1)."""
+    try:
+        columns = list(zip(*map(operator.itemgetter(*keys), rows))) or [()] * len(keys)
+        for j, (column, kind) in enumerate(zip(columns, kinds)):
+            types = set(map(type, column))
+            if kind is float:  # math.isfinite raises OverflowError on an int past the float range
+                if not (types <= {int, float} and all(map(math.isfinite, column))):
+                    return None
+                columns[j] = tuple(map(float, column))
+            elif kind is str and not types <= {str}:
+                return None
+            elif kind is not str and not (types <= {int} and all(map(range(kind).__contains__, column))):
+                return None
+    except (KeyError, TypeError, OverflowError):
+        return None
+    return columns
+
+
 def json_labels(fmt: str, doc, key: str, width: int) -> tuple[str, ...]:
     """``doc[key]`` as a non-empty, strictly increasing list of ``width``-site Pauli labels."""
     labels = json_field(fmt, doc, key, list)
     if not labels:
         raise malformed(fmt, key, "empty fragment dictionary")
-    for k, label in enumerate(labels):
+    if (set(map(type, labels)) == {str} and set(map(len, labels)) == {width}
+            and set("".join(labels)) <= set(SYMBOLS) and all(map(operator.lt, labels, labels[1:]))):
+        return tuple(labels)
+    for k, label in enumerate(labels):  # the first bad label
         if not (isinstance(label, str) and len(label) == width and set(label) <= set(SYMBOLS)):
             raise malformed(fmt, f"{key}[{k}]", f"expected a {width}-site Pauli label, got {label!r}")
         if k and label <= labels[k - 1]:  # ASCII order is the I < X < Y < Z order
             raise malformed(fmt, f"{key}[{k}]", f"not increasing: {label!r} after {labels[k - 1]!r}")
-    return tuple(labels)
+    raise AssertionError("every label is well formed")
 
 
 # ---------------------------------------------------------------------------
 # the one JSON writer: every format is laid out as json.dumps(indent=2) would
 
-_CONTAINERS = (dict, list, tuple)
+class JsonText(str):
+    """Text that json_text places verbatim: a value already laid out at its depth."""
+
+
+_CONTAINERS = (dict, list, tuple, JsonText)
+_VERBATIM = {JsonText: str, int: int.__repr__, str: json.encoder.encode_basestring_ascii}
 
 
 @functools.cache
@@ -658,6 +705,9 @@ def _holds_container(values) -> bool:
 
 def _emit(value, depth: int, out: list[str]) -> None:
     """Append the pieces of ``value`` laid out as json.dumps(indent=2) lays it out."""
+    if type(value) in _VERBATIM:  # text the encoder would write unchanged, without building one
+        out.append(_VERBATIM[type(value)](value))
+        return
     is_dict = isinstance(value, dict)
     if not (is_dict or isinstance(value, (list, tuple))) or not value:  # a scalar, "[]" or "{}"
         out.append(_flat_encoder(depth)(value))
@@ -667,15 +717,6 @@ def _emit(value, depth: int, out: list[str]) -> None:
         # the C encoder lays out a flat container but for its brackets
         text = _flat_encoder(depth + 1)(value)
         out += (text[0], inner, text[1:-1], outer, text[-1])
-        return
-    if (not is_dict and set(map(type, value)) == {dict} and all(value)
-            and not _holds_container(itertools.chain.from_iterable(map(dict.values, value)))):
-        # flat rows: every newline the encoder writes is a separator, since
-        # an encoded string escapes its own, so "},<newline>{" only ends a row
-        row = inner + "  "
-        text = _flat_encoder(depth + 2)(value)[2:-2]
-        out += ("[", inner, "{", row, text.replace("}," + row + "{", inner + "}," + inner + "{" + row),
-                inner, "}", outer, "]")
         return
     out.append("{" if is_dict else "[")
     separator = inner
@@ -698,3 +739,18 @@ def json_text(doc) -> str:
     _emit(doc, 0, out)
     out.append("\n")
     return "".join(out)
+
+
+def json_rows(fields: dict[str, str], columns: list, depth: int = 1) -> JsonText:
+    """A list of flat objects, row k holding each key's format applied to ``columns[j][k]``, as
+    json_text lays it out at ``depth``; ``%r`` writes a float as json.dumps does (float.__repr__),
+    and a NaN or an infinity raises json_text's ValueError. One ``%`` formats every row."""
+    floats = [column for column, fmt in zip(columns, fields.values()) if fmt == "%r"]
+    if not all(map(math.isfinite, itertools.chain.from_iterable(floats))):
+        _flat_encoder(0)(list(itertools.chain.from_iterable(zip(*floats))))  # raises on the first
+    if not columns[0]:
+        return JsonText("[]")
+    row, key = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    template = row + "{" + ",".join(f'{key}"{name}": {fmt}' for name, fmt in fields.items()) + row + "}"
+    flat = tuple(itertools.chain.from_iterable(zip(*columns)))
+    return JsonText("[" + ",".join([template] * len(columns[0])) % flat + "\n" + "  " * depth + "]")

@@ -5,6 +5,7 @@ fixture operator; individual tests then assert on the artifacts, the
 captured stdout, exit codes, and manifest determinism.
 """
 
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -26,7 +27,7 @@ from paulibridge import __version__, lcu, varopt
 from paulibridge.bridge import compile as compile_bridge
 from paulibridge.bridge import skeleton_hash
 from paulibridge.bridge import decomposition_from_json, decomposition_to_json
-from paulibridge.cli import main
+from paulibridge.cli import main, non_negative_int, positive_int, tolerance
 from paulibridge.lcu import program_from_json
 from paulibridge.mpo import mpo_from_json
 from paulibridge.mps import Mps, mps_from_json, mps_to_json
@@ -811,6 +812,26 @@ class TestUsageValidation:
         assert rc == 1
         assert stdout == ""
         assert f"argument {option}: must be at least {low}, got {value}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("convert, token", [
+        (positive_int, "1_0"), (positive_int, "٣"), (non_negative_int, "0_0"), (non_negative_int, "１"),
+        (tolerance, "1_0e-3"), (tolerance, "٣e-3"), (tolerance, "1e-1_0"),
+    ])
+    def test_flag_numerals_must_be_ascii(self, convert, token):
+        # int() and float() would read each token: 10, 3, 0, 1, 0.01, 0.003, 1e-10
+        with pytest.raises(argparse.ArgumentTypeError, match=f"expected an ASCII number without '_', got {token!r}"):
+            convert(token)
+
+    def test_ascii_flag_numerals_still_read(self):
+        assert (positive_int("10"), non_negative_int("0"), tolerance("1e-3")) == (10, 0, 1e-3)
+
+    def test_cut_with_separator_is_usage_error(self, pipeline, tmp_path):
+        paths, _ = pipeline
+        out = tmp_path / "x.json"
+        rc, stdout, err = run(["compile", "--input", str(paths["op"]), "--cut", "1_0", "--output", str(out)])
+        assert (rc, stdout) == (1, "")
+        assert "argument --cut: expected an ASCII number without '_', got '1_0'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

@@ -10,6 +10,7 @@ oracle parser has one addition, the rule that numerals are ASCII.
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ class TestMultiplyBytes:
         other = data.draw(st.lists(st.tuples(COEFFS, st.integers(0, 4**n - 1)), max_size=6))
         a, b = PauliSum(n, terms), PauliSum(n, [(c, PauliString(n, bits)) for c, bits in other])
         assert same_bytes(multiply(a, b), pairwise_multiply(a, b))
+
+
+    @pytest.mark.parametrize("a, b, label", [
+        ("1e200 XZ\n", "1e200 XZ\n", "II"),  # inf times the i-power 1 + 0j is inf + nan j
+        ("1e200 XZ\n0.5 ZZ\n", "0.25 XX\n1e200 ZX\n", "YY"),
+        ("1e308 XI\n1e308 YI\n", "1 XI\n1 YI\n", "II"),  # finite products whose merge overflows
+    ])
+    def test_overflowing_product_names_its_string(self, a, b, label):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning escapes
+            with pytest.raises(ValueError, match=f"^the product coefficient of {label} overflows$"):
+                multiply(parse_pauli_sum(a), parse_pauli_sum(b))
 
 
 # ---------------------------------------------------------------------------
