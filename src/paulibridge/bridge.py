@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import operator
+import types
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
@@ -114,7 +115,8 @@ class Bridge:
     Held as read-only columns: ``pairs``, a ``(P, 2)`` int64 array sorted
     by (a, b), and ``coeffs``, their complex128 values. ``Bridge(shape,
     entries)`` takes a dict from (a, b) to a complex, ``from_columns`` the
-    sorted arrays, and ``entries`` is the dict again, built on first use.
+    sorted arrays, and ``entries`` is a read-only view of the same mapping,
+    built on first use.
     Zero values are legitimate entries: they mark cancelled pairs that
     still belong to the active index set.
     """
@@ -135,8 +137,8 @@ class Bridge:
         return bridge
 
     @cached_property
-    def entries(self) -> dict[tuple[int, int], complex]:
-        return dict(zip(map(tuple, self.pairs.tolist()), self.coeffs.tolist()))
+    def entries(self) -> types.MappingProxyType:
+        return types.MappingProxyType(dict(zip(map(tuple, self.pairs.tolist()), self.coeffs.tolist())))
 
     @property
     def active_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -282,12 +284,10 @@ def decomposition_from_json(text: str) -> BridgeDecomposition:
     right = FragmentDictionary(json_labels(FORMAT_NAME, doc, "right_fragments", n_sites - cut))
     rows = _field(doc, "bridge", list)
     columns = json_columns(rows, ("a", "b", "re", "im"), (len(left), len(right), float, float))
-    if columns is None or len(set(zip(*columns[:2]))) < len(rows):
+    entries = {} if columns is None else dict(zip(zip(*columns[:2]), map(complex, *columns[2:])))
+    if len(entries) < len(rows):  # a row is malformed, or two share a pair
         _raise_row_error(rows, len(left), len(right))
-    a, b, re, im = zip(*sorted(zip(*columns))) if rows else columns  # by pair, as no two rows share one
-    coeffs = np.array(list(map(complex, re, im)), dtype=np.complex128)
-    bridge = Bridge.from_columns((len(left), len(right)), np.array([a, b], dtype=np.int64).T, coeffs)
-    return BridgeDecomposition(cut, left, right, bridge)
+    return BridgeDecomposition(cut, left, right, Bridge((len(left), len(right)), entries))
 
 
 def _raise_row_error(rows: list, n_left: int, n_right: int):

@@ -8,8 +8,8 @@ Phi . Select_L . Select_R for every program: the register selects apply
 fragment strings and depend on the dictionaries only, never on a
 coefficient, and the coefficient phases form Phi, a diagonal on the pair
 register. A program holds the dictionaries and one Prep table with a
-row ``(a, b, amp, phase)`` per pair, kept as the columns ``a``, ``b``,
-``amp`` and ``phase``; Select is the table's pair list over the
+row ``(a, b, amp, phase)`` per pair, also read as the columns ``a``,
+``b``, ``amp`` and ``phase``; Select is the table's pair list over the
 dictionaries, and the ``lcu-v1`` select rows store Phi. The top-left
 ancilla block of Prep^dag Select Prep is then the operator divided by
 ``lambda``, the one-norm of the bridge.
@@ -24,7 +24,6 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -90,10 +89,10 @@ PrepColumns = collections.namedtuple("PrepColumns", "a b amp phase")
 class LcuProgram:
     """A bridge's skeleton (cut and dictionaries) plus its Prep table.
 
-    ``prep`` has one row ``(a, b, amp, phase)`` per pair; everything else
-    about Select, the ancilla widths and the select hash follows. The table
-    is given as row tuples or as PrepColumns, and the form not given is
-    derived on first use: ``prep`` reads the rows, ``columns`` the columns.
+    ``prep`` has one row ``(a, b, amp, phase)`` per pair, and ``columns``
+    holds the same table as read-only arrays, built on first use;
+    everything else about Select, the ancilla widths and the select hash
+    follows.
     """
 
     cut: int
@@ -102,26 +101,13 @@ class LcuProgram:
     lam: float
     prep: tuple[tuple[int, int, float, complex], ...]
 
-    @property  # the fifth field: rows or columns, each derived from the other on first use
-    def prep(self) -> tuple[tuple[int, int, float, complex], ...]:
-        if self._rows is None:
-            self.__dict__["_rows"] = tuple(zip(*(column.tolist() for column in self._columns)))
-        return self._rows
-
-    @prep.setter  # called once, by the dataclass __init__
-    def prep(self, table) -> None:
-        is_columns = isinstance(table, PrepColumns)
-        self.__dict__.update(_rows=None if is_columns else tuple(table), _columns=table if is_columns else None)
-        for column in table if is_columns else ():
-            column.flags.writeable = False
-
-    @property
+    @cached_property
     def columns(self) -> PrepColumns:
-        if self._columns is None:
-            columns = zip(*self._rows) if self._rows else ((),) * 4
-            dtypes = (np.int64, np.int64, np.float64, np.complex128)
-            self.__dict__["_columns"] = PrepColumns(*map(np.array, columns, dtypes))
-        return self._columns
+        table = PrepColumns(*map(np.array, zip(*self.prep) if self.prep else ((),) * 4,
+                                 (np.int64, np.int64, np.float64, np.complex128)))
+        for column in table:
+            column.flags.writeable = False
+        return table
 
     @property
     def n_sites(self) -> int:
@@ -141,8 +127,7 @@ class LcuProgram:
 
     @cached_property  # a program is frozen, so its skeleton is hashed once
     def select_hash(self) -> str:
-        pairs = list(zip(self.columns.a.tolist(), self.columns.b.tolist()))
-        return skeleton_hash(self.cut, self.left, self.right, pairs)
+        return skeleton_hash(self.cut, self.left, self.right, [(a, b) for a, b, *_ in self.prep])
 
     def pair_index(self, a: int, b: int) -> int:
         return (a << self.a_right) | b
@@ -164,8 +149,8 @@ def compile_lcu(d: BridgeDecomposition) -> LcuProgram:
         raise ValueError(f"the one-norm lambda of the bridge overflows to {lam}")
     amps = np.sqrt(np.abs(coeffs) / lam)
     amps /= np.linalg.norm(amps)
-    table = PrepColumns(pairs[:, 0], pairs[:, 1], amps, phases)
-    return LcuProgram(cut=d.cut, left=d.left.labels, right=d.right.labels, lam=lam, prep=table)
+    prep = tuple(zip(*pairs.T.tolist(), amps.tolist(), phases.tolist()))
+    return LcuProgram(cut=d.cut, left=d.left.labels, right=d.right.labels, lam=lam, prep=prep)
 
 
 def update_coefficients(program: LcuProgram, d: BridgeDecomposition) -> LcuProgram:
@@ -316,19 +301,14 @@ def emit_gates(program: LcuProgram) -> str:
     The control pattern is the pair index in binary (left register bits
     first); unit phases are omitted from the annotation.
     """
-    width, columns, index = program.a_total, program.columns, _pair_indices(program)
+    width, columns, index = program.a_total, program.columns, _pair_indices(program).tolist()
     head = (
         f"# {GATES_FORMAT} n_sites={program.n_sites} cut={program.cut}"
         f" a_left={program.a_left} a_right={program.a_right}"
         f" lambda={program.lam:.12g}"
     )
-    amps = tuple(itertools.chain.from_iterable(zip(index.tolist(), columns.amp.tolist())))
-    prep = " ".join(["%d:%.12g"] * len(index)) % amps
-    if width:  # the bits of each index, most significant first, as one ASCII string each
-        bits = (index[:, None] >> np.arange(width - 1, -1, -1)) & 1
-        patterns = (bits + ord("0")).astype(np.uint8).view(f"S{width}").ravel().astype(f"U{width}").tolist()
-    else:
-        patterns = ["-"] * len(index)
+    prep = " ".join(map("{}:{:.12g}".format, index, columns.amp.tolist()))
+    patterns = map(f"{{:0{width}b}}".format, index) if width else ["-"] * len(index)
     phases = columns.phase.tolist()
     notes = {ph: "" if ph == 1 else f" phase={_fmt_phase(ph)}" for ph in set(phases)}
     rows = zip(patterns, map(program.left.__getitem__, columns.a.tolist()),
@@ -390,19 +370,18 @@ def program_from_json(text: str) -> LcuProgram:
     preps, selects = _field(doc, "prep", list), _field(doc, "select", list)
     if len(preps) != len(selects):
         raise _malformed("select", f"{len(selects)} rows, prep has {len(preps)}")
-    table = _read_table(preps, selects, left, right)
-    amps = table.amp.tolist()
-    norm = math.sqrt(sum(map(operator.mul, amps, amps)))  # summed in row order, as a loop over the rows would
+    prep = _read_table(preps, selects, left, right)
+    norm = math.sqrt(sum(amp * amp for _, _, amp, _ in prep))
     if abs(norm - 1.0) > PREP_NORM_TOL:
         raise _malformed("prep", f"amplitude norm {norm:.6g} is not 1")
-    program = LcuProgram(cut=cut, left=left, right=right, lam=lam, prep=table)
+    program = LcuProgram(cut=cut, left=left, right=right, lam=lam, prep=prep)
     if _field(doc, "select_hash", str) != program.select_hash:
         raise _malformed("select_hash", "is not the hash of the dictionaries and pairs")
     return program
 
 
-def _read_table(preps: list, selects: list, left: tuple[str, ...], right: tuple[str, ...]) -> PrepColumns:
-    """The table of equally long ``prep`` and ``select`` rows, in file order, checked in bulk."""
+def _read_table(preps: list, selects: list, left: tuple[str, ...], right: tuple[str, ...]) -> tuple:
+    """The table rows of equally long ``prep`` and ``select`` lists, in file order, checked in bulk."""
     sizes = (len(left), len(right))
     keys = ("a", "b", "pl", "pr", "phase_re", "phase_im")
     s_cols = json_columns(selects, keys, (*sizes, str, str, float, float))
@@ -414,8 +393,7 @@ def _read_table(preps: list, selects: list, left: tuple[str, ...], right: tuple[
             # np.hypot rounds as abs(complex) does
             or not (np.abs(np.hypot(s_cols[4], s_cols[5]) - 1) <= PHASE_TOL).all()):
         _raise_row_error(preps, selects, left, right)
-    phase = np.array(list(map(complex, *s_cols[4:])), dtype=np.complex128)
-    return PrepColumns(*(np.array(column, dtype=np.int64) for column in s_cols[:2]), np.array(p_cols[2]), phase)
+    return tuple(zip(*s_cols[:2], p_cols[2], map(complex, *s_cols[4:])))
 
 
 def _index(row, key: str, size: int, where: str) -> int:

@@ -98,7 +98,7 @@ def build_mpo_qr(
     # code_k * n_rests[k] + (id of the suffix past k), one per term at site
     # 0 and one per distinct suffix after it. np.unique sorts the keys in
     # label order, since I < X < Y < Z is code order.
-    codes = site_codes(op.rows, n)
+    codes = site_codes(op.rows, n, np.arange(n))
     ids = np.zeros(op.n_terms, dtype=np.int64)
     keys, n_rests = [], [1]
     for k in range(n - 1, 0, -1):

@@ -365,20 +365,11 @@ def unpack_strings(rows: np.ndarray, n_sites: int) -> list[PauliString]:
     return [PauliString(n_sites, b) for b in bits]
 
 
-def site_codes(packed: np.ndarray, n_sites: int, sites=None) -> np.ndarray:
-    """Symbol codes of pack_strings rows at ``sites`` (an int or an array; every site in order by default)."""
-    word, shift = _every_site_offsets(n_sites) if sites is None else _site_offsets(n_sites, sites)
-    return ((packed[:, word] >> shift) & np.uint64(3)).astype(np.intp)
-
-
-def _site_offsets(n_sites: int, sites) -> tuple[np.ndarray, np.ndarray]:
-    """The word column and the shift that hold each of ``sites`` in a pack_strings row."""
+def site_codes(packed: np.ndarray, n_sites: int, sites) -> np.ndarray:
+    """Symbol codes of pack_strings rows at ``sites`` (an int or an array)."""
     offset = 2 * (n_sites - 1 - np.asarray(sites))
-    return -1 - offset // 64, (offset % 64).astype(np.uint64)
-
-
-# the default's offsets, formed once per site count: small sums pay more for them than for the codes
-_every_site_offsets = functools.cache(lambda n_sites: _site_offsets(n_sites, np.arange(n_sites)))
+    word = packed[:, -1 - offset // 64]
+    return ((word >> (offset % 64).astype(np.uint64)) & np.uint64(3)).astype(np.intp)
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -437,7 +428,7 @@ def _flip_groups(op: PauliSum) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     terms' ``c_t i^{#Y} (-1)^{|b & z_t|}`` added in term order. A block holds
     at most CHUNK_ENTRIES diagonal entries, or one mask when 2^n is more."""
     n = op.n_sites
-    codes = site_codes(op.rows, n)
+    codes = site_codes(op.rows, n, np.arange(n))
     place = 1 << np.arange(n - 1, -1, -1)  # site 0 is the most significant bit
     flips = ((codes ^ (codes >> 1)) & 1) @ place  # X = 01 and Y = 10
     z = (codes >> 1) @ place  # Y = 10 and Z = 11
@@ -545,7 +536,7 @@ def _pack_codes(codes: np.ndarray) -> np.ndarray:
 
 def _row_labels(rows: np.ndarray, n_sites: int) -> np.ndarray:
     """The labels of pack_strings rows: codes to code points, viewed as one ``U`` string each."""
-    points = np.ascontiguousarray(_CODE_POINTS[site_codes(rows, n_sites)])
+    points = np.ascontiguousarray(_CODE_POINTS[site_codes(rows, n_sites, np.arange(n_sites))])
     return points.view(f"U{n_sites}").reshape(-1)
 
 
@@ -670,15 +661,12 @@ def json_labels(fmt: str, doc, key: str, width: int) -> tuple[str, ...]:
     labels = json_field(fmt, doc, key, list)
     if not labels:
         raise malformed(fmt, key, "empty fragment dictionary")
-    if (set(map(type, labels)) == {str} and set(map(len, labels)) == {width}
-            and set("".join(labels)) <= set(SYMBOLS) and all(map(operator.lt, labels, labels[1:]))):
-        return tuple(labels)
-    for k, label in enumerate(labels):  # the first bad label
+    for k, label in enumerate(labels):
         if not (isinstance(label, str) and len(label) == width and set(label) <= set(SYMBOLS)):
             raise malformed(fmt, f"{key}[{k}]", f"expected a {width}-site Pauli label, got {label!r}")
         if k and label <= labels[k - 1]:  # ASCII order is the I < X < Y < Z order
             raise malformed(fmt, f"{key}[{k}]", f"not increasing: {label!r} after {labels[k - 1]!r}")
-    raise AssertionError("every label is well formed")
+    return tuple(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +677,6 @@ class JsonText(str):
 
 
 _CONTAINERS = (dict, list, tuple, JsonText)
-_VERBATIM = {JsonText: str, int: int.__repr__, str: json.encoder.encode_basestring_ascii}
 
 
 @functools.cache
@@ -705,8 +692,8 @@ def _holds_container(values) -> bool:
 
 def _emit(value, depth: int, out: list[str]) -> None:
     """Append the pieces of ``value`` laid out as json.dumps(indent=2) lays it out."""
-    if type(value) in _VERBATIM:  # text the encoder would write unchanged, without building one
-        out.append(_VERBATIM[type(value)](value))
+    if isinstance(value, JsonText):  # laid out already
+        out.append(value)
         return
     is_dict = isinstance(value, dict)
     if not (is_dict or isinstance(value, (list, tuple))) or not value:  # a scalar, "[]" or "{}"
@@ -741,16 +728,16 @@ def json_text(doc) -> str:
     return "".join(out)
 
 
-def json_rows(fields: dict[str, str], columns: list, depth: int = 1) -> JsonText:
+def json_rows(fields: dict[str, str], columns: list) -> JsonText:
     """A list of flat objects, row k holding each key's format applied to ``columns[j][k]``, as
-    json_text lays it out at ``depth``; ``%r`` writes a float as json.dumps does (float.__repr__),
-    and a NaN or an infinity raises json_text's ValueError. One ``%`` formats every row."""
+    json_text lays it out as the value of a top-level key; ``%r`` writes a float as json.dumps
+    does (float.__repr__), and a NaN or an infinity raises json_text's ValueError. One ``%``
+    formats every row."""
     floats = [column for column, fmt in zip(columns, fields.values()) if fmt == "%r"]
     if not all(map(math.isfinite, itertools.chain.from_iterable(floats))):
         _flat_encoder(0)(list(itertools.chain.from_iterable(zip(*floats))))  # raises on the first
     if not columns[0]:
         return JsonText("[]")
-    row, key = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-    template = row + "{" + ",".join(f'{key}"{name}": {fmt}' for name, fmt in fields.items()) + row + "}"
+    template = "\n    {" + ",".join(f'\n      "{name}": {fmt}' for name, fmt in fields.items()) + "\n    }"
     flat = tuple(itertools.chain.from_iterable(zip(*columns)))
-    return JsonText("[" + ",".join([template] * len(columns[0])) % flat + "\n" + "  " * depth + "]")
+    return JsonText("[" + ",".join([template] * len(columns[0])) % flat + "\n  ]")

@@ -322,6 +322,18 @@ def test_programs_from_rows_write_as_the_per_row_writers(d, data):
     assert same_table(program_from_json(program_to_json(moved)), moved)
 
 
+def test_bridge_and_prep_views_are_read_only():
+    # every view of a table is read-only, so an edit fails at once instead of
+    # going unseen by the code that reads the other view
+    d = compile_bridge(PauliSum(2, [(0.5, PauliString.from_label("XZ")), (-1.0, PauliString.from_label("YI"))]), 1)
+    with pytest.raises(TypeError):
+        d.bridge.entries[(0, 0)] = 2.0
+    with pytest.raises(ValueError):
+        d.bridge.coeffs[0] = 2.0
+    with pytest.raises(ValueError):
+        compile_lcu(d).columns.amp[0] = 2.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_values_raise_the_writers_error(bad):
     bridge = Bridge((1, 1), {(0, 0): complex(1.0, bad)})
@@ -459,7 +471,7 @@ def test_bridge_svd_entries_equal_the_per_entry_loop(d, rank):
         if approx[a, b] != 0
     }
     got = bridge_svd(d, rank).truncated
-    assert repr(got.entries) == repr(want)
+    assert repr(dict(got.entries)) == repr(want)
     assert got.shape == d.bridge.shape
 
 

@@ -6,9 +6,10 @@ demand. Outside ``pauli.py``, which derives one view from the other,
 package code must not call ``pack_strings`` on a comprehension over
 ``.terms``, nor build ``np.array`` from one: either rebuilds, one object
 at a time, an array the sum already holds. Likewise a ``Bridge`` holds
-``pairs`` and ``coeffs`` and an ``LcuProgram`` its Prep ``columns``; the
-dict ``.entries`` and the row tuples ``.prep`` are built on demand, so
-outside ``bridge.py`` and ``lcu.py`` no comprehension iterates over them.
+``pairs`` and ``coeffs``, and an ``LcuProgram`` derives its Prep
+``columns`` once; the dict ``.entries`` and the row tuples ``.prep`` hold
+one object per pair, so outside ``bridge.py`` and ``lcu.py`` no
+comprehension iterates over them.
 The checks read each module with ``ast``.
 """
 
