@@ -661,12 +661,15 @@ def json_labels(fmt: str, doc, key: str, width: int) -> tuple[str, ...]:
     labels = json_field(fmt, doc, key, list)
     if not labels:
         raise malformed(fmt, key, "empty fragment dictionary")
-    for k, label in enumerate(labels):
+    if (set(map(type, labels)) == {str} and set(map(len, labels)) == {width}
+            and set("".join(labels)) <= set(SYMBOLS) and all(map(operator.lt, labels, labels[1:]))):
+        return tuple(labels)
+    for k, label in enumerate(labels):  # the first bad label
         if not (isinstance(label, str) and len(label) == width and set(label) <= set(SYMBOLS)):
             raise malformed(fmt, f"{key}[{k}]", f"expected a {width}-site Pauli label, got {label!r}")
         if k and label <= labels[k - 1]:  # ASCII order is the I < X < Y < Z order
             raise malformed(fmt, f"{key}[{k}]", f"not increasing: {label!r} after {labels[k - 1]!r}")
-    return tuple(labels)
+    raise AssertionError("every label is well formed")
 
 
 # ---------------------------------------------------------------------------
