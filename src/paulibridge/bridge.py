@@ -112,29 +112,17 @@ class FragmentDictionary:
 class Bridge:
     """Sparse coefficient matrix over fragment index pairs.
 
-    Held as read-only columns: ``pairs``, a ``(P, 2)`` int64 array sorted
-    by (a, b), and ``coeffs``, their complex128 values. ``Bridge(shape,
-    entries)`` takes a dict from (a, b) to a complex, ``from_columns`` the
-    sorted arrays, and ``entries`` is a read-only view of the same mapping,
-    built on first use.
+    ``Bridge(shape, pairs, coeffs)`` holds its columns read-only: ``pairs``,
+    a ``(P, 2)`` int64 array sorted by (a, b) with none repeated, and
+    ``coeffs``, their complex128 values. ``entries`` is a read-only mapping
+    view of the same table, built on first use.
     Zero values are legitimate entries: they mark cancelled pairs that
     still belong to the active index set.
     """
 
-    def __init__(self, shape: tuple[int, int], entries: dict[tuple[int, int], complex] | None = None):
-        items = sorted((entries or {}).items())
-        self.shape = tuple(shape)
-        self.pairs = np.array([p for p, _ in items], dtype=np.int64).reshape(-1, 2)
-        self.coeffs = np.array([c for _, c in items], dtype=np.complex128)
-        self.pairs.flags.writeable = self.coeffs.flags.writeable = False
-
-    @classmethod
-    def from_columns(cls, shape: tuple[int, int], pairs: np.ndarray, coeffs: np.ndarray) -> "Bridge":
-        """A bridge over int64 ``pairs`` sorted by (a, b), none repeated, weighted by complex128 ``coeffs``."""
-        bridge = cls.__new__(cls)
-        bridge.shape, bridge.pairs, bridge.coeffs = tuple(shape), pairs, coeffs
+    def __init__(self, shape: tuple[int, int], pairs: np.ndarray, coeffs: np.ndarray):
+        self.shape, self.pairs, self.coeffs = tuple(shape), pairs, coeffs
         pairs.flags.writeable = coeffs.flags.writeable = False
-        return bridge
 
     @cached_property
     def entries(self) -> types.MappingProxyType:
@@ -143,10 +131,6 @@ class Bridge:
     @property
     def active_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(map(tuple, self.pairs[self.coeffs != 0].tolist()))
-
-    @property
-    def cancelled_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(map(tuple, self.pairs[self.coeffs == 0].tolist()))
 
     def to_matrix(self) -> np.ndarray:
         m = np.zeros(self.shape, dtype=np.complex128)
@@ -195,7 +179,7 @@ def compile(op: PauliSum, cut: int) -> BridgeDecomposition:
         index = dict(zip(fragments, itertools.count()))
         sides.append((FragmentDictionary(tuple(fragments)), list(map(index.get, halves))))
     (left, a), (right, b) = sides
-    bridge = Bridge.from_columns((len(left), len(right)), np.array([a, b], dtype=np.int64).T, op.coeffs[order])
+    bridge = Bridge((len(left), len(right)), np.array([a, b], dtype=np.int64).T, op.coeffs[order])
     return BridgeDecomposition(cut, left, right, bridge)
 
 
@@ -216,13 +200,15 @@ def set_bridge(d: BridgeDecomposition, entries: dict[tuple[int, int], complex]) 
     active set may be introduced as long as the indices address existing
     fragments. Explicit zeros are kept as cancelled pairs.
     """
-    n_l, n_r = d.bridge.shape
-    checked: dict[tuple[int, int], complex] = {}
-    for (a, b), coeff in entries.items():
-        if not (0 <= a < n_l and 0 <= b < n_r):
-            raise IndexOutOfRange(f"pair ({a}, {b}) outside {d.bridge.shape}")
-        checked[(a, b)] = complex(coeff)
-    return replace(d, bridge=Bridge((n_l, n_r), checked))
+    pairs = np.array(list(entries), dtype=object).reshape(-1, 2)  # ints of any size, compared exactly
+    outside = ~((0 <= pairs) & (pairs < d.bridge.shape)).all(axis=1)
+    if outside.any():
+        a, b = pairs[outside.argmax()].tolist()
+        raise IndexOutOfRange(f"pair ({a}, {b}) outside {d.bridge.shape}")
+    pairs = pairs.astype(np.int64)
+    order = np.lexsort(pairs.T[::-1])
+    coeffs = np.array(list(entries.values()), dtype=np.complex128)[order]
+    return replace(d, bridge=Bridge(d.bridge.shape, pairs[order], coeffs))
 
 
 def skeleton_hash(cut: int, left, right, pairs=()) -> str:
@@ -284,10 +270,15 @@ def decomposition_from_json(text: str) -> BridgeDecomposition:
     right = FragmentDictionary(json_labels(FORMAT_NAME, doc, "right_fragments", n_sites - cut))
     rows = _field(doc, "bridge", list)
     columns = json_columns(rows, ("a", "b", "re", "im"), (len(left), len(right), float, float))
-    entries = {} if columns is None else dict(zip(zip(*columns[:2]), map(complex, *columns[2:])))
-    if len(entries) < len(rows):  # a row is malformed, or two share a pair
+    if columns is None:
         _raise_row_error(rows, len(left), len(right))
-    return BridgeDecomposition(cut, left, right, Bridge((len(left), len(right)), entries))
+    order = np.lexsort(columns[1::-1])
+    pairs = np.array(columns[:2], dtype=np.int64).T[order]
+    if (pairs[1:] == pairs[:-1]).all(axis=1).any():  # two rows share a pair
+        _raise_row_error(rows, len(left), len(right))
+    coeffs = np.array(columns[2], dtype=np.complex128)
+    coeffs.imag = columns[3]
+    return BridgeDecomposition(cut, left, right, Bridge((len(left), len(right)), pairs, coeffs[order]))
 
 
 def _raise_row_error(rows: list, n_left: int, n_right: int):

@@ -398,7 +398,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("sample", help="draw Pauli strings from a state")
     p.add_argument("--state", required=True)
     p.add_argument("--n-samples", type=positive_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=non_negative_int, required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_sample)
@@ -418,7 +418,7 @@ def build_parser() -> Parser:
     p.add_argument("--n-roots", type=positive_int, default=1)
     p.add_argument("--tol", type=tolerance, default=1e-9)
     p.add_argument("--max-iter", type=positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--sweep-csv", default=None,
                    help="also write an energy-vs-samples sweep CSV here")
     p.add_argument("--sweep-sizes", type=positive_int, nargs="+",

@@ -7,10 +7,10 @@ fragment, ``a_right`` the right, and a pair (alpha, beta) lives at index
 Phi . Select_L . Select_R for every program: the register selects apply
 fragment strings and depend on the dictionaries only, never on a
 coefficient, and the coefficient phases form Phi, a diagonal on the pair
-register. A program holds the dictionaries and one Prep table with a
-row ``(a, b, amp, phase)`` per pair, also read as the columns ``a``,
-``b``, ``amp`` and ``phase``; Select is the table's pair list over the
-dictionaries, and the ``lcu-v1`` select rows store Phi. The top-left
+register. A program holds the dictionaries and one Prep table, the
+read-only columns ``a``, ``b``, ``amp`` and ``phase`` with one entry per
+pair; Select is the table's pair list over the dictionaries, and the
+``lcu-v1`` select rows store Phi. The top-left
 ancilla block of Prep^dag Select Prep is then the operator divided by
 ``lambda``, the one-norm of the bridge.
 
@@ -85,12 +85,12 @@ class SupportChanged(ValueError):
 PrepColumns = collections.namedtuple("PrepColumns", "a b amp phase")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LcuProgram:
     """A bridge's skeleton (cut and dictionaries) plus its Prep table.
 
-    ``prep`` has one row ``(a, b, amp, phase)`` per pair, and ``columns``
-    holds the same table as read-only arrays, built on first use;
+    ``columns`` holds the table, one entry per pair: int64 ``a`` and
+    ``b``, float64 ``amp`` and complex128 ``phase``, made read-only here;
     everything else about Select, the ancilla widths and the select hash
     follows.
     """
@@ -99,15 +99,11 @@ class LcuProgram:
     left: tuple[str, ...]
     right: tuple[str, ...]
     lam: float
-    prep: tuple[tuple[int, int, float, complex], ...]
+    columns: PrepColumns
 
-    @cached_property
-    def columns(self) -> PrepColumns:
-        table = PrepColumns(*map(np.array, zip(*self.prep) if self.prep else ((),) * 4,
-                                 (np.int64, np.int64, np.float64, np.complex128)))
-        for column in table:
+    def __post_init__(self) -> None:
+        for column in self.columns:
             column.flags.writeable = False
-        return table
 
     @property
     def n_sites(self) -> int:
@@ -127,30 +123,32 @@ class LcuProgram:
 
     @cached_property  # a program is frozen, so its skeleton is hashed once
     def select_hash(self) -> str:
-        return skeleton_hash(self.cut, self.left, self.right, [(a, b) for a, b, *_ in self.prep])
+        return skeleton_hash(self.cut, self.left, self.right, np.column_stack(self.columns[:2]).tolist())
 
-    def pair_index(self, a: int, b: int) -> int:
+    def pair_index(self, a, b):
+        """The pair register index of (a, b); of each pair, for int arrays ``a`` and ``b``."""
         return (a << self.a_right) | b
 
 
 def compile_lcu(d: BridgeDecomposition) -> LcuProgram:
     """Compile a bridge decomposition into an LCU program."""
-    pairs, coeffs = d.bridge.pairs, d.bridge.coeffs
-    if np.count_nonzero(coeffs) < len(coeffs):  # cancelled pairs carry no amplitude
-        pairs, coeffs = pairs[coeffs != 0], coeffs[coeffs != 0]
+    active = d.bridge.coeffs != 0  # cancelled pairs carry no amplitude
+    pairs, coeffs = d.bridge.pairs[active], d.bridge.coeffs[active]
     if not len(coeffs):
         raise EmptyOperator("bridge has no active pairs")
-    with np.errstate(over="ignore"):  # a complex subnormal c has no finite 1 / |c|; writers refuse its phase
-        lam = float(np.sum(np.abs(coeffs)))
+    with np.errstate(over="ignore"):  # an infinite lambda is refused below; np.where drops an infinite 2**1022 c
+        modulus = np.abs(coeffs)
+        lam = float(np.sum(modulus))
+        # a subnormal |c| has no finite 1 / |c|, so such a c is first scaled by 2**1022, exactly
+        scaled = np.where(modulus < 2.0**-1022, coeffs * 2.0**1022, coeffs)
         # +-1 for a real coefficient, else c / |c| rounded as numpy divides a complex scalar
-        unit = coeffs / np.hypot(coeffs.real, coeffs.imag)
+        unit = scaled / np.hypot(scaled.real, scaled.imag)
     phases = np.where(coeffs.imag == 0, np.copysign(1.0, coeffs.real), unit)
     if not math.isfinite(lam):
         raise ValueError(f"the one-norm lambda of the bridge overflows to {lam}")
-    amps = np.sqrt(np.abs(coeffs) / lam)
+    amps = np.sqrt(modulus / lam)
     amps /= np.linalg.norm(amps)
-    prep = tuple(zip(*pairs.T.tolist(), amps.tolist(), phases.tolist()))
-    return LcuProgram(cut=d.cut, left=d.left.labels, right=d.right.labels, lam=lam, prep=prep)
+    return LcuProgram(d.cut, d.left.labels, d.right.labels, lam, PrepColumns(*pairs.T, amps, phases))
 
 
 def update_coefficients(program: LcuProgram, d: BridgeDecomposition) -> LcuProgram:
@@ -168,15 +166,11 @@ def update_coefficients(program: LcuProgram, d: BridgeDecomposition) -> LcuProgr
     return fresh
 
 
-def _pair_indices(program: LcuProgram) -> np.ndarray:
-    return (program.columns.a << program.a_right) | program.columns.b
-
-
 def prep_dense(program: LcuProgram) -> np.ndarray:
     """Householder reflection mapping |0> to the amplitude vector."""
     dim = 2**program.a_total
     u = np.zeros(dim)
-    u[_pair_indices(program)] = program.columns.amp
+    u[program.pair_index(*program.columns[:2])] = program.columns.amp
     u /= np.linalg.norm(u)
     v = u - np.eye(dim)[:, 0]
     vnorm2 = float(v @ v)
@@ -195,7 +189,7 @@ def _phase_rows(program: LcuProgram) -> np.ndarray:
     # Phi as a column of row scales: each pair's phase; an index Prep does
     # not load gets no amplitude, so its scale is left at 1
     phases = np.ones(2**program.a_total, dtype=np.complex128)
-    phases[_pair_indices(program)] = program.columns.phase
+    phases[program.pair_index(*program.columns[:2])] = program.columns.phase
     return np.repeat(phases, 2**program.n_sites)[:, None]
 
 
@@ -257,12 +251,12 @@ def encoded_block(program: LcuProgram) -> PauliSum:
     register, so the block is sum_j u_j^2 Phi_j S_j over the table's pairs,
     with S_j the pair's string; a padding half is the identity.
     """
-    norm2 = sum(amp * amp for _, _, amp, _ in program.prep)
+    norm2 = sum(amp * amp for amp in program.columns.amp.tolist())
     cut, n = program.cut, program.n_sites
     left = program.left + ("I" * cut,) * (2**program.a_left - len(program.left))
     right = program.right + ("I" * (n - cut),) * (2**program.a_right - len(program.right))
     return PauliSum(n, [(amp * amp / norm2 * ph, PauliString.from_label(left[a] + right[b]))
-                        for a, b, amp, ph in program.prep])
+                        for a, b, amp, ph in zip(*(column.tolist() for column in program.columns))])
 
 
 def block_error(program: LcuProgram, op: PauliSum) -> float:
@@ -301,7 +295,7 @@ def emit_gates(program: LcuProgram) -> str:
     The control pattern is the pair index in binary (left register bits
     first); unit phases are omitted from the annotation.
     """
-    width, columns, index = program.a_total, program.columns, _pair_indices(program).tolist()
+    width, columns, index = program.a_total, program.columns, program.pair_index(*program.columns[:2]).tolist()
     head = (
         f"# {GATES_FORMAT} n_sites={program.n_sites} cut={program.cut}"
         f" a_left={program.a_left} a_right={program.a_right}"
@@ -370,30 +364,32 @@ def program_from_json(text: str) -> LcuProgram:
     preps, selects = _field(doc, "prep", list), _field(doc, "select", list)
     if len(preps) != len(selects):
         raise _malformed("select", f"{len(selects)} rows, prep has {len(preps)}")
-    prep = _read_table(preps, selects, left, right)
-    norm = math.sqrt(sum(amp * amp for _, _, amp, _ in prep))
+    columns = _read_table(preps, selects, left, right)
+    norm = math.sqrt(sum(amp * amp for amp in columns.amp.tolist()))
     if abs(norm - 1.0) > PREP_NORM_TOL:
         raise _malformed("prep", f"amplitude norm {norm:.6g} is not 1")
-    program = LcuProgram(cut=cut, left=left, right=right, lam=lam, prep=prep)
+    program = LcuProgram(cut=cut, left=left, right=right, lam=lam, columns=columns)
     if _field(doc, "select_hash", str) != program.select_hash:
         raise _malformed("select_hash", "is not the hash of the dictionaries and pairs")
     return program
 
 
-def _read_table(preps: list, selects: list, left: tuple[str, ...], right: tuple[str, ...]) -> tuple:
-    """The table rows of equally long ``prep`` and ``select`` lists, in file order, checked in bulk."""
+def _read_table(preps: list, selects: list, left: tuple[str, ...], right: tuple[str, ...]) -> PrepColumns:
+    """The table of equally long ``prep`` and ``select`` lists, in file order, checked in bulk."""
     sizes = (len(left), len(right))
     keys = ("a", "b", "pl", "pr", "phase_re", "phase_im")
     s_cols = json_columns(selects, keys, (*sizes, str, str, float, float))
     p_cols = json_columns(preps, keys[:2] + ("amp",), (*sizes, float))
     if (s_cols is None or p_cols is None or p_cols[:2] != s_cols[:2]
-            or len(set(zip(*s_cols[:2]))) < len(selects)
+            or len(np.unique(np.array(s_cols[0], dtype=np.int64) * len(right) + s_cols[1])) < len(selects)
             or tuple(map(left.__getitem__, s_cols[0])) != s_cols[2]
             or tuple(map(right.__getitem__, s_cols[1])) != s_cols[3]
             # np.hypot rounds as abs(complex) does
             or not (np.abs(np.hypot(s_cols[4], s_cols[5]) - 1) <= PHASE_TOL).all()):
         _raise_row_error(preps, selects, left, right)
-    return tuple(zip(*s_cols[:2], p_cols[2], map(complex, *s_cols[4:])))
+    phase = np.array(s_cols[4], dtype=np.complex128)
+    phase.imag = s_cols[5]
+    return PrepColumns(*np.array(s_cols[:2], dtype=np.int64).reshape(2, -1), np.array(p_cols[2]), phase)
 
 
 def _index(row, key: str, size: int, where: str) -> int:

@@ -206,5 +206,5 @@ def bridge_svd(d: BridgeDecomposition, rank: int) -> BridgeSvd:
     right = root[:, None] * vh[:rank]
     approx = (u[:, :rank] * s[:rank]) @ vh[:rank]
     a, b = np.nonzero(approx)  # row-major, so the pairs come sorted
-    truncated = Bridge.from_columns(d.bridge.shape, np.stack([a, b], axis=1), approx[a, b])
+    truncated = Bridge(d.bridge.shape, np.stack([a, b], axis=1), approx[a, b])
     return BridgeSvd(left, s, right, truncated)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from paulibridge.bridge import compile as compile_bridge
-from paulibridge.lcu import compile_lcu
+from paulibridge.bridge import Bridge, compile as compile_bridge
+from paulibridge.lcu import LcuProgram, PrepColumns, compile_lcu
 from paulibridge.pauli import PAULI_MATRICES, PauliString, PauliSum, parse_pauli_sum
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -62,6 +62,29 @@ def thirteen_qubit_op() -> PauliSum:
 
     return PauliSum(5, [(0.1 * (k + 1), PauliString.from_label(word(k, 2) + word(3 * k + 1, 3)))
                         for k in range(10)])
+
+
+def dict_bridge(shape: tuple[int, int], entries: dict) -> Bridge:
+    """A bridge over the mapping ``entries`` from (a, b) to a coefficient, sorted into columns."""
+    items = sorted(entries.items())
+    pairs = np.array([pair for pair, _ in items], dtype=np.int64).reshape(-1, 2)
+    return Bridge(shape, pairs, np.array([c for _, c in items], dtype=np.complex128))
+
+
+def prep_rows(program: LcuProgram) -> tuple:
+    """The Prep table of ``program`` as one ``(a, b, amp, phase)`` tuple per pair."""
+    return tuple(zip(*(column.tolist() for column in program.columns)))
+
+
+def prep_columns(rows) -> PrepColumns:
+    """A Prep table of ``(a, b, amp, phase)`` rows, as the columns a program holds."""
+    columns = zip(*rows) if rows else ((),) * 4
+    return PrepColumns(*map(np.array, columns, (np.int64, np.int64, np.float64, np.complex128)))
+
+
+def program_state(program: LcuProgram) -> tuple:
+    """Everything a program holds, comparable with ``==``."""
+    return program.cut, program.left, program.right, program.lam, prep_rows(program)
 
 
 def random_state(rng: np.random.Generator, n_sites: int) -> np.ndarray:

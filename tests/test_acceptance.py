@@ -48,7 +48,7 @@ from paulibridge.varopt import (
     sweep_to_csv,
 )
 
-from conftest import random_pauli_sum, random_state
+from conftest import prep_rows, random_pauli_sum, random_state
 
 
 def report(n: int, name: str, started: float, budget: float) -> None:
@@ -199,8 +199,8 @@ def test_criterion_4_static_select_invariance(h2_subset):
         assert updated.select_hash == prog.select_hash
         # Selection logic is unchanged; only row phases may move, since
         # they carry the coefficient signs.
-        pairs = [(a, b) for a, b, *_ in updated.prep]
-        assert pairs == [(a, b) for a, b, *_ in prog.prep]
+        pairs = [(a, b) for a, b, *_ in prep_rows(updated)]
+        assert pairs == [(a, b) for a, b, *_ in prep_rows(prog)]
         assert updated.left == prog.left
         assert updated.right == prog.right
         if trial % 5 == 0 and op.n_terms > 1:

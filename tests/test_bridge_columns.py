@@ -22,7 +22,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from paulibridge.bridge import (
-    Bridge,
     BridgeDecomposition,
     EmptyOperator,
     FragmentDictionary,
@@ -30,9 +29,17 @@ from paulibridge.bridge import (
     compile as compile_bridge,
     decomposition_from_json,
     decomposition_to_json,
+    set_bridge,
     skeleton_hash,
 )
-from paulibridge.lcu import LcuProgram, compile_lcu, emit_gates, program_from_json, program_to_json
+from paulibridge.lcu import (
+    LcuProgram,
+    compile_lcu,
+    emit_gates,
+    program_from_json,
+    program_to_json,
+    update_coefficients,
+)
 from paulibridge.mpo import Mpo, bridge_svd, mpo_to_json
 from paulibridge.mps import Mps, mps_to_json
 from paulibridge.pauli import (
@@ -46,7 +53,7 @@ from paulibridge.pauli import (
     malformed,
 )
 
-from conftest import BYTE_IDENTITY
+from conftest import BYTE_IDENTITY, dict_bridge, prep_columns, prep_rows
 
 # ---------------------------------------------------------------------------
 # oracles: the per-row code
@@ -101,7 +108,7 @@ def oracle_decomposition_from_json(text: str) -> BridgeDecomposition:
         if (a, b) in entries:
             raise malformed(fmt, where, f"pair ({a}, {b}) appears twice")
         entries[(a, b)] = complex(json_finite(fmt, e, "re", where + "."), json_finite(fmt, e, "im", where + "."))
-    return BridgeDecomposition(cut, left, right, Bridge((len(left), len(right)), entries))
+    return BridgeDecomposition(cut, left, right, dict_bridge((len(left), len(right)), entries))
 
 
 def oracle_compile_lcu(d: BridgeDecomposition) -> LcuProgram:
@@ -115,9 +122,17 @@ def oracle_compile_lcu(d: BridgeDecomposition) -> LcuProgram:
         raise ValueError(f"the one-norm lambda of the bridge overflows to {lam}")
     amps = np.sqrt(np.abs(coeffs) / lam)
     amps /= np.linalg.norm(amps)
-    phases = [complex(1.0 if c.real > 0 else -1.0) if c.imag == 0 else complex(c / abs(c)) for c in coeffs]
+    phases = [complex(1.0 if c.real > 0 else -1.0) if c.imag == 0 else unit_phase(c) for c in coeffs]
     prep = tuple((a, b, float(amp), ph) for (a, b), amp, ph in zip(active, amps, phases))
-    return LcuProgram(cut=d.cut, left=d.left.labels, right=d.right.labels, lam=lam, prep=prep)
+    return LcuProgram(cut=d.cut, left=d.left.labels, right=d.right.labels, lam=lam, columns=prep_columns(prep))
+
+
+def unit_phase(c: np.complex128) -> complex:
+    # c / |c| as numpy divides a complex scalar; a c of subnormal modulus, whose 1 / |c|
+    # overflows, is first scaled by 2**1022
+    if abs(c) < 2.0**-1022:
+        c = c * 2.0**1022
+    return complex(c / abs(c))
 
 
 def oracle_emit_gates(program: LcuProgram) -> str:
@@ -127,8 +142,9 @@ def oracle_emit_gates(program: LcuProgram) -> str:
         f" a_left={program.a_left} a_right={program.a_right}"
         f" lambda={program.lam:.12g}"
     ]
-    lines.append("prep " + " ".join(f"{program.pair_index(a, b)}:{amp:.12g}" for a, b, amp, _ in program.prep))
-    for a, b, _, ph in program.prep:
+    rows = prep_rows(program)
+    lines.append("prep " + " ".join(f"{program.pair_index(a, b)}:{amp:.12g}" for a, b, amp, _ in rows))
+    for a, b, _, ph in rows:
         pattern = format(program.pair_index(a, b), f"0{width}b") if width else "-"
         row = f"cpauli {pattern} {program.left[a]}{program.right[b]}"
         if ph != 1:
@@ -145,6 +161,7 @@ def oracle_emit_gates(program: LcuProgram) -> str:
 
 
 def oracle_program_to_json(program: LcuProgram) -> str:
+    rows = prep_rows(program)
     doc = {
         "format": "lcu-v1",
         "n_sites": program.n_sites,
@@ -154,12 +171,12 @@ def oracle_program_to_json(program: LcuProgram) -> str:
         "lambda": program.lam,
         "a_left": program.a_left,
         "a_right": program.a_right,
-        "prep": [{"a": a, "b": b, "amp": amp} for a, b, amp, _ in program.prep],
+        "prep": [{"a": a, "b": b, "amp": amp} for a, b, amp, _ in rows],
         "select": [
             {"a": a, "b": b, "pl": program.left[a], "pr": program.right[b], "phase_re": ph.real, "phase_im": ph.imag}
-            for a, b, _, ph in program.prep
+            for a, b, _, ph in rows
         ],
-        "select_hash": skeleton_hash(program.cut, program.left, program.right, [(a, b) for a, b, *_ in program.prep]),
+        "select_hash": skeleton_hash(program.cut, program.left, program.right, [(a, b) for a, b, *_ in rows]),
     }
     return json_text(doc)
 
@@ -210,7 +227,7 @@ def oracle_program_from_json(text: str) -> LcuProgram:
     norm = math.sqrt(sum(amp * amp for _, _, amp, _ in rows.values()))
     if abs(norm - 1.0) > 1e-2:
         raise malformed(fmt, "prep", f"amplitude norm {norm:.6g} is not 1")
-    program = LcuProgram(cut=cut, left=left, right=right, lam=lam, prep=tuple(rows.values()))
+    program = LcuProgram(cut=cut, left=left, right=right, lam=lam, columns=prep_columns(tuple(rows.values())))
     if json_field(fmt, doc, "select_hash", str) != program.select_hash:
         raise malformed(fmt, "select_hash", "is not the hash of the dictionaries and pairs")
     return program
@@ -263,7 +280,7 @@ def decompositions(draw, values=floats) -> BridgeDecomposition:
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     entries = {pair: draw(value) for pair in chosen}
     return BridgeDecomposition(cut, FragmentDictionary(left), FragmentDictionary(right),
-                               Bridge((len(left), len(right)), entries))
+                               dict_bridge((len(left), len(right)), entries))
 
 
 def outcome(fn, *args):
@@ -278,8 +295,8 @@ def outcome(fn, *args):
 
 def same_table(program: LcuProgram, oracle: LcuProgram) -> bool:
     """Same skeleton and the same Prep rows, bit for bit (repr tells -0.0 from 0.0)."""
-    return (program.cut, program.left, program.right, repr(program.lam), repr(program.prep)) == (
-        oracle.cut, oracle.left, oracle.right, repr(oracle.lam), repr(oracle.prep))
+    return (program.cut, program.left, program.right, repr(program.lam), repr(prep_rows(program))) == (
+        oracle.cut, oracle.left, oracle.right, repr(oracle.lam), repr(prep_rows(oracle)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,35 +331,84 @@ def test_programs_from_rows_write_as_the_per_row_writers(d, data):
     if not any(c != 0 for c in d.bridge.entries.values()):
         return
     program = compile_lcu(d)
-    turns = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=len(program.prep), max_size=len(program.prep)))
-    rows = tuple((a, b, amp, complex(math.cos(t), math.sin(t))) for (a, b, amp, _), t in zip(program.prep, turns))
-    moved = dataclasses.replace(program, prep=rows)
+    size = len(program.columns.a)
+    turns = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=size, max_size=size))
+    rows = tuple((a, b, amp, complex(math.cos(t), math.sin(t))) for (a, b, amp, _), t in zip(prep_rows(program), turns))
+    moved = dataclasses.replace(program, columns=prep_columns(rows))
     assert program_to_json(moved) == oracle_program_to_json(moved)
     assert emit_gates(moved) == oracle_emit_gates(moved)
     assert same_table(program_from_json(program_to_json(moved)), moved)
 
 
 def test_bridge_and_prep_views_are_read_only():
-    # every view of a table is read-only, so an edit fails at once instead of
-    # going unseen by the code that reads the other view
+    # every constructor path hands out read-only columns and a read-only
+    # entries view, so an edit fails at once instead of going unseen by
+    # the code that reads the table
     d = compile_bridge(PauliSum(2, [(0.5, PauliString.from_label("XZ")), (-1.0, PauliString.from_label("YI"))]), 1)
-    with pytest.raises(TypeError):
-        d.bridge.entries[(0, 0)] = 2.0
-    with pytest.raises(ValueError):
-        d.bridge.coeffs[0] = 2.0
-    with pytest.raises(ValueError):
-        compile_lcu(d).columns.amp[0] = 2.0
+    program = compile_lcu(d)
+    bridges = [
+        d.bridge,
+        set_bridge(d, {(1, 0): 2.0, (0, 0): 0.0}).bridge,
+        decomposition_from_json(decomposition_to_json(d)).bridge,
+        bridge_svd(d, 1).truncated,
+    ]
+    programs = [
+        program,
+        program_from_json(program_to_json(program)),
+        update_coefficients(program, set_bridge(d, {pair: -2.0 * c for pair, c in d.bridge.entries.items()})),
+    ]
+    for bridge in bridges:
+        with pytest.raises(TypeError):
+            bridge.entries[(0, 0)] = 2.0
+        for column in (bridge.pairs, bridge.coeffs):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+    for column in (column for program in programs for column in program.columns):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+
+
+def oracle_set_bridge(d: BridgeDecomposition, entries: dict) -> BridgeDecomposition:
+    n_l, n_r = d.bridge.shape
+    checked = {}
+    for (a, b), coeff in entries.items():
+        if not (0 <= a < n_l and 0 <= b < n_r):
+            raise IndexOutOfRange(f"pair ({a}, {b}) outside {d.bridge.shape}")
+        checked[(a, b)] = complex(coeff)
+    return dataclasses.replace(d, bridge=dict_bridge((n_l, n_r), checked))
+
+
+@BYTE_IDENTITY
+@given(decompositions(), st.randoms())
+def test_set_bridge_on_a_shuffled_mapping_writes_the_sorted_bytes(d, random):
+    items = sorted(d.bridge.entries.items())
+    shuffled = random.sample(items, len(items))
+    want = outcome(decomposition_to_json, d)
+    assert outcome(decomposition_to_json, set_bridge(d, dict(items))) == want
+    assert outcome(decomposition_to_json, set_bridge(d, dict(shuffled))) == want
+
+
+@BYTE_IDENTITY
+@given(decompositions(), st.data())
+def test_set_bridge_matches_the_per_pair_loop(d, data):
+    # indices past the dictionaries, negative or beyond int64, name the first bad pair in mapping order
+    index = st.one_of(st.integers(-2, 7), st.sampled_from([2**63, 2**70, -(2**64)]))
+    keep = d.bridge.entries and data.draw(st.booleans())
+    pairs = st.sampled_from(sorted(d.bridge.entries)) if keep else st.tuples(index, index)
+    entries = data.draw(st.dictionaries(pairs, st.builds(complex, floats, floats), max_size=8))
+    got, want = outcome(set_bridge, d, entries), outcome(oracle_set_bridge, d, entries)
+    assert got == want if got[0] != "ok" else want[0] == "ok" and same_decomposition(got[1], want[1])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_values_raise_the_writers_error(bad):
-    bridge = Bridge((1, 1), {(0, 0): complex(1.0, bad)})
+    bridge = dict_bridge((1, 1), {(0, 0): complex(1.0, bad)})
     d = BridgeDecomposition(1, FragmentDictionary(("X",)), FragmentDictionary(("Z",)), bridge)
     assert outcome(decomposition_to_json, d) == outcome(oracle_decomposition_to_json, d)
     assert outcome(decomposition_to_json, d)[0] is ValueError
-    program = LcuProgram(cut=1, left=("X",), right=("Z",), lam=1.0, prep=((0, 0, bad, 1 + 0j),))
+    program = LcuProgram(cut=1, left=("X",), right=("Z",), lam=1.0, columns=prep_columns(((0, 0, bad, 1 + 0j),)))
     assert outcome(program_to_json, program) == outcome(oracle_program_to_json, program)
-    program = dataclasses.replace(program, prep=((0, 0, 1.0, complex(bad, 0.0)),))
+    program = dataclasses.replace(program, columns=prep_columns(((0, 0, 1.0, complex(bad, 0.0)),)))
     assert outcome(program_to_json, program) == outcome(oracle_program_to_json, program)
     mps = Mps([np.array([[[bad, 1.0]]], dtype=np.complex128)])
     assert outcome(mps_to_json, mps) == outcome(oracle_chain_to_json, "mps-v1", mps)

@@ -588,6 +588,20 @@ class TestMpoOptions:
 
 
 class TestVerifyProgram:
+    def test_subnormal_complex_coefficient_passes(self, tmp_path):
+        # |c| is subnormal, so 1 / |c| overflows although c / |c| is finite
+        src, bridge, program = tmp_path / "tiny.pauli", tmp_path / "tiny.bridge.json", tmp_path / "tiny.lcu.json"
+        src.write_text("1e-310+1e-310i XZ\n0.5 ZZ\n")
+        assert run(["compile", "--input", str(src), "--cut", "1", "--output", str(bridge)])[0] == 0
+        rc, stdout, err = run(["lcu", "--bridge", str(bridge), "--output", str(program)])
+        assert (rc, err) == (0, "")
+        assert stdout.startswith("lambda 0.500000000000\n")
+        [row] = [row for row in json.loads(program.read_text())["select"] if row["pl"] == "X"]
+        assert row["phase_re"] == row["phase_im"] == pytest.approx(0.5**0.5, abs=1e-15)
+        rc, stdout, _ = run(["verify", "--input", str(src), "--program", str(program)])
+        assert rc == 0
+        assert stdout.startswith("block_encoding PASS")
+
     def test_intact_program_passes(self, pipeline):
         paths, _ = pipeline
         rc, stdout, _ = run(["verify", "--input", str(paths["op"]),
@@ -822,6 +836,26 @@ class TestUsageValidation:
         # int() and float() would read each token: 10, 3, 0, 1, 0.01, 0.003, 1e-10
         with pytest.raises(argparse.ArgumentTypeError, match=f"expected an ASCII number without '_', got {token!r}"):
             convert(token)
+
+    @pytest.mark.parametrize("token, message", [
+        ("1_0", "expected an ASCII number without '_', got '1_0'"),
+        ("٣", "expected an ASCII number without '_', got '٣'"),
+        ("-1", "must be at least 0, got -1"),
+    ])
+    @pytest.mark.parametrize("command", ["sample", "optimize"])
+    def test_seed_numerals_must_be_ascii_counts(self, pipeline, tmp_path, command, token, message):
+        # int() would read 10 and 3; numpy refuses a negative seed
+        paths, _ = pipeline
+        out = tmp_path / "out.txt"
+        argv = {
+            "sample": ["sample", "--state", str(paths["mps"]), "--n-samples", "10"],
+            "optimize": ["optimize", "--input", str(paths["op"]), "--state", str(paths["mps"]),
+                         "--pool", str(paths["pool"]), "--solver", "lobpcg"],
+        }[command]
+        rc, stdout, err = run([*argv, "--seed", token, "--output", str(out)])
+        assert (rc, stdout) == (1, "")
+        assert f"argument --seed: {message}" in err
+        assert not out.exists()
 
     def test_ascii_flag_numerals_still_read(self):
         assert (positive_int("10"), non_negative_int("0"), tolerance("1e-3")) == (10, 0, 1e-3)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from paulibridge.lcu import (
 )
 from paulibridge.pauli import PauliString, PauliSum, TooLarge, dense_string, parse_pauli_sum, to_dense
 
-from conftest import kron_dense, random_pauli_sum, random_state
+from conftest import kron_dense, prep_columns, prep_rows, program_state, random_pauli_sum, random_state
 
 H2_LAMBDA = 1.212874
 
@@ -71,7 +72,7 @@ def small_programs(draw):
     coeffs = draw(st.lists(_coeffs, min_size=len(labels), max_size=len(labels)))
     op = PauliSum(n, [(c, PauliString.from_label(s)) for c, s in zip(coeffs, labels)])
     prog = compile_lcu(compile_bridge(op, cut))
-    active = {(a, b) for a, b, *_ in prog.prep}
+    active = {(a, b) for a, b, *_ in prep_rows(prog)}
     free = [
         (a, b)
         for a in range(2**prog.a_left)
@@ -81,9 +82,9 @@ def small_programs(draw):
     if free and draw(st.booleans()):
         a, b = draw(st.sampled_from(free))
         c = complex(draw(_coeffs))
-        rows = prog.prep + ((a, b, draw(st.floats(0.1, 1.0)), c / abs(c)),)
+        rows = prep_rows(prog) + ((a, b, draw(st.floats(0.1, 1.0)), c / abs(c)),)
         norm = np.sqrt(sum(amp**2 for _, _, amp, _ in rows))
-        prog = dataclasses.replace(prog, prep=tuple((a, b, amp / norm, ph) for a, b, amp, ph in rows))
+        prog = dataclasses.replace(prog, columns=prep_columns(tuple((a, b, amp / norm, ph) for a, b, amp, ph in rows)))
     return prog
 
 
@@ -100,36 +101,48 @@ class TestCompile:
 
     def test_prep_amplitudes(self, h2_subset):
         prog = h2_program(h2_subset)
-        amps = np.array([amp for _, _, amp, _ in prog.prep])
+        amps = np.array([amp for _, _, amp, _ in prep_rows(prog)])
         assert np.all(amps > 0)
         assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
         d = compile_bridge(h2_subset, 2)
-        for a, b, amp, _ in prog.prep:
+        for a, b, amp, _ in prep_rows(prog):
             coeff = d.bridge.entries[(a, b)]
             assert amp**2 == pytest.approx(abs(coeff) / prog.lam, abs=1e-12)
 
     def test_select_phases_are_signs(self, h2_subset):
         prog = h2_program(h2_subset)
         d = compile_bridge(h2_subset, 2)
-        for a, b, _, ph in prog.prep:
+        for a, b, _, ph in prep_rows(prog):
             coeff = d.bridge.entries[(a, b)]
             assert ph == (1.0 if coeff.real > 0 else -1.0)
 
     @pytest.mark.parametrize("cut", [1, 2, 3])
     def test_program_is_skeleton_plus_prep_table(self, h2_subset, cut):
-        assert [f.name for f in dataclasses.fields(LcuProgram)] == ["cut", "left", "right", "lam", "prep"]
+        assert [f.name for f in dataclasses.fields(LcuProgram)] == ["cut", "left", "right", "lam", "columns"]
         d = compile_bridge(h2_subset, cut)
         prog = compile_lcu(d)
         assert prog.n_sites == d.n_sites
         assert (prog.a_left, prog.a_right) == ((len(d.left.labels) - 1).bit_length(),
                                                (len(d.right.labels) - 1).bit_length())
-        assert [(a, b) for a, b, *_ in prog.prep] == sorted(d.bridge.active_pairs)
+        assert [(a, b) for a, b, *_ in prep_rows(prog)] == sorted(d.bridge.active_pairs)
         assert prog.select_hash == skeleton_hash(cut, d.left.labels, d.right.labels, d.bridge.active_pairs)
 
     def test_overflowing_one_norm_raises(self):
         d = compile_bridge(parse_pauli_sum("1e308 XZ\n1e308 ZZ\n"), 1)
         with pytest.raises(ValueError, match="one-norm lambda of the bridge overflows"):
             compile_lcu(d)
+
+    def test_subnormal_modulus_gets_a_unit_phase(self):
+        # 1 / |c| overflows for these c, although c / |c| is finite
+        op = parse_pauli_sum("1e-310+1e-310i XZ\n-4e-320+5e-324i ZX\n-0.0-3e-321i XX\n0.5 ZZ\n")
+        d = compile_bridge(op, 1)
+        prog = compile_lcu(d)
+        for a, b, _, ph in prep_rows(prog):
+            coeff = d.bridge.entries[(a, b)]
+            # both parts scaled by 2**1000, exactly, so |c| is a normal number
+            c = complex(math.ldexp(coeff.real, 1000), math.ldexp(coeff.imag, 1000))
+            assert ph == pytest.approx(c / abs(c), abs=1e-15)
+        assert program_from_json(program_to_json(prog)).lam == prog.lam
 
     def test_empty_bridge_raises(self, h2_subset):
         d = compile_bridge(h2_subset, 2)
@@ -144,7 +157,7 @@ class TestBlockEncoding:
         h = prep_dense(prog)
         np.testing.assert_allclose(h @ h.T, np.eye(h.shape[0]), atol=1e-12)
         u = np.zeros(2**prog.a_total)
-        for a, b, amp, _ in prog.prep:
+        for a, b, amp, _ in prep_rows(prog):
             u[prog.pair_index(a, b)] = amp
         np.testing.assert_allclose(h[:, 0], u, atol=1e-12)
 
@@ -171,8 +184,8 @@ class TestBlockEncoding:
         # Householder prep renormalizes it
         prog = h2_program(h2_subset)
         extra = ((6, 5, 0.3, 1j), (7, 0, 0.2, -1.0 + 0j), (0, 1, 0.25, np.exp(0.4j)))
-        rows = tuple((a, b, 1.004 * amp, ph) for a, b, amp, ph in prog.prep + extra)
-        assert_block_matches_walk(dataclasses.replace(prog, prep=rows))
+        rows = tuple((a, b, 1.004 * amp, ph) for a, b, amp, ph in prep_rows(prog) + extra)
+        assert_block_matches_walk(dataclasses.replace(prog, columns=prep_columns(rows)))
 
     def test_encoded_block_has_no_ancilla_ceiling(self):
         # 64 left and 64 right fragments: 6 + 12 = 18 qubits in the walk
@@ -292,11 +305,11 @@ class TestSelectFactorization:
         prog = compile_lcu(compile_bridge(op, 1))
         [(a, b)] = [
             (a, b) for a in range(len(prog.left)) for b in range(len(prog.right))
-            if (a, b) not in {(a, b) for a, b, *_ in prog.prep}
+            if (a, b) not in {(a, b) for a, b, *_ in prep_rows(prog)}
         ]
-        rows = prog.prep + ((a, b, 0.4, -1j),)
+        rows = prep_rows(prog) + ((a, b, 0.4, -1j),)
         norm = np.sqrt(sum(amp**2 for _, _, amp, _ in rows))
-        moved = dataclasses.replace(prog, prep=tuple((a, b, amp / norm, ph) for a, b, amp, ph in rows))
+        moved = dataclasses.replace(prog, columns=prep_columns(tuple((a, b, amp / norm, ph) for a, b, amp, ph in rows)))
         np.testing.assert_allclose(
             select_factorized_dense(moved), select_dense(moved), rtol=0, atol=1e-12
         )
@@ -307,10 +320,10 @@ class TestSelectFactorization:
         # the new row moves the select hash; the reader refuses the table
         # without the row's select half, and the old program's hash
         doc = json.loads(program_to_json(moved))
-        assert program_from_json(json.dumps(doc)) == moved
+        assert program_state(program_from_json(json.dumps(doc))) == program_state(moved)
         assert doc["select_hash"] != prog.select_hash
         short = {**doc, "select": doc["select"][:-1]}
-        with pytest.raises(ValueError, match=rf"^lcu-v1 field select: {len(prog.prep)} rows, prep has {len(moved.prep)}$"):
+        with pytest.raises(ValueError, match=rf"^lcu-v1 field select: {len(rows) - 1} rows, prep has {len(rows)}$"):
             program_from_json(json.dumps(short))
         with pytest.raises(ValueError, match="^lcu-v1 field select_hash: "):
             program_from_json(json.dumps({**doc, "select_hash": prog.select_hash}))
@@ -346,7 +359,7 @@ class TestUpdate:
 
         def phases(program):
             out = np.ones(2**program.a_total, dtype=np.complex128)
-            for a, b, _, ph in program.prep:
+            for a, b, _, ph in prep_rows(program):
                 out[program.pair_index(a, b)] = ph
             return np.repeat(out, 2**program.n_sites)[:, None]
 
@@ -394,7 +407,7 @@ class TestSerialization:
     def test_json_round_trip(self, h2_subset):
         prog = h2_program(h2_subset)
         back = program_from_json(program_to_json(prog))
-        assert back == prog
+        assert program_state(back) == program_state(prog)
 
     def test_json_deterministic(self, h2_subset):
         prog = h2_program(h2_subset)
@@ -440,10 +453,10 @@ class TestGates:
         assert float(header["lambda"]) == pytest.approx(prog.lam, abs=1e-9)
         assert amps == {
             prog.pair_index(a, b): pytest.approx(amp, abs=1e-9)
-            for a, b, amp, _ in prog.prep
+            for a, b, amp, _ in prep_rows(prog)
         }
         assert [row[1:3] for row in rows] == [
-            [pattern(prog, a, b), prog.left[a] + prog.right[b]] for a, b, *_ in prog.prep
+            [pattern(prog, a, b), prog.left[a] + prog.right[b]] for a, b, *_ in prep_rows(prog)
         ]
 
     @settings(max_examples=20, deadline=None)
@@ -456,8 +469,8 @@ class TestGates:
         prog = compile_lcu(compile_bridge(random_pauli_sum(rng, n, int(rng.integers(1, 12)), True), n // 2))
         _, _, rows = read_listing(emit_gates(prog))
         phases = [complex(row[3].removeprefix("phase=").replace("i", "j")) if len(row) > 3 else 1 for row in rows]
-        assert phases == pytest.approx([ph for *_, ph in prog.prep], abs=1e-11)
-        assert program_from_json(program_to_json(prog)) == prog
+        assert phases == pytest.approx([ph for *_, ph in prep_rows(prog)], abs=1e-11)
+        assert program_state(program_from_json(program_to_json(prog))) == program_state(prog)
 
     def test_unit_phases_omitted(self, h2_subset):
         text = emit_gates(h2_program(h2_subset))
