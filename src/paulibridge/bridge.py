@@ -198,10 +198,12 @@ def set_bridge(d: BridgeDecomposition, entries: dict[tuple[int, int], complex]) 
 
     The mapping replaces the old one wholesale; pairs outside the original
     active set may be introduced as long as the indices address existing
-    fragments. Explicit zeros are kept as cancelled pairs.
+    fragments. Explicit zeros are kept as cancelled pairs. An index must
+    be an int or a numpy integer; a float or a bool is refused.
     """
     pairs = np.array(list(entries), dtype=object).reshape(-1, 2)  # ints of any size, compared exactly
-    outside = ~((0 <= pairs) & (pairs < d.bridge.shape)).all(axis=1)
+    integral = np.vectorize(lambda i: isinstance(i, (int, np.integer)) and not isinstance(i, bool), otypes=[bool])
+    outside = ~(integral(pairs) & (0 <= pairs) & (pairs < d.bridge.shape)).all(axis=1)
     if outside.any():
         a, b = pairs[outside.argmax()].tolist()
         raise IndexOutOfRange(f"pair ({a}, {b}) outside {d.bridge.shape}")

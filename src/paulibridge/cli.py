@@ -9,9 +9,10 @@ densifies nothing; the battery's MPO check takes up to DENSE_LIMIT (12)
 sites.
 
 Exit codes: 0 success, 1 usage error, 2 input or data error, 3 numerical
-failure. Every writing subcommand records a deterministic JSON manifest
-of input hashes, outputs, parameters, and library versions next to its
-primary output (no timestamps, so reruns are byte identical);
+failure. A writing subcommand writes nothing unless it succeeds; then it
+writes each output once and a deterministic JSON manifest next to its
+primary output: sha256 of the bytes it read and wrote, parameters, and
+library versions (no timestamps, so reruns are byte identical).
 ``--manifest PATH`` overrides the location.
 """
 
@@ -72,21 +73,14 @@ from paulibridge.sampler import (
     samples_from_text,
     samples_to_text,
 )
-from paulibridge.varopt import (
-    ConvergenceFailure,
-    assemble_pencil,
-    energy_vs_samples_sweep,
-    solve_ritz_dense,
-    solve_ritz_lobpcg,
-    sweep_to_csv,
-)
+from paulibridge.varopt import assemble_pencil, energy_vs_samples_sweep, solve_ritz_dense, sweep_to_csv
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
 NUMERICAL_ERROR = 3
 
 DATA_EXCEPTIONS = (PauliError, GaugeViolation, ValueError, KeyError, OSError)
-NUMERICAL_EXCEPTIONS = (ConvergenceFailure, np.linalg.LinAlgError)
+NUMERICAL_EXCEPTIONS = (np.linalg.LinAlgError,)
 
 
 class Parser(argparse.ArgumentParser):
@@ -121,16 +115,21 @@ def tolerance(token: str) -> float:
     return value
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _read(args, path: str) -> str:
+    """The text of ``path``; its bytes are kept in ``args.inputs`` for the manifest."""
+    data = args.inputs[path] = Path(path).read_bytes()
+    return data.decode()
 
 
-def _write_manifest(args, command: str, inputs: list[str], outputs: list[str], parameters: dict) -> None:
-    path = getattr(args, "manifest", None) or f"{outputs[0]}.manifest.json"
+def _write(args, outputs: dict[str, str], parameters: dict) -> None:
+    """Write each output once, then the manifest of the bytes read and written."""
+    written = {path: text.encode() for path, text in outputs.items()}
+    for path, data in written.items():
+        Path(path).write_bytes(data)
     doc = {
-        "command": command,
-        "inputs": {p: _sha256(p) for p in inputs},
-        "outputs": {p: _sha256(p) for p in outputs},
+        "command": args.command,
+        "inputs": {p: hashlib.sha256(data).hexdigest() for p, data in args.inputs.items()},
+        "outputs": {p: hashlib.sha256(data).hexdigest() for p, data in written.items()},
         "parameters": parameters,
         "versions": {
             "paulibridge": __version__,
@@ -138,36 +137,32 @@ def _write_manifest(args, command: str, inputs: list[str], outputs: list[str], p
             "scipy": scipy.__version__,
         },
     }
-    Path(path).write_text(json_text(doc))
-
-
-def _read(path: str) -> str:
-    return Path(path).read_text()
+    Path(args.manifest or f"{next(iter(outputs))}.manifest.json").write_text(json_text(doc))
 
 
 def cmd_jw(args) -> int:
-    n_modes, terms = load_fermion_terms(_read(args.input))
+    n_modes, terms = load_fermion_terms(_read(args, args.input))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         op = map_hamiltonian(terms, n_modes)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    Path(args.output).write_text(serialize_pauli_sum(op))
+    outputs = {args.output: serialize_pauli_sum(op)}
     print(f"n_sites {op.n_sites}")
     print(f"n_terms {op.n_terms}")
-    _write_manifest(args, "jw", [args.input], [args.output], {})
+    _write(args, outputs, {})
     return 0
 
 
 def cmd_compile(args) -> int:
-    op = parse_pauli_sum(_read(args.input))
+    op = parse_pauli_sum(_read(args, args.input))
     d = compile_bridge(op, args.cut)
-    Path(args.output).write_text(decomposition_to_json(d))
+    outputs = {args.output: decomposition_to_json(d)}
     print(f"left_fragments {len(d.left.labels)}")
     print(f"right_fragments {len(d.right.labels)}")
     print(f"active_pairs {len(d.bridge.active_pairs)}")
     print(f"structural_hash {structural_hash(d)}")
-    _write_manifest(args, "compile", [args.input], [args.output], {"cut": args.cut})
+    _write(args, outputs, {"cut": args.cut})
     return 0
 
 
@@ -178,158 +173,112 @@ def _mpo_error(m, op) -> float:
 
 
 def cmd_mpo(args) -> int:
-    op = parse_pauli_sum(_read(args.input))
+    op = parse_pauli_sum(_read(args, args.input))
     m = build_mpo_qr(op, rank_tol=args.tol)
     if args.max_bond is not None:
         m, discarded = compress(m, max_bond=args.max_bond)
         print(f"discarded_weight {sum(discarded):.12e}")
-    Path(args.output).write_text(mpo_to_json(m))
+    outputs = {args.output: mpo_to_json(m)}
     print(f"bond_dims {' '.join(str(b) for b in m.bond_dims)}")
     if args.verify:
         print(f"reconstruction_error {_mpo_error(m, op):.3e}")
-    _write_manifest(
-        args,
-        "mpo",
-        [args.input],
-        [args.output],
-        {"tol": args.tol, "max_bond": args.max_bond},
-    )
+    _write(args, outputs, {"tol": args.tol, "max_bond": args.max_bond})
     return 0
 
 
 def cmd_groundstate(args) -> int:
-    op = parse_pauli_sum(_read(args.input))
+    op = parse_pauli_sum(_read(args, args.input))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = ground_state_reference(op, max_bond=args.max_bond)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    Path(args.output).write_text(mps_to_json(res.mps))
+    outputs = {args.output: mps_to_json(res.mps)}
     print(f"energy {res.energy:.12f}")
     print(f"gap {res.gap:.12f}")
-    _write_manifest(
-        args,
-        "groundstate",
-        [args.input],
-        [args.output],
-        {"max_bond": args.max_bond},
-    )
+    _write(args, outputs, {"max_bond": args.max_bond})
     return 0
 
 
 def cmd_sample(args) -> int:
-    m = mps_from_json(_read(args.state))
+    m = mps_from_json(_read(args, args.state))
     samples = sample_strings(m, SamplerConfig(n_samples=args.n_samples, seed=args.seed))
-    Path(args.output).write_text(samples_to_text(samples, m.n_sites, seed=args.seed))
+    outputs = {args.output: samples_to_text(samples, m.n_sites, seed=args.seed)}
     print(f"n_samples {len(samples)}")
-    _write_manifest(
-        args,
-        "sample",
-        [args.state],
-        [args.output],
-        {"n_samples": args.n_samples, "seed": args.seed},
-    )
+    _write(args, outputs, {"n_samples": args.n_samples, "seed": args.seed})
     return 0
 
 
 def cmd_curate(args) -> int:
-    samples, n_sites = samples_from_text(_read(args.samples))
+    samples, n_sites = samples_from_text(_read(args, args.samples))
     pool = curate(samples, n_sites, keep_iz=args.keep_iz)
-    Path(args.output).write_text(pool_to_text(pool))
+    outputs = {args.output: pool_to_text(pool)}
     print(f"offdiagonal {len(pool.xy)}")
     print(f"diagonal {len(pool.iz)}")
-    _write_manifest(
-        args, "curate", [args.samples], [args.output], {"keep_iz": args.keep_iz}
-    )
+    _write(args, outputs, {"keep_iz": args.keep_iz})
     return 0
 
 
 def cmd_optimize(args) -> int:
-    op = parse_pauli_sum(_read(args.input))
-    state = mps_from_json(_read(args.state))
-    pool = pool_from_text(_read(args.pool))
+    op = parse_pauli_sum(_read(args, args.input))
+    state = mps_from_json(_read(args, args.state))
+    pool = pool_from_text(_read(args, args.pool))
     if pool.n_sites != op.n_sites:
         raise ValueError(f"pool has {pool.n_sites} sites, operator has {op.n_sites}")
     pencil = assemble_pencil(op, pool.strings, state)
-    if args.solver == "dense":
-        sol = solve_ritz_dense(pencil, n_roots=args.n_roots)
-    else:
-        sol = solve_ritz_lobpcg(
-            pencil,
-            n_roots=args.n_roots,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            seed=args.seed,
-        )
+    sol = solve_ritz_dense(pencil, n_roots=args.n_roots)
     reference = float(scipy.linalg.eigvalsh(to_dense(op))[0])
     doc = {
         "format": "optimize-v1",
-        "solver": args.solver,
+        "solver": "dense",
         "pool_size": pencil.size,
         "n_kept": sol.n_kept,
         "iterations": sol.iterations,
         "energies": [float(e) for e in sol.energies],
         "reference_energy": reference,
     }
-    Path(args.output).write_text(json_text(doc))
+    outputs = {args.output: json_text(doc)}
     print(f"energy {sol.energies[0]:.12f}")
     print(f"reference {reference:.12f}")
-    outputs = [args.output]
     if args.sweep_csv:
         rows = energy_vs_samples_sweep(
             op, state, args.sweep_sizes, seed=args.seed, reference=reference
         )
-        Path(args.sweep_csv).write_text(sweep_to_csv(rows))
-        outputs.append(args.sweep_csv)
+        outputs[args.sweep_csv] = sweep_to_csv(rows)
         print(f"sweep_rows {len(rows)}")
-    _write_manifest(
-        args,
-        "optimize",
-        [args.input, args.state, args.pool],
-        outputs,
-        {
-            "solver": args.solver,
-            "n_roots": args.n_roots,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "seed": args.seed,
-            "sweep_sizes": args.sweep_sizes if args.sweep_csv else None,
-        },
-    )
+    sweep_sizes = args.sweep_sizes if args.sweep_csv else None
+    _write(args, outputs, {"n_roots": args.n_roots, "seed": args.seed, "sweep_sizes": sweep_sizes})
     return 0
 
 
 def cmd_lcu(args) -> int:
-    d = decomposition_from_json(_read(args.bridge))
+    d = decomposition_from_json(_read(args, args.bridge))
     prog = compile_lcu(d)
-    Path(args.output).write_text(program_to_json(prog))
+    outputs = {args.output: program_to_json(prog)}
     if args.gates:
-        Path(args.gates).write_text(emit_gates(prog))
-    outputs = [args.output] + ([args.gates] if args.gates else [])
+        outputs[args.gates] = emit_gates(prog)
     print(f"lambda {prog.lam:.12f}")
     print(f"ancillas {prog.a_total}")
     print(f"select_hash {prog.select_hash}")
-    _write_manifest(args, "lcu", [args.bridge], outputs, {})
+    _write(args, outputs, {})
     return 0
 
 
 def cmd_update(args) -> int:
-    prog = program_from_json(_read(args.program))
-    d = decomposition_from_json(_read(args.bridge))
+    prog = program_from_json(_read(args, args.program))
+    d = decomposition_from_json(_read(args, args.bridge))
     updated = update_coefficients(prog, d)
-    Path(args.output).write_text(program_to_json(updated))
+    outputs = {args.output: program_to_json(updated)}
     print(f"lambda {updated.lam:.12f}")
     print(f"select_hash {updated.select_hash}")
-    _write_manifest(
-        args, "update", [args.program, args.bridge], [args.output], {}
-    )
+    _write(args, outputs, {})
     return 0
 
 
 def cmd_verify(args) -> int:
-    op = parse_pauli_sum(_read(args.input))
+    op = parse_pauli_sum(_read(args, args.input))
     if args.program:
-        err = block_error(program_from_json(_read(args.program)), op)
+        err = block_error(program_from_json(_read(args, args.program)), op)
         ok = err <= args.tol
         print(f"block_encoding {'PASS' if ok else 'FAIL'} tol {args.tol:g} error {err:.6e}")
         return 0 if ok else NUMERICAL_ERROR
@@ -343,8 +292,7 @@ def cmd_verify(args) -> int:
         exact = reconstruct(d).as_dict() == op.as_dict()
         checks.append((f"bridge_round_trip_cut_{cut}", exact, None))
         back = decomposition_from_json(decomposition_to_json(d))
-        same_hash = structural_hash(back) == structural_hash(d)
-        checks.append((f"bridge_json_round_trip_cut_{cut}", same_hash, None))
+        checks.append((f"bridge_json_round_trip_cut_{cut}", back == d, None))
         block_err = block_error(compile_lcu(d), op)
         checks.append((f"block_encoding_cut_{cut}", block_err <= args.tol, block_err))
     checks.append(("mpo_exact_reconstruction", mpo_err <= args.tol, mpo_err))
@@ -414,10 +362,7 @@ def build_parser() -> Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--pool", required=True)
-    p.add_argument("--solver", choices=["dense", "lobpcg"], default="dense")
     p.add_argument("--n-roots", type=positive_int, default=1)
-    p.add_argument("--tol", type=tolerance, default=1e-9)
-    p.add_argument("--max-iter", type=positive_int, default=200)
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--sweep-csv", default=None,
                    help="also write an energy-vs-samples sweep CSV here")
@@ -461,6 +406,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.inputs = {}  # path -> bytes of every file this call reads
     try:
         return args.func(args)
     except NUMERICAL_EXCEPTIONS as exc:

@@ -102,13 +102,13 @@ class Mps(TensorChain):
 def is_left_canonical_site(t: np.ndarray, tol: float = 1e-12) -> bool:
     """``sum_{a,phys} T*[a,r] T[a,r'] = delta``: left bond and physical legs are isometric."""
     mat = np.moveaxis(t, 1, -1).reshape(-1, t.shape[1])
-    return bool(np.allclose(mat.conj().T @ mat, np.eye(t.shape[1]), atol=tol))
+    return bool(np.abs(mat.conj().T @ mat - np.eye(t.shape[1])).max() <= tol)
 
 
 def is_right_canonical_site(t: np.ndarray, tol: float = 1e-12) -> bool:
     """``sum_{b,phys} T[l,b] T*[l',b] = delta``: right bond and physical legs are isometric."""
     mat = t.reshape(t.shape[0], -1)
-    return bool(np.allclose(mat @ mat.conj().T, np.eye(t.shape[0]), atol=tol))
+    return bool(np.abs(mat @ mat.conj().T - np.eye(t.shape[0])).max() <= tol)
 
 
 def _svd_split(mat: np.ndarray, max_bond: int | None, discard_log: list | None):
@@ -318,7 +318,10 @@ def ground_state_reference(op: PauliSum, max_bond: int | None = None) -> GroundS
     eigenvector is a basis-dependent representative.
     """
     dense = to_dense(op)
-    if np.linalg.norm(dense - dense.conj().T) > 1e-10 * max(np.linalg.norm(dense), 1.0):
+    # ||H - H^dag||_F <= 1e-10 max(||H||_F, 1) from the coefficients: the strings
+    # are Hermitian and Frobenius-orthogonal, each of norm 2^(n/2)
+    norm = 2.0 ** (op.n_sites / 2)
+    if 2 * norm * np.linalg.norm(op.coeffs.imag) > 1e-10 * max(norm * np.linalg.norm(op.coeffs), 1.0):
         raise ValueError("operator is not Hermitian")
     vals, vecs = scipy.linalg.eigh(dense)
     energy = float(vals[0])

@@ -372,7 +372,8 @@ def oracle_set_bridge(d: BridgeDecomposition, entries: dict) -> BridgeDecomposit
     n_l, n_r = d.bridge.shape
     checked = {}
     for (a, b), coeff in entries.items():
-        if not (0 <= a < n_l and 0 <= b < n_r):
+        integral = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in (a, b))
+        if not (integral and 0 <= a < n_l and 0 <= b < n_r):
             raise IndexOutOfRange(f"pair ({a}, {b}) outside {d.bridge.shape}")
         checked[(a, b)] = complex(coeff)
     return dataclasses.replace(d, bridge=dict_bridge((n_l, n_r), checked))
@@ -391,13 +392,22 @@ def test_set_bridge_on_a_shuffled_mapping_writes_the_sorted_bytes(d, random):
 @BYTE_IDENTITY
 @given(decompositions(), st.data())
 def test_set_bridge_matches_the_per_pair_loop(d, data):
-    # indices past the dictionaries, negative or beyond int64, name the first bad pair in mapping order
-    index = st.one_of(st.integers(-2, 7), st.sampled_from([2**63, 2**70, -(2**64)]))
+    # indices past the dictionaries, negative, beyond int64, a float or a bool name the first bad
+    # pair in mapping order; a numpy integer is an index
+    index = st.one_of(st.integers(-2, 7), st.sampled_from([2**63, 2**70, -(2**64), 0.5, 1.0, True, False]),
+                      st.integers(0, 3).map(np.int64), st.integers(0, 3).map(np.uint8))
     keep = d.bridge.entries and data.draw(st.booleans())
     pairs = st.sampled_from(sorted(d.bridge.entries)) if keep else st.tuples(index, index)
     entries = data.draw(st.dictionaries(pairs, st.builds(complex, floats, floats), max_size=8))
     got, want = outcome(set_bridge, d, entries), outcome(oracle_set_bridge, d, entries)
     assert got == want if got[0] != "ok" else want[0] == "ok" and same_decomposition(got[1], want[1])
+
+
+def test_set_bridge_refuses_a_float_index():
+    # int64 would truncate 0.5 to 0: the pairs [[0, 0], [0, 0]]
+    d = compile_bridge(PauliSum(2, [(1.0, PauliString.from_label("XZ")), (0.5, PauliString.from_label("ZZ"))]), 1)
+    with pytest.raises(IndexOutOfRange, match=r"^pair \(0\.5, 0\) outside \(2, 1\)$"):
+        set_bridge(d, {(0.5, 0): 3.0, (0, 0): 1.0})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -6,6 +6,7 @@ captured stdout, exit codes, and manifest determinism.
 """
 
 import argparse
+import builtins
 import contextlib
 import functools
 import hashlib
@@ -23,15 +24,15 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from paulibridge import __version__, lcu, varopt
+from paulibridge import __version__, cli, lcu, varopt
 from paulibridge.bridge import compile as compile_bridge
-from paulibridge.bridge import skeleton_hash
+from paulibridge.bridge import set_bridge, skeleton_hash
 from paulibridge.bridge import decomposition_from_json, decomposition_to_json
 from paulibridge.cli import main, non_negative_int, positive_int, tolerance
 from paulibridge.lcu import program_from_json
 from paulibridge.mpo import mpo_from_json
 from paulibridge.mps import Mps, mps_from_json, mps_to_json
-from paulibridge.pauli import parse_pauli_sum, serialize_pauli_sum, to_dense
+from paulibridge.pauli import PauliSum, parse_pauli_sum, serialize_pauli_sum, to_dense
 from paulibridge.sampler import pool_from_text, samples_from_text
 
 from conftest import (
@@ -256,6 +257,99 @@ class TestManifests:
                         "--output", str(out), "--manifest", str(manifest)])
         assert rc == 0
         assert manifest.read_bytes() == first
+
+
+def h2_chain(root):
+    """Every writing subcommand on the h2 fixtures: (argv, input paths, output paths)."""
+    p = {name: str(root / name) for name in (
+        "fermion.json", "op.pauli", "jw.pauli", "bridge.json", "mpo.json", "mps.json", "samples.txt",
+        "pool.txt", "opt.json", "sweep.csv", "lcu.json", "gates.txt", "updated.json")}
+    (root / "fermion.json").write_text((FIXTURES / "number_op.json").read_text())
+    (root / "op.pauli").write_text((FIXTURES / "h2_subset.pauli").read_text())
+    return [
+        (["jw", "--input", p["fermion.json"], "--output", p["jw.pauli"]], [p["fermion.json"]], [p["jw.pauli"]]),
+        (["compile", "--input", p["op.pauli"], "--cut", "2", "--output", p["bridge.json"]],
+         [p["op.pauli"]], [p["bridge.json"]]),
+        (["mpo", "--input", p["op.pauli"], "--verify", "--output", p["mpo.json"]], [p["op.pauli"]], [p["mpo.json"]]),
+        (["groundstate", "--input", p["op.pauli"], "--output", p["mps.json"]], [p["op.pauli"]], [p["mps.json"]]),
+        (["sample", "--state", p["mps.json"], "--n-samples", "400", "--seed", "7", "--output", p["samples.txt"]],
+         [p["mps.json"]], [p["samples.txt"]]),
+        (["curate", "--samples", p["samples.txt"], "--output", p["pool.txt"]], [p["samples.txt"]], [p["pool.txt"]]),
+        (["optimize", "--input", p["op.pauli"], "--state", p["mps.json"], "--pool", p["pool.txt"],
+          "--sweep-csv", p["sweep.csv"], "--sweep-sizes", "10", "25", "--output", p["opt.json"]],
+         [p["op.pauli"], p["mps.json"], p["pool.txt"]], [p["opt.json"], p["sweep.csv"]]),
+        (["lcu", "--bridge", p["bridge.json"], "--output", p["lcu.json"], "--gates", p["gates.txt"]],
+         [p["bridge.json"]], [p["lcu.json"], p["gates.txt"]]),
+        (["update", "--program", p["lcu.json"], "--bridge", p["bridge.json"], "--output", p["updated.json"]],
+         [p["lcu.json"], p["bridge.json"]], [p["updated.json"]]),
+    ]
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestWriter:
+    def test_each_input_read_once_and_each_output_written_once(self, tmp_path, monkeypatch):
+        real_open = io.open
+        opened = []
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            opened.append((str(file), "w" if set(mode) & set("wax+") else "r"))
+            return real_open(file, mode, *args, **kwargs)
+
+        for argv, inputs, outputs in h2_chain(tmp_path):
+            opened.clear()
+            with monkeypatch.context() as m:
+                m.setattr(io, "open", counting_open)
+                m.setattr(builtins, "open", counting_open)
+                rc, _, err = run(argv)
+            assert (rc, err) == (0, ""), argv[0]
+            manifest = f"{outputs[0]}.manifest.json"
+            want = [(p, "r") for p in inputs] + [(p, "w") for p in outputs] + [(manifest, "w")]
+            assert sorted(o for o in opened if o[0].startswith(str(tmp_path))) == sorted(want), argv[0]
+
+    def test_manifest_hashes_are_the_files_on_disk(self, tmp_path):
+        for argv, inputs, outputs in h2_chain(tmp_path):
+            assert run(argv)[0] == 0, argv[0]
+            doc = json.loads(Path(f"{outputs[0]}.manifest.json").read_text())
+            assert doc["command"] == argv[0]
+            assert doc["inputs"] == {p: sha256(p) for p in inputs}, argv[0]
+            assert doc["outputs"] == {p: sha256(p) for p in outputs}, argv[0]
+            if argv[0] == "optimize":
+                # optimize-v1 keeps its solver field; the manifest has no LOBPCG parameters
+                assert doc["parameters"] == {"n_roots": 1, "seed": 0, "sweep_sizes": [10, 25]}
+                assert json.loads(Path(outputs[0]).read_text())["solver"] == "dense"
+
+    def test_failed_mpo_verify_writes_nothing(self, tmp_path):
+        # 13 sites: the MPO compiles, the dense check refuses it
+        n = 13
+        src, out = tmp_path / "chain.pauli", tmp_path / "mpo.json"
+        src.write_text("".join(f"0.5 {'I' * i}ZZ{'I' * (n - i - 2)}\n" for i in range(n - 1)))
+        rc, stdout, err = run(["mpo", "--input", str(src), "--verify", "--output", str(out)])
+        assert rc == 2
+        assert stdout.startswith("bond_dims ")
+        assert err == "error: 13 sites exceeds dense limit 12\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.pauli"]
+
+    def test_update_in_place_records_the_program_it_read(self, tmp_path, h2_text):
+        src, scaled = tmp_path / "op.pauli", tmp_path / "scaled.pauli"
+        program, bridge, scaled_bridge = tmp_path / "lcu.json", tmp_path / "bridge.json", tmp_path / "scaled.json"
+        src.write_text(h2_text)
+        op = parse_pauli_sum(h2_text)
+        scaled.write_text(serialize_pauli_sum(PauliSum(op.n_sites, [(2 * t.coeff, t.string) for t in op.terms])))
+        for argv in (["compile", "--input", str(src), "--cut", "2", "--output", str(bridge)],
+                     ["compile", "--input", str(scaled), "--cut", "2", "--output", str(scaled_bridge)],
+                     ["lcu", "--bridge", str(bridge), "--output", str(program)]):
+            assert run(argv)[0] == 0
+        before = sha256(program)
+        rc, _, err = run(["update", "--program", str(program), "--bridge", str(scaled_bridge),
+                          "--output", str(program)])
+        assert (rc, err) == (0, "")
+        doc = json.loads(Path(f"{program}.manifest.json").read_text())
+        assert doc["inputs"] == {str(program): before, str(scaled_bridge): sha256(scaled_bridge)}
+        assert doc["outputs"] == {str(program): sha256(program)}
+        assert sha256(program) != before
 
 
 class TestDeterminism:
@@ -513,15 +607,6 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in err
 
-    def test_lobpcg_unconverged_is_numerical_error(self, pipeline, tmp_path):
-        paths, _ = pipeline
-        rc, _, err = run(["optimize", "--input", str(paths["op"]), "--state",
-                          str(paths["mps"]), "--pool", str(paths["pool"]),
-                          "--solver", "lobpcg", "--max-iter", "1",
-                          "--output", str(tmp_path / "out.json")])
-        assert rc == 3
-        assert err == "error: residual above 1e-09 after 1 iterations\n"
-
 
 class TestConsoleScript:
     def test_module_entry_point(self):
@@ -698,6 +783,20 @@ class TestVerifyProgram:
         assert not out.exists()
 
 
+class TestVerifyBattery:
+    def test_json_round_trip_compares_coefficients(self, monkeypatch):
+        # a reader that doubles every coefficient keeps the skeleton and its hash
+        def doubling_reader(text):
+            d = decomposition_from_json(text)
+            return set_bridge(d, {pair: 2 * c for pair, c in d.bridge.entries.items()})
+
+        monkeypatch.setattr(cli, "decomposition_from_json", doubling_reader)
+        rc, stdout, _ = run(["verify", "--input", str(FIXTURES / "h2_subset.pauli")])
+        assert rc == 3
+        failed = [line.split()[0] for line in stdout.splitlines() if line.endswith(" FAIL")]
+        assert failed == [f"bridge_json_round_trip_cut_{cut}" for cut in (1, 2, 3)]
+
+
 class TestVerifyBeyondOldCeiling:
     """Battery runs whose walk unitaries exceed 12 qubits, which a dense
     check of (Prep^dag x I) Select (Prep x I) used to refuse."""
@@ -810,7 +909,6 @@ class TestUsageValidation:
     @pytest.mark.parametrize("command, option, value, low", [
         ("sample", "--n-samples", "0", 1),
         ("sample", "--n-samples", "-5", 1),
-        ("optimize", "--max-iter", "0", 1),
         ("curate", "--keep-iz", "-1", 0),
     ])
     def test_count_below_minimum_is_usage_error(self, pipeline, tmp_path, command, option, value, low):
@@ -818,8 +916,6 @@ class TestUsageValidation:
         out = tmp_path / "out.txt"
         argv = {
             "sample": ["sample", "--state", str(paths["mps"]), "--seed", "1"],
-            "optimize": ["optimize", "--input", str(paths["op"]), "--state", str(paths["mps"]),
-                         "--pool", str(paths["pool"]), "--solver", "lobpcg"],
             "curate": ["curate", "--samples", str(paths["samples"])],
         }[command]
         rc, stdout, err = run([*argv, option, value, "--output", str(out)])
@@ -850,11 +946,22 @@ class TestUsageValidation:
         argv = {
             "sample": ["sample", "--state", str(paths["mps"]), "--n-samples", "10"],
             "optimize": ["optimize", "--input", str(paths["op"]), "--state", str(paths["mps"]),
-                         "--pool", str(paths["pool"]), "--solver", "lobpcg"],
+                         "--pool", str(paths["pool"])],
         }[command]
         rc, stdout, err = run([*argv, "--seed", token, "--output", str(out)])
         assert (rc, stdout) == (1, "")
         assert f"argument --seed: {message}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--solver", "lobpcg"], ["--tol", "1e-9"], ["--max-iter", "200"]])
+    def test_optimize_has_no_iterative_solver_flags(self, pipeline, tmp_path, flag):
+        # optimize solves the Ritz pencil densely; the LOBPCG flags are gone
+        paths, _ = pipeline
+        out = tmp_path / "out.json"
+        rc, stdout, err = run(["optimize", "--input", str(paths["op"]), "--state", str(paths["mps"]),
+                               "--pool", str(paths["pool"]), *flag, "--output", str(out)])
+        assert (rc, stdout) == (1, "")
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
         assert not out.exists()
 
     def test_ascii_flag_numerals_still_read(self):
@@ -869,14 +976,12 @@ class TestUsageValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-    @pytest.mark.parametrize("command", ["verify", "optimize", "mpo"])
+    @pytest.mark.parametrize("command", ["verify", "mpo"])
     def test_bad_tolerance_is_usage_error(self, pipeline, tmp_path, command, tol):
         paths, _ = pipeline
         out = tmp_path / "out.json"
         argv = {
             "verify": ["verify", "--input", str(paths["op"])],
-            "optimize": ["optimize", "--input", str(paths["op"]), "--state", str(paths["mps"]),
-                         "--pool", str(paths["pool"]), "--solver", "lobpcg", "--output", str(out)],
             "mpo": ["mpo", "--input", str(paths["op"]), "--output", str(out)],
         }[command]
         rc, stdout, err = run([*argv, "--tol", tol])

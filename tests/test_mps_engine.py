@@ -1,11 +1,12 @@
 """MPS factorization, gauges, overlaps, dense ground-state reference."""
 
+import warnings
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from paulibridge.mps import (
     DegenerateGroundState,
@@ -251,6 +252,34 @@ class TestGroundState:
         op = parse_pauli_sum("1.0i XY\n")
         with pytest.raises(ValueError):
             ground_state_reference(op)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_hermiticity_decision_matches_the_dense_formula(self, n, data):
+        # real parts from 1e-14 to 1e4, so ||H||_F falls either side of 1, and
+        # imaginary parts sized to put ||H - H^dag||_F at 0 or 0.05 to 20 times
+        # 1e-10 max(||H||_F, 1)
+        labels = data.draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=6, unique=True))
+        scale = st.tuples(st.floats(0.1, 1.0), st.integers(-13, 4)).map(lambda t: t[0] * 10.0 ** t[1])
+        re = np.array(data.draw(st.lists(scale, min_size=len(labels), max_size=len(labels))))
+        direction = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=len(labels), max_size=len(labels))))
+        assume(np.linalg.norm(direction) > 1e-3)
+        target = data.draw(st.one_of(st.just(0.0), st.floats(0.05, 20)))
+        frobenius = 2.0 ** (n / 2)
+        im = direction / np.linalg.norm(direction) * target * 1e-10 * max(frobenius * np.linalg.norm(re), 1) / (2 * frobenius)
+        op = parse_pauli_sum("".join(f"{x:.17g}{y:+.17g}i {label}\n" for x, y, label in zip(re, im, labels)))
+        dense = to_dense(op)
+        ratio = np.linalg.norm(dense - dense.conj().T) / (1e-10 * max(np.linalg.norm(dense), 1.0))
+        assume(not 0.99 < ratio < 1.01)  # away from the threshold, where the two roundings may differ
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateGroundState)
+            try:
+                ground_state_reference(op)
+                refused = False
+            except ValueError as exc:
+                assert str(exc) == "operator is not Hermitian"
+                refused = True
+        assert refused == (ratio > 1)
 
 
 class TestSerialization:

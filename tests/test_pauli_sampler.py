@@ -89,6 +89,14 @@ class TestSampling:
         with pytest.raises(GaugeViolation):
             sample_strings(left, SamplerConfig(n_samples=4, seed=0))
 
+    def test_gauge_deviation_above_tolerance_raises(self):
+        # site 0 scaled by 1 + 4e-6: |G - I| = 8e-6, far above GAUGE_TOL = 1e-10
+        # though within a relative 1e-5 of the identity
+        m = right_canonical_mps(random_state(np.random.default_rng(17), 4))
+        scaled = Mps([m.tensors[0] * (1 + 4e-6), *m.tensors[1:]])
+        with pytest.raises(GaugeViolation, match="site 0 violates the right gauge condition"):
+            sample_strings(scaled, SamplerConfig(n_samples=4, seed=0))
+
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(18)
         m = right_canonical_mps(random_state(rng, 3))
