@@ -22,9 +22,9 @@ from paulibridge.lcu import (
     program_to_json,
     update_coefficients,
 )
-from paulibridge.mpo import build_mpo_qr, mpo_to_dense, mpo_to_json
+from paulibridge.mpo import build_mpo_qr, mpo_error, mpo_to_json
 from paulibridge.mps import ground_state_reference, mps_to_json
-from paulibridge.pauli import PauliSum, parse_pauli_sum, to_dense
+from paulibridge.pauli import PauliSum, parse_pauli_sum
 from paulibridge.sampler import (
     SamplerConfig,
     curate,
@@ -62,8 +62,8 @@ def main() -> int:
 
     m = build_mpo_qr(op)
     (args.out / "mpo.json").write_text(mpo_to_json(m))
-    err = np.linalg.norm(mpo_to_dense(m) - to_dense(op))
-    print(f"mpo bond dims {list(m.bond_dims)}, reconstruction error {err:.3e}")
+    mpo_err = mpo_error(m, op)
+    print(f"mpo bond dims {list(m.bond_dims)}, relative reconstruction error {mpo_err:.3e}")
 
     res = ground_state_reference(op)
     (args.out / "groundstate.json").write_text(mps_to_json(res.mps))
@@ -105,7 +105,7 @@ def main() -> int:
     same = updated.select_hash == prog.select_hash
     print(f"coefficient update: select hash unchanged {same}")
 
-    ok = same and block_err <= 1e-10 and sol.energies[0] >= res.energy - 1e-10
+    ok = same and mpo_err <= 1e-10 and block_err <= 1e-10 and sol.energies[0] >= res.energy - 1e-10
     print(f"pipeline {'ok' if ok else 'FAILED'}; artifacts in {args.out}")
     return 0 if ok else 1
 

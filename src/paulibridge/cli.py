@@ -5,15 +5,15 @@ Subcommands cover the full pipeline: jw (fermion to Pauli), compile
 update (coefficient-only recompile), and verify (consistency battery or
 a check of a compiled program). verify compares the Pauli coefficients
 of the block a program encodes with the operator's, so ``--program``
-densifies nothing; the battery's MPO check takes up to DENSE_LIMIT (12)
-sites.
+densifies nothing; the MPO check (``mpo --verify``, the battery) compares
+all 4^n of the MPO's, so it takes up to DENSE_LIMIT (12) sites.
 
 Exit codes: 0 success, 1 usage error, 2 input or data error, 3 numerical
 failure. A writing subcommand writes nothing unless it succeeds; then it
 writes each output once and a deterministic JSON manifest next to its
 primary output: sha256 of the bytes it read and wrote, parameters, and
-library versions (no timestamps, so reruns are byte identical).
-``--manifest PATH`` overrides the location.
+library versions (no timestamps, so reruns are byte identical). ``--manifest
+PATH`` overrides the location; one naming an input or output exits 2.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -49,7 +50,8 @@ from paulibridge.lcu import (
 # Not called here; kept as a module attribute because the benchmark tracer
 # (bench/tracer.py) wraps the functions it times by these names.
 from paulibridge.lcu import block_encoding_dense  # noqa: F401
-from paulibridge.mpo import build_mpo_qr, mpo_from_json, mpo_to_dense, mpo_to_json
+from paulibridge.mpo import mpo_to_dense  # noqa: F401
+from paulibridge.mpo import build_mpo_qr, mpo_error, mpo_from_json, mpo_to_json
 from paulibridge.mps import (
     compress,
     ground_state_reference,
@@ -123,6 +125,12 @@ def _read(args, path: str) -> str:
 
 def _write(args, outputs: dict[str, str], parameters: dict) -> None:
     """Write each output once, then the manifest of the bytes read and written."""
+    manifest = args.manifest or f"{next(iter(outputs))}.manifest.json"
+    for path in (*args.inputs, *outputs):  # before any byte; stat, not resolve(), which lstats each component
+        if os.path.abspath(path) == os.path.abspath(manifest) or (
+                os.path.exists(manifest) and os.path.exists(path) and os.path.samefile(path, manifest)):
+            flag = next(k for k, v in vars(args).items() if v == path and k != "manifest").replace("_", "-")
+            raise ValueError(f"manifest {manifest} is the same file as --{flag} {path}; choose another --manifest")
     written = {path: text.encode() for path, text in outputs.items()}
     for path, data in written.items():
         Path(path).write_bytes(data)
@@ -137,7 +145,7 @@ def _write(args, outputs: dict[str, str], parameters: dict) -> None:
             "scipy": scipy.__version__,
         },
     }
-    Path(args.manifest or f"{next(iter(outputs))}.manifest.json").write_text(json_text(doc))
+    Path(manifest).write_text(json_text(doc))
 
 
 def cmd_jw(args) -> int:
@@ -166,12 +174,6 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _mpo_error(m, op) -> float:
-    """Relative Frobenius distance between an MPO and the operator it encodes."""
-    dense = to_dense(op)
-    return float(np.linalg.norm(mpo_to_dense(m) - dense) / np.linalg.norm(dense))
-
-
 def cmd_mpo(args) -> int:
     op = parse_pauli_sum(_read(args, args.input))
     m = build_mpo_qr(op, rank_tol=args.tol)
@@ -181,7 +183,7 @@ def cmd_mpo(args) -> int:
     outputs = {args.output: mpo_to_json(m)}
     print(f"bond_dims {' '.join(str(b) for b in m.bond_dims)}")
     if args.verify:
-        print(f"reconstruction_error {_mpo_error(m, op):.3e}")
+        print(f"reconstruction_error {mpo_error(m, op):.3e}")
     _write(args, outputs, {"tol": args.tol, "max_bond": args.max_bond})
     return 0
 
@@ -283,7 +285,7 @@ def cmd_verify(args) -> int:
         print(f"block_encoding {'PASS' if ok else 'FAIL'} tol {args.tol:g} error {err:.6e}")
         return 0 if ok else NUMERICAL_ERROR
     m = build_mpo_qr(op)
-    mpo_err = _mpo_error(m, op)  # first: it refuses more than DENSE_LIMIT sites
+    mpo_err = mpo_error(m, op)  # first: it refuses more than DENSE_LIMIT sites
     # (name, passed, measured error or None for exact checks)
     checks: list[tuple[str, bool, float | None]] = []
     cuts = [args.cut] if args.cut is not None else list(range(1, op.n_sites))
@@ -331,7 +333,7 @@ def build_parser() -> Parser:
     p.add_argument("--tol", type=tolerance, default=0.0)
     p.add_argument("--max-bond", type=positive_int, default=None)
     p.add_argument("--verify", action="store_true",
-                   help="print the dense reconstruction error")
+                   help="print the relative reconstruction error")
     p.add_argument("--output", required=True)
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_mpo)

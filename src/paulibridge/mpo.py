@@ -3,19 +3,21 @@
 The left-to-right sweep keeps a carried coefficient matrix over right
 suffixes. At each site the carried matrix is regrouped into the cut matrix
 (rows: occurring (incoming bond, site symbol) pairs; columns: remaining
-suffixes), factored by column-pivoted QR, and the Q factor becomes the site
-tensor while ``R P^T`` is carried on. Bond dimensions are numerical ranks:
-for an ``m x k`` cut matrix a pivot counts when ``|R_jj| > max(rank_tol,
-eps * max(m, k)) * |R_00|``, numpy's ``matrix_rank`` threshold at
-``rank_tol = 0``. Column pivoting (Businger & Golub, 1965) keeps every
-column of the dropped trailing block of R no longer than the first
-dropped pivot, so that block's Frobenius norm is at most ``sqrt(k)``
-times the threshold: at ``rank_tol = 0`` the contraction reproduces the
-operator up to roundoff, and roundoff pivots do not become bonds.
+suffixes), factored by column-pivoted QR, and the kept columns of Q, the
+only ones formed, become the site tensor while ``R P^T`` is carried on.
+Bond dimensions are numerical ranks: for an ``m x k`` cut matrix a pivot
+counts when ``|R_jj| > max(rank_tol, eps * max(m, k)) * |R_00|``, numpy's
+``matrix_rank`` threshold at ``rank_tol = 0``. Column pivoting (Businger
+& Golub, 1965) keeps every column of the dropped trailing block of R no
+longer than the first dropped pivot, so that block's Frobenius norm is at
+most ``sqrt(k)`` times the threshold: at ``rank_tol = 0`` the contraction
+reproduces the operator up to roundoff, and roundoff pivots do not become
+bonds.
 
 MPO tensors are indexed ``W[left_bond, right_bond, s_out, s_in]``. The
 gauge sweep, compression, isometry checks and JSON codec are the shared
-tensor-chain ones of ``paulibridge.mps``.
+tensor-chain ones of ``paulibridge.mps``; ``mpo_error`` checks an MPO
+against a Pauli sum on their Pauli coefficients.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "bridge_svd",
     "build_mpo_qr",
     "mpo_from_json",
+    "mpo_error",
     "mpo_to_dense",
     "mpo_to_json",
 ]
@@ -129,12 +132,17 @@ def build_mpo_qr(
         if site == n - 1:
             q, rank = gamma, 1  # one column: the last site's tensor takes it whole
         else:
-            q, r, piv = scipy.linalg.qr(gamma, mode="economic", pivoting=True)
-            if not (np.isfinite(q).all() and np.isfinite(r).all()):
-                raise ValueError(f"cut matrix at site {site} overflows in the QR")
+            (qr, tau), r, piv = scipy.linalg.qr(
+                gamma if cut_log is None else gamma.copy(), mode="raw", pivoting=True, overwrite_a=True
+            )
             diag = np.abs(np.diag(r))
             floor = max(rank_tol, np.finfo(np.float64).eps * max(gamma.shape))
             rank = int(np.count_nonzero(diag > floor * diag[0]))
+            kept, tau = qr[:, : max(rank, 1)], tau[: max(rank, 1)]  # rank 0 is refused below
+            lwork = int(scipy.linalg.lapack.zungqr(kept, tau, lwork=-1)[1][0].real)
+            q = scipy.linalg.lapack.zungqr(kept, tau, lwork=lwork, overwrite_a=True)[0]
+            if not (np.isfinite(q).all() and np.isfinite(r).all()):
+                raise ValueError(f"cut matrix at site {site} overflows in the QR")
             if rank == 0:
                 raise EmptyOperator(f"cut matrix at site {site} vanished")
             carried = np.zeros((rank, n_rests[site]), dtype=np.complex128)
@@ -162,6 +170,31 @@ def mpo_to_dense(m: Mpo) -> np.ndarray:
         two_p = acc.shape[1] * acc.shape[2]
         acc = acc.reshape(acc.shape[0], two_p, two_p)
     return acc[0]
+
+
+def mpo_error(m: Mpo, op: PauliSum) -> float:
+    """``||M - H||_F / ||H||_F`` from Pauli coefficients, as ``||X||_F^2 = 2^n sum_P |x_P|^2``.
+
+    One GEMM joins the Pauli-projected halves of the middle cut, ``L`` (4^c x chi)
+    and ``R`` (chi x 4^(n-c)), into all 4^n coefficients, hence DENSE_LIMIT.
+    """
+    n = m.n_sites
+    if n > DENSE_LIMIT:
+        raise TooLarge(f"{n} sites exceeds dense limit {DENSE_LIMIT}")
+    if op.n_sites != n:
+        raise ValueError(f"MPO has {n} sites, operator has {op.n_sites}")
+    if m.tensors[0].shape[0] != 1 or m.tensors[-1].shape[1] != 1:
+        raise ValueError("boundary bond dimensions must be 1")
+    proj = _SIGMA.reshape(4, 4).conj().T / 2  # hats[k][l, p, r] = sum_st W[l, r, s, t] conj(sigma_p[s, t]) / 2
+    hats = [(w.reshape(-1, 4) @ proj).reshape(*w.shape[:2], 4).transpose(0, 2, 1) for w in m.tensors]
+    left, right = np.ones((1, 1)), np.ones((1, 1))  # (prefix, bond) and (bond, suffix)
+    for h in hats[: n // 2]:
+        left = (left @ h.reshape(h.shape[0], -1)).reshape(-1, h.shape[2])
+    for h in reversed(hats[n // 2 :]):
+        right = (h.reshape(-1, h.shape[2]) @ right).reshape(h.shape[0], -1)
+    c = (left @ right).reshape(-1)  # base-4 index, site 0 most significant
+    c[site_codes(op.rows, n, np.arange(n)) @ 4 ** np.arange(n - 1, -1, -1)] -= op.coeffs
+    return float(np.linalg.norm(c) / np.linalg.norm(op.coeffs))
 
 
 def mpo_to_json(m: Mpo) -> str:

@@ -322,7 +322,7 @@ class TestWriter:
                 assert json.loads(Path(outputs[0]).read_text())["solver"] == "dense"
 
     def test_failed_mpo_verify_writes_nothing(self, tmp_path):
-        # 13 sites: the MPO compiles, the dense check refuses it
+        # 13 sites: the MPO compiles, the coefficient check refuses it
         n = 13
         src, out = tmp_path / "chain.pauli", tmp_path / "mpo.json"
         src.write_text("".join(f"0.5 {'I' * i}ZZ{'I' * (n - i - 2)}\n" for i in range(n - 1)))
@@ -331,6 +331,41 @@ class TestWriter:
         assert stdout.startswith("bond_dims ")
         assert err == "error: 13 sites exceeds dense limit 12\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.pauli"]
+
+    @staticmethod
+    def snapshot(root):
+        return {p.name: p.is_file() and p.read_bytes() for p in sorted(root.iterdir())}
+
+    @pytest.mark.parametrize("manifest, flag, path", [
+        pytest.param("b.json", "--output", "b.json", id="output"),
+        pytest.param("sub/../op.pauli", "--input", "op.pauli", id="input"),
+        pytest.param("link.json", "--output", "b.json", id="symlink-to-output"),
+    ])
+    def test_manifest_naming_a_file_of_the_call_is_refused(self, tmp_path, h2_text, manifest, flag, path):
+        # another spelling of the same file, or a link to it, is caught too
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "op.pauli").write_text(h2_text)
+        (tmp_path / "b.json").write_text("an earlier bridge\n")
+        (tmp_path / "link.json").symlink_to("b.json")
+        manifest, path = str(tmp_path / manifest), str(tmp_path / path)
+        before = self.snapshot(tmp_path)
+        rc, _, err = run(["compile", "--input", str(tmp_path / "op.pauli"), "--cut", "2",
+                          "--output", str(tmp_path / "b.json"), "--manifest", manifest])
+        assert rc == 2
+        assert err == f"error: manifest {manifest} is the same file as {flag} {path}; choose another --manifest\n"
+        assert self.snapshot(tmp_path) == before
+
+    def test_default_manifest_naming_an_output_is_refused(self, tmp_path, h2_text):
+        # lcu's default manifest x.json.manifest.json is also its --gates listing
+        src, bridge, program = tmp_path / "op.pauli", tmp_path / "b.json", tmp_path / "x.json"
+        src.write_text(h2_text)
+        assert run(["compile", "--input", str(src), "--cut", "2", "--output", str(bridge)])[0] == 0
+        gates = f"{program}.manifest.json"
+        before = self.snapshot(tmp_path)
+        rc, _, err = run(["lcu", "--bridge", str(bridge), "--output", str(program), "--gates", gates])
+        assert rc == 2
+        assert err == f"error: manifest {gates} is the same file as --gates {gates}; choose another --manifest\n"
+        assert self.snapshot(tmp_path) == before
 
     def test_update_in_place_records_the_program_it_read(self, tmp_path, h2_text):
         src, scaled = tmp_path / "op.pauli", tmp_path / "scaled.pauli"

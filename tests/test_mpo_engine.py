@@ -6,9 +6,10 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from paulibridge.bridge import EmptyOperator, compile as compile_bridge
+from paulibridge.fermion import FermionTerm, map_hamiltonian
 from paulibridge.mpo import (
     BridgeSvd,
     CutMatrix,
@@ -16,6 +17,7 @@ from paulibridge.mpo import (
     RankExceedsDims,
     bridge_svd,
     build_mpo_qr,
+    mpo_error,
     mpo_from_json,
     mpo_to_dense,
     mpo_to_json,
@@ -33,6 +35,7 @@ from paulibridge.pauli import (
     PauliString,
     PauliSum,
     PauliTerm,
+    TooLarge,
     parse_pauli_sum,
     to_dense,
 )
@@ -80,6 +83,27 @@ def pauli_coefficients(m, strings):
             env = env @ c[code]
         out.append(env[0, 0])
     return np.array(out)
+
+
+def dense_mpo_error(m, op):
+    """The dense route: ``||mpo_to_dense(m) - to_dense(op)||_F / ||to_dense(op)||_F``."""
+    return rel_err(mpo_to_dense(m), to_dense(op))
+
+
+def low_rank_operator(rng, n_sites, rank):
+    """A sum of ``rank`` products of random one-site operators, each over two to
+    four Paulis: every cut has rank at most ``rank``, below most cut matrices' size."""
+    coeffs = np.zeros(4**n_sites, dtype=np.complex128)
+    for _ in range(rank):
+        product = np.ones(1)
+        for _ in range(n_sites):
+            factor = np.zeros(4, dtype=np.complex128)
+            support = rng.choice(4, rng.integers(2, 5), replace=False)
+            factor[support] = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
+            product = np.kron(product, factor)
+        coeffs += product
+    labels = ("".join("IXYZ"[(k >> 2 * (n_sites - 1 - j)) & 3] for j in range(n_sites)) for k in range(4**n_sites))
+    return PauliSum(n_sites, [(c, PauliString.from_label(s)) for c, s in zip(coeffs, labels) if c != 0])
 
 
 def reference_regroup(carried, suffixes):
@@ -248,6 +272,26 @@ class TestBuild:
         ])
         assert rel_err(mpo_to_dense(build_mpo_qr(op)), to_dense(op)) < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 2))
+    def test_rank_deficient_cuts_form_only_the_kept_columns(self, seed, n_sites, rank):
+        op = low_rank_operator(np.random.default_rng(seed), n_sites, rank)
+        cuts = []
+        m = build_mpo_qr(op, cut_log=cuts)
+        # some cut keeps fewer columns of Q than its m x k matrix has pivots
+        assume(any(m.bond_dims[c.site + 1] < min(c.matrix.shape) for c in cuts[:-1]))
+        assert max(m.bond_dims) <= rank
+        # sum over (left bond, s, t) of conj(W) W is 2 Q^H Q, as tr(sigma_p^H sigma_q) = 2 delta_pq
+        assert all(is_left_canonical_site(w / np.sqrt(2)) for w in m.tensors[:-1])
+        np.testing.assert_allclose(mpo_to_dense(m), to_dense(op), rtol=0, atol=1e-12)
+
+    def test_non_finite_coefficient_refused(self):
+        # a PauliSum built in Python takes any complex; the QR refuses it
+        for value in (np.nan, np.inf):
+            op = PauliSum(2, [(value, PauliString.from_label("XZ")), (1.0, PauliString.from_label("ZZ"))])
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                build_mpo_qr(op)
+
     def test_rank_tol_shrinks_bonds(self, h2_subset):
         exact = build_mpo_qr(h2_subset)
         loose = build_mpo_qr(h2_subset, rank_tol=0.3)
@@ -260,6 +304,71 @@ class TestBuild:
         m = build_mpo_qr(h2_subset, rank_tol=1e-14)
         assert m.bond_dims == [1, 4, 5, 3, 1]
         assert rel_err(mpo_to_dense(m), to_dense(h2_subset)) < 1e-12
+
+
+class TestMpoError:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 40), st.booleans())
+    def test_exact_mpo_agrees_with_dense_route(self, seed, n_sites, n_terms, complex_coeffs):
+        op = random_pauli_sum(np.random.default_rng(seed), n_sites, n_terms, complex_coeffs=complex_coeffs)
+        m = build_mpo_qr(op)
+        assert abs(mpo_error(m, op) - dense_mpo_error(m, op)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(4, 40), st.integers(1, 3))
+    def test_truncated_mpo_agrees_with_dense_route(self, seed, n_sites, n_terms, max_bond):
+        op = random_pauli_sum(np.random.default_rng(seed), n_sites, n_terms, complex_coeffs=True)
+        m, _ = compress(build_mpo_qr(op), max_bond=max_bond)
+        np.testing.assert_allclose(mpo_error(m, op), dense_mpo_error(m, op), rtol=1e-10, atol=1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 40), st.data())
+    def test_scaled_site_reads_its_tamper(self, seed, n_sites, n_terms, data):
+        op = random_pauli_sum(np.random.default_rng(seed), n_sites, n_terms)
+        m = build_mpo_qr(op)
+        site = data.draw(st.integers(0, n_sites - 1))
+        m.tensors[site] = m.tensors[site] * (1 + 1e-6)
+        err = mpo_error(m, op)
+        # both routes carry the exact MPO's roundoff, about 1e-16, beside the 1e-6
+        np.testing.assert_allclose(err, dense_mpo_error(m, op), rtol=1e-10, atol=1e-15)
+        assert abs(err - 1e-6) <= 1e-12  # the whole operator scales by 1 + 1e-6
+
+    def test_ten_site_jordan_wigner_operator(self):
+        rng = np.random.default_rng(5)
+        n = 10
+        h = rng.standard_normal((n, n))
+        terms = [FermionTerm("one_body", (p, q), h[p, q] + h[q, p]) for p in range(n) for q in range(n)]
+        for _ in range(40):
+            p, q, r, s = (int(x) for x in rng.choice(n, 4, replace=False))
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            terms += [FermionTerm("two_body", (p, q, r, s), c), FermionTerm("two_body", (s, r, q, p), c.conjugate())]
+        op = map_hamiltonian(terms, n)
+        m = build_mpo_qr(op)
+        err = mpo_error(m, op)
+        assert err <= 1e-10
+        assert abs(err - dense_mpo_error(m, op)) <= 1e-12
+
+    def test_h2_tamper_reads_on_both_routes(self, h2_subset):
+        m = build_mpo_qr(h2_subset)
+        m.tensors[2] = m.tensors[2] + 1e-3 * m.tensors[2][::-1, ::-1]
+        np.testing.assert_allclose(mpo_error(m, h2_subset), dense_mpo_error(m, h2_subset), rtol=1e-10)
+        assert mpo_error(m, h2_subset) > 1e-5
+
+    def test_thirteen_sites_too_large(self):
+        op = PauliSum(13, [(1.0, PauliString.from_label("Z" * 13))])
+        with pytest.raises(TooLarge, match="13 sites exceeds dense limit 12"):
+            mpo_error(Mpo([np.ones((1, 1, 2, 2))] * 13), op)
+
+    def test_site_count_mismatch(self, h2_subset):
+        op = PauliSum(3, [(1.0, PauliString.from_label("XYZ"))])
+        with pytest.raises(ValueError, match="MPO has 4 sites, operator has 3"):
+            mpo_error(build_mpo_qr(h2_subset), op)
+
+    def test_open_boundary_bond_refused(self, h2_subset):
+        m = build_mpo_qr(h2_subset)
+        m.tensors[0] = np.concatenate([m.tensors[0]] * 2)
+        with pytest.raises(ValueError, match="boundary bond dimensions must be 1"):
+            mpo_error(m, h2_subset)
 
 
 class TestCanonicalize:
