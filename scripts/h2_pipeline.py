@@ -54,8 +54,8 @@ def main() -> int:
     d = compile_bridge(op, args.cut)
     (args.out / "bridge.json").write_text(decomposition_to_json(d))
     print(
-        f"bridge at cut {args.cut}: {len(d.left.labels)} left and "
-        f"{len(d.right.labels)} right fragments, "
+        f"bridge at cut {args.cut}: {len(d.left)} left and "
+        f"{len(d.right)} right fragments, "
         f"{len(d.bridge.active_pairs)} active pairs"
     )
     print(f"structural hash {structural_hash(d)[:16]}...")

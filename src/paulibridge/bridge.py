@@ -6,7 +6,7 @@ half-strings) joined by a sparse coefficient matrix, the bridge: the
 operator is the sum over active index pairs (a, b) of
 ``C[a, b] * left[a] (x) right[b]``.
 
-The symbolic side (the dictionaries, stored as sorted label tuples) is
+The symbolic side (the dictionaries, plain tuples of sorted labels) is
 decoupled from the numeric side (the bridge, held as an index-pair column
 and a coefficient column, sorted by pair). The layered
 prefix/suffix graphs that generate the dictionaries are never built; the
@@ -55,7 +55,6 @@ __all__ = [
     "BridgeDecomposition",
     "CutOutOfRange",
     "EmptyOperator",
-    "FragmentDictionary",
     "IndexOutOfRange",
     "compile",
     "decomposition_from_json",
@@ -82,31 +81,6 @@ class EmptyOperator(ValueError):
 
 class IndexOutOfRange(ValueError):
     """Bridge entry index outside the fragment dictionaries."""
-
-
-@dataclass(frozen=True)
-class FragmentDictionary:
-    """Ordered, duplicate-free half-string labels for one side of the cut.
-
-    ``labels`` are sorted lexicographically with I < X < Y < Z (ASCII
-    order agrees), all of one length.
-    """
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.labels:
-            raise ValueError("a fragment dictionary cannot be empty")
-        lengths = set(map(len, self.labels))
-        if len(lengths) != 1:
-            raise ValueError(f"mixed fragment lengths {sorted(lengths)}")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    @property
-    def width(self) -> int:
-        return len(self.labels[0])
 
 
 class Bridge:
@@ -146,16 +120,20 @@ class Bridge:
 
 @dataclass
 class BridgeDecomposition:
-    """A Pauli sum factored at one cut: dictionaries and bridge."""
+    """A Pauli sum factored at one cut: dictionaries and bridge.
+
+    ``left`` and ``right``, the fragment dictionaries, are non-empty tuples of distinct
+    ``cut``- and ``(n_sites - cut)``-site labels, sorted with I < X < Y < Z (ASCII order).
+    """
 
     cut: int
-    left: FragmentDictionary
-    right: FragmentDictionary
+    left: tuple[str, ...]
+    right: tuple[str, ...]
     bridge: Bridge
 
     @property
     def n_sites(self) -> int:
-        return self.left.width + self.right.width
+        return self.cut + len(self.right[0])
 
 
 def compile(op: PauliSum, cut: int) -> BridgeDecomposition:
@@ -177,7 +155,7 @@ def compile(op: PauliSum, cut: int) -> BridgeDecomposition:
         halves = list(map(operator.itemgetter(part), labels))
         fragments = sorted(set(halves))
         index = dict(zip(fragments, itertools.count()))
-        sides.append((FragmentDictionary(tuple(fragments)), list(map(index.get, halves))))
+        sides.append((tuple(fragments), list(map(index.get, halves))))
     (left, a), (right, b) = sides
     bridge = Bridge((len(left), len(right)), np.array([a, b], dtype=np.int64).T, op.coeffs[order])
     return BridgeDecomposition(cut, left, right, bridge)
@@ -189,7 +167,7 @@ def reconstruct(d: BridgeDecomposition) -> PauliSum:
     Terms come out in bridge index order; zero entries drop out of the
     sum (an all-cancelled bridge reconstructs to an empty sum).
     """
-    labels = [d.left.labels[a] + d.right.labels[b] for a, b in d.bridge.pairs.tolist()]
+    labels = [d.left[a] + d.right[b] for a, b in d.bridge.pairs.tolist()]
     return PauliSum(d.n_sites, list(zip(d.bridge.coeffs.tolist(), map(PauliString.from_label, labels))))
 
 
@@ -232,7 +210,7 @@ def structural_hash(d: BridgeDecomposition) -> str:
     nothing; every coefficient is ignored, so swapping bridge values
     leaves the hash fixed.
     """
-    return skeleton_hash(d.cut, d.left.labels, d.right.labels)
+    return skeleton_hash(d.cut, d.left, d.right)
 
 
 def decomposition_to_json(d: BridgeDecomposition) -> str:
@@ -241,8 +219,8 @@ def decomposition_to_json(d: BridgeDecomposition) -> str:
         "format": FORMAT_NAME,
         "n_sites": d.n_sites,
         "cut": d.cut,
-        "left_fragments": list(d.left.labels),
-        "right_fragments": list(d.right.labels),
+        "left_fragments": list(d.left),
+        "right_fragments": list(d.right),
         "bridge": json_rows(
             {"a": "%d", "b": "%d", "re": "%r", "im": "%r"},
             [*d.bridge.pairs.T.tolist(), d.bridge.coeffs.real.tolist(), d.bridge.coeffs.imag.tolist()],
@@ -250,9 +228,9 @@ def decomposition_to_json(d: BridgeDecomposition) -> str:
     }
     # sizes of the layered graphs generating the dictionaries: each left
     # edge ends at a distinct prefix, each right edge starts at a distinct suffix
-    left = [len(set(map(operator.itemgetter(slice(i)), d.left.labels))) for i in range(d.cut + 1)]
-    right = [len(set(map(operator.itemgetter(slice(i, None)), d.right.labels)))
-             for i in range(d.right.width + 1)]
+    left = [len(set(map(operator.itemgetter(slice(i)), d.left))) for i in range(d.cut + 1)]
+    right = [len(set(map(operator.itemgetter(slice(i, None)), d.right)))
+             for i in range(len(d.right[0]) + 1)]
     for side, sizes, edges in (("left", left, left[1:]), ("right", right, right[:-1])):
         doc[f"graph_{side}"] = {"layer_sizes": sizes, "edge_counts": edges}
     return json_text(doc)
@@ -268,8 +246,8 @@ def decomposition_from_json(text: str) -> BridgeDecomposition:
     cut = _field(doc, "cut", int)
     if not 1 <= cut < n_sites:
         raise _malformed("cut", f"{cut} not in 1..{n_sites - 1}")
-    left = FragmentDictionary(json_labels(FORMAT_NAME, doc, "left_fragments", cut))
-    right = FragmentDictionary(json_labels(FORMAT_NAME, doc, "right_fragments", n_sites - cut))
+    left = json_labels(FORMAT_NAME, doc, "left_fragments", cut)
+    right = json_labels(FORMAT_NAME, doc, "right_fragments", n_sites - cut)
     rows = _field(doc, "bridge", list)
     columns = json_columns(rows, ("a", "b", "re", "im"), (len(left), len(right), float, float))
     if columns is None:

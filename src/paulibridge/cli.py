@@ -166,8 +166,8 @@ def cmd_compile(args) -> int:
     op = parse_pauli_sum(_read(args, args.input))
     d = compile_bridge(op, args.cut)
     outputs = {args.output: decomposition_to_json(d)}
-    print(f"left_fragments {len(d.left.labels)}")
-    print(f"right_fragments {len(d.right.labels)}")
+    print(f"left_fragments {len(d.left)}")
+    print(f"right_fragments {len(d.right)}")
     print(f"active_pairs {len(d.bridge.active_pairs)}")
     print(f"structural_hash {structural_hash(d)}")
     _write(args, outputs, {"cut": args.cut})
@@ -315,89 +315,57 @@ def build_parser() -> Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("jw", help="map fermion terms to a Pauli operator")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_jw)
+    def command(name: str, func, summary: str, inputs: tuple[str, ...], writes: bool = True):
+        """Add a subcommand with its required input-path flags and, if it writes, ``--output`` and ``--manifest``."""
+        p = sub.add_parser(name, help=summary)
+        for flag in inputs:
+            p.add_argument(f"--{flag}", required=True)
+        if writes:
+            p.add_argument("--output", required=True)
+            p.add_argument("--manifest")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("compile", help="bridge decomposition at a cut")
-    p.add_argument("--input", required=True)
+    command("jw", cmd_jw, "map fermion terms to a Pauli operator", ("input",))
+
+    p = command("compile", cmd_compile, "bridge decomposition at a cut", ("input",))
     p.add_argument("--cut", type=positive_int, required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("mpo", help="compile an operator into an MPO")
-    p.add_argument("--input", required=True)
+    p = command("mpo", cmd_mpo, "compile an operator into an MPO", ("input",))
     p.add_argument("--tol", type=tolerance, default=0.0)
     p.add_argument("--max-bond", type=positive_int, default=None)
     p.add_argument("--verify", action="store_true",
                    help="print the relative reconstruction error")
-    p.add_argument("--output", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_mpo)
 
-    p = sub.add_parser("groundstate", help="dense reference ground state")
-    p.add_argument("--input", required=True)
+    p = command("groundstate", cmd_groundstate, "dense reference ground state", ("input",))
     p.add_argument("--max-bond", type=positive_int, default=None)
-    p.add_argument("--output", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_groundstate)
 
-    p = sub.add_parser("sample", help="draw Pauli strings from a state")
-    p.add_argument("--state", required=True)
+    p = command("sample", cmd_sample, "draw Pauli strings from a state", ("state",))
     p.add_argument("--n-samples", type=positive_int, required=True)
     p.add_argument("--seed", type=non_negative_int, required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("curate", help="build an operator pool from samples")
-    p.add_argument("--samples", required=True)
+    p = command("curate", cmd_curate, "build an operator pool from samples", ("samples",))
     p.add_argument("--keep-iz", type=non_negative_int, default=None)
-    p.add_argument("--output", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_curate)
 
-    p = sub.add_parser("optimize", help="variational energy over a pool")
-    p.add_argument("--input", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--pool", required=True)
+    p = command("optimize", cmd_optimize, "variational energy over a pool", ("input", "state", "pool"))
     p.add_argument("--n-roots", type=positive_int, default=1)
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--sweep-csv", default=None,
                    help="also write an energy-vs-samples sweep CSV here")
     p.add_argument("--sweep-sizes", type=positive_int, nargs="+",
                    default=[25, 50, 100, 200])
-    p.add_argument("--output", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("lcu", help="compile a bridge into an LCU program")
-    p.add_argument("--bridge", required=True)
-    p.add_argument("--output", required=True)
+    p = command("lcu", cmd_lcu, "compile a bridge into an LCU program", ("bridge",))
     p.add_argument("--gates")
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_lcu)
 
-    p = sub.add_parser("update", help="coefficient-only program recompile")
-    p.add_argument("--program", required=True)
-    p.add_argument("--bridge", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_update)
+    command("update", cmd_update, "coefficient-only program recompile", ("program", "bridge"))
 
-    p = sub.add_parser(
-        "verify",
-        help="consistency battery for an operator, or check a program",
-    )
-    p.add_argument("--input", required=True)
+    p = command("verify", cmd_verify, "consistency battery for an operator, or check a program",
+                ("input",), writes=False)
     p.add_argument("--program", default=None,
                    help="compiled program to check against the operator")
     p.add_argument("--cut", type=positive_int, default=None)
     p.add_argument("--tol", type=tolerance, default=1e-10)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 

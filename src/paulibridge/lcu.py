@@ -148,7 +148,7 @@ def compile_lcu(d: BridgeDecomposition) -> LcuProgram:
         raise ValueError(f"the one-norm lambda of the bridge overflows to {lam}")
     amps = np.sqrt(modulus / lam)
     amps /= np.linalg.norm(amps)
-    return LcuProgram(d.cut, d.left.labels, d.right.labels, lam, PrepColumns(*pairs.T, amps, phases))
+    return LcuProgram(d.cut, d.left, d.right, lam, PrepColumns(*pairs.T, amps, phases))
 
 
 def update_coefficients(program: LcuProgram, d: BridgeDecomposition) -> LcuProgram:

@@ -5,9 +5,10 @@ suffixes. At each site the carried matrix is regrouped into the cut matrix
 (rows: occurring (incoming bond, site symbol) pairs; columns: remaining
 suffixes), factored by column-pivoted QR, and the kept columns of Q, the
 only ones formed, become the site tensor while ``R P^T`` is carried on.
-Bond dimensions are numerical ranks: for an ``m x k`` cut matrix a pivot
-counts when ``|R_jj| > max(rank_tol, eps * max(m, k)) * |R_00|``, numpy's
-``matrix_rank`` threshold at ``rank_tol = 0``. Column pivoting (Businger
+Bond dimensions are numerical ranks: for the ``m x k`` cut matrix at site
+``s`` a pivot counts when ``|R_jj| > max(rank_tol, eps * max(m, k) * (s + 1))
+* |R_00|``, numpy's ``matrix_rank`` threshold at site 0 and ``rank_tol = 0``;
+``s + 1`` covers the roundoff of the s QRs before. Column pivoting (Businger
 & Golub, 1965) keeps every column of the dropped trailing block of R no
 longer than the first dropped pivot, so that block's Frobenius norm is at
 most ``sqrt(k)`` times the threshold: at ``rank_tol = 0`` the contraction
@@ -84,13 +85,13 @@ def build_mpo_qr(
     """Compile a Pauli sum into an MPO by the pivoted-QR sweep.
 
     ``cut_log``, when given a list, receives the CutMatrix of every step.
-    A pivot counts as rank when ``|R_jj| > max(rank_tol, eps * max(m, k))
-    * |R_00|`` for an ``m x k`` cut matrix. Each dropped trailing block of
-    R then has Frobenius norm at most ``sqrt(k)`` times that threshold, so
-    with ``rank_tol = 0`` the result contracts back to the operator up to
-    roundoff; larger tolerances trade bond dimension for a controlled
-    truncation of the cut matrices. ``rank_tol`` must be finite and
-    non-negative.
+    A pivot counts as rank when ``|R_jj| > max(rank_tol, eps * max(m, k) *
+    (site + 1)) * |R_00|`` for the ``m x k`` cut matrix at ``site``. Each
+    dropped trailing block of R then has Frobenius norm at most ``sqrt(k)``
+    times that threshold, so with ``rank_tol = 0`` the result contracts back
+    to the operator up to roundoff; larger tolerances trade bond dimension
+    for a controlled truncation of the cut matrices. ``rank_tol`` must be
+    finite and non-negative.
     """
     if op.n_terms == 0:
         raise EmptyOperator("cannot build an MPO from a sum with no terms")
@@ -121,22 +122,23 @@ def build_mpo_qr(
     for site in range(n):
         chi = carried.shape[0]
         # regroup columns into (bond, symbol) rows over remaining suffixes:
-        # one scatter, as the columns are distinct; += stores -0.0 as 0.0
+        # one scatter, as the columns are distinct; += stores -0.0 as 0.0.
+        # take() returns C order (raw[:, bond, code] would not): gamma is F-ordered, factored in place
         sym, rest = np.divmod(keys[site], n_rests[site])
-        raw = np.zeros((chi, 4, n_rests[site]), dtype=np.complex128)
-        raw[:, sym, rest] += carried
-        bond, code = np.nonzero(np.any(raw != 0, axis=2))
-        gamma = raw[bond, code]
+        raw = np.zeros((n_rests[site], chi, 4), dtype=np.complex128)
+        raw[rest, :, sym] += carried.T
+        bond, code = np.nonzero(np.any(raw != 0, axis=0))
+        gamma = raw.reshape(n_rests[site], 4 * chi).take(4 * bond + code, axis=1).T
         if cut_log is not None:
             cut_log.append(CutMatrix(site, tuple(zip(bond.tolist(), code.tolist())), rest_labels[site], gamma))
         if site == n - 1:
             q, rank = gamma, 1  # one column: the last site's tensor takes it whole
         else:
             (qr, tau), r, piv = scipy.linalg.qr(
-                gamma if cut_log is None else gamma.copy(), mode="raw", pivoting=True, overwrite_a=True
+                gamma if cut_log is None else gamma.copy(order="F"), mode="raw", pivoting=True, overwrite_a=True
             )
             diag = np.abs(np.diag(r))
-            floor = max(rank_tol, np.finfo(np.float64).eps * max(gamma.shape))
+            floor = max(rank_tol, np.finfo(np.float64).eps * max(gamma.shape) * (site + 1))
             rank = int(np.count_nonzero(diag > floor * diag[0]))
             kept, tau = qr[:, : max(rank, 1)], tau[: max(rank, 1)]  # rank 0 is refused below
             lwork = int(scipy.linalg.lapack.zungqr(kept, tau, lwork=-1)[1][0].real)

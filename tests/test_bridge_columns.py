@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from paulibridge.bridge import (
     BridgeDecomposition,
     EmptyOperator,
-    FragmentDictionary,
     IndexOutOfRange,
     compile as compile_bridge,
     decomposition_from_json,
@@ -65,14 +64,14 @@ def oracle_decomposition_to_json(d: BridgeDecomposition) -> str:
         "format": "bridge-v1",
         "n_sites": d.n_sites,
         "cut": d.cut,
-        "left_fragments": list(d.left.labels),
-        "right_fragments": list(d.right.labels),
+        "left_fragments": list(d.left),
+        "right_fragments": list(d.right),
         "bridge": [
             {"a": a, "b": b, "re": entries[(a, b)].real, "im": entries[(a, b)].imag} for a, b in sorted(entries)
         ],
     }
-    left = [len({s[:i] for s in d.left.labels}) for i in range(d.cut + 1)]
-    right = [len({s[i:] for s in d.right.labels}) for i in range(d.right.width + 1)]
+    left = [len({s[:i] for s in d.left}) for i in range(d.cut + 1)]
+    right = [len({s[i:] for s in d.right}) for i in range(len(d.right[0]) + 1)]
     for side, sizes, edges in (("left", left, left[1:]), ("right", right, right[:-1])):
         doc[f"graph_{side}"] = {"layer_sizes": sizes, "edge_counts": edges}
     return json_text(doc)
@@ -97,8 +96,8 @@ def oracle_decomposition_from_json(text: str) -> BridgeDecomposition:
     cut = json_field(fmt, doc, "cut", int)
     if not 1 <= cut < n_sites:
         raise malformed(fmt, "cut", f"{cut} not in 1..{n_sites - 1}")
-    left = FragmentDictionary(oracle_labels(fmt, doc, "left_fragments", cut))
-    right = FragmentDictionary(oracle_labels(fmt, doc, "right_fragments", n_sites - cut))
+    left = oracle_labels(fmt, doc, "left_fragments", cut)
+    right = oracle_labels(fmt, doc, "right_fragments", n_sites - cut)
     entries = {}
     for k, e in enumerate(json_field(fmt, doc, "bridge", list)):
         where = f"bridge[{k}]"
@@ -124,7 +123,7 @@ def oracle_compile_lcu(d: BridgeDecomposition) -> LcuProgram:
     amps /= np.linalg.norm(amps)
     phases = [complex(1.0 if c.real > 0 else -1.0) if c.imag == 0 else unit_phase(c) for c in coeffs]
     prep = tuple((a, b, float(amp), ph) for (a, b), amp, ph in zip(active, amps, phases))
-    return LcuProgram(cut=d.cut, left=d.left.labels, right=d.right.labels, lam=lam, columns=prep_columns(prep))
+    return LcuProgram(cut=d.cut, left=d.left, right=d.right, lam=lam, columns=prep_columns(prep))
 
 
 def unit_phase(c: np.complex128) -> complex:
@@ -279,8 +278,7 @@ def decompositions(draw, values=floats) -> BridgeDecomposition:
     pairs = [(a, b) for a in range(len(left)) for b in range(len(right))]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     entries = {pair: draw(value) for pair in chosen}
-    return BridgeDecomposition(cut, FragmentDictionary(left), FragmentDictionary(right),
-                               dict_bridge((len(left), len(right)), entries))
+    return BridgeDecomposition(cut, left, right, dict_bridge((len(left), len(right)), entries))
 
 
 def outcome(fn, *args):
@@ -413,7 +411,7 @@ def test_set_bridge_refuses_a_float_index():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_values_raise_the_writers_error(bad):
     bridge = dict_bridge((1, 1), {(0, 0): complex(1.0, bad)})
-    d = BridgeDecomposition(1, FragmentDictionary(("X",)), FragmentDictionary(("Z",)), bridge)
+    d = BridgeDecomposition(1, ("X",), ("Z",), bridge)
     assert outcome(decomposition_to_json, d) == outcome(oracle_decomposition_to_json, d)
     assert outcome(decomposition_to_json, d)[0] is ValueError
     program = LcuProgram(cut=1, left=("X",), right=("Z",), lam=1.0, columns=prep_columns(((0, 0, bad, 1 + 0j),)))

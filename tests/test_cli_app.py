@@ -285,6 +285,9 @@ def h2_chain(root):
     ]
 
 
+WRITERS = ("jw", "compile", "mpo", "groundstate", "sample", "curate", "optimize", "lcu", "update")
+
+
 def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -320,6 +323,25 @@ class TestWriter:
                 # optimize-v1 keeps its solver field; the manifest has no LOBPCG parameters
                 assert doc["parameters"] == {"n_roots": 1, "seed": 0, "sweep_sizes": [10, 25]}
                 assert json.loads(Path(outputs[0]).read_text())["solver"] == "dense"
+
+    @pytest.mark.parametrize("step", range(len(WRITERS)), ids=WRITERS)
+    def test_output_is_required_and_manifest_goes_where_named(self, tmp_path, step):
+        chain = h2_chain(tmp_path)
+        for argv, _, _ in chain[:step]:  # the inputs of this step
+            assert run(argv)[0] == 0, argv[0]
+        argv, inputs, outputs = chain[step]
+        assert argv[0] == WRITERS[step]
+        k = argv.index("--output")
+        rc, _, err = run(argv[:k] + argv[k + 2:])
+        assert rc == 1 and "the following arguments are required: --output" in err
+        assert not Path(outputs[0]).exists()
+        manifest = tmp_path / "elsewhere" / "m.json"
+        manifest.parent.mkdir()
+        assert run([*argv, "--manifest", str(manifest)])[0] == 0
+        assert not Path(f"{outputs[0]}.manifest.json").exists()
+        doc = json.loads(manifest.read_text())
+        assert (doc["command"], doc["inputs"]) == (argv[0], {p: sha256(p) for p in inputs})
+        assert doc["outputs"] == {p: sha256(p) for p in outputs}
 
     def test_failed_mpo_verify_writes_nothing(self, tmp_path):
         # 13 sites: the MPO compiles, the coefficient check refuses it
@@ -426,6 +448,15 @@ class TestExitCodes:
         rc, _, err = run(["compile", "--cut", "1"])
         assert rc == 1
         assert "required" in err
+
+    @pytest.mark.parametrize("flag", ["--output", "--manifest"])
+    def test_verify_writes_nothing_so_takes_no_output_flag(self, tmp_path, h2_text, flag):
+        src = tmp_path / "op.pauli"
+        src.write_text(h2_text)
+        rc, out, err = run(["verify", "--input", str(src), flag, str(tmp_path / "x")])
+        assert (rc, out) == (1, "")
+        assert err.endswith(f"error: unrecognized arguments: {flag} {tmp_path / 'x'}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["op.pauli"]
 
     def test_version_exits_zero(self):
         rc, out, _ = run(["--version"])

@@ -122,10 +122,10 @@ class TestCompile:
         d = compile_bridge(h2_subset, cut)
         prog = compile_lcu(d)
         assert prog.n_sites == d.n_sites
-        assert (prog.a_left, prog.a_right) == ((len(d.left.labels) - 1).bit_length(),
-                                               (len(d.right.labels) - 1).bit_length())
+        assert prog.left is d.left and prog.right is d.right  # the dictionaries are shared, not copied
+        assert (prog.a_left, prog.a_right) == ((len(d.left) - 1).bit_length(), (len(d.right) - 1).bit_length())
         assert [(a, b) for a, b, *_ in prep_rows(prog)] == sorted(d.bridge.active_pairs)
-        assert prog.select_hash == skeleton_hash(cut, d.left.labels, d.right.labels, d.bridge.active_pairs)
+        assert prog.select_hash == skeleton_hash(cut, d.left, d.right, d.bridge.active_pairs)
 
     def test_overflowing_one_norm_raises(self):
         d = compile_bridge(parse_pauli_sum("1e308 XZ\n1e308 ZZ\n"), 1)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from paulibridge.bridge import EmptyOperator, compile as compile_bridge
 from paulibridge.fermion import FermionTerm, map_hamiltonian
@@ -162,6 +162,8 @@ class TestBuild:
         build_mpo_qr(h2_subset, cut_log=cuts)
         assert [c.site for c in cuts] == [0, 1, 2, 3]
         assert cuts[-1].col_labels == ("",)
+        # Fortran order: LAPACK factors a cut matrix in place, without a copy
+        assert all(c.matrix.flags.f_contiguous for c in cuts)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 18))
@@ -274,6 +276,8 @@ class TestBuild:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 2))
+    @example(200, 6, 1)  # a roundoff pivot at site 4 once became a second bond
+    @example(181557, 6, 2)  # misses by 1.15e-12 on entries up to 1.39e3, 8e-16 relative
     def test_rank_deficient_cuts_form_only_the_kept_columns(self, seed, n_sites, rank):
         op = low_rank_operator(np.random.default_rng(seed), n_sites, rank)
         cuts = []
@@ -283,7 +287,8 @@ class TestBuild:
         assert max(m.bond_dims) <= rank
         # sum over (left bond, s, t) of conj(W) W is 2 Q^H Q, as tr(sigma_p^H sigma_q) = 2 delta_pq
         assert all(is_left_canonical_site(w / np.sqrt(2)) for w in m.tensors[:-1])
-        np.testing.assert_allclose(mpo_to_dense(m), to_dense(op), rtol=0, atol=1e-12)
+        dense = to_dense(op)
+        np.testing.assert_allclose(mpo_to_dense(m), dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
     def test_non_finite_coefficient_refused(self):
         # a PauliSum built in Python takes any complex; the QR refuses it

@@ -11,7 +11,6 @@ from paulibridge.bridge import (
     Bridge,
     CutOutOfRange,
     EmptyOperator,
-    FragmentDictionary,
     IndexOutOfRange,
     compile,
     decomposition_from_json,
@@ -29,19 +28,19 @@ from conftest import random_pauli_sum
 class TestWorkedExample:
     def test_mid_cut_dictionaries(self, h2_subset):
         d = compile(h2_subset, 2)
-        assert d.left.labels == ("II", "IZ", "XX", "YX", "ZI", "ZZ")
-        assert d.right.labels == ("II", "XY", "YY", "ZI", "ZZ")
+        assert d.left == ("II", "IZ", "XX", "YX", "ZI", "ZZ")
+        assert d.right == ("II", "XY", "YY", "ZI", "ZZ")
         assert len(d.bridge.entries) == 9
-        a = d.left.labels.index("YX")
-        b = d.right.labels.index("XY")
+        a = d.left.index("YX")
+        b = d.right.index("XY")
         assert d.bridge.entries[(a, b)] == pytest.approx(0.045322, abs=1e-12)
 
     def test_first_cut_matrix(self, h2_subset):
         # expected matrix derived by splitting each fixture term at the
         # first site and accumulating coefficients per (prefix, suffix)
         d = compile(h2_subset, 1)
-        assert d.left.labels == ("I", "X", "Y", "Z")
-        assert d.right.labels == ("III", "IZI", "IZZ", "XXY", "XYY", "ZII", "ZZI")
+        assert d.left == ("I", "X", "Y", "Z")
+        assert d.right == ("III", "IZI", "IZZ", "XXY", "XYY", "ZII", "ZZI")
         want = np.array(
             [
                 [-0.098864, -0.222786, 0.174348, 0.0, 0.0, 0.0, 0.165867],
@@ -94,8 +93,8 @@ class TestRoundTrips:
         labels = [t.string.label for t in op.terms]
         for cut in range(1, n):
             d = compile(op, cut)
-            assert d.left.labels == tuple(sorted({s[:cut] for s in labels}))
-            assert d.right.labels == tuple(sorted({s[cut:] for s in labels}))
+            assert d.left == tuple(sorted({s[:cut] for s in labels}))
+            assert d.right == tuple(sorted({s[cut:] for s in labels}))
             assert reconstruct(d).as_dict() == op.as_dict()
             back = decomposition_from_json(decomposition_to_json(d))
             assert (back.left, back.right, back.bridge.entries) == (d.left, d.right, d.bridge.entries)
@@ -154,20 +153,20 @@ class TestSetBridge:
         scale = data.draw(st.floats(-3, 3, allow_nan=False))
         d2 = set_bridge(d, {pair: scale * c for pair, c in d.bridge.entries.items()})
         assert structural_hash(d2) == structural_hash(d)
-        assert structural_hash(d) == skeleton_hash(cut, d.left.labels, d.right.labels)
+        assert structural_hash(d) == skeleton_hash(cut, d.left, d.right)
         # the skeleton itself is hashed: another cut or one changed fragment moves it
         if n > 2:
             assert structural_hash(compile(op, cut % (n - 1) + 1)) != structural_hash(d)
         side = data.draw(st.sampled_from(["left", "right"]))
         frags = getattr(d, side)
         fresh = sorted(
-            set(map("".join, itertools.product("IXYZ", repeat=frags.width))) - set(frags.labels)
+            set(map("".join, itertools.product("IXYZ", repeat=len(frags[0])))) - set(frags)
         )
         if fresh:
             k = data.draw(st.integers(0, len(frags) - 1))
-            swapped = list(frags.labels)
+            swapped = list(frags)
             swapped[k] = data.draw(st.sampled_from(fresh))
-            changed = dataclasses.replace(d, **{side: FragmentDictionary(tuple(swapped))})
+            changed = dataclasses.replace(d, **{side: tuple(swapped)})
             assert structural_hash(changed) != structural_hash(d)
 
 
@@ -205,9 +204,9 @@ class TestGraphs:
     @settings(max_examples=30, deadline=None)
     def test_left_graph_is_prefix_trie(self, h2_subset, data):
         for d in graph_cases(h2_subset, data):
-            layers, edges = layered_graph("left", d.left.labels)
+            layers, edges = layered_graph("left", d.left)
             assert json_counts(d, "left") == ([len(v) for v in layers], [len(e) for e in edges])
-            assert layers[-1] == set(d.left.labels)
+            assert layers[-1] == set(d.left)
             for i, gap in enumerate(edges):
                 # each edge appends its symbol; each non-root vertex has
                 # exactly one incoming edge
@@ -218,9 +217,9 @@ class TestGraphs:
     @settings(max_examples=30, deadline=None)
     def test_right_graph_strips_leading_symbol(self, h2_subset, data):
         for d in graph_cases(h2_subset, data):
-            layers, edges = layered_graph("right", d.right.labels)
+            layers, edges = layered_graph("right", d.right)
             assert json_counts(d, "right") == ([len(v) for v in layers], [len(e) for e in edges])
-            assert layers[0] == set(d.right.labels)
+            assert layers[0] == set(d.right)
             for i, gap in enumerate(edges):
                 # each edge strips its symbol; each vertex above the sink
                 # has exactly one outgoing edge
@@ -229,8 +228,8 @@ class TestGraphs:
 
     def test_unique_path_reaches_each_fragment(self, h2_subset):
         d = compile(h2_subset, 2)
-        _, edges = layered_graph("left", d.left.labels)
-        for frag in d.left.labels:
+        _, edges = layered_graph("left", d.left)
+        for frag in d.left:
             vertex = ""
             for i, symbol in enumerate(frag):
                 [(_, _, vertex)] = [e for e in edges[i] if e[0] == vertex and e[1] == symbol]
@@ -261,6 +260,6 @@ class TestErrors:
     def test_single_term_cut(self):
         op = parse_pauli_sum("2.0 XZ\n")
         d = compile(op, 1)
-        assert d.left.labels == ("X",)
-        assert d.right.labels == ("Z",)
+        assert d.left == ("X",)
+        assert d.right == ("Z",)
         assert d.bridge.entries == {(0, 0): 2.0 + 0j}
