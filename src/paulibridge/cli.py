@@ -13,7 +13,8 @@ failure. A writing subcommand writes nothing unless it succeeds; then it
 writes each output once and a deterministic JSON manifest next to its
 primary output: sha256 of the bytes it read and wrote, parameters, and
 library versions (no timestamps, so reruns are byte identical). ``--manifest
-PATH`` overrides the location; one naming an input or output exits 2.
+PATH`` overrides the location; one naming an input or output exits 2, as
+do two outputs naming one file. Every warning is printed to stderr.
 """
 
 from __future__ import annotations
@@ -58,15 +59,8 @@ from paulibridge.mps import (
     mps_from_json,
     mps_to_json,
 )
-from paulibridge.pauli import (
-    PauliError,
-    json_text,
-    parse_pauli_sum,
-    serialize_pauli_sum,
-    to_dense,
-)
+from paulibridge.pauli import json_text, parse_pauli_sum, serialize_pauli_sum, to_dense
 from paulibridge.sampler import (
-    GaugeViolation,
     SamplerConfig,
     curate,
     pool_from_text,
@@ -81,7 +75,7 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 NUMERICAL_ERROR = 3
 
-DATA_EXCEPTIONS = (PauliError, GaugeViolation, ValueError, KeyError, OSError)
+DATA_EXCEPTIONS = (ValueError, KeyError, OSError)
 NUMERICAL_EXCEPTIONS = (np.linalg.LinAlgError,)
 
 
@@ -117,27 +111,36 @@ def tolerance(token: str) -> float:
     return value
 
 
-def _read(args, path: str) -> str:
-    """The text of ``path``; its bytes are kept in ``args.inputs`` for the manifest."""
-    data = args.inputs[path] = Path(path).read_bytes()
+def _read(args, flag: str) -> str:
+    """The text of the file ``--flag`` names; its bytes are kept in ``args.inputs`` for the manifest."""
+    data = args.inputs[flag] = Path(getattr(args, flag)).read_bytes()
     return data.decode()
 
 
 def _write(args, outputs: dict[str, str], parameters: dict) -> None:
-    """Write each output once, then the manifest of the bytes read and written."""
-    manifest = args.manifest or f"{next(iter(outputs))}.manifest.json"
-    for path in (*args.inputs, *outputs):  # before any byte; stat, not resolve(), which lstats each component
-        if os.path.abspath(path) == os.path.abspath(manifest) or (
-                os.path.exists(manifest) and os.path.exists(path) and os.path.samefile(path, manifest)):
-            flag = next(k for k, v in vars(args).items() if v == path and k != "manifest").replace("_", "-")
-            raise ValueError(f"manifest {manifest} is the same file as --{flag} {path}; choose another --manifest")
-    written = {path: text.encode() for path, text in outputs.items()}
-    for path, data in written.items():
-        Path(path).write_bytes(data)
+    """Write each output once, then the manifest of the bytes read and written.
+
+    ``outputs`` maps the dest of each output flag (``"output"``,
+    ``"sweep_csv"``) to its text. Two outputs naming one file, or a
+    manifest naming the same file as an input or an output, are refused
+    before any byte is written.
+    """
+    manifest = args.manifest or f"{args.output}.manifest.json"
+    written = [(f"--{flag.replace('_', '-')}", getattr(args, flag)) for flag in outputs] + [("manifest", manifest)]
+    read = [(f"--{flag}", getattr(args, flag)) for flag in args.inputs]
+    for k, (name, path) in enumerate(written):  # stat, not resolve(), which lstats each component
+        for flag, other in (read if name == "manifest" else []) + written[:k]:
+            if os.path.abspath(path) == os.path.abspath(other) or (
+                    os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)):
+                retry = "--manifest" if name == "manifest" else name
+                raise ValueError(f"{name} {path} is the same file as {flag} {other}; choose another {retry}")
+    data = {getattr(args, flag): text.encode() for flag, text in outputs.items()}
+    for path, payload in data.items():
+        Path(path).write_bytes(payload)
     doc = {
         "command": args.command,
-        "inputs": {p: hashlib.sha256(data).hexdigest() for p, data in args.inputs.items()},
-        "outputs": {p: hashlib.sha256(data).hexdigest() for p, data in written.items()},
+        "inputs": {getattr(args, f): hashlib.sha256(payload).hexdigest() for f, payload in args.inputs.items()},
+        "outputs": {p: hashlib.sha256(payload).hexdigest() for p, payload in data.items()},
         "parameters": parameters,
         "versions": {
             "paulibridge": __version__,
@@ -149,13 +152,9 @@ def _write(args, outputs: dict[str, str], parameters: dict) -> None:
 
 
 def cmd_jw(args) -> int:
-    n_modes, terms = load_fermion_terms(_read(args, args.input))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        op = map_hamiltonian(terms, n_modes)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    outputs = {args.output: serialize_pauli_sum(op)}
+    n_modes, terms = load_fermion_terms(_read(args, "input"))
+    op = map_hamiltonian(terms, n_modes)
+    outputs = {"output": serialize_pauli_sum(op)}
     print(f"n_sites {op.n_sites}")
     print(f"n_terms {op.n_terms}")
     _write(args, outputs, {})
@@ -163,9 +162,9 @@ def cmd_jw(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    op = parse_pauli_sum(_read(args, args.input))
+    op = parse_pauli_sum(_read(args, "input"))
     d = compile_bridge(op, args.cut)
-    outputs = {args.output: decomposition_to_json(d)}
+    outputs = {"output": decomposition_to_json(d)}
     print(f"left_fragments {len(d.left)}")
     print(f"right_fragments {len(d.right)}")
     print(f"active_pairs {len(d.bridge.active_pairs)}")
@@ -175,12 +174,12 @@ def cmd_compile(args) -> int:
 
 
 def cmd_mpo(args) -> int:
-    op = parse_pauli_sum(_read(args, args.input))
+    op = parse_pauli_sum(_read(args, "input"))
     m = build_mpo_qr(op, rank_tol=args.tol)
     if args.max_bond is not None:
         m, discarded = compress(m, max_bond=args.max_bond)
         print(f"discarded_weight {sum(discarded):.12e}")
-    outputs = {args.output: mpo_to_json(m)}
+    outputs = {"output": mpo_to_json(m)}
     print(f"bond_dims {' '.join(str(b) for b in m.bond_dims)}")
     if args.verify:
         print(f"reconstruction_error {mpo_error(m, op):.3e}")
@@ -189,32 +188,30 @@ def cmd_mpo(args) -> int:
 
 
 def cmd_groundstate(args) -> int:
-    op = parse_pauli_sum(_read(args, args.input))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res = ground_state_reference(op, max_bond=args.max_bond)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    outputs = {args.output: mps_to_json(res.mps)}
+    op = parse_pauli_sum(_read(args, "input"))
+    res = ground_state_reference(op, max_bond=args.max_bond)
+    outputs = {"output": mps_to_json(res.mps)}
     print(f"energy {res.energy:.12f}")
     print(f"gap {res.gap:.12f}")
+    if args.max_bond is not None:
+        print(f"discarded_weight {res.discarded:.12e}")
     _write(args, outputs, {"max_bond": args.max_bond})
     return 0
 
 
 def cmd_sample(args) -> int:
-    m = mps_from_json(_read(args, args.state))
+    m = mps_from_json(_read(args, "state"))
     samples = sample_strings(m, SamplerConfig(n_samples=args.n_samples, seed=args.seed))
-    outputs = {args.output: samples_to_text(samples, m.n_sites, seed=args.seed)}
+    outputs = {"output": samples_to_text(samples, m.n_sites, seed=args.seed)}
     print(f"n_samples {len(samples)}")
     _write(args, outputs, {"n_samples": args.n_samples, "seed": args.seed})
     return 0
 
 
 def cmd_curate(args) -> int:
-    samples, n_sites = samples_from_text(_read(args, args.samples))
+    samples, n_sites = samples_from_text(_read(args, "samples"))
     pool = curate(samples, n_sites, keep_iz=args.keep_iz)
-    outputs = {args.output: pool_to_text(pool)}
+    outputs = {"output": pool_to_text(pool)}
     print(f"offdiagonal {len(pool.xy)}")
     print(f"diagonal {len(pool.iz)}")
     _write(args, outputs, {"keep_iz": args.keep_iz})
@@ -222,9 +219,9 @@ def cmd_curate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    op = parse_pauli_sum(_read(args, args.input))
-    state = mps_from_json(_read(args, args.state))
-    pool = pool_from_text(_read(args, args.pool))
+    op = parse_pauli_sum(_read(args, "input"))
+    state = mps_from_json(_read(args, "state"))
+    pool = pool_from_text(_read(args, "pool"))
     if pool.n_sites != op.n_sites:
         raise ValueError(f"pool has {pool.n_sites} sites, operator has {op.n_sites}")
     pencil = assemble_pencil(op, pool.strings, state)
@@ -239,14 +236,14 @@ def cmd_optimize(args) -> int:
         "energies": [float(e) for e in sol.energies],
         "reference_energy": reference,
     }
-    outputs = {args.output: json_text(doc)}
+    outputs = {"output": json_text(doc)}
     print(f"energy {sol.energies[0]:.12f}")
     print(f"reference {reference:.12f}")
     if args.sweep_csv:
         rows = energy_vs_samples_sweep(
             op, state, args.sweep_sizes, seed=args.seed, reference=reference
         )
-        outputs[args.sweep_csv] = sweep_to_csv(rows)
+        outputs["sweep_csv"] = sweep_to_csv(rows)
         print(f"sweep_rows {len(rows)}")
     sweep_sizes = args.sweep_sizes if args.sweep_csv else None
     _write(args, outputs, {"n_roots": args.n_roots, "seed": args.seed, "sweep_sizes": sweep_sizes})
@@ -254,11 +251,11 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_lcu(args) -> int:
-    d = decomposition_from_json(_read(args, args.bridge))
+    d = decomposition_from_json(_read(args, "bridge"))
     prog = compile_lcu(d)
-    outputs = {args.output: program_to_json(prog)}
+    outputs = {"output": program_to_json(prog)}
     if args.gates:
-        outputs[args.gates] = emit_gates(prog)
+        outputs["gates"] = emit_gates(prog)
     print(f"lambda {prog.lam:.12f}")
     print(f"ancillas {prog.a_total}")
     print(f"select_hash {prog.select_hash}")
@@ -267,10 +264,10 @@ def cmd_lcu(args) -> int:
 
 
 def cmd_update(args) -> int:
-    prog = program_from_json(_read(args, args.program))
-    d = decomposition_from_json(_read(args, args.bridge))
+    prog = program_from_json(_read(args, "program"))
+    d = decomposition_from_json(_read(args, "bridge"))
     updated = update_coefficients(prog, d)
-    outputs = {args.output: program_to_json(updated)}
+    outputs = {"output": program_to_json(updated)}
     print(f"lambda {updated.lam:.12f}")
     print(f"select_hash {updated.select_hash}")
     _write(args, outputs, {})
@@ -278,9 +275,9 @@ def cmd_update(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    op = parse_pauli_sum(_read(args, args.input))
+    op = parse_pauli_sum(_read(args, "input"))
     if args.program:
-        err = block_error(program_from_json(_read(args, args.program)), op)
+        err = block_error(program_from_json(_read(args, "program")), op)
         ok = err <= args.tol
         print(f"block_encoding {'PASS' if ok else 'FAIL'} tol {args.tol:g} error {err:.6e}")
         return 0 if ok else NUMERICAL_ERROR
@@ -376,15 +373,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.inputs = {}  # path -> bytes of every file this call reads
-    try:
-        return args.func(args)
-    except NUMERICAL_EXCEPTIONS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
-    except DATA_EXCEPTIONS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+    args.inputs = {}  # flag -> bytes of every file this call reads
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code, error = args.func(args), None
+        except NUMERICAL_EXCEPTIONS as exc:
+            code, error = NUMERICAL_ERROR, exc
+        except DATA_EXCEPTIONS as exc:
+            code, error = DATA_ERROR, exc
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

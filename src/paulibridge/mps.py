@@ -52,7 +52,6 @@ __all__ = [
     "mps_from_json",
     "mps_to_dense",
     "mps_to_json",
-    "overlap",
     "string_expectation",
     "string_expectations",
 ]
@@ -175,18 +174,15 @@ def compress(chain: TensorChain, max_bond: int | None = None) -> tuple[TensorCha
 
 
 def dense_to_mps(
-    state: np.ndarray,
-    max_bond: int | None = None,
-    normalize: bool = True,
-    discard_log: list[float] | None = None,
+    state: np.ndarray, max_bond: int | None = None, discard_log: list[float] | None = None
 ) -> Mps:
-    """Factor a dense state vector by successive SVDs.
+    """Factor a dense state vector by successive SVDs into a unit-norm MPS.
 
-    All but the last tensor come out left-isometric. Truncation keeps
-    the nonzero singular values, capped at ``max_bond``; dropped squared
-    weights are appended to ``discard_log`` when a list is given. With
-    ``normalize`` the result has unit norm regardless of input scale or
-    truncation.
+    All but the last tensor come out left-isometric, and the last holds
+    the norm, rescaled to 1 whatever the input's scale or truncation.
+    Truncation keeps the nonzero singular values, capped at ``max_bond``;
+    dropped squared weights are appended to ``discard_log`` when a list
+    is given.
     """
     vec = np.asarray(state, dtype=np.complex128).ravel()
     n = vec.size.bit_length() - 1
@@ -204,9 +200,7 @@ def dense_to_mps(
         mat = carry.reshape(keep * 2, -1)
         chi = keep
     last = mat.reshape(chi, 2, 1).transpose(0, 2, 1)
-    if normalize:
-        last = last / np.linalg.norm(last)
-    tensors.append(last)
+    tensors.append(last / np.linalg.norm(last))
     return Mps(tensors, ["left"] * (n - 1) + ["center"])
 
 
@@ -230,16 +224,6 @@ def canonicalize_mps(m: Mps) -> Mps:
     gauge is ``canonicalize(m, m.n_sites - 1)``.
     """
     return canonicalize(m, 0)
-
-
-def overlap(a: Mps, b: Mps) -> complex:
-    """Inner product ``<a|b>`` by transfer-matrix contraction."""
-    if a.n_sites != b.n_sites:
-        raise ValueError(f"site counts differ: {a.n_sites} vs {b.n_sites}")
-    env = np.ones((1, 1), dtype=np.complex128)
-    for ta, tb in zip(a.tensors, b.tensors):
-        env = np.einsum("acp,ab,bdp->cd", ta.conj(), env, tb)
-    return complex(env[0, 0])
 
 
 def string_expectation(m: Mps, p: PauliString) -> complex:
@@ -305,17 +289,19 @@ def string_expectations(m: Mps, packed: np.ndarray) -> np.ndarray:
 class GroundStateResult:
     energy: float
     gap: float
-    vector: np.ndarray
     mps: Mps
+    discarded: float  # squared weight the max_bond truncation dropped
 
 
 def ground_state_reference(op: PauliSum, max_bond: int | None = None) -> GroundStateResult:
     """Dense lowest eigenpair, returned as a right-canonical MPS.
 
-    The global phase is fixed by making the largest-magnitude component
-    real and positive, so repeated runs agree bit for bit. Warns when the
-    spectral gap falls below DEGENERACY_TOL, in which case the chosen
-    eigenvector is a basis-dependent representative.
+    With ``max_bond`` the MPS is truncated and renormalized; ``discarded``
+    is the total squared weight its SVDs dropped. The global phase is
+    fixed by making the largest-magnitude component real and positive, so
+    repeated runs agree bit for bit. Warns when the spectral gap falls
+    below DEGENERACY_TOL, in which case the chosen eigenvector is a
+    basis-dependent representative.
     """
     dense = to_dense(op)
     # ||H - H^dag||_F <= 1e-10 max(||H||_F, 1) from the coefficients: the strings
@@ -335,8 +321,9 @@ def ground_state_reference(op: PauliSum, max_bond: int | None = None) -> GroundS
     vec = vecs[:, 0]
     pivot = int(np.argmax(np.abs(vec)))
     vec = vec * (np.abs(vec[pivot]) / vec[pivot])
-    mps = canonicalize_mps(dense_to_mps(vec, max_bond=max_bond))
-    return GroundStateResult(energy, gap, vec, mps)
+    discarded: list[float] = []
+    mps = canonicalize_mps(dense_to_mps(vec, max_bond=max_bond, discard_log=discarded))
+    return GroundStateResult(energy, gap, mps, sum(discarded))
 
 
 def _check_finite(fmt: str, i: int, t: np.ndarray) -> None:

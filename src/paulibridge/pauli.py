@@ -44,7 +44,6 @@ __all__ = [
     "JsonText",
     "LengthMismatch",
     "MalformedLine",
-    "NotNormalized",
     "PauliError",
     "PauliString",
     "PauliSum",
@@ -54,7 +53,6 @@ __all__ = [
     "PAULI_MATRICES",
     "apply_string",
     "dense_string",
-    "expectation",
     "json_document",
     "json_columns",
     "json_field",
@@ -87,7 +85,6 @@ PAULI_MATRICES: tuple[np.ndarray, ...] = (
 
 # most qubits of any dense matrix: sites, plus ancillas for an lcu walk unitary
 DENSE_LIMIT = 12
-NORM_TOL = 1e-12  # largest |norm - 1| expectation accepts
 CHUNK_ENTRIES = 2**20  # signs, and diagonal entries, the action rule forms at once
 
 
@@ -125,10 +122,6 @@ class TooLarge(PauliError):
 
 class DimensionMismatch(PauliError):
     """State vector dimension does not match the operator."""
-
-
-class NotNormalized(PauliError):
-    """State vector norm differs from 1 beyond tolerance."""
 
 
 _LABEL_DIGITS = str.maketrans(SYMBOLS, "0123")
@@ -195,11 +188,6 @@ class PauliString:
         return self.label
 
     @property
-    def weight(self) -> int:
-        """Number of non-identity sites."""
-        return ((self.bits | (self.bits >> 1)) & _mask01(self.n_sites)).bit_count()
-
-    @property
     def is_identity(self) -> bool:
         return self.bits == 0
 
@@ -248,9 +236,7 @@ class PauliSum:
         if (n_sites < 1 or coeffs.ndim != 1 or rows.shape != (len(coeffs), n_words(n_sites))
                 or np.any(rows[:, 0] >> np.uint64(2 * (n_sites - 32 * (rows.shape[1] - 1))))):  # past the sites
             raise PauliError(f"rows {rows.shape} and coeffs {coeffs.shape} do not fit {n_sites} sites")
-        # each row as one key: a uint64 when the row is one word, as that sorts fastest
-        keys = rows[:, 0] if rows.shape[1] == 1 else rows.view(f"V{8 * rows.shape[1]}")[:, 0]
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
         group = np.argsort(np.argsort(first))[inverse]  # numbered in first-occurrence order
         # bincount adds each group's weights in input order from +0.0, one part at a time
         total = np.empty(len(first), dtype=np.complex128)
@@ -372,13 +358,17 @@ def site_codes(packed: np.ndarray, n_sites: int, sites) -> np.ndarray:
     return ((word >> (offset % 64).astype(np.uint64)) & np.uint64(3)).astype(np.intp)
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each pack_strings row as one key: a uint64 when the row is one word, as that sorts
+    fastest, else the row's bytes."""
+    rows = np.ascontiguousarray(rows)
+    return rows[:, 0] if rows.shape[1] == 1 else rows.view(f"V{8 * rows.shape[1]}")[:, 0]
+
+
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct pack_strings rows and the 1-D inverse; one word sorts as uint64, ~20x faster."""
-    if rows.shape[1] == 1:
-        unique, inverse = np.unique(rows[:, 0], return_inverse=True)
-        return unique[:, None], inverse
-    unique, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return unique, inverse.reshape(-1)
+    """Distinct pack_strings rows, keyed as PauliSum.from_rows keys them, and the 1-D inverse."""
+    unique, inverse = np.unique(_row_keys(rows), return_inverse=True)
+    return unique.view(np.uint64).reshape(len(unique), rows.shape[1]), inverse
 
 
 def packed_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -476,16 +466,6 @@ def to_dense(op: PauliSum) -> np.ndarray:
 def apply_string(p: PauliString, vec: np.ndarray) -> np.ndarray:
     """Apply one Pauli string to a state vector without forming the matrix."""
     return _act(PauliSum(p.n_sites, [(1.0, p)]), vec)
-
-
-def expectation(op: PauliSum, state: np.ndarray) -> complex:
-    """<state|op|state>, with op acting on the vector through its flip-mask groups."""
-    state = np.asarray(state, dtype=np.complex128)
-    image = _act(op, state)
-    norm = float(np.linalg.norm(state))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise NotNormalized(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
-    return complex(np.vdot(state, image))
 
 
 # ---------------------------------------------------------------------------

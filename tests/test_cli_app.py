@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from paulibridge.bridge import decomposition_from_json, decomposition_to_json
 from paulibridge.cli import main, non_negative_int, positive_int, tolerance
 from paulibridge.lcu import program_from_json
 from paulibridge.mpo import mpo_from_json
-from paulibridge.mps import Mps, mps_from_json, mps_to_json
+from paulibridge.mps import DEGENERACY_TOL, Mps, ground_state_reference, mps_from_json, mps_to_json
 from paulibridge.pauli import PauliSum, parse_pauli_sum, serialize_pauli_sum, to_dense
 from paulibridge.sampler import pool_from_text, samples_from_text
 
@@ -388,6 +389,53 @@ class TestWriter:
         assert rc == 2
         assert err == f"error: manifest {gates} is the same file as --gates {gates}; choose another --manifest\n"
         assert self.snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("command, flag", [("lcu", "--gates"), ("optimize", "--sweep-csv")])
+    def test_two_outputs_naming_one_file_are_refused(self, tmp_path, command, flag):
+        # one of the two would be lost, and the manifest would list one output
+        chain = h2_chain(tmp_path)
+        step = next(k for k, (argv, _, _) in enumerate(chain) if argv[0] == command)
+        for argv, _, _ in chain[:step]:
+            assert run(argv)[0] == 0, argv[0]
+        argv, _, _ = chain[step]
+        output = argv[argv.index("--output") + 1]
+        argv[argv.index(flag) + 1] = output
+        before = self.snapshot(tmp_path)
+        rc, _, err = run(argv)
+        assert rc == 2
+        assert err == f"error: {flag} {output} is the same file as --output {output}; choose another {flag}\n"
+        assert self.snapshot(tmp_path) == before
+
+    def test_groundstate_max_bond_prints_the_discarded_weight(self, tmp_path, h2_text):
+        src = tmp_path / "op.pauli"
+        src.write_text(h2_text)
+        argv = ["groundstate", "--input", str(src), "--output", str(tmp_path / "mps.json")]
+        rc, exact, _ = run(argv)
+        assert rc == 0 and "discarded_weight" not in exact
+        rc, truncated, _ = run([*argv, "--max-bond", "1"])
+        lines = truncated.splitlines()
+        assert rc == 0 and lines[:2] == exact.splitlines()
+        discarded = ground_state_reference(parse_pauli_sum(h2_text), max_bond=1).discarded
+        assert lines[2:] == [f"discarded_weight {discarded:.12e}"] and discarded > 0.01
+
+    @pytest.mark.parametrize("command", ["compile", "groundstate"])
+    def test_every_subcommand_prints_its_warnings(self, tmp_path, command, monkeypatch):
+        # main catches them for all: groundstate on a degenerate operator,
+        # compile through a bridge compiler patched to warn
+        src = tmp_path / "op.pauli"
+        src.write_text("1.0 ZI\n")
+        real = cli.compile_bridge
+
+        def warning_compile(op, cut):
+            warnings.warn("patched", UserWarning)
+            return real(op, cut)
+
+        monkeypatch.setattr(cli, "compile_bridge", warning_compile)
+        extra = ["--cut", "1"] if command == "compile" else []
+        rc, _, err = run([command, "--input", str(src), *extra, "--output", str(tmp_path / "out")])
+        assert rc == 0
+        assert err == ("warning: patched\n" if command == "compile" else
+                       f"warning: spectral gap {0:.3e} below {DEGENERACY_TOL:.3e}\n")
 
     def test_update_in_place_records_the_program_it_read(self, tmp_path, h2_text):
         src, scaled = tmp_path / "op.pauli", tmp_path / "scaled.pauli"

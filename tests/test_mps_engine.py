@@ -1,4 +1,4 @@
-"""MPS factorization, gauges, overlaps, dense ground-state reference."""
+"""MPS factorization, gauges, contractions, dense ground-state reference."""
 
 import warnings
 from unittest.mock import patch
@@ -20,7 +20,6 @@ from paulibridge.mps import (
     mps_from_json,
     mps_to_dense,
     mps_to_json,
-    overlap,
     string_expectation,
     string_expectations,
 )
@@ -55,7 +54,7 @@ class TestDenseToMps:
     def test_exact_round_trip(self, seed, n_sites):
         rng = np.random.default_rng(seed)
         vec = random_state(rng, n_sites)
-        m = dense_to_mps(vec, normalize=False)
+        m = dense_to_mps(vec)
         np.testing.assert_allclose(mps_to_dense(m), vec, atol=1e-12)
 
     def test_left_isometric_structure(self):
@@ -71,13 +70,14 @@ class TestDenseToMps:
         assert max(m.bond_dims) <= 3
 
     def test_truncation_discard_matches_dense_gap(self):
-        # without renormalization the dropped weight is exactly the
-        # squared distance to the truncated state
+        # Eckart-Young: before renormalization the truncated state, of
+        # squared norm 1 - sum(log), lies the dropped weight away from vec
         rng = np.random.default_rng(5)
         vec = random_state(rng, 6)
         log = []
-        m = dense_to_mps(vec, max_bond=2, normalize=False, discard_log=log)
-        gap = np.linalg.norm(mps_to_dense(m) - vec)
+        m = dense_to_mps(vec, max_bond=2, discard_log=log)
+        gap = np.linalg.norm(vec - np.sqrt(1 - sum(log)) * mps_to_dense(m))
+        assert sum(log) > 0.01
         assert gap == pytest.approx(np.sqrt(sum(log)), abs=1e-10)
 
     def test_normalize_restores_unit_norm(self):
@@ -123,14 +123,6 @@ class TestGauges:
 
 
 class TestContractions:
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
-    def test_overlap_matches_dense(self, seed, n_sites):
-        rng = np.random.default_rng(seed)
-        va, vb = random_state(rng, n_sites), random_state(rng, n_sites)
-        got = overlap(dense_to_mps(va), dense_to_mps(vb))
-        assert got == pytest.approx(np.vdot(va, vb), abs=1e-12)
-
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 4**5 - 1))
     def test_string_expectation_matches_dense(self, seed, n_sites, bits):
@@ -212,13 +204,6 @@ class TestContractions:
         with pytest.raises(ValueError):
             string_expectations(m, np.zeros(2, dtype=np.uint64))
 
-    def test_overlap_length_mismatch_raises(self):
-        rng = np.random.default_rng(14)
-        a = dense_to_mps(random_state(rng, 3))
-        b = dense_to_mps(random_state(rng, 4))
-        with pytest.raises(ValueError):
-            overlap(a, b)
-
 
 class TestGroundState:
     def test_h2_reference(self, h2_subset):
@@ -227,21 +212,22 @@ class TestGroundState:
         assert res.energy == pytest.approx(vals[0], abs=1e-12)
         assert res.gap == pytest.approx(vals[1] - vals[0], abs=1e-12)
         psi = mps_to_dense(res.mps)
-        fidelity = abs(np.vdot(psi, res.vector))
-        assert fidelity == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(psi, to_dense(h2_subset) @ psi) - vals[0]) <= 1e-12
+        assert res.discarded == 0
         for t in res.mps.tensors:
             assert is_right_canonical_site(t)
 
     def test_energy_is_rayleigh_quotient(self, h2_subset):
         res = ground_state_reference(h2_subset)
         dense = to_dense(h2_subset)
-        quot = np.vdot(res.vector, dense @ res.vector).real
+        psi = mps_to_dense(res.mps)
+        quot = np.vdot(psi, dense @ psi).real
         assert quot == pytest.approx(res.energy, abs=1e-12)
 
     def test_deterministic_phase(self, h2_subset):
         a = ground_state_reference(h2_subset)
         b = ground_state_reference(h2_subset)
-        np.testing.assert_array_equal(a.vector, b.vector)
+        np.testing.assert_array_equal(mps_to_dense(a.mps), mps_to_dense(b.mps))
 
     def test_degenerate_warns(self):
         op = parse_pauli_sum("1.0 ZI\n")

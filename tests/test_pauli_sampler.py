@@ -14,6 +14,7 @@ from paulibridge.mps import (
     canonicalize_mps,
     dense_to_mps,
     ground_state_reference,
+    mps_to_dense,
     string_expectations,
 )
 from paulibridge.pauli import PauliString, PauliSum, apply_string, pack_strings, unpack_strings
@@ -151,7 +152,7 @@ class TestSampling:
     def test_ground_state_pipeline_smoke(self, h2_subset):
         res = ground_state_reference(h2_subset)
         samples = sample_strings(res.mps, SamplerConfig(n_samples=256, seed=11))
-        probs = exact_probs(res.vector, 4)
+        probs = exact_probs(mps_to_dense(res.mps), 4)
         assert np.all(probs[samples[:, 0].astype(np.int64)] > 1e-14)
 
     def test_config_validation(self):

@@ -45,7 +45,9 @@ def random_pool(rng, n_sites, size):
 
 def exact_mps(vec):
     """The MPS of a dense vector, untruncated and with its norm kept."""
-    return dense_to_mps(vec, normalize=False)
+    m = dense_to_mps(vec)
+    m.tensors[-1] = m.tensors[-1] * np.linalg.norm(vec)  # the norm-holding center site
+    return m
 
 
 def dense_pencil(op, pool, vec):
@@ -83,9 +85,9 @@ class TestAssembly:
     def test_algebraic_matches_dense(self, seed, n_sites, max_bond):
         rng = np.random.default_rng(seed)
         op = random_pauli_sum(rng, n_sites, 5, complex_coeffs=True)
-        # a truncated, right-canonical state whose norm is not one
-        scaled = random_state(rng, n_sites) * rng.uniform(0.5, 2.0)
-        mps = canonicalize_mps(dense_to_mps(scaled, max_bond=max_bond, normalize=False))
+        # a truncated, right-canonical state whose norm is not one: site 0 holds the norm
+        mps = canonicalize_mps(dense_to_mps(random_state(rng, n_sites), max_bond=max_bond))
+        mps.tensors[0] = mps.tensors[0] * rng.uniform(0.5, 2.0)
         vec = mps_to_dense(mps)
         pool = random_pool(rng, n_sites, 6)
         # repeated strings and the identity inside the pool
