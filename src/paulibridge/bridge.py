@@ -37,6 +37,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from paulibridge.pauli import (
+    IndexOutOfRange,
     PauliString,
     PauliSum,
     _row_labels,
@@ -77,10 +78,6 @@ class CutOutOfRange(ValueError):
 
 class EmptyOperator(ValueError):
     """Compilation of a sum with no terms."""
-
-
-class IndexOutOfRange(ValueError):
-    """Bridge entry index outside the fragment dictionaries."""
 
 
 class Bridge:

@@ -13,7 +13,6 @@ merges drop nothing; and the sum across terms runs in input order.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -21,11 +20,13 @@ from functools import partial
 import numpy as np
 
 from paulibridge.pauli import (
+    IndexOutOfRange,
     PauliString,
     PauliSum,
     _I_POWERS,
     json_field,
     json_finite,
+    json_load,
     malformed,
     packed_product,
 )
@@ -43,10 +44,6 @@ __all__ = [
 ]
 
 HERMITIAN_TOL = 1e-12  # relative imaginary residue above which map_hamiltonian warns
-
-
-class IndexOutOfRange(ValueError):
-    """A mode index falls outside [0, n)."""
 
 
 class NonHermitianInput(UserWarning):
@@ -164,7 +161,7 @@ def load_fermion_terms(text: str) -> tuple[int, list[FermionTerm]]:
     ``coeff`` is a finite number or a ``[re, im]`` pair of them. Every
     malformed field raises ValueError naming it, as in ``terms[3].coeff``.
     """
-    doc = json.loads(text)
+    doc = json_load(text, "fermion")
     n = _field(doc, "n", int)
     if n < 1:
         raise _malformed("n", f"expected at least one mode, got {n}")

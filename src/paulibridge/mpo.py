@@ -31,9 +31,10 @@ import numpy as np
 import scipy.linalg
 
 from paulibridge.bridge import Bridge, BridgeDecomposition, EmptyOperator
-from paulibridge.mps import _SIGMA, TensorChain, chain_from_json, chain_to_json
+from paulibridge.mps import TensorChain, chain_from_json, chain_to_json
 from paulibridge.pauli import (
     DENSE_LIMIT,
+    PAULI_MATRICES,
     SYMBOLS,
     PauliSum,
     TooLarge,
@@ -152,7 +153,7 @@ def build_mpo_qr(
         # one add per row and entry, in row order, so each bond takes its
         # symbols in ascending order; flat indices take add.at's 1-D fast path
         w, block = np.zeros((chi, rank, 2, 2), dtype=np.complex128), 4 * rank
-        terms = q[:, :rank, None, None] * _SIGMA[code, None]
+        terms = q[:, :rank, None, None] * PAULI_MATRICES[code, None]
         np.add.at(w.reshape(-1), (bond[:, None] * block + np.arange(block)).ravel(), terms.ravel())
         tensors.append(w)
     return Mpo(tensors)
@@ -187,7 +188,8 @@ def mpo_error(m: Mpo, op: PauliSum) -> float:
         raise ValueError(f"MPO has {n} sites, operator has {op.n_sites}")
     if m.tensors[0].shape[0] != 1 or m.tensors[-1].shape[1] != 1:
         raise ValueError("boundary bond dimensions must be 1")
-    proj = _SIGMA.reshape(4, 4).conj().T / 2  # hats[k][l, p, r] = sum_st W[l, r, s, t] conj(sigma_p[s, t]) / 2
+    # hats[k][l, p, r] = sum_st W[l, r, s, t] conj(sigma_p[s, t]) / 2
+    proj = PAULI_MATRICES.reshape(4, 4).conj().T / 2
     hats = [(w.reshape(-1, 4) @ proj).reshape(*w.shape[:2], 4).transpose(0, 2, 1) for w in m.tensors]
     left, right = np.ones((1, 1)), np.ones((1, 1))  # (prefix, bond) and (bond, suffix)
     for h in hats[: n // 2]:

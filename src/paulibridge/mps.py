@@ -63,12 +63,6 @@ DEGENERACY_TOL = 1e-8  # spectral gap below which ground_state_reference warns
 # faster than 4096 at bond 16 (the chunk stays cache-sized), as fast at bond 4
 CHUNK_STRINGS = 1024
 
-# Pauli code c maps physical row s of a ket to row s ^ _FLIPS[c], times
-# _ROW_PHASES[c, s]: sigma_c[s, t] = _ROW_PHASES[c, s] when t = s ^ flip
-_SIGMA = np.stack(PAULI_MATRICES)
-_FLIPS = _SIGMA[:, 0, 0] == 0
-_ROW_PHASES = _SIGMA[np.arange(4)[:, None], [0, 1], [0, 1] ^ _FLIPS[:, None]]
-
 
 class DegenerateGroundState(UserWarning):
     """Spectral gap below tolerance; the reference state is arbitrary."""
@@ -234,14 +228,12 @@ def string_expectation(m: Mps, p: PauliString) -> complex:
 
 
 def _transfer(env: np.ndarray, t: np.ndarray, codes) -> np.ndarray:
-    """``env[..., bra, ket]`` through site tensor ``t``: one tensordot with the ket,
-    the Pauli ``codes`` (broadcast over the leading axes) as a row swap and
-    phase on the physical leg, and one batched matmul with the bra."""
-    ket = np.ascontiguousarray(t.transpose(0, 2, 1))
-    half = np.tensordot(env, ket, axes=([-1], [0]))
-    half = np.where(_FLIPS[codes][..., None, None, None], half[..., ::-1, :], half)
-    half *= _ROW_PHASES[codes][..., None, :, None]
-    return ket.reshape(-1, t.shape[1]).conj().T @ half.reshape(*half.shape[:-3], -1, t.shape[1])
+    """``env[..., bra, ket]`` through site tensor ``t``: a tensordot with the ket, then
+    a batched matmul with the bra ``A^* sigma_c`` of each Pauli code c in ``codes``
+    (broadcast over the leading axes), all four bras built by one einsum."""
+    half = np.tensordot(env, t.transpose(0, 2, 1), axes=([-1], [0]))
+    bras = np.einsum("lrs,cst->crlt", t.conj(), PAULI_MATRICES).reshape(4, t.shape[1], -1)
+    return bras[codes] @ half.reshape(*half.shape[:-3], -1, t.shape[1])
 
 
 def _environments(tensors: list[np.ndarray], codes: np.ndarray) -> np.ndarray:

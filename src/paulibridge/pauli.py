@@ -41,6 +41,7 @@ __all__ = [
     "DimensionMismatch",
     "EmptyInput",
     "InconsistentLength",
+    "IndexOutOfRange",
     "JsonText",
     "LengthMismatch",
     "MalformedLine",
@@ -58,6 +59,7 @@ __all__ = [
     "json_field",
     "json_finite",
     "json_labels",
+    "json_load",
     "json_rows",
     "json_text",
     "malformed",
@@ -76,11 +78,8 @@ __all__ = [
 
 SYMBOLS = "IXYZ"
 
-PAULI_MATRICES: tuple[np.ndarray, ...] = (
-    np.eye(2, dtype=np.complex128),
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
+PAULI_MATRICES = np.array(  # sigma_c of code c, the one table every per-site Pauli action reads
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128
 )
 
 # most qubits of any dense matrix: sites, plus ancillas for an lcu walk unitary
@@ -122,6 +121,10 @@ class TooLarge(PauliError):
 
 class DimensionMismatch(PauliError):
     """State vector dimension does not match the operator."""
+
+
+class IndexOutOfRange(ValueError):
+    """An index outside its range: a fermion mode, or a bridge entry's fragment pair."""
 
 
 _LABEL_DIGITS = str.maketrans(SYMBOLS, "0123")
@@ -590,9 +593,17 @@ def malformed(fmt: str, where: str, problem: str) -> ValueError:
     return ValueError(f"{fmt} field {where}: {problem}")
 
 
+def json_load(text: str, fmt: str):
+    """``json.loads``, with text nested too deeply to parse refused as a ValueError naming ``fmt``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{fmt}: JSON nested too deeply to parse") from None
+
+
 def json_document(text: str, fmt: str) -> dict:
     """Parse ``text`` and check that it is a ``fmt`` document."""
-    doc = json.loads(text)
+    doc = json_load(text, fmt)
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         got = doc.get("format") if isinstance(doc, dict) else doc
         raise ValueError(f"expected format {fmt!r}, got {got!r}")

@@ -84,7 +84,8 @@ def conditional_weights(
 def _step(tensor: np.ndarray, envs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # envs: (batch, l, l) -> weights (batch, 4), new envs (batch, 4, r, r)
     cand = _transfer(envs[:, None], tensor, np.arange(4))
-    raw = np.einsum("barq,barq->ba", cand, cand.conj()).real
+    parts = cand.reshape(*cand.shape[:2], -1).view(np.float64)  # real and imaginary, not copied
+    raw = np.einsum("bax,bax->ba", parts, parts)
     total = raw.sum(axis=1, keepdims=True)
     if np.any(total <= 0):
         raise GaugeViolation("conditional weights vanished; environment collapsed")

@@ -5,11 +5,12 @@ identity always first, so the reference state itself is reachable.
 Effective matrices are assembled algebraically: products of pool and
 Hamiltonian strings reduce to single strings with phases, so each entry
 is a phase-weighted sum of reference-state expectation values and no
-dense operator is ever formed. All k^2 (T + 1) product strings are
-formed as packed arrays and deduplicated together; each distinct one is
-split at the cut n // 2 and contracted from the MPS's environments,
-swept once per distinct half (``mps.string_expectations``), and the
-values are contracted with the coefficients.
+dense operator is ever formed. One product tensor holds the k^2 (T + 1)
+strings P_a T P_b for T in [I] + the Hamiltonian's; its distinct rows
+are split at the cut n // 2 and contracted from the MPS's environments,
+swept once per distinct half (``mps.string_expectations``). Its identity
+slice is N, and the rest contracts with the coefficients into H. A sweep
+assembles its largest pool's pencil once and solves each prefix's block.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ def assemble_pencil(op: PauliSum, strings: Sequence[PauliString], state: Mps) ->
     """Build the effective pencil for a pool over a reference MPS.
 
     The identity is moved to the front of the pool, or prepended. Pool
-    strings are Hermitian, so N_ab = <P_a P_b> and H_ab = sum_t c_t
-    <P_a T_t P_b>; the k^2 (T + 1) product strings are deduplicated and
-    each distinct one is evaluated once.
+    strings are Hermitian, so N_ab = <P_a I P_b> and H_ab = sum_t c_t
+    <P_a T_t P_b>: one product tensor over T in [I] + op's strings, whose
+    k^2 (T + 1) strings are deduplicated and each evaluated once.
     """
     if state.n_sites != op.n_sites:
         raise DimensionMismatch(f"state has {state.n_sites} sites, operator has {op.n_sites}")
@@ -95,31 +96,21 @@ def assemble_pencil(op: PauliSum, strings: Sequence[PauliString], state: Mps) ->
     pool = (ident,) + tuple(s for s in strings if s != ident)
     for s in pool:
         if s.n_sites != op.n_sites:
-            raise DimensionMismatch(
-                f"pool string {s.label} has {s.n_sites} sites, operator has {op.n_sites}"
-            )
-    k = len(pool)
+            raise DimensionMismatch(f"pool string {s.label} has {s.n_sites} sites, operator has {op.n_sites}")
     p = pack_strings(pool, op.n_sites)
-    n_exp, n_codes = packed_product(p[:, None], p[None, :])
-    pt_exp, pt_codes = packed_product(p[:, None], op.rows[None, :])
-    ptp_exp, h_codes = packed_product(pt_codes[:, :, None], p[None, None, :])
-    words = p.shape[1]
-    unique, inverse = unique_rows(
-        np.concatenate([n_codes.reshape(-1, words), h_codes.reshape(-1, words)])
-    )
-    values = string_expectations(state, unique)[inverse]
-    n = _I_POWERS[n_exp] * values[: k * k].reshape(k, k)
-    h_entries = _I_POWERS[(pt_exp[:, :, None] + ptp_exp) % 4] * values[k * k :].reshape(
-        k, op.n_terms, k
-    )
-    h = np.tensordot(op.coeffs, h_entries, axes=(0, 1))
-    return EffectivePencil(h, n, pool, float(np.abs(op.coeffs).sum()))
+    terms = np.concatenate([np.zeros_like(p[:1]), op.rows])
+    pt_exp, pt_codes = packed_product(p[:, None], terms[None, :])
+    ptp_exp, codes = packed_product(pt_codes[:, :, None], p[None, None, :])
+    unique, inverse = unique_rows(codes.reshape(-1, p.shape[1]))
+    values = string_expectations(state, unique)[inverse].reshape(codes.shape[:-1])
+    entries = _I_POWERS[(pt_exp[:, :, None] + ptp_exp) % 4] * values
+    h = np.tensordot(op.coeffs, entries[:, 1:], axes=(0, 1))
+    return EffectivePencil(h, entries[:, 0].copy(), pool, float(np.abs(op.coeffs).sum()))
 
 
 def _whiten(pencil: EffectivePencil):
     h, n = pencil.h, pencil.n
-    herm_gap = np.linalg.norm(h - h.conj().T)
-    if herm_gap > HERMITIAN_TOL * pencil.coeff_norm * np.linalg.norm(n):
+    if np.linalg.norm(h - h.conj().T) > HERMITIAN_TOL * pencil.coeff_norm * np.linalg.norm(n):
         raise ValueError("effective Hamiltonian is not Hermitian")
     w, v = scipy.linalg.eigh(n)
     keep = w > NULL_TOL * max(w[-1], 0.0)
@@ -141,8 +132,7 @@ def solve_ritz_dense(pencil: EffectivePencil, n_roots: int = 1) -> RitzSolution:
     """
     a, basis = _whiten(pencil)
     vals, vecs = scipy.linalg.eigh(a)
-    k = min(n_roots, a.shape[0])
-    return RitzSolution(vals[:k], basis @ vecs[:, :k], n_kept=a.shape[0])
+    return RitzSolution(vals[:n_roots], basis @ vecs[:, :n_roots], n_kept=a.shape[0])
 
 
 def solve_ritz_lobpcg(
@@ -216,9 +206,10 @@ def energy_vs_samples_sweep(
     """Variational energy as the sampled pool grows.
 
     Pools are cumulative unions over the sample prefix, so the ansatz
-    space is nested and the energy column is non-increasing by
-    construction. The reference column is the dense ground energy;
-    a caller that already has it passes it as ``reference``.
+    space is nested, the energy column is non-increasing by construction,
+    and each pool's pencil is a leading block of the largest pool's, the
+    one pencil assembled. The reference column is the dense ground
+    energy; a caller that already has it passes it as ``reference``.
     """
     sizes = sorted(set(int(s) for s in sample_sizes))
     if not sizes or sizes[0] < 1:
@@ -227,15 +218,14 @@ def energy_vs_samples_sweep(
         reference = float(scipy.linalg.eigvalsh(to_dense(op))[0])
     samples = sample_strings(state, SamplerConfig(n_samples=sizes[-1], seed=seed))
     union: dict[PauliString, None] = {}
-    rows: list[SweepRow] = []
+    ends = []
     for n in sizes:
-        pool = curate(samples[:n], op.n_sites)
-        for s in pool.strings:
-            union.setdefault(s)
-        pencil = assemble_pencil(op, tuple(union), state)
-        sol = solve_ritz_dense(pencil)
-        rows.append(SweepRow(n, len(union), float(sol.energies[0]), reference))
-    return rows
+        union.update(dict.fromkeys(curate(samples[:n], op.n_sites).strings))
+        ends.append(len(union) + 1)  # the identity, then this prefix's pool
+    full = assemble_pencil(op, tuple(union), state)
+    blocks = (EffectivePencil(full.h[:e, :e], full.n[:e, :e], full.strings[:e], full.coeff_norm) for e in ends)
+    energies = [float(solve_ritz_dense(block).energies[0]) for block in blocks]
+    return [SweepRow(n, e - 1, energy, reference) for n, e, energy in zip(sizes, ends, energies)]
 
 
 def sweep_to_csv(rows: Sequence[SweepRow]) -> str:

@@ -30,6 +30,7 @@ from paulibridge.bridge import compile as compile_bridge
 from paulibridge.bridge import set_bridge, skeleton_hash
 from paulibridge.bridge import decomposition_from_json, decomposition_to_json
 from paulibridge.cli import main, non_negative_int, positive_int, tolerance
+from paulibridge.fermion import load_fermion_terms
 from paulibridge.lcu import program_from_json
 from paulibridge.mpo import mpo_from_json
 from paulibridge.mps import DEGENERACY_TOL, Mps, ground_state_reference, mps_from_json, mps_to_json
@@ -577,6 +578,42 @@ class TestExitCodes:
         rc, _, _ = run(["compile", "--input", str(paths["op"]), "--cut", "9",
                         "--output", str(tmp_path / "out.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command, flag, fmt", [
+        ("jw", "--input", "fermion"),
+        ("lcu", "--bridge", "bridge-v1"),
+        ("update", "--program", "lcu-v1"),
+        ("sample", "--state", "mps-v1"),
+        ("optimize", "--state", "mps-v1"),
+        ("verify", "--program", "lcu-v1"),
+    ])
+    def test_deeply_nested_json_is_data_error(self, pipeline, tmp_path, command, flag, fmt):
+        # too deep for json.loads, which raises RecursionError rather than a ValueError
+        paths, _ = pipeline
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        rest = {
+            "update": ["--bridge", paths["bridge"]],
+            "sample": ["--n-samples", "10", "--seed", "1"],
+            "optimize": ["--input", paths["op"], "--pool", paths["pool"]],
+            "verify": ["--input", paths["op"]],
+        }.get(command, [])
+        out = [] if command == "verify" else ["--output", tmp_path / "out"]
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        rc, stdout, err = run([command, flag, str(deep), *map(str, rest + out)])
+        assert (rc, stdout, err) == (2, "", f"error: {fmt}: JSON nested too deeply to parse\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("reader, fmt", [
+        (load_fermion_terms, "fermion"),
+        (decomposition_from_json, "bridge-v1"),
+        (program_from_json, "lcu-v1"),
+        (mps_from_json, "mps-v1"),
+        (mpo_from_json, "mpo-v1"),
+    ])
+    def test_every_json_reader_names_its_format_when_too_deep(self, reader, fmt):
+        with pytest.raises(ValueError, match=f"^{fmt}: JSON nested too deeply to parse$"):
+            reader("[" * 200_000)
 
     def test_bad_json_bridge(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from paulibridge import bridge, pauli
 from paulibridge.fermion import (
     FermionTerm,
     IndexOutOfRange,
@@ -54,6 +55,10 @@ class TestModeOperators:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             jordan_wigner_op("create", 2, 2)
+
+    def test_index_out_of_range_is_one_class(self):
+        # bridge and fermion re-export the class that pauli defines
+        assert IndexOutOfRange is bridge.IndexOutOfRange is pauli.IndexOutOfRange
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):

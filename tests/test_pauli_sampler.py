@@ -1,5 +1,6 @@
 """Sampler correctness: chain rule, distribution, determinism, curation."""
 
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -80,6 +81,22 @@ class TestChainRule:
         weights, _ = conditional_weights(m.tensors[0], env)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(weights >= 0)
+
+    def test_step_peaks_at_twice_its_output(self):
+        # the Paulis act on the bra, so the ket half is not copied per code, and
+        # the weights read the candidates in place rather than a conjugate copy
+        rng = np.random.default_rng(3)
+        chi, batch = 32, 256
+        tensor = rng.standard_normal((chi, chi, 2)) + 1j * rng.standard_normal((chi, chi, 2))
+        envs = rng.standard_normal((batch, chi, chi)) + 1j * rng.standard_normal((batch, chi, chi))
+        tracemalloc.start()
+        try:
+            _, cand = sampler_module._step(tensor, envs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cand.shape == (batch, 4, chi, chi)
+        assert peak <= 2 * cand.nbytes
 
 
 class TestSampling:

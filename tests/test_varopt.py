@@ -21,6 +21,7 @@ from paulibridge.pauli import (
     pauli_product,
     to_dense,
 )
+from paulibridge.sampler import SamplerConfig, curate, sample_strings
 from paulibridge.varopt import (
     ConvergenceFailure,
     assemble_pencil,
@@ -260,6 +261,25 @@ class TestSweep:
         for later, earlier in zip(rows[1:], rows[:-1]):
             assert later.energy <= earlier.energy + 1e-12
             assert later.pool_size >= earlier.pool_size
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 12),
+           st.lists(st.integers(1, 64), min_size=1, max_size=4))
+    def test_rows_match_per_prefix_pencils(self, seed, n_sites, n_terms, sizes):
+        # the oracle: each prefix pool's pencil assembled and solved on its own
+        rng = np.random.default_rng(seed)
+        op = hermitian_sum(rng, n_sites, n_terms)
+        max_bond = int(rng.integers(1, 2 ** (n_sites // 2) + 1))
+        state = canonicalize_mps(dense_to_mps(random_state(rng, n_sites), max_bond=max_bond))
+        rows = energy_vs_samples_sweep(op, state, sizes, seed=seed)
+        samples = sample_strings(state, SamplerConfig(n_samples=max(sizes), seed=seed))
+        union = {}
+        assert [r.n_samples for r in rows] == sorted(set(sizes))
+        for row in rows:
+            union.update(dict.fromkeys(curate(samples[: row.n_samples], n_sites).strings))
+            expected = solve_ritz_dense(assemble_pencil(op, tuple(union), state)).energies[0]
+            assert row.pool_size == len(union)
+            assert row.energy == pytest.approx(expected, abs=1e-12)
 
     def test_sweep_deterministic(self, h2_subset):
         res = ground_state_reference(h2_subset, max_bond=1)
