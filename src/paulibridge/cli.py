@@ -226,7 +226,7 @@ def cmd_optimize(args) -> int:
         raise ValueError(f"pool has {pool.n_sites} sites, operator has {op.n_sites}")
     pencil = assemble_pencil(op, pool.strings, state)
     sol = solve_ritz_dense(pencil, n_roots=args.n_roots)
-    reference = float(scipy.linalg.eigvalsh(to_dense(op))[0])
+    reference = float(scipy.linalg.eigvalsh(to_dense(op), subset_by_index=[0, 0])[0])
     doc = {
         "format": "optimize-v1",
         "solver": "dense",

@@ -181,7 +181,7 @@ def dense_to_mps(
     vec = np.asarray(state, dtype=np.complex128).ravel()
     n = vec.size.bit_length() - 1
     if vec.size != 2**n or n < 1:
-        raise ValueError(f"state length {vec.size} is not a power of two")
+        raise ValueError(f"state length {vec.size} is not 2**n for n >= 1 sites")
     if np.linalg.norm(vec) == 0:
         raise ValueError("cannot factor the zero state")
     tensors: list[np.ndarray] = []
@@ -288,12 +288,14 @@ class GroundStateResult:
 def ground_state_reference(op: PauliSum, max_bond: int | None = None) -> GroundStateResult:
     """Dense lowest eigenpair, returned as a right-canonical MPS.
 
-    With ``max_bond`` the MPS is truncated and renormalized; ``discarded``
-    is the total squared weight its SVDs dropped. The global phase is
-    fixed by making the largest-magnitude component real and positive, so
-    repeated runs agree bit for bit. Warns when the spectral gap falls
-    below DEGENERACY_TOL, in which case the chosen eigenvector is a
-    basis-dependent representative.
+    LAPACK computes the lowest two eigenpairs only; the second gives the
+    gap. With ``max_bond`` the MPS is
+    truncated and renormalized; ``discarded`` is the total squared weight
+    its SVDs dropped. The global phase is fixed by making the
+    largest-magnitude component real and positive, so repeated runs agree
+    bit for bit. Warns when the spectral gap falls below DEGENERACY_TOL,
+    in which case the chosen eigenvector is a basis-dependent
+    representative.
     """
     dense = to_dense(op)
     # ||H - H^dag||_F <= 1e-10 max(||H||_F, 1) from the coefficients: the strings
@@ -301,7 +303,7 @@ def ground_state_reference(op: PauliSum, max_bond: int | None = None) -> GroundS
     norm = 2.0 ** (op.n_sites / 2)
     if 2 * norm * np.linalg.norm(op.coeffs.imag) > 1e-10 * max(norm * np.linalg.norm(op.coeffs), 1.0):
         raise ValueError("operator is not Hermitian")
-    vals, vecs = scipy.linalg.eigh(dense)
+    vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, min(1, len(dense) - 1)])
     energy = float(vals[0])
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else np.inf
     if gap < DEGENERACY_TOL:

@@ -594,9 +594,11 @@ def malformed(fmt: str, where: str, problem: str) -> ValueError:
 
 
 def json_load(text: str, fmt: str):
-    """``json.loads``, with text nested too deeply to parse refused as a ValueError naming ``fmt``."""
+    """``json.loads``, with text that is not JSON or too deeply nested refused as a ValueError naming ``fmt``."""
     try:
         return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{fmt}: not JSON: {exc}") from None
     except RecursionError:
         raise ValueError(f"{fmt}: JSON nested too deeply to parse") from None
 

@@ -215,7 +215,7 @@ def energy_vs_samples_sweep(
     if not sizes or sizes[0] < 1:
         raise ValueError("sample sizes must be positive")
     if reference is None:
-        reference = float(scipy.linalg.eigvalsh(to_dense(op))[0])
+        reference = float(scipy.linalg.eigvalsh(to_dense(op), subset_by_index=[0, 0])[0])
     samples = sample_strings(state, SamplerConfig(n_samples=sizes[-1], seed=seed))
     union: dict[PauliString, None] = {}
     ends = []

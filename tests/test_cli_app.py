@@ -173,6 +173,8 @@ class TestPipelineArtifacts:
         assert doc["energies"][0] == pytest.approx(
             doc["reference_energy"], abs=1e-9
         )
+        op = parse_pauli_sum(paths["op"].read_text())
+        assert doc["reference_energy"] == pytest.approx(scipy.linalg.eigvalsh(to_dense(op))[0], abs=1e-12)
 
     def test_lcu_program(self, pipeline):
         paths, stdout = pipeline
@@ -484,6 +486,15 @@ class TestDeterminism:
         assert not np.array_equal(sa, sb)
 
 
+JSON_READERS = [
+    (load_fermion_terms, "fermion"),
+    (decomposition_from_json, "bridge-v1"),
+    (program_from_json, "lcu-v1"),
+    (mps_from_json, "mps-v1"),
+    (mpo_from_json, "mpo-v1"),
+]
+
+
 class TestExitCodes:
     def test_no_subcommand_is_usage_error(self):
         rc, _, _ = run([])
@@ -604,23 +615,32 @@ class TestExitCodes:
         assert (rc, stdout, err) == (2, "", f"error: {fmt}: JSON nested too deeply to parse\n")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    @pytest.mark.parametrize("reader, fmt", [
-        (load_fermion_terms, "fermion"),
-        (decomposition_from_json, "bridge-v1"),
-        (program_from_json, "lcu-v1"),
-        (mps_from_json, "mps-v1"),
-        (mpo_from_json, "mpo-v1"),
-    ])
+    @pytest.mark.parametrize("reader, fmt", JSON_READERS)
     def test_every_json_reader_names_its_format_when_too_deep(self, reader, fmt):
         with pytest.raises(ValueError, match=f"^{fmt}: JSON nested too deeply to parse$"):
             reader("[" * 200_000)
 
+    @pytest.mark.parametrize("reader, fmt", JSON_READERS)
+    def test_every_json_reader_names_its_format_when_not_json(self, reader, fmt):
+        with pytest.raises(ValueError, match=f"^{fmt}: not JSON: Expecting property name"):
+            reader("{not json")
+
     def test_bad_json_bridge(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        rc, _, _ = run(["lcu", "--bridge", str(bad),
-                        "--output", str(tmp_path / "out.json")])
-        assert rc == 2
+        rc, stdout, err = run(["lcu", "--bridge", str(bad),
+                               "--output", str(tmp_path / "out.json")])
+        assert (rc, stdout) == (2, "")
+        assert err.startswith("error: bridge-v1: not JSON: ")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_bad_json_jw_input(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        rc, stdout, err = run(["jw", "--input", str(bad), "--output", str(tmp_path / "out.pauli")])
+        assert (rc, stdout) == (2, "")
+        assert err.startswith("error: fermion: not JSON: ")
+        assert not (tmp_path / "out.pauli").exists()
 
     @pytest.mark.parametrize("command", ["lcu", "update"])
     @pytest.mark.parametrize("field, mutate", BRIDGE_MUTATIONS)

@@ -6,9 +6,10 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from paulibridge.mps import (
+    DEGENERACY_TOL,
     DegenerateGroundState,
     Mps,
     canonicalize,
@@ -27,13 +28,14 @@ from paulibridge import mps as mps_module
 from paulibridge.pauli import (
     PAULI_MATRICES,
     PauliString,
+    PauliSum,
     apply_string,
     pack_strings,
     parse_pauli_sum,
     to_dense,
 )
 
-from conftest import random_state
+from conftest import FIXTURES, random_pauli_sum, random_state
 
 
 def random_mps(rng, n_sites, max_bond):
@@ -206,16 +208,35 @@ class TestContractions:
 
 
 class TestGroundState:
-    def test_h2_reference(self, h2_subset):
-        res = ground_state_reference(h2_subset)
-        vals = scipy.linalg.eigh(to_dense(h2_subset), eigvals_only=True)
-        assert res.energy == pytest.approx(vals[0], abs=1e-12)
-        assert res.gap == pytest.approx(vals[1] - vals[0], abs=1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(
+        lambda seed, n, n_terms: random_pauli_sum(np.random.default_rng(seed), n, n_terms),
+        st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 12),
+    ))
+    @example(parse_pauli_sum((FIXTURES / "h2_subset.pauli").read_text()))
+    def test_lowest_two_eigenpairs_match_the_full_solve(self, op):
+        # the oracle: every eigenvalue from the full solve
+        dense = to_dense(op)
+        vals = scipy.linalg.eigh(dense, eigvals_only=True)
+        tol = 1e-12 * max(np.abs(op.coeffs).sum(), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateGroundState)
+            res = ground_state_reference(op)
+        assert abs(res.energy - vals[0]) <= tol
+        assert abs(res.gap - (vals[1] - vals[0])) <= tol
         psi = mps_to_dense(res.mps)
-        assert abs(np.vdot(psi, to_dense(h2_subset) @ psi) - vals[0]) <= 1e-12
+        assert abs(np.vdot(psi, dense @ psi) - res.energy) <= tol
+        if res.gap > DEGENERACY_TOL:
+            assert np.linalg.norm(dense @ psi - res.energy * psi) <= 1e-10
         assert res.discarded == 0
         for t in res.mps.tensors:
             assert is_right_canonical_site(t)
+
+    def test_one_row_operator_is_refused_by_the_factorization(self):
+        # zero sites: LAPACK is asked for the one eigenpair of the 1 x 1 matrix,
+        # and the factorization, not LAPACK, refuses the one-entry state
+        with pytest.raises(ValueError, match="^state length 1 is not 2\\*\\*n for n >= 1 sites$"):
+            ground_state_reference(PauliSum(0, []))
 
     def test_energy_is_rayleigh_quotient(self, h2_subset):
         res = ground_state_reference(h2_subset)

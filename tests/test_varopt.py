@@ -275,7 +275,9 @@ class TestSweep:
         samples = sample_strings(state, SamplerConfig(n_samples=max(sizes), seed=seed))
         union = {}
         assert [r.n_samples for r in rows] == sorted(set(sizes))
+        exact = scipy.linalg.eigvalsh(to_dense(op))[0]  # the full spectrum, against the fallback's one eigenvalue
         for row in rows:
+            assert abs(row.reference_energy - exact) <= 1e-12 * max(np.abs(op.coeffs).sum(), 1.0)
             union.update(dict.fromkeys(curate(samples[: row.n_samples], n_sites).strings))
             expected = solve_ritz_dense(assemble_pencil(op, tuple(union), state)).energies[0]
             assert row.pool_size == len(union)
