@@ -5,6 +5,8 @@ suffixes. At each site the carried matrix is regrouped into the cut matrix
 (rows: occurring (incoming bond, site symbol) pairs; columns: remaining
 suffixes), factored by column-pivoted QR, and the kept columns of Q, the
 only ones formed, become the site tensor while ``R P^T`` is carried on.
+The sweep runs in float64 when every coefficient is real, as a Hermitian
+sum's are, and in complex128 otherwise; the site tensors are complex128.
 Bond dimensions are numerical ranks: for the ``m x k`` cut matrix at site
 ``s`` a pivot counts when ``|R_jj| > max(rank_tol, eps * max(m, k) * (s + 1))
 * |R_00|``, numpy's ``matrix_rank`` threshold at site 0 and ``rank_tol = 0``;
@@ -18,7 +20,8 @@ bonds.
 MPO tensors are indexed ``W[left_bond, right_bond, s_out, s_in]``. The
 gauge sweep, compression, isometry checks and JSON codec are the shared
 tensor-chain ones of ``paulibridge.mps``; ``mpo_error`` checks an MPO
-against a Pauli sum on their Pauli coefficients.
+against a Pauli sum on their Pauli coefficients, in float64 when all of
+them are real.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class CutMatrix:
 
     ``row_keys[j] = (incoming bond, symbol code)`` for the occurring pairs,
     sorted; ``col_labels`` are the remaining right suffixes, sorted, with
-    ``""`` at the final site.
+    ``""`` at the final site. ``matrix`` is float64 for a real sum.
     """
 
     site: int
@@ -118,7 +121,8 @@ def build_mpo_qr(
         for k in range(n - 1, 0, -1):
             sym, rest = np.divmod(keys[k], n_rests[k])
             rest_labels.insert(0, tuple(SYMBOLS[p] + rest_labels[0][r] for p, r in zip(sym, rest)))
-    carried = op.coeffs[None]
+    # a Hermitian sum's coefficients are real: the sweep then runs in float64
+    carried = (op.coeffs if op.coeffs.imag.any() else op.coeffs.real)[None]
     tensors: list[np.ndarray] = []
     for site in range(n):
         chi = carried.shape[0]
@@ -126,7 +130,7 @@ def build_mpo_qr(
         # one scatter, as the columns are distinct; += stores -0.0 as 0.0.
         # take() returns C order (raw[:, bond, code] would not): gamma is F-ordered, factored in place
         sym, rest = np.divmod(keys[site], n_rests[site])
-        raw = np.zeros((n_rests[site], chi, 4), dtype=np.complex128)
+        raw = np.zeros((n_rests[site], chi, 4), dtype=carried.dtype)
         raw[rest, :, sym] += carried.T
         bond, code = np.nonzero(np.any(raw != 0, axis=0))
         gamma = raw.reshape(n_rests[site], 4 * chi).take(4 * bond + code, axis=1).T
@@ -142,19 +146,21 @@ def build_mpo_qr(
             floor = max(rank_tol, np.finfo(np.float64).eps * max(gamma.shape) * (site + 1))
             rank = int(np.count_nonzero(diag > floor * diag[0]))
             kept, tau = qr[:, : max(rank, 1)], tau[: max(rank, 1)]  # rank 0 is refused below
-            lwork = int(scipy.linalg.lapack.zungqr(kept, tau, lwork=-1)[1][0].real)
-            q = scipy.linalg.lapack.zungqr(kept, tau, lwork=lwork, overwrite_a=True)[0]
+            (orgqr,) = scipy.linalg.get_lapack_funcs(("orgqr",), (kept,))  # dorgqr or zungqr
+            lwork = int(orgqr(kept, tau, lwork=-1)[1][0].real)
+            q = orgqr(kept, tau, lwork=lwork, overwrite_a=True)[0]
             if not (np.isfinite(q).all() and np.isfinite(r).all()):
                 raise ValueError(f"cut matrix at site {site} overflows in the QR")
             if rank == 0:
                 raise EmptyOperator(f"cut matrix at site {site} vanished")
-            carried = np.zeros((rank, n_rests[site]), dtype=np.complex128)
+            carried = np.zeros((rank, n_rests[site]), dtype=raw.dtype)
             carried[:, piv] = r[:rank, :]
-        # one add per row and entry, in row order, so each bond takes its
-        # symbols in ascending order; flat indices take add.at's 1-D fast path
-        w, block = np.zeros((chi, rank, 2, 2), dtype=np.complex128), 4 * rank
-        terms = q[:, :rank, None, None] * PAULI_MATRICES[code, None]
-        np.add.at(w.reshape(-1), (bond[:, None] * block + np.arange(block)).ravel(), terms.ravel())
+        # W[l, r] = sum_c q[(l, c), r] sigma_c: one scatter of the distinct rows,
+        # one product with the Paulis; += stores -0.0 as 0.0
+        coef = np.zeros((chi, rank, 4), dtype=q.dtype)
+        coef[bond, :, code] = q[:, :rank]
+        w = (coef.reshape(-1, 4) @ PAULI_MATRICES.reshape(4, 4)).reshape(chi, rank, 2, 2)
+        w += 0.0
         tensors.append(w)
     return Mpo(tensors)
 
@@ -191,14 +197,17 @@ def mpo_error(m: Mpo, op: PauliSum) -> float:
     # hats[k][l, p, r] = sum_st W[l, r, s, t] conj(sigma_p[s, t]) / 2
     proj = PAULI_MATRICES.reshape(4, 4).conj().T / 2
     hats = [(w.reshape(-1, 4) @ proj).reshape(*w.shape[:2], 4).transpose(0, 2, 1) for w in m.tensors]
+    coeffs = op.coeffs
+    if not (coeffs.imag.any() or any(h.imag.any() for h in hats)):  # real halves join in half the memory
+        hats, coeffs = [h.real for h in hats], coeffs.real
     left, right = np.ones((1, 1)), np.ones((1, 1))  # (prefix, bond) and (bond, suffix)
     for h in hats[: n // 2]:
         left = (left @ h.reshape(h.shape[0], -1)).reshape(-1, h.shape[2])
     for h in reversed(hats[n // 2 :]):
         right = (h.reshape(-1, h.shape[2]) @ right).reshape(h.shape[0], -1)
     c = (left @ right).reshape(-1)  # base-4 index, site 0 most significant
-    c[site_codes(op.rows, n, np.arange(n)) @ 4 ** np.arange(n - 1, -1, -1)] -= op.coeffs
-    return float(np.linalg.norm(c) / np.linalg.norm(op.coeffs))
+    c[site_codes(op.rows, n, np.arange(n)) @ 4 ** np.arange(n - 1, -1, -1)] -= coeffs
+    return float(np.linalg.norm(c) / np.linalg.norm(coeffs))
 
 
 def mpo_to_json(m: Mpo) -> str:

@@ -303,9 +303,9 @@ def ground_state_reference(op: PauliSum, max_bond: int | None = None) -> GroundS
     norm = 2.0 ** (op.n_sites / 2)
     if 2 * norm * np.linalg.norm(op.coeffs.imag) > 1e-10 * max(norm * np.linalg.norm(op.coeffs), 1.0):
         raise ValueError("operator is not Hermitian")
-    vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, min(1, len(dense) - 1)])
+    vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, 1])  # a sum has at least one site
     energy = float(vals[0])
-    gap = float(vals[1] - vals[0]) if len(vals) > 1 else np.inf
+    gap = float(vals[1] - vals[0])
     if gap < DEGENERACY_TOL:
         warnings.warn(
             f"spectral gap {gap:.3e} below {DEGENERACY_TOL:.3e}",

@@ -222,6 +222,8 @@ class PauliSum:
     __slots__ = ("n_sites", "_terms", "_rows", "_coeffs")
 
     def __init__(self, n_sites: int, terms: Iterable[PauliTerm | tuple[complex, PauliString]]):
+        if n_sites < 1:
+            raise PauliError(f"need at least one site, got {n_sites}")
         merged: dict[PauliString, complex] = {}
         for item in terms:
             coeff, string = (item.coeff, item.string) if isinstance(item, PauliTerm) else item

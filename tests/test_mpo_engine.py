@@ -1,7 +1,9 @@
 """MPO construction, canonical forms, compression, bridge truncation."""
 
+import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,6 +312,33 @@ class TestBuild:
         assert m.bond_dims == [1, 4, 5, 3, 1]
         assert rel_err(mpo_to_dense(m), to_dense(h2_subset)) < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 30))
+    def test_real_and_complex_sweeps_agree(self, seed, n_sites, n_terms):
+        # a real sum runs the sweep in float64; times 1j it takes the complex128 route
+        op = random_pauli_sum(np.random.default_rng(seed), n_sites, n_terms)
+        rotated = PauliSum.from_rows(n_sites, op.rows, 1j * op.coeffs)
+        real_cuts, complex_cuts = [], []
+        m = build_mpo_qr(op, cut_log=real_cuts)
+        mi = build_mpo_qr(rotated, cut_log=complex_cuts)
+        assert {c.matrix.dtype for c in real_cuts} == {np.dtype(np.float64)}
+        assert {c.matrix.dtype for c in complex_cuts} == {np.dtype(np.complex128)}
+        assert m.bond_dims == mi.bond_dims
+        np.testing.assert_allclose(mpo_to_dense(m), to_dense(op), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mpo_to_dense(mi), to_dense(rotated), rtol=0, atol=1e-12)
+
+    def test_complex_sums_write_pinned_bytes(self):
+        # the bytes np.add.at assembled the site tensors into: one scatter and one
+        # product with the Paulis must write them too, as every product is exact
+        digest = hashlib.sha256()
+        for seed in range(24):
+            rng = np.random.default_rng([29, seed])
+            op = random_pauli_sum(rng, 1 + seed % 8, 1 + 5 * seed, complex_coeffs=True)
+            digest.update(mpo_to_json(build_mpo_qr(op)).encode())
+            if seed % 4 == 0:  # rank-deficient cuts keep fewer columns of Q than pivots
+                digest.update(mpo_to_json(build_mpo_qr(low_rank_operator(rng, 2 + seed % 5, 2))).encode())
+        assert digest.hexdigest() == "f8c74819a3b94c56627ad061ae7bc4ab65fc8dadf33e3ada5eddd581d335821a"
+
 
 class TestMpoError:
     @settings(max_examples=60, deadline=None)
@@ -332,11 +361,13 @@ class TestMpoError:
         op = random_pauli_sum(np.random.default_rng(seed), n_sites, n_terms)
         m = build_mpo_qr(op)
         site = data.draw(st.integers(0, n_sites - 1))
-        m.tensors[site] = m.tensors[site] * (1 + 1e-6)
+        # an imaginary tamper makes the projections complex: the check leaves the real route
+        tamper = data.draw(st.sampled_from([1e-6, 1e-6j]))
+        m.tensors[site] = m.tensors[site] * (1 + tamper)
         err = mpo_error(m, op)
         # both routes carry the exact MPO's roundoff, about 1e-16, beside the 1e-6
         np.testing.assert_allclose(err, dense_mpo_error(m, op), rtol=1e-10, atol=1e-15)
-        assert abs(err - 1e-6) <= 1e-12  # the whole operator scales by 1 + 1e-6
+        assert abs(err - 1e-6) <= 1e-12  # the whole operator scales by 1 + tamper
 
     def test_ten_site_jordan_wigner_operator(self):
         rng = np.random.default_rng(5)
@@ -358,6 +389,19 @@ class TestMpoError:
         m.tensors[2] = m.tensors[2] + 1e-3 * m.tensors[2][::-1, ::-1]
         np.testing.assert_allclose(mpo_error(m, h2_subset), dense_mpo_error(m, h2_subset), rtol=1e-10)
         assert mpo_error(m, h2_subset) > 1e-5
+
+    def test_twelve_site_real_chain_joins_real_halves(self):
+        # 4^12 float64 coefficients are 128 MiB; complex halves would join into 256 MiB
+        op = chain_operator(np.random.default_rng(12), 12)
+        m = build_mpo_qr(op)
+        tracemalloc.start()
+        try:
+            err = mpo_error(m, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err <= 1e-12
+        assert peak < 160 * 2**20
 
     def test_thirteen_sites_too_large(self):
         op = PauliSum(13, [(1.0, PauliString.from_label("Z" * 13))])

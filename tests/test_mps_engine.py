@@ -232,12 +232,6 @@ class TestGroundState:
         for t in res.mps.tensors:
             assert is_right_canonical_site(t)
 
-    def test_one_row_operator_is_refused_by_the_factorization(self):
-        # zero sites: LAPACK is asked for the one eigenpair of the 1 x 1 matrix,
-        # and the factorization, not LAPACK, refuses the one-entry state
-        with pytest.raises(ValueError, match="^state length 1 is not 2\\*\\*n for n >= 1 sites$"):
-            ground_state_reference(PauliSum(0, []))
-
     def test_energy_is_rayleigh_quotient(self, h2_subset):
         res = ground_state_reference(h2_subset)
         dense = to_dense(h2_subset)

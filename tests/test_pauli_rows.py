@@ -98,6 +98,13 @@ class TestConstructors:
         op = PauliSum.from_rows(1, np.array([[1], [1]], dtype=np.uint64), [1e308, 1e308])
         assert op.coeffs.tolist() == [complex(math.inf, 0.0)]
 
+    def test_term_list_needs_at_least_one_site(self):
+        # as from_rows and PauliString refuse it: with no site, serialize_pauli_sum
+        # fails inside numpy and to_dense returns a 1 x 1 matrix
+        for n_sites in (0, -1):
+            with pytest.raises(PauliError, match=f"^need at least one site, got {n_sites}$"):
+                PauliSum(n_sites, [])
+
     @pytest.mark.parametrize("n_sites, rows, coeffs, message", [
         (2, np.zeros((2, 1), dtype=np.uint64), [1.0], "do not fit 2 sites"),
         (33, np.zeros((1, 1), dtype=np.uint64), [1.0], "do not fit 33 sites"),
