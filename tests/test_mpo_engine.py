@@ -1,6 +1,5 @@
 """MPO construction, canonical forms, compression, bridge truncation."""
 
-import hashlib
 import json
 import re
 import tracemalloc
@@ -327,17 +326,44 @@ class TestBuild:
         np.testing.assert_allclose(mpo_to_dense(m), to_dense(op), rtol=0, atol=1e-12)
         np.testing.assert_allclose(mpo_to_dense(mi), to_dense(rotated), rtol=0, atol=1e-12)
 
-    def test_complex_sums_write_pinned_bytes(self):
-        # the bytes np.add.at assembled the site tensors into: one scatter and one
-        # product with the Paulis must write them too, as every product is exact
-        digest = hashlib.sha256()
+    def test_complex_sums_write_the_add_at_bytes(self, monkeypatch):
+        # one scatter and one product with the Paulis must write the bytes np.add.at
+        # assembles from the same Q, as every product is exact. Q is taken from the
+        # build itself: the QR's bytes depend on the BLAS thread count, so a digest
+        # pinned across machines would not hold
+        formed, lapack_funcs = [], scipy.linalg.get_lapack_funcs
+
+        def recording(names, arrays):
+            (orgqr,) = lapack_funcs(names, arrays)
+
+            def run(a, tau, lwork, overwrite_a=False):
+                out = orgqr(a, tau, lwork=lwork, overwrite_a=overwrite_a)
+                if lwork != -1:
+                    formed.append(out[0].copy())
+                return out
+
+            return (run,)
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", recording)
+        ops = []
         for seed in range(24):
             rng = np.random.default_rng([29, seed])
-            op = random_pauli_sum(rng, 1 + seed % 8, 1 + 5 * seed, complex_coeffs=True)
-            digest.update(mpo_to_json(build_mpo_qr(op)).encode())
+            ops.append(random_pauli_sum(rng, 1 + seed % 8, 1 + 5 * seed, complex_coeffs=True))
             if seed % 4 == 0:  # rank-deficient cuts keep fewer columns of Q than pivots
-                digest.update(mpo_to_json(build_mpo_qr(low_rank_operator(rng, 2 + seed % 5, 2))).encode())
-        assert digest.hexdigest() == "f8c74819a3b94c56627ad061ae7bc4ab65fc8dadf33e3ada5eddd581d335821a"
+                ops.append(low_rank_operator(rng, 2 + seed % 5, 2))
+        for op in ops:
+            cuts, formed[:] = [], []
+            m = build_mpo_qr(op, cut_log=cuts)
+            assert len(formed) == op.n_sites - 1
+            for cut, q, w in zip(cuts, formed + [cuts[-1].matrix], m.tensors):
+                assert q.dtype == np.complex128
+                bond, code = np.array(cut.row_keys).T
+                chi, rank = w.shape[:2]
+                # one add per row and entry, in row order, so each bond takes its symbols in ascending order
+                ref, block = np.zeros((chi, rank, 2, 2), dtype=np.complex128), 4 * rank
+                terms = q[:, :rank, None, None] * PAULI_MATRICES[code, None]
+                np.add.at(ref.reshape(-1), (bond[:, None] * block + np.arange(block)).ravel(), terms.ravel())
+                assert w.tobytes() == ref.tobytes()
 
 
 class TestMpoError:
