@@ -24,7 +24,7 @@ from paulibridge.lcu import (
 )
 from paulibridge.mpo import build_mpo_qr, mpo_error, mpo_to_json
 from paulibridge.mps import ground_state_reference, mps_to_json
-from paulibridge.pauli import PauliSum, parse_pauli_sum
+from paulibridge.pauli import PauliSum, diagonal_rows, parse_pauli_sum
 from paulibridge.sampler import (
     SamplerConfig,
     curate,
@@ -77,9 +77,10 @@ def main() -> int:
     )
     pool = curate(samples, op.n_sites)
     (args.out / "pool.txt").write_text(pool_to_text(pool))
+    n_diagonal = int(diagonal_rows(pool.strings).sum())
     print(
         f"sampled {args.n_samples} strings (seed {args.seed}): pool has "
-        f"{len(pool.xy)} off-diagonal + {len(pool.iz)} diagonal entries"
+        f"{len(pool.strings) - n_diagonal} off-diagonal + {n_diagonal} diagonal entries"
     )
 
     pencil = assemble_pencil(op, pool.strings, res.mps)

@@ -59,7 +59,7 @@ from paulibridge.mps import (
     mps_from_json,
     mps_to_json,
 )
-from paulibridge.pauli import json_text, parse_pauli_sum, serialize_pauli_sum, to_dense
+from paulibridge.pauli import diagonal_rows, json_text, parse_pauli_sum, serialize_pauli_sum, to_dense
 from paulibridge.sampler import (
     SamplerConfig,
     curate,
@@ -212,8 +212,9 @@ def cmd_curate(args) -> int:
     samples, n_sites = samples_from_text(_read(args, "samples"))
     pool = curate(samples, n_sites, keep_iz=args.keep_iz)
     outputs = {"output": pool_to_text(pool)}
-    print(f"offdiagonal {len(pool.xy)}")
-    print(f"diagonal {len(pool.iz)}")
+    n_diagonal = int(diagonal_rows(pool.strings).sum())
+    print(f"offdiagonal {len(pool.strings) - n_diagonal}")
+    print(f"diagonal {n_diagonal}")
     _write(args, outputs, {"keep_iz": args.keep_iz})
     return 0
 

@@ -54,6 +54,7 @@ __all__ = [
     "PAULI_MATRICES",
     "apply_string",
     "dense_string",
+    "diagonal_rows",
     "json_document",
     "json_columns",
     "json_field",
@@ -69,6 +70,7 @@ __all__ = [
     "packed_product",
     "parse_pauli_sum",
     "pauli_product",
+    "rows_fit",
     "serialize_pauli_sum",
     "site_codes",
     "to_dense",
@@ -173,10 +175,6 @@ class PauliString:
     def from_codes(cls, codes: Iterable[int]) -> "PauliString":
         return cls.from_label("".join(SYMBOLS[code] for code in codes))
 
-    @classmethod
-    def identity(cls, n_sites: int) -> "PauliString":
-        return cls(n_sites, 0)
-
     @property
     def codes(self) -> tuple[int, ...]:
         return tuple((self.bits >> (2 * (self.n_sites - 1 - j))) & 3 for j in range(self.n_sites))
@@ -189,15 +187,6 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.label
-
-    @property
-    def is_identity(self) -> bool:
-        return self.bits == 0
-
-    @property
-    def is_diagonal(self) -> bool:
-        """True when every site is I or Z."""
-        return ((self.bits ^ (self.bits >> 1)) & _mask01(self.n_sites)) == 0
 
 
 @dataclass(frozen=True)
@@ -238,8 +227,7 @@ class PauliSum:
     def from_rows(cls, n_sites: int, rows: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
         """Merge pack_strings ``rows`` weighted by ``coeffs`` under the one rule."""
         rows, coeffs = np.ascontiguousarray(rows, dtype=np.uint64), np.asarray(coeffs, dtype=np.complex128)
-        if (n_sites < 1 or coeffs.ndim != 1 or rows.shape != (len(coeffs), n_words(n_sites))
-                or np.any(rows[:, 0] >> np.uint64(2 * (n_sites - 32 * (rows.shape[1] - 1))))):  # past the sites
+        if not rows_fit(rows, n_sites) or coeffs.ndim != 1 or len(rows) != len(coeffs):
             raise PauliError(f"rows {rows.shape} and coeffs {coeffs.shape} do not fit {n_sites} sites")
         _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
         group = np.argsort(np.argsort(first))[inverse]  # numbered in first-occurrence order
@@ -354,6 +342,17 @@ def unpack_strings(rows: np.ndarray, n_sites: int) -> list[PauliString]:
     for column in rows.T.tolist():
         bits = [(b << 64) | word for b, word in zip(bits, column)]
     return [PauliString(n_sites, b) for b in bits]
+
+
+def rows_fit(rows: np.ndarray, n_sites: int) -> bool:
+    """Whether ``rows`` are uint64 pack_strings rows of ``n_sites`` sites, no bit set past the sites."""
+    return (n_sites >= 1 and rows.dtype == np.uint64 and rows.ndim == 2 and rows.shape[1] == n_words(n_sites)
+            and not np.any(rows[:, 0] >> np.uint64(2 * (n_sites - 32 * (rows.shape[1] - 1)))))
+
+
+def diagonal_rows(rows: np.ndarray) -> np.ndarray:
+    """Which pack_strings rows are diagonal, I or Z on every site: no X or Y, whose two bits differ."""
+    return ~((rows ^ (rows >> np.uint64(1))) & np.uint64(_WORD_MASK01)).any(axis=1)
 
 
 def site_codes(packed: np.ndarray, n_sites: int, sites) -> np.ndarray:
@@ -516,7 +515,7 @@ def _pack_codes(codes: np.ndarray) -> np.ndarray:
     count, n = codes.shape
     padded = np.zeros((count, 32 * n_words(n)), dtype=np.uint64)
     padded[:, padded.shape[1] - n :] = codes  # the first word holds the leftover sites
-    return (padded.reshape(count, -1, 32) << _WORD_SHIFTS).sum(axis=2, dtype=np.uint64)
+    return (padded.reshape(count, n_words(n), 32) << _WORD_SHIFTS).sum(axis=2, dtype=np.uint64)
 
 
 def _row_labels(rows: np.ndarray, n_sites: int) -> np.ndarray:

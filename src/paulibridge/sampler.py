@@ -14,14 +14,15 @@ them per site reproduces the joint distribution with no rejection step.
 
 Each sample consumes an independent Philox stream keyed by
 ``(seed, sample_index)``, so sample i is the same regardless of batch
-size or chunking. Samples are ``pauli.pack_strings`` rows, so any site
-count fits and the layout is pauli's alone.
+size or chunking. Samples are ``pauli.pack_strings`` rows, and so are
+the curated pools, from the draw to the Ritz pencil: any site count fits
+and the layout is pauli's alone.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +31,13 @@ from paulibridge.mps import Mps, _transfer, is_right_canonical_site
 from paulibridge.pauli import (
     SYMBOLS,
     PauliError,
-    PauliString,
+    _BYTE_CODES,
+    _pack_codes,
+    _row_labels,
+    diagonal_rows,
     n_words,
-    pack_strings,
+    rows_fit,
     unique_rows,
-    unpack_strings,
 )
 
 __all__ = [
@@ -102,8 +105,8 @@ def sample_strings(m: Mps, config: SamplerConfig) -> np.ndarray:
                 "canonicalize first"
             )
     # site_rows[j, c]: the row of symbol c alone on site j; a sample ORs one per site
-    labels = ("I" * j + c + "I" * (n - 1 - j) for j in range(n) for c in SYMBOLS)
-    site_rows = pack_strings(map(PauliString.from_label, labels), n).reshape(n, 4, -1)
+    codes = np.eye(n, dtype=np.uint8)[:, None, :] * np.arange(4, dtype=np.uint8)[:, None]
+    site_rows = _pack_codes(codes.reshape(4 * n, n)).reshape(n, 4, -1)
     out = np.empty((config.n_samples, n_words(n)), dtype=np.uint64)
     for start in range(0, config.n_samples, mps.CHUNK_STRINGS):
         stop = min(start + mps.CHUNK_STRINGS, config.n_samples)
@@ -134,28 +137,18 @@ def _sample_chunk(m: Mps, site_rows: np.ndarray, seed: int, start: int, batch: i
 
 @dataclass
 class SampledPool:
-    """Curated operator pool split into off-diagonal and diagonal parts.
-
-    ``xy`` holds every distinct off-diagonal string seen; ``iz`` holds
-    the most frequent diagonal strings (identity excluded), capped at
-    the curation limit. ``counts`` keeps the full tally including
-    strings that were not kept.
-    """
+    """A curated pool: ``strings``, pack_strings rows, holds the off-diagonal
+    strings seen, then the most frequent diagonal ones (identity excluded)
+    up to the curation limit, each part ranked by multiplicity, ties in
+    label order; ``counts`` holds their multiplicities, aligned with it."""
 
     n_sites: int
     n_samples: int
-    xy: tuple[PauliString, ...]
-    iz: tuple[PauliString, ...]
-    counts: dict[PauliString, int] = field(default_factory=dict)
-
-    @property
-    def strings(self) -> tuple[PauliString, ...]:
-        return self.xy + self.iz
+    strings: np.ndarray
+    counts: np.ndarray
 
 
-def curate(
-    samples: np.ndarray, n_sites: int, keep_iz: int | None = None
-) -> SampledPool:
+def curate(samples: np.ndarray, n_sites: int, keep_iz: int | None = None) -> SampledPool:
     """Tally pack_strings rows and select the pool.
 
     Off-diagonal strings are all kept; diagonal ones are ranked by
@@ -164,31 +157,35 @@ def curate(
     """
     if keep_iz is not None and keep_iz < 0:
         raise ValueError(f"keep_iz must be non-negative, got {keep_iz}")
+    if not rows_fit(samples, n_sites):
+        raise PauliError(f"sample rows of shape {samples.shape} do not fit {n_sites} sites")
     unique, inverse = unique_rows(samples)
     freq = np.bincount(inverse, minlength=len(unique))
-    counts = dict(zip(unpack_strings(unique, n_sites), freq.tolist()))
-    ranked = sorted(counts, key=lambda s: (-counts[s], s.label))
-    xy = tuple(s for s in ranked if not s.is_diagonal)
-    iz = tuple(s for s in ranked if s.is_diagonal and not s.is_identity)
-    return SampledPool(n_sites, len(samples), xy, iz[:keep_iz], counts)
+    order = np.lexsort((*unique.T[::-1], -freq))  # the last key, the count, is primary
+    unique, freq = unique[order], freq[order]
+    diagonal = diagonal_rows(unique)
+    keep = np.concatenate([np.flatnonzero(~diagonal), np.flatnonzero(diagonal & unique.any(axis=1))[:keep_iz]])
+    return SampledPool(n_sites, len(samples), unique[keep], freq[keep])
 
 
 def samples_to_text(samples: np.ndarray, n_sites: int, seed: int | None = None) -> str:
     """Raw sample listing, one string label per line."""
+    if not rows_fit(samples, n_sites):
+        raise PauliError(f"sample rows of shape {samples.shape} do not fit {n_sites} sites")
     header = f"# samples-v1 n_sites={n_sites} n_samples={len(samples)}"
     if seed is not None:
         header += f" seed={seed}"
-    return "\n".join([header, *(s.label for s in unpack_strings(samples, n_sites))]) + "\n"
+    return "\n".join([header, *_row_labels(samples, n_sites).tolist()]) + "\n"
 
 
-def _read_listing(text: str, fmt: str, fields: str) -> tuple[int, int, list]:
-    """The header sizes and data lines of a ``fmt`` listing.
+def _read_listing(text: str, fmt: str, fields: str) -> tuple[int, int, list, np.ndarray]:
+    """The header sizes, data lines and pack_strings rows of a ``fmt`` listing.
 
-    ``fields`` names a line's whitespace-separated fields, the label
-    last. Each data line comes back as ``(line number, its other fields,
-    its string)``; blank and ``#`` lines are skipped.
+    ``fields`` names a line's whitespace-separated fields, the label last.
+    A data line comes back as ``(line number, other fields, label)``, its
+    row at the same index; blank and ``#`` lines are skipped.
     """
-    header = re.match(rf"#\s*{fmt}\s+n_sites=([0-9]+)\s+n_samples=([0-9]+)", text)
+    header = re.match(rf"#\s*{fmt}\s+n_sites=([0-9]+)\s+n_samples=([0-9]+)(?!\S)", text)
     if header is None:
         raise ValueError(f"missing {fmt} header line")
     n_sites, n_samples = int(header.group(1)), int(header.group(2))
@@ -201,41 +198,38 @@ def _read_listing(text: str, fmt: str, fields: str) -> tuple[int, int, list]:
             continue
         if len(parts) != len(fields.split()):
             raise ValueError(f"line {line_no}: expected {fields!r}")
-        try:
-            string = PauliString.from_label(parts[-1])
-        except PauliError as exc:
-            raise ValueError(f"line {line_no}: {exc}") from None
-        if string.n_sites != n_sites:
-            raise ValueError(
-                f"line {line_no}: string has {string.n_sites} sites, header says {n_sites}"
-            )
-        lines.append((line_no, parts[:-1], string))
-    return n_sites, n_samples, lines
+        label = parts[-1]
+        if label.strip(SYMBOLS):
+            raise ValueError(f"line {line_no}: invalid Pauli symbol {label.strip(SYMBOLS)[0]!r} in {label!r}")
+        if len(label) != n_sites:
+            raise ValueError(f"line {line_no}: string has {len(label)} sites, header says {n_sites}")
+        lines.append((line_no, parts[:-1], label))
+    codes = _BYTE_CODES[np.frombuffer("".join(label for *_, label in lines).encode(), dtype=np.uint8)]
+    return n_sites, n_samples, lines, _pack_codes(codes.reshape(len(lines), n_sites))
 
 
 def samples_from_text(text: str) -> tuple[np.ndarray, int]:
     """A samples-v1 listing as pack_strings rows and its site count."""
-    n_sites, n_samples, lines = _read_listing(text, "samples-v1", "label")
+    n_sites, n_samples, lines, rows = _read_listing(text, "samples-v1", "label")
     if len(lines) != n_samples:
         raise ValueError(f"header says {n_samples} samples, found {len(lines)}")
-    return pack_strings((string for _, _, string in lines), n_sites), n_sites
+    return rows, n_sites
 
 
 def pool_to_text(pool: SampledPool) -> str:
     """One line per kept string: multiplicity, sampled frequency, label."""
     lines = [f"# pool-v1 n_sites={pool.n_sites} n_samples={pool.n_samples}"]
-    for string in pool.strings:
-        count = pool.counts[string]
-        lines.append(f"{count} {count / pool.n_samples:.8f} {string.label}")
+    for count, label in zip(pool.counts.tolist(), _row_labels(pool.strings, pool.n_sites).tolist()):
+        lines.append(f"{count} {count / pool.n_samples:.8f} {label}")
     return "\n".join(lines) + "\n"
 
 
 def pool_from_text(text: str) -> SampledPool:
-    n_sites, n_samples, lines = _read_listing(text, "pool-v1", "count freq label")
-    counts: dict[PauliString, int] = {}
-    xy: list[PauliString] = []
-    iz: list[PauliString] = []
-    for line_no, (count_token, freq_token), string in lines:
+    """A pool-v1 listing, off-diagonal rows first, each part in file order. A frequency
+    may be off count / n_samples by 5e-9, half the last decimal pool_to_text writes."""
+    n_sites, n_samples, lines, rows = _read_listing(text, "pool-v1", "count freq label")
+    counts: dict[str, int] = {}
+    for line_no, (count_token, freq_token), label in lines:
         numbers = count_token + freq_token  # int() and float() also take "_" and non-ASCII digits
         if not numbers.isascii() or "_" in numbers:
             raise ValueError(f"line {line_no}: count and frequency must be ASCII numbers without '_'")
@@ -243,16 +237,18 @@ def pool_from_text(text: str) -> SampledPool:
             count, freq = int(count_token), float(freq_token)
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
-        if count < 1:
-            raise ValueError(f"line {line_no}: count must be at least 1, got {count}")
+        if not 1 <= count < 2**63:  # counts are held as int64
+            raise ValueError(f"line {line_no}: count must be at least 1 and below 2**63, got {count}")
         if not 0 <= freq <= 1:
-            raise ValueError(
-                f"line {line_no}: frequency must be a finite number in [0, 1], got {freq_token}"
-            )
-        if string in counts:
-            raise ValueError(f"line {line_no}: {string.label} appears twice")
-        counts[string] = count
-        (iz if string.is_diagonal else xy).append(string)
+            raise ValueError(f"line {line_no}: frequency must be a finite number in [0, 1], got {freq_token}")
+        if label in counts:
+            raise ValueError(f"line {line_no}: {label} appears twice")
+        counts[label] = count
     if sum(counts.values()) > n_samples:
         raise ValueError(f"counts sum to {sum(counts.values())}, above header n_samples={n_samples}")
-    return SampledPool(n_sites, n_samples, tuple(xy), tuple(iz), counts)
+    for line_no, (_, freq_token), label in lines:
+        # 2**-53 covers reading the decimal into a double: 5/512 is written 0.00976562, exactly 5e-9 off
+        if abs(float(freq_token) - counts[label] / n_samples) > 5e-9 + 2**-53:
+            raise ValueError(f"line {line_no}: frequency {freq_token} is not {counts[label]}/{n_samples} to 8 decimals")
+    order = np.argsort(diagonal_rows(rows), kind="stable")
+    return SampledPool(n_sites, n_samples, rows[order], np.array(list(counts.values()), dtype=np.int64)[order])

@@ -9,8 +9,9 @@ dense operator is ever formed. One product tensor holds the k^2 (T + 1)
 strings P_a T P_b for T in [I] + the Hamiltonian's; its distinct rows
 are split at the cut n // 2 and contracted from the MPS's environments,
 swept once per distinct half (``mps.string_expectations``). Its identity
-slice is N, and the rest contracts with the coefficients into H. A sweep
-assembles its largest pool's pencil once and solves each prefix's block.
+slice is N, and the rest contracts with the coefficients into H. Pools
+and pencils hold their strings as pack_strings rows. A sweep assembles
+its largest pool's pencil once and solves each prefix's block.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ import scipy.linalg
 from paulibridge.mps import Mps, string_expectations
 from paulibridge.pauli import (
     DimensionMismatch,
-    PauliString,
     PauliSum,
     _I_POWERS,
-    pack_strings,
     packed_product,
+    rows_fit,
     to_dense,
     unique_rows,
 )
@@ -57,12 +57,13 @@ class ConvergenceFailure(RuntimeError):
 
 @dataclass
 class EffectivePencil:
-    """Pool-space matrices H_kl = <P_k psi|H|P_l psi>, N_kl = <P_k psi|P_l psi>;
-    ``coeff_norm``, the one-norm of H's coefficients, scales h's rounding."""
+    """Pool-space matrices H_kl = <P_k psi|H|P_l psi>, N_kl = <P_k psi|P_l psi>
+    over the pack_strings rows ``strings``, the identity first; ``coeff_norm``,
+    the one-norm of H's coefficients, scales h's rounding."""
 
     h: np.ndarray
     n: np.ndarray
-    strings: tuple[PauliString, ...]
+    strings: np.ndarray
     coeff_norm: float
 
     @property
@@ -82,8 +83,8 @@ NULL_TOL = 1e-12  # metric eigenvalues below this times the largest are deflated
 HERMITIAN_TOL = 1e-10  # largest ||h - h^dag|| relative to coeff_norm * ||N||
 
 
-def assemble_pencil(op: PauliSum, strings: Sequence[PauliString], state: Mps) -> EffectivePencil:
-    """Build the effective pencil for a pool over a reference MPS.
+def assemble_pencil(op: PauliSum, rows: np.ndarray, state: Mps) -> EffectivePencil:
+    """Build the effective pencil for a pool of pack_strings rows over a reference MPS.
 
     The identity is moved to the front of the pool, or prepended. Pool
     strings are Hermitian, so N_ab = <P_a I P_b> and H_ab = sum_t c_t
@@ -92,20 +93,17 @@ def assemble_pencil(op: PauliSum, strings: Sequence[PauliString], state: Mps) ->
     """
     if state.n_sites != op.n_sites:
         raise DimensionMismatch(f"state has {state.n_sites} sites, operator has {op.n_sites}")
-    ident = PauliString.identity(op.n_sites)
-    pool = (ident,) + tuple(s for s in strings if s != ident)
-    for s in pool:
-        if s.n_sites != op.n_sites:
-            raise DimensionMismatch(f"pool string {s.label} has {s.n_sites} sites, operator has {op.n_sites}")
-    p = pack_strings(pool, op.n_sites)
-    terms = np.concatenate([np.zeros_like(p[:1]), op.rows])
+    if not rows_fit(rows, op.n_sites):
+        raise DimensionMismatch(f"pool rows of shape {rows.shape} do not fit {op.n_sites} sites")
+    p = np.concatenate([np.zeros((1, rows.shape[1]), np.uint64), rows[rows.any(axis=1)]])
+    terms = np.concatenate([p[:1], op.rows])
     pt_exp, pt_codes = packed_product(p[:, None], terms[None, :])
     ptp_exp, codes = packed_product(pt_codes[:, :, None], p[None, None, :])
     unique, inverse = unique_rows(codes.reshape(-1, p.shape[1]))
     values = string_expectations(state, unique)[inverse].reshape(codes.shape[:-1])
     entries = _I_POWERS[(pt_exp[:, :, None] + ptp_exp) % 4] * values
     h = np.tensordot(op.coeffs, entries[:, 1:], axes=(0, 1))
-    return EffectivePencil(h, entries[:, 0].copy(), pool, float(np.abs(op.coeffs).sum()))
+    return EffectivePencil(h, entries[:, 0].copy(), p, float(np.abs(op.coeffs).sum()))
 
 
 def _whiten(pencil: EffectivePencil):
@@ -217,12 +215,12 @@ def energy_vs_samples_sweep(
     if reference is None:
         reference = float(scipy.linalg.eigvalsh(to_dense(op), subset_by_index=[0, 0])[0])
     samples = sample_strings(state, SamplerConfig(n_samples=sizes[-1], seed=seed))
-    union: dict[PauliString, None] = {}
-    ends = []
-    for n in sizes:
-        union.update(dict.fromkeys(curate(samples[:n], op.n_sites).strings))
-        ends.append(len(union) + 1)  # the identity, then this prefix's pool
-    full = assemble_pencil(op, tuple(union), state)
+    pools = [curate(samples[:n], op.n_sites).strings for n in sizes]
+    stacked = np.concatenate(pools)
+    first = np.sort(np.unique(stacked, axis=0, return_index=True)[1])  # the union, in first-occurrence order
+    # the identity, then the union rows that the prefixes up to this one bring
+    ends = (1 + np.searchsorted(first, np.cumsum([len(p) for p in pools]))).tolist()
+    full = assemble_pencil(op, stacked[first], state)
     blocks = (EffectivePencil(full.h[:e, :e], full.n[:e, :e], full.strings[:e], full.coeff_norm) for e in ends)
     energies = [float(solve_ritz_dense(block).energies[0]) for block in blocks]
     return [SweepRow(n, e - 1, energy, reference) for n, e, energy in zip(sizes, ends, energies)]

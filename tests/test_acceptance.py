@@ -33,7 +33,7 @@ from paulibridge.mps import (
     is_left_canonical_site,
     is_right_canonical_site,
 )
-from paulibridge.pauli import PauliString, PauliSum, apply_string, to_dense
+from paulibridge.pauli import PauliString, PauliSum, apply_string, pack_strings, to_dense
 from paulibridge.sampler import (
     SamplerConfig,
     conditional_weights,
@@ -286,7 +286,7 @@ def test_criterion_6_variational_bound(h2_subset):
     for n in (1, 2):
         op = random_pauli_sum(rng, n, 2 * 4**n // 3)
         res = ground_state_reference(op)
-        full_span = tuple(PauliString(n, b) for b in range(1, 4**n))
+        full_span = pack_strings([PauliString(n, b) for b in range(1, 4**n)], n)
         energy = check_pair(op, full_span, res.mps, res.energy)
         assert energy == pytest.approx(res.energy, abs=1e-10)
     res = ground_state_reference(h2_subset)

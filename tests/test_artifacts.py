@@ -68,8 +68,8 @@ def test_lobpcg_matches_dense_on_final_sweep_pencil():
     samples = sample_strings(state, SamplerConfig(n_samples=200, seed=0))
     union: dict = {}
     for n in (10, 25, 50, 100, 200):
-        union.update(dict.fromkeys(curate(samples[:n], op.n_sites).strings))
-    pencil = assemble_pencil(op, tuple(union), state)
+        union.update(dict.fromkeys(map(tuple, curate(samples[:n], op.n_sites).strings.tolist())))
+    pencil = assemble_pencil(op, np.array(list(union), dtype=np.uint64), state)
     assert pencil.size == 198
     dense = solve_ritz_dense(pencil).energies[0]
     assert f"{dense:.12f}" == "-11.087440555088"

@@ -130,6 +130,16 @@ class TestPipelineArtifacts:
         assert len(d.bridge.active_pairs) == 9
         assert "active_pairs 9" in stdout["compile"]
 
+    @pytest.mark.parametrize("key, name", [
+        ("bridge", "bridge.json"), ("mpo", "mpo.json"), ("mps", "groundstate.json"), ("samples", "samples.txt"),
+        ("pool", "pool.txt"), ("lcu", "lcu.json"), ("gates", "gates.txt"),
+    ])
+    def test_outputs_equal_the_frozen_h2_files(self, pipeline, key, name):
+        # compile --cut 2, mpo, groundstate, sample --n-samples 400 --seed 7,
+        # curate and lcu --gates write the bytes scripts/h2_pipeline.py froze
+        paths, _ = pipeline
+        assert paths[key].read_bytes() == (H2 / name).read_bytes()
+
     def test_mpo_bond_dims(self, pipeline):
         paths, stdout = pipeline
         m = mpo_from_json(paths["mpo"].read_text())
@@ -160,7 +170,7 @@ class TestPipelineArtifacts:
         assert pool.n_samples == 400
         samples, _ = samples_from_text(paths["samples"].read_text())
         n_identity = int(np.count_nonzero(~samples.any(axis=1)))
-        assert sum(pool.counts.values()) == 400 - n_identity
+        assert pool.counts.sum() == 400 - n_identity
 
     def test_optimize_result(self, pipeline):
         paths, _ = pipeline
@@ -714,7 +724,14 @@ class TestExitCodes:
         assert (rc, err) == (0, "")
         back = pool_from_text(pool.read_text())
         assert back.n_sites == 40 and back.n_samples == 300
-        assert sum(back.counts.values()) == 300 - int(np.count_nonzero(~rows.any(axis=1)))
+        assert back.counts.sum() == 300 - int(np.count_nonzero(~rows.any(axis=1)))
+
+    def test_samples_header_field_with_trailing_characters_is_data_error(self, tmp_path):
+        bad, out = tmp_path / "samples.txt", tmp_path / "pool.txt"
+        bad.write_text("# samples-v1 n_sites=2 n_samples=2x\nXX\nZZ\n")
+        rc, stdout, err = run(["curate", "--samples", str(bad), "--output", str(out)])
+        assert (rc, stdout, err) == (2, "", "error: missing samples-v1 header line\n")
+        assert not out.exists()
 
     def test_bad_sample_label_names_line(self, tmp_path):
         bad, out = tmp_path / "samples.txt", tmp_path / "pool.txt"

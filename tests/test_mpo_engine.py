@@ -176,7 +176,7 @@ class TestBuild:
         np.testing.assert_allclose(mpo_to_dense(m), to_dense(op), rtol=0, atol=1e-12)
 
     def test_identity_is_bond_one(self):
-        op = PauliSum(3, [PauliTerm(2.5, PauliString.identity(3))])
+        op = PauliSum(3, [PauliTerm(2.5, PauliString(3, 0))])
         m = build_mpo_qr(op)
         assert m.bond_dims == [1, 1, 1, 1]
         np.testing.assert_allclose(mpo_to_dense(m), 2.5 * np.eye(8), atol=1e-14)

@@ -28,6 +28,7 @@ from paulibridge.pauli import (
     PAULI_MATRICES,
     SYMBOLS,
     dense_string,
+    diagonal_rows,
     json_text,
     multiply,
     pack_strings,
@@ -51,7 +52,7 @@ from conftest import (
 
 
 def identity_sum(n_sites):
-    return PauliSum(n_sites, [(1.0, PauliString.identity(n_sites))])
+    return PauliSum(n_sites, [(1.0, PauliString(n_sites, 0))])
 
 
 def thirteen_qubit_program():
@@ -194,10 +195,12 @@ class TestStringBasics:
         assert weight(c) <= weight(a) + weight(b)
 
     def test_is_diagonal(self):
-        assert PauliString.from_label("IZZI").is_diagonal
-        assert not PauliString.from_label("IXZI").is_diagonal
-        assert not PauliString.from_label("ZZYZ").is_diagonal
-        assert PauliString.identity(3).is_diagonal
+        # diagonal_rows: I or Z on every site, in either word of a two-word row
+        rows = pack_strings(map(PauliString.from_label, ["IZZI", "IXZI", "ZZYZ"]), 4)
+        assert diagonal_rows(rows).tolist() == [True, False, False]
+        assert diagonal_rows(pack_strings([PauliString(3, 0)], 3)).tolist() == [True]
+        wide = ["Z" * 40, "X" + "Z" * 39, "Z" * 39 + "Y", "I" * 40]
+        assert diagonal_rows(pack_strings(map(PauliString.from_label, wide), 40)).tolist() == [True, False, False, True]
 
     def test_lexicographic_order(self):
         strings = all_strings(2)
@@ -262,7 +265,7 @@ class TestDense:
         assert np.allclose(iz, np.diag([1, -1, 1, -1]))
 
     def test_too_large(self):
-        op = PauliSum(13, [(1.0, PauliString.identity(13))])
+        op = PauliSum(13, [(1.0, PauliString(13, 0))])
         with pytest.raises(TooLarge):
             to_dense(op)
 
@@ -289,7 +292,7 @@ class TestDense:
 
     @pytest.mark.parametrize("densify", [
         pytest.param(lambda: to_dense(identity_sum(13)), id="to_dense"),
-        pytest.param(lambda: dense_string(PauliString.identity(13)), id="dense_string"),
+        pytest.param(lambda: dense_string(PauliString(13, 0)), id="dense_string"),
         pytest.param(lambda: mpo_to_dense(Mpo([np.ones((1, 1, 2, 2))] * 13)), id="mpo_to_dense"),
         pytest.param(lambda: ground_state_reference(identity_sum(13)), id="ground_state_reference"),
         pytest.param(lambda: select_dense(thirteen_qubit_program()), id="select_dense"),
@@ -360,7 +363,7 @@ class TestExpectation:
         assert abs(value - np.vdot(vec, action_by_terms(op, vec))) <= 1e-12
 
     def test_rejects_wrong_dimension(self):
-        op = PauliSum(2, [(1.0, PauliString.identity(2))])
+        op = PauliSum(2, [(1.0, PauliString(2, 0))])
         with pytest.raises(DimensionMismatch):
             pauli._act(op, np.array([1.0, 0.0]))
 

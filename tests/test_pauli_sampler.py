@@ -1,6 +1,7 @@
 """Sampler correctness: chain rule, distribution, determinism, curation."""
 
 import tracemalloc
+from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
@@ -18,10 +19,9 @@ from paulibridge.mps import (
     mps_to_dense,
     string_expectations,
 )
-from paulibridge.pauli import PauliString, PauliSum, apply_string, pack_strings, unpack_strings
+from paulibridge.pauli import PauliError, PauliString, PauliSum, apply_string, pack_strings, unpack_strings
 from paulibridge.sampler import (
     GaugeViolation,
-    SampledPool,
     SamplerConfig,
     conditional_weights,
     curate,
@@ -33,7 +33,7 @@ from paulibridge.sampler import (
 )
 from paulibridge.varopt import assemble_pencil, solve_ritz_dense
 
-from conftest import random_state
+from conftest import BYTE_IDENTITY, random_state
 
 
 def exact_probs(vec, n_sites):
@@ -177,36 +177,30 @@ class TestSampling:
             SamplerConfig(n_samples=0, seed=1)
 
 
+def pool_labels(pool):
+    return [s.label for s in unpack_strings(pool.strings, pool.n_sites)]
+
+
 class TestCurate:
     def pack(self, labels):
         return pack_strings([PauliString.from_label(label) for label in labels], len(labels[0]))
 
     def test_split_and_counts(self):
+        # off-diagonal strings first, then diagonal ones; the identity is tallied but not kept
         samples = self.pack(["XX", "XX", "ZI", "II", "ZZ", "ZZ", "ZZ", "XY"])
         pool = curate(samples, 2)
         assert pool.n_samples == 8
-        assert pool.xy == (
-            PauliString.from_label("XX"),
-            PauliString.from_label("XY"),
-        )
-        assert pool.iz == (
-            PauliString.from_label("ZZ"),
-            PauliString.from_label("ZI"),
-        )
-        assert pool.counts[PauliString.from_label("II")] == 1
-        assert PauliString.from_label("II") not in pool.strings
+        assert pool_labels(pool) == ["XX", "XY", "ZZ", "ZI"]
+        assert pool.counts.tolist() == [2, 1, 3, 1]
+        assert pool.counts.dtype == np.int64
 
     def test_keep_iz_cap_and_tie_break(self):
         pool = curate(self.pack(["ZI", "IZ", "ZZ", "ZZ", "XX"]), 2, keep_iz=2)
-        assert pool.iz == (
-            PauliString.from_label("ZZ"),
-            PauliString.from_label("IZ"),
-        )
+        assert pool_labels(pool)[1:] == ["ZZ", "IZ"]
 
     def test_keep_iz_zero_keeps_offdiagonal_only(self):
         pool = curate(self.pack(["ZI", "XX"]), 2, keep_iz=0)
-        assert pool.iz == ()
-        assert pool.xy == (PauliString.from_label("XX"),)
+        assert pool_labels(pool) == ["XX"]
 
     def test_negative_keep_iz_raises(self):
         with pytest.raises(ValueError):
@@ -217,18 +211,69 @@ class TestCurate:
         a, b = "X" + "I" * 39, "Z" + "I" * 39
         pool = curate(self.pack([a, b, b, "I" * 40]), 40)
         assert pool.n_samples == 4
-        assert pool.xy == (PauliString.from_label(a),)
-        assert pool.iz == (PauliString.from_label(b),)
-        assert pool.counts[PauliString.from_label(b)] == 2
+        assert pool_labels(pool) == [a, b]
+        assert pool.counts.tolist() == [1, 2]
 
     def test_groups_are_classified_correctly(self):
         rng = np.random.default_rng(30)
         m = right_canonical_mps(random_state(rng, 3))
         samples = sample_strings(m, SamplerConfig(n_samples=300, seed=2))
         pool = curate(samples, 3, keep_iz=4)
-        assert not any(s.is_diagonal for s in pool.xy)
-        assert all(s.is_diagonal for s in pool.iz)
-        assert len(pool.iz) <= 4
+        diagonal = [set(label) <= set("IZ") for label in pool_labels(pool)]
+        assert diagonal == sorted(diagonal)  # no off-diagonal string after a diagonal one
+        assert sum(diagonal) <= 4
+
+    @pytest.mark.parametrize("rows, n_sites", [
+        (np.array([[255]], dtype=np.uint64), 2),  # a symbol on a third site
+        (np.array([[0], [2**32]], dtype=np.uint64), 16),
+        (np.zeros((1, 2), dtype=np.uint64), 32),  # two words for one word's sites
+        (np.zeros((1, 1), dtype=np.uint64), 33),
+        (np.zeros(3, dtype=np.uint64), 2),
+        (np.zeros((1, 1), dtype=np.int64), 2),
+    ])
+    def test_rows_that_do_not_fit_raise(self, rows, n_sites):
+        with pytest.raises(PauliError, match=f"do not fit {n_sites} sites"):
+            curate(rows, n_sites)
+        with pytest.raises(PauliError, match=f"do not fit {n_sites} sites"):
+            samples_to_text(rows, n_sites)
+
+
+def reference_pool_text(labels, n_sites, keep_iz):
+    """curate and pool_to_text one string at a time: rank by (-count, label), then
+    the off-diagonal strings, then the diagonal ones but the identity, capped at keep_iz."""
+    counts = Counter(labels)
+    ranked = sorted(counts, key=lambda s: (-counts[s], s))  # I < X < Y < Z as characters too
+    offdiagonal = [s for s in ranked if set(s) - set("IZ")]
+    diagonal = [s for s in ranked if not set(s) - set("IZ") and set(s) != {"I"}][:keep_iz]
+    lines = [f"# pool-v1 n_sites={n_sites} n_samples={len(labels)}"]
+    lines += [f"{counts[s]} {counts[s] / len(labels):.8f} {s}" for s in offdiagonal + diagonal]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def sample_batches(draw):
+    """Labels of one, two or three words drawn with repeats from a few distinct
+    strings, among them diagonal ones and the identity; and a diagonal cap."""
+    n = draw(st.sampled_from([1, 2, 5, 31, 32, 33, 40, 63, 64, 65, 90, 96]))
+    one_site = st.builds(lambda j, c: "I" * j + c + "I" * (n - 1 - j), st.integers(0, n - 1), st.sampled_from("XYZ"))
+    strings = draw(st.lists(st.one_of(st.text("IXYZ", min_size=n, max_size=n), st.text("IZ", min_size=n, max_size=n),
+                                      one_site, st.just("I" * n)), min_size=1, max_size=8))
+    labels = draw(st.lists(st.sampled_from(strings), max_size=40))
+    return n, labels, draw(st.one_of(st.none(), st.integers(0, 4)))
+
+
+class TestCurateOracle:
+    @BYTE_IDENTITY
+    @given(sample_batches())
+    def test_pool_text_matches_per_string_reference(self, batch):
+        n_sites, labels, keep_iz = batch
+        pool = curate(pack_strings(map(PauliString.from_label, labels), n_sites), n_sites, keep_iz=keep_iz)
+        text = pool_to_text(pool)
+        assert text == reference_pool_text(labels, n_sites, keep_iz)
+        back = pool_from_text(text)
+        assert (back.n_sites, back.n_samples) == (n_sites, len(labels))
+        assert back.strings.dtype == np.uint64 and np.array_equal(back.strings, pool.strings)
+        assert back.counts.dtype == np.int64 and np.array_equal(back.counts, pool.counts)
 
 
 class TestPoolText:
@@ -243,10 +288,8 @@ class TestPoolText:
         back = pool_from_text(pool_to_text(pool))
         assert back.n_sites == pool.n_sites
         assert back.n_samples == pool.n_samples
-        assert back.xy == pool.xy
-        assert back.iz == pool.iz
-        for s in pool.strings:
-            assert back.counts[s] == pool.counts[s]
+        assert np.array_equal(back.strings, pool.strings)
+        assert np.array_equal(back.counts, pool.counts)
         assert pool_to_text(back) == pool_to_text(pool)
 
     def test_text_is_deterministic(self):
@@ -268,6 +311,7 @@ class TestPoolText:
     @pytest.mark.parametrize("line, message", [
         ("0 0.0 XX", "count must be at least 1"),
         ("-5 0.1 XX", "count must be at least 1"),
+        ("9223372036854775808 0.5 XX", r"count must be at least 1 and below 2\*\*63"),  # held as int64
         ("2 nan XX", "frequency"),
         ("2 inf XX", "frequency"),
         ("2 -0.1 XX", "frequency"),
@@ -295,6 +339,61 @@ class TestPoolText:
     def test_header_digits_are_ascii(self, reader, header):
         with pytest.raises(ValueError, match="^missing (pool|samples)-v1 header line$"):
             reader(f"{header}\n1 0.25 XX\n" if reader is pool_from_text else f"{header}\nXX\n")
+
+
+    @pytest.mark.parametrize("reader, text", [
+        (pool_from_text, "# pool-v1 n_sites=2 n_samples=2x\n1 0.50000000 XX\n"),
+        (pool_from_text, "# pool-v1 n_sites=2 n_samples=2.0\n1 0.50000000 XX\n"),
+        (samples_from_text, "# samples-v1 n_sites=2 n_samples=2x\nXX\nZZ\n"),
+        (samples_from_text, "# samples-v1 n_sites=2 n_samples=2# seed=7\nXX\nZZ\n"),
+    ])
+    def test_header_fields_end_at_whitespace(self, reader, text):
+        # a field's digits are the whole field: n_samples=2x is not read as 2
+        with pytest.raises(ValueError, match="^missing (pool|samples)-v1 header line$"):
+            reader(text)
+
+    @pytest.mark.parametrize("text, count", [
+        ("# samples-v1 n_sites=2 n_samples=2 seed=7\nXX\nZZ\n", 2),
+        ("# samples-v1 n_sites=2 n_samples=2\tseed=7\nXX\nZZ\n", 2),
+        ("# samples-v1 n_sites=2 n_samples=0", 0),
+    ])
+    def test_header_field_ends_at_whitespace_or_end_of_text(self, text, count):
+        rows, n_sites = samples_from_text(text)
+        assert rows.shape == (count, 1) and n_sites == 2
+
+    @pytest.mark.parametrize("freq", ["0.9", "0.29999999", "0.30000001", "0", "1e-400", "0e999999999999"])
+    def test_frequency_off_count_is_named(self, freq):
+        text = f"# pool-v1 n_sites=2 n_samples=10\n1 0.10000000 ZI\n3 {freq} XX\n"
+        with pytest.raises(ValueError, match=f"^line 3: frequency {freq} is not 3/10 to 8 decimals$"):
+            pool_from_text(text)
+
+    @pytest.mark.parametrize("freq", ["0.3", "3e-1", "0.30000000", "0.299999995", "0.300000005"])
+    def test_frequency_within_half_a_last_decimal_reads(self, freq):
+        pool = pool_from_text(f"# pool-v1 n_sites=2 n_samples=10\n3 {freq} XX\n")
+        assert pool.counts.tolist() == [3]
+
+    def test_frequency_written_half_a_decimal_off_reads_back(self):
+        # 5/512 = 0.009765625 is written 0.00976562, exactly 5e-9 off; as a
+        # double the written value is off by a little more
+        pool = curate(np.array([[1]] * 5 + [[0]] * 507, dtype=np.uint64), 1)
+        text = pool_to_text(pool)
+        assert text.splitlines()[1] == "5 0.00976562 X"
+        assert abs(float("0.00976562") - 5 / 512) > 5e-9
+        assert np.array_equal(pool_from_text(text).counts, pool.counts)
+
+    def test_rows_come_back_off_diagonal_first_in_file_order(self):
+        # interleaved, and more than the 16 rows numpy sorts by insertion
+        rng = np.random.default_rng(32)
+        labels = list(dict.fromkeys("".join(rng.choice(list("IXYZ" if k % 3 else "IZ"), 6)) for k in range(60)))
+        text = "# pool-v1 n_sites=6 n_samples=60\n" + "".join(f"1 {1 / 60:.8f} {label}\n" for label in labels)
+        diagonal = [set(label) <= set("IZ") for label in labels]
+        expected = [l for l, d in zip(labels, diagonal) if not d] + [l for l, d in zip(labels, diagonal) if d]
+        assert sum(diagonal) > 16 and len(labels) - sum(diagonal) > 16
+        assert pool_labels(pool_from_text(text)) == expected
+
+    def test_counts_above_zero_samples_raise_before_frequencies(self):
+        with pytest.raises(ValueError, match="^counts sum to 1, above header n_samples=0$"):
+            pool_from_text("# pool-v1 n_sites=2 n_samples=0\n1 0.5 XX\n")
 
 
 class TestSamplesText:
@@ -410,7 +509,7 @@ class TestPastOneWord:
         state = canonicalize_mps(raw)
         state.tensors[0] /= np.linalg.norm(state.tensors[0])
         pool = curate(sample_strings(state, SamplerConfig(n_samples=20, seed=4)), n_sites)
-        assert pool.strings
+        assert len(pool.strings)
         energy = solve_ritz_dense(assemble_pencil(op, pool.strings, state)).energies[0]
         coeffs = np.array([t.coeff for t in op.terms])
         mean = float((coeffs @ string_expectations(state, pack_strings([t.string for t in op.terms], n_sites))).real)

@@ -18,8 +18,10 @@ from paulibridge.pauli import (
     PauliString,
     PauliSum,
     apply_string,
+    pack_strings,
     pauli_product,
     to_dense,
+    unpack_strings,
 )
 from paulibridge.sampler import SamplerConfig, curate, sample_strings
 from paulibridge.varopt import (
@@ -41,7 +43,7 @@ def hermitian_sum(rng, n_sites, n_terms):
 
 def random_pool(rng, n_sites, size):
     bits = rng.choice(4**n_sites, size=min(size, 4**n_sites), replace=False)
-    return tuple(PauliString(n_sites, int(b)) for b in bits)
+    return pack_strings([PauliString(n_sites, int(b)) for b in bits], n_sites)
 
 
 def exact_mps(vec):
@@ -51,14 +53,15 @@ def exact_mps(vec):
     return m
 
 
-def dense_pencil(op, pool, vec):
+def dense_pencil(op, rows, vec):
     dense = to_dense(op)
-    cols = np.stack([apply_string(p, vec) for p in pool], axis=1)
+    cols = np.stack([apply_string(p, vec) for p in unpack_strings(rows, op.n_sites)], axis=1)
     return cols.conj().T @ dense @ cols, cols.conj().T @ cols
 
 
-def pairwise_pencil(op, pool, expect):
+def pairwise_pencil(op, rows, expect):
     """Entry-by-entry assembly from scalar products and one expectation per string."""
+    pool = unpack_strings(rows, op.n_sites)
     k = len(pool)
     h = np.zeros((k, k), dtype=np.complex128)
     n = np.zeros((k, k), dtype=np.complex128)
@@ -90,12 +93,12 @@ class TestAssembly:
         mps = canonicalize_mps(dense_to_mps(random_state(rng, n_sites), max_bond=max_bond))
         mps.tensors[0] = mps.tensors[0] * rng.uniform(0.5, 2.0)
         vec = mps_to_dense(mps)
-        pool = random_pool(rng, n_sites, 6)
+        pool = unpack_strings(random_pool(rng, n_sites, 6), n_sites)
         # repeated strings and the identity inside the pool
-        ident = PauliString.identity(n_sites)
-        pool = pool + pool[:2] + (ident,)
-        pencil = assemble_pencil(op, pool, mps)
-        assert pencil.strings == (ident,) + tuple(s for s in pool if s != ident)
+        ident = PauliString(n_sites, 0)
+        pool = pool + pool[:2] + [ident]
+        pencil = assemble_pencil(op, pack_strings(pool, n_sites), mps)
+        assert unpack_strings(pencil.strings, n_sites) == [ident] + [s for s in pool if s != ident]
         h_ref, n_ref = dense_pencil(op, pencil.strings, vec)
         np.testing.assert_allclose(pencil.h, h_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(pencil.n, n_ref, rtol=0, atol=1e-12)
@@ -117,7 +120,7 @@ class TestAssembly:
         )
         straddle = PauliString.from_label("I" * 31 + "XY" + "I" * 7)
         pool = (straddle,) + tuple(sparse_string(rng, n_sites, 3) for _ in range(7))
-        pencil = assemble_pencil(op, pool, mps)
+        pencil = assemble_pencil(op, pack_strings(pool, n_sites), mps)
         h_ref, n_ref = pairwise_pencil(op, pencil.strings, expect)
         np.testing.assert_allclose(pencil.h, h_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(pencil.n, n_ref, rtol=0, atol=1e-12)
@@ -127,16 +130,17 @@ class TestAssembly:
         rng = np.random.default_rng(6)
         mps = dense_to_mps(random_state(rng, 3))
         with pytest.raises(DimensionMismatch):
-            assemble_pencil(h2_subset, (), mps)
+            assemble_pencil(h2_subset, pack_strings([], 4), mps)
 
     def test_identity_prepended_once(self, h2_subset):
         rng = np.random.default_rng(3)
         vec = random_state(rng, 4)
-        ident = PauliString.identity(4)
+        ident = PauliString(4, 0)
         pool = (ident, PauliString.from_label("XXYY"))
-        pencil = assemble_pencil(h2_subset, pool, exact_mps(vec))
-        assert pencil.strings[0] == ident
-        assert pencil.strings.count(ident) == 1
+        pencil = assemble_pencil(h2_subset, pack_strings(pool, 4), exact_mps(vec))
+        strings = unpack_strings(pencil.strings, 4)
+        assert strings[0] == ident
+        assert strings.count(ident) == 1
         assert pencil.size == 2
 
     def test_hermitian_and_psd(self, h2_subset):
@@ -148,9 +152,14 @@ class TestAssembly:
         assert scipy.linalg.eigvalsh(pencil.n)[0] > -1e-12
 
     def test_width_mismatch_raises(self, h2_subset):
+        # a row has no width of its own: XX packed on two sites is the four-site
+        # row IIXX, so only rows that cannot be four-site rows are refused: a
+        # symbol past the fourth site, two words, another dtype, one dimension
         rng = np.random.default_rng(5)
-        with pytest.raises(DimensionMismatch):
-            assemble_pencil(h2_subset, (PauliString.from_label("XX"),), exact_mps(random_state(rng, 4)))
+        for rows in (pack_strings([PauliString.from_label("XXXXX")], 5), pack_strings([PauliString.from_label("X" * 40)], 40),
+                     np.array([[5]], dtype=np.int64), np.array([5], dtype=np.uint64)):
+            with pytest.raises(DimensionMismatch, match="do not fit 4 sites"):
+                assemble_pencil(h2_subset, rows, exact_mps(random_state(rng, 4)))
 
 
 class TestRitzDense:
@@ -158,7 +167,7 @@ class TestRitzDense:
         rng = np.random.default_rng(10)
         op = hermitian_sum(rng, 2, 6)
         vec = random_state(rng, 2)
-        pool = tuple(PauliString(2, b) for b in range(16))
+        pool = pack_strings([PauliString(2, b) for b in range(16)], 2)
         sol = solve_ritz_dense(assemble_pencil(op, pool, exact_mps(vec)))
         exact = scipy.linalg.eigvalsh(to_dense(op))[0]
         assert sol.energies[0] == pytest.approx(exact, abs=1e-10)
@@ -188,7 +197,7 @@ class TestRitzDense:
     def test_identity_only_is_rayleigh_quotient(self, h2_subset):
         rng = np.random.default_rng(12)
         vec = random_state(rng, 4)
-        sol = solve_ritz_dense(assemble_pencil(h2_subset, (), exact_mps(vec)))
+        sol = solve_ritz_dense(assemble_pencil(h2_subset, pack_strings([], 4), exact_mps(vec)))
         quot = np.vdot(vec, to_dense(h2_subset) @ vec).real
         assert sol.energies[0] == pytest.approx(quot, abs=1e-10)
 
@@ -199,7 +208,7 @@ class TestRitzDense:
         op = hermitian_sum(rng, 2, 5)
         vec = np.zeros(4, dtype=np.complex128)
         vec[0] = 1.0
-        pool = (PauliString.from_label("ZI"), PauliString.from_label("XI"))
+        pool = pack_strings([PauliString.from_label("ZI"), PauliString.from_label("XI")], 2)
         pencil = assemble_pencil(op, pool, exact_mps(vec))
         assert scipy.linalg.eigvalsh(pencil.n)[0] < 1e-12
         sol = solve_ritz_dense(pencil)
@@ -211,7 +220,7 @@ class TestRitzDense:
         rng = np.random.default_rng(14)
         op = hermitian_sum(rng, 2, 6)
         vec = random_state(rng, 2)
-        pool = tuple(PauliString(2, b) for b in range(16))
+        pool = pack_strings([PauliString(2, b) for b in range(16)], 2)
         sol = solve_ritz_dense(assemble_pencil(op, pool, exact_mps(vec)), n_roots=3)
         exact = scipy.linalg.eigvalsh(to_dense(op))
         np.testing.assert_allclose(sol.energies, exact[:3], atol=1e-9)
@@ -278,8 +287,9 @@ class TestSweep:
         exact = scipy.linalg.eigvalsh(to_dense(op))[0]  # the full spectrum, against the fallback's one eigenvalue
         for row in rows:
             assert abs(row.reference_energy - exact) <= 1e-12 * max(np.abs(op.coeffs).sum(), 1.0)
-            union.update(dict.fromkeys(curate(samples[: row.n_samples], n_sites).strings))
-            expected = solve_ritz_dense(assemble_pencil(op, tuple(union), state)).energies[0]
+            union.update(dict.fromkeys(map(tuple, curate(samples[: row.n_samples], n_sites).strings.tolist())))
+            rows = np.array(list(union), dtype=np.uint64).reshape(len(union), samples.shape[1])
+            expected = solve_ritz_dense(assemble_pencil(op, rows, state)).energies[0]
             assert row.pool_size == len(union)
             assert row.energy == pytest.approx(expected, abs=1e-12)
 
