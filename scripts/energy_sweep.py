@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from paulibridge.mps import ground_state_reference
-from paulibridge.pauli import PauliString, PauliSum, parse_pauli_sum
+from paulibridge.pauli import SYMBOLS, PauliSum, label_rows, parse_pauli_sum
 from paulibridge.varopt import energy_vs_samples_sweep, sweep_to_csv
 
 REPO = Path(__file__).resolve().parents[1]
@@ -25,10 +25,9 @@ REPO = Path(__file__).resolve().parents[1]
 def random_operator(rng: np.random.Generator, n_sites: int, n_terms: int) -> PauliSum:
     terms = {}
     while len(terms) < min(n_terms, 4**n_sites):
-        codes = rng.integers(0, 4, size=n_sites)
-        s = PauliString.from_codes(int(c) for c in codes)
-        terms.setdefault(s, rng.standard_normal())
-    return PauliSum(n_sites, [(c, s) for s, c in terms.items()])
+        label = "".join(SYMBOLS[c] for c in rng.integers(0, 4, size=n_sites))
+        terms.setdefault(label, rng.standard_normal())  # a repeated string keeps its first coefficient
+    return PauliSum.from_rows(n_sites, label_rows(list(terms), n_sites), list(terms.values()))
 
 
 def main() -> int:

@@ -97,10 +97,7 @@ def main() -> int:
     print(f"lcu: lambda {prog.lam:.6f}, block error {block_err:.3e}")
 
     rng = np.random.default_rng(args.seed)
-    rescaled = PauliSum(
-        op.n_sites,
-        [(t.coeff * rng.uniform(0.5, 2.0), t.string) for t in op.terms],
-    )
+    rescaled = PauliSum.from_rows(op.n_sites, op.rows, op.coeffs * rng.uniform(0.5, 2.0, op.n_terms))
     updated = update_coefficients(prog, compile_bridge(rescaled, args.cut))
     (args.out / "lcu_updated.json").write_text(program_to_json(updated))
     same = updated.select_hash == prog.select_hash

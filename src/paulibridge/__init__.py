@@ -8,9 +8,7 @@ prepare/select programs for linear-combination-of-unitaries circuits.
 """
 
 from paulibridge.pauli import (
-    PauliString,
     PauliSum,
-    PauliTerm,
     parse_pauli_sum,
     pauli_product,
     serialize_pauli_sum,
@@ -20,9 +18,7 @@ from paulibridge.pauli import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PauliString",
     "PauliSum",
-    "PauliTerm",
     "__version__",
     "parse_pauli_sum",
     "pauli_product",

@@ -38,7 +38,6 @@ import numpy as np
 
 from paulibridge.pauli import (
     IndexOutOfRange,
-    PauliString,
     PauliSum,
     _row_labels,
     json_document,
@@ -48,6 +47,7 @@ from paulibridge.pauli import (
     json_labels,
     json_rows,
     json_text,
+    label_rows,
     malformed,
 )
 
@@ -165,7 +165,7 @@ def reconstruct(d: BridgeDecomposition) -> PauliSum:
     sum (an all-cancelled bridge reconstructs to an empty sum).
     """
     labels = [d.left[a] + d.right[b] for a, b in d.bridge.pairs.tolist()]
-    return PauliSum(d.n_sites, list(zip(d.bridge.coeffs.tolist(), map(PauliString.from_label, labels))))
+    return PauliSum.from_rows(d.n_sites, label_rows(labels, d.n_sites), d.bridge.coeffs)
 
 
 def set_bridge(d: BridgeDecomposition, entries: dict[tuple[int, int], complex]) -> BridgeDecomposition:

@@ -289,7 +289,7 @@ def cmd_verify(args) -> int:
     cuts = [args.cut] if args.cut is not None else list(range(1, op.n_sites))
     for cut in cuts:
         d = compile_bridge(op, cut)
-        exact = reconstruct(d).as_dict() == op.as_dict()
+        exact = reconstruct(d) == op
         checks.append((f"bridge_round_trip_cut_{cut}", exact, None))
         back = decomposition_from_json(decomposition_to_json(d))
         checks.append((f"bridge_json_round_trip_cut_{cut}", back == d, None))

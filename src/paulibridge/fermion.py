@@ -21,12 +21,12 @@ import numpy as np
 
 from paulibridge.pauli import (
     IndexOutOfRange,
-    PauliString,
     PauliSum,
     _I_POWERS,
     json_field,
     json_finite,
     json_load,
+    label_rows,
     malformed,
     packed_product,
 )
@@ -75,12 +75,9 @@ def jordan_wigner_op(kind: str, p: int, n: int) -> PauliSum:
         raise IndexOutOfRange(f"mode {p} out of range for {n} modes")
     if kind not in ("create", "annihilate"):
         raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
-    tail = "Z" * p
-    pad = "I" * (n - p - 1)
-    x_string = PauliString.from_label(tail + "X" + pad)
-    y_string = PauliString.from_label(tail + "Y" + pad)
+    tail, pad = "Z" * p, "I" * (n - p - 1)
     y_coeff = -0.5j if kind == "create" else 0.5j
-    return PauliSum(n, [(0.5, x_string), (y_coeff, y_string)])
+    return PauliSum.from_rows(n, label_rows([tail + "X" + pad, tail + "Y" + pad], n), [0.5, y_coeff])
 
 
 # i-exponents of the ladder operators' Y coefficients: -0.5j = 0.5 i^3, 0.5j = 0.5 i^1

@@ -33,7 +33,6 @@ import scipy.linalg
 from paulibridge.bridge import BridgeDecomposition, EmptyOperator, skeleton_hash
 from paulibridge.pauli import (
     DENSE_LIMIT,
-    PauliString,
     PauliSum,
     TooLarge,
     _act,
@@ -45,6 +44,7 @@ from paulibridge.pauli import (
     json_labels,
     json_rows,
     json_text,
+    label_rows,
     malformed,
 )
 
@@ -181,7 +181,7 @@ def prep_dense(program: LcuProgram) -> np.ndarray:
 
 def _fragment_ops(labels, reg_dim: int, width: int) -> list[np.ndarray]:
     # padding indices of a register act as identity on that half
-    ops = [dense_string(PauliString.from_label(s)) for s in labels]
+    ops = [dense_string(row, width) for row in label_rows(labels, width)]
     return ops + [np.eye(2**width, dtype=np.complex128)] * (reg_dim - len(ops))
 
 
@@ -243,6 +243,17 @@ def block_encoding_dense(program: LcuProgram) -> np.ndarray:
     return lifted.conj().T @ sel @ lifted
 
 
+def _block_terms(program: LcuProgram) -> tuple[np.ndarray, np.ndarray]:
+    """The rows S_j and coefficients u_j^2 Phi_j of encoded_block, one per pair, not merged."""
+    a, b, amp, phase = program.columns
+    weights = amp * amp
+    cut, n = program.cut, program.n_sites
+    left = program.left + ("I" * cut,) * (2**program.a_left - len(program.left))
+    right = program.right + ("I" * (n - cut),) * (2**program.a_right - len(program.right))
+    rows = label_rows([left[i] + right[j] for i, j in zip(a.tolist(), b.tolist())], n)
+    return rows, weights / sum(weights.tolist()) * phase
+
+
 def encoded_block(program: LcuProgram) -> PauliSum:
     """The encoded operator <0|(Prep^dag x I) Select (Prep x I)|0> as a Pauli sum.
 
@@ -251,12 +262,7 @@ def encoded_block(program: LcuProgram) -> PauliSum:
     register, so the block is sum_j u_j^2 Phi_j S_j over the table's pairs,
     with S_j the pair's string; a padding half is the identity.
     """
-    norm2 = sum(amp * amp for amp in program.columns.amp.tolist())
-    cut, n = program.cut, program.n_sites
-    left = program.left + ("I" * cut,) * (2**program.a_left - len(program.left))
-    right = program.right + ("I" * (n - cut),) * (2**program.a_right - len(program.right))
-    return PauliSum(n, [(amp * amp / norm2 * ph, PauliString.from_label(left[a] + right[b]))
-                        for a, b, amp, ph in zip(*(column.tolist() for column in program.columns))])
+    return PauliSum.from_rows(program.n_sites, *_block_terms(program))
 
 
 def block_error(program: LcuProgram, op: PauliSum) -> float:
@@ -267,8 +273,11 @@ def block_error(program: LcuProgram, op: PauliSum) -> float:
     """
     if program.n_sites != op.n_sites:
         raise ValueError(f"program acts on {program.n_sites} sites, operator has {op.n_sites}")
-    target = [(-t.coeff / program.lam, t.string) for t in op.terms]
-    return float(sum(abs(t.coeff) for t in PauliSum(op.n_sites, [*encoded_block(program), *target])))
+    rows, coeffs = _block_terms(program)
+    # -c / lambda one part at a time: numpy's complex division multiplies by 1 / lambda, which rounds otherwise
+    target = (op.coeffs.view(np.float64) / -program.lam).view(np.complex128)
+    merged = PauliSum.from_rows(op.n_sites, np.concatenate([rows, op.rows]), np.concatenate([coeffs, target]))
+    return float(sum(map(abs, merged.coeffs.tolist())))
 
 
 def success_probability(program: LcuProgram, state: np.ndarray) -> float:

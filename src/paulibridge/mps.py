@@ -20,16 +20,15 @@ import scipy.linalg
 
 from paulibridge.pauli import (
     PAULI_MATRICES,
-    PauliString,
     PauliSum,
     JsonText,
     TooLarge,
+    _pack_codes,
     json_document,
     json_field,
     json_text,
     malformed,
     n_words,
-    pack_strings,
     site_codes,
     to_dense,
     unique_rows,
@@ -220,11 +219,9 @@ def canonicalize_mps(m: Mps) -> Mps:
     return canonicalize(m, 0)
 
 
-def string_expectation(m: Mps, p: PauliString) -> complex:
-    """``<psi|P|psi>`` by transfer-matrix contraction."""
-    if p.n_sites != m.n_sites:
-        raise ValueError(f"string has {p.n_sites} sites, state has {m.n_sites}")
-    return complex(string_expectations(m, pack_strings([p], p.n_sites))[0])
+def string_expectation(m: Mps, row: np.ndarray) -> complex:
+    """``<psi|P|psi>`` of one packed row by transfer-matrix contraction."""
+    return complex(string_expectations(m, np.reshape(row, (1, -1)))[0])
 
 
 def _transfer(env: np.ndarray, t: np.ndarray, codes) -> np.ndarray:
@@ -250,7 +247,7 @@ def _environments(tensors: list[np.ndarray], codes: np.ndarray) -> np.ndarray:
 
 
 def string_expectations(m: Mps, packed: np.ndarray) -> np.ndarray:
-    """``<psi|P|psi>`` for every row of a pack_strings array.
+    """``<psi|P|psi>`` for every row of a packed array.
 
     Strings are split at the fixed cut ``c = n // 2``. Left environments
     ``L[a, b]`` (sites ``0..c-1``) are swept once per distinct left half,
@@ -265,7 +262,7 @@ def string_expectations(m: Mps, packed: np.ndarray) -> np.ndarray:
             f"packed strings have shape {packed.shape}, state needs (count, {n_words(n)})"
         )
     cut = n // 2
-    right_bits = pack_strings([PauliString(n, 4 ** (n - cut) - 1)], n)
+    right_bits = _pack_codes(np.repeat([[0, 3]], [cut, n - cut], axis=1))  # both bits of every right site
     (left, il), (right, ir) = unique_rows(packed & ~right_bits), unique_rows(packed & right_bits)
     left_env = _environments(m.tensors[:cut], site_codes(left, n, np.arange(cut)))
     mirrored = [t.transpose(1, 0, 2) for t in reversed(m.tensors[cut:])]

@@ -1,10 +1,12 @@
 """Pauli strings, weighted Pauli sums, and their algebra.
 
-A Pauli string over ``n`` sites is a word in {I, X, Y, Z}. Strings are stored
-bit-packed, two bits per site with I=0, X=1, Y=2, Z=3, and site 0 occupying
-the highest bits. That packing makes integer comparison of the payload agree
-with lexicographic comparison of the labels under the symbol order
-I < X < Y < Z, which is the canonical ordering used everywhere downstream.
+A Pauli string over ``n`` sites is a word in {I, X, Y, Z}, held as a packed
+row: two bits per site with I=0, X=1, Y=2, Z=3 and site 0 in the highest
+bits, cut into ``n_words(n)`` uint64 words of 32 sites, most significant word
+first, so the first word holds the leftover sites. Comparing rows word by
+word then agrees with lexicographic comparison of the labels under the
+symbol order I < X < Y < Z, the canonical ordering used everywhere
+downstream. Labels come in through ``label_rows`` and the text format.
 
 Dense conventions: site 0 is the most significant qubit, i.e. the dense
 matrix of a string is ``kron(sigma[s_0], kron(sigma[s_1], ...))`` and bit j
@@ -15,8 +17,8 @@ The one action rule, the binary (x, z) form of Aaronson & Gottesman (PRA
 of the Y and Z sites, a string maps |b> to i^{#Y} (-1)^{|b & z|} |b ^ x>.
 Every dense or matrix-free action sums the terms sharing x into one diagonal.
 
-A PauliSum is held as pack_strings ``rows`` and a complex128 ``coeffs``
-vector, merged under one rule whether built from arrays or from terms.
+A PauliSum is held as packed ``rows`` and a complex128 ``coeffs`` vector;
+``PauliSum.from_rows`` is its one constructor and merge.
 
 The text format for weighted sums is line oriented: one ``<coeff> <STRING>``
 pair per line, ``#`` starts a comment, blank lines are skipped. Coefficients
@@ -32,8 +34,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,9 +47,7 @@ __all__ = [
     "LengthMismatch",
     "MalformedLine",
     "PauliError",
-    "PauliString",
     "PauliSum",
-    "PauliTerm",
     "SYMBOLS",
     "TooLarge",
     "PAULI_MATRICES",
@@ -63,10 +62,10 @@ __all__ = [
     "json_load",
     "json_rows",
     "json_text",
+    "label_rows",
     "malformed",
     "multiply",
     "n_words",
-    "pack_strings",
     "packed_product",
     "parse_pauli_sum",
     "pauli_product",
@@ -75,7 +74,6 @@ __all__ = [
     "site_codes",
     "to_dense",
     "unique_rows",
-    "unpack_strings",
 ]
 
 SYMBOLS = "IXYZ"
@@ -129,157 +127,64 @@ class IndexOutOfRange(ValueError):
     """An index outside its range: a fermion mode, or a bridge entry's fragment pair."""
 
 
-_LABEL_DIGITS = str.maketrans(SYMBOLS, "0123")
-_HEX_PAIRS = str.maketrans({f"{k:x}": SYMBOLS[k >> 2] + SYMBOLS[k & 3] for k in range(16)})
-
-
-def _mask01(n: int) -> int:
-    # 0b0101...01 over n two-bit slots
-    return (4**n - 1) // 3
-
-
-@dataclass(frozen=True, order=True)
-class PauliString:
-    """An n-site Pauli word, bit-packed two bits per site.
-
-    Attributes
-    ----------
-    n_sites:
-        Number of sites, at least 1.
-    bits:
-        Packed symbol codes; site j sits at bit offset ``2*(n_sites-1-j)``
-        so that integer order equals lexicographic label order.
-    """
-
-    n_sites: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.n_sites < 1:
-            raise PauliError(f"need at least one site, got {self.n_sites}")
-        if not 0 <= self.bits < 4**self.n_sites:
-            raise PauliError("packed bits out of range for site count")
-
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        """Build from a label such as ``"XIZ"``: its codes are its base-4 digits."""
-        if not label:
-            raise PauliError("empty Pauli label")
-        rest = label.strip(SYMBOLS)
-        if rest:
-            raise PauliError(f"invalid Pauli symbol {rest[0]!r} in {label!r}")
-        # a power-of-two base is exempt from int()'s limit on digit count
-        return cls(len(label), int(label.translate(_LABEL_DIGITS), 4))
-
-    @classmethod
-    def from_codes(cls, codes: Iterable[int]) -> "PauliString":
-        return cls.from_label("".join(SYMBOLS[code] for code in codes))
-
-    @property
-    def codes(self) -> tuple[int, ...]:
-        return tuple((self.bits >> (2 * (self.n_sites - 1 - j))) & 3 for j in range(self.n_sites))
-
-    @property
-    def label(self) -> str:
-        # a hex digit holds two sites; [-n:] drops the I an odd count pads with
-        n = self.n_sites
-        return format(self.bits, f"0{(n + 1) // 2}x").translate(_HEX_PAIRS)[-n:]
-
-    def __str__(self) -> str:
-        return self.label
-
-
-@dataclass(frozen=True)
-class PauliTerm:
-    """A complex coefficient attached to a Pauli string."""
-
-    coeff: complex
-    string: PauliString
-
-
 class PauliSum:
     """An ordered, duplicate-free weighted sum of Pauli strings.
 
-    Held as read-only arrays, ``rows`` of pack_strings and ``coeffs`` of
-    complex128, or as ``terms``, PauliTerm objects; ``PauliSum(n, terms)``
-    merges in a dict, ``from_rows`` in arrays, and the view a constructor
-    was not given is derived on first use. The one merge rule: strings
-    keep their first-occurrence order, each one's coefficients are added
-    in input order from 0j, and exact zeros are dropped.
+    Held as two read-only arrays, ``rows`` of packed strings and ``coeffs``
+    of complex128, built only by ``from_rows``, under the one merge rule:
+    strings keep their first-occurrence order, each one's coefficients are
+    added in input order from +0.0, and exact zeros are dropped. Two sums
+    are equal when they hold the same strings with equal coefficients, in
+    any order.
     """
 
-    __slots__ = ("n_sites", "_terms", "_rows", "_coeffs")
-
-    def __init__(self, n_sites: int, terms: Iterable[PauliTerm | tuple[complex, PauliString]]):
-        if n_sites < 1:
-            raise PauliError(f"need at least one site, got {n_sites}")
-        merged: dict[PauliString, complex] = {}
-        for item in terms:
-            coeff, string = (item.coeff, item.string) if isinstance(item, PauliTerm) else item
-            if string.n_sites != n_sites:
-                raise InconsistentLength(f"string {string} has {string.n_sites} sites, expected {n_sites}")
-            merged[string] = merged.get(string, 0j) + complex(coeff)
-        self.n_sites = n_sites
-        self._terms = tuple(PauliTerm(c, s) for s, c in merged.items() if c != 0)
-        self._rows = self._coeffs = None
+    __slots__ = ("n_sites", "rows", "coeffs")
 
     @classmethod
     def from_rows(cls, n_sites: int, rows: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
-        """Merge pack_strings ``rows`` weighted by ``coeffs`` under the one rule."""
+        """Merge packed ``rows`` weighted by ``coeffs`` under the one rule."""
         rows, coeffs = np.ascontiguousarray(rows, dtype=np.uint64), np.asarray(coeffs, dtype=np.complex128)
         if not rows_fit(rows, n_sites) or coeffs.ndim != 1 or len(rows) != len(coeffs):
             raise PauliError(f"rows {rows.shape} and coeffs {coeffs.shape} do not fit {n_sites} sites")
-        _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
-        group = np.argsort(np.argsort(first))[inverse]  # numbered in first-occurrence order
+        # one stable sort of the keys: each run of equal keys is one string, and starts at its first occurrence
+        keys = _row_keys(rows)
+        order = keys.argsort(kind="stable")
+        sorted_keys = keys[order]
+        starts = np.empty(len(keys), dtype=bool)
+        starts[:1] = True
+        starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        group = np.empty(len(keys), dtype=np.intp)
+        group[order] = starts.cumsum() - 1
+        first = order[starts]
         # bincount adds each group's weights in input order from +0.0, one part at a time
         total = np.empty(len(first), dtype=np.complex128)
         total.real = np.bincount(group, coeffs.real, len(first))
         total.imag = np.bincount(group, coeffs.imag, len(first))
-        keep = total != 0
+        kept = first.argsort()  # the strings in first-occurrence order, exact zeros dropped
+        kept = kept[total[kept] != 0]
         op = cls.__new__(cls)
-        op.n_sites, op._terms, op._rows, op._coeffs = n_sites, None, rows[np.sort(first)[keep]], total[keep]
-        op._rows.flags.writeable = op._coeffs.flags.writeable = False
+        op.n_sites, op.rows, op.coeffs = n_sites, rows[first[kept]], total[kept]
+        op.rows.flags.writeable = op.coeffs.flags.writeable = False
         return op
 
     @property
-    def terms(self) -> tuple[PauliTerm, ...]:
-        if self._terms is None:
-            self._terms = tuple(map(PauliTerm, self._coeffs.tolist(), unpack_strings(self._rows, self.n_sites)))
-        return self._terms
-
-    @property
-    def rows(self) -> np.ndarray:
-        if self._rows is None:  # a term list's two arrays, built together
-            self._rows = pack_strings((t.string for t in self._terms), self.n_sites)
-            self._coeffs = np.array([t.coeff for t in self._terms], dtype=np.complex128)
-            self._rows.flags.writeable = self._coeffs.flags.writeable = False
-        return self._rows
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        self.rows  # a term list's coeffs are built with its rows
-        return self._coeffs
-
-    @property
     def n_terms(self) -> int:
-        return len(self._terms if self._terms is not None else self._coeffs)
+        return len(self.coeffs)
 
     def __len__(self) -> int:
         return self.n_terms
 
-    def __iter__(self) -> Iterator[PauliTerm]:
-        return iter(self.terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliSum):
             return NotImplemented
-        return self.n_sites == other.n_sites and self.terms == other.terms
+        if (self.n_sites, self.n_terms) != (other.n_sites, other.n_terms):
+            return False
+        mine, theirs = _row_keys(self.rows).argsort(), _row_keys(other.rows).argsort()
+        same_rows = (self.rows[mine] == other.rows[theirs]).all()
+        return bool(same_rows and (self.coeffs[mine] == other.coeffs[theirs]).all())
 
     def __repr__(self) -> str:
         return f"PauliSum(n_sites={self.n_sites}, n_terms={self.n_terms})"
-
-    def as_dict(self) -> dict[PauliString, complex]:
-        return {t.string: t.coeff for t in self.terms}
 
 
 # ---------------------------------------------------------------------------
@@ -289,33 +194,14 @@ class PauliSum:
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 _WORD_MASK01 = 0x5555555555555555
-_WORD_ONES = 0xFFFFFFFFFFFFFFFF
 
 
-def _cyclic_sites(a, b, mask01):
-    """Bit sets of the sites where (a, b) is cyclic (XY, YZ, ZX) and anticyclic.
-
-    Works on Python ints and on uint64 arrays alike. A code's bits are
-    ``hl``; the successor of a non-identity code in X -> Y -> Z -> X is
-    ``(h ^ l, h)``, so a site is cyclic when ``b`` is the successor of a
-    non-identity ``a`` and anticyclic when ``a`` is the successor of ``b``.
-    The product of the two strings is ``a ^ b`` with phase
-    ``i^(#cyclic - #anticyclic)``.
-    """
-    ah, al = (a >> 1) & mask01, a & mask01
-    bh, bl = (b >> 1) & mask01, b & mask01
-    cyclic = (ah | al) & ~(bh ^ ah ^ al) & ~(bl ^ ah)
-    anticyclic = (bh | bl) & ~(ah ^ bh ^ bl) & ~(al ^ bh)
-    return cyclic, anticyclic
-
-
-def pauli_product(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Product of two strings as (phase, string) with phase in {1, -1, i, -i}."""
-    if a.n_sites != b.n_sites:
-        raise LengthMismatch(f"{a.n_sites} sites vs {b.n_sites} sites")
-    cyclic, anticyclic = _cyclic_sites(a.bits, b.bits, _mask01(a.n_sites))
-    phase = complex(_I_POWERS[(cyclic.bit_count() - anticyclic.bit_count()) % 4])
-    return phase, PauliString(a.n_sites, a.bits ^ b.bits)
+def pauli_product(a: np.ndarray, b: np.ndarray) -> tuple[complex, np.ndarray]:
+    """Product of two packed rows as (phase, row) with phase in {1, -1, i, -i}."""
+    if np.shape(a) != np.shape(b):
+        raise LengthMismatch(f"rows of shapes {np.shape(a)} and {np.shape(b)}")
+    exponent, row = packed_product(np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64))
+    return complex(_I_POWERS[exponent]), row
 
 
 def n_words(n_sites: int) -> int:
@@ -323,54 +209,33 @@ def n_words(n_sites: int) -> int:
     return -(-n_sites // 32)
 
 
-def pack_strings(strings: Iterable[PauliString], n_sites: int) -> np.ndarray:
-    """Packed codes as a ``(count, n_words(n_sites))`` uint64 array.
-
-    ``bits`` is split into 64-bit words, most significant word first, so
-    a word holds whole sites and strings of at most 32 sites pack into
-    one word equal to ``bits``, as the sampler packs them.
-    """
-    words = n_words(n_sites)
-    shifts = [64 * (words - 1 - w) for w in range(words)]
-    rows = [[(s.bits >> sh) & _WORD_ONES for sh in shifts] for s in strings]
-    return np.array(rows, dtype=np.uint64).reshape(len(rows), words)
-
-
-def unpack_strings(rows: np.ndarray, n_sites: int) -> list[PauliString]:
-    """Inverse of pack_strings."""
-    bits = [0] * len(rows)
-    for column in rows.T.tolist():
-        bits = [(b << 64) | word for b, word in zip(bits, column)]
-    return [PauliString(n_sites, b) for b in bits]
-
-
 def rows_fit(rows: np.ndarray, n_sites: int) -> bool:
-    """Whether ``rows`` are uint64 pack_strings rows of ``n_sites`` sites, no bit set past the sites."""
+    """Whether ``rows`` are uint64 packed rows of ``n_sites`` sites, no bit set past the sites."""
     return (n_sites >= 1 and rows.dtype == np.uint64 and rows.ndim == 2 and rows.shape[1] == n_words(n_sites)
-            and not np.any(rows[:, 0] >> np.uint64(2 * (n_sites - 32 * (rows.shape[1] - 1)))))
+            and rows[:, 0].max(initial=0) >> 2 * (n_sites - 32 * (rows.shape[1] - 1)) == 0)
 
 
 def diagonal_rows(rows: np.ndarray) -> np.ndarray:
-    """Which pack_strings rows are diagonal, I or Z on every site: no X or Y, whose two bits differ."""
+    """Which packed rows are diagonal, I or Z on every site: no X or Y, whose two bits differ."""
     return ~((rows ^ (rows >> np.uint64(1))) & np.uint64(_WORD_MASK01)).any(axis=1)
 
 
 def site_codes(packed: np.ndarray, n_sites: int, sites) -> np.ndarray:
-    """Symbol codes of pack_strings rows at ``sites`` (an int or an array)."""
+    """Symbol codes of packed rows at ``sites`` (an int or an array)."""
     offset = 2 * (n_sites - 1 - np.asarray(sites))
     word = packed[:, -1 - offset // 64]
     return ((word >> (offset % 64).astype(np.uint64)) & np.uint64(3)).astype(np.intp)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each pack_strings row as one key: a uint64 when the row is one word, as that sorts
+    """Each packed row as one key: a uint64 when the row is one word, as that sorts
     fastest, else the row's bytes."""
     rows = np.ascontiguousarray(rows)
     return rows[:, 0] if rows.shape[1] == 1 else rows.view(f"V{8 * rows.shape[1]}")[:, 0]
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct pack_strings rows, keyed as PauliSum.from_rows keys them, and the 1-D inverse."""
+    """Distinct packed rows, keyed as PauliSum.from_rows keys them, and the 1-D inverse."""
     unique, inverse = np.unique(_row_keys(rows), return_inverse=True)
     return unique.view(np.uint64).reshape(len(unique), rows.shape[1]), inverse
 
@@ -380,9 +245,16 @@ def packed_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     Returns ``(exponent, codes)``: the product of ``a[...]`` and ``b[...]``
     is ``i**exponent`` times the string ``codes[...]``, with exponent in
-    0..3. This is the rule pauli_product applies to one pair.
+    0..3. A code's bits are ``hl``; the successor of a non-identity code in
+    X -> Y -> Z -> X is ``(h ^ l, h)``, so a site is cyclic (XY, YZ, ZX)
+    when ``b`` is the successor of a non-identity ``a`` and anticyclic when
+    ``a`` is the successor of ``b``, and the exponent is
+    ``#cyclic - #anticyclic``.
     """
-    cyclic, anticyclic = _cyclic_sites(a, b, _WORD_MASK01)
+    ah, al = (a >> 1) & _WORD_MASK01, a & _WORD_MASK01
+    bh, bl = (b >> 1) & _WORD_MASK01, b & _WORD_MASK01
+    cyclic = (ah | al) & ~(bh ^ ah ^ al) & ~(bl ^ ah)
+    anticyclic = (bh | bl) & ~(ah ^ bh ^ bl) & ~(al ^ bh)
     exponent = np.bitwise_count(cyclic).sum(axis=-1, dtype=np.int64)
     exponent -= np.bitwise_count(anticyclic).sum(axis=-1, dtype=np.int64)
     return exponent % 4, a ^ b
@@ -411,9 +283,9 @@ def multiply(a: PauliSum, b: PauliSum) -> PauliSum:
 # ---------------------------------------------------------------------------
 # dense forms and state-vector application
 
-def dense_string(p: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a single string (site 0 most significant)."""
-    return to_dense(PauliSum(p.n_sites, [(1.0, p)]))
+def dense_string(row: np.ndarray, n_sites: int) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of one packed ``n_sites``-site row (site 0 most significant)."""
+    return to_dense(PauliSum.from_rows(n_sites, np.reshape(row, (1, -1)), [1.0]))
 
 
 def _flip_groups(op: PauliSum) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -467,9 +339,9 @@ def to_dense(op: PauliSum) -> np.ndarray:
     return out
 
 
-def apply_string(p: PauliString, vec: np.ndarray) -> np.ndarray:
-    """Apply one Pauli string to a state vector without forming the matrix."""
-    return _act(PauliSum(p.n_sites, [(1.0, p)]), vec)
+def apply_string(row: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Apply one packed row to a state vector of ``2**n`` entries without forming the matrix."""
+    return _act(PauliSum.from_rows(np.size(vec).bit_length() - 1, np.reshape(row, (1, -1)), [1.0]), vec)
 
 
 # ---------------------------------------------------------------------------
@@ -507,19 +379,27 @@ def _format_coeff(c: complex) -> str:
 # byte -> symbol code, 4 for a byte that is no symbol; and code -> code point
 _BYTE_CODES = np.array([SYMBOLS.find(chr(b)) % 5 for b in range(256)], dtype=np.uint8)
 _CODE_POINTS = np.array([ord(c) for c in SYMBOLS], dtype=np.uint32)
-_WORD_SHIFTS = np.arange(62, -1, -2, dtype=np.uint64)  # the 32 sites of a word, first site highest
+_WORD_PLACES = 4 ** np.arange(31, -1, -1, dtype=np.uint64)  # the 32 sites of a word, first site highest
 
 
 def _pack_codes(codes: np.ndarray) -> np.ndarray:
-    """pack_strings rows of a ``(count, n_sites)`` array of symbol codes."""
+    """Packed rows of a ``(count, n_sites)`` array of symbol codes."""
     count, n = codes.shape
     padded = np.zeros((count, 32 * n_words(n)), dtype=np.uint64)
     padded[:, padded.shape[1] - n :] = codes  # the first word holds the leftover sites
-    return (padded.reshape(count, n_words(n), 32) << _WORD_SHIFTS).sum(axis=2, dtype=np.uint64)
+    return padded.reshape(count, n_words(n), 32) @ _WORD_PLACES  # an integer product, exact
+
+
+def label_rows(labels: Sequence[str], n_sites: int) -> np.ndarray:
+    """Packed rows of ``n_sites``-site labels such as ``"XIZ"``; anything else is refused."""
+    codes = _BYTE_CODES[np.frombuffer("".join(labels).encode(errors="surrogatepass"), dtype=np.uint8)]
+    if n_sites < 1 or codes.max(initial=0) > 3 or set(map(len, labels)) - {n_sites}:
+        raise PauliError(f"not {n_sites}-site Pauli labels")
+    return _pack_codes(codes.reshape(len(labels), n_sites))
 
 
 def _row_labels(rows: np.ndarray, n_sites: int) -> np.ndarray:
-    """The labels of pack_strings rows: codes to code points, viewed as one ``U`` string each."""
+    """The labels of packed rows: codes to code points, viewed as one ``U`` string each."""
     points = np.ascontiguousarray(_CODE_POINTS[site_codes(rows, n_sites, np.arange(n_sites))])
     return points.view(f"U{n_sites}").reshape(-1)
 
@@ -534,7 +414,8 @@ def _line_error(body: list[tuple[int, str]], width: int) -> PauliError:
                 raise PauliError(f"expected '<coeff> <STRING>', got {len(tokens)} tokens")
             _parse_coeff(tokens[0])
             column = line.index(tokens[1], column - 1 + len(tokens[0])) + 1
-            PauliString.from_label(tokens[1])
+            if tokens[1].strip(SYMBOLS):
+                raise PauliError(f"invalid Pauli symbol {tokens[1].strip(SYMBOLS)[0]!r} in {tokens[1]!r}")
         except PauliError as exc:
             return MalformedLine(str(exc), line_no, column)
         if len(tokens[1]) != width:
@@ -557,18 +438,20 @@ def parse_pauli_sum(text: str) -> PauliSum:
     if set(map(len, pairs)) != {2}:
         raise _line_error(body, width)
     tokens, labels = zip(*pairs)
-    numbers, joined = "".join(tokens), "".join(labels)
+    numbers = "".join(tokens)
     coeffs = None
     try:  # real tokens at C speed; a complex one sends every token through _parse_coeff
         coeffs = np.array(list(map(float, tokens)), dtype=np.complex128)
     except ValueError:
         with contextlib.suppress(PauliError):
             coeffs = np.array(list(map(_parse_coeff, tokens)), dtype=np.complex128)
-    codes = _BYTE_CODES[np.frombuffer(joined.encode(errors="surrogatepass"), dtype=np.uint8)]
-    if (coeffs is None or not np.isfinite(coeffs).all() or not numbers.isascii() or "_" in numbers
-            or codes.max() > 3 or set(map(len, labels)) != {width}):
+    if coeffs is None or not np.isfinite(coeffs).all() or not numbers.isascii() or "_" in numbers:
         raise _line_error(body, width)
-    op = PauliSum.from_rows(width, _pack_codes(codes.reshape(-1, width)), coeffs)
+    try:
+        rows = label_rows(labels, width)
+    except PauliError:
+        raise _line_error(body, width) from None
+    op = PauliSum.from_rows(width, rows, coeffs)
     if not np.isfinite(op.coeffs).all():
         # a merge overflowed: replay the merges, one per body line, to name the line
         totals: dict[str, complex] = {}

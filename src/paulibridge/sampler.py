@@ -14,7 +14,7 @@ them per site reproduces the joint distribution with no rejection step.
 
 Each sample consumes an independent Philox stream keyed by
 ``(seed, sample_index)``, so sample i is the same regardless of batch
-size or chunking. Samples are ``pauli.pack_strings`` rows, and so are
+size or chunking. Samples are packed rows, and so are
 the curated pools, from the draw to the Ritz pencil: any site count fits
 and the layout is pauli's alone.
 """
@@ -31,10 +31,10 @@ from paulibridge.mps import Mps, _transfer, is_right_canonical_site
 from paulibridge.pauli import (
     SYMBOLS,
     PauliError,
-    _BYTE_CODES,
     _pack_codes,
     _row_labels,
     diagonal_rows,
+    label_rows,
     n_words,
     rows_fit,
     unique_rows,
@@ -96,7 +96,7 @@ def _step(tensor: np.ndarray, envs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def sample_strings(m: Mps, config: SamplerConfig) -> np.ndarray:
-    """Draw Pauli strings as ``(n_samples, n_words(n_sites))`` pack_strings rows."""
+    """Draw Pauli strings as ``(n_samples, n_words(n_sites))`` packed rows."""
     n = m.n_sites
     for j, t in enumerate(m.tensors):
         if not is_right_canonical_site(t, tol=GAUGE_TOL):
@@ -137,7 +137,7 @@ def _sample_chunk(m: Mps, site_rows: np.ndarray, seed: int, start: int, batch: i
 
 @dataclass
 class SampledPool:
-    """A curated pool: ``strings``, pack_strings rows, holds the off-diagonal
+    """A curated pool: ``strings``, packed rows, holds the off-diagonal
     strings seen, then the most frequent diagonal ones (identity excluded)
     up to the curation limit, each part ranked by multiplicity, ties in
     label order; ``counts`` holds their multiplicities, aligned with it."""
@@ -149,7 +149,7 @@ class SampledPool:
 
 
 def curate(samples: np.ndarray, n_sites: int, keep_iz: int | None = None) -> SampledPool:
-    """Tally pack_strings rows and select the pool.
+    """Tally packed rows and select the pool.
 
     Off-diagonal strings are all kept; diagonal ones are ranked by
     multiplicity (ties broken lexicographically) and capped at
@@ -179,7 +179,7 @@ def samples_to_text(samples: np.ndarray, n_sites: int, seed: int | None = None) 
 
 
 def _read_listing(text: str, fmt: str, fields: str) -> tuple[int, int, list, np.ndarray]:
-    """The header sizes, data lines and pack_strings rows of a ``fmt`` listing.
+    """The header sizes, data lines and packed rows of a ``fmt`` listing.
 
     ``fields`` names a line's whitespace-separated fields, the label last.
     A data line comes back as ``(line number, other fields, label)``, its
@@ -204,12 +204,11 @@ def _read_listing(text: str, fmt: str, fields: str) -> tuple[int, int, list, np.
         if len(label) != n_sites:
             raise ValueError(f"line {line_no}: string has {len(label)} sites, header says {n_sites}")
         lines.append((line_no, parts[:-1], label))
-    codes = _BYTE_CODES[np.frombuffer("".join(label for *_, label in lines).encode(), dtype=np.uint8)]
-    return n_sites, n_samples, lines, _pack_codes(codes.reshape(len(lines), n_sites))
+    return n_sites, n_samples, lines, label_rows([label for *_, label in lines], n_sites)
 
 
 def samples_from_text(text: str) -> tuple[np.ndarray, int]:
-    """A samples-v1 listing as pack_strings rows and its site count."""
+    """A samples-v1 listing as packed rows and its site count."""
     n_sites, n_samples, lines, rows = _read_listing(text, "samples-v1", "label")
     if len(lines) != n_samples:
         raise ValueError(f"header says {n_samples} samples, found {len(lines)}")

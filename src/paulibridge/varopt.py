@@ -10,7 +10,7 @@ strings P_a T P_b for T in [I] + the Hamiltonian's; its distinct rows
 are split at the cut n // 2 and contracted from the MPS's environments,
 swept once per distinct half (``mps.string_expectations``). Its identity
 slice is N, and the rest contracts with the coefficients into H. Pools
-and pencils hold their strings as pack_strings rows. A sweep assembles
+and pencils hold their strings as packed rows. A sweep assembles
 its largest pool's pencil once and solves each prefix's block.
 """
 
@@ -58,7 +58,7 @@ class ConvergenceFailure(RuntimeError):
 @dataclass
 class EffectivePencil:
     """Pool-space matrices H_kl = <P_k psi|H|P_l psi>, N_kl = <P_k psi|P_l psi>
-    over the pack_strings rows ``strings``, the identity first; ``coeff_norm``,
+    over the packed rows ``strings``, the identity first; ``coeff_norm``,
     the one-norm of H's coefficients, scales h's rounding."""
 
     h: np.ndarray
@@ -84,7 +84,7 @@ HERMITIAN_TOL = 1e-10  # largest ||h - h^dag|| relative to coeff_norm * ||N||
 
 
 def assemble_pencil(op: PauliSum, rows: np.ndarray, state: Mps) -> EffectivePencil:
-    """Build the effective pencil for a pool of pack_strings rows over a reference MPS.
+    """Build the effective pencil for a pool of packed rows over a reference MPS.
 
     The identity is moved to the front of the pool, or prepended. Pool
     strings are Hermitian, so N_ab = <P_a I P_b> and H_ab = sum_t c_t

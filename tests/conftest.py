@@ -9,7 +9,7 @@ from hypothesis import settings
 
 from paulibridge.bridge import Bridge, compile as compile_bridge
 from paulibridge.lcu import LcuProgram, PrepColumns, compile_lcu
-from paulibridge.pauli import PAULI_MATRICES, PauliString, PauliSum, parse_pauli_sum
+from paulibridge.pauli import PAULI_MATRICES, SYMBOLS, PauliSum, label_rows, parse_pauli_sum
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -34,6 +34,55 @@ def h2_subset(h2_text) -> PauliSum:
     return parse_pauli_sum(h2_text)
 
 
+def int_rows(values, n_sites: int) -> np.ndarray:
+    """Packed rows of strings given as base-4 integers, site 0 the most significant digit
+    (I=0, X=1, Y=2, Z=3): the oracle of the layout, one Python int cut into 64-bit words,
+    most significant word first."""
+    words = -(-n_sites // 32)
+    rows = [[(int(v) >> 64 * (words - 1 - w)) & (2**64 - 1) for w in range(words)] for v in values]
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), words)
+
+
+def row_ints(rows: np.ndarray) -> list[int]:
+    """Inverse of int_rows."""
+    return [functools.reduce(lambda value, word: value << 64 | word, row, 0) for row in rows.tolist()]
+
+
+def int_label(value: int, n_sites: int) -> str:
+    return "".join(SYMBOLS[(value >> 2 * (n_sites - 1 - j)) & 3] for j in range(n_sites))
+
+
+def label_int(label: str) -> int:
+    """Inverse of int_label: the label's base-4 digits."""
+    return int(label.translate(str.maketrans(SYMBOLS, "0123")), 4)
+
+
+def row_codes(rows: np.ndarray, n_sites: int) -> np.ndarray:
+    """``(count, n_sites)`` symbol codes of packed rows, read through int_rows' layout."""
+    return np.array([[(v >> 2 * (n_sites - 1 - j)) & 3 for j in range(n_sites)] for v in row_ints(rows)],
+                    dtype=np.intp).reshape(len(rows), n_sites)
+
+
+def pauli_sum(n_sites: int, terms) -> PauliSum:
+    """The merged sum of ``(coeff, label)`` terms."""
+    coeffs = np.array([c for c, _ in terms], dtype=np.complex128).reshape(-1)
+    return PauliSum.from_rows(n_sites, label_rows([label for _, label in terms], n_sites), coeffs)
+
+
+def row_labels(rows: np.ndarray, n_sites: int) -> list[str]:
+    """Labels of packed rows, read through int_rows' layout."""
+    return [int_label(v, n_sites) for v in row_ints(rows)]
+
+
+def sum_terms(op: PauliSum) -> list[tuple[complex, str]]:
+    """``(coeff, label)`` of each term in order."""
+    return list(zip(op.coeffs.tolist(), row_labels(op.rows, op.n_sites)))
+
+
+def term_dict(op: PauliSum) -> dict[str, complex]:
+    return {label: c for c, label in sum_terms(op)}
+
+
 def random_pauli_sum(rng: np.random.Generator, n_sites: int, n_terms: int,
                      complex_coeffs: bool = False) -> PauliSum:
     """Distinct random strings with nonzero coefficients."""
@@ -41,18 +90,17 @@ def random_pauli_sum(rng: np.random.Generator, n_sites: int, n_terms: int,
     seen = set()
     entries = []
     while len(entries) < n_terms:
-        codes = rng.integers(0, 4, size=n_sites)
-        s = PauliString.from_codes(int(c) for c in codes)
-        if s in seen:
+        label = "".join(SYMBOLS[c] for c in rng.integers(0, 4, size=n_sites))
+        if label in seen:
             continue
-        seen.add(s)
+        seen.add(label)
         c = rng.standard_normal()
         if complex_coeffs:
             c = c + 1j * rng.standard_normal()
         if c == 0:
             continue
-        entries.append((c, s))
-    return PauliSum(n_sites, entries)
+        entries.append((c, label))
+    return pauli_sum(n_sites, entries)
 
 
 def thirteen_qubit_op() -> PauliSum:
@@ -60,8 +108,7 @@ def thirteen_qubit_op() -> PauliSum:
     def word(k, width):
         return "".join("IXYZ"[(k >> (2 * j)) & 3] for j in range(width))
 
-    return PauliSum(5, [(0.1 * (k + 1), PauliString.from_label(word(k, 2) + word(3 * k + 1, 3)))
-                        for k in range(10)])
+    return pauli_sum(5, [(0.1 * (k + 1), word(k, 2) + word(3 * k + 1, 3)) for k in range(10)])
 
 
 def dict_bridge(shape: tuple[int, int], entries: dict) -> Bridge:
@@ -92,15 +139,16 @@ def random_state(rng: np.random.Generator, n_sites: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def kron_string(string: PauliString) -> np.ndarray:
-    """Dense oracle of one string: the Kronecker product of its site matrices."""
-    return functools.reduce(np.kron, (PAULI_MATRICES[c] for c in string.codes))
+def kron_string(codes) -> np.ndarray:
+    """Dense oracle of one string: the Kronecker product of its site matrices, read off its codes."""
+    return functools.reduce(np.kron, (PAULI_MATRICES[c] for c in codes))
 
 
 def kron_dense(op: PauliSum) -> np.ndarray:
     """Dense oracle of a sum: its terms' Kronecker products added in term order."""
     zero = np.zeros((2**op.n_sites,) * 2, dtype=np.complex128)
-    return sum((t.coeff * kron_string(t.string) for t in op.terms), zero)
+    terms = zip(op.coeffs.tolist(), row_codes(op.rows, op.n_sites))
+    return sum((c * kron_string(codes) for c, codes in terms), zero)
 
 
 def scatter_dense(op: PauliSum) -> np.ndarray:
@@ -112,12 +160,11 @@ def scatter_dense(op: PauliSum) -> np.ndarray:
     """
     idx = np.arange(2**op.n_sites)
     out = np.zeros((idx.size, idx.size), dtype=np.complex128)
-    for t in op.terms:
-        label = t.string.label
+    for coeff, label in sum_terms(op):
         x = int("".join("1" if s in "XY" else "0" for s in label), 2)
         z = int("".join("1" if s in "YZ" else "0" for s in label), 2)
         signs = np.where(np.bitwise_count(idx & z) & 1, -1.0, 1.0)
-        out[idx ^ x, idx] += t.coeff * (1j ** label.count("Y") * signs)
+        out[idx ^ x, idx] += coeff * (1j ** label.count("Y") * signs)
     return out
 
 

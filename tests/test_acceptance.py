@@ -33,7 +33,7 @@ from paulibridge.mps import (
     is_left_canonical_site,
     is_right_canonical_site,
 )
-from paulibridge.pauli import PauliString, PauliSum, apply_string, pack_strings, to_dense
+from paulibridge.pauli import PauliSum, apply_string, to_dense
 from paulibridge.sampler import (
     SamplerConfig,
     conditional_weights,
@@ -48,7 +48,7 @@ from paulibridge.varopt import (
     sweep_to_csv,
 )
 
-from conftest import prep_rows, random_pauli_sum, random_state
+from conftest import int_rows, prep_rows, random_pauli_sum, random_state, row_codes, term_dict
 
 
 def report(n: int, name: str, started: float, budget: float) -> None:
@@ -79,8 +79,8 @@ H2_LAMBDA = 1.212874
 def exact_probs(vec: np.ndarray, n_sites: int) -> np.ndarray:
     dim = 4**n_sites
     probs = np.empty(dim)
-    for b in range(dim):
-        ev = np.vdot(vec, apply_string(PauliString(n_sites, b), vec)).real
+    for b, row in enumerate(int_rows(range(dim), n_sites)):
+        ev = np.vdot(vec, apply_string(row, vec)).real
         probs[b] = ev * ev / 2**n_sites
     return probs
 
@@ -89,8 +89,7 @@ def chain_rule_probs(m) -> np.ndarray:
     """Joint probabilities for every string from the conditional recursion."""
     dim = 4**m.n_sites
     probs = np.empty(dim)
-    for b in range(dim):
-        codes = PauliString(m.n_sites, b).codes
+    for b, codes in enumerate(row_codes(int_rows(range(dim), m.n_sites), m.n_sites)):
         env = np.ones((1, 1), dtype=np.complex128)
         joint = 1.0
         for tensor, code in zip(m.tensors, codes):
@@ -106,11 +105,8 @@ def right_canonical_mps(vec: np.ndarray):
 
 
 def rescaled(op: PauliSum, rng: np.random.Generator) -> PauliSum:
-    terms = [
-        (t.coeff * rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]), t.string)
-        for t in op.terms
-    ]
-    return PauliSum(op.n_sites, terms)
+    scales = [rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]) for _ in range(op.n_terms)]
+    return PauliSum.from_rows(op.n_sites, op.rows, op.coeffs * scales)
 
 
 def test_criterion_1_worked_example_first_cut(h2_subset):
@@ -204,7 +200,7 @@ def test_criterion_4_static_select_invariance(h2_subset):
         assert updated.left == prog.left
         assert updated.right == prog.right
         if trial % 5 == 0 and op.n_terms > 1:
-            smaller = PauliSum(n, list(op.terms[:-1]))
+            smaller = PauliSum.from_rows(n, op.rows[:-1], op.coeffs[:-1])
             with pytest.raises(SupportChanged):
                 update_coefficients(prog, compile_bridge(smaller, cut))
     # Full loop on the fixture: sample, optimize, rescale, update.
@@ -286,7 +282,7 @@ def test_criterion_6_variational_bound(h2_subset):
     for n in (1, 2):
         op = random_pauli_sum(rng, n, 2 * 4**n // 3)
         res = ground_state_reference(op)
-        full_span = pack_strings([PauliString(n, b) for b in range(1, 4**n)], n)
+        full_span = int_rows(range(1, 4**n), n)
         energy = check_pair(op, full_span, res.mps, res.energy)
         assert energy == pytest.approx(res.energy, abs=1e-10)
     res = ground_state_reference(h2_subset)
@@ -351,12 +347,8 @@ def test_criterion_8_jordan_wigner():
     for n in range(1, 5):
         for p in range(n):
             number = map_hamiltonian([FermionTerm("one_body", (p, p), 1.0)], n)
-            expected = {}
-            identity = PauliString.from_label("I" * n)
-            z_at_p = PauliString.from_label("I" * p + "Z" + "I" * (n - p - 1))
-            expected[identity] = 0.5
-            expected[z_at_p] = -0.5
-            assert number.as_dict() == expected
+            z_at_p = "I" * p + "Z" + "I" * (n - p - 1)
+            assert term_dict(number) == {"I" * n: 0.5, z_at_p: -0.5}
         for p in range(n):
             for q in range(n):
                 a_p = to_dense(jordan_wigner_op("annihilate", p, n))

@@ -43,8 +43,6 @@ from paulibridge.mpo import Mpo, bridge_svd, mpo_to_json
 from paulibridge.mps import Mps, mps_to_json
 from paulibridge.pauli import (
     SYMBOLS,
-    PauliString,
-    PauliSum,
     json_document,
     json_field,
     json_finite,
@@ -52,7 +50,7 @@ from paulibridge.pauli import (
     malformed,
 )
 
-from conftest import BYTE_IDENTITY, dict_bridge, prep_columns, prep_rows
+from conftest import BYTE_IDENTITY, dict_bridge, pauli_sum, prep_columns, prep_rows
 
 # ---------------------------------------------------------------------------
 # oracles: the per-row code
@@ -271,7 +269,7 @@ def decompositions(draw, values=floats) -> BridgeDecomposition:
     if draw(st.booleans()):
         label = st.text(SYMBOLS, min_size=n_sites, max_size=n_sites)
         strings = draw(st.dictionaries(label, value, min_size=1, max_size=12))
-        op = PauliSum(n_sites, [(c, PauliString.from_label(s)) for s, c in strings.items()])
+        op = pauli_sum(n_sites, [(c, s) for s, c in strings.items()])
         if op.n_terms:
             return compile_bridge(op, cut)
     left, right = draw(labels(cut)), draw(labels(n_sites - cut))
@@ -342,7 +340,7 @@ def test_bridge_and_prep_views_are_read_only():
     # every constructor path hands out read-only columns and a read-only
     # entries view, so an edit fails at once instead of going unseen by
     # the code that reads the table
-    d = compile_bridge(PauliSum(2, [(0.5, PauliString.from_label("XZ")), (-1.0, PauliString.from_label("YI"))]), 1)
+    d = compile_bridge(pauli_sum(2, [(0.5, "XZ"), (-1.0, "YI")]), 1)
     program = compile_lcu(d)
     bridges = [
         d.bridge,
@@ -403,7 +401,7 @@ def test_set_bridge_matches_the_per_pair_loop(d, data):
 
 def test_set_bridge_refuses_a_float_index():
     # int64 would truncate 0.5 to 0: the pairs [[0, 0], [0, 0]]
-    d = compile_bridge(PauliSum(2, [(1.0, PauliString.from_label("XZ")), (0.5, PauliString.from_label("ZZ"))]), 1)
+    d = compile_bridge(pauli_sum(2, [(1.0, "XZ"), (0.5, "ZZ")]), 1)
     with pytest.raises(IndexOutOfRange, match=r"^pair \(0\.5, 0\) outside \(2, 1\)$"):
         set_bridge(d, {(0.5, 0): 3.0, (0, 0): 1.0})
 

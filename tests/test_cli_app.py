@@ -455,7 +455,7 @@ class TestWriter:
         program, bridge, scaled_bridge = tmp_path / "lcu.json", tmp_path / "bridge.json", tmp_path / "scaled.json"
         src.write_text(h2_text)
         op = parse_pauli_sum(h2_text)
-        scaled.write_text(serialize_pauli_sum(PauliSum(op.n_sites, [(2 * t.coeff, t.string) for t in op.terms])))
+        scaled.write_text(serialize_pauli_sum(PauliSum.from_rows(op.n_sites, op.rows, 2 * op.coeffs)))
         for argv in (["compile", "--input", str(src), "--cut", "2", "--output", str(bridge)],
                      ["compile", "--input", str(scaled), "--cut", "2", "--output", str(scaled_bridge)],
                      ["lcu", "--bridge", str(bridge), "--output", str(program)]):

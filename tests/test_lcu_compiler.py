@@ -26,9 +26,19 @@ from paulibridge.lcu import (
     success_probability,
     update_coefficients,
 )
-from paulibridge.pauli import PauliString, PauliSum, TooLarge, dense_string, parse_pauli_sum, to_dense
+from paulibridge.pauli import TooLarge, dense_string, parse_pauli_sum, to_dense
 
-from conftest import kron_dense, prep_columns, prep_rows, program_state, random_pauli_sum, random_state
+from conftest import (
+    int_rows,
+    kron_dense,
+    pauli_sum,
+    prep_columns,
+    prep_rows,
+    program_state,
+    random_pauli_sum,
+    random_state,
+    sum_terms,
+)
 
 H2_LAMBDA = 1.212874
 
@@ -70,7 +80,7 @@ def small_programs(draw):
     else:
         labels = draw(words(n, (1, 4)))
     coeffs = draw(st.lists(_coeffs, min_size=len(labels), max_size=len(labels)))
-    op = PauliSum(n, [(c, PauliString.from_label(s)) for c, s in zip(coeffs, labels)])
+    op = pauli_sum(n, list(zip(coeffs, labels)))
     prog = compile_lcu(compile_bridge(op, cut))
     active = {(a, b) for a, b, *_ in prep_rows(prog)}
     free = [
@@ -190,8 +200,7 @@ class TestBlockEncoding:
     def test_encoded_block_has_no_ancilla_ceiling(self):
         # 64 left and 64 right fragments: 6 + 12 = 18 qubits in the walk
         left = [p + q + r for p in "IXYZ" for q in "IXYZ" for r in "IXYZ"]
-        op = PauliSum(6, [(1.0 + 0.01 * k, PauliString.from_label(s + s[::-1]))
-                          for k, s in enumerate(left)])
+        op = pauli_sum(6, [(1.0 + 0.01 * k, s + s[::-1]) for k, s in enumerate(left)])
         prog = compile_lcu(compile_bridge(op, 3))
         assert prog.n_sites + prog.a_total == 18
         with pytest.raises(TooLarge):
@@ -200,7 +209,7 @@ class TestBlockEncoding:
             to_dense(encoded_block(prog)), to_dense(op) / prog.lam, rtol=0, atol=1e-12
         )
         # the block is a Pauli sum: only densifying it meets the matrix limit
-        wide_op = PauliSum(13, [(1.0, PauliString.from_label("X" * 13))])
+        wide_op = pauli_sum(13, [(1.0, "X" * 13)])
         wide = compile_lcu(compile_bridge(wide_op, 6))
         assert encoded_block(wide) == wide_op
         with pytest.raises(TooLarge):
@@ -211,14 +220,14 @@ class TestBlockEncoding:
     def test_block_error_is_pauli_l1_distance(self, prog, data):
         n, dim = prog.n_sites, 2**prog.n_sites
         # the encoded operator with terms rescaled or dropped, plus one drawn string
-        terms = [(prog.lam * t.coeff * data.draw(st.sampled_from([1.0, 1.0, 0.9, 0.0])), t.string)
-                 for t in encoded_block(prog)]
-        extra = PauliString.from_label(data.draw(st.text("IXYZ", min_size=n, max_size=n)))
-        op = PauliSum(n, terms + [(data.draw(_coeffs), extra)])
+        terms = [(prog.lam * c * data.draw(st.sampled_from([1.0, 1.0, 0.9, 0.0])), label)
+                 for c, label in sum_terms(encoded_block(prog))]
+        extra = data.draw(st.text("IXYZ", min_size=n, max_size=n))
+        op = pauli_sum(n, terms + [(data.draw(_coeffs), extra)])
         # brute force: Pauli coefficients Tr(P^dag D) / 2^n of the dense
         # difference to the walk unitary's block
         diff = block_encoding_dense(prog)[:dim, :dim] - to_dense(op) / prog.lam
-        brute = sum(abs(np.vdot(dense_string(PauliString(n, bits)), diff)) / dim for bits in range(4**n))
+        brute = sum(abs(np.vdot(dense_string(row, n), diff)) / dim for row in int_rows(range(4**n), n))
         err = block_error(prog, op)
         assert err == pytest.approx(brute, rel=0, abs=1e-12)
         assert err >= np.max(np.abs(diff)) - 1e-15
@@ -248,14 +257,15 @@ class TestBlockEncoding:
         # eigenstate, with energy E = sum_j c_j (-1)^(parity of b on j's Z sites)
         rng = np.random.default_rng(5)
         words = {"".join(rng.choice(["I", "Z"], 14)) for _ in range(20)}
-        op = PauliSum(14, [(rng.standard_normal(), PauliString.from_label(w)) for w in sorted(words)])
+        op = pauli_sum(14, [(rng.standard_normal(), w) for w in sorted(words)])
         prog = compile_lcu(compile_bridge(op, 7))
         b = 0b10110011100101
         state = np.zeros(2**14)
         state[b] = 1.0
         # a label read as binary with Z = 1 is its Z-site mask, site 0 the top bit
-        z_masks = [int(t.string.label.replace("I", "0").replace("Z", "1"), 2) for t in op]
-        energy = sum(t.coeff.real * (-1) ** (b & z).bit_count() for t, z in zip(op, z_masks))
+        terms = sum_terms(op)
+        z_masks = [int(label.replace("I", "0").replace("Z", "1"), 2) for _, label in terms]
+        energy = sum(c.real * (-1) ** (b & z).bit_count() for (c, _), z in zip(terms, z_masks))
         assert success_probability(prog, state) == pytest.approx((energy / prog.lam) ** 2, abs=1e-12)
 
     def test_single_pair_operator(self):

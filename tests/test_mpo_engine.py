@@ -33,15 +33,14 @@ from paulibridge.mps import (
 )
 from paulibridge.pauli import (
     PAULI_MATRICES,
-    PauliString,
+    SYMBOLS,
     PauliSum,
-    PauliTerm,
     TooLarge,
     parse_pauli_sum,
     to_dense,
 )
 
-from conftest import CHAIN_MUTATIONS, random_pauli_sum, random_state
+from conftest import CHAIN_MUTATIONS, pauli_sum, random_pauli_sum, random_state, sum_terms, term_dict
 
 
 def rel_err(a, b):
@@ -65,11 +64,11 @@ def chain_operator(rng, n):
         for i in range(n)
         for pair in (("XX", "YY", "ZZ") if i < n - 1 else ()) + ("X", "Z")
     ]
-    return PauliSum(n, [(rng.standard_normal(), PauliString.from_label(s)) for s in labels])
+    return pauli_sum(n, [(rng.standard_normal(), s) for s in labels])
 
 
-def pauli_coefficients(m, strings):
-    """Coefficient of each string in the MPO's Pauli expansion.
+def pauli_coefficients(m, labels):
+    """Coefficient of each labelled string in the MPO's Pauli expansion.
 
     Each site tensor is projected onto the Pauli basis,
     ``c[a, b, p] = tr(sigma_p W[a, b]) / 2``, so a coefficient is one
@@ -78,10 +77,10 @@ def pauli_coefficients(m, strings):
     sigma = np.array(PAULI_MATRICES)
     proj = [np.einsum("abst,pts->pab", w, sigma) / 2 for w in m.tensors]
     out = []
-    for s in strings:
+    for label in labels:
         env = np.ones((1, 1))
-        for c, code in zip(proj, s.codes):
-            env = env @ c[code]
+        for c, symbol in zip(proj, label):
+            env = env @ c[SYMBOLS.index(symbol)]
         out.append(env[0, 0])
     return np.array(out)
 
@@ -104,7 +103,7 @@ def low_rank_operator(rng, n_sites, rank):
             product = np.kron(product, factor)
         coeffs += product
     labels = ("".join("IXYZ"[(k >> 2 * (n_sites - 1 - j)) & 3] for j in range(n_sites)) for k in range(4**n_sites))
-    return PauliSum(n_sites, [(c, PauliString.from_label(s)) for c, s in zip(coeffs, labels) if c != 0])
+    return pauli_sum(n_sites, [(c, s) for c, s in zip(coeffs, labels) if c != 0])
 
 
 def reference_regroup(carried, suffixes):
@@ -176,13 +175,13 @@ class TestBuild:
         np.testing.assert_allclose(mpo_to_dense(m), to_dense(op), rtol=0, atol=1e-12)
 
     def test_identity_is_bond_one(self):
-        op = PauliSum(3, [PauliTerm(2.5, PauliString(3, 0))])
+        op = pauli_sum(3, [(2.5, "III")])
         m = build_mpo_qr(op)
         assert m.bond_dims == [1, 1, 1, 1]
         np.testing.assert_allclose(mpo_to_dense(m), 2.5 * np.eye(8), atol=1e-14)
 
     def test_single_string_is_bond_one(self):
-        op = PauliSum(4, [PauliTerm(-1.0j, PauliString.from_label("XYZI"))])
+        op = pauli_sum(4, [(-1.0j, "XYZI")])
         m = build_mpo_qr(op)
         assert m.bond_dims == [1, 1, 1, 1, 1]
         assert rel_err(mpo_to_dense(m), to_dense(op)) < 1e-14
@@ -195,7 +194,7 @@ class TestBuild:
 
     def test_empty_operator_raises(self):
         with pytest.raises(EmptyOperator):
-            build_mpo_qr(PauliSum(2, []))
+            build_mpo_qr(pauli_sum(2, []))
 
     def test_negative_rank_tol_raises(self, h2_subset):
         with pytest.raises(ValueError):
@@ -216,11 +215,11 @@ class TestBuild:
         assert op.n_terms == 5 * n_sites - 3
         m = build_mpo_qr(op)
         assert max(m.bond_dims) <= 5
-        absent = [PauliString.from_codes(rng.integers(0, 4, n_sites)) for _ in range(20)]
-        absent = [s for s in absent if s not in op.as_dict()]
-        strings = [t.string for t in op.terms] + absent
-        want = [t.coeff for t in op.terms] + [0.0] * len(absent)
-        np.testing.assert_allclose(pauli_coefficients(m, strings), want, rtol=0, atol=1e-12)
+        absent = ["".join(SYMBOLS[c] for c in rng.integers(0, 4, n_sites)) for _ in range(20)]
+        absent = [s for s in absent if s not in term_dict(op)]
+        labels = [label for _, label in sum_terms(op)] + absent
+        want = op.coeffs.tolist() + [0.0] * len(absent)
+        np.testing.assert_allclose(pauli_coefficients(m, labels), want, rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 40), st.booleans())
@@ -243,15 +242,12 @@ class TestBuild:
         # more sites take two packed words per string
         rng = np.random.default_rng(seed)
         codes = rng.choice(4, size=(n_terms, n_sites), p=[0.7, 0.1, 0.1, 0.1])
-        op = PauliSum(n_sites, [
-            (complex(*rng.standard_normal(2)), PauliString.from_codes(int(c) for c in row))
-            for row in codes
-        ])
+        op = pauli_sum(n_sites, [(complex(*rng.standard_normal(2)), "".join(SYMBOLS[c] for c in row)) for row in codes])
         cuts = []
         m = build_mpo_qr(op, cut_log=cuts)
         assert [c.site for c in cuts] == list(range(n_sites))
-        suffixes = [t.string.label for t in op.terms]
-        carried = np.array([[t.coeff for t in op.terms]])
+        suffixes = [label for _, label in sum_terms(op)]
+        carried = op.coeffs[None]
         for site, cut in enumerate(cuts):
             rows, rests, matrix = reference_regroup(carried, suffixes)
             assert cut.row_keys == rows
@@ -270,9 +266,7 @@ class TestBuild:
         rng = np.random.default_rng(seed)
         op = random_pauli_sum(rng, n_sites, n_terms, complex_coeffs=True)
         magnitudes = 10.0 ** rng.uniform(-8, 3, op.n_terms)
-        op = PauliSum(n_sites, [
-            (t.coeff / abs(t.coeff) * mag, t.string) for t, mag in zip(op.terms, magnitudes)
-        ])
+        op = PauliSum.from_rows(n_sites, op.rows, op.coeffs / np.abs(op.coeffs) * magnitudes)
         assert rel_err(mpo_to_dense(build_mpo_qr(op)), to_dense(op)) < 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -294,7 +288,7 @@ class TestBuild:
     def test_non_finite_coefficient_refused(self):
         # a PauliSum built in Python takes any complex; the QR refuses it
         for value in (np.nan, np.inf):
-            op = PauliSum(2, [(value, PauliString.from_label("XZ")), (1.0, PauliString.from_label("ZZ"))])
+            op = pauli_sum(2, [(value, "XZ"), (1.0, "ZZ")])
             with pytest.raises(ValueError, match="must not contain infs or NaNs"):
                 build_mpo_qr(op)
 
@@ -430,12 +424,12 @@ class TestMpoError:
         assert peak < 160 * 2**20
 
     def test_thirteen_sites_too_large(self):
-        op = PauliSum(13, [(1.0, PauliString.from_label("Z" * 13))])
+        op = pauli_sum(13, [(1.0, "Z" * 13)])
         with pytest.raises(TooLarge, match="13 sites exceeds dense limit 12"):
             mpo_error(Mpo([np.ones((1, 1, 2, 2))] * 13), op)
 
     def test_site_count_mismatch(self, h2_subset):
-        op = PauliSum(3, [(1.0, PauliString.from_label("XYZ"))])
+        op = pauli_sum(3, [(1.0, "XYZ")])
         with pytest.raises(ValueError, match="MPO has 4 sites, operator has 3"):
             mpo_error(build_mpo_qr(h2_subset), op)
 

@@ -27,15 +27,14 @@ from paulibridge.mps import (
 from paulibridge import mps as mps_module
 from paulibridge.pauli import (
     PAULI_MATRICES,
-    PauliString,
-    PauliSum,
+    SYMBOLS,
     apply_string,
-    pack_strings,
+    label_rows,
     parse_pauli_sum,
     to_dense,
 )
 
-from conftest import FIXTURES, random_pauli_sum, random_state
+from conftest import FIXTURES, int_rows, kron_string, random_pauli_sum, random_state, row_codes
 
 
 def random_mps(rng, n_sites, max_bond):
@@ -130,9 +129,9 @@ class TestContractions:
     def test_string_expectation_matches_dense(self, seed, n_sites, bits):
         rng = np.random.default_rng(seed)
         vec = random_state(rng, n_sites)
-        p = PauliString(n_sites, bits % 4**n_sites)
-        got = string_expectation(dense_to_mps(vec), p)
-        assert got == pytest.approx(np.vdot(vec, apply_string(p, vec)), abs=1e-12)
+        row = int_rows([bits % 4**n_sites], n_sites)
+        got = string_expectation(dense_to_mps(vec), row[0])
+        assert got == pytest.approx(np.vdot(vec, kron_string(row_codes(row, n_sites)[0]) @ vec), abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -145,10 +144,10 @@ class TestContractions:
         rng = np.random.default_rng(seed)
         m = random_mps(rng, n_sites, max_bond)
         vec = mps_to_dense(m)
-        strings = [PauliString(n_sites, int(b)) for b in rng.integers(0, 4**n_sites, count)]
-        strings += strings[: count // 3]
+        strings = int_rows(rng.integers(0, 4**n_sites, count), n_sites)
+        strings = np.vstack([strings, strings[: count // 3]])
         with patch.object(mps_module, "CHUNK_STRINGS", chunk):
-            got = string_expectations(m, pack_strings(strings, n_sites))
+            got = string_expectations(m, strings)
         want = [np.vdot(vec, apply_string(p, vec)) for p in strings]
         assert got.shape == (len(strings),)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -156,7 +155,7 @@ class TestContractions:
     def test_string_expectations_chunk_boundaries(self, monkeypatch):
         rng = np.random.default_rng(15)
         m = dense_to_mps(random_state(rng, 5), max_bond=3)
-        packed = pack_strings([PauliString(5, int(b)) for b in rng.integers(0, 4**5, 11)], 5)
+        packed = int_rows(rng.integers(0, 4**5, 11), 5)
         whole = string_expectations(m, packed)
         monkeypatch.setattr(mps_module, "CHUNK_STRINGS", 3)
         np.testing.assert_array_equal(string_expectations(m, packed), whole)
@@ -169,9 +168,9 @@ class TestContractions:
         m = random_mps(rng, n_sites, 4)
         vec = mps_to_dense(m)
         bits = np.concatenate([np.arange(4**n_sites), rng.integers(0, 4**n_sites, 100)])
-        strings = [PauliString(n_sites, int(b)) for b in bits]
+        strings = int_rows(bits, n_sites)
         assert len(strings) > mps_module.CHUNK_STRINGS
-        got = string_expectations(m, pack_strings(strings, n_sites))
+        got = string_expectations(m, strings)
         want = [np.vdot(vec, apply_string(p, vec)) for p in strings]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         for n_sites in (1, 2):
@@ -189,13 +188,9 @@ class TestContractions:
         codes = rng.integers(0, 4, size=(count, n_sites))
         # sparse strings, so the expectations are not all vanishingly small
         codes[rng.random(codes.shape) < 0.8] = 0
-        strings = [PauliString.from_codes(row) for row in codes]
-        strings += strings[: count // 3]
-        got = string_expectations(m, pack_strings(strings, n_sites))
-        want = [
-            np.prod([np.vdot(v, PAULI_MATRICES[c] @ v) for v, c in zip(sites, p.codes)])
-            for p in strings
-        ]
+        codes = np.vstack([codes, codes[: count // 3]])
+        got = string_expectations(m, label_rows(["".join(SYMBOLS[c] for c in row) for row in codes], n_sites))
+        want = [np.prod([np.vdot(v, PAULI_MATRICES[c] @ v) for v, c in zip(sites, row)]) for row in codes]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_string_expectations_reject_bad_packing(self):

@@ -1,10 +1,10 @@
 """A PauliSum held as packed rows and a coefficient vector.
 
-The term-list constructor, ``PauliSum.from_rows``, the bulk text parser
-and the all-pairs ``multiply`` are each checked against a per-term oracle
-kept here: the dict merge, the line-by-line parser and the pair-by-pair
-product loop that the package used before sums were held as arrays. The
-oracle parser has one addition, the rule that numerals are ASCII.
+``PauliSum.from_rows``, the bulk text parser and the all-pairs
+``multiply`` are each checked against a per-term oracle kept here: the
+dict merge, the line-by-line parser and the pair-by-pair product loop that
+the package used before sums were held as arrays. The oracle parser has
+one addition, the rule that numerals are ASCII.
 """
 
 import cmath
@@ -22,17 +22,16 @@ from paulibridge.pauli import (
     InconsistentLength,
     MalformedLine,
     PauliError,
-    PauliString,
     PauliSum,
+    SYMBOLS,
     multiply,
     n_words,
-    pack_strings,
     parse_pauli_sum,
     pauli_product,
     serialize_pauli_sum,
 )
 
-from conftest import BYTE_IDENTITY
+from conftest import BYTE_IDENTITY, int_rows, row_ints, sum_terms
 
 
 def same_bytes(a: PauliSum, b: PauliSum) -> bool:
@@ -45,11 +44,28 @@ def same_bytes(a: PauliSum, b: PauliSum) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the two constructors
+# from_rows against the dict merge
 
 SIGNED = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
                           complex(-0.0, 1.0), complex(1.0, -0.0), 5e-324 + 0j, 1 + 0j])
 COEFFS = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False) | SIGNED
+
+
+def dict_merge(terms) -> tuple[list[int], list[complex]]:
+    """Strings (base-4 integers) and coefficients of ``(coeff, value)`` terms merged in a dict:
+    first-occurrence order, each string's coefficients added in input order from 0j, exact
+    zeros dropped."""
+    merged = {}
+    for coeff, value in terms:
+        merged[value] = merged.get(value, 0j) + complex(coeff)
+    kept = [(value, c) for value, c in merged.items() if c != 0]
+    return [value for value, _ in kept], [c for _, c in kept]
+
+
+def from_terms(n: int, terms) -> PauliSum:
+    """``from_rows`` on ``(coeff, value)`` terms, the rows through int_rows."""
+    coeffs = np.array([c for c, _ in terms], dtype=np.complex128).reshape(-1)
+    return PauliSum.from_rows(n, int_rows([value for _, value in terms], n), coeffs)
 
 
 @st.composite
@@ -60,10 +76,14 @@ def term_lists(draw):
     pool = draw(st.lists(st.integers(0, 4**n - 1), min_size=1, max_size=5))
     terms = []
     for coeff, bits in draw(st.lists(st.tuples(COEFFS, st.sampled_from(pool)), max_size=16)):
-        terms.append((coeff, PauliString(n, bits)))
+        terms.append((coeff, bits))
         if draw(st.booleans()):
-            terms.append((-coeff, PauliString(n, bits)))
+            terms.append((-coeff, bits))
     return n, terms
+
+
+def coeff_bits(coeffs) -> bytes:
+    return np.array(coeffs, dtype=np.complex128).reshape(-1).view(np.uint8).tobytes()
 
 
 class TestConstructors:
@@ -71,39 +91,34 @@ class TestConstructors:
     @given(term_lists())
     def test_term_list_and_rows_agree(self, case):
         n, terms = case
-        listed = PauliSum(n, terms)
-        packed = PauliSum.from_rows(
-            n, pack_strings([s for _, s in terms], n), np.array([c for c, _ in terms], dtype=np.complex128)
-        )
-        assert packed.terms == listed.terms
-        assert same_bytes(packed, listed)
-        assert [t.coeff for t in packed.terms] == listed.coeffs.tolist()
+        values, coeffs = dict_merge(terms)
+        packed = from_terms(n, terms)
+        assert row_ints(packed.rows) == values
+        assert coeff_bits(packed.coeffs) == coeff_bits(coeffs)
+        assert packed.coeffs.tolist() == coeffs
 
     def test_arrays_are_read_only(self):
-        for op in (PauliSum(2, [(1.0, PauliString.from_label("XZ"))]),
-                   PauliSum.from_rows(2, np.array([[7]], dtype=np.uint64), [1.0])):
-            with pytest.raises(ValueError):
-                op.rows[0, 0] = 0
-            with pytest.raises(ValueError):
-                op.coeffs[0] = 0
+        op = PauliSum.from_rows(2, np.array([[7]], dtype=np.uint64), [1.0])
+        with pytest.raises(ValueError):
+            op.rows[0, 0] = 0
+        with pytest.raises(ValueError):
+            op.coeffs[0] = 0
 
-    def test_views_are_derived_once(self):
-        op = PauliSum.from_rows(3, np.array([[5], [5], [9]], dtype=np.uint64), [1.0, 2.0, 0.5])
-        assert op.terms is op.terms
-        assert [(t.coeff, t.string.label) for t in op] == [(3.0, "IXX"), (0.5, "IYX")]
-        listed = PauliSum(3, op.terms)
-        assert listed.rows is listed.rows and listed.coeffs is listed.coeffs
+    def test_merge_keeps_first_occurrence_order(self):
+        op = PauliSum.from_rows(3, np.array([[9], [5], [9], [5]], dtype=np.uint64), [0.5, 1.0, 0.25, 2.0])
+        assert sum_terms(op) == [(0.75, "IYX"), (3.0, "IXX")]
+
+    def test_equality_ignores_term_order(self):
+        rows = np.array([[5], [9]], dtype=np.uint64)
+        op = PauliSum.from_rows(3, rows, [1.0, 0.5])
+        assert op == PauliSum.from_rows(3, rows[::-1], [0.5, 1.0])
+        assert op != PauliSum.from_rows(3, rows, [1.0, 0.25])
+        assert op != PauliSum.from_rows(3, rows[:1], [1.0])
+        assert op != PauliSum.from_rows(4, rows, [1.0, 0.5])
 
     def test_merge_keeps_overflow(self):
         op = PauliSum.from_rows(1, np.array([[1], [1]], dtype=np.uint64), [1e308, 1e308])
         assert op.coeffs.tolist() == [complex(math.inf, 0.0)]
-
-    def test_term_list_needs_at_least_one_site(self):
-        # as from_rows and PauliString refuse it: with no site, serialize_pauli_sum
-        # fails inside numpy and to_dense returns a 1 x 1 matrix
-        for n_sites in (0, -1):
-            with pytest.raises(PauliError, match=f"^need at least one site, got {n_sites}$"):
-                PauliSum(n_sites, [])
 
     @pytest.mark.parametrize("n_sites, rows, coeffs, message", [
         (2, np.zeros((2, 1), dtype=np.uint64), [1.0], "do not fit 2 sites"),
@@ -120,13 +135,14 @@ class TestConstructors:
 # ---------------------------------------------------------------------------
 # multiply: one packed_product over all pairs against the pair-by-pair loop
 
-def pairwise_multiply(a: PauliSum, b: PauliSum) -> PauliSum:
+def pairwise_multiply(a: PauliSum, b: PauliSum) -> tuple[list[int], list[complex]]:
+    """The products of every pair of terms by pauli_product, merged in a dict."""
     out = []
-    for ta in a.terms:
-        for tb in b.terms:
-            phase, s = pauli_product(ta.string, tb.string)
-            out.append((ta.coeff * tb.coeff * phase, s))
-    return PauliSum(a.n_sites, out)
+    for ca, ra in zip(a.coeffs.tolist(), a.rows):
+        for cb, rb in zip(b.coeffs.tolist(), b.rows):
+            phase, row = pauli_product(ra, rb)
+            out.append((ca * cb * phase, row_ints(row[None])[0]))
+    return dict_merge(out)
 
 
 class TestMultiplyBytes:
@@ -135,8 +151,10 @@ class TestMultiplyBytes:
     def test_bytes_equal_pairwise_product(self, case, data):
         n, terms = case
         other = data.draw(st.lists(st.tuples(COEFFS, st.integers(0, 4**n - 1)), max_size=6))
-        a, b = PauliSum(n, terms), PauliSum(n, [(c, PauliString(n, bits)) for c, bits in other])
-        assert same_bytes(multiply(a, b), pairwise_multiply(a, b))
+        a, b = from_terms(n, terms), from_terms(n, other)
+        product = multiply(a, b)
+        values, coeffs = pairwise_multiply(a, b)
+        assert row_ints(product.rows) == values and coeff_bits(product.coeffs) == coeff_bits(coeffs)
 
 
     @pytest.mark.parametrize("a, b, label", [
@@ -192,27 +210,29 @@ def oracle_parse(text: str) -> PauliSum:
             coeff = oracle_coeff(tokens[0])
         except PauliError as exc:
             raise MalformedLine(str(exc), line_no, line.index(tokens[0]) + 1) from None
-        try:
-            string = PauliString.from_label(tokens[1])
-        except PauliError as exc:
-            string_col = line.index(tokens[1], line.index(tokens[0]) + len(tokens[0])) + 1
-            raise MalformedLine(str(exc), line_no, string_col) from None
+        label = tokens[1]
+        bad = [ch for ch in label if ch not in SYMBOLS]
+        if bad:
+            string_col = line.index(label, line.index(tokens[0]) + len(tokens[0])) + 1
+            raise MalformedLine(f"invalid Pauli symbol {bad[0]!r} in {label!r}", line_no, string_col)
         if n_sites is None:
-            n_sites = string.n_sites
-        elif string.n_sites != n_sites:
-            raise InconsistentLength(f"line {line_no}: string length {string.n_sites} != {n_sites}")
-        entries.append((line_no, raw, coeff, string))
+            n_sites = len(label)
+        elif len(label) != n_sites:
+            raise InconsistentLength(f"line {line_no}: string length {len(label)} != {n_sites}")
+        entries.append((line_no, raw, coeff, label))
     if n_sites is None:
         raise EmptyInput("no terms in input")
     totals = {}
-    for line_no, raw, coeff, string in entries:
-        totals[string] = totals.get(string, 0j) + coeff
-        if not cmath.isfinite(totals[string]):
+    for line_no, raw, coeff, label in entries:
+        totals[label] = totals.get(label, 0j) + coeff
+        if not cmath.isfinite(totals[label]):
             raise MalformedLine(
-                f"coefficient of {string} is not finite once merged with earlier lines",
+                f"coefficient of {label} is not finite once merged with earlier lines",
                 line_no, len(raw) - len(raw.lstrip()) + 1,
             )
-    return PauliSum(n_sites, [(c, s) for _, _, c, s in entries])
+    digits = str.maketrans(SYMBOLS, "0123")
+    values, coeffs = dict_merge([(c, int(label.translate(digits), 4)) for _, _, c, label in entries])
+    return PauliSum.from_rows(n_sites, int_rows(values, n_sites), np.array(coeffs, dtype=np.complex128))
 
 
 TOKENS = st.one_of(
@@ -286,7 +306,7 @@ class TestParserOracle:
         labels = ["".join(rng.choice(list("IXYZ"), n_sites)) for _ in range(6)]
         op = parse_pauli_sum("".join(f"{k + 1}.5 {label}\n" for k, label in enumerate(labels)))
         assert op.rows.shape == (len(set(labels)), n_words(n_sites))
-        assert [t.string.label for t in op.terms] == list(dict.fromkeys(labels))
+        assert [label for _, label in sum_terms(op)] == list(dict.fromkeys(labels))
         assert serialize_pauli_sum(op) == serialize_pauli_sum(oracle_parse(serialize_pauli_sum(op)))
 
 

@@ -19,7 +19,7 @@ from paulibridge.mps import (
     mps_to_dense,
     string_expectations,
 )
-from paulibridge.pauli import PauliError, PauliString, PauliSum, apply_string, pack_strings, unpack_strings
+from paulibridge.pauli import SYMBOLS, PauliError, apply_string, label_rows
 from paulibridge.sampler import (
     GaugeViolation,
     SamplerConfig,
@@ -33,14 +33,22 @@ from paulibridge.sampler import (
 )
 from paulibridge.varopt import assemble_pencil, solve_ritz_dense
 
-from conftest import BYTE_IDENTITY, random_state
+from conftest import (
+    BYTE_IDENTITY,
+    int_rows,
+    label_int,
+    pauli_sum,
+    random_state,
+    row_codes,
+    row_labels,
+)
 
 
 def exact_probs(vec, n_sites):
     dim = 4**n_sites
     probs = np.empty(dim)
-    for b in range(dim):
-        ev = np.vdot(vec, apply_string(PauliString(n_sites, b), vec)).real
+    for b, row in enumerate(int_rows(range(dim), n_sites)):
+        ev = np.vdot(vec, apply_string(row, vec)).real
         probs[b] = ev * ev / 2**n_sites
     return probs
 
@@ -57,8 +65,7 @@ class TestChainRule:
         vec = random_state(rng, n_sites)
         m = right_canonical_mps(vec)
         probs = exact_probs(vec, n_sites)
-        for b in range(4**n_sites):
-            codes = PauliString(n_sites, b).codes
+        for b, codes in enumerate(row_codes(int_rows(range(4**n_sites), n_sites), n_sites)):
             env = np.ones((1, 1), dtype=np.complex128)
             joint = 1.0
             for tensor, code in zip(m.tensors, codes):
@@ -178,12 +185,12 @@ class TestSampling:
 
 
 def pool_labels(pool):
-    return [s.label for s in unpack_strings(pool.strings, pool.n_sites)]
+    return row_labels(pool.strings, pool.n_sites)
 
 
 class TestCurate:
     def pack(self, labels):
-        return pack_strings([PauliString.from_label(label) for label in labels], len(labels[0]))
+        return label_rows(labels, len(labels[0]))
 
     def test_split_and_counts(self):
         # off-diagonal strings first, then diagonal ones; the identity is tallied but not kept
@@ -267,7 +274,7 @@ class TestCurateOracle:
     @given(sample_batches())
     def test_pool_text_matches_per_string_reference(self, batch):
         n_sites, labels, keep_iz = batch
-        pool = curate(pack_strings(map(PauliString.from_label, labels), n_sites), n_sites, keep_iz=keep_iz)
+        pool = curate(label_rows(labels, n_sites), n_sites, keep_iz=keep_iz)
         text = pool_to_text(pool)
         assert text == reference_pool_text(labels, n_sites, keep_iz)
         back = pool_from_text(text)
@@ -436,7 +443,7 @@ class TestSamplesText:
         back, got_sites = samples_from_text(f"# samples-v1 n_sites={n_sites} n_samples=2\n" + "\n".join(labels))
         assert got_sites == n_sites
         assert back.shape == (2, 2)
-        assert [s.label for s in unpack_strings(back, n_sites)] == labels
+        assert row_labels(back, n_sites) == labels
 
     def test_thirty_two_sites_round_trip(self):
         samples = np.array([[2**64 - 1], [0], [0x9E3779B97F4A7C15]], dtype=np.uint64)
@@ -448,8 +455,8 @@ class TestSamplesText:
     @given(st.sampled_from([1, 31, 32, 33, 64, 65]), st.integers(0, 2**32 - 1), st.integers(0, 12))
     def test_round_trip_at_word_edges(self, n_sites, seed, count):
         rng = np.random.default_rng(seed)
-        strings = [PauliString.from_codes(rng.integers(0, 4, n_sites)) for _ in range(count)]
-        rows = pack_strings(strings, n_sites)
+        labels = ["".join(SYMBOLS[c] for c in rng.integers(0, 4, n_sites)) for _ in range(count)]
+        rows = int_rows(map(label_int, labels), n_sites)
         back, got_sites = samples_from_text(samples_to_text(rows, n_sites, seed=seed))
         assert got_sites == n_sites
         assert back.dtype == np.uint64 and back.shape == rows.shape
@@ -458,8 +465,8 @@ class TestSamplesText:
 
 class TestPastOneWord:
     def test_single_column_is_the_string_bits(self):
-        # up to 32 sites a row is one word equal to PauliString.bits, the old
-        # one-uint64 layout; each sample is redrawn here one site at a time
+        # up to 32 sites a row is one word equal to the string's base-4 value,
+        # the old one-uint64 layout; each sample is redrawn here one site at a time
         rng = np.random.default_rng(40)
         for n_sites in (1, 3, 5):
             m = right_canonical_mps(random_state(rng, n_sites))
@@ -472,7 +479,7 @@ class TestPastOneWord:
                     weights, envs = conditional_weights(tensor, env)
                     codes.append(min(int(np.sum(np.cumsum(weights) < u)), 3))
                     env = envs[codes[-1]] / np.linalg.norm(envs[codes[-1]])
-                assert word == PauliString.from_codes(codes).bits
+                assert word == int("".join(map(str, codes)), 4)
 
     def test_product_state_site_frequencies(self):
         # a product state's strings factor over sites: site j draws symbol c
@@ -483,7 +490,7 @@ class TestPastOneWord:
         samples = sample_strings(Mps([v.reshape(1, 1, 2) for v in sites]),
                                  SamplerConfig(n_samples=n, seed=41))
         assert samples.shape == (n, 2)
-        codes = np.array([s.codes for s in unpack_strings(samples, n_sites)])
+        codes = row_codes(samples, n_sites)
         paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
         observed = np.array([np.bincount(codes[:, j], minlength=4) for j in range(n_sites)])
         expected = n * np.array([[np.vdot(v, p @ v).real ** 2 / 2 for p in paulis] for v in sites])
@@ -498,11 +505,9 @@ class TestPastOneWord:
         # the pool, so the Ritz energy is at most <psi|H|psi>
         rng = np.random.default_rng(42)
         n_sites = 40
-        terms = [(rng.normal(), PauliString.from_label("I" * j + "ZZ" + "I" * (n_sites - 2 - j)))
-                 for j in range(n_sites - 1)]
-        terms += [(rng.normal(), PauliString.from_label("I" * j + "X" + "I" * (n_sites - 1 - j)))
-                  for j in range(n_sites)]
-        op = PauliSum(n_sites, terms)
+        terms = [(rng.normal(), "I" * j + "ZZ" + "I" * (n_sites - 2 - j)) for j in range(n_sites - 1)]
+        terms += [(rng.normal(), "I" * j + "X" + "I" * (n_sites - 1 - j)) for j in range(n_sites)]
+        op = pauli_sum(n_sites, terms)
         bonds = [1] + [2] * (n_sites - 1) + [1]
         raw = Mps([rng.standard_normal((bonds[j], bonds[j + 1], 2))
                    + 1j * rng.standard_normal((bonds[j], bonds[j + 1], 2)) for j in range(n_sites)])
@@ -511,6 +516,5 @@ class TestPastOneWord:
         pool = curate(sample_strings(state, SamplerConfig(n_samples=20, seed=4)), n_sites)
         assert len(pool.strings)
         energy = solve_ritz_dense(assemble_pencil(op, pool.strings, state)).energies[0]
-        coeffs = np.array([t.coeff for t in op.terms])
-        mean = float((coeffs @ string_expectations(state, pack_strings([t.string for t in op.terms], n_sites))).real)
+        mean = float((op.coeffs @ string_expectations(state, op.rows)).real)
         assert energy <= mean + 1e-10

@@ -38,7 +38,6 @@ ALLOWED = {
     "is_left_canonical_site": "the left-gauge condition, mirror of is_right_canonical_site",
     "CutMatrix": "acceptance criterion 1: the fields of the worked example's cut matrices",
     "build_mpo_qr(cut_log)": "acceptance criterion 1: the cut matrices of the worked example",
-    "PauliString.codes": "the Kronecker oracle of conftest.py reads each string's site codes",
     "RitzSolution.coefficients": "the optimized pool weights that ROADMAP item 13 carries into the LCU",
     "solve_ritz_lobpcg(n_roots)": "the benchmark pins this solver; ROADMAP item 2 deletes it",
     "solve_ritz_lobpcg(tol)": "the benchmark pins this solver; ROADMAP item 2 deletes it",

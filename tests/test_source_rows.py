@@ -1,15 +1,13 @@
-"""Bulk consumers of a Pauli sum, a bridge or a Prep table read their arrays.
+"""Package code holds a Pauli sum, a bridge and a Prep table as arrays.
 
-A ``PauliSum`` holds its strings as ``rows`` (the ``pack_strings`` layout)
-and its coefficients as ``coeffs``; ``terms`` builds PauliTerm objects on
-demand. Outside ``pauli.py``, which derives one view from the other,
-package code must not call ``pack_strings`` on a comprehension over
-``.terms``, nor build ``np.array`` from one: either rebuilds, one object
-at a time, an array the sum already holds. Likewise a ``Bridge`` holds
-only ``pairs`` and ``coeffs``, and an ``LcuProgram`` only its Prep
-``columns``; the read-only ``.entries`` view (and the row tuples
-``.prep`` that programs once held) build one object per pair, so no
-package comprehension iterates over them.
+A ``PauliSum`` is packed ``rows`` and a ``coeffs`` vector, built only by
+``PauliSum.from_rows``; there is no per-term object. So no module under
+``src/paulibridge`` names ``PauliString`` or ``PauliTerm``, nor reads a
+``.terms`` or ``.as_dict`` attribute off anything. Likewise a ``Bridge``
+holds only ``pairs`` and ``coeffs``, and an ``LcuProgram`` only its Prep
+``columns``; the read-only ``.entries`` view (and the row tuples ``.prep``
+that programs once held) build one object per pair, so no package
+comprehension iterates over them.
 The checks read each module with ``ast``.
 """
 
@@ -20,9 +18,69 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "paulibridge"
 
+TERM_CLASSES = ("PauliString", "PauliTerm")
+TERM_ATTRIBUTES = ("terms", "as_dict")
 
-def _over_terms(arg: ast.AST, attrs=("terms",)) -> bool:
-    """True when ``arg`` holds a comprehension that iterates over some ``.terms`` (or other ``attrs``)."""
+
+def _name(node: ast.AST):
+    """The name a node reads or binds: a name, an attribute, an import, a definition or a string."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, (ast.alias, ast.ClassDef, ast.FunctionDef)):
+        return node.name
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def term_objects(source: str) -> list[str]:
+    """``line N: name`` for each use of the per-term form: a term class named, defined,
+    imported or exported by string, or a ``terms`` / ``as_dict`` attribute read or defined."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        name = _name(node)
+        if name in TERM_CLASSES or (name in TERM_ATTRIBUTES and isinstance(node, (ast.Attribute, ast.FunctionDef))):
+            found.add((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_array_is_rebuilt_from_terms(path):
+    # with no per-term object left, no array can be rebuilt from one
+    assert term_objects(path.read_text()) == []
+
+
+def test_check_flags_arrays_rebuilt_from_terms():
+    # the import block and reconstruct of bridge.py as they were while both forms lived
+    source = (
+        "from paulibridge.pauli import (\n"
+        "    IndexOutOfRange,\n"
+        "    PauliString,\n"
+        "    PauliSum,\n"
+        ")\n"
+        "def reconstruct(d):\n"
+        "    labels = [d.left[a] + d.right[b] for a, b in d.bridge.pairs.tolist()]\n"
+        "    return PauliSum(d.n_sites, list(zip(d.bridge.coeffs.tolist(), map(PauliString.from_label, labels))))\n"
+        "norm = sum(abs(t.coeff) for t in op.terms)\n"
+        "exact = reconstruct(d).as_dict() == op.as_dict()\n"
+        "__all__ = ['PauliSum', 'PauliTerm']\n"
+        "class PauliTerm:\n"
+        "    def terms(self):\n"
+        "        return pauli.PauliString\n"
+        "def map_hamiltonian(terms, n):\n"
+        "    rows = [t.indices for t in terms]\n"
+        "    return PauliSum.from_rows(n, op.rows, op.coeffs, 'a PauliString in a sentence')\n"
+    )
+    assert term_objects(source) == [
+        "line 3: PauliString", "line 8: PauliString", "line 9: terms", "line 10: as_dict",
+        "line 11: PauliTerm", "line 12: PauliTerm", "line 13: terms", "line 14: PauliString",
+    ]
+
+
+def _over_attributes(arg: ast.AST, attrs) -> bool:
+    """True when ``arg`` holds a comprehension that iterates over some attribute in ``attrs``."""
     return any(
         isinstance(part, ast.Attribute) and part.attr in attrs
         for node in ast.walk(arg)
@@ -32,49 +90,13 @@ def _over_terms(arg: ast.AST, attrs=("terms",)) -> bool:
     )
 
 
-def arrays_from_terms(source: str) -> list[str]:
-    """``line N: name`` for each pack_strings or np.array call on a comprehension over ``.terms``."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Call) and node.args and _over_terms(node.args[0])):
-            continue
-        func = node.func
-        name = getattr(func, "id", None) or getattr(func, "attr", None)
-        numpy_array = name == "array" and getattr(getattr(func, "value", None), "id", None) in ("np", "numpy")
-        if name == "pack_strings" or numpy_array:
-            found.append((node.lineno, f"line {node.lineno}: {name}"))
-    return [text for _, text in sorted(found)]
-
-
-@pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "pauli.py"), ids=lambda p: p.name
-)
-def test_no_array_is_rebuilt_from_terms(path):
-    assert arrays_from_terms(path.read_text()) == []
-
-
-def test_check_flags_arrays_rebuilt_from_terms():
-    source = (
-        "codes = site_codes(pack_strings((t.string for t in op.terms), n), n, sites)\n"
-        "carried = np.array([[t.coeff for t in op.terms]], dtype=np.complex128)\n"
-        "coeffs = numpy.array([term.coeff for term in sorted(op.terms)])\n"
-        "rows = pauli.pack_strings([t.string for t in op.terms], n)\n"
-        "pool = pack_strings(strings, n)\n"
-        "norm = sum(abs(t.coeff) for t in op.terms)\n"
-        "rows = np.array([t.indices for t in batch])\n"
-    )
-    assert arrays_from_terms(source) == [
-        "line 1: pack_strings", "line 2: array", "line 3: array", "line 4: pack_strings",
-    ]
-
-
 def comprehensions_over_tables(source: str) -> list[str]:
     """``line N`` for each comprehension that iterates over some ``.entries`` or ``.prep``."""
     lines = {
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
-        and _over_terms(node, ("entries", "prep"))
+        and _over_attributes(node, ("entries", "prep"))
     }
     return [f"line {n}" for n in sorted(lines)]
 

@@ -14,14 +14,12 @@ from paulibridge.mps import (
 )
 from paulibridge.pauli import (
     PAULI_MATRICES,
+    SYMBOLS,
     DimensionMismatch,
-    PauliString,
-    PauliSum,
     apply_string,
-    pack_strings,
+    label_rows,
     pauli_product,
     to_dense,
-    unpack_strings,
 )
 from paulibridge.sampler import SamplerConfig, curate, sample_strings
 from paulibridge.varopt import (
@@ -33,7 +31,7 @@ from paulibridge.varopt import (
     sweep_to_csv,
 )
 
-from conftest import random_pauli_sum, random_state
+from conftest import int_rows, pauli_sum, random_pauli_sum, random_state, row_codes, row_ints
 
 
 def hermitian_sum(rng, n_sites, n_terms):
@@ -43,7 +41,7 @@ def hermitian_sum(rng, n_sites, n_terms):
 
 def random_pool(rng, n_sites, size):
     bits = rng.choice(4**n_sites, size=min(size, 4**n_sites), replace=False)
-    return pack_strings([PauliString(n_sites, int(b)) for b in bits], n_sites)
+    return int_rows(bits, n_sites)
 
 
 def exact_mps(vec):
@@ -55,24 +53,23 @@ def exact_mps(vec):
 
 def dense_pencil(op, rows, vec):
     dense = to_dense(op)
-    cols = np.stack([apply_string(p, vec) for p in unpack_strings(rows, op.n_sites)], axis=1)
+    cols = np.stack([apply_string(p, vec) for p in rows], axis=1)
     return cols.conj().T @ dense @ cols, cols.conj().T @ cols
 
 
 def pairwise_pencil(op, rows, expect):
     """Entry-by-entry assembly from scalar products and one expectation per string."""
-    pool = unpack_strings(rows, op.n_sites)
-    k = len(pool)
+    k = len(rows)
     h = np.zeros((k, k), dtype=np.complex128)
     n = np.zeros((k, k), dtype=np.complex128)
-    for a, pa in enumerate(pool):
-        for b, pb in enumerate(pool):
+    for a, pa in enumerate(rows):
+        for b, pb in enumerate(rows):
             phase, q = pauli_product(pa, pb)
             n[a, b] = phase * expect(q)
-            for term in op.terms:
-                ph1, q1 = pauli_product(pa, term.string)
+            for coeff, string in zip(op.coeffs.tolist(), op.rows):
+                ph1, q1 = pauli_product(pa, string)
                 ph2, q2 = pauli_product(q1, pb)
-                h[a, b] += term.coeff * ph1 * ph2 * expect(q2)
+                h[a, b] += coeff * ph1 * ph2 * expect(q2)
     return h, n
 
 
@@ -80,7 +77,7 @@ def sparse_string(rng, n_sites, max_weight):
     codes = [0] * n_sites
     for site in rng.choice(n_sites, size=int(rng.integers(1, max_weight + 1)), replace=False):
         codes[site] = int(rng.integers(1, 4))
-    return PauliString.from_codes(codes)
+    return "".join(SYMBOLS[c] for c in codes)
 
 
 class TestAssembly:
@@ -93,12 +90,11 @@ class TestAssembly:
         mps = canonicalize_mps(dense_to_mps(random_state(rng, n_sites), max_bond=max_bond))
         mps.tensors[0] = mps.tensors[0] * rng.uniform(0.5, 2.0)
         vec = mps_to_dense(mps)
-        pool = unpack_strings(random_pool(rng, n_sites, 6), n_sites)
+        pool = random_pool(rng, n_sites, 6)
         # repeated strings and the identity inside the pool
-        ident = PauliString(n_sites, 0)
-        pool = pool + pool[:2] + [ident]
-        pencil = assemble_pencil(op, pack_strings(pool, n_sites), mps)
-        assert unpack_strings(pencil.strings, n_sites) == [ident] + [s for s in pool if s != ident]
+        pool = np.vstack([pool, pool[:2], int_rows([0], n_sites)])
+        pencil = assemble_pencil(op, pool, mps)
+        assert row_ints(pencil.strings) == [0] + [s for s in row_ints(pool) if s != 0]
         h_ref, n_ref = dense_pencil(op, pencil.strings, vec)
         np.testing.assert_allclose(pencil.h, h_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(pencil.n, n_ref, rtol=0, atol=1e-12)
@@ -111,16 +107,14 @@ class TestAssembly:
         sites = [random_state(rng, 1) for _ in range(n_sites)]
         mps = Mps([v.reshape(1, 1, 2) for v in sites])
 
-        def expect(p):
-            return np.prod([np.vdot(v, PAULI_MATRICES[c] @ v) for v, c in zip(sites, p.codes)])
+        def expect(row):
+            codes = row_codes(row[None], n_sites)[0]
+            return np.prod([np.vdot(v, PAULI_MATRICES[c] @ v) for v, c in zip(sites, codes)])
 
-        op = PauliSum(
-            n_sites,
-            [(complex(*rng.standard_normal(2)), sparse_string(rng, n_sites, 3)) for _ in range(6)],
-        )
-        straddle = PauliString.from_label("I" * 31 + "XY" + "I" * 7)
-        pool = (straddle,) + tuple(sparse_string(rng, n_sites, 3) for _ in range(7))
-        pencil = assemble_pencil(op, pack_strings(pool, n_sites), mps)
+        op = pauli_sum(n_sites, [(complex(*rng.standard_normal(2)), sparse_string(rng, n_sites, 3)) for _ in range(6)])
+        straddle = "I" * 31 + "XY" + "I" * 7
+        pool = [straddle] + [sparse_string(rng, n_sites, 3) for _ in range(7)]
+        pencil = assemble_pencil(op, label_rows(pool, n_sites), mps)
         h_ref, n_ref = pairwise_pencil(op, pencil.strings, expect)
         np.testing.assert_allclose(pencil.h, h_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(pencil.n, n_ref, rtol=0, atol=1e-12)
@@ -130,17 +124,15 @@ class TestAssembly:
         rng = np.random.default_rng(6)
         mps = dense_to_mps(random_state(rng, 3))
         with pytest.raises(DimensionMismatch):
-            assemble_pencil(h2_subset, pack_strings([], 4), mps)
+            assemble_pencil(h2_subset, label_rows([], 4), mps)
 
     def test_identity_prepended_once(self, h2_subset):
         rng = np.random.default_rng(3)
         vec = random_state(rng, 4)
-        ident = PauliString(4, 0)
-        pool = (ident, PauliString.from_label("XXYY"))
-        pencil = assemble_pencil(h2_subset, pack_strings(pool, 4), exact_mps(vec))
-        strings = unpack_strings(pencil.strings, 4)
-        assert strings[0] == ident
-        assert strings.count(ident) == 1
+        pencil = assemble_pencil(h2_subset, label_rows(["IIII", "XXYY"], 4), exact_mps(vec))
+        strings = row_ints(pencil.strings)
+        assert strings[0] == 0
+        assert strings.count(0) == 1
         assert pencil.size == 2
 
     def test_hermitian_and_psd(self, h2_subset):
@@ -156,7 +148,7 @@ class TestAssembly:
         # row IIXX, so only rows that cannot be four-site rows are refused: a
         # symbol past the fourth site, two words, another dtype, one dimension
         rng = np.random.default_rng(5)
-        for rows in (pack_strings([PauliString.from_label("XXXXX")], 5), pack_strings([PauliString.from_label("X" * 40)], 40),
+        for rows in (label_rows(["XXXXX"], 5), label_rows(["X" * 40], 40),
                      np.array([[5]], dtype=np.int64), np.array([5], dtype=np.uint64)):
             with pytest.raises(DimensionMismatch, match="do not fit 4 sites"):
                 assemble_pencil(h2_subset, rows, exact_mps(random_state(rng, 4)))
@@ -167,7 +159,7 @@ class TestRitzDense:
         rng = np.random.default_rng(10)
         op = hermitian_sum(rng, 2, 6)
         vec = random_state(rng, 2)
-        pool = pack_strings([PauliString(2, b) for b in range(16)], 2)
+        pool = int_rows(range(16), 2)
         sol = solve_ritz_dense(assemble_pencil(op, pool, exact_mps(vec)))
         exact = scipy.linalg.eigvalsh(to_dense(op))[0]
         assert sol.energies[0] == pytest.approx(exact, abs=1e-10)
@@ -197,7 +189,7 @@ class TestRitzDense:
     def test_identity_only_is_rayleigh_quotient(self, h2_subset):
         rng = np.random.default_rng(12)
         vec = random_state(rng, 4)
-        sol = solve_ritz_dense(assemble_pencil(h2_subset, pack_strings([], 4), exact_mps(vec)))
+        sol = solve_ritz_dense(assemble_pencil(h2_subset, label_rows([], 4), exact_mps(vec)))
         quot = np.vdot(vec, to_dense(h2_subset) @ vec).real
         assert sol.energies[0] == pytest.approx(quot, abs=1e-10)
 
@@ -208,7 +200,7 @@ class TestRitzDense:
         op = hermitian_sum(rng, 2, 5)
         vec = np.zeros(4, dtype=np.complex128)
         vec[0] = 1.0
-        pool = pack_strings([PauliString.from_label("ZI"), PauliString.from_label("XI")], 2)
+        pool = label_rows(["ZI", "XI"], 2)
         pencil = assemble_pencil(op, pool, exact_mps(vec))
         assert scipy.linalg.eigvalsh(pencil.n)[0] < 1e-12
         sol = solve_ritz_dense(pencil)
@@ -220,7 +212,7 @@ class TestRitzDense:
         rng = np.random.default_rng(14)
         op = hermitian_sum(rng, 2, 6)
         vec = random_state(rng, 2)
-        pool = pack_strings([PauliString(2, b) for b in range(16)], 2)
+        pool = int_rows(range(16), 2)
         sol = solve_ritz_dense(assemble_pencil(op, pool, exact_mps(vec)), n_roots=3)
         exact = scipy.linalg.eigvalsh(to_dense(op))
         np.testing.assert_allclose(sol.energies, exact[:3], atol=1e-9)
