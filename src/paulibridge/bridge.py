@@ -30,9 +30,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import operator
-import types
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -43,9 +42,8 @@ from paulibridge.pauli import (
     json_document,
     json_columns,
     json_field,
-    json_finite,
-    json_labels,
     json_rows,
+    json_skeleton,
     json_text,
     label_rows,
     malformed,
@@ -69,7 +67,6 @@ __all__ = [
 FORMAT_NAME = "bridge-v1"
 _malformed = partial(malformed, FORMAT_NAME)
 _field = partial(json_field, FORMAT_NAME)
-_finite = partial(json_finite, FORMAT_NAME)
 
 
 class CutOutOfRange(ValueError):
@@ -85,8 +82,7 @@ class Bridge:
 
     ``Bridge(shape, pairs, coeffs)`` holds its columns read-only: ``pairs``,
     a ``(P, 2)`` int64 array sorted by (a, b) with none repeated, and
-    ``coeffs``, their complex128 values. ``entries`` is a read-only mapping
-    view of the same table, built on first use.
+    ``coeffs``, their complex128 values.
     Zero values are legitimate entries: they mark cancelled pairs that
     still belong to the active index set.
     """
@@ -94,10 +90,6 @@ class Bridge:
     def __init__(self, shape: tuple[int, int], pairs: np.ndarray, coeffs: np.ndarray):
         self.shape, self.pairs, self.coeffs = tuple(shape), pairs, coeffs
         pairs.flags.writeable = coeffs.flags.writeable = False
-
-    @cached_property
-    def entries(self) -> types.MappingProxyType:
-        return types.MappingProxyType(dict(zip(map(tuple, self.pairs.tolist()), self.coeffs.tolist())))
 
     @property
     def active_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -168,24 +160,16 @@ def reconstruct(d: BridgeDecomposition) -> PauliSum:
     return PauliSum.from_rows(d.n_sites, label_rows(labels, d.n_sites), d.bridge.coeffs)
 
 
-def set_bridge(d: BridgeDecomposition, entries: dict[tuple[int, int], complex]) -> BridgeDecomposition:
-    """Same symbolic skeleton, new coefficient mapping.
+def set_bridge(d: BridgeDecomposition, coeffs) -> BridgeDecomposition:
+    """Same symbolic skeleton and pairs, new coefficient column.
 
-    The mapping replaces the old one wholesale; pairs outside the original
-    active set may be introduced as long as the indices address existing
-    fragments. Explicit zeros are kept as cancelled pairs. An index must
-    be an int or a numpy integer; a float or a bool is refused.
+    ``coeffs`` holds one value per row of ``d.bridge.pairs``, in that order; a
+    zero marks a cancelled pair. A column of any other shape is refused.
     """
-    pairs = np.array(list(entries), dtype=object).reshape(-1, 2)  # ints of any size, compared exactly
-    integral = np.vectorize(lambda i: isinstance(i, (int, np.integer)) and not isinstance(i, bool), otypes=[bool])
-    outside = ~(integral(pairs) & (0 <= pairs) & (pairs < d.bridge.shape)).all(axis=1)
-    if outside.any():
-        a, b = pairs[outside.argmax()].tolist()
-        raise IndexOutOfRange(f"pair ({a}, {b}) outside {d.bridge.shape}")
-    pairs = pairs.astype(np.int64)
-    order = np.lexsort(pairs.T[::-1])
-    coeffs = np.array(list(entries.values()), dtype=np.complex128)[order]
-    return replace(d, bridge=Bridge(d.bridge.shape, pairs[order], coeffs))
+    coeffs = np.array(coeffs, dtype=np.complex128)  # a copy: the bridge makes its columns read-only
+    if coeffs.shape != d.bridge.coeffs.shape:
+        raise ValueError(f"expected {d.bridge.coeffs.size} coefficients, one per pair, got shape {coeffs.shape}")
+    return replace(d, bridge=Bridge(d.bridge.shape, d.bridge.pairs, coeffs))
 
 
 def skeleton_hash(cut: int, left, right, pairs=()) -> str:
@@ -239,12 +223,7 @@ def decomposition_from_json(text: str) -> BridgeDecomposition:
     Every malformed field raises ValueError naming it, e.g. ``bridge[3].re``.
     """
     doc = json_document(text, FORMAT_NAME)
-    n_sites = _field(doc, "n_sites", int)
-    cut = _field(doc, "cut", int)
-    if not 1 <= cut < n_sites:
-        raise _malformed("cut", f"{cut} not in 1..{n_sites - 1}")
-    left = json_labels(FORMAT_NAME, doc, "left_fragments", cut)
-    right = json_labels(FORMAT_NAME, doc, "right_fragments", n_sites - cut)
+    cut, left, right = json_skeleton(FORMAT_NAME, doc, "left_fragments", "right_fragments")
     rows = _field(doc, "bridge", list)
     columns = json_columns(rows, ("a", "b", "re", "im"), (len(left), len(right), float, float))
     if columns is None:
@@ -269,5 +248,5 @@ def _raise_row_error(rows: list, n_left: int, n_right: int):
         if (a, b) in seen:
             raise _malformed(where, f"pair ({a}, {b}) appears twice")
         seen.add((a, b))
-        _finite(e, "re", where + "."), _finite(e, "im", where + ".")
+        _field(e, "re", float, where + "."), _field(e, "im", float, where + ".")
     raise AssertionError("every bridge row is well formed")

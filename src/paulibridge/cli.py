@@ -59,7 +59,9 @@ from paulibridge.mps import (
     mps_from_json,
     mps_to_json,
 )
-from paulibridge.pauli import diagonal_rows, json_text, parse_pauli_sum, serialize_pauli_sum, to_dense
+from paulibridge.pauli import (
+    diagonal_rows, json_text, parse_pauli_sum, require_hermitian, serialize_pauli_sum, to_dense,
+)
 from paulibridge.sampler import (
     SamplerConfig,
     curate,
@@ -227,7 +229,7 @@ def cmd_optimize(args) -> int:
         raise ValueError(f"pool has {pool.n_sites} sites, operator has {op.n_sites}")
     pencil = assemble_pencil(op, pool.strings, state)
     sol = solve_ritz_dense(pencil, n_roots=args.n_roots)
-    reference = float(scipy.linalg.eigvalsh(to_dense(op), subset_by_index=[0, 0])[0])
+    reference = float(scipy.linalg.eigvalsh(to_dense(require_hermitian(op)), subset_by_index=[0, 0])[0])
     doc = {
         "format": "optimize-v1",
         "solver": "dense",

@@ -24,7 +24,6 @@ from paulibridge.pauli import (
     PauliSum,
     _I_POWERS,
     json_field,
-    json_finite,
     json_load,
     label_rows,
     malformed,
@@ -149,7 +148,6 @@ def map_hamiltonian(terms: list[FermionTerm], n: int) -> PauliSum:
 
 _malformed = partial(malformed, "fermion")
 _field = partial(json_field, "fermion")
-_finite = partial(json_finite, "fermion")
 
 
 def load_fermion_terms(text: str) -> tuple[int, list[FermionTerm]]:
@@ -174,9 +172,9 @@ def load_fermion_terms(text: str) -> tuple[int, list[FermionTerm]]:
         raw = entry.get("coeff")
         if isinstance(raw, list) and len(raw) == 2:
             pair = {"coeff[0]": raw[0], "coeff[1]": raw[1]}
-            coeff = complex(_finite(pair, "coeff[0]", where), _finite(pair, "coeff[1]", where))
+            coeff = complex(_field(pair, "coeff[0]", float, where), _field(pair, "coeff[1]", float, where))
         else:
-            coeff = complex(_finite(entry, "coeff", where))
+            coeff = complex(_field(entry, "coeff", float, where))
         try:
             terms.append(FermionTerm(kind, tuple(indices), coeff))
         except ValueError as exc:

@@ -40,9 +40,8 @@ from paulibridge.pauli import (
     json_columns,
     json_document,
     json_field,
-    json_finite,
-    json_labels,
     json_rows,
+    json_skeleton,
     json_text,
     label_rows,
     malformed,
@@ -346,7 +345,6 @@ def program_to_json(program: LcuProgram) -> str:
 
 _malformed = partial(malformed, FORMAT_NAME)
 _field = partial(json_field, FORMAT_NAME)
-_finite = partial(json_finite, FORMAT_NAME)
 
 
 def program_from_json(text: str) -> LcuProgram:
@@ -357,13 +355,8 @@ def program_from_json(text: str) -> LcuProgram:
     the dictionaries and pairs read.
     """
     doc = json_document(text, FORMAT_NAME)
-    n_sites = _field(doc, "n_sites", int)
-    cut = _field(doc, "cut", int)
-    if not 1 <= cut < n_sites:
-        raise _malformed("cut", f"{cut} not in 1..{n_sites - 1}")
-    left = json_labels(FORMAT_NAME, doc, "left", cut)
-    right = json_labels(FORMAT_NAME, doc, "right", n_sites - cut)
-    lam = _finite(doc, "lambda")
+    cut, left, right = json_skeleton(FORMAT_NAME, doc, "left", "right")
+    lam = _field(doc, "lambda", float)
     if lam <= 0:
         raise _malformed("lambda", f"expected a positive one-norm, got {lam!r}")
     for key, labels in (("a_left", left), ("a_right", right)):
@@ -401,31 +394,23 @@ def _read_table(preps: list, selects: list, left: tuple[str, ...], right: tuple[
     return PrepColumns(*np.array(s_cols[:2], dtype=np.int64).reshape(2, -1), np.array(p_cols[2]), phase)
 
 
-def _index(row, key: str, size: int, where: str) -> int:
-    value = _field(row, key, int, where)
-    if not 0 <= value < size:
-        raise _malformed(where + key, f"{value} not in 0..{size - 1}")
-    return value
-
-
 def _raise_row_error(preps: list, selects: list, left: tuple[str, ...], right: tuple[str, ...]):
     """Raise the error of the first prep/select row pair that breaks the format."""
     seen = set()
     for k, (p_row, s_row) in enumerate(zip(preps, selects)):
         where = f"select[{k}]."
-        a = _index(s_row, "a", len(left), where)
-        b = _index(s_row, "b", len(right), where)
+        a, b = _field(s_row, "a", len(left), where), _field(s_row, "b", len(right), where)
         if _field(s_row, "pl", str, where) != left[a] or _field(s_row, "pr", str, where) != right[b]:
             raise _malformed(where + "pl/pr", "select row labels disagree with the dictionaries")
         if (a, b) in seen:
             raise _malformed(f"select[{k}]", f"pair ({a}, {b}) appears twice")
         seen.add((a, b))
-        phase = complex(_finite(s_row, "phase_re", where), _finite(s_row, "phase_im", where))
+        phase = complex(_field(s_row, "phase_re", float, where), _field(s_row, "phase_im", float, where))
         if abs(abs(phase) - 1) > PHASE_TOL:
             raise _malformed(f"select[{k}]", f"phase {phase} has modulus {abs(phase):.6g}, not 1")
         where = f"prep[{k}]."
-        pair = (_index(p_row, "a", len(left), where), _index(p_row, "b", len(right), where))
+        pair = (_field(p_row, "a", len(left), where), _field(p_row, "b", len(right), where))
         if pair != (a, b):
             raise _malformed(f"prep[{k}]", f"pair {pair} is not the pair ({a}, {b}) of select[{k}]")
-        _finite(p_row, "amp", where)
+        _field(p_row, "amp", float, where)
     raise AssertionError("every prep and select row is well formed")

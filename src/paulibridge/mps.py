@@ -29,6 +29,7 @@ from paulibridge.pauli import (
     json_text,
     malformed,
     n_words,
+    require_hermitian,
     site_codes,
     to_dense,
     unique_rows,
@@ -294,12 +295,7 @@ def ground_state_reference(op: PauliSum, max_bond: int | None = None) -> GroundS
     in which case the chosen eigenvector is a basis-dependent
     representative.
     """
-    dense = to_dense(op)
-    # ||H - H^dag||_F <= 1e-10 max(||H||_F, 1) from the coefficients: the strings
-    # are Hermitian and Frobenius-orthogonal, each of norm 2^(n/2)
-    norm = 2.0 ** (op.n_sites / 2)
-    if 2 * norm * np.linalg.norm(op.coeffs.imag) > 1e-10 * max(norm * np.linalg.norm(op.coeffs), 1.0):
-        raise ValueError("operator is not Hermitian")
+    dense = to_dense(require_hermitian(op))
     vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, 1])  # a sum has at least one site
     energy = float(vals[0])
     gap = float(vals[1] - vals[0])

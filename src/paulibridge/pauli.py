@@ -57,8 +57,8 @@ __all__ = [
     "json_document",
     "json_columns",
     "json_field",
-    "json_finite",
     "json_labels",
+    "json_skeleton",
     "json_load",
     "json_rows",
     "json_text",
@@ -69,6 +69,7 @@ __all__ = [
     "packed_product",
     "parse_pauli_sum",
     "pauli_product",
+    "require_hermitian",
     "rows_fit",
     "serialize_pauli_sum",
     "site_codes",
@@ -339,6 +340,15 @@ def to_dense(op: PauliSum) -> np.ndarray:
     return out
 
 
+def require_hermitian(op: PauliSum) -> PauliSum:
+    """``op``, if ||H - H^dag||_F <= 1e-10 max(||H||_F, 1), else ValueError; both norms are read off the
+    coefficients, as the strings are Hermitian and Frobenius-orthogonal, each of norm 2^(n/2)."""
+    norm = 2.0 ** (op.n_sites / 2)
+    if 2 * norm * np.linalg.norm(op.coeffs.imag) > 1e-10 * max(norm * np.linalg.norm(op.coeffs), 1.0):
+        raise ValueError("operator is not Hermitian")
+    return op
+
+
 def apply_string(row: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Apply one packed row to a state vector of ``2**n`` entries without forming the matrix."""
     return _act(PauliSum.from_rows(np.size(vec).bit_length() - 1, np.reshape(row, (1, -1)), [1.0]), vec)
@@ -497,19 +507,21 @@ def json_document(text: str, fmt: str) -> dict:
 
 
 def json_field(fmt: str, doc, key: str, kind, where: str = ""):
-    """``doc[key]`` when it is a ``kind``; ``where`` prefixes the field name."""
-    # bool is an int subclass in Python but never a valid count or value
+    """``doc[key]`` when it is a ``kind``, the kinds read as json_columns reads them: ``float``
+    is a finite number, read as a float, and an int kind is an index below it; ``where``
+    prefixes the field name."""
     value = doc.get(key) if isinstance(doc, dict) else None
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise malformed(fmt, where + key, f"expected a finite number, got {value!r}")
+        return float(value)
+    size, kind = (kind, int) if isinstance(kind, int) else (None, kind)
+    # bool is an int subclass in Python but never a valid count or value
     if not isinstance(value, kind) or isinstance(value, bool):
         raise malformed(fmt, where + key, f"expected {kind.__name__}, got {value!r}")
+    if size is not None and not 0 <= value < size:
+        raise malformed(fmt, where + key, f"{value} not in 0..{size - 1}")
     return value
-
-
-def json_finite(fmt: str, doc, key: str, where: str = "") -> float:
-    value = doc.get(key) if isinstance(doc, dict) else None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise malformed(fmt, where + key, f"expected a finite number, got {value!r}")
-    return float(value)
 
 
 def json_columns(rows: list, keys: tuple[str, ...], kinds: tuple) -> list[tuple] | None:
@@ -547,6 +559,15 @@ def json_labels(fmt: str, doc, key: str, width: int) -> tuple[str, ...]:
         if k and label <= labels[k - 1]:  # ASCII order is the I < X < Y < Z order
             raise malformed(fmt, f"{key}[{k}]", f"not increasing: {label!r} after {labels[k - 1]!r}")
     raise AssertionError("every label is well formed")
+
+
+def json_skeleton(fmt: str, doc, left_key: str, right_key: str) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
+    """``(cut, left, right)`` of a cut format's header, the cut checked against ``n_sites``."""
+    n_sites = json_field(fmt, doc, "n_sites", int)
+    cut = json_field(fmt, doc, "cut", int)
+    if not 1 <= cut < n_sites:
+        raise malformed(fmt, "cut", f"{cut} not in 1..{n_sites - 1}")
+    return cut, json_labels(fmt, doc, left_key, cut), json_labels(fmt, doc, right_key, n_sites - cut)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from paulibridge.pauli import (
     PauliSum,
     _I_POWERS,
     packed_product,
+    require_hermitian,
     rows_fit,
     to_dense,
     unique_rows,
@@ -213,7 +214,7 @@ def energy_vs_samples_sweep(
     if not sizes or sizes[0] < 1:
         raise ValueError("sample sizes must be positive")
     if reference is None:
-        reference = float(scipy.linalg.eigvalsh(to_dense(op), subset_by_index=[0, 0])[0])
+        reference = float(scipy.linalg.eigvalsh(to_dense(require_hermitian(op)), subset_by_index=[0, 0])[0])
     samples = sample_strings(state, SamplerConfig(n_samples=sizes[-1], seed=seed))
     pools = [curate(samples[:n], op.n_sites).strings for n in sizes]
     stacked = np.concatenate(pools)

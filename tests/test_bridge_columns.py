@@ -45,7 +45,6 @@ from paulibridge.pauli import (
     SYMBOLS,
     json_document,
     json_field,
-    json_finite,
     json_text,
     malformed,
 )
@@ -56,8 +55,21 @@ from conftest import BYTE_IDENTITY, dict_bridge, pauli_sum, prep_columns, prep_r
 # oracles: the per-row code
 
 
+def bridge_entries(bridge) -> dict:
+    """The bridge's table as a mapping from (a, b) to its coefficient."""
+    return dict(zip(map(tuple, bridge.pairs.tolist()), bridge.coeffs.tolist()))
+
+
+def json_finite(fmt: str, doc, key: str, where: str = "") -> float:
+    """The per-row readers' finite-number check, kept here apart from ``pauli.json_field``."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise malformed(fmt, where + key, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def oracle_decomposition_to_json(d: BridgeDecomposition) -> str:
-    entries = d.bridge.entries
+    entries = bridge_entries(d.bridge)
     doc = {
         "format": "bridge-v1",
         "n_sites": d.n_sites,
@@ -109,10 +121,11 @@ def oracle_decomposition_from_json(text: str) -> BridgeDecomposition:
 
 
 def oracle_compile_lcu(d: BridgeDecomposition) -> LcuProgram:
-    active = sorted(p for p, c in d.bridge.entries.items() if c != 0)
+    entries = bridge_entries(d.bridge)
+    active = sorted(p for p, c in entries.items() if c != 0)
     if not active:
         raise EmptyOperator("bridge has no active pairs")
-    coeffs = np.array([d.bridge.entries[p] for p in active])
+    coeffs = np.array([entries[p] for p in active])
     with np.errstate(over="ignore"):
         lam = float(np.sum(np.abs(coeffs)))
     if not math.isfinite(lam):
@@ -324,7 +337,7 @@ def test_compile_lcu_table_equals_the_per_pair_table(d):
 @given(decompositions(moderate), st.data())
 def test_programs_from_rows_write_as_the_per_row_writers(d, data):
     # a program built from row tuples, as the tests build them: any phase of modulus one
-    if not any(c != 0 for c in d.bridge.entries.values()):
+    if not d.bridge.coeffs.any():
         return
     program = compile_lcu(d)
     size = len(program.columns.a)
@@ -337,73 +350,28 @@ def test_programs_from_rows_write_as_the_per_row_writers(d, data):
 
 
 def test_bridge_and_prep_views_are_read_only():
-    # every constructor path hands out read-only columns and a read-only
-    # entries view, so an edit fails at once instead of going unseen by
-    # the code that reads the table
+    # every constructor path hands out read-only columns, so an edit fails
+    # at once instead of going unseen by the code that reads the table
     d = compile_bridge(pauli_sum(2, [(0.5, "XZ"), (-1.0, "YI")]), 1)
     program = compile_lcu(d)
     bridges = [
         d.bridge,
-        set_bridge(d, {(1, 0): 2.0, (0, 0): 0.0}).bridge,
+        set_bridge(d, [0.0, 2.0]).bridge,
         decomposition_from_json(decomposition_to_json(d)).bridge,
         bridge_svd(d, 1).truncated,
     ]
     programs = [
         program,
         program_from_json(program_to_json(program)),
-        update_coefficients(program, set_bridge(d, {pair: -2.0 * c for pair, c in d.bridge.entries.items()})),
+        update_coefficients(program, set_bridge(d, -2.0 * d.bridge.coeffs)),
     ]
     for bridge in bridges:
-        with pytest.raises(TypeError):
-            bridge.entries[(0, 0)] = 2.0
         for column in (bridge.pairs, bridge.coeffs):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0
     for column in (column for program in programs for column in program.columns):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0
-
-
-def oracle_set_bridge(d: BridgeDecomposition, entries: dict) -> BridgeDecomposition:
-    n_l, n_r = d.bridge.shape
-    checked = {}
-    for (a, b), coeff in entries.items():
-        integral = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in (a, b))
-        if not (integral and 0 <= a < n_l and 0 <= b < n_r):
-            raise IndexOutOfRange(f"pair ({a}, {b}) outside {d.bridge.shape}")
-        checked[(a, b)] = complex(coeff)
-    return dataclasses.replace(d, bridge=dict_bridge((n_l, n_r), checked))
-
-
-@BYTE_IDENTITY
-@given(decompositions(), st.randoms())
-def test_set_bridge_on_a_shuffled_mapping_writes_the_sorted_bytes(d, random):
-    items = sorted(d.bridge.entries.items())
-    shuffled = random.sample(items, len(items))
-    want = outcome(decomposition_to_json, d)
-    assert outcome(decomposition_to_json, set_bridge(d, dict(items))) == want
-    assert outcome(decomposition_to_json, set_bridge(d, dict(shuffled))) == want
-
-
-@BYTE_IDENTITY
-@given(decompositions(), st.data())
-def test_set_bridge_matches_the_per_pair_loop(d, data):
-    # indices past the dictionaries, negative, beyond int64, a float or a bool name the first bad
-    # pair in mapping order; a numpy integer is an index
-    index = st.one_of(st.integers(-2, 7), st.sampled_from([2**63, 2**70, -(2**64), 0.5, 1.0, True, False]),
-                      st.integers(0, 3).map(np.int64), st.integers(0, 3).map(np.uint8))
-    keep = d.bridge.entries and data.draw(st.booleans())
-    pairs = st.sampled_from(sorted(d.bridge.entries)) if keep else st.tuples(index, index)
-    entries = data.draw(st.dictionaries(pairs, st.builds(complex, floats, floats), max_size=8))
-    got, want = outcome(set_bridge, d, entries), outcome(oracle_set_bridge, d, entries)
-    assert got == want if got[0] != "ok" else want[0] == "ok" and same_decomposition(got[1], want[1])
-
-
-def test_set_bridge_refuses_a_float_index():
-    # int64 would truncate 0.5 to 0: the pairs [[0, 0], [0, 0]]
-    d = compile_bridge(pauli_sum(2, [(1.0, "XZ"), (0.5, "ZZ")]), 1)
-    with pytest.raises(IndexOutOfRange, match=r"^pair \(0\.5, 0\) outside \(2, 1\)$"):
-        set_bridge(d, {(0.5, 0): 3.0, (0, 0): 1.0})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -476,7 +444,8 @@ def corrupt(doc: dict, key: str, data) -> None:
 
 def same_decomposition(got: BridgeDecomposition, want: BridgeDecomposition) -> bool:
     skeleton = (got.cut, got.left, got.right, got.bridge.shape) == (want.cut, want.left, want.right, want.bridge.shape)
-    return skeleton and repr(sorted(got.bridge.entries.items())) == repr(sorted(want.bridge.entries.items()))
+    return skeleton and repr(sorted(bridge_entries(got.bridge).items())) == repr(
+        sorted(bridge_entries(want.bridge).items()))
 
 
 @BYTE_IDENTITY
@@ -502,7 +471,7 @@ def test_bridge_reader_matches_the_per_row_reader_on_corrupted_documents(d, data
 @BYTE_IDENTITY
 @given(decompositions(moderate), st.data())
 def test_program_reader_matches_the_per_row_reader_on_corrupted_documents(d, data):
-    if not any(c != 0 for c in d.bridge.entries.values()):
+    if not d.bridge.coeffs.any():
         return
     doc = json.loads(program_to_json(compile_lcu(d)))
     for _ in range(data.draw(st.integers(0, 3))):
@@ -543,7 +512,7 @@ def test_bridge_svd_entries_equal_the_per_entry_loop(d, rank):
         if approx[a, b] != 0
     }
     got = bridge_svd(d, rank).truncated
-    assert repr(dict(got.entries)) == repr(want)
+    assert repr(bridge_entries(got)) == repr(want)
     assert got.shape == d.bridge.shape
 
 
@@ -586,6 +555,34 @@ def test_bridge_reader_raises_the_per_row_error(h2_subset, change):
     text = json.dumps(doc)
     got, want = outcome(decomposition_from_json, text), outcome(oracle_decomposition_from_json, text)
     assert got == want if got[0] != "ok" else want[0] == "ok" and same_decomposition(got[1], want[1])
+
+
+# one malformed header per case, for either cut format: (left key, right key) -> change, and the message
+# after "<format> field "; the h2 skeleton at cut 2 has six left and five right fragments on 4 sites
+HEADER_CHANGES = {
+    "cut 0": (lambda doc, keys: doc.update(cut=0), "cut: 0 not in 1..3"),
+    "cut n_sites": (lambda doc, keys: doc.update(cut=4), "cut: 4 not in 1..3"),
+    "out of order": (lambda doc, keys: doc[keys[0]].reverse(), "{0}[1]: not increasing: 'ZI' after 'ZZ'"),
+    "wrong width": (lambda doc, keys: doc[keys[1]].__setitem__(0, "III"),
+                    "{1}[0]: expected a 2-site Pauli label, got 'III'"),
+    "no n_sites": (lambda doc, keys: doc.pop("n_sites"), "n_sites: expected int, got None"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_CHANGES))
+@pytest.mark.parametrize("fmt", ["bridge-v1", "lcu-v1"])
+def test_both_cut_formats_refuse_a_malformed_header_in_their_own_name(h2_subset, fmt, case):
+    d = compile_bridge(h2_subset, 2)
+    if fmt == "bridge-v1":
+        text, read, keys = decomposition_to_json(d), decomposition_from_json, ("left_fragments", "right_fragments")
+    else:
+        text, read, keys = program_to_json(compile_lcu(d)), program_from_json, ("left", "right")
+    change, message = HEADER_CHANGES[case]
+    doc = json.loads(text)
+    change(doc, keys)
+    with pytest.raises(ValueError) as info:
+        read(json.dumps(doc))
+    assert str(info.value) == f"{fmt} field " + message.format(*keys)
 
 
 @pytest.mark.parametrize("change", PROGRAM_CHANGES + [lambda doc: None])

@@ -976,7 +976,7 @@ class TestVerifyBattery:
         # a reader that doubles every coefficient keeps the skeleton and its hash
         def doubling_reader(text):
             d = decomposition_from_json(text)
-            return set_bridge(d, {pair: 2 * c for pair, c in d.bridge.entries.items()})
+            return set_bridge(d, 2 * d.bridge.coeffs)
 
         monkeypatch.setattr(cli, "decomposition_from_json", doubling_reader)
         rc, stdout, _ = run(["verify", "--input", str(FIXTURES / "h2_subset.pauli")])
@@ -1065,6 +1065,14 @@ class TestOptimizeHermiticity:
         )
         with pytest.raises(ValueError, match="not Hermitian"):
             varopt.solve_ritz_dense(pencil)
+
+    def test_non_hermitian_operator_with_a_hermitian_pencil_is_refused(self, tmp_path):
+        # the pencil on this pool passes its check, and eigvalsh, which reads one
+        # triangle, would report -2.0833: the eigenvalues are +-2.0169 and +-0.5021
+        state = "-1.0 XI\n-1.0 IX\n0.5 ZZ\n"
+        outcome = optimize_chain(tmp_path, state, state + "0.3i XZ\n")
+        assert outcome == ("optimize", 2, "error: operator is not Hermitian\n")
+        assert not list(tmp_path.glob("opt.json*"))
 
 
 class TestUsageValidation:

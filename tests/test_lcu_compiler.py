@@ -9,7 +9,14 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from paulibridge.bridge import EmptyOperator, compile as compile_bridge, set_bridge, skeleton_hash
+from paulibridge.bridge import (
+    EmptyOperator,
+    compile as compile_bridge,
+    reconstruct,
+    set_bridge,
+    skeleton_hash,
+    structural_hash,
+)
 from paulibridge.lcu import (
     LcuProgram,
     SupportChanged,
@@ -114,16 +121,16 @@ class TestCompile:
         amps = np.array([amp for _, _, amp, _ in prep_rows(prog)])
         assert np.all(amps > 0)
         assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
-        d = compile_bridge(h2_subset, 2)
+        bridge = compile_bridge(h2_subset, 2).bridge.to_matrix()
         for a, b, amp, _ in prep_rows(prog):
-            coeff = d.bridge.entries[(a, b)]
+            coeff = bridge[a, b]
             assert amp**2 == pytest.approx(abs(coeff) / prog.lam, abs=1e-12)
 
     def test_select_phases_are_signs(self, h2_subset):
         prog = h2_program(h2_subset)
-        d = compile_bridge(h2_subset, 2)
+        bridge = compile_bridge(h2_subset, 2).bridge.to_matrix()
         for a, b, _, ph in prep_rows(prog):
-            coeff = d.bridge.entries[(a, b)]
+            coeff = bridge[a, b]
             assert ph == (1.0 if coeff.real > 0 else -1.0)
 
     @pytest.mark.parametrize("cut", [1, 2, 3])
@@ -146,9 +153,9 @@ class TestCompile:
         # 1 / |c| overflows for these c, although c / |c| is finite
         op = parse_pauli_sum("1e-310+1e-310i XZ\n-4e-320+5e-324i ZX\n-0.0-3e-321i XX\n0.5 ZZ\n")
         d = compile_bridge(op, 1)
-        prog = compile_lcu(d)
+        prog, bridge = compile_lcu(d), d.bridge.to_matrix()
         for a, b, _, ph in prep_rows(prog):
-            coeff = d.bridge.entries[(a, b)]
+            coeff = bridge[a, b]
             # both parts scaled by 2**1000, exactly, so |c| is a normal number
             c = complex(math.ldexp(coeff.real, 1000), math.ldexp(coeff.imag, 1000))
             assert ph == pytest.approx(c / abs(c), abs=1e-15)
@@ -156,7 +163,7 @@ class TestCompile:
 
     def test_empty_bridge_raises(self, h2_subset):
         d = compile_bridge(h2_subset, 2)
-        zeroed = set_bridge(d, {p: 0.0 for p in d.bridge.entries})
+        zeroed = set_bridge(d, np.zeros(len(d.bridge.pairs)))
         with pytest.raises(EmptyOperator):
             compile_lcu(zeroed)
 
@@ -348,7 +355,7 @@ class TestUpdate:
     def test_coefficient_update_keeps_hash(self, h2_subset):
         d = compile_bridge(h2_subset, 2)
         prog = compile_lcu(d)
-        scaled = set_bridge(d, {p: 2.0 * c for p, c in d.bridge.entries.items()})
+        scaled = set_bridge(d, 2.0 * d.bridge.coeffs)
         updated = update_coefficients(prog, scaled)
         assert updated.select_hash == prog.select_hash
         assert updated.lam == pytest.approx(2.0 * prog.lam, abs=1e-9)
@@ -363,8 +370,8 @@ class TestUpdate:
         d = compile_bridge(h2_subset, 2)
         prog = compile_lcu(d)
         rng = np.random.default_rng(11)
-        turns = {p: rng.choice([-1.0, 1j, np.exp(0.7j)]) for p in d.bridge.entries}
-        new = update_coefficients(prog, set_bridge(d, {p: c * turns[p] for p, c in d.bridge.entries.items()}))
+        turns = rng.choice([-1.0, 1j, np.exp(0.7j)], size=len(d.bridge.coeffs))
+        new = update_coefficients(prog, set_bridge(d, turns * d.bridge.coeffs))
         assert new.select_hash == prog.select_hash
 
         def phases(program):
@@ -380,20 +387,22 @@ class TestUpdate:
 
     def test_support_growth_rejected(self, h2_subset):
         d = compile_bridge(h2_subset, 2)
-        prog = compile_lcu(d)
-        entries = dict(d.bridge.entries)
-        entries[(0, 1)] = 0.5
+        grown = compile_bridge(pauli_sum(4, sum_terms(h2_subset) + [(0.5, "IIXY")]), 2)  # the pair (0, 1)
+        assert (grown.left, grown.right) == (d.left, d.right)
         with pytest.raises(SupportChanged):
-            update_coefficients(prog, set_bridge(d, entries))
+            update_coefficients(compile_lcu(d), grown)
 
     def test_support_loss_rejected(self, h2_subset):
         d = compile_bridge(h2_subset, 2)
         prog = compile_lcu(d)
-        entries = dict(d.bridge.entries)
-        first = next(iter(entries))
-        entries[first] = 0.0
+        dropped = compile_bridge(pauli_sum(4, [t for t in sum_terms(h2_subset) if t[1] != "ZIZI"]), 2)
+        assert (dropped.left, dropped.right) == (d.left, d.right)
         with pytest.raises(SupportChanged):
-            update_coefficients(prog, set_bridge(d, entries))
+            update_coefficients(prog, dropped)
+        cancelled = d.bridge.coeffs.copy()  # the same pair cancelled on the same skeleton
+        cancelled[d.bridge.pairs.tolist().index([d.left.index("ZI"), d.right.index("ZI")])] = 0
+        with pytest.raises(SupportChanged):
+            update_coefficients(prog, set_bridge(d, cancelled))
 
     def test_different_operator_rejected(self, h2_subset):
         prog = h2_program(h2_subset)
@@ -403,14 +412,37 @@ class TestUpdate:
 
     def test_hash_ignores_coefficient_values(self, h2_subset):
         d = compile_bridge(h2_subset, 2)
-        halved = set_bridge(d, {p: 0.5 * c for p, c in d.bridge.entries.items()})
+        halved = set_bridge(d, 0.5 * d.bridge.coeffs)
         assert compile_lcu(d).select_hash == compile_lcu(halved).select_hash
         # ... but covers the active-pair set: a cancelled or an added pair moves it
-        entries = dict(d.bridge.entries)
-        dropped = {**entries, next(iter(entries)): 0.0}
-        grown = {**entries, (0, 1): 0.5}
-        hashes = {compile_lcu(set_bridge(d, e)).select_hash for e in (entries, dropped, grown)}
+        dropped = set_bridge(d, np.concatenate([[0.0], d.bridge.coeffs[1:]]))
+        grown = compile_bridge(pauli_sum(4, sum_terms(h2_subset) + [(0.5, "IIXY")]), 2)
+        assert structural_hash(grown) == structural_hash(d)
+        hashes = {compile_lcu(e).select_hash for e in (d, dropped, grown)}
         assert len(hashes) == 3
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_coefficient_column_is_the_whole_update(self, data):
+        # the paper's update: new values on the compiled pairs keep Select, and only Prep moves
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(2, 6))
+        op = random_pauli_sum(rng, n, data.draw(st.integers(1, 12)), complex_coeffs=data.draw(st.booleans()))
+        d = compile_bridge(op, data.draw(st.integers(1, n - 1)))
+        prog, size = compile_lcu(d), len(d.bridge.pairs)
+        scale = rng.uniform(0.5, 2.0, size) * (rng.choice([1, -1, 1j, np.exp(0.7j)], size)
+                                               if data.draw(st.booleans()) else 1)
+        new = set_bridge(d, scale * d.bridge.coeffs)
+        assert new.bridge.pairs is d.bridge.pairs and (new.left, new.right) == (d.left, d.right)
+        updated = update_coefficients(prog, new)
+        assert updated.select_hash == prog.select_hash == compile_lcu(new).select_hash
+        assert block_error(updated, reconstruct(new)) <= 1e-12
+        cancelled = scale * d.bridge.coeffs
+        cancelled[data.draw(st.integers(0, size - 1))] = 0
+        with pytest.raises(SupportChanged if size > 1 else EmptyOperator):
+            update_coefficients(prog, set_bridge(d, cancelled))
+        with pytest.raises(ValueError, match=f"^expected {size} coefficients, one per pair"):
+            set_bridge(d, np.ones(size + data.draw(st.sampled_from([-1, 1, 5]))))
 
 
 class TestSerialization:

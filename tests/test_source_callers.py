@@ -32,8 +32,7 @@ ALLOWED = {
     "conditional_weights": "the sampler's chain-rule weights, checked by acceptance criterion 5",
     "bridge_svd": "paper API: the rank-r bridge factorization behind the Eckart-Young test",
     "BridgeSvd": "paper API: the factors bridge_svd returns, which only the tests read",
-    "set_bridge": "paper API: new coefficients on a fixed skeleton, for the select-hash tests",
-    "Bridge.entries": "the read-back of set_bridge's mapping",
+    "set_bridge": "paper API: a new coefficient column on the same pairs, for the select-hash tests",
     "success_probability": "paper API: the all-zeros ancilla probability of a block encoding",
     "is_left_canonical_site": "the left-gauge condition, mirror of is_right_canonical_site",
     "CutMatrix": "acceptance criterion 1: the fields of the worked example's cut matrices",

@@ -5,9 +5,9 @@ A ``PauliSum`` is packed ``rows`` and a ``coeffs`` vector, built only by
 ``src/paulibridge`` names ``PauliString`` or ``PauliTerm``, nor reads a
 ``.terms`` or ``.as_dict`` attribute off anything. Likewise a ``Bridge``
 holds only ``pairs`` and ``coeffs``, and an ``LcuProgram`` only its Prep
-``columns``; the read-only ``.entries`` view (and the row tuples ``.prep``
-that programs once held) build one object per pair, so no package
-comprehension iterates over them.
+``columns``; a mapping view such as the ``.entries`` that bridges once
+held, and the row tuples ``.prep`` that programs once held, build one
+object per pair, so no package comprehension iterates over them.
 The checks read each module with ``ast``.
 """
 

@@ -11,7 +11,6 @@ from paulibridge.bridge import (
     Bridge,
     CutOutOfRange,
     EmptyOperator,
-    IndexOutOfRange,
     compile,
     decomposition_from_json,
     decomposition_to_json,
@@ -30,10 +29,10 @@ class TestWorkedExample:
         d = compile(h2_subset, 2)
         assert d.left == ("II", "IZ", "XX", "YX", "ZI", "ZZ")
         assert d.right == ("II", "XY", "YY", "ZI", "ZZ")
-        assert len(d.bridge.entries) == 9
+        assert len(d.bridge.pairs) == 9
         a = d.left.index("YX")
         b = d.right.index("XY")
-        assert d.bridge.entries[(a, b)] == pytest.approx(0.045322, abs=1e-12)
+        assert d.bridge.to_matrix()[a, b] == pytest.approx(0.045322, abs=1e-12)
 
     def test_first_cut_matrix(self, h2_subset):
         # expected matrix derived by splitting each fixture term at the
@@ -75,7 +74,7 @@ class TestRoundTrips:
         d = compile(h2_subset, 2)
         d2 = compile(reconstruct(d), 2)
         assert d2.left == d.left and d2.right == d.right
-        assert d2.bridge.entries == d.bridge.entries
+        assert d2.bridge == d.bridge
 
     def test_json_roundtrip(self, h2_subset):
         d = compile(h2_subset, 2)
@@ -97,7 +96,7 @@ class TestRoundTrips:
             assert d.right == tuple(sorted({s[cut:] for s in labels}))
             assert term_dict(reconstruct(d)) == term_dict(op)
             back = decomposition_from_json(decomposition_to_json(d))
-            assert (back.left, back.right, back.bridge.entries) == (d.left, d.right, d.bridge.entries)
+            assert (back.left, back.right, back.bridge) == (d.left, d.right, d.bridge)
             assert decomposition_to_json(back) == decomposition_to_json(d)
 
     def test_compile_deterministic_bytes(self, h2_text, h2_subset):
@@ -109,37 +108,46 @@ class TestRoundTrips:
 class TestSetBridge:
     def test_coefficients_replaced(self, h2_subset):
         d = compile(h2_subset, 2)
-        new_entries = {pair: 1.0 + 0j for pair in d.bridge.entries}
-        d2 = set_bridge(d, new_entries)
+        d2 = set_bridge(d, np.ones(9))
         got = reconstruct(d2)
         assert got.coeffs.tolist() == [1.0] * 9
 
     def test_structural_hash_invariant(self, h2_subset):
         d = compile(h2_subset, 2)
-        d2 = set_bridge(d, {pair: 2.5j * c for pair, c in d.bridge.entries.items()})
+        d2 = set_bridge(d, 2.5j * d.bridge.coeffs)
         assert structural_hash(d2) == structural_hash(d)
+        assert d2.bridge.pairs is d.bridge.pairs
 
     def test_new_pair_allowed_hash_fixed(self, h2_subset):
+        # a new pair over the same dictionaries is a new operator, compiled afresh
         d = compile(h2_subset, 2)
-        extra = dict(d.bridge.entries)
-        extra[(0, 1)] = 0.5 + 0j  # II (x) XY was not an original term
-        d2 = set_bridge(d, extra)
+        d2 = compile(pauli_sum(4, sum_terms(h2_subset) + [(0.5, "IIXY")]), 2)  # II (x) XY: a new pair
         assert structural_hash(d2) == structural_hash(d)
+        assert (0, 1) in d2.bridge.active_pairs and (0, 1) not in d.bridge.active_pairs
         assert reconstruct(d2).n_terms == 10
 
     def test_zero_entries_kept(self, h2_subset):
         d = compile(h2_subset, 2)
-        zeroed = {pair: 0j for pair in d.bridge.entries}
-        d2 = set_bridge(d, zeroed)
-        assert len(d2.bridge.entries) == 9
+        d2 = set_bridge(d, np.zeros(9))
+        assert len(d2.bridge.pairs) == 9
         assert d2.bridge.active_pairs == ()
         assert np.count_nonzero(d2.bridge.coeffs == 0) == 9
         assert reconstruct(d2).n_terms == 0
 
-    def test_index_out_of_range(self, h2_subset):
+    @pytest.mark.parametrize("shape", [(0,), (8,), (10,), (9, 1), (3, 3), ()])
+    def test_wrong_length_refused(self, h2_subset, shape):
         d = compile(h2_subset, 2)
-        with pytest.raises(IndexOutOfRange):
-            set_bridge(d, {(0, 99): 1.0})
+        with pytest.raises(ValueError) as info:
+            set_bridge(d, np.ones(shape))
+        assert str(info.value) == f"expected 9 coefficients, one per pair, got shape {shape}"
+
+    def test_caller_column_is_copied(self, h2_subset):
+        d = compile(h2_subset, 2)
+        coeffs = 2 * d.bridge.coeffs
+        d2 = set_bridge(d, coeffs)
+        coeffs[0] = 0
+        assert d2.bridge.coeffs[0] == 2 * d.bridge.coeffs[0]
+        assert coeffs.flags.writeable and not d2.bridge.coeffs.flags.writeable
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -150,7 +158,7 @@ class TestSetBridge:
         cut = data.draw(st.integers(1, n - 1))
         d = compile(op, cut)
         scale = data.draw(st.floats(-3, 3, allow_nan=False))
-        d2 = set_bridge(d, {pair: scale * c for pair, c in d.bridge.entries.items()})
+        d2 = set_bridge(d, scale * d.bridge.coeffs)
         assert structural_hash(d2) == structural_hash(d)
         assert structural_hash(d) == skeleton_hash(cut, d.left, d.right)
         # the skeleton itself is hashed: another cut or one changed fragment moves it
@@ -261,4 +269,4 @@ class TestErrors:
         d = compile(op, 1)
         assert d.left == ("X",)
         assert d.right == ("Z",)
-        assert d.bridge.entries == {(0, 0): 2.0 + 0j}
+        assert d.bridge == Bridge((1, 1), np.array([[0, 0]]), np.array([2.0 + 0j]))

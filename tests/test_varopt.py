@@ -304,6 +304,14 @@ class TestSweep:
         assert int(fields[0]) == 8
         float(fields[2]), float(fields[3])
 
+    def test_non_hermitian_operator_without_reference_is_refused(self):
+        # the pencil on this state's pool is Hermitian, so only the operator check
+        # stops eigvalsh from reading the lower triangle of a non-Hermitian matrix
+        state = ground_state_reference(pauli_sum(2, [(-1.0, "XI"), (-1.0, "IX"), (0.5, "ZZ")])).mps
+        op = pauli_sum(2, [(-1.0, "XI"), (-1.0, "IX"), (0.5, "ZZ"), (0.3j, "XZ")])
+        with pytest.raises(ValueError, match="^operator is not Hermitian$"):
+            energy_vs_samples_sweep(op, state, [20, 50], seed=1)
+
     def test_bad_sizes_raise(self, h2_subset):
         res = ground_state_reference(h2_subset, max_bond=1)
         with pytest.raises(ValueError):
