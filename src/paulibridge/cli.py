@@ -9,12 +9,13 @@ densifies nothing; the MPO check (``mpo --verify``, the battery) compares
 all 4^n of the MPO's, so it takes up to DENSE_LIMIT (12) sites.
 
 Exit codes: 0 success, 1 usage error, 2 input or data error, 3 numerical
-failure. A writing subcommand writes nothing unless it succeeds; then it
-writes each output once and a deterministic JSON manifest next to its
-primary output: sha256 of the bytes it read and wrote, parameters, and
-library versions (no timestamps, so reruns are byte identical). ``--manifest
-PATH`` overrides the location; one naming an input or output exits 2, as
-do two outputs naming one file. Every warning is printed to stderr.
+failure. A writing subcommand writes nothing unless it succeeds; then it writes
+each output once and a deterministic JSON manifest next to its primary output:
+sha256 of the bytes it read and wrote, parameters, and library versions (no
+timestamps, so reruns are byte identical). ``--manifest PATH`` overrides the
+location; one naming an input or output exits 2, as do two outputs naming one
+file. An existing file is overwritten in place, then cut to the new length
+unless it is not a regular file (/dev/null, a FIFO). Warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import functools
 import hashlib
 import os
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -137,8 +139,6 @@ def _write(args, outputs: dict[str, str], parameters: dict) -> None:
                 retry = "--manifest" if name == "manifest" else name
                 raise ValueError(f"{name} {path} is the same file as {flag} {other}; choose another {retry}")
     data = {getattr(args, flag): text.encode() for flag, text in outputs.items()}
-    for path, payload in data.items():
-        Path(path).write_bytes(payload)
     doc = {
         "command": args.command,
         "inputs": {getattr(args, f): hashlib.sha256(payload).hexdigest() for f, payload in args.inputs.items()},
@@ -150,7 +150,12 @@ def _write(args, outputs: dict[str, str], parameters: dict) -> None:
             "scipy": scipy.__version__,
         },
     }
-    Path(manifest).write_text(json_text(doc))
+    # in place, then cut to length: O_TRUNC would free the old blocks before allocating new ones
+    for path, payload in [*data.items(), (manifest, json_text(doc).encode())]:
+        with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as f:
+            f.write(payload)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # /dev/null, a FIFO: written, never truncated
+                f.truncate()
 
 
 def cmd_jw(args) -> int:

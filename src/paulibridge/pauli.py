@@ -512,9 +512,12 @@ def json_field(fmt: str, doc, key: str, kind, where: str = ""):
     prefixes the field name."""
     value = doc.get(key) if isinstance(doc, dict) else None
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise malformed(fmt, where + key, f"expected a finite number, got {value!r}")
-        return float(value)
+        try:
+            if not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value):
+                return float(value)
+        except OverflowError:  # math.isfinite on an int past the float range
+            pass
+        raise malformed(fmt, where + key, f"expected a finite number, got {value!r}")
     size, kind = (kind, int) if isinstance(kind, int) else (None, kind)
     # bool is an int subclass in Python but never a valid count or value
     if not isinstance(value, kind) or isinstance(value, bool):

@@ -63,7 +63,11 @@ def bridge_entries(bridge) -> dict:
 def json_finite(fmt: str, doc, key: str, where: str = "") -> float:
     """The per-row readers' finite-number check, kept here apart from ``pauli.json_field``."""
     value = doc.get(key) if isinstance(doc, dict) else None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
         raise malformed(fmt, where + key, f"expected a finite number, got {value!r}")
     return float(value)
 
@@ -298,7 +302,7 @@ def outcome(fn, *args):
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
             return "ok", fn(*args)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             return type(exc), str(exc)
 
 
@@ -412,7 +416,9 @@ def test_chain_payloads_are_placed_as_the_per_payload_writer_writes_them(chain):
 # ---------------------------------------------------------------------------
 # readers on corrupted documents
 
-BRIDGE_BAD = [True, False, None, "1", 1.0, 1.5, -1, 10**30, 10**400, math.nan, math.inf, [], {}]
+# 2**1024 - 2**970 is the least int that float() rounds past the largest float
+BRIDGE_BAD = [True, False, None, "1", 1.0, 1.5, -1, 10**30, 10**400, 2**1024 - 2**970 - 1, 2**1024 - 2**970,
+              math.nan, math.inf, [], {}]
 
 
 def corrupt(doc: dict, key: str, data) -> None:
@@ -592,3 +598,18 @@ def test_program_reader_raises_the_per_row_error(h2_subset, change):
     text = json.dumps(doc)
     got, want = outcome(program_from_json, text), outcome(oracle_program_from_json, text)
     assert got == want if got[0] != "ok" else want[0] == "ok" and same_table(got[1], want[1])
+
+
+@pytest.mark.parametrize("value", [10**400, 2**1024 - 2**970])
+@pytest.mark.parametrize("fmt, key, k, field", [
+    ("bridge-v1", "bridge", 2, "re"), ("lcu-v1", "select", 0, "phase_im"), ("lcu-v1", "prep", 1, "amp")])
+def test_an_int_past_the_float_range_is_not_a_finite_number(h2_subset, fmt, key, k, field, value):
+    # math.isfinite raises OverflowError on such an int; the readers refuse it as they refuse an infinity
+    d = compile_bridge(h2_subset, 2)
+    text, read = ((decomposition_to_json(d), decomposition_from_json) if fmt == "bridge-v1"
+                  else (program_to_json(compile_lcu(d)), program_from_json))
+    doc = json.loads(text)
+    doc[key][k][field] = value
+    with pytest.raises(ValueError) as info:
+        read(json.dumps(doc))
+    assert str(info.value) == f"{fmt} field {key}[{k}].{field}: expected a finite number, got {value!r}"

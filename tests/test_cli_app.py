@@ -8,6 +8,7 @@ captured stdout, exit codes, and manifest determinism.
 import argparse
 import builtins
 import contextlib
+import errno
 import functools
 import hashlib
 import io
@@ -308,18 +309,30 @@ def sha256(path) -> str:
 
 class TestWriter:
     def test_each_input_read_once_and_each_output_written_once(self, tmp_path, monkeypatch):
-        real_open = io.open
+        real_open, real_os_open = io.open, os.open
         opened = []
+        inside = []  # the open() calls under way: an os.open they make is theirs, not another open
 
         def counting_open(file, mode="r", *args, **kwargs):
             opened.append((str(file), "w" if set(mode) & set("wax+") else "r"))
-            return real_open(file, mode, *args, **kwargs)
+            inside.append(file)
+            try:
+                return real_open(file, mode, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counting_os_open(path, flags, *args, **kwargs):
+            # a writer that bypasses open() is counted too
+            if flags & (os.O_WRONLY | os.O_RDWR) and not inside:
+                opened.append((str(path), "w"))
+            return real_os_open(path, flags, *args, **kwargs)
 
         for argv, inputs, outputs in h2_chain(tmp_path):
             opened.clear()
             with monkeypatch.context() as m:
                 m.setattr(io, "open", counting_open)
                 m.setattr(builtins, "open", counting_open)
+                m.setattr(os, "open", counting_os_open)
                 rc, _, err = run(argv)
             assert (rc, err) == (0, ""), argv[0]
             manifest = f"{outputs[0]}.manifest.json"
@@ -356,6 +369,39 @@ class TestWriter:
         doc = json.loads(manifest.read_text())
         assert (doc["command"], doc["inputs"]) == (argv[0], {p: sha256(p) for p in inputs})
         assert doc["outputs"] == {p: sha256(p) for p in outputs}
+
+    @pytest.mark.parametrize("case, stale", [("longer", b"\xff" * 65536), ("shorter", b"#")])
+    def test_rerun_over_stale_files_writes_the_bytes_of_a_fresh_run(self, tmp_path, case, stale):
+        # every output and manifest is overwritten in place and cut to length: nothing stale is left
+        chain = h2_chain(tmp_path)
+        written = [p for _, _, outputs in chain for p in [*outputs, f"{outputs[0]}.manifest.json"]]
+        fresh = [run(argv) for argv, _, _ in chain]
+        assert [rc for rc, _, _ in fresh] == [0] * len(chain)
+        snapshot = {p: Path(p).read_bytes() for p in written}
+        sizes = [len(data) for data in snapshot.values()]
+        assert max(sizes) < len(stale) if case == "longer" else min(sizes) > len(stale)
+        for p in written:
+            Path(p).write_bytes(stale)
+        assert [run(argv) for argv, _, _ in chain] == fresh
+        assert {p: Path(p).read_bytes() for p in written} == snapshot
+
+    def test_output_to_dev_null_is_written_and_hashed(self, tmp_path, h2_text):
+        # a character device is written and never cut to length
+        src, bridge, manifest = tmp_path / "op.pauli", tmp_path / "b.json", tmp_path / "m.json"
+        src.write_text(h2_text)
+        argv = ["compile", "--input", str(src), "--cut", "2", "--output"]
+        assert run([*argv, str(bridge)])[0] == 0
+        rc, _, err = run([*argv, "/dev/null", "--manifest", str(manifest)])
+        assert (rc, err) == (0, "")
+        assert json.loads(manifest.read_text())["outputs"] == {"/dev/null": sha256(bridge)}
+
+    def test_output_naming_a_directory_is_refused(self, tmp_path, h2_text):
+        src, out = tmp_path / "op.pauli", tmp_path / "out"
+        src.write_text(h2_text)
+        out.mkdir()
+        rc, _, err = run(["compile", "--input", str(src), "--cut", "2", "--output", str(out)])
+        assert (rc, err) == (2, f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(out)!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["op.pauli", "out"] and not any(out.iterdir())
 
     def test_failed_mpo_verify_writes_nothing(self, tmp_path):
         # 13 sites: the MPO compiles, the coefficient check refuses it
@@ -651,6 +697,23 @@ class TestExitCodes:
         assert (rc, stdout) == (2, "")
         assert err.startswith("error: fermion: not JSON: ")
         assert not (tmp_path / "out.pauli").exists()
+
+    @pytest.mark.parametrize("command, flag, source, mutate, field", [
+        ("lcu", "--bridge", "bridge", lambda doc: doc["bridge"][0].update(re=10**400), "bridge-v1 field bridge[0].re"),
+        ("verify", "--program", "lcu", lambda doc: doc.update({"lambda": 10**400}), "lcu-v1 field lambda"),
+        ("jw", "--input", "fermion", lambda doc: doc["terms"][0].update(coeff=10**400), "fermion field terms[0].coeff"),
+    ], ids=["lcu", "verify", "jw"])
+    def test_an_int_past_the_float_range_is_data_error(self, pipeline, tmp_path, command, flag, source, mutate, field):
+        # math.isfinite raises OverflowError on 10**400; each reader names the field instead
+        paths, _ = pipeline
+        doc = json.loads(paths[source].read_text())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rest = ["--input", str(paths["op"])] if command == "verify" else ["--output", str(tmp_path / "out")]
+        rc, stdout, err = run([command, flag, str(bad), *rest])
+        assert (rc, stdout, err) == (2, "", f"error: {field}: expected a finite number, got {10**400}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
     @pytest.mark.parametrize("command", ["lcu", "update"])
     @pytest.mark.parametrize("field, mutate", BRIDGE_MUTATIONS)
