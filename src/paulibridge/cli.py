@@ -79,7 +79,7 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 NUMERICAL_ERROR = 3
 
-DATA_EXCEPTIONS = (ValueError, KeyError, OSError)
+DATA_EXCEPTIONS = (ValueError, KeyError, OSError, MemoryError)
 NUMERICAL_EXCEPTIONS = (np.linalg.LinAlgError,)
 
 
@@ -106,6 +106,12 @@ def positive_int(token: str, low: int = 1) -> int:
 
 def non_negative_int(token: str) -> int:
     return positive_int(token, low=0)
+
+
+def seed(token: str) -> int:
+    if (value := non_negative_int(token)) >= 2**64:  # a Philox key word is 64 bits
+        raise argparse.ArgumentTypeError(f"must be below 2**64, got {value}")
+    return value
 
 
 def tolerance(token: str) -> float:
@@ -158,17 +164,16 @@ def _write(args, outputs: dict[str, str], parameters: dict) -> None:
                 f.truncate()
 
 
-def cmd_jw(args) -> int:
+def cmd_jw(args) -> tuple[dict[str, str], dict]:
     n_modes, terms = load_fermion_terms(_read(args, "input"))
     op = map_hamiltonian(terms, n_modes)
     outputs = {"output": serialize_pauli_sum(op)}
     print(f"n_sites {op.n_sites}")
     print(f"n_terms {op.n_terms}")
-    _write(args, outputs, {})
-    return 0
+    return outputs, {}
 
 
-def cmd_compile(args) -> int:
+def cmd_compile(args) -> tuple[dict[str, str], dict]:
     op = parse_pauli_sum(_read(args, "input"))
     d = compile_bridge(op, args.cut)
     outputs = {"output": decomposition_to_json(d)}
@@ -176,11 +181,10 @@ def cmd_compile(args) -> int:
     print(f"right_fragments {len(d.right)}")
     print(f"active_pairs {len(d.bridge.active_pairs)}")
     print(f"structural_hash {structural_hash(d)}")
-    _write(args, outputs, {"cut": args.cut})
-    return 0
+    return outputs, {"cut": args.cut}
 
 
-def cmd_mpo(args) -> int:
+def cmd_mpo(args) -> tuple[dict[str, str], dict]:
     op = parse_pauli_sum(_read(args, "input"))
     m = build_mpo_qr(op, rank_tol=args.tol)
     if args.max_bond is not None:
@@ -190,11 +194,10 @@ def cmd_mpo(args) -> int:
     print(f"bond_dims {' '.join(str(b) for b in m.bond_dims)}")
     if args.verify:
         print(f"reconstruction_error {mpo_error(m, op):.3e}")
-    _write(args, outputs, {"tol": args.tol, "max_bond": args.max_bond})
-    return 0
+    return outputs, {"tol": args.tol, "max_bond": args.max_bond}
 
 
-def cmd_groundstate(args) -> int:
+def cmd_groundstate(args) -> tuple[dict[str, str], dict]:
     op = parse_pauli_sum(_read(args, "input"))
     res = ground_state_reference(op, max_bond=args.max_bond)
     outputs = {"output": mps_to_json(res.mps)}
@@ -202,31 +205,28 @@ def cmd_groundstate(args) -> int:
     print(f"gap {res.gap:.12f}")
     if args.max_bond is not None:
         print(f"discarded_weight {res.discarded:.12e}")
-    _write(args, outputs, {"max_bond": args.max_bond})
-    return 0
+    return outputs, {"max_bond": args.max_bond}
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> tuple[dict[str, str], dict]:
     m = mps_from_json(_read(args, "state"))
     samples = sample_strings(m, SamplerConfig(n_samples=args.n_samples, seed=args.seed))
     outputs = {"output": samples_to_text(samples, m.n_sites, seed=args.seed)}
     print(f"n_samples {len(samples)}")
-    _write(args, outputs, {"n_samples": args.n_samples, "seed": args.seed})
-    return 0
+    return outputs, {"n_samples": args.n_samples, "seed": args.seed}
 
 
-def cmd_curate(args) -> int:
+def cmd_curate(args) -> tuple[dict[str, str], dict]:
     samples, n_sites = samples_from_text(_read(args, "samples"))
     pool = curate(samples, n_sites, keep_iz=args.keep_iz)
     outputs = {"output": pool_to_text(pool)}
     n_diagonal = int(diagonal_rows(pool.strings).sum())
     print(f"offdiagonal {len(pool.strings) - n_diagonal}")
     print(f"diagonal {n_diagonal}")
-    _write(args, outputs, {"keep_iz": args.keep_iz})
-    return 0
+    return outputs, {"keep_iz": args.keep_iz}
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> tuple[dict[str, str], dict]:
     op = parse_pauli_sum(_read(args, "input"))
     state = mps_from_json(_read(args, "state"))
     pool = pool_from_text(_read(args, "pool"))
@@ -254,11 +254,10 @@ def cmd_optimize(args) -> int:
         outputs["sweep_csv"] = sweep_to_csv(rows)
         print(f"sweep_rows {len(rows)}")
     sweep_sizes = args.sweep_sizes if args.sweep_csv else None
-    _write(args, outputs, {"n_roots": args.n_roots, "seed": args.seed, "sweep_sizes": sweep_sizes})
-    return 0
+    return outputs, {"n_roots": args.n_roots, "seed": args.seed, "sweep_sizes": sweep_sizes}
 
 
-def cmd_lcu(args) -> int:
+def cmd_lcu(args) -> tuple[dict[str, str], dict]:
     d = decomposition_from_json(_read(args, "bridge"))
     prog = compile_lcu(d)
     outputs = {"output": program_to_json(prog)}
@@ -267,19 +266,17 @@ def cmd_lcu(args) -> int:
     print(f"lambda {prog.lam:.12f}")
     print(f"ancillas {prog.a_total}")
     print(f"select_hash {prog.select_hash}")
-    _write(args, outputs, {})
-    return 0
+    return outputs, {}
 
 
-def cmd_update(args) -> int:
+def cmd_update(args) -> tuple[dict[str, str], dict]:
     prog = program_from_json(_read(args, "program"))
     d = decomposition_from_json(_read(args, "bridge"))
     updated = update_coefficients(prog, d)
     outputs = {"output": program_to_json(updated)}
     print(f"lambda {updated.lam:.12f}")
     print(f"select_hash {updated.select_hash}")
-    _write(args, outputs, {})
-    return 0
+    return outputs, {}
 
 
 def cmd_verify(args) -> int:
@@ -328,7 +325,7 @@ def build_parser() -> Parser:
         if writes:
             p.add_argument("--output", required=True)
             p.add_argument("--manifest")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, writes=writes)
         return p
 
     command("jw", cmd_jw, "map fermion terms to a Pauli operator", ("input",))
@@ -347,14 +344,14 @@ def build_parser() -> Parser:
 
     p = command("sample", cmd_sample, "draw Pauli strings from a state", ("state",))
     p.add_argument("--n-samples", type=positive_int, required=True)
-    p.add_argument("--seed", type=non_negative_int, required=True)
+    p.add_argument("--seed", type=seed, required=True)
 
     p = command("curate", cmd_curate, "build an operator pool from samples", ("samples",))
     p.add_argument("--keep-iz", type=non_negative_int, default=None)
 
     p = command("optimize", cmd_optimize, "variational energy over a pool", ("input", "state", "pool"))
     p.add_argument("--n-roots", type=positive_int, default=1)
-    p.add_argument("--seed", type=non_negative_int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--sweep-csv", default=None,
                    help="also write an energy-vs-samples sweep CSV here")
     p.add_argument("--sweep-sizes", type=positive_int, nargs="+",
@@ -386,6 +383,9 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         try:
             code, error = args.func(args), None
+            if args.writes:  # a writer returns its outputs and parameters
+                _write(args, *code)
+                code = 0
         except NUMERICAL_EXCEPTIONS as exc:
             code, error = NUMERICAL_ERROR, exc
         except DATA_EXCEPTIONS as exc:

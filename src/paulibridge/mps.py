@@ -28,8 +28,8 @@ from paulibridge.pauli import (
     json_field,
     json_text,
     malformed,
-    n_words,
     require_hermitian,
+    rows_fit,
     site_codes,
     to_dense,
     unique_rows,
@@ -93,9 +93,8 @@ class Mps(TensorChain):
 
 
 def is_left_canonical_site(t: np.ndarray, tol: float = 1e-12) -> bool:
-    """``sum_{a,phys} T*[a,r] T[a,r'] = delta``: left bond and physical legs are isometric."""
-    mat = np.moveaxis(t, 1, -1).reshape(-1, t.shape[1])
-    return bool(np.abs(mat.conj().T @ mat - np.eye(t.shape[1])).max() <= tol)
+    """``sum_{a,phys} T*[a,r] T[a,r'] = delta``: the right condition with the two bonds swapped."""
+    return is_right_canonical_site(t.swapaxes(0, 1), tol)
 
 
 def is_right_canonical_site(t: np.ndarray, tol: float = 1e-12) -> bool:
@@ -248,7 +247,7 @@ def _environments(tensors: list[np.ndarray], codes: np.ndarray) -> np.ndarray:
 
 
 def string_expectations(m: Mps, packed: np.ndarray) -> np.ndarray:
-    """``<psi|P|psi>`` for every row of a packed array.
+    """``<psi|P|psi>`` for every row of a packed array; rows that do not fit the sites are refused.
 
     Strings are split at the fixed cut ``c = n // 2``. Left environments
     ``L[a, b]`` (sites ``0..c-1``) are swept once per distinct left half,
@@ -258,10 +257,8 @@ def string_expectations(m: Mps, packed: np.ndarray) -> np.ndarray:
     """
     n = m.n_sites
     packed = np.asarray(packed, dtype=np.uint64)
-    if packed.ndim != 2 or packed.shape[1] != n_words(n):
-        raise ValueError(
-            f"packed strings have shape {packed.shape}, state needs (count, {n_words(n)})"
-        )
+    if not rows_fit(packed, n):
+        raise ValueError(f"packed strings of shape {packed.shape} do not fit {n} sites")
     cut = n // 2
     right_bits = _pack_codes(np.repeat([[0, 3]], [cut, n - cut], axis=1))  # both bits of every right site
     (left, il), (right, ir) = unique_rows(packed & ~right_bits), unique_rows(packed & right_bits)

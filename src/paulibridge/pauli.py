@@ -172,9 +172,6 @@ class PauliSum:
     def n_terms(self) -> int:
         return len(self.coeffs)
 
-    def __len__(self) -> int:
-        return self.n_terms
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliSum):
             return NotImplemented
@@ -532,7 +529,7 @@ def json_columns(rows: list, keys: tuple[str, ...], kinds: tuple) -> list[tuple]
     holding each key as its kind: ``str``, ``float`` (a finite number, read as a float;
     never a bool) or a size (an int in 0..size-1)."""
     try:
-        columns = list(zip(*map(operator.itemgetter(*keys), rows))) or [()] * len(keys)
+        columns = [tuple(map(operator.itemgetter(key), rows)) for key in keys]
         for j, (column, kind) in enumerate(zip(columns, kinds)):
             types = set(map(type, column))
             if kind is float:  # math.isfinite raises OverflowError on an int past the float range

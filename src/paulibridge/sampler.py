@@ -68,24 +68,17 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in 0..2**64-1, got {self.seed}")
 
 
-def conditional_weights(
-    tensor: np.ndarray, env: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and environments for the four symbols at one site.
+def conditional_weights(tensor: np.ndarray, envs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and next environments of the four symbols at one site, for a batch of environments.
 
-    Returns ``(weights, envs)`` where ``weights[a]`` is the normalized
-    conditional probability of symbol ``a`` and ``envs[a]`` the
-    unnormalized next environment; chaining products of weights over a
-    full path yields the string's joint probability.
+    ``envs`` is ``(batch, l, l)``; ``weights[i, a]`` is the normalized conditional probability of
+    symbol ``a`` after ``envs[i]``, and ``cand[i, a]``, ``(batch, 4, r, r)``, its unnormalized next
+    environment. Chaining products of weights over a full path yields the string's joint probability.
     """
-    w, e = _step(tensor, env[None])
-    return w[0], e[0]
-
-
-def _step(tensor: np.ndarray, envs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # envs: (batch, l, l) -> weights (batch, 4), new envs (batch, 4, r, r)
     cand = _transfer(envs[:, None], tensor, np.arange(4))
     parts = cand.reshape(*cand.shape[:2], -1).view(np.float64)  # real and imaginary, not copied
     raw = np.einsum("bax,bax->ba", parts, parts)
@@ -117,14 +110,14 @@ def sample_strings(m: Mps, config: SamplerConfig) -> np.ndarray:
 def _sample_chunk(m: Mps, site_rows: np.ndarray, seed: int, start: int, batch: int) -> np.ndarray:
     n = m.n_sites
     uniforms = np.empty((batch, n))
-    for i in range(batch):
-        gen = np.random.Generator(np.random.Philox(key=[seed, start + i]))
+    for i in range(batch):  # a uint64 key: a list would go through float64 from seed 2**63 on
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, start + i], dtype=np.uint64)))
         uniforms[i] = gen.random(n)
     envs = np.ones((batch, 1, 1), dtype=np.complex128)
     packed = np.zeros((batch, site_rows.shape[2]), dtype=np.uint64)
     rows = np.arange(batch)
     for j, tensor in enumerate(m.tensors):
-        weights, cand = _step(tensor, envs)
+        weights, cand = conditional_weights(tensor, envs)
         cum = np.cumsum(weights, axis=1)
         chosen = np.minimum((cum < uniforms[:, j : j + 1]).sum(axis=1), 3)
         envs = cand[rows, chosen]

@@ -93,7 +93,7 @@ def chain_rule_probs(m) -> np.ndarray:
         env = np.ones((1, 1), dtype=np.complex128)
         joint = 1.0
         for tensor, code in zip(m.tensors, codes):
-            weights, envs = conditional_weights(tensor, env)
+            weights, envs = (x[0] for x in conditional_weights(tensor, env[None]))
             joint *= weights[code]
             env = envs[code]
         probs[b] = joint

@@ -1212,6 +1212,49 @@ class TestUsageValidation:
         assert f"argument --seed: {message}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sample", "optimize"])
+    def test_seed_of_2_64_is_usage_error(self, pipeline, tmp_path, command):
+        # a Philox key word is 64 bits: sample ended in an OverflowError traceback
+        paths, _ = pipeline
+        out = tmp_path / "out.txt"
+        argv = {
+            "sample": ["sample", "--state", str(paths["mps"]), "--n-samples", "10"],
+            "optimize": ["optimize", "--input", str(paths["op"]), "--state", str(paths["mps"]),
+                         "--pool", str(paths["pool"])],
+        }[command]
+        rc, stdout, err = run([*argv, "--seed", str(2**64), "--output", str(out)])
+        assert (rc, stdout) == (1, "")
+        assert err.startswith(f"usage: paulibridge {command} ")
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: argument --seed: must be below 2**64, got {2**64}"]
+        assert err.endswith(f"got {2**64}\n")
+        assert not out.exists()
+
+    def test_largest_seed_is_read(self, pipeline, tmp_path):
+        paths, _ = pipeline
+        out = tmp_path / "out.txt"
+        rc, _, _ = run(["sample", "--state", str(paths["mps"]), "--n-samples", "10",
+                        "--seed", str(2**64 - 1), "--output", str(out)])
+        assert rc == 0
+        assert out.read_text().startswith(f"# samples-v1 n_sites=4 n_samples=10 seed={2**64 - 1}\n")
+
+    @pytest.mark.parametrize("command", ["sample", "optimize"])
+    def test_allocation_failure_is_data_error(self, pipeline, tmp_path, command):
+        # 10**15 samples need 7.11 PiB, past the user address space, so numpy fails at once
+        paths, _ = pipeline
+        out, csv = tmp_path / "out.txt", tmp_path / "sweep.csv"
+        huge = "1000000000000000"
+        argv = {
+            "sample": ["sample", "--state", str(paths["mps"]), "--n-samples", huge, "--seed", "1"],
+            "optimize": ["optimize", "--input", str(paths["op"]), "--state", str(paths["mps"]),
+                         "--pool", str(paths["pool"]), "--sweep-csv", str(csv), "--sweep-sizes", huge],
+        }[command]
+        rc, _, err = run([*argv, "--output", str(out)])
+        assert rc == 2
+        assert err.startswith("error: Unable to allocate 7.11 PiB")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", [["--solver", "lobpcg"], ["--tol", "1e-9"], ["--max-iter", "200"]])
     def test_optimize_has_no_iterative_solver_flags(self, pipeline, tmp_path, flag):
         # optimize solves the Ritz pencil densely; the LOBPCG flags are gone

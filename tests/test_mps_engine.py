@@ -201,6 +201,21 @@ class TestContractions:
         with pytest.raises(ValueError):
             string_expectations(m, np.zeros(2, dtype=np.uint64))
 
+    def test_string_expectations_refuse_rows_that_do_not_fit(self):
+        # a bit past the last site was once read as another string: Z on site 0 of the
+        # h2 ground state gave the same value with 1 << 20 OR'd in
+        m = mps_from_json((FIXTURES.parent.parent / "artifacts" / "h2" / "groundstate.json").read_text())
+        vec = mps_to_dense(m)
+        z0 = label_rows(["ZIII"], 4)
+        for bad in (z0 | np.uint64(1 << 20), z0 | np.uint64(1 << 8), np.zeros((1, 2), dtype=np.uint64)):
+            with pytest.raises(ValueError, match=r"do not fit 4 sites"):
+                string_expectations(m, bad)
+            with pytest.raises(ValueError, match=r"do not fit 4 sites"):
+                string_expectation(m, bad[0])
+        want = np.vdot(vec, apply_string(z0[0], vec))
+        assert string_expectations(m, z0)[0] == pytest.approx(want, abs=1e-12)
+        assert string_expectation(m, z0[0]) == pytest.approx(want, abs=1e-12)
+
 
 class TestGroundState:
     @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Sampler correctness: chain rule, distribution, determinism, curation."""
 
 import tracemalloc
+import warnings
 from collections import Counter
 from unittest.mock import patch
 
@@ -69,7 +70,7 @@ class TestChainRule:
             env = np.ones((1, 1), dtype=np.complex128)
             joint = 1.0
             for tensor, code in zip(m.tensors, codes):
-                weights, envs = conditional_weights(tensor, env)
+                weights, envs = (x[0] for x in conditional_weights(tensor, env[None]))
                 joint *= weights[code]
                 env = envs[code]
             assert joint == pytest.approx(probs[b], abs=1e-12)
@@ -85,7 +86,7 @@ class TestChainRule:
         rng = np.random.default_rng(9)
         m = right_canonical_mps(random_state(rng, 4))
         env = np.ones((1, 1), dtype=np.complex128)
-        weights, _ = conditional_weights(m.tensors[0], env)
+        weights, _ = (x[0] for x in conditional_weights(m.tensors[0], env[None]))
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(weights >= 0)
 
@@ -98,7 +99,7 @@ class TestChainRule:
         envs = rng.standard_normal((batch, chi, chi)) + 1j * rng.standard_normal((batch, chi, chi))
         tracemalloc.start()
         try:
-            _, cand = sampler_module._step(tensor, envs)
+            _, cand = conditional_weights(tensor, envs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -107,6 +108,20 @@ class TestChainRule:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("seeds", [(2**63 + 1, 2**63 + 2), (2**64 - 2, 2**64 - 1)])
+    def test_seeds_past_2_63_draw_apart(self, seeds):
+        # a [seed, index] list key went through float64 from seed 2**63 on, so each pair drew alike
+        m = right_canonical_mps(random_state(np.random.default_rng(5), 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = (sample_strings(m, SamplerConfig(n_samples=50, seed=seed)) for seed in seeds)
+        assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_refused(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\*\*64-1"):
+            SamplerConfig(n_samples=1, seed=seed)
+
     def test_gauge_violation_raises(self):
         rng = np.random.default_rng(17)
         raw = dense_to_mps(random_state(rng, 4))
@@ -476,7 +491,7 @@ class TestPastOneWord:
                 uniforms = np.random.Generator(np.random.Philox(key=[n_sites, i])).random(n_sites)
                 env, codes = np.ones((1, 1), dtype=np.complex128), []
                 for tensor, u in zip(m.tensors, uniforms):
-                    weights, envs = conditional_weights(tensor, env)
+                    weights, envs = (x[0] for x in conditional_weights(tensor, env[None]))
                     codes.append(min(int(np.sum(np.cumsum(weights) < u)), 3))
                     env = envs[codes[-1]] / np.linalg.norm(envs[codes[-1]])
                 assert word == int("".join(map(str, codes)), 4)

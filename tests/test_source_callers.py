@@ -29,7 +29,6 @@ PACKAGE = ROOT / "src" / "paulibridge"
 ALLOWED = {
     "select_factorized_dense": "the Phi . Select_L . Select_R oracle that select_dense is checked against",
     "mps_to_dense": "the dense reference for every MPS contraction test",
-    "conditional_weights": "the sampler's chain-rule weights, checked by acceptance criterion 5",
     "bridge_svd": "paper API: the rank-r bridge factorization behind the Eckart-Young test",
     "BridgeSvd": "paper API: the factors bridge_svd returns, which only the tests read",
     "set_bridge": "paper API: a new coefficient column on the same pairs, for the select-hash tests",
@@ -122,6 +121,27 @@ def _public(name: str) -> bool:
     return not name.startswith("_")
 
 
+def public_surface(source: str) -> list[tuple[ast.AST, list[tuple[str, ast.AST]]]]:
+    """Each public top-level function or class of ``source`` with its public members.
+
+    A member is ``(name, node)``: a method with its ``FunctionDef``, or a
+    class-level field with its assignment.
+    """
+    out = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name)):
+            continue
+        members = []
+        for item in node.body if isinstance(node, ast.ClassDef) else []:
+            if isinstance(item, ast.FunctionDef):
+                members.append((item.name, item))
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                members += [(target.id, item) for target in targets if isinstance(target, ast.Name)]
+        out.append((node, [(name, item) for name, item in members if _public(name)]))
+    return out
+
+
 def uncalled(package: dict[str, str], callers: list[tuple[str, bool]]) -> list[str]:
     """Each piece of public surface of ``package`` that neither it nor ``callers`` reach.
 
@@ -136,24 +156,15 @@ def uncalled(package: dict[str, str], callers: list[tuple[str, bool]]) -> list[s
         uses.add(source, strings)
     out = []
     for module, source in package.items():
-        for node in ast.parse(source).body:
-            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name)):
-                continue
+        for node, members in public_surface(source):
             out += [f"{module}.{node.name}"] * (node.name not in uses.names)
             if isinstance(node, ast.FunctionDef):
                 out += _unpassed(f"{module}.{node.name}", node, False, uses)
-                continue
-            for item in node.body:
+            for name, item in members:
+                qualname = f"{module}.{node.name}.{name}"
                 if isinstance(item, ast.FunctionDef):
-                    members = [item.name]
-                    if _public(item.name):
-                        out += _unpassed(f"{module}.{node.name}.{item.name}", item, True, uses)
-                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
-                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
-                    members = [target.id for target in targets if isinstance(target, ast.Name)]
-                else:
-                    continue
-                out += [f"{module}.{node.name}.{m}" for m in members if _public(m) and m not in uses.attributes]
+                    out += _unpassed(qualname, item, True, uses)
+                out += [qualname] * (name not in uses.attributes)
     return out
 
 
