@@ -80,31 +80,25 @@ class EmptyOperator(ValueError):
 class Bridge:
     """Sparse coefficient matrix over fragment index pairs.
 
-    ``Bridge(shape, pairs, coeffs)`` holds its columns read-only: ``pairs``,
-    a ``(P, 2)`` int64 array sorted by (a, b) with none repeated, and
-    ``coeffs``, their complex128 values.
-    Zero values are legitimate entries: they mark cancelled pairs that
-    still belong to the active index set.
+    ``Bridge(pairs, coeffs)`` holds its columns read-only: ``pairs``, a
+    ``(P, 2)`` int64 array sorted by (a, b) with none repeated, indexing the
+    decomposition's left and right dictionaries, and ``coeffs``, their
+    complex128 values. Zero values are legitimate entries: they mark
+    cancelled pairs that still belong to the active index set.
     """
 
-    def __init__(self, shape: tuple[int, int], pairs: np.ndarray, coeffs: np.ndarray):
-        self.shape, self.pairs, self.coeffs = tuple(shape), pairs, coeffs
+    def __init__(self, pairs: np.ndarray, coeffs: np.ndarray):
+        self.pairs, self.coeffs = pairs, coeffs
         pairs.flags.writeable = coeffs.flags.writeable = False
 
     @property
     def active_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(map(tuple, self.pairs[self.coeffs != 0].tolist()))
 
-    def to_matrix(self) -> np.ndarray:
-        m = np.zeros(self.shape, dtype=np.complex128)
-        m[self.pairs[:, 0], self.pairs[:, 1]] = self.coeffs
-        return m
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bridge):
             return NotImplemented
-        return (self.shape == other.shape and np.array_equal(self.pairs, other.pairs)
-                and np.array_equal(self.coeffs, other.coeffs))
+        return np.array_equal(self.pairs, other.pairs) and np.array_equal(self.coeffs, other.coeffs)
 
 
 @dataclass
@@ -146,7 +140,7 @@ def compile(op: PauliSum, cut: int) -> BridgeDecomposition:
         index = dict(zip(fragments, itertools.count()))
         sides.append((tuple(fragments), list(map(index.get, halves))))
     (left, a), (right, b) = sides
-    bridge = Bridge((len(left), len(right)), np.array([a, b], dtype=np.int64).T, op.coeffs[order])
+    bridge = Bridge(np.array([a, b], dtype=np.int64).T, op.coeffs[order])
     return BridgeDecomposition(cut, left, right, bridge)
 
 
@@ -169,7 +163,7 @@ def set_bridge(d: BridgeDecomposition, coeffs) -> BridgeDecomposition:
     coeffs = np.array(coeffs, dtype=np.complex128)  # a copy: the bridge makes its columns read-only
     if coeffs.shape != d.bridge.coeffs.shape:
         raise ValueError(f"expected {d.bridge.coeffs.size} coefficients, one per pair, got shape {coeffs.shape}")
-    return replace(d, bridge=Bridge(d.bridge.shape, d.bridge.pairs, coeffs))
+    return replace(d, bridge=Bridge(d.bridge.pairs, coeffs))
 
 
 def skeleton_hash(cut: int, left, right, pairs=()) -> str:
@@ -234,7 +228,7 @@ def decomposition_from_json(text: str) -> BridgeDecomposition:
         _raise_row_error(rows, len(left), len(right))
     coeffs = np.array(columns[2], dtype=np.complex128)
     coeffs.imag = columns[3]
-    return BridgeDecomposition(cut, left, right, Bridge((len(left), len(right)), pairs, coeffs[order]))
+    return BridgeDecomposition(cut, left, right, Bridge(pairs, coeffs[order]))
 
 
 def _raise_row_error(rows: list, n_left: int, n_right: int):

@@ -15,14 +15,17 @@ sha256 of the bytes it read and wrote, parameters, and library versions (no
 timestamps, so reruns are byte identical). ``--manifest PATH`` overrides the
 location; one naming an input or output exits 2, as do two outputs naming one
 file. An existing file is overwritten in place, then cut to the new length
-unless it is not a regular file (/dev/null, a FIFO). Warnings go to stderr.
+unless it is not a regular file (/dev/null, a FIFO). Warnings go to stderr. The
+stdout summary is printed after the outputs are written; an error exit prints none.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import os
 import stat
 import sys
@@ -167,21 +170,19 @@ def _write(args, outputs: dict[str, str], parameters: dict) -> None:
 def cmd_jw(args) -> tuple[dict[str, str], dict]:
     n_modes, terms = load_fermion_terms(_read(args, "input"))
     op = map_hamiltonian(terms, n_modes)
-    outputs = {"output": serialize_pauli_sum(op)}
     print(f"n_sites {op.n_sites}")
     print(f"n_terms {op.n_terms}")
-    return outputs, {}
+    return {"output": serialize_pauli_sum(op)}, {}
 
 
 def cmd_compile(args) -> tuple[dict[str, str], dict]:
     op = parse_pauli_sum(_read(args, "input"))
     d = compile_bridge(op, args.cut)
-    outputs = {"output": decomposition_to_json(d)}
     print(f"left_fragments {len(d.left)}")
     print(f"right_fragments {len(d.right)}")
     print(f"active_pairs {len(d.bridge.active_pairs)}")
     print(f"structural_hash {structural_hash(d)}")
-    return outputs, {"cut": args.cut}
+    return {"output": decomposition_to_json(d)}, {"cut": args.cut}
 
 
 def cmd_mpo(args) -> tuple[dict[str, str], dict]:
@@ -190,22 +191,20 @@ def cmd_mpo(args) -> tuple[dict[str, str], dict]:
     if args.max_bond is not None:
         m, discarded = compress(m, max_bond=args.max_bond)
         print(f"discarded_weight {sum(discarded):.12e}")
-    outputs = {"output": mpo_to_json(m)}
     print(f"bond_dims {' '.join(str(b) for b in m.bond_dims)}")
     if args.verify:
         print(f"reconstruction_error {mpo_error(m, op):.3e}")
-    return outputs, {"tol": args.tol, "max_bond": args.max_bond}
+    return {"output": mpo_to_json(m)}, {"tol": args.tol, "max_bond": args.max_bond}
 
 
 def cmd_groundstate(args) -> tuple[dict[str, str], dict]:
     op = parse_pauli_sum(_read(args, "input"))
     res = ground_state_reference(op, max_bond=args.max_bond)
-    outputs = {"output": mps_to_json(res.mps)}
     print(f"energy {res.energy:.12f}")
     print(f"gap {res.gap:.12f}")
     if args.max_bond is not None:
         print(f"discarded_weight {res.discarded:.12e}")
-    return outputs, {"max_bond": args.max_bond}
+    return {"output": mps_to_json(res.mps)}, {"max_bond": args.max_bond}
 
 
 def cmd_sample(args) -> tuple[dict[str, str], dict]:
@@ -219,11 +218,10 @@ def cmd_sample(args) -> tuple[dict[str, str], dict]:
 def cmd_curate(args) -> tuple[dict[str, str], dict]:
     samples, n_sites = samples_from_text(_read(args, "samples"))
     pool = curate(samples, n_sites, keep_iz=args.keep_iz)
-    outputs = {"output": pool_to_text(pool)}
     n_diagonal = int(diagonal_rows(pool.strings).sum())
     print(f"offdiagonal {len(pool.strings) - n_diagonal}")
     print(f"diagonal {n_diagonal}")
-    return outputs, {"keep_iz": args.keep_iz}
+    return {"output": pool_to_text(pool)}, {"keep_iz": args.keep_iz}
 
 
 def cmd_optimize(args) -> tuple[dict[str, str], dict]:
@@ -273,10 +271,9 @@ def cmd_update(args) -> tuple[dict[str, str], dict]:
     prog = program_from_json(_read(args, "program"))
     d = decomposition_from_json(_read(args, "bridge"))
     updated = update_coefficients(prog, d)
-    outputs = {"output": program_to_json(updated)}
     print(f"lambda {updated.lam:.12f}")
     print(f"select_hash {updated.select_hash}")
-    return outputs, {}
+    return {"output": program_to_json(updated)}, {}
 
 
 def cmd_verify(args) -> int:
@@ -379,7 +376,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     args.inputs = {}  # flag -> bytes of every file this call reads
-    with warnings.catch_warnings(record=True) as caught:
+    # the summary a subcommand prints is held until its outputs are written, and dropped on an error exit
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(io.StringIO()) as summary:
         warnings.simplefilter("always")
         try:
             code, error = args.func(args), None
@@ -390,6 +388,8 @@ def main(argv=None) -> int:
             code, error = NUMERICAL_ERROR, exc
         except DATA_EXCEPTIONS as exc:
             code, error = DATA_ERROR, exc
+    if error is None:
+        sys.stdout.write(summary.getvalue())
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     if error is not None:

@@ -59,7 +59,6 @@ __all__ = [
     "program_from_json",
     "program_to_json",
     "select_dense",
-    "select_factorized_dense",
     "success_probability",
     "update_coefficients",
 ]
@@ -205,29 +204,6 @@ def select_dense(program: LcuProgram) -> np.ndarray:
     left = _fragment_ops(program.left, 2**program.a_left, cut)
     right = _fragment_ops(program.right, 2**program.a_right, n - cut)
     out = scipy.linalg.block_diag(*(np.kron(p, q) for p in left for q in right))
-    out *= _phase_rows(program)
-    return out
-
-
-def select_factorized_dense(program: LcuProgram) -> np.ndarray:
-    """Phi . Select_L . Select_R, equal to ``select_dense`` for every program.
-
-    Select_L applies left fragment alpha to the left sites when the left
-    register holds alpha, and Select_R does the same on the right; neither
-    depends on a coefficient. Every phase sits in Phi, a diagonal on the
-    pair register.
-    """
-    _check_dense_size(program)
-    cut, n = program.cut, program.n_sites
-    dim_l, dim_r = 2**program.a_left, 2**program.a_right
-    left = _fragment_ops(program.left, dim_l, cut)
-    right = _fragment_ops(program.right, dim_r, n - cut)
-    eye_l, eye_r = np.eye(2**cut), np.eye(2 ** (n - cut))
-    # the left register holds the high bits, so each of its blocks
-    # repeats over every right index
-    sel_l = scipy.linalg.block_diag(*(np.kron(np.eye(dim_r), np.kron(p, eye_r)) for p in left))
-    sel_r = np.kron(np.eye(dim_l), scipy.linalg.block_diag(*(np.kron(eye_l, q) for q in right)))
-    out = sel_l @ sel_r
     out *= _phase_rows(program)
     return out
 

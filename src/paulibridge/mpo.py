@@ -27,13 +27,12 @@ them are real.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from paulibridge.bridge import Bridge, BridgeDecomposition, EmptyOperator
+from paulibridge.bridge import EmptyOperator
 from paulibridge.mps import TensorChain, chain_from_json, chain_to_json
 from paulibridge.pauli import (
     DENSE_LIMIT,
@@ -45,11 +44,8 @@ from paulibridge.pauli import (
 )
 
 __all__ = [
-    "BridgeSvd",
     "CutMatrix",
     "Mpo",
-    "RankExceedsDims",
-    "bridge_svd",
     "build_mpo_qr",
     "mpo_from_json",
     "mpo_error",
@@ -58,10 +54,6 @@ __all__ = [
 ]
 
 FORMAT_NAME = "mpo-v1"
-
-
-class RankExceedsDims(UserWarning):
-    """Requested rank larger than the matrix allows; clamped."""
 
 
 @dataclass
@@ -218,39 +210,3 @@ def mpo_to_json(m: Mpo) -> str:
 def mpo_from_json(text: str) -> Mpo:
     """Read an mpo-v1 document; every malformed field raises ValueError naming it."""
     return Mpo(*chain_from_json(text, FORMAT_NAME, (2, 2)))
-
-
-@dataclass
-class BridgeSvd:
-    """Rank-r factorization of a bridge matrix.
-
-    ``left_factor @ right_factor`` is the Frobenius-optimal rank-r
-    approximation (the square root of the kept singular values is split
-    evenly between the factors); ``sigma`` is the full spectrum.
-    """
-
-    left_factor: np.ndarray
-    sigma: np.ndarray
-    right_factor: np.ndarray
-    truncated: Bridge
-
-
-def bridge_svd(d: BridgeDecomposition, rank: int) -> BridgeSvd:
-    """Optimal low-rank truncation of the dense bridge matrix."""
-    if rank < 1:
-        raise ValueError(f"rank must be at least 1, got {rank}")
-    c = d.bridge.to_matrix()
-    u, s, vh = scipy.linalg.svd(c, full_matrices=False)
-    if rank > len(s):
-        warnings.warn(
-            f"rank {rank} exceeds min dimension {len(s)}; clamped", RankExceedsDims,
-            stacklevel=2,
-        )
-        rank = len(s)
-    root = np.sqrt(s[:rank])
-    left = u[:, :rank] * root
-    right = root[:, None] * vh[:rank]
-    approx = (u[:, :rank] * s[:rank]) @ vh[:rank]
-    a, b = np.nonzero(approx)  # row-major, so the pairs come sorted
-    truncated = Bridge(d.bridge.shape, np.stack([a, b], axis=1), approx[a, b])
-    return BridgeSvd(left, s, right, truncated)

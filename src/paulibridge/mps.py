@@ -22,7 +22,6 @@ from paulibridge.pauli import (
     PAULI_MATRICES,
     PauliSum,
     JsonText,
-    TooLarge,
     _pack_codes,
     json_document,
     json_field,
@@ -47,17 +46,14 @@ __all__ = [
     "compress",
     "dense_to_mps",
     "ground_state_reference",
-    "is_left_canonical_site",
     "is_right_canonical_site",
     "mps_from_json",
-    "mps_to_dense",
     "mps_to_json",
     "string_expectation",
     "string_expectations",
 ]
 
 FORMAT_NAME = "mps-v1"
-STATE_DENSE_LIMIT = 20  # most sites of a dense state vector
 DEGENERACY_TOL = 1e-8  # spectral gap below which ground_state_reference warns
 # strings swept or contracted together; on a 2-core x86 host, 1024 ran 2x
 # faster than 4096 at bond 16 (the chunk stays cache-sized), as fast at bond 4
@@ -90,11 +86,6 @@ class TensorChain:
 
 class Mps(TensorChain):
     """Matrix product state: physical shape ``(2,)``."""
-
-
-def is_left_canonical_site(t: np.ndarray, tol: float = 1e-12) -> bool:
-    """``sum_{a,phys} T*[a,r] T[a,r'] = delta``: the right condition with the two bonds swapped."""
-    return is_right_canonical_site(t.swapaxes(0, 1), tol)
 
 
 def is_right_canonical_site(t: np.ndarray, tol: float = 1e-12) -> bool:
@@ -195,17 +186,6 @@ def dense_to_mps(
     last = mat.reshape(chi, 2, 1).transpose(0, 2, 1)
     tensors.append(last / np.linalg.norm(last))
     return Mps(tensors, ["left"] * (n - 1) + ["center"])
-
-
-def mps_to_dense(m: Mps) -> np.ndarray:
-    if m.n_sites > STATE_DENSE_LIMIT:
-        raise TooLarge(f"{m.n_sites} sites exceeds dense limit {STATE_DENSE_LIMIT}")
-    if m.tensors[0].shape[0] != 1 or m.tensors[-1].shape[1] != 1:
-        raise ValueError("boundary bond dimensions must be 1")
-    acc = np.ones((1, 1), dtype=np.complex128)
-    for t in m.tensors:
-        acc = np.einsum("lB,lrp->rBp", acc, t).reshape(t.shape[1], -1)
-    return acc[0]
 
 
 def canonicalize_mps(m: Mps) -> Mps:

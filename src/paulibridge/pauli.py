@@ -117,7 +117,7 @@ class LengthMismatch(PauliError):
 
 
 class TooLarge(PauliError):
-    """A dense object would exceed DENSE_LIMIT (matrices) or mps.STATE_DENSE_LIMIT (vectors)."""
+    """A dense matrix, or the 4^n coefficients of an MPO check, would exceed DENSE_LIMIT qubits."""
 
 
 class DimensionMismatch(PauliError):

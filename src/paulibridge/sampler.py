@@ -66,6 +66,9 @@ class SamplerConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name, value in (("n_samples", self.n_samples), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # Philox keys 1.9 or True as 1
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
         if not 0 <= self.seed < 2**64:

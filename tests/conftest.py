@@ -5,11 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import settings
 
-from paulibridge.bridge import Bridge, compile as compile_bridge
-from paulibridge.lcu import LcuProgram, PrepColumns, compile_lcu
-from paulibridge.pauli import PAULI_MATRICES, SYMBOLS, PauliSum, label_rows, parse_pauli_sum
+from paulibridge.bridge import Bridge, BridgeDecomposition, compile as compile_bridge
+from paulibridge.lcu import LcuProgram, PrepColumns, _check_dense_size, _fragment_ops, _phase_rows, compile_lcu
+from paulibridge.mps import Mps, is_right_canonical_site
+from paulibridge.pauli import PAULI_MATRICES, SYMBOLS, PauliSum, TooLarge, label_rows, parse_pauli_sum
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -111,11 +113,18 @@ def thirteen_qubit_op() -> PauliSum:
     return pauli_sum(5, [(0.1 * (k + 1), word(k, 2) + word(3 * k + 1, 3)) for k in range(10)])
 
 
-def dict_bridge(shape: tuple[int, int], entries: dict) -> Bridge:
+def dict_bridge(entries: dict) -> Bridge:
     """A bridge over the mapping ``entries`` from (a, b) to a coefficient, sorted into columns."""
     items = sorted(entries.items())
     pairs = np.array([pair for pair, _ in items], dtype=np.int64).reshape(-1, 2)
-    return Bridge(shape, pairs, np.array([c for _, c in items], dtype=np.complex128))
+    return Bridge(pairs, np.array([c for _, c in items], dtype=np.complex128))
+
+
+def bridge_matrix(d: BridgeDecomposition) -> np.ndarray:
+    """The dense ``len(d.left) x len(d.right)`` bridge matrix; a pair never listed is 0."""
+    m = np.zeros((len(d.left), len(d.right)), dtype=np.complex128)
+    m[d.bridge.pairs[:, 0], d.bridge.pairs[:, 1]] = d.bridge.coeffs
+    return m
 
 
 def prep_rows(program: LcuProgram) -> tuple:
@@ -165,6 +174,49 @@ def scatter_dense(op: PauliSum) -> np.ndarray:
         z = int("".join("1" if s in "YZ" else "0" for s in label), 2)
         signs = np.where(np.bitwise_count(idx & z) & 1, -1.0, 1.0)
         out[idx ^ x, idx] += coeff * (1j ** label.count("Y") * signs)
+    return out
+
+
+STATE_DENSE_LIMIT = 20  # most sites of a dense state vector
+
+
+def mps_to_dense(m: Mps) -> np.ndarray:
+    """Dense oracle of an MPS: its state vector, site 0 the most significant qubit."""
+    if m.n_sites > STATE_DENSE_LIMIT:
+        raise TooLarge(f"{m.n_sites} sites exceeds dense limit {STATE_DENSE_LIMIT}")
+    if m.tensors[0].shape[0] != 1 or m.tensors[-1].shape[1] != 1:
+        raise ValueError("boundary bond dimensions must be 1")
+    acc = np.ones((1, 1), dtype=np.complex128)
+    for t in m.tensors:
+        acc = np.einsum("lB,lrp->rBp", acc, t).reshape(t.shape[1], -1)
+    return acc[0]
+
+
+def is_left_canonical_site(t: np.ndarray, tol: float = 1e-12) -> bool:
+    """``sum_{a,phys} T*[a,r] T[a,r'] = delta``: the right condition with the two bonds swapped."""
+    return is_right_canonical_site(t.swapaxes(0, 1), tol)
+
+
+def select_factorized_dense(program: LcuProgram) -> np.ndarray:
+    """Phi . Select_L . Select_R, equal to ``lcu.select_dense`` for every program.
+
+    Select_L applies left fragment alpha to the left sites when the left
+    register holds alpha, and Select_R does the same on the right; neither
+    depends on a coefficient. Every phase sits in Phi, a diagonal on the
+    pair register.
+    """
+    _check_dense_size(program)
+    cut, n = program.cut, program.n_sites
+    dim_l, dim_r = 2**program.a_left, 2**program.a_right
+    left = _fragment_ops(program.left, dim_l, cut)
+    right = _fragment_ops(program.right, dim_r, n - cut)
+    eye_l, eye_r = np.eye(2**cut), np.eye(2 ** (n - cut))
+    # the left register holds the high bits, so each of its blocks
+    # repeats over every right index
+    sel_l = scipy.linalg.block_diag(*(np.kron(np.eye(dim_r), np.kron(p, eye_r)) for p in left))
+    sel_r = np.kron(np.eye(dim_l), scipy.linalg.block_diag(*(np.kron(eye_l, q) for q in right)))
+    out = sel_l @ sel_r
+    out *= _phase_rows(program)
     return out
 
 

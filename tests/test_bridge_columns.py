@@ -2,8 +2,8 @@
 
 The oracles here are the per-row forms of the ``bridge-v1`` and ``lcu-v1``
 writers and readers, the per-pair Prep table of ``compile_lcu``, the
-per-pair ``lcu-gates-v1`` listing, the per-payload tensor-chain writer and
-the per-entry bridge_svd loop. The column code must write the same bytes,
+per-pair ``lcu-gates-v1`` listing and the per-payload tensor-chain writer.
+The column code must write the same bytes,
 build the same tables bit for bit, read the same objects and raise the same
 errors (class and message).
 """
@@ -17,7 +17,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -39,7 +38,7 @@ from paulibridge.lcu import (
     program_to_json,
     update_coefficients,
 )
-from paulibridge.mpo import Mpo, bridge_svd, mpo_to_json
+from paulibridge.mpo import Mpo, mpo_to_json
 from paulibridge.mps import Mps, mps_to_json
 from paulibridge.pauli import (
     SYMBOLS,
@@ -121,7 +120,7 @@ def oracle_decomposition_from_json(text: str) -> BridgeDecomposition:
         if (a, b) in entries:
             raise malformed(fmt, where, f"pair ({a}, {b}) appears twice")
         entries[(a, b)] = complex(json_finite(fmt, e, "re", where + "."), json_finite(fmt, e, "im", where + "."))
-    return BridgeDecomposition(cut, left, right, dict_bridge((len(left), len(right)), entries))
+    return BridgeDecomposition(cut, left, right, dict_bridge(entries))
 
 
 def oracle_compile_lcu(d: BridgeDecomposition) -> LcuProgram:
@@ -293,7 +292,7 @@ def decompositions(draw, values=floats) -> BridgeDecomposition:
     pairs = [(a, b) for a in range(len(left)) for b in range(len(right))]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     entries = {pair: draw(value) for pair in chosen}
-    return BridgeDecomposition(cut, left, right, dict_bridge((len(left), len(right)), entries))
+    return BridgeDecomposition(cut, left, right, dict_bridge(entries))
 
 
 def outcome(fn, *args):
@@ -362,7 +361,6 @@ def test_bridge_and_prep_views_are_read_only():
         d.bridge,
         set_bridge(d, [0.0, 2.0]).bridge,
         decomposition_from_json(decomposition_to_json(d)).bridge,
-        bridge_svd(d, 1).truncated,
     ]
     programs = [
         program,
@@ -380,7 +378,7 @@ def test_bridge_and_prep_views_are_read_only():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_values_raise_the_writers_error(bad):
-    bridge = dict_bridge((1, 1), {(0, 0): complex(1.0, bad)})
+    bridge = dict_bridge({(0, 0): complex(1.0, bad)})
     d = BridgeDecomposition(1, ("X",), ("Z",), bridge)
     assert outcome(decomposition_to_json, d) == outcome(oracle_decomposition_to_json, d)
     assert outcome(decomposition_to_json, d)[0] is ValueError
@@ -449,7 +447,7 @@ def corrupt(doc: dict, key: str, data) -> None:
 
 
 def same_decomposition(got: BridgeDecomposition, want: BridgeDecomposition) -> bool:
-    skeleton = (got.cut, got.left, got.right, got.bridge.shape) == (want.cut, want.left, want.right, want.bridge.shape)
+    skeleton = (got.cut, got.left, got.right) == (want.cut, want.left, want.right)
     return skeleton and repr(sorted(bridge_entries(got.bridge).items())) == repr(
         sorted(bridge_entries(want.bridge).items()))
 
@@ -498,28 +496,6 @@ def test_program_reader_matches_the_per_row_reader_on_corrupted_documents(d, dat
         assert want[0] == "ok" and same_table(got[1], want[1])
     else:
         assert got == want
-
-
-# ---------------------------------------------------------------------------
-# bridge_svd
-
-
-@BYTE_IDENTITY
-@given(decompositions(moderate), st.integers(1, 4))
-def test_bridge_svd_entries_equal_the_per_entry_loop(d, rank):
-    c = d.bridge.to_matrix()
-    u, s, vh = scipy.linalg.svd(c, full_matrices=False)
-    rank = min(rank, len(s))
-    approx = (u[:, :rank] * s[:rank]) @ vh[:rank]
-    want = {
-        (a, b): complex(approx[a, b])
-        for a in range(approx.shape[0])
-        for b in range(approx.shape[1])
-        if approx[a, b] != 0
-    }
-    got = bridge_svd(d, rank).truncated
-    assert repr(bridge_entries(got)) == repr(want)
-    assert got.shape == d.bridge.shape
 
 
 def _set(key, k, field, value):

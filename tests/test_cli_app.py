@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -409,10 +410,43 @@ class TestWriter:
         src, out = tmp_path / "chain.pauli", tmp_path / "mpo.json"
         src.write_text("".join(f"0.5 {'I' * i}ZZ{'I' * (n - i - 2)}\n" for i in range(n - 1)))
         rc, stdout, err = run(["mpo", "--input", str(src), "--verify", "--output", str(out)])
-        assert rc == 2
-        assert stdout.startswith("bond_dims ")
+        assert (rc, stdout) == (2, "")
         assert err == "error: 13 sites exceeds dense limit 12\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.pauli"]
+
+    def test_summary_is_printed_after_the_write_with_its_bytes(self, tmp_path, monkeypatch):
+        # nothing reaches stdout before _write returns; then the summary, as the subcommand printed it
+        write, streams, held = cli._write, [], []
+
+        def recording(args, outputs, parameters):
+            held.append(streams[-1].getvalue())
+            write(args, outputs, parameters)
+
+        monkeypatch.setattr(cli, "_write", recording)
+        select = "select_hash 398428e4002c4beaaa9209d92d80321593cf9b7f73604f6b60ef8d3cefa3b786\n"
+        want = {
+            "jw": "n_sites 1\nn_terms 2\n",
+            "compile": "left_fragments 6\nright_fragments 5\nactive_pairs 9\n"
+                       "structural_hash eea2dc128223e0057b2c45cf684decec03e8feb7a27ceb2dc6a46c733848188d\n",
+            "mpo": r"bond_dims 1 4 5 3 1\nreconstruction_error \d\.\d{3}e-\d\d\n",
+            "groundstate": "energy -0.800788795020\ngap 0.005510000000\n",
+            "sample": "n_samples 400\n",
+            "curate": "offdiagonal 6\ndiagonal 15\n",
+            "optimize": "energy -0.800788795020\nreference -0.800788795020\nsweep_rows 2\n",
+            "lcu": "lambda 1.212874000000\nancillas 6\n" + select,
+            "update": "lambda 1.212874000000\n" + select,
+        }
+        for argv, _, outputs in h2_chain(tmp_path):
+            streams.append(io.StringIO())
+            with contextlib.redirect_stdout(streams[-1]):
+                assert main(argv) == 0, argv[0]
+            assert held.pop() == ""
+            stdout = streams[-1].getvalue()
+            if argv[0] == "mpo":
+                assert re.fullmatch(want["mpo"], stdout)
+            else:
+                assert stdout == want[argv[0]]
+            assert all(Path(path).exists() for path in outputs)
 
     @staticmethod
     def snapshot(root):
@@ -431,9 +465,9 @@ class TestWriter:
         (tmp_path / "link.json").symlink_to("b.json")
         manifest, path = str(tmp_path / manifest), str(tmp_path / path)
         before = self.snapshot(tmp_path)
-        rc, _, err = run(["compile", "--input", str(tmp_path / "op.pauli"), "--cut", "2",
-                          "--output", str(tmp_path / "b.json"), "--manifest", manifest])
-        assert rc == 2
+        rc, stdout, err = run(["compile", "--input", str(tmp_path / "op.pauli"), "--cut", "2",
+                               "--output", str(tmp_path / "b.json"), "--manifest", manifest])
+        assert (rc, stdout) == (2, "")  # no summary of a compile whose outputs were refused
         assert err == f"error: manifest {manifest} is the same file as {flag} {path}; choose another --manifest\n"
         assert self.snapshot(tmp_path) == before
 
@@ -444,8 +478,8 @@ class TestWriter:
         assert run(["compile", "--input", str(src), "--cut", "2", "--output", str(bridge)])[0] == 0
         gates = f"{program}.manifest.json"
         before = self.snapshot(tmp_path)
-        rc, _, err = run(["lcu", "--bridge", str(bridge), "--output", str(program), "--gates", gates])
-        assert rc == 2
+        rc, stdout, err = run(["lcu", "--bridge", str(bridge), "--output", str(program), "--gates", gates])
+        assert (rc, stdout) == (2, "")
         assert err == f"error: manifest {gates} is the same file as --gates {gates}; choose another --manifest\n"
         assert self.snapshot(tmp_path) == before
 
@@ -460,8 +494,8 @@ class TestWriter:
         output = argv[argv.index("--output") + 1]
         argv[argv.index(flag) + 1] = output
         before = self.snapshot(tmp_path)
-        rc, _, err = run(argv)
-        assert rc == 2
+        rc, stdout, err = run(argv)
+        assert (rc, stdout) == (2, "")
         assert err == f"error: {flag} {output} is the same file as --output {output}; choose another {flag}\n"
         assert self.snapshot(tmp_path) == before
 
@@ -1249,8 +1283,8 @@ class TestUsageValidation:
             "optimize": ["optimize", "--input", str(paths["op"]), "--state", str(paths["mps"]),
                          "--pool", str(paths["pool"]), "--sweep-csv", str(csv), "--sweep-sizes", huge],
         }[command]
-        rc, _, err = run([*argv, "--output", str(out)])
-        assert rc == 2
+        rc, stdout, err = run([*argv, "--output", str(out)])
+        assert (rc, stdout) == (2, "")  # optimize prints its energies before the sweep fails
         assert err.startswith("error: Unable to allocate 7.11 PiB")
         assert len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []

@@ -29,13 +29,13 @@ from paulibridge.lcu import (
     program_from_json,
     program_to_json,
     select_dense,
-    select_factorized_dense,
     success_probability,
     update_coefficients,
 )
 from paulibridge.pauli import TooLarge, dense_string, parse_pauli_sum, to_dense
 
 from conftest import (
+    bridge_matrix,
     int_rows,
     kron_dense,
     pauli_sum,
@@ -44,6 +44,7 @@ from conftest import (
     program_state,
     random_pauli_sum,
     random_state,
+    select_factorized_dense,
     sum_terms,
 )
 
@@ -121,14 +122,14 @@ class TestCompile:
         amps = np.array([amp for _, _, amp, _ in prep_rows(prog)])
         assert np.all(amps > 0)
         assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
-        bridge = compile_bridge(h2_subset, 2).bridge.to_matrix()
+        bridge = bridge_matrix(compile_bridge(h2_subset, 2))
         for a, b, amp, _ in prep_rows(prog):
             coeff = bridge[a, b]
             assert amp**2 == pytest.approx(abs(coeff) / prog.lam, abs=1e-12)
 
     def test_select_phases_are_signs(self, h2_subset):
         prog = h2_program(h2_subset)
-        bridge = compile_bridge(h2_subset, 2).bridge.to_matrix()
+        bridge = bridge_matrix(compile_bridge(h2_subset, 2))
         for a, b, _, ph in prep_rows(prog):
             coeff = bridge[a, b]
             assert ph == (1.0 if coeff.real > 0 else -1.0)
@@ -153,7 +154,7 @@ class TestCompile:
         # 1 / |c| overflows for these c, although c / |c| is finite
         op = parse_pauli_sum("1e-310+1e-310i XZ\n-4e-320+5e-324i ZX\n-0.0-3e-321i XX\n0.5 ZZ\n")
         d = compile_bridge(op, 1)
-        prog, bridge = compile_lcu(d), d.bridge.to_matrix()
+        prog, bridge = compile_lcu(d), bridge_matrix(d)
         for a, b, _, ph in prep_rows(prog):
             coeff = bridge[a, b]
             # both parts scaled by 2**1000, exactly, so |c| is a normal number

@@ -1,4 +1,4 @@
-"""MPO construction, canonical forms, compression, bridge truncation."""
+"""MPO construction, canonical forms, compression."""
 
 import json
 import re
@@ -12,11 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from paulibridge.bridge import EmptyOperator, compile as compile_bridge
 from paulibridge.fermion import FermionTerm, map_hamiltonian
 from paulibridge.mpo import (
-    BridgeSvd,
     CutMatrix,
     Mpo,
-    RankExceedsDims,
-    bridge_svd,
     build_mpo_qr,
     mpo_error,
     mpo_from_json,
@@ -27,9 +24,7 @@ from paulibridge.mps import (
     canonicalize,
     compress,
     dense_to_mps,
-    is_left_canonical_site,
     is_right_canonical_site,
-    mps_to_dense,
 )
 from paulibridge.pauli import (
     PAULI_MATRICES,
@@ -40,7 +35,17 @@ from paulibridge.pauli import (
     to_dense,
 )
 
-from conftest import CHAIN_MUTATIONS, pauli_sum, random_pauli_sum, random_state, sum_terms, term_dict
+from conftest import (
+    CHAIN_MUTATIONS,
+    bridge_matrix,
+    is_left_canonical_site,
+    mps_to_dense,
+    pauli_sum,
+    random_pauli_sum,
+    random_state,
+    sum_terms,
+    term_dict,
+)
 
 
 def rel_err(a, b):
@@ -146,7 +151,7 @@ class TestBuild:
         build_mpo_qr(h2_subset, cut_log=cuts)
         d = compile_bridge(h2_subset, 1)
         np.testing.assert_allclose(
-            cuts[0].matrix, d.bridge.to_matrix(), atol=1e-14
+            cuts[0].matrix, bridge_matrix(d), atol=1e-14
         )
 
     def test_h2_bond_profile(self, h2_subset):
@@ -230,6 +235,18 @@ class TestBuild:
         m = build_mpo_qr(op, cut_log=cuts)
         ranks = [np.linalg.matrix_rank(c.matrix) for c in cuts[:-1]]
         assert m.bond_dims == [1] + ranks + [1]
+
+    def test_h2_bonds_equal_bridge_ranks(self, h2_subset):
+        ranks = [np.linalg.matrix_rank(bridge_matrix(compile_bridge(h2_subset, k))) for k in (1, 2, 3)]
+        assert build_mpo_qr(h2_subset).bond_dims == [1, *ranks, 1] == [1, 4, 5, 3, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 40), st.booleans())
+    def test_bonds_equal_bridge_ranks(self, seed, n_sites, n_terms, complex_coeffs):
+        # the bond at cut k is the rank of the bridge at k: a route through bridge.compile, not the sweep's cut_log
+        op = random_pauli_sum(np.random.default_rng(seed), n_sites, n_terms, complex_coeffs=complex_coeffs)
+        ranks = [np.linalg.matrix_rank(bridge_matrix(compile_bridge(op, k))) for k in range(1, n_sites)]
+        assert build_mpo_qr(op).bond_dims == [1, *ranks, 1]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -502,7 +519,7 @@ class TestCompress:
         assert comp.bond_dims == [1, 4, 4, 3, 1]
         assert discarded[0] == 0.0 and discarded[2] == 0.0
         sigma = scipy.linalg.svd(
-            compile_bridge(h2_subset, 2).bridge.to_matrix(), compute_uv=False
+            bridge_matrix(compile_bridge(h2_subset, 2)), compute_uv=False
         )
         err = np.linalg.norm(mpo_to_dense(comp) - to_dense(h2_subset))
         assert err == pytest.approx(4.0 * sigma[4], abs=1e-9)
@@ -529,67 +546,6 @@ class TestCompress:
         comp, discarded = compress(m, max_bond=2)
         err = np.linalg.norm(mpo_to_dense(comp) - to_dense(op))
         assert err == pytest.approx(np.sqrt(sum(discarded)), abs=1e-9)
-
-
-class TestBridgeSvd:
-    def test_h2_cut1_spectrum(self, h2_subset):
-        d = compile_bridge(h2_subset, 1)
-        res = bridge_svd(d, 4)
-        np.testing.assert_allclose(
-            res.sigma,
-            [0.37951186, 0.21344966, 0.045322, 0.045322],
-            atol=1e-6,
-        )
-
-    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-    def test_eckart_young_equality(self, h2_subset, rank):
-        d = compile_bridge(h2_subset, 1)
-        c = d.bridge.to_matrix()
-        res = bridge_svd(d, rank)
-        gap = np.linalg.norm(c - res.left_factor @ res.right_factor)
-        assert gap == pytest.approx(
-            np.sqrt(np.sum(res.sigma[rank:] ** 2)), abs=1e-12
-        )
-
-    def test_rank2_error_value(self, h2_subset):
-        # the two dropped values coincide at 0.045322, so the optimal
-        # rank-2 gap is that value times sqrt(2)
-        d = compile_bridge(h2_subset, 1)
-        res = bridge_svd(d, 2)
-        gap = np.linalg.norm(
-            d.bridge.to_matrix() - res.left_factor @ res.right_factor
-        )
-        assert gap == pytest.approx(0.045322 * np.sqrt(2.0), abs=1e-6)
-
-    def test_truncated_bridge_reconstructs_factors(self, h2_subset):
-        d = compile_bridge(h2_subset, 1)
-        res = bridge_svd(d, 2)
-        np.testing.assert_allclose(
-            res.truncated.to_matrix(),
-            res.left_factor @ res.right_factor,
-            atol=1e-14,
-        )
-        assert res.truncated.shape == d.bridge.shape
-
-    def test_factor_shapes(self, h2_subset):
-        d = compile_bridge(h2_subset, 2)
-        res = bridge_svd(d, 3)
-        assert res.left_factor.shape == (6, 3)
-        assert res.right_factor.shape == (3, 5)
-
-    def test_rank_clamped_with_warning(self, h2_subset):
-        d = compile_bridge(h2_subset, 1)
-        with pytest.warns(RankExceedsDims):
-            res = bridge_svd(d, 10)
-        assert res.left_factor.shape[1] == 4
-        np.testing.assert_allclose(
-            res.truncated.to_matrix(), d.bridge.to_matrix(), atol=1e-12
-        )
-
-    def test_rank_below_one_raises(self, h2_subset):
-        d = compile_bridge(h2_subset, 1)
-        with pytest.raises(ValueError):
-            bridge_svd(d, 0)
 
 
 class TestSerialization:

@@ -16,10 +16,8 @@ from paulibridge.mps import (
     canonicalize_mps,
     dense_to_mps,
     ground_state_reference,
-    is_left_canonical_site,
     is_right_canonical_site,
     mps_from_json,
-    mps_to_dense,
     mps_to_json,
     string_expectation,
     string_expectations,
@@ -34,7 +32,16 @@ from paulibridge.pauli import (
     to_dense,
 )
 
-from conftest import FIXTURES, int_rows, kron_string, random_pauli_sum, random_state, row_codes
+from conftest import (
+    FIXTURES,
+    int_rows,
+    is_left_canonical_site,
+    kron_string,
+    mps_to_dense,
+    random_pauli_sum,
+    random_state,
+    row_codes,
+)
 
 
 def random_mps(rng, n_sites, max_bond):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from paulibridge import pauli
 from paulibridge.bridge import compile as compile_bridge
-from paulibridge.lcu import block_encoding_dense, compile_lcu, select_dense, select_factorized_dense
+from paulibridge.lcu import block_encoding_dense, compile_lcu, select_dense
 from paulibridge.mpo import Mpo, mpo_to_dense
-from paulibridge.mps import Mps, ground_state_reference, mps_to_dense
+from paulibridge.mps import Mps, ground_state_reference
 from paulibridge.pauli import (
     DimensionMismatch,
     EmptyInput,
@@ -46,6 +46,7 @@ from conftest import (
     int_rows,
     kron_dense,
     kron_string,
+    mps_to_dense,
     pauli_sum,
     random_pauli_sum,
     random_state,
@@ -53,6 +54,7 @@ from conftest import (
     row_ints,
     row_labels,
     scatter_dense,
+    select_factorized_dense,
     sum_terms,
     thirteen_qubit_op,
 )
@@ -316,7 +318,7 @@ class TestDense:
     ])
     def test_fixed_dense_limits(self, densify):
         # matrices stop at DENSE_LIMIT = 12 qubits, system plus ancilla;
-        # state vectors at STATE_DENSE_LIMIT = 20 sites
+        # state vectors, through the test oracle, at conftest.STATE_DENSE_LIMIT = 20 sites
         with pytest.raises(TooLarge):
             densify()
 

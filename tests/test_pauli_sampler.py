@@ -1,5 +1,6 @@
 """Sampler correctness: chain rule, distribution, determinism, curation."""
 
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -17,7 +18,6 @@ from paulibridge.mps import (
     canonicalize_mps,
     dense_to_mps,
     ground_state_reference,
-    mps_to_dense,
     string_expectations,
 )
 from paulibridge.pauli import SYMBOLS, PauliError, apply_string, label_rows
@@ -38,6 +38,7 @@ from conftest import (
     BYTE_IDENTITY,
     int_rows,
     label_int,
+    mps_to_dense,
     pauli_sum,
     random_state,
     row_codes,
@@ -121,6 +122,21 @@ class TestSampling:
     def test_seed_outside_64_bits_refused(self, seed):
         with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\*\*64-1"):
             SamplerConfig(n_samples=1, seed=seed)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.9), ("seed", True), ("seed", np.float64(1.0)), ("seed", np.bool_(True)),
+        ("n_samples", 2.5), ("n_samples", False),
+    ])
+    def test_float_or_bool_refused(self, field, value):
+        # the Philox key truncates a float or bool: seed=1.9 and seed=True drew seed 1's samples
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            SamplerConfig(**{"n_samples": 20, "seed": 1, field: value})
+
+    def test_numpy_integers_draw_as_python_ints(self):
+        m = right_canonical_mps(random_state(np.random.default_rng(5), 4))
+        want = sample_strings(m, SamplerConfig(n_samples=20, seed=1))
+        for n_samples, seed in [(np.int64(20), np.uint64(1)), (np.int32(20), np.int8(1))]:
+            np.testing.assert_array_equal(sample_strings(m, SamplerConfig(n_samples=n_samples, seed=seed)), want)
 
     def test_gauge_violation_raises(self):
         rng = np.random.default_rng(17)

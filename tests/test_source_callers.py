@@ -27,13 +27,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "paulibridge"
 
 ALLOWED = {
-    "select_factorized_dense": "the Phi . Select_L . Select_R oracle that select_dense is checked against",
-    "mps_to_dense": "the dense reference for every MPS contraction test",
-    "bridge_svd": "paper API: the rank-r bridge factorization behind the Eckart-Young test",
-    "BridgeSvd": "paper API: the factors bridge_svd returns, which only the tests read",
     "set_bridge": "paper API: a new coefficient column on the same pairs, for the select-hash tests",
     "success_probability": "paper API: the all-zeros ancilla probability of a block encoding",
-    "is_left_canonical_site": "the left-gauge condition, mirror of is_right_canonical_site",
     "CutMatrix": "acceptance criterion 1: the fields of the worked example's cut matrices",
     "build_mpo_qr(cut_log)": "acceptance criterion 1: the cut matrices of the worked example",
     "RitzSolution.coefficients": "the optimized pool weights that ROADMAP item 13 carries into the LCU",

@@ -21,7 +21,7 @@ from paulibridge.bridge import (
 )
 from paulibridge.pauli import parse_pauli_sum
 
-from conftest import pauli_sum, random_pauli_sum, sum_terms, term_dict
+from conftest import bridge_matrix, pauli_sum, random_pauli_sum, sum_terms, term_dict
 
 
 class TestWorkedExample:
@@ -32,7 +32,7 @@ class TestWorkedExample:
         assert len(d.bridge.pairs) == 9
         a = d.left.index("YX")
         b = d.right.index("XY")
-        assert d.bridge.to_matrix()[a, b] == pytest.approx(0.045322, abs=1e-12)
+        assert bridge_matrix(d)[a, b] == pytest.approx(0.045322, abs=1e-12)
 
     def test_first_cut_matrix(self, h2_subset):
         # expected matrix derived by splitting each fixture term at the
@@ -48,7 +48,7 @@ class TestWorkedExample:
                 [0.171198, 0.120545, 0.0, 0.0, 0.0, 0.168622, 0.0],
             ]
         )
-        assert np.max(np.abs(d.bridge.to_matrix() - want)) < 1e-12
+        assert np.max(np.abs(bridge_matrix(d) - want)) < 1e-12
 
     def test_fragment_count_bound(self, h2_subset):
         d = compile(h2_subset, 2)
@@ -269,4 +269,4 @@ class TestErrors:
         d = compile(op, 1)
         assert d.left == ("X",)
         assert d.right == ("Z",)
-        assert d.bridge == Bridge((1, 1), np.array([[0, 0]]), np.array([2.0 + 0j]))
+        assert d.bridge == Bridge(np.array([[0, 0]]), np.array([2.0 + 0j]))

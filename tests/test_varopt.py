@@ -10,7 +10,6 @@ from paulibridge.mps import (
     canonicalize_mps,
     dense_to_mps,
     ground_state_reference,
-    mps_to_dense,
 )
 from paulibridge.pauli import (
     PAULI_MATRICES,
@@ -31,7 +30,7 @@ from paulibridge.varopt import (
     sweep_to_csv,
 )
 
-from conftest import int_rows, pauli_sum, random_pauli_sum, random_state, row_codes, row_ints
+from conftest import int_rows, mps_to_dense, pauli_sum, random_pauli_sum, random_state, row_codes, row_ints
 
 
 def hermitian_sum(rng, n_sites, n_terms):
