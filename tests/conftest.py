@@ -1,6 +1,8 @@
 import base64
 import functools
+import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from paulibridge.mps import Mps, is_right_canonical_site
 from paulibridge.pauli import PAULI_MATRICES, SYMBOLS, PauliSum, TooLarge, label_rows, parse_pauli_sum
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # HYPOTHESIS_PROFILE=ci: the same examples on every run, and more of them
 # for the properties that compare a fast path's bytes with its oracle's
@@ -111,6 +114,16 @@ def thirteen_qubit_op() -> PauliSum:
         return "".join("IXYZ"[(k >> (2 * j)) & 3] for j in range(width))
 
     return pauli_sum(5, [(0.1 * (k + 1), word(k, 2) + word(3 * k + 1, 3)) for k in range(10)])
+
+
+@functools.cache
+def jw12_document() -> str:
+    """jw12: the benchmark's seeded 12-mode fermion document, 80 two-body pairs, 1,429 Pauli terms after jw."""
+    if str(BENCH) not in sys.path:
+        sys.path.append(str(BENCH))
+    from workloads import fermion_doc
+
+    return json.dumps(fermion_doc(np.random.default_rng([5, 0]), 12, 80)) + "\n"
 
 
 def dict_bridge(entries: dict) -> Bridge:

@@ -18,6 +18,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from paulibridge.bridge import compile as compile_bridge
 from paulibridge.bridge import set_bridge, skeleton_hash
 from paulibridge.bridge import decomposition_from_json, decomposition_to_json
 from paulibridge.cli import main, non_negative_int, positive_int, tolerance
-from paulibridge.fermion import load_fermion_terms
+from paulibridge.fermion import load_fermion_terms, map_hamiltonian
 from paulibridge.lcu import program_from_json
 from paulibridge.mpo import mpo_from_json
 from paulibridge.mps import DEGENERACY_TOL, Mps, ground_state_reference, mps_from_json, mps_to_json
@@ -48,6 +49,7 @@ from conftest import (
     OTHER_OPERATOR,
     POOL_MUTATIONS,
     PROGRAM_MUTATIONS,
+    jw12_document,
     random_pauli_sum,
     thirteen_qubit_op,
 )
@@ -301,6 +303,68 @@ def h2_chain(root):
     ]
 
 
+def jw12_chain(root):
+    """The coefficient update at the dense limit, on jw12: jw, mpo --verify, compile --cut 6 and lcu --gates,
+    then compile of the same strings with every coefficient rescaled and update of the program to that bridge."""
+    p = {name: str(root / name) for name in (
+        "fermion.json", "op.pauli", "mpo.json", "bridge.json", "lcu.json", "gates.txt", "rescaled.pauli",
+        "rescaled.json", "updated.json")}
+    (root / "fermion.json").write_text(jw12_document())
+    n_modes, terms = load_fermion_terms(jw12_document())
+    op = map_hamiltonian(terms, n_modes)  # the sum jw writes
+    factors = np.random.default_rng(12).uniform(0.5, 2.0, op.n_terms)
+    (root / "rescaled.pauli").write_text(
+        serialize_pauli_sum(PauliSum.from_rows(op.n_sites, op.rows, op.coeffs * factors)))
+    return [
+        (["jw", "--input", p["fermion.json"], "--output", p["op.pauli"]], [p["fermion.json"]], [p["op.pauli"]]),
+        (["mpo", "--input", p["op.pauli"], "--verify", "--output", p["mpo.json"]], [p["op.pauli"]], [p["mpo.json"]]),
+        (["compile", "--input", p["op.pauli"], "--cut", "6", "--output", p["bridge.json"]],
+         [p["op.pauli"]], [p["bridge.json"]]),
+        (["lcu", "--bridge", p["bridge.json"], "--output", p["lcu.json"], "--gates", p["gates.txt"]],
+         [p["bridge.json"]], [p["lcu.json"], p["gates.txt"]]),
+        (["compile", "--input", p["rescaled.pauli"], "--cut", "6", "--output", p["rescaled.json"]],
+         [p["rescaled.pauli"]], [p["rescaled.json"]]),
+        (["update", "--program", p["lcu.json"], "--bridge", p["rescaled.json"], "--output", p["updated.json"]],
+         [p["lcu.json"], p["rescaled.json"]], [p["updated.json"]]),
+    ]
+
+
+def chains(root):
+    """h2_chain then jw12_chain, each in its own directory under ``root``."""
+    (root / "h2").mkdir()
+    (root / "jw12").mkdir()
+    return h2_chain(root / "h2") + jw12_chain(root / "jw12")
+
+
+def test_jw12_update_keeps_select_and_encodes_the_rescaled_operator(tmp_path):
+    # the paper's claim at the dense limit: Select is compiled once and an update changes only Prep
+    stages = ("jw", "mpo --verify", "compile --cut 6", "lcu --gates", "compile --cut 6, rescaled", "update")
+    fields, walls = [], {}
+    for stage, (argv, _, _) in zip(stages, jw12_chain(tmp_path), strict=True):
+        start = time.perf_counter()
+        rc, out, err = run(argv)
+        walls[stage] = time.perf_counter() - start
+        assert (rc, err) == (0, ""), stage
+        fields.append(dict(line.split(" ", 1) for line in out.splitlines()))
+    start = time.perf_counter()
+    rc, out, err = run(["verify", "--input", str(tmp_path / "rescaled.pauli"),
+                        "--program", str(tmp_path / "updated.json")])
+    walls["verify --program"] = time.perf_counter() - start
+    print("jw12 stage walls: " + ", ".join(f"{stage} {wall:.2f} s" for stage, wall in walls.items()))
+    assert (rc, err) == (0, "") and out.startswith("block_encoding PASS ")
+    jw, mpo, compiled, program, rescaled, updated = fields
+    assert jw == {"n_sites": "12", "n_terms": "1429"}
+    assert mpo["bond_dims"] == "1 4 8 22 38 58 62 52 30 18 10 4 1"
+    assert float(mpo["reconstruction_error"]) <= 1e-10
+    for bridge in (compiled, rescaled):
+        assert (bridge["left_fragments"], bridge["right_fragments"], bridge["active_pairs"]) == ("247", "183", "1429")
+    assert rescaled["structural_hash"] == compiled["structural_hash"]
+    assert updated["select_hash"] == program["select_hash"]
+    assert updated["lambda"] != program["lambda"]
+    gates = (tmp_path / "gates.txt").read_text().splitlines()
+    assert sum(line.startswith("cpauli ") for line in gates) == 1429
+
+
 WRITERS = ("jw", "compile", "mpo", "groundstate", "sample", "curate", "optimize", "lcu", "update")
 
 
@@ -328,7 +392,7 @@ class TestWriter:
                 opened.append((str(path), "w"))
             return real_os_open(path, flags, *args, **kwargs)
 
-        for argv, inputs, outputs in h2_chain(tmp_path):
+        for argv, inputs, outputs in chains(tmp_path):
             opened.clear()
             with monkeypatch.context() as m:
                 m.setattr(io, "open", counting_open)
@@ -341,7 +405,7 @@ class TestWriter:
             assert sorted(o for o in opened if o[0].startswith(str(tmp_path))) == sorted(want), argv[0]
 
     def test_manifest_hashes_are_the_files_on_disk(self, tmp_path):
-        for argv, inputs, outputs in h2_chain(tmp_path):
+        for argv, inputs, outputs in chains(tmp_path):
             assert run(argv)[0] == 0, argv[0]
             doc = json.loads(Path(f"{outputs[0]}.manifest.json").read_text())
             assert doc["command"] == argv[0]
@@ -371,10 +435,12 @@ class TestWriter:
         assert (doc["command"], doc["inputs"]) == (argv[0], {p: sha256(p) for p in inputs})
         assert doc["outputs"] == {p: sha256(p) for p in outputs}
 
-    @pytest.mark.parametrize("case, stale", [("longer", b"\xff" * 65536), ("shorter", b"#")])
+    # longer than jw12's mpo.json, about 1.06 MB; named, as the bytes would make an 8 MB test id
+    @pytest.mark.parametrize("case, stale", [pytest.param("longer", b"\xff" * 2**21, id="longer"),
+                                             ("shorter", b"#")])
     def test_rerun_over_stale_files_writes_the_bytes_of_a_fresh_run(self, tmp_path, case, stale):
         # every output and manifest is overwritten in place and cut to length: nothing stale is left
-        chain = h2_chain(tmp_path)
+        chain = chains(tmp_path)
         written = [p for _, _, outputs in chain for p in [*outputs, f"{outputs[0]}.manifest.json"]]
         fresh = [run(argv) for argv, _, _ in chain]
         assert [rc for rc, _, _ in fresh] == [0] * len(chain)
