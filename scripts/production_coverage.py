@@ -1,0 +1,138 @@
+"""List the functions of src/paulibridge that no production entry point enters.
+
+The entry points are the h2 CLI chain (every writing subcommand, both
+``verify`` modes and ``groundstate --max-bond 2``), ``scripts/h2_pipeline.py``
+and ``scripts/energy_sweep.py``. They run in this process under
+``sys.setprofile``, which records the calls that land in src/paulibridge.
+Each function or method defined there that none of them entered is printed
+as ``module.qualname`` with its line count, then the totals. Every output
+the entry points write goes to a temporary directory.
+
+A listed name is code that only the tests run. The report fails on nothing:
+the exit status is 0 whatever it lists, and not 0 only when an entry point
+itself fails.
+
+    PYTHONPATH=src python3 scripts/production_coverage.py
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import runpy
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "paulibridge"
+FIXTURES = REPO / "tests" / "fixtures"
+
+
+def defined_functions(paths) -> dict[tuple[str, int], tuple[str, int]]:
+    """Each function and method of the modules at ``paths``: ``(file, first line)``, the key its
+    code object carries (a decorated one starts at its first decorator), to ``(module.qualname, lines)``."""
+    found = {}
+
+    def visit(path, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[(str(path), first)] = (f"{path.stem}.{name}", child.end_lineno - first + 1)
+                visit(path, child, f"{name}.")
+            else:
+                visit(path, child, prefix)
+
+    for path in paths:
+        path = Path(path).resolve()
+        visit(path, ast.parse(path.read_text()), "")
+    return found
+
+
+def entered_code(run) -> set[tuple[str, int]]:
+    """``(file, first line)`` of every Python function that ``run()`` calls."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in codes}
+
+
+def never_entered(paths, run) -> list[tuple[str, int]]:
+    """The ``(module.qualname, lines)`` of each function at ``paths`` that ``run()`` does not enter, sorted."""
+    entered = entered_code(run)
+    return sorted(name for key, name in defined_functions(paths).items() if key not in entered)
+
+
+def _cli(main, argv: list[str]) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc != 0:
+        raise RuntimeError(f"{argv[0]} exited {rc}: {err.getvalue().strip()}")
+
+
+def _script(name: str, args: list[str]) -> None:
+    saved = sys.argv
+    sys.argv = [name, *args]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(str(REPO / "scripts" / name), run_name="__main__")
+    except SystemExit as exc:
+        if exc.code:
+            raise RuntimeError(f"{name} exited {exc.code}") from None
+    finally:
+        sys.argv = saved
+
+
+def production_runs(out: Path) -> None:
+    """The h2 CLI chain, h2_pipeline.py and energy_sweep.py, every output under ``out``."""
+    from paulibridge.cli import main
+
+    p = {name: str(out / name) for name in (
+        "fermion.json", "op.pauli", "jw.pauli", "bridge.json", "mpo.json", "mps.json", "mps2.json",
+        "samples.txt", "pool.txt", "opt.json", "sweep.csv", "lcu.json", "gates.txt", "updated.json")}
+    Path(p["fermion.json"]).write_text((FIXTURES / "number_op.json").read_text())
+    Path(p["op.pauli"]).write_text((FIXTURES / "h2_subset.pauli").read_text())
+    for argv in (
+        ["jw", "--input", p["fermion.json"], "--output", p["jw.pauli"]],
+        ["compile", "--input", p["op.pauli"], "--cut", "2", "--output", p["bridge.json"]],
+        ["mpo", "--input", p["op.pauli"], "--verify", "--output", p["mpo.json"]],
+        ["groundstate", "--input", p["op.pauli"], "--output", p["mps.json"]],
+        ["groundstate", "--input", p["op.pauli"], "--max-bond", "2", "--output", p["mps2.json"]],
+        ["sample", "--state", p["mps.json"], "--n-samples", "400", "--seed", "7", "--output", p["samples.txt"]],
+        ["curate", "--samples", p["samples.txt"], "--output", p["pool.txt"]],
+        ["optimize", "--input", p["op.pauli"], "--state", p["mps.json"], "--pool", p["pool.txt"],
+         "--sweep-csv", p["sweep.csv"], "--sweep-sizes", "10", "25", "--output", p["opt.json"]],
+        ["lcu", "--bridge", p["bridge.json"], "--output", p["lcu.json"], "--gates", p["gates.txt"]],
+        ["update", "--program", p["lcu.json"], "--bridge", p["bridge.json"], "--output", p["updated.json"]],
+        ["verify", "--input", p["op.pauli"]],
+        ["verify", "--input", p["op.pauli"], "--program", p["lcu.json"]],
+    ):
+        _cli(main, argv)
+    _script("h2_pipeline.py", ["--out", str(out / "h2")])
+    _script("energy_sweep.py", ["--out", str(out / "energy_sweep.csv")])
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        names = never_entered(sorted(PACKAGE.glob("*.py")), lambda: production_runs(Path(tmp)))
+    for name, lines in names:
+        print(f"{name} {lines}")
+    print(f"{len(names)} functions ({sum(lines for _, lines in names)} lines) of src/paulibridge never entered")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -34,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.linalg
 
 from paulibridge import __version__
 from paulibridge.bridge import (
@@ -57,16 +56,16 @@ from paulibridge.lcu import (
 # (bench/tracer.py) wraps the functions it times by these names.
 from paulibridge.lcu import block_encoding_dense  # noqa: F401
 from paulibridge.mpo import mpo_to_dense  # noqa: F401
+from paulibridge.pauli import to_dense  # noqa: F401
 from paulibridge.mpo import build_mpo_qr, mpo_error, mpo_from_json, mpo_to_json
 from paulibridge.mps import (
     compress,
     ground_state_reference,
+    lowest_pairs,
     mps_from_json,
     mps_to_json,
 )
-from paulibridge.pauli import (
-    diagonal_rows, json_text, parse_pauli_sum, require_hermitian, serialize_pauli_sum, to_dense,
-)
+from paulibridge.pauli import diagonal_rows, json_text, parse_pauli_sum, serialize_pauli_sum
 from paulibridge.sampler import (
     SamplerConfig,
     curate,
@@ -232,7 +231,7 @@ def cmd_optimize(args) -> tuple[dict[str, str], dict]:
         raise ValueError(f"pool has {pool.n_sites} sites, operator has {op.n_sites}")
     pencil = assemble_pencil(op, pool.strings, state)
     sol = solve_ritz_dense(pencil, n_roots=args.n_roots)
-    reference = float(scipy.linalg.eigvalsh(to_dense(require_hermitian(op)), subset_by_index=[0, 0])[0])
+    reference = float(lowest_pairs(op)[0][0])
     doc = {
         "format": "optimize-v1",
         "solver": "dense",

@@ -47,6 +47,7 @@ __all__ = [
     "dense_to_mps",
     "ground_state_reference",
     "is_right_canonical_site",
+    "lowest_pairs",
     "mps_from_json",
     "mps_to_json",
     "string_expectation",
@@ -260,10 +261,26 @@ class GroundStateResult:
     discarded: float  # squared weight the max_bond truncation dropped
 
 
+_last_pairs: dict = {}  # lowest_pairs' one entry
+
+
+def lowest_pairs(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """The two lowest eigenpairs of dense Hermitian ``op`` (a sum has at least one site): the one
+    dense reference solve. The last sum's read-only pairs are kept, keyed by its exact content (term
+    order too, as ``to_dense`` sums in order), so a second caller on that sum does not solve again."""
+    key = (op.n_sites, op.rows.tobytes(), op.coeffs.tobytes())
+    if key not in _last_pairs:
+        vals, vecs = scipy.linalg.eigh(to_dense(require_hermitian(op)), subset_by_index=[0, 1])
+        vals.flags.writeable = vecs.flags.writeable = False
+        _last_pairs.clear()
+        _last_pairs[key] = vals, vecs
+    return _last_pairs[key]
+
+
 def ground_state_reference(op: PauliSum, max_bond: int | None = None) -> GroundStateResult:
     """Dense lowest eigenpair, returned as a right-canonical MPS.
 
-    LAPACK computes the lowest two eigenpairs only; the second gives the
+    ``lowest_pairs`` gives the two lowest eigenpairs; the second gives the
     gap. With ``max_bond`` the MPS is
     truncated and renormalized; ``discarded`` is the total squared weight
     its SVDs dropped. The global phase is fixed by making the
@@ -272,8 +289,7 @@ def ground_state_reference(op: PauliSum, max_bond: int | None = None) -> GroundS
     in which case the chosen eigenvector is a basis-dependent
     representative.
     """
-    dense = to_dense(require_hermitian(op))
-    vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, 1])  # a sum has at least one site
+    vals, vecs = lowest_pairs(op)
     energy = float(vals[0])
     gap = float(vals[1] - vals[0])
     if gap < DEGENERACY_TOL:

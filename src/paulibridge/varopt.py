@@ -22,21 +22,12 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from paulibridge.mps import Mps, string_expectations
-from paulibridge.pauli import (
-    DimensionMismatch,
-    PauliSum,
-    _I_POWERS,
-    packed_product,
-    require_hermitian,
-    rows_fit,
-    to_dense,
-    unique_rows,
-)
+from paulibridge.mps import Mps, lowest_pairs, string_expectations
+from paulibridge.pauli import DimensionMismatch, PauliSum, _I_POWERS, packed_product, rows_fit, unique_rows
 # Not called here; kept as module attributes because the benchmark tracer
 # (bench/tracer.py) wraps the functions it times by these names.
 from paulibridge.mps import string_expectation  # noqa: F401
-from paulibridge.pauli import apply_string, pauli_product  # noqa: F401
+from paulibridge.pauli import apply_string, pauli_product, to_dense  # noqa: F401
 from paulibridge.sampler import SamplerConfig, curate, sample_strings
 
 __all__ = [
@@ -207,14 +198,17 @@ def energy_vs_samples_sweep(
     Pools are cumulative unions over the sample prefix, so the ansatz
     space is nested, the energy column is non-increasing by construction,
     and each pool's pencil is a leading block of the largest pool's, the
-    one pencil assembled. The reference column is the dense ground
-    energy; a caller that already has it passes it as ``reference``.
+    one pencil assembled. Each sample size is a positive integer by
+    ``SamplerConfig``'s rule: 2.7, True or "4" is refused, not cast. The
+    reference column is the dense ground energy, ``reference`` if given,
+    else ``mps.lowest_pairs``' lowest eigenvalue, which after
+    ``ground_state_reference`` on the same sum is read, not solved again.
     """
-    sizes = sorted(set(int(s) for s in sample_sizes))
-    if not sizes or sizes[0] < 1:
-        raise ValueError("sample sizes must be positive")
+    sizes = sorted({int(SamplerConfig(s, seed).n_samples) for s in sample_sizes})
+    if not sizes:
+        raise ValueError("no sample sizes given")
     if reference is None:
-        reference = float(scipy.linalg.eigvalsh(to_dense(require_hermitian(op)), subset_by_index=[0, 0])[0])
+        reference = float(lowest_pairs(op)[0][0])
     samples = sample_strings(state, SamplerConfig(n_samples=sizes[-1], seed=seed))
     pools = [curate(samples[:n], op.n_sites).strings for n in sizes]
     stacked = np.concatenate(pools)

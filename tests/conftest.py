@@ -12,7 +12,7 @@ from hypothesis import settings
 
 from paulibridge.bridge import Bridge, BridgeDecomposition, compile as compile_bridge
 from paulibridge.lcu import LcuProgram, PrepColumns, _check_dense_size, _fragment_ops, _phase_rows, compile_lcu
-from paulibridge.mps import Mps, is_right_canonical_site
+from paulibridge.mps import Mps, is_right_canonical_site, lowest_pairs
 from paulibridge.pauli import PAULI_MATRICES, SYMBOLS, PauliSum, TooLarge, label_rows, parse_pauli_sum
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -117,13 +117,44 @@ def thirteen_qubit_op() -> PauliSum:
 
 
 @functools.cache
-def jw12_document() -> str:
-    """jw12: the benchmark's seeded 12-mode fermion document, 80 two-body pairs, 1,429 Pauli terms after jw."""
+def fermion_document(seed: tuple, n_modes: int, n_pairs: int) -> str:
+    """The benchmark's seeded fermion document: ``fermion_doc(default_rng(seed), n_modes, n_pairs)``."""
     if str(BENCH) not in sys.path:
         sys.path.append(str(BENCH))
     from workloads import fermion_doc
 
-    return json.dumps(fermion_doc(np.random.default_rng([5, 0]), 12, 80)) + "\n"
+    return json.dumps(fermion_doc(np.random.default_rng(list(seed)), n_modes, n_pairs)) + "\n"
+
+
+def jw12_document() -> str:
+    """jw12: the 12-mode document, 80 two-body pairs, 1,429 Pauli terms after jw."""
+    return fermion_document((5, 0), 12, 80)
+
+
+def count_dense_solves(monkeypatch, n_sites: int) -> list:
+    """Patch ``scipy.linalg.eigh`` and ``eigvalsh`` to record each call on a 2^n x 2^n matrix as
+    ``(name, subset_by_index)``; the record list. (``eigvalsh`` reaches LAPACK without the patched
+    ``eigh``.)"""
+    calls = []
+
+    def counting(name):
+        solve = getattr(scipy.linalg, name)
+
+        def counted(a, *args, **kwargs):
+            if np.shape(a) == (2**n_sites, 2**n_sites):
+                calls.append((name, kwargs.get("subset_by_index")))
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counted)
+
+    counting("eigh")
+    counting("eigvalsh")
+    return calls
+
+
+def evict_lowest_pairs() -> None:
+    """Hold a one-site sum in ``lowest_pairs``' one entry, so the next solve of a wider sum is fresh."""
+    lowest_pairs(pauli_sum(1, [(1.0, "X")]))
 
 
 def dict_bridge(entries: dict) -> Bridge:

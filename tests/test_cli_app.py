@@ -49,6 +49,8 @@ from conftest import (
     OTHER_OPERATOR,
     POOL_MUTATIONS,
     PROGRAM_MUTATIONS,
+    count_dense_solves,
+    evict_lowest_pairs,
     jw12_document,
     random_pauli_sum,
     thirteen_qubit_op,
@@ -1178,7 +1180,7 @@ class TestVerifyBeyondOldCeiling:
 class TestOptimizeSweep:
     def test_sweep_csv(self, pipeline, tmp_path, monkeypatch):
         # the sweep takes optimize's reference energy instead of solving again
-        monkeypatch.setattr(varopt, "to_dense", None)
+        monkeypatch.setattr(varopt, "lowest_pairs", None)
         paths, _ = pipeline
         csv = tmp_path / "sweep.csv"
         rc, _, _ = run(["optimize", "--input", str(paths["op"]), "--state",
@@ -1191,6 +1193,35 @@ class TestOptimizeSweep:
         assert len(lines) == 3
         reference = json.loads((tmp_path / "opt.json").read_text())["reference_energy"]
         assert all(line.endswith(f",{reference:.12f}") for line in lines[1:])
+
+
+class TestSharedReference:
+    @pytest.mark.parametrize("text", [
+        (FIXTURES / "h2_subset.pauli").read_text(),
+        serialize_pauli_sum(random_pauli_sum(np.random.default_rng(2), 6, 20)),
+    ], ids=["h2", "random6"])
+    def test_groundstate_and_optimize_share_one_solve(self, tmp_path, monkeypatch, text):
+        op = parse_pauli_sum(text)
+        fresh = float(scipy.linalg.eigh(to_dense(op), subset_by_index=[0, 1])[0][0])
+        (tmp_path / "op.pauli").write_text(text)
+        path = {name: str(tmp_path / name) for name in ("op.pauli", "mps.json", "samples.txt", "pool.txt", "opt.json")}
+        evict_lowest_pairs()
+        calls = count_dense_solves(monkeypatch, op.n_sites)
+        stdout = {}
+        for argv in (
+            ["groundstate", "--input", path["op.pauli"], "--output", path["mps.json"]],
+            ["sample", "--state", path["mps.json"], "--n-samples", "20", "--seed", "1", "--output", path["samples.txt"]],
+            ["curate", "--samples", path["samples.txt"], "--output", path["pool.txt"]],
+            ["optimize", "--input", path["op.pauli"], "--state", path["mps.json"], "--pool", path["pool.txt"],
+             "--output", path["opt.json"]],
+        ):
+            rc, stdout[argv[0]], err = run(argv)
+            assert (rc, err) == (0, "")
+        assert calls == [("eigh", [0, 1])]
+        reference = json.loads(Path(path["opt.json"]).read_text())["reference_energy"]
+        assert reference == fresh  # bit for bit, as the reference of a fresh solve
+        assert stdout["groundstate"].splitlines()[0] == f"energy {reference:.12f}"
+        assert stdout["optimize"].splitlines()[1] == f"reference {reference:.12f}"
 
 
 def optimize_chain(tmp_path, state_op, opt_op):

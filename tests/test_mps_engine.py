@@ -17,6 +17,7 @@ from paulibridge.mps import (
     dense_to_mps,
     ground_state_reference,
     is_right_canonical_site,
+    lowest_pairs,
     mps_from_json,
     mps_to_json,
     string_expectation,
@@ -26,6 +27,7 @@ from paulibridge import mps as mps_module
 from paulibridge.pauli import (
     PAULI_MATRICES,
     SYMBOLS,
+    PauliSum,
     apply_string,
     label_rows,
     parse_pauli_sum,
@@ -34,6 +36,8 @@ from paulibridge.pauli import (
 
 from conftest import (
     FIXTURES,
+    count_dense_solves,
+    evict_lowest_pairs,
     int_rows,
     is_left_canonical_site,
     kron_string,
@@ -298,6 +302,72 @@ class TestGroundState:
                 assert str(exc) == "operator is not Hermitian"
                 refused = True
         assert refused == (ratio > 1)
+
+
+class TestLowestPairs:
+    """The one dense reference solve, and its one entry keyed by the sum's exact content."""
+
+    @pytest.fixture
+    def op(self):
+        return random_pauli_sum(np.random.default_rng(31), 5, 20)
+
+    @staticmethod
+    def fresh(op):
+        return scipy.linalg.eigh(to_dense(op), subset_by_index=[0, 1])
+
+    def test_a_hit_is_bitwise_a_fresh_solve(self, op, monkeypatch):
+        evict_lowest_pairs()
+        want = self.fresh(op)
+        calls = count_dense_solves(monkeypatch, 5)
+        miss, hit = lowest_pairs(op), lowest_pairs(op)
+        assert calls == [("eigh", [0, 1])]  # the index-range route, once
+        assert hit[0] is miss[0] and hit[1] is miss[1]
+        assert np.array_equal(hit[0], want[0]) and np.array_equal(hit[1], want[1])
+
+    @pytest.mark.parametrize("change", ["one ulp", "term order", "a sum in between"])
+    def test_changed_content_solves_again(self, op, monkeypatch, change):
+        evict_lowest_pairs()
+        if change == "one ulp":
+            coeffs = op.coeffs.copy()
+            coeffs[3] = np.nextafter(coeffs[3].real, np.inf)
+            other = PauliSum.from_rows(op.n_sites, op.rows, coeffs)
+        elif change == "term order":
+            perm = np.random.default_rng(4).permutation(op.n_terms)
+            other = PauliSum.from_rows(op.n_sites, op.rows[perm], op.coeffs[perm])
+            assert other == op  # equal sums, summed in another order by to_dense
+        else:
+            other = random_pauli_sum(np.random.default_rng(32), 5, 20)
+        wants = [self.fresh(op), self.fresh(other), self.fresh(op)]
+        calls = count_dense_solves(monkeypatch, 5)
+        for k, (sum_, want) in enumerate(zip([op, other, op], wants), 1):
+            vals, vecs = lowest_pairs(sum_)
+            assert len(calls) == k
+            assert np.array_equal(vals, want[0]) and np.array_equal(vecs, want[1])
+
+    def test_the_arrays_refuse_writes(self, op):
+        vals, vecs = lowest_pairs(op)
+        kept = vals.copy(), vecs.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            vals[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            vecs[:, 0] *= -1
+        again = lowest_pairs(op)
+        assert np.array_equal(again[0], kept[0]) and np.array_equal(again[1], kept[1])
+
+    def test_degeneracy_warns_on_a_miss_and_on_a_hit(self, monkeypatch):
+        op = parse_pauli_sum("1.0 ZI\n")
+        evict_lowest_pairs()
+        calls = count_dense_solves(monkeypatch, 2)
+        for _ in range(3):
+            with pytest.warns(DegenerateGroundState):
+                ground_state_reference(op)
+        assert len(calls) == 1
+
+    def test_non_hermitian_sum_is_refused_on_every_call(self):
+        op = parse_pauli_sum("1.0i XY\n")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^operator is not Hermitian$"):
+                lowest_pairs(op)
 
 
 class TestSerialization:

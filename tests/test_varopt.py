@@ -1,5 +1,7 @@
 """Effective pencil assembly, Ritz solvers, sample sweep."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -30,7 +32,17 @@ from paulibridge.varopt import (
     sweep_to_csv,
 )
 
-from conftest import int_rows, mps_to_dense, pauli_sum, random_pauli_sum, random_state, row_codes, row_ints
+from conftest import (
+    count_dense_solves,
+    evict_lowest_pairs,
+    int_rows,
+    mps_to_dense,
+    pauli_sum,
+    random_pauli_sum,
+    random_state,
+    row_codes,
+    row_ints,
+)
 
 
 def hermitian_sum(rng, n_sites, n_terms):
@@ -317,3 +329,27 @@ class TestSweep:
             energy_vs_samples_sweep(h2_subset, res.mps, [])
         with pytest.raises(ValueError):
             energy_vs_samples_sweep(h2_subset, res.mps, [0, 5])
+
+    @pytest.mark.parametrize("size", [2.7, True, "4", np.float64(5.5)], ids=["float", "bool", "str", "np.float64"])
+    def test_a_size_that_is_not_an_integer_is_refused_not_cast(self, h2_subset, size):
+        # before, int() ran 2, 1, 4 and 5 samples; beside a larger size the sampler saw only that one
+        state = ground_state_reference(h2_subset, max_bond=1).mps
+        for sizes in ([size], [12, size]):
+            with pytest.raises(ValueError, match=f"^n_samples must be an integer, got {re.escape(repr(size))}$"):
+                energy_vs_samples_sweep(h2_subset, state, sizes, seed=1)
+
+    def test_numpy_integer_sizes_run_as_ints(self, h2_subset):
+        state = ground_state_reference(h2_subset, max_bond=1).mps
+        rows = energy_vs_samples_sweep(h2_subset, state, np.array([8, 32]), seed=4)
+        assert rows == energy_vs_samples_sweep(h2_subset, state, [8, 32], seed=4)
+        assert [type(r.n_samples) for r in rows] == [int, int]
+
+    def test_reference_then_sweep_solve_once(self, h2_subset, monkeypatch):
+        # the sweep without ``reference`` reads the pair ground_state_reference solved
+        evict_lowest_pairs()
+        calls = count_dense_solves(monkeypatch, h2_subset.n_sites)
+        gs = ground_state_reference(h2_subset, max_bond=2)
+        rows = energy_vs_samples_sweep(h2_subset, gs.mps, [3, 6], seed=2)
+        assert calls == [("eigh", [0, 1])]
+        assert all(r.pool_size + 1 < 2**h2_subset.n_sites for r in rows)  # no pencil is counted as a solve
+        assert [r.reference_energy for r in rows] == [gs.energy] * 2  # bit for bit
