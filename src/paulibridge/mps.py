@@ -61,6 +61,26 @@ DEGENERACY_TOL = 1e-8  # spectral gap below which ground_state_reference warns
 CHUNK_STRINGS = 1024
 
 
+_memos: dict = {}  # per memoised function, its last (key, result)
+
+
+def _memo(name: str, key: tuple, compute):
+    """``compute()``, read-only, kept under ``name`` for the last exact-content ``key`` only: the package's
+    one memo rule. Keys hold bytes, not ids (an id can be reused, an ``Mps`` is mutable); a raise keeps nothing."""
+    last = _memos.get(name)
+    if last is None or last[0] != key:
+        result = compute()
+        for a in result if isinstance(result, tuple) else (result,):
+            a.flags.writeable = False
+        _memos[name] = last = key, result
+    return last[1]
+
+
+def _content(tensors: list[np.ndarray]) -> tuple:
+    """The exact content of a chain's tensors, as a memo key: shape, dtype and bytes of each."""
+    return tuple((t.shape, t.dtype, t.tobytes()) for t in tensors)
+
+
 class DegenerateGroundState(UserWarning):
     """Spectral gap below tolerance; the reference state is arbitrary."""
 
@@ -100,8 +120,11 @@ def _svd_split(mat: np.ndarray, max_bond: int | None, discard_log: list | None):
 
     Keeps the nonzero singular values, at most ``max_bond`` and at least
     one; the dropped squared weight is appended to ``discard_log`` when a
-    list is given.
+    list is given. A ``max_bond`` that is not a positive integer (a bool or
+    float included, a numpy integer accepted) is refused.
     """
+    if max_bond is not None and (type(max_bond) is bool or not isinstance(max_bond, (int, np.integer)) or max_bond < 1):
+        raise ValueError(f"max_bond must be a positive integer, got {max_bond!r}")
     u, s, vh = scipy.linalg.svd(mat, full_matrices=False)
     keep = int(np.count_nonzero(s))
     if max_bond is not None:
@@ -228,7 +251,8 @@ def _environments(tensors: list[np.ndarray], codes: np.ndarray) -> np.ndarray:
 
 
 def string_expectations(m: Mps, packed: np.ndarray) -> np.ndarray:
-    """``<psi|P|psi>`` for every row of a packed array; rows that do not fit the sites are refused.
+    """``<psi|P|psi>`` for every row of a packed array, read-only and kept for the last exact input
+    (``_memo``); rows that are not uint64 or do not fit the sites are refused.
 
     Strings are split at the fixed cut ``c = n // 2``. Left environments
     ``L[a, b]`` (sites ``0..c-1``) are swept once per distinct left half,
@@ -237,9 +261,15 @@ def string_expectations(m: Mps, packed: np.ndarray) -> np.ndarray:
     value ``sum_ab L[a, b] R[a, b]`` is contracted in CHUNK_STRINGS chunks.
     """
     n = m.n_sites
-    packed = np.asarray(packed, dtype=np.uint64)
+    packed = np.asarray(packed)
     if not rows_fit(packed, n):
         raise ValueError(f"packed strings of shape {packed.shape} do not fit {n} sites")
+    return _memo("string_expectations", (_content(m.tensors), packed.shape, packed.tobytes()),
+                 lambda: _contract(m, packed))
+
+
+def _contract(m: Mps, packed: np.ndarray) -> np.ndarray:
+    n = m.n_sites
     cut = n // 2
     right_bits = _pack_codes(np.repeat([[0, 3]], [cut, n - cut], axis=1))  # both bits of every right site
     (left, il), (right, ir) = unique_rows(packed & ~right_bits), unique_rows(packed & right_bits)
@@ -261,20 +291,12 @@ class GroundStateResult:
     discarded: float  # squared weight the max_bond truncation dropped
 
 
-_last_pairs: dict = {}  # lowest_pairs' one entry
-
-
 def lowest_pairs(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     """The two lowest eigenpairs of dense Hermitian ``op`` (a sum has at least one site): the one
     dense reference solve. The last sum's read-only pairs are kept, keyed by its exact content (term
     order too, as ``to_dense`` sums in order), so a second caller on that sum does not solve again."""
-    key = (op.n_sites, op.rows.tobytes(), op.coeffs.tobytes())
-    if key not in _last_pairs:
-        vals, vecs = scipy.linalg.eigh(to_dense(require_hermitian(op)), subset_by_index=[0, 1])
-        vals.flags.writeable = vecs.flags.writeable = False
-        _last_pairs.clear()
-        _last_pairs[key] = vals, vecs
-    return _last_pairs[key]
+    return _memo("lowest_pairs", (op.n_sites, op.rows.tobytes(), op.coeffs.tobytes()),
+                 lambda: scipy.linalg.eigh(to_dense(require_hermitian(op)), subset_by_index=[0, 1]))
 
 
 def ground_state_reference(op: PauliSum, max_bond: int | None = None) -> GroundStateResult:

@@ -92,7 +92,13 @@ def conditional_weights(tensor: np.ndarray, envs: np.ndarray) -> tuple[np.ndarra
 
 
 def sample_strings(m: Mps, config: SamplerConfig) -> np.ndarray:
-    """Draw Pauli strings as ``(n_samples, n_words(n_sites))`` packed rows."""
+    """Draw Pauli strings as ``(n_samples, n_words(n_sites))`` packed rows, read-only and kept for
+    the last exact state and config (``mps._memo``)."""
+    return mps._memo("sample_strings", (mps._content(m.tensors), config.n_samples, config.seed),
+                     lambda: _draw(m, config))
+
+
+def _draw(m: Mps, config: SamplerConfig) -> np.ndarray:
     n = m.n_sites
     for j, t in enumerate(m.tensors):
         if not is_right_canonical_site(t, tol=GAUGE_TOL):

@@ -12,7 +12,8 @@ from hypothesis import settings
 
 from paulibridge.bridge import Bridge, BridgeDecomposition, compile as compile_bridge
 from paulibridge.lcu import LcuProgram, PrepColumns, _check_dense_size, _fragment_ops, _phase_rows, compile_lcu
-from paulibridge.mps import Mps, is_right_canonical_site, lowest_pairs
+from paulibridge import mps as mps_module
+from paulibridge.mps import Mps, canonicalize_mps, dense_to_mps, is_right_canonical_site
 from paulibridge.pauli import PAULI_MATRICES, SYMBOLS, PauliSum, TooLarge, label_rows, parse_pauli_sum
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -152,9 +153,46 @@ def count_dense_solves(monkeypatch, n_sites: int) -> list:
     return calls
 
 
-def evict_lowest_pairs() -> None:
-    """Hold a one-site sum in ``lowest_pairs``' one entry, so the next solve of a wider sum is fresh."""
-    lowest_pairs(pauli_sum(1, [(1.0, "X")]))
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Patch ``module.name`` to record the positional arguments of each call; the record list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def real_state(seed: int, n_sites: int, max_bond: int) -> Mps:
+    """The right-canonical MPS of a random real unit vector: complex128 tensors, imaginary parts zero."""
+    vec = np.random.default_rng(seed).standard_normal(2**n_sites)
+    m = canonicalize_mps(dense_to_mps(vec / np.linalg.norm(vec), max_bond=max_bond))
+    return Mps([t.real.astype(np.complex128) for t in m.tensors])
+
+
+def memo_variants(m: Mps, seed: int) -> dict[str, Mps]:
+    """States a memo must tell from ``m``, a ``real_state``: one entry one ulp up, the same values as
+    float64 tensors, and the ``real_state`` of ``seed`` with as many sites."""
+    up = [t.copy() for t in m.tensors]
+    up[1][0, 0, 0] = np.nextafter(up[1][0, 0, 0].real, np.inf)
+    return {"one ulp": Mps(up), "float64 tensors": Mps([t.real.copy() for t in m.tensors]),
+            "a state in between": real_state(seed, m.n_sites, max(m.bond_dims))}
+
+
+def evict_memos() -> None:
+    """Empty every memo ``mps._memo`` keeps (``lowest_pairs``, ``sample_strings``, ``string_expectations``),
+    so the next call of each computes afresh: a test that compares a recomputation with a first result
+    evicts in between, or it would compare the memo with itself."""
+    mps_module._memos.clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Every test starts with empty memos, whatever ran before it."""
+    evict_memos()
 
 
 def dict_bridge(entries: dict) -> Bridge:

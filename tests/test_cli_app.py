@@ -50,7 +50,7 @@ from conftest import (
     POOL_MUTATIONS,
     PROGRAM_MUTATIONS,
     count_dense_solves,
-    evict_lowest_pairs,
+    evict_memos,
     jw12_document,
     random_pauli_sum,
     thirteen_qubit_op,
@@ -451,6 +451,7 @@ class TestWriter:
         assert max(sizes) < len(stale) if case == "longer" else min(sizes) > len(stale)
         for p in written:
             Path(p).write_bytes(stale)
+        evict_memos()
         assert [run(argv) for argv, _, _ in chain] == fresh
         assert {p: Path(p).read_bytes() for p in written} == snapshot
 
@@ -624,6 +625,7 @@ class TestDeterminism:
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
         for out in (a, b):
+            evict_memos()
             rc, _, _ = run(["sample", "--state", str(paths["mps"]),
                             "--n-samples", "50", "--seed", "11",
                             "--output", str(out)])
@@ -1205,7 +1207,6 @@ class TestSharedReference:
         fresh = float(scipy.linalg.eigh(to_dense(op), subset_by_index=[0, 1])[0][0])
         (tmp_path / "op.pauli").write_text(text)
         path = {name: str(tmp_path / name) for name in ("op.pauli", "mps.json", "samples.txt", "pool.txt", "opt.json")}
-        evict_lowest_pairs()
         calls = count_dense_solves(monkeypatch, op.n_sites)
         stdout = {}
         for argv in (

@@ -1,5 +1,5 @@
 """Relations between runs on jw12, the 12-mode Jordan-Wigner operator, and
-of the dense reference solve on jw8.
+of the dense reference solve and the sampled Ritz sweep on jw8.
 
 Each relation compares the chain on one operator with the chain on a
 transformed copy, so it needs no second reference and, past the dense
@@ -16,8 +16,9 @@ from paulibridge.bridge import compile as compile_bridge, structural_hash
 from paulibridge.fermion import load_fermion_terms, map_hamiltonian
 from paulibridge.lcu import compile_lcu
 from paulibridge.mpo import build_mpo_qr, mpo_error
-from paulibridge.mps import ground_state_reference
+from paulibridge.mps import Mps, ground_state_reference
 from paulibridge.pauli import PauliSum, diagonal_rows, label_rows
+from paulibridge.varopt import energy_vs_samples_sweep
 
 from conftest import fermion_document, jw12_document, mps_to_dense, row_labels
 
@@ -112,3 +113,45 @@ def test_adding_c_identity_shifts_the_reference_energy(jw8):
     z0 = PauliSum.from_rows(jw8.n_sites, np.concatenate([jw8.rows, label_rows(["Z" + "I" * 7], 8)]),
                             np.append(jw8.coeffs, 0.75))
     assert not shift_holds(jw8, z0, 0.75)
+
+
+SWEEP_SIZES, SWEEP_SEED = (4, 8, 16), 7
+
+
+@pytest.fixture(scope="module")
+def jw8_state(jw8) -> Mps:
+    """jw8's reference state at bond 4: the one state both sweeps of a Ritz relation run on."""
+    return ground_state_reference(jw8, max_bond=4).mps
+
+
+def sweep_energies(op: PauliSum, state: Mps) -> np.ndarray:
+    return np.array([r.energy for r in energy_vs_samples_sweep(op, state, SWEEP_SIZES, seed=SWEEP_SEED)])
+
+
+# the second sweep of each relation draws the first one's samples and contracts its strings, from
+# the memos, while the coefficients change: a coefficient kept in either memo would break it
+
+
+def test_rescaling_scales_the_ritz_energies(jw8, jw8_state):
+    def holds(scaled):
+        energies = sweep_energies(jw8, jw8_state)
+        return bool(np.all(np.abs(sweep_energies(scaled, jw8_state) - 2.5 * energies) <= 1e-12 * np.abs(2.5 * energies)))
+
+    assert holds(PauliSum.from_rows(jw8.n_sites, jw8.rows, 2.5 * jw8.coeffs))
+    # fault: one coefficient left unscaled
+    coeffs = 2.5 * jw8.coeffs
+    coeffs[0] = jw8.coeffs[0]
+    assert not holds(PauliSum.from_rows(jw8.n_sites, jw8.rows, coeffs))
+
+
+def test_adding_c_identity_shifts_the_ritz_energies(jw8, jw8_state):
+    def holds(shifted):
+        energies = sweep_energies(jw8, jw8_state)
+        gap = np.abs(sweep_energies(shifted, jw8_state) - (energies + 0.75))
+        return bool(np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(energies))))
+
+    identity = np.zeros((1, jw8.rows.shape[1]), dtype=np.uint64)
+    assert holds(PauliSum.from_rows(jw8.n_sites, np.concatenate([jw8.rows, identity]), np.append(jw8.coeffs, 0.75)))
+    # fault: c Z on site 0 in place of c I
+    z0 = label_rows(["Z" + "I" * 7], 8)
+    assert not holds(PauliSum.from_rows(jw8.n_sites, np.concatenate([jw8.rows, z0]), np.append(jw8.coeffs, 0.75)))

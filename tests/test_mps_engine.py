@@ -1,5 +1,6 @@
 """MPS factorization, gauges, contractions, dense ground-state reference."""
 
+import re
 import warnings
 from unittest.mock import patch
 
@@ -14,6 +15,7 @@ from paulibridge.mps import (
     Mps,
     canonicalize,
     canonicalize_mps,
+    compress,
     dense_to_mps,
     ground_state_reference,
     is_right_canonical_site,
@@ -36,14 +38,17 @@ from paulibridge.pauli import (
 
 from conftest import (
     FIXTURES,
+    count_calls,
     count_dense_solves,
-    evict_lowest_pairs,
+    evict_memos,
     int_rows,
     is_left_canonical_site,
     kron_string,
+    memo_variants,
     mps_to_dense,
     random_pauli_sum,
     random_state,
+    real_state,
     row_codes,
 )
 
@@ -169,6 +174,7 @@ class TestContractions:
         packed = int_rows(rng.integers(0, 4**5, 11), 5)
         whole = string_expectations(m, packed)
         monkeypatch.setattr(mps_module, "CHUNK_STRINGS", 3)
+        evict_memos()
         np.testing.assert_array_equal(string_expectations(m, packed), whole)
         assert string_expectations(m, packed[:0]).shape == (0,)
 
@@ -226,6 +232,97 @@ class TestContractions:
         want = np.vdot(vec, apply_string(z0[0], vec))
         assert string_expectations(m, z0)[0] == pytest.approx(want, abs=1e-12)
         assert string_expectation(m, z0[0]) == pytest.approx(want, abs=1e-12)
+
+
+    @pytest.mark.parametrize("rows", [np.array([[5.9]]), np.array([[True]]), np.array([[5]], dtype=np.int64)],
+                             ids=["float", "bool", "int64"])
+    def test_rows_that_are_not_uint64_are_refused_not_cast(self, rows):
+        # cast to uint64, 5.9 read row 5's value and True row 1's (-0.1414), where every other
+        # reader of packed rows refuses them
+        op = parse_pauli_sum("0.5 XZ\n-0.3 ZX\n0.2 YY\n0.1 ZI\n")
+        m = ground_state_reference(op).mps
+        with pytest.raises(ValueError, match=r"do not fit 2 sites"):
+            string_expectations(m, rows)
+        with pytest.raises(ValueError, match=r"do not fit 2 sites"):
+            string_expectation(m, rows[0])
+        assert string_expectations(m, rows.astype(np.uint64)).shape == (1,)
+
+
+class TestMemo:
+    """``string_expectations`` behind the one memo rule: the last exact input's read-only values."""
+
+    @pytest.fixture
+    def state(self):
+        return real_state(41, 6, 3)
+
+    @pytest.fixture
+    def rows(self):
+        return int_rows(np.random.default_rng(42).integers(0, 4**6, 80), 6)
+
+    @staticmethod
+    def fresh(m, rows):
+        """A cold call's values; the memos are left empty."""
+        evict_memos()
+        values = string_expectations(m, rows)
+        evict_memos()
+        return values
+
+    def test_a_hit_is_bitwise_a_fresh_call(self, state, rows, monkeypatch):
+        want = self.fresh(state, rows)
+        calls = count_calls(monkeypatch, mps_module, "_contract")
+        miss, hit = string_expectations(state, rows), string_expectations(state, rows)
+        assert len(calls) == 1 and hit is miss
+        assert hit.tobytes() == want.tobytes()
+        # a copy of the state and of the rows is the same content: still a hit
+        assert string_expectations(Mps([t.copy() for t in state.tensors]), rows.copy()) is miss
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("change", ["one ulp", "float64 tensors", "permuted rows", "a state in between"])
+    def test_changed_content_computes_again(self, state, rows, monkeypatch, change):
+        if change == "permuted rows":
+            other = state, rows[np.random.default_rng(4).permutation(len(rows))]
+        else:
+            other = memo_variants(state, 43)[change], rows
+        sequence = [(state, rows), other, (state, rows)]
+        wants = [self.fresh(*args) for args in sequence]
+        calls = count_calls(monkeypatch, mps_module, "_contract")
+        for k, (args, want) in enumerate(zip(sequence, wants), 1):
+            assert string_expectations(*args).tobytes() == want.tobytes()
+            assert len(calls) == k
+
+    def test_the_values_refuse_writes(self, state, rows):
+        values = string_expectations(state, rows)
+        kept = values.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+        assert string_expectations(state, rows).tobytes() == kept.tobytes()
+
+
+class TestMaxBond:
+    """The MPS layer refuses a bond cap that is not a positive integer, as the CLI does."""
+
+    VALUES = [0, -3, True, 2.5]
+
+    @staticmethod
+    def through(entry, max_bond):
+        rng = np.random.default_rng(44)
+        if entry == "dense_to_mps":
+            return dense_to_mps(random_state(rng, 3), max_bond=max_bond).bond_dims
+        if entry == "compress":
+            return compress(dense_to_mps(random_state(rng, 3)), max_bond=max_bond)[0].bond_dims
+        return ground_state_reference(random_pauli_sum(rng, 3, 12), max_bond=max_bond).mps.bond_dims
+
+    @pytest.mark.parametrize("max_bond", VALUES, ids=["zero", "negative", "bool", "float"])
+    @pytest.mark.parametrize("entry", ["dense_to_mps", "compress", "ground_state_reference"])
+    def test_a_cap_that_is_not_a_positive_integer_is_refused(self, entry, max_bond):
+        # before, 0, -3 and True kept one value per bond and reported the dropped weight,
+        # and 2.5 raised a TypeError once a bond passed 2
+        with pytest.raises(ValueError, match=f"^max_bond must be a positive integer, got {re.escape(repr(max_bond))}$"):
+            self.through(entry, max_bond)
+
+    @pytest.mark.parametrize("entry", ["dense_to_mps", "compress", "ground_state_reference"])
+    def test_a_numpy_integer_cap_is_accepted(self, entry):
+        assert self.through(entry, np.int64(1)) == self.through(entry, 1) == [1, 1, 1, 1]
 
 
 class TestGroundState:
@@ -316,7 +413,6 @@ class TestLowestPairs:
         return scipy.linalg.eigh(to_dense(op), subset_by_index=[0, 1])
 
     def test_a_hit_is_bitwise_a_fresh_solve(self, op, monkeypatch):
-        evict_lowest_pairs()
         want = self.fresh(op)
         calls = count_dense_solves(monkeypatch, 5)
         miss, hit = lowest_pairs(op), lowest_pairs(op)
@@ -326,7 +422,6 @@ class TestLowestPairs:
 
     @pytest.mark.parametrize("change", ["one ulp", "term order", "a sum in between"])
     def test_changed_content_solves_again(self, op, monkeypatch, change):
-        evict_lowest_pairs()
         if change == "one ulp":
             coeffs = op.coeffs.copy()
             coeffs[3] = np.nextafter(coeffs[3].real, np.inf)
@@ -356,7 +451,6 @@ class TestLowestPairs:
 
     def test_degeneracy_warns_on_a_miss_and_on_a_hit(self, monkeypatch):
         op = parse_pauli_sum("1.0 ZI\n")
-        evict_lowest_pairs()
         calls = count_dense_solves(monkeypatch, 2)
         for _ in range(3):
             with pytest.warns(DegenerateGroundState):

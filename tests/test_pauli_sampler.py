@@ -1,9 +1,12 @@
 """Sampler correctness: chain rule, distribution, determinism, curation."""
 
+import contextlib
+import io
 import re
 import tracemalloc
 import warnings
 from collections import Counter
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -11,13 +14,14 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from paulibridge import mps as mps_module, sampler as sampler_module
+from paulibridge import cli, mps as mps_module, sampler as sampler_module
 from paulibridge.mps import (
     Mps,
     canonicalize,
     canonicalize_mps,
     dense_to_mps,
     ground_state_reference,
+    mps_to_json,
     string_expectations,
 )
 from paulibridge.pauli import SYMBOLS, PauliError, apply_string, label_rows
@@ -32,15 +36,20 @@ from paulibridge.sampler import (
     samples_from_text,
     samples_to_text,
 )
-from paulibridge.varopt import assemble_pencil, solve_ritz_dense
+from paulibridge.varopt import assemble_pencil, energy_vs_samples_sweep, solve_ritz_dense
 
 from conftest import (
     BYTE_IDENTITY,
+    count_calls,
+    evict_memos,
     int_rows,
     label_int,
+    memo_variants,
     mps_to_dense,
     pauli_sum,
+    random_pauli_sum,
     random_state,
+    real_state,
     row_codes,
     row_labels,
 )
@@ -136,6 +145,7 @@ class TestSampling:
         m = right_canonical_mps(random_state(np.random.default_rng(5), 4))
         want = sample_strings(m, SamplerConfig(n_samples=20, seed=1))
         for n_samples, seed in [(np.int64(20), np.uint64(1)), (np.int32(20), np.int8(1))]:
+            evict_memos()
             np.testing.assert_array_equal(sample_strings(m, SamplerConfig(n_samples=n_samples, seed=seed)), want)
 
     def test_gauge_violation_raises(self):
@@ -157,7 +167,9 @@ class TestSampling:
         rng = np.random.default_rng(18)
         m = right_canonical_mps(random_state(rng, 3))
         cfg = SamplerConfig(n_samples=64, seed=99)
-        np.testing.assert_array_equal(sample_strings(m, cfg), sample_strings(m, cfg))
+        first = sample_strings(m, cfg)
+        evict_memos()
+        np.testing.assert_array_equal(sample_strings(m, cfg), first)
 
     def test_seed_changes_samples(self):
         rng = np.random.default_rng(19)
@@ -174,6 +186,7 @@ class TestSampling:
         long = sample_strings(m, SamplerConfig(n_samples=50, seed=7))
         short = sample_strings(m, SamplerConfig(n_samples=20, seed=7))
         np.testing.assert_array_equal(long[:20], short)
+        evict_memos()
         with patch.object(mps_module, "CHUNK_STRINGS", 3), \
                 patch.object(sampler_module, "_sample_chunk", wraps=sampler_module._sample_chunk) as chunk:
             chunked = sample_strings(m, SamplerConfig(n_samples=50, seed=7))
@@ -217,6 +230,94 @@ class TestSampling:
 
 def pool_labels(pool):
     return row_labels(pool.strings, pool.n_sites)
+
+
+class TestMemo:
+    """``sample_strings`` behind the one memo rule: the last exact state and config's read-only draw."""
+
+    CONFIG = SamplerConfig(n_samples=40, seed=8)
+
+    @pytest.fixture
+    def state(self):
+        return real_state(51, 5, 3)
+
+    @staticmethod
+    def fresh(m, config):
+        """A cold call's draw; the memos are left empty."""
+        evict_memos()
+        samples = sample_strings(m, config)
+        evict_memos()
+        return samples
+
+    def test_a_hit_is_bitwise_a_fresh_draw(self, state, monkeypatch):
+        want = self.fresh(state, self.CONFIG)
+        calls = count_calls(monkeypatch, sampler_module, "_draw")
+        miss, hit = sample_strings(state, self.CONFIG), sample_strings(state, self.CONFIG)
+        assert len(calls) == 1 and hit is miss
+        assert hit.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("change", [
+        "one ulp", "float64 tensors", "another seed", "another n_samples", "a state in between"])
+    def test_changed_content_draws_again(self, state, monkeypatch, change):
+        if change == "another seed":
+            other = state, SamplerConfig(n_samples=40, seed=9)
+        elif change == "another n_samples":
+            other = state, SamplerConfig(n_samples=41, seed=8)
+        else:
+            other = memo_variants(state, 52)[change], self.CONFIG
+        sequence = [(state, self.CONFIG), other, (state, self.CONFIG)]
+        wants = [self.fresh(*args) for args in sequence]
+        calls = count_calls(monkeypatch, sampler_module, "_draw")
+        for k, (args, want) in enumerate(zip(sequence, wants), 1):
+            assert sample_strings(*args).tobytes() == want.tobytes()
+            assert len(calls) == k
+
+    def test_the_samples_refuse_writes(self, state):
+        samples = sample_strings(state, self.CONFIG)
+        kept = samples.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            samples[0, 0] = 0
+        assert sample_strings(state, self.CONFIG).tobytes() == kept.tobytes()
+
+    def test_a_state_off_the_right_gauge_is_refused_on_every_call(self, state, monkeypatch):
+        kept = sample_strings(state, self.CONFIG)
+        left = canonicalize(state, state.n_sites - 1)
+        calls = count_calls(monkeypatch, sampler_module, "_draw")
+        for k in range(1, 4):
+            with pytest.raises(GaugeViolation, match="violates the right gauge condition"):
+                sample_strings(left, self.CONFIG)
+            assert len(calls) == k
+        assert sample_strings(state, self.CONFIG) is kept  # a refused state never enters the memo
+
+    def test_the_ritz_sequence_draws_and_contracts_once(self, tmp_path, monkeypatch):
+        # the benchmark's ritz op: reference state, sweep, CLI sample and curate with the
+        # sweep's seed and largest size, then the pencil of the curated pool
+        op = random_pauli_sum(np.random.default_rng(53), 8, 35)
+        sizes, seed = (3, 6, 12), 1234
+        gs = ground_state_reference(op, max_bond=3)
+        state, samples, pool = tmp_path / "state.mps.json", tmp_path / "samples.txt", tmp_path / "pool.txt"
+        state.write_text(mps_to_json(gs.mps))
+        written = [samples, pool, Path(f"{samples}.manifest.json"), Path(f"{pool}.manifest.json")]
+
+        def chain():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["sample", "--state", str(state), "--n-samples", str(sizes[-1]), "--seed", str(seed),
+                                 "--output", str(samples)]) == 0
+                assert cli.main(["curate", "--samples", str(samples), "--output", str(pool)]) == 0
+            pencil = assemble_pencil(op, pool_from_text(pool.read_text()).strings, gs.mps)
+            return {p: p.read_bytes() for p in written}, pencil
+
+        draws = count_calls(monkeypatch, sampler_module, "_sample_chunk")
+        halves = count_calls(monkeypatch, mps_module, "_environments")
+        energy_vs_samples_sweep(op, gs.mps, sizes, seed=seed)
+        warm, warm_pencil = chain()
+        assert (len(draws), len(halves)) == (1, 2)  # one draw; one contraction, its left and right halves
+        evict_memos()
+        cold, cold_pencil = chain()
+        assert (len(draws), len(halves)) == (2, 4)
+        assert warm == cold
+        assert warm_pencil.h.tobytes() == cold_pencil.h.tobytes()
+        assert warm_pencil.n.tobytes() == cold_pencil.n.tobytes()
 
 
 class TestCurate:

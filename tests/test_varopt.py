@@ -34,7 +34,7 @@ from paulibridge.varopt import (
 
 from conftest import (
     count_dense_solves,
-    evict_lowest_pairs,
+    evict_memos,
     int_rows,
     mps_to_dense,
     pauli_sum,
@@ -284,6 +284,7 @@ class TestSweep:
         max_bond = int(rng.integers(1, 2 ** (n_sites // 2) + 1))
         state = canonicalize_mps(dense_to_mps(random_state(rng, n_sites), max_bond=max_bond))
         rows = energy_vs_samples_sweep(op, state, sizes, seed=seed)
+        evict_memos()
         samples = sample_strings(state, SamplerConfig(n_samples=max(sizes), seed=seed))
         union = {}
         assert [r.n_samples for r in rows] == sorted(set(sizes))
@@ -300,6 +301,7 @@ class TestSweep:
         res = ground_state_reference(h2_subset, max_bond=1)
         state = canonicalize_mps(res.mps)
         a = energy_vs_samples_sweep(h2_subset, state, [8, 32], seed=4)
+        evict_memos()
         b = energy_vs_samples_sweep(h2_subset, state, [8, 32], seed=4)
         assert a == b
 
@@ -341,12 +343,12 @@ class TestSweep:
     def test_numpy_integer_sizes_run_as_ints(self, h2_subset):
         state = ground_state_reference(h2_subset, max_bond=1).mps
         rows = energy_vs_samples_sweep(h2_subset, state, np.array([8, 32]), seed=4)
+        evict_memos()
         assert rows == energy_vs_samples_sweep(h2_subset, state, [8, 32], seed=4)
         assert [type(r.n_samples) for r in rows] == [int, int]
 
     def test_reference_then_sweep_solve_once(self, h2_subset, monkeypatch):
         # the sweep without ``reference`` reads the pair ground_state_reference solved
-        evict_lowest_pairs()
         calls = count_dense_solves(monkeypatch, h2_subset.n_sites)
         gs = ground_state_reference(h2_subset, max_bond=2)
         rows = energy_vs_samples_sweep(h2_subset, gs.mps, [3, 6], seed=2)
