@@ -245,9 +245,7 @@ def cmd_optimize(args) -> tuple[dict[str, str], dict]:
     print(f"energy {sol.energies[0]:.12f}")
     print(f"reference {reference:.12f}")
     if args.sweep_csv:
-        rows = energy_vs_samples_sweep(
-            op, state, args.sweep_sizes, seed=args.seed, reference=reference
-        )
+        rows = energy_vs_samples_sweep(op, state, args.sweep_sizes, seed=args.seed)
         outputs["sweep_csv"] = sweep_to_csv(rows)
         print(f"sweep_rows {len(rows)}")
     sweep_sizes = args.sweep_sizes if args.sweep_csv else None

@@ -27,7 +27,6 @@ them are real.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -37,14 +36,12 @@ from paulibridge.mps import TensorChain, chain_from_json, chain_to_json
 from paulibridge.pauli import (
     DENSE_LIMIT,
     PAULI_MATRICES,
-    SYMBOLS,
     PauliSum,
     TooLarge,
     site_codes,
 )
 
 __all__ = [
-    "CutMatrix",
     "Mpo",
     "build_mpo_qr",
     "mpo_from_json",
@@ -56,43 +53,27 @@ __all__ = [
 FORMAT_NAME = "mpo-v1"
 
 
-@dataclass
-class CutMatrix:
-    """One step's regrouped coefficient matrix.
-
-    ``row_keys[j] = (incoming bond, symbol code)`` for the occurring pairs,
-    sorted; ``col_labels`` are the remaining right suffixes, sorted, with
-    ``""`` at the final site. ``matrix`` is float64 for a real sum.
-    """
-
-    site: int
-    row_keys: tuple[tuple[int, int], ...]
-    col_labels: tuple[str, ...]
-    matrix: np.ndarray
-
-
 class Mpo(TensorChain):
     """Matrix product operator: physical shape ``(2, 2)``, ``W[left, right, s_out, s_in]``."""
 
 
-def build_mpo_qr(
-    op: PauliSum, rank_tol: float = 0.0, cut_log: list[CutMatrix] | None = None
-) -> Mpo:
+def build_mpo_qr(op: PauliSum, rank_tol: float = 0.0) -> Mpo:
     """Compile a Pauli sum into an MPO by the pivoted-QR sweep.
 
-    ``cut_log``, when given a list, receives the CutMatrix of every step.
     A pivot counts as rank when ``|R_jj| > max(rank_tol, eps * max(m, k) *
     (site + 1)) * |R_00|`` for the ``m x k`` cut matrix at ``site``. Each
     dropped trailing block of R then has Frobenius norm at most ``sqrt(k)``
     times that threshold, so with ``rank_tol = 0`` the result contracts back
     to the operator up to roundoff; larger tolerances trade bond dimension
     for a controlled truncation of the cut matrices. ``rank_tol`` must be
-    finite and non-negative.
+    finite and non-negative, and every coefficient finite.
     """
     if op.n_terms == 0:
         raise EmptyOperator("cannot build an MPO from a sum with no terms")
     if not (math.isfinite(rank_tol) and rank_tol >= 0):
         raise ValueError(f"rank_tol must be finite and non-negative, got {rank_tol}")
+    if not np.isfinite(op.coeffs).all():
+        raise ValueError("coefficients must not contain infs or NaNs")
     n = op.n_sites
     # Suffix ids, right to left: the carried columns at site k have keys
     # code_k * n_rests[k] + (id of the suffix past k), one per term at site
@@ -108,13 +89,9 @@ def build_mpo_qr(
     keys.append(codes[:, 0] * n_rests[-1] + ids)
     keys.reverse()
     n_rests.reverse()
-    rest_labels = [("",)]
-    if cut_log is not None:
-        for k in range(n - 1, 0, -1):
-            sym, rest = np.divmod(keys[k], n_rests[k])
-            rest_labels.insert(0, tuple(SYMBOLS[p] + rest_labels[0][r] for p, r in zip(sym, rest)))
     # a Hermitian sum's coefficients are real: the sweep then runs in float64
     carried = (op.coeffs if op.coeffs.imag.any() else op.coeffs.real)[None]
+    geqp3, orgqr = scipy.linalg.get_lapack_funcs(("geqp3", "orgqr"), (carried,))  # d or z routines
     tensors: list[np.ndarray] = []
     for site in range(n):
         chi = carried.shape[0]
@@ -126,27 +103,25 @@ def build_mpo_qr(
         raw[rest, :, sym] += carried.T
         bond, code = np.nonzero(np.any(raw != 0, axis=0))
         gamma = raw.reshape(n_rests[site], 4 * chi).take(4 * bond + code, axis=1).T
-        if cut_log is not None:
-            cut_log.append(CutMatrix(site, tuple(zip(bond.tolist(), code.tolist())), rest_labels[site], gamma))
         if site == n - 1:
             q, rank = gamma, 1  # one column: the last site's tensor takes it whole
         else:
-            (qr, tau), r, piv = scipy.linalg.qr(
-                gamma if cut_log is None else gamma.copy(order="F"), mode="raw", pivoting=True, overwrite_a=True
-            )
-            diag = np.abs(np.diag(r))
+            # each call sizes its workspace by its own query, as SciPy's qr wrapper does: the same bits
+            lwork = int(geqp3(gamma, lwork=-1, overwrite_a=True)[3][0].real)
+            qr, piv, tau = geqp3(gamma, lwork=lwork, overwrite_a=True)[:3]
+            diag = np.abs(qr.diagonal())
             floor = max(rank_tol, np.finfo(np.float64).eps * max(gamma.shape) * (site + 1))
             rank = int(np.count_nonzero(diag > floor * diag[0]))
+            r, finite = np.triu(qr[:rank]), np.isfinite(qr).all()  # R's kept rows; every entry of R
             kept, tau = qr[:, : max(rank, 1)], tau[: max(rank, 1)]  # rank 0 is refused below
-            (orgqr,) = scipy.linalg.get_lapack_funcs(("orgqr",), (kept,))  # dorgqr or zungqr
-            lwork = int(orgqr(kept, tau, lwork=-1)[1][0].real)
+            lwork = int(orgqr(kept, tau, lwork=-1, overwrite_a=True)[1][0].real)
             q = orgqr(kept, tau, lwork=lwork, overwrite_a=True)[0]
-            if not (np.isfinite(q).all() and np.isfinite(r).all()):
+            if not (finite and np.isfinite(q).all()):
                 raise ValueError(f"cut matrix at site {site} overflows in the QR")
             if rank == 0:
                 raise EmptyOperator(f"cut matrix at site {site} vanished")
             carried = np.zeros((rank, n_rests[site]), dtype=raw.dtype)
-            carried[:, piv] = r[:rank, :]
+            carried[:, piv - 1] = r  # geqp3's pivots count from 1
         # W[l, r] = sum_c q[(l, c), r] sigma_c: one scatter of the distinct rows,
         # one product with the Paulis; += stores -0.0 as 0.0
         coef = np.zeros((chi, rank, 4), dtype=q.dtype)

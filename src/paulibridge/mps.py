@@ -115,16 +115,19 @@ def is_right_canonical_site(t: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.abs(mat @ mat.conj().T - np.eye(t.shape[0])).max() <= tol)
 
 
+def _check_max_bond(max_bond: int | None) -> None:
+    """Refuse a ``max_bond`` that is not a positive integer: a numpy integer is one, a bool or float is not."""
+    if max_bond is not None and (type(max_bond) is bool or not isinstance(max_bond, (int, np.integer)) or max_bond < 1):
+        raise ValueError(f"max_bond must be a positive integer, got {max_bond!r}")
+
+
 def _svd_split(mat: np.ndarray, max_bond: int | None, discard_log: list | None):
     """Truncated SVD ``mat ~ u @ carry`` with ``u`` isometric.
 
     Keeps the nonzero singular values, at most ``max_bond`` and at least
     one; the dropped squared weight is appended to ``discard_log`` when a
-    list is given. A ``max_bond`` that is not a positive integer (a bool or
-    float included, a numpy integer accepted) is refused.
+    list is given.
     """
-    if max_bond is not None and (type(max_bond) is bool or not isinstance(max_bond, (int, np.integer)) or max_bond < 1):
-        raise ValueError(f"max_bond must be a positive integer, got {max_bond!r}")
     u, s, vh = scipy.linalg.svd(mat, full_matrices=False)
     keep = int(np.count_nonzero(s))
     if max_bond is not None:
@@ -174,6 +177,7 @@ def compress(chain: TensorChain, max_bond: int | None = None) -> tuple[TensorCha
     discarded weights)`` up to roundoff, with equality when a single bond
     is truncated.
     """
+    _check_max_bond(max_bond)
     ts = canonicalize(chain, 0).tensors
     discarded: list[float] = []
     for j in range(len(ts) - 1):
@@ -192,6 +196,7 @@ def dense_to_mps(
     dropped squared weights are appended to ``discard_log`` when a list
     is given.
     """
+    _check_max_bond(max_bond)
     vec = np.asarray(state, dtype=np.complex128).ravel()
     n = vec.size.bit_length() - 1
     if vec.size != 2**n or n < 1:

@@ -191,7 +191,6 @@ def energy_vs_samples_sweep(
     state: Mps,
     sample_sizes: Sequence[int],
     seed: int = 0,
-    reference: float | None = None,
 ) -> list[SweepRow]:
     """Variational energy as the sampled pool grows.
 
@@ -200,15 +199,14 @@ def energy_vs_samples_sweep(
     and each pool's pencil is a leading block of the largest pool's, the
     one pencil assembled. Each sample size is a positive integer by
     ``SamplerConfig``'s rule: 2.7, True or "4" is refused, not cast. The
-    reference column is the dense ground energy, ``reference`` if given,
-    else ``mps.lowest_pairs``' lowest eigenvalue, which after
-    ``ground_state_reference`` on the same sum is read, not solved again.
+    reference column is the dense ground energy, ``mps.lowest_pairs``'
+    lowest eigenvalue, which after ``ground_state_reference`` or
+    ``optimize`` on the same sum is read, not solved again.
     """
     sizes = sorted({int(SamplerConfig(s, seed).n_samples) for s in sample_sizes})
     if not sizes:
         raise ValueError("no sample sizes given")
-    if reference is None:
-        reference = float(lowest_pairs(op)[0][0])
+    reference = float(lowest_pairs(op)[0][0])
     samples = sample_strings(state, SamplerConfig(n_samples=sizes[-1], seed=seed))
     pools = [curate(samples[:n], op.n_sites).strings for n in sizes]
     stacked = np.concatenate(pools)

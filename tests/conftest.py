@@ -117,14 +117,25 @@ def thirteen_qubit_op() -> PauliSum:
     return pauli_sum(5, [(0.1 * (k + 1), word(k, 2) + word(3 * k + 1, 3)) for k in range(10)])
 
 
+def bench_workloads():
+    """``bench/workloads.py``, the benchmark's seeded input generators."""
+    if str(BENCH) not in sys.path:
+        sys.path.append(str(BENCH))
+    import workloads
+
+    return workloads
+
+
 @functools.cache
 def fermion_document(seed: tuple, n_modes: int, n_pairs: int) -> str:
     """The benchmark's seeded fermion document: ``fermion_doc(default_rng(seed), n_modes, n_pairs)``."""
-    if str(BENCH) not in sys.path:
-        sys.path.append(str(BENCH))
-    from workloads import fermion_doc
+    return json.dumps(bench_workloads().fermion_doc(np.random.default_rng(list(seed)), n_modes, n_pairs)) + "\n"
 
-    return json.dumps(fermion_doc(np.random.default_rng(list(seed)), n_modes, n_pairs)) + "\n"
+
+def chain_sum(seed: int, n_sites: int) -> PauliSum:
+    """The benchmark's seeded chain, ``chain_terms(default_rng(seed), n_sites)``: 5n - 3 terms."""
+    terms = bench_workloads().chain_terms(np.random.default_rng(seed), n_sites)
+    return PauliSum.from_rows(n_sites, label_rows(list(terms), n_sites), np.array(list(terms.values())))
 
 
 def jw12_document() -> str:

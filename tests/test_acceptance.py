@@ -47,6 +47,7 @@ from paulibridge.varopt import (
 )
 
 from conftest import (
+    bridge_matrix,
     int_rows,
     is_left_canonical_site,
     prep_rows,
@@ -117,15 +118,16 @@ def rescaled(op: PauliSum, rng: np.random.Generator) -> PauliSum:
 
 def test_criterion_1_worked_example_first_cut(h2_subset):
     started = time.monotonic()
-    log = []
-    build_mpo_qr(h2_subset, cut_log=log)
-    cut = log[0]
-    assert tuple("IXYZ"[sym] for _, sym in cut.row_keys) == FIRST_CUT_ROWS
-    assert tuple(cut.col_labels) == FIRST_CUT_COLS
+    d = compile_bridge(h2_subset, 1)
+    cut = bridge_matrix(d)
+    assert d.left == FIRST_CUT_ROWS
+    assert d.right == FIRST_CUT_COLS
     expected = np.zeros((4, 7))
     for (row, col), value in FIRST_CUT_ENTRIES.items():
         expected[FIRST_CUT_ROWS.index(row), FIRST_CUT_COLS.index(col)] = value
-    assert np.max(np.abs(cut.matrix - expected)) <= 1e-12
+    assert np.max(np.abs(cut - expected)) <= 1e-12
+    # the sweep's first bond is this matrix's rank
+    assert build_mpo_qr(h2_subset).bond_dims[1] == np.linalg.matrix_rank(cut) == 4
     report(1, "worked-example first cut matrix", started, 1.0)
 
 

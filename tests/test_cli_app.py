@@ -1181,9 +1181,9 @@ class TestVerifyBeyondOldCeiling:
 
 class TestOptimizeSweep:
     def test_sweep_csv(self, pipeline, tmp_path, monkeypatch):
-        # the sweep takes optimize's reference energy instead of solving again
-        monkeypatch.setattr(varopt, "lowest_pairs", None)
+        # the sweep reads the reference pair that optimize solved: one dense solve per operator
         paths, _ = pipeline
+        calls = count_dense_solves(monkeypatch, parse_pauli_sum(paths["op"].read_text()).n_sites)
         csv = tmp_path / "sweep.csv"
         rc, _, _ = run(["optimize", "--input", str(paths["op"]), "--state",
                         str(paths["mps"]), "--pool", str(paths["pool"]),
@@ -1195,6 +1195,7 @@ class TestOptimizeSweep:
         assert len(lines) == 3
         reference = json.loads((tmp_path / "opt.json").read_text())["reference_energy"]
         assert all(line.endswith(f",{reference:.12f}") for line in lines[1:])
+        assert calls == [("eigh", [0, 1])]
 
 
 class TestSharedReference:

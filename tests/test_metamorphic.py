@@ -1,5 +1,6 @@
 """Relations between runs on jw12, the 12-mode Jordan-Wigner operator, and
-of the dense reference solve and the sampled Ritz sweep on jw8.
+of the dense reference solve and the sampled Ritz sweep on jw8; and, on
+jw12 and on 24- and 40-site chains, the MPO's bonds against the bridge.
 
 Each relation compares the chain on one operator with the chain on a
 transformed copy, so it needs no second reference and, past the dense
@@ -11,6 +12,7 @@ reference for a changed sum would break them too.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paulibridge.bridge import compile as compile_bridge, structural_hash
 from paulibridge.fermion import load_fermion_terms, map_hamiltonian
@@ -20,7 +22,7 @@ from paulibridge.mps import Mps, ground_state_reference
 from paulibridge.pauli import PauliSum, diagonal_rows, label_rows
 from paulibridge.varopt import energy_vs_samples_sweep
 
-from conftest import fermion_document, jw12_document, mps_to_dense, row_labels
+from conftest import bridge_matrix, chain_sum, fermion_document, jw12_document, mps_to_dense, row_labels
 
 CUT = 6
 BONDS = [1, 4, 8, 22, 38, 58, 62, 52, 30, 18, 10, 4, 1]
@@ -155,3 +157,24 @@ def test_adding_c_identity_shifts_the_ritz_energies(jw8, jw8_state):
     # fault: c Z on site 0 in place of c I
     z0 = label_rows(["Z" + "I" * 7], 8)
     assert not holds(PauliSum.from_rows(jw8.n_sites, np.concatenate([jw8.rows, z0]), np.append(jw8.coeffs, 0.75)))
+
+
+def bonds_are_bridge_ranks(op: PauliSum, rank_tol: float = 0.0) -> bool:
+    """Whether each bond of the swept MPO is the rank of the bridge matrix at its cut, a count
+    through ``bridge.compile`` that needs no dense operator: the sweep's exactness witness."""
+    ranks = [np.linalg.matrix_rank(bridge_matrix(compile_bridge(op, k))) for k in range(1, op.n_sites)]
+    return build_mpo_qr(op, rank_tol=rank_tol).bond_dims == [1, *ranks, 1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([24, 40]))
+def test_chain_bonds_are_the_bridge_ranks(seed, n_sites):
+    op = chain_sum(seed, n_sites)
+    assert bonds_are_bridge_ranks(op)
+    # fault: a rank tolerance that drops pivots the bridge keeps
+    assert not bonds_are_bridge_ranks(op, rank_tol=0.5)
+
+
+def test_jw12_bonds_are_the_bridge_ranks(jw12):
+    assert bonds_are_bridge_ranks(jw12)
+    assert not bonds_are_bridge_ranks(jw12, rank_tol=0.5)

@@ -10,9 +10,8 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
 from paulibridge.bridge import EmptyOperator, compile as compile_bridge
-from paulibridge.fermion import FermionTerm, map_hamiltonian
+from paulibridge.fermion import FermionTerm, load_fermion_terms, map_hamiltonian
 from paulibridge.mpo import (
-    CutMatrix,
     Mpo,
     build_mpo_qr,
     mpo_error,
@@ -38,7 +37,9 @@ from paulibridge.pauli import (
 from conftest import (
     CHAIN_MUTATIONS,
     bridge_matrix,
+    count_calls,
     is_left_canonical_site,
+    jw12_document,
     mps_to_dense,
     pauli_sum,
     random_pauli_sum,
@@ -113,14 +114,47 @@ def low_rank_operator(rng, n_sites, rank):
 
 def reference_regroup(carried, suffixes):
     """The string-built regroup: rows are the occurring (bond, symbol) pairs,
-    columns the sorted remaining suffixes."""
+    columns the sorted remaining suffixes; in the carried matrix's dtype."""
     rests = sorted({s[1:] for s in suffixes})
     rest_index = {r: k for k, r in enumerate(rests)}
-    raw = np.zeros((carried.shape[0], 4, len(rests)), dtype=np.complex128)
+    raw = np.zeros((carried.shape[0], 4, len(rests)), dtype=carried.dtype)
     for k, s in enumerate(suffixes):
         raw[:, "IXYZ".index(s[0]), rest_index[s[1:]]] += carried[:, k]
     rows = [(a, p) for a in range(carried.shape[0]) for p in range(4) if np.any(raw[a, p] != 0)]
     return tuple(rows), tuple(rests), np.array([raw[a, p] for a, p in rows])
+
+
+def reference_sweep(op):
+    """The sweep by another route: ``reference_regroup``, ``scipy.linalg.qr`` in raw mode with
+    pivoting, then ``orgqr`` of the kept columns, in float64 for a real sum as the sweep runs.
+
+    Returns the site tensors, each assembled by ``np.add.at`` (one add per cut-matrix row and
+    entry, in row order, so each bond takes its symbols in ascending order), and the cut matrices.
+    """
+    suffixes = [label for _, label in sum_terms(op)]
+    carried = (op.coeffs if op.coeffs.imag.any() else op.coeffs.real)[None]
+    tensors, cuts = [], []
+    for site in range(op.n_sites):
+        chi = carried.shape[0]
+        rows, rests, gamma = reference_regroup(carried, suffixes)
+        cuts.append(gamma)
+        q, rank = gamma, 1
+        if site < op.n_sites - 1:
+            (qr, tau), r, piv = scipy.linalg.qr(gamma, mode="raw", pivoting=True)
+            diag = np.abs(np.diag(r))
+            rank = int(np.count_nonzero(diag > np.finfo(np.float64).eps * max(gamma.shape) * (site + 1) * diag[0]))
+            (orgqr,) = scipy.linalg.get_lapack_funcs(("orgqr",), (qr,))
+            lwork = int(orgqr(qr[:, :rank], tau[:rank], lwork=-1)[1][0].real)
+            q = orgqr(qr[:, :rank], tau[:rank], lwork=lwork)[0]
+            carried = np.zeros((rank, len(rests)), dtype=r.dtype)
+            carried[:, piv] = r[:rank]
+            suffixes = rests
+        bond, code = np.array(rows).T
+        w, block = np.zeros((chi, rank, 2, 2), dtype=np.complex128), 4 * rank
+        terms = q[:, :rank, None, None] * PAULI_MATRICES[code, None]
+        np.add.at(w.reshape(-1), (bond[:, None] * block + np.arange(block)).ravel(), terms.ravel())
+        tensors.append(w)
+    return tensors, cuts
 
 
 class TestBuild:
@@ -137,21 +171,17 @@ class TestBuild:
         expected[3, 0] = 0.171198
         expected[3, 1] = 0.120545
         expected[3, 5] = 0.168622
-        cuts = []
-        build_mpo_qr(h2_subset, cut_log=cuts)
-        first = cuts[0]
-        assert first.site == 0
-        assert first.row_keys == ((0, 0), (0, 1), (0, 2), (0, 3))
-        assert first.col_labels == cols
-        np.testing.assert_allclose(first.matrix, expected, atol=1e-12)
+        rows, rests, matrix = reference_regroup(h2_subset.coeffs.real[None], [s for _, s in sum_terms(h2_subset)])
+        assert rows == ((0, 0), (0, 1), (0, 2), (0, 3))
+        assert rests == cols
+        np.testing.assert_allclose(matrix, expected, atol=1e-12)
 
     def test_first_cut_matches_bridge_matrix(self, h2_subset):
         # two independent routes to the same regrouping must agree
-        cuts = []
-        build_mpo_qr(h2_subset, cut_log=cuts)
+        _, _, matrix = reference_regroup(h2_subset.coeffs[None], [s for _, s in sum_terms(h2_subset)])
         d = compile_bridge(h2_subset, 1)
         np.testing.assert_allclose(
-            cuts[0].matrix, bridge_matrix(d), atol=1e-14
+            matrix, bridge_matrix(d), atol=1e-14
         )
 
     def test_h2_bond_profile(self, h2_subset):
@@ -161,14 +191,6 @@ class TestBuild:
     def test_h2_exact_reconstruction(self, h2_subset):
         m = build_mpo_qr(h2_subset)
         assert rel_err(mpo_to_dense(m), to_dense(h2_subset)) < 1e-12
-
-    def test_cut_log_has_one_entry_per_site(self, h2_subset):
-        cuts = []
-        build_mpo_qr(h2_subset, cut_log=cuts)
-        assert [c.site for c in cuts] == [0, 1, 2, 3]
-        assert cuts[-1].col_labels == ("",)
-        # Fortran order: LAPACK factors a cut matrix in place, without a copy
-        assert all(c.matrix.flags.f_contiguous for c in cuts)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 18))
@@ -226,16 +248,6 @@ class TestBuild:
         want = op.coeffs.tolist() + [0.0] * len(absent)
         np.testing.assert_allclose(pauli_coefficients(m, labels), want, rtol=0, atol=1e-12)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 40), st.booleans())
-    def test_bonds_equal_matrix_rank_of_cut(self, seed, n_sites, n_terms, complex_coeffs):
-        rng = np.random.default_rng(seed)
-        op = random_pauli_sum(rng, n_sites, n_terms, complex_coeffs=complex_coeffs)
-        cuts = []
-        m = build_mpo_qr(op, cut_log=cuts)
-        ranks = [np.linalg.matrix_rank(c.matrix) for c in cuts[:-1]]
-        assert m.bond_dims == [1] + ranks + [1]
-
     def test_h2_bonds_equal_bridge_ranks(self, h2_subset):
         ranks = [np.linalg.matrix_rank(bridge_matrix(compile_bridge(h2_subset, k))) for k in (1, 2, 3)]
         assert build_mpo_qr(h2_subset).bond_dims == [1, *ranks, 1] == [1, 4, 5, 3, 1]
@@ -243,7 +255,7 @@ class TestBuild:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 40), st.booleans())
     def test_bonds_equal_bridge_ranks(self, seed, n_sites, n_terms, complex_coeffs):
-        # the bond at cut k is the rank of the bridge at k: a route through bridge.compile, not the sweep's cut_log
+        # the bond at cut k is the rank of the bridge at k: a route through bridge.compile, not the sweep
         op = random_pauli_sum(np.random.default_rng(seed), n_sites, n_terms, complex_coeffs=complex_coeffs)
         ranks = [np.linalg.matrix_rank(bridge_matrix(compile_bridge(op, k))) for k in range(1, n_sites)]
         assert build_mpo_qr(op).bond_dims == [1, *ranks, 1]
@@ -253,29 +265,30 @@ class TestBuild:
         st.integers(0, 2**32 - 1),
         st.one_of(st.integers(1, 8), st.integers(30, 40)),
         st.integers(1, 40),
+        st.booleans(),
     )
-    def test_cut_log_matches_string_regroup(self, seed, n_sites, n_terms):
+    def test_sweep_matches_string_built_reference(self, seed, n_sites, n_terms, complex_coeffs):
         # mostly-identity strings share suffixes, so columns merge; 33 or
         # more sites take two packed words per string
         rng = np.random.default_rng(seed)
         codes = rng.choice(4, size=(n_terms, n_sites), p=[0.7, 0.1, 0.1, 0.1])
-        op = pauli_sum(n_sites, [(complex(*rng.standard_normal(2)), "".join(SYMBOLS[c] for c in row)) for row in codes])
-        cuts = []
-        m = build_mpo_qr(op, cut_log=cuts)
-        assert [c.site for c in cuts] == list(range(n_sites))
-        suffixes = [label for _, label in sum_terms(op)]
-        carried = op.coeffs[None]
-        for site, cut in enumerate(cuts):
-            rows, rests, matrix = reference_regroup(carried, suffixes)
-            assert cut.row_keys == rows
-            assert cut.col_labels == rests
-            assert np.array_equal(cut.matrix, matrix)
-            if site < n_sites - 1:
-                _, r, piv = scipy.linalg.qr(cut.matrix, mode="economic", pivoting=True)
-                rank = m.bond_dims[site + 1]
-                carried = np.zeros((rank, len(rests)), dtype=np.complex128)
-                carried[:, piv] = r[:rank]
-                suffixes = rests
+        coeffs = rng.standard_normal((n_terms, 2)) @ ([1, 1j] if complex_coeffs else [1, 0])
+        op = pauli_sum(n_sites, [(c, "".join(SYMBOLS[p] for p in row)) for c, row in zip(coeffs, codes)])
+        m = build_mpo_qr(op)
+        tensors, _ = reference_sweep(op)
+        assert len(m.tensors) == len(tensors) == n_sites
+        assert all(np.array_equal(w, ref) for w, ref in zip(m.tensors, tensors))
+
+    def test_large_cut_matrices_match_the_reference_sweep(self):
+        # cut matrices large enough for LAPACK's blocked code, whose path the workspace size
+        # sets: jw12 (real coefficients), jw12 times 1j and a random 200-term 8-site sum
+        n_modes, terms = load_fermion_terms(jw12_document())
+        jw12 = map_hamiltonian(terms, n_modes)
+        ops = [jw12, PauliSum.from_rows(n_modes, jw12.rows, 1j * jw12.coeffs),
+               random_pauli_sum(np.random.default_rng(200), 8, 200)]
+        for op in ops:
+            tensors, _ = reference_sweep(op)
+            assert all(np.array_equal(w, ref) for w, ref in zip(build_mpo_qr(op).tensors, tensors))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 18))
@@ -292,10 +305,10 @@ class TestBuild:
     @example(181557, 6, 2)  # misses by 1.15e-12 on entries up to 1.39e3, 8e-16 relative
     def test_rank_deficient_cuts_form_only_the_kept_columns(self, seed, n_sites, rank):
         op = low_rank_operator(np.random.default_rng(seed), n_sites, rank)
-        cuts = []
-        m = build_mpo_qr(op, cut_log=cuts)
+        m = build_mpo_qr(op)
         # some cut keeps fewer columns of Q than its m x k matrix has pivots
-        assume(any(m.bond_dims[c.site + 1] < min(c.matrix.shape) for c in cuts[:-1]))
+        _, cuts = reference_sweep(op)
+        assume(any(bond < min(c.shape) for bond, c in zip(m.bond_dims[1:], cuts[:-1])))
         assert max(m.bond_dims) <= rank
         # sum over (left bond, s, t) of conj(W) W is 2 Q^H Q, as tr(sigma_p^H sigma_q) = 2 delta_pq
         assert all(is_left_canonical_site(w / np.sqrt(2)) for w in m.tensors[:-1])
@@ -303,7 +316,7 @@ class TestBuild:
         np.testing.assert_allclose(mpo_to_dense(m), dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
     def test_non_finite_coefficient_refused(self):
-        # a PauliSum built in Python takes any complex; the QR refuses it
+        # a PauliSum built in Python takes any complex; the sweep refuses it at entry
         for value in (np.nan, np.inf):
             op = pauli_sum(2, [(value, "XZ"), (1.0, "ZZ")])
             with pytest.raises(ValueError, match="must not contain infs or NaNs"):
@@ -328,34 +341,20 @@ class TestBuild:
         # a real sum runs the sweep in float64; times 1j it takes the complex128 route
         op = random_pauli_sum(np.random.default_rng(seed), n_sites, n_terms)
         rotated = PauliSum.from_rows(n_sites, op.rows, 1j * op.coeffs)
-        real_cuts, complex_cuts = [], []
-        m = build_mpo_qr(op, cut_log=real_cuts)
-        mi = build_mpo_qr(rotated, cut_log=complex_cuts)
-        assert {c.matrix.dtype for c in real_cuts} == {np.dtype(np.float64)}
-        assert {c.matrix.dtype for c in complex_cuts} == {np.dtype(np.complex128)}
+        with pytest.MonkeyPatch.context() as mp:
+            lookups = count_calls(mp, scipy.linalg, "get_lapack_funcs")  # once per sweep, by the carried dtype
+            m = build_mpo_qr(op)
+            mi = build_mpo_qr(rotated)
+        assert [arrays[0].dtype for _, arrays in lookups] == [np.float64, np.complex128]
         assert m.bond_dims == mi.bond_dims
         np.testing.assert_allclose(mpo_to_dense(m), to_dense(op), rtol=0, atol=1e-12)
         np.testing.assert_allclose(mpo_to_dense(mi), to_dense(rotated), rtol=0, atol=1e-12)
 
-    def test_complex_sums_write_the_add_at_bytes(self, monkeypatch):
+    def test_complex_sums_write_the_add_at_bytes(self):
         # one scatter and one product with the Paulis must write the bytes np.add.at
-        # assembles from the same Q, as every product is exact. Q is taken from the
-        # build itself: the QR's bytes depend on the BLAS thread count, so a digest
-        # pinned across machines would not hold
-        formed, lapack_funcs = [], scipy.linalg.get_lapack_funcs
-
-        def recording(names, arrays):
-            (orgqr,) = lapack_funcs(names, arrays)
-
-            def run(a, tau, lwork, overwrite_a=False):
-                out = orgqr(a, tau, lwork=lwork, overwrite_a=overwrite_a)
-                if lwork != -1:
-                    formed.append(out[0].copy())
-                return out
-
-            return (run,)
-
-        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", recording)
+        # assembles from the same Q, as every product is exact. Q is formed by the
+        # reference route on this machine: the QR's bytes depend on the BLAS thread
+        # count, so a digest pinned across machines would not hold
         ops = []
         for seed in range(24):
             rng = np.random.default_rng([29, seed])
@@ -363,18 +362,8 @@ class TestBuild:
             if seed % 4 == 0:  # rank-deficient cuts keep fewer columns of Q than pivots
                 ops.append(low_rank_operator(rng, 2 + seed % 5, 2))
         for op in ops:
-            cuts, formed[:] = [], []
-            m = build_mpo_qr(op, cut_log=cuts)
-            assert len(formed) == op.n_sites - 1
-            for cut, q, w in zip(cuts, formed + [cuts[-1].matrix], m.tensors):
-                assert q.dtype == np.complex128
-                bond, code = np.array(cut.row_keys).T
-                chi, rank = w.shape[:2]
-                # one add per row and entry, in row order, so each bond takes its symbols in ascending order
-                ref, block = np.zeros((chi, rank, 2, 2), dtype=np.complex128), 4 * rank
-                terms = q[:, :rank, None, None] * PAULI_MATRICES[code, None]
-                np.add.at(ref.reshape(-1), (bond[:, None] * block + np.arange(block)).ravel(), terms.ravel())
-                assert w.tobytes() == ref.tobytes()
+            tensors, _ = reference_sweep(op)
+            assert [w.tobytes() for w in build_mpo_qr(op).tensors] == [w.tobytes() for w in tensors]
 
 
 class TestMpoError:
@@ -576,9 +565,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"^mpo-v1 field tensors\[2\]: non-finite values"):
             mpo_to_json(m)
 
-    def test_overflowing_qr_names_site(self):
+    @pytest.mark.parametrize("text", [
+        "1e308 XZ\n1e308 ZZ\n",
+        # R's second column overflows in the reflector's update while Q stays finite
+        "1e307 IY\n1.6e308 XY\n1.5e308 IX\n5e307 XX\n",
+    ], ids=["Q", "R"])
+    def test_overflowing_qr_names_site(self, text):
         with pytest.raises(ValueError, match="cut matrix at site 0 overflows"):
-            build_mpo_qr(parse_pauli_sum("1e308 XZ\n1e308 ZZ\n"))
+            build_mpo_qr(parse_pauli_sum(text))
 
     def test_wrong_format_rejected(self, h2_subset):
         doc = json.loads(mpo_to_json(build_mpo_qr(h2_subset)))

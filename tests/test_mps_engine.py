@@ -320,6 +320,16 @@ class TestMaxBond:
         with pytest.raises(ValueError, match=f"^max_bond must be a positive integer, got {re.escape(repr(max_bond))}$"):
             self.through(entry, max_bond)
 
+    @pytest.mark.parametrize("call, max_bond", [
+        (lambda b: dense_to_mps(np.array([0.6, 0.8]), max_bond=b), 0),
+        (lambda b: compress(dense_to_mps(np.array([0.6, 0.8])), max_bond=b), True),
+        (lambda b: ground_state_reference(parse_pauli_sum("0.5 Z\n0.2 X\n"), max_bond=b), 2.5),
+    ], ids=["dense_to_mps", "compress", "ground_state_reference"])
+    def test_a_one_site_state_is_refused_alike(self, call, max_bond):
+        # a one-site state has no bond to cut: before, each call returned bonds [1, 1]
+        with pytest.raises(ValueError, match=f"^max_bond must be a positive integer, got {re.escape(repr(max_bond))}$"):
+            call(max_bond)
+
     @pytest.mark.parametrize("entry", ["dense_to_mps", "compress", "ground_state_reference"])
     def test_a_numpy_integer_cap_is_accepted(self, entry):
         assert self.through(entry, np.int64(1)) == self.through(entry, 1) == [1, 1, 1, 1]

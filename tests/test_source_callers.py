@@ -29,8 +29,6 @@ PACKAGE = ROOT / "src" / "paulibridge"
 ALLOWED = {
     "set_bridge": "paper API: a new coefficient column on the same pairs, for the select-hash tests",
     "success_probability": "paper API: the all-zeros ancilla probability of a block encoding",
-    "CutMatrix": "acceptance criterion 1: the fields of the worked example's cut matrices",
-    "build_mpo_qr(cut_log)": "acceptance criterion 1: the cut matrices of the worked example",
     "RitzSolution.coefficients": "the optimized pool weights that ROADMAP item 13 carries into the LCU",
     "solve_ritz_lobpcg(n_roots)": "the benchmark pins this solver; ROADMAP item 2 deletes it",
     "solve_ritz_lobpcg(tol)": "the benchmark pins this solver; ROADMAP item 2 deletes it",

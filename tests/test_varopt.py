@@ -348,7 +348,7 @@ class TestSweep:
         assert [type(r.n_samples) for r in rows] == [int, int]
 
     def test_reference_then_sweep_solve_once(self, h2_subset, monkeypatch):
-        # the sweep without ``reference`` reads the pair ground_state_reference solved
+        # the sweep reads the pair ground_state_reference solved
         calls = count_dense_solves(monkeypatch, h2_subset.n_sites)
         gs = ground_state_reference(h2_subset, max_bond=2)
         rows = energy_vs_samples_sweep(h2_subset, gs.mps, [3, 6], seed=2)
