@@ -1,109 +1,76 @@
-"""End-to-end pipeline on the bundled four-site fixture operator.
+"""End-to-end pipeline on the bundled four-site fixture operator, as the CLI chain.
 
-Runs compile -> mpo -> groundstate -> sample -> curate -> optimize ->
-lcu -> coefficient update, printing a short trace per stage and writing
-every artifact into an output directory. The final stage rescales all
-coefficients, recompiles the bridge, and checks that the select table
-hash survives untouched while the block-encoding error stays at
-round-off.
+Each stage is one ``paulibridge.cli.main`` call: compile, mpo --verify,
+groundstate, sample, curate, optimize, lcu --gates, a compile of the operator
+with rescaled coefficients and the program's coefficient update to it, then
+the verify battery and a verify of each program against its operator. The
+eight artifacts are stage outputs; manifests and the other files go to a
+temporary directory. The run stops at the first stage that exits non-zero,
+naming it; it is ok when every stage exits 0, the select hash survives the
+update and the Ritz energy is not below the reference energy.
 """
 
 import argparse
+import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from paulibridge.bridge import compile as compile_bridge
-from paulibridge.bridge import decomposition_to_json, structural_hash
-from paulibridge.lcu import (
-    block_error,
-    compile_lcu,
-    emit_gates,
-    program_to_json,
-    update_coefficients,
-)
-from paulibridge.mpo import build_mpo_qr, mpo_error, mpo_to_json
-from paulibridge.mps import ground_state_reference, mps_to_json
-from paulibridge.pauli import PauliSum, diagonal_rows, parse_pauli_sum
-from paulibridge.sampler import (
-    SamplerConfig,
-    curate,
-    pool_to_text,
-    sample_strings,
-    samples_to_text,
-)
-from paulibridge.varopt import assemble_pencil, solve_ritz_dense
+from paulibridge import cli
+from paulibridge.pauli import PauliSum, parse_pauli_sum, serialize_pauli_sum
 
 REPO = Path(__file__).resolve().parents[1]
 DEFAULT_OPERATOR = REPO / "tests" / "fixtures" / "h2_subset.pauli"
 
 
-def main() -> int:
+def stages(args, tmp: Path) -> list[list[str]]:
+    """The chain as argv lists: ``args.out`` receives the artifacts, ``tmp`` everything else."""
+    op, cut = str(args.operator), str(args.cut)
+    o, t = (lambda name: str(args.out / name)), (lambda name: str(tmp / name))
+    return [
+        ["compile", "--input", op, "--cut", cut, "--output", o("bridge.json")],
+        ["mpo", "--input", op, "--verify", "--output", o("mpo.json")],
+        ["groundstate", "--input", op, "--output", o("groundstate.json")],
+        ["sample", "--state", o("groundstate.json"), "--n-samples", str(args.n_samples),
+         "--seed", str(args.seed), "--output", o("samples.txt")],
+        ["curate", "--samples", o("samples.txt"), "--output", o("pool.txt")],
+        ["optimize", "--input", op, "--state", o("groundstate.json"), "--pool", o("pool.txt"),
+         "--output", t("optimize.json")],
+        ["lcu", "--bridge", o("bridge.json"), "--output", o("lcu.json"), "--gates", o("gates.txt")],
+        ["compile", "--input", t("rescaled.pauli"), "--cut", cut, "--output", t("rescaled.json")],
+        ["update", "--program", o("lcu.json"), "--bridge", t("rescaled.json"), "--output", o("lcu_updated.json")],
+        ["verify", "--input", op],
+        ["verify", "--input", op, "--program", o("lcu.json")],
+        ["verify", "--input", t("rescaled.pauli"), "--program", o("lcu_updated.json")],
+    ]
+
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--operator", type=Path, default=DEFAULT_OPERATOR)
     ap.add_argument("--cut", type=int, default=2)
     ap.add_argument("--n-samples", type=int, default=400)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--out", type=Path, default=REPO / "artifacts" / "h2")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
-
-    op = parse_pauli_sum(args.operator.read_text())
-    print(f"operator: {op.n_terms} terms on {op.n_sites} sites")
-
-    d = compile_bridge(op, args.cut)
-    (args.out / "bridge.json").write_text(decomposition_to_json(d))
-    print(
-        f"bridge at cut {args.cut}: {len(d.left)} left and "
-        f"{len(d.right)} right fragments, "
-        f"{len(d.bridge.active_pairs)} active pairs"
-    )
-    print(f"structural hash {structural_hash(d)[:16]}...")
-
-    m = build_mpo_qr(op)
-    (args.out / "mpo.json").write_text(mpo_to_json(m))
-    mpo_err = mpo_error(m, op)
-    print(f"mpo bond dims {list(m.bond_dims)}, relative reconstruction error {mpo_err:.3e}")
-
-    res = ground_state_reference(op)
-    (args.out / "groundstate.json").write_text(mps_to_json(res.mps))
-    print(f"ground energy {res.energy:.9f}, gap {res.gap:.9f}")
-
-    samples = sample_strings(
-        res.mps, SamplerConfig(n_samples=args.n_samples, seed=args.seed)
-    )
-    (args.out / "samples.txt").write_text(
-        samples_to_text(samples, op.n_sites, seed=args.seed)
-    )
-    pool = curate(samples, op.n_sites)
-    (args.out / "pool.txt").write_text(pool_to_text(pool))
-    n_diagonal = int(diagonal_rows(pool.strings).sum())
-    print(
-        f"sampled {args.n_samples} strings (seed {args.seed}): pool has "
-        f"{len(pool.strings) - n_diagonal} off-diagonal + {n_diagonal} diagonal entries"
-    )
-
-    pencil = assemble_pencil(op, pool.strings, res.mps)
-    sol = solve_ritz_dense(pencil)
-    print(
-        f"variational energy {sol.energies[0]:.9f} over {pencil.size} "
-        f"operators ({sol.n_kept} kept after deflation)"
-    )
-
-    prog = compile_lcu(d)
-    (args.out / "lcu.json").write_text(program_to_json(prog))
-    (args.out / "gates.txt").write_text(emit_gates(prog))
-    block_err = block_error(prog, op)
-    print(f"lcu: lambda {prog.lam:.6f}, block error {block_err:.3e}")
-
-    rng = np.random.default_rng(args.seed)
-    rescaled = PauliSum.from_rows(op.n_sites, op.rows, op.coeffs * rng.uniform(0.5, 2.0, op.n_terms))
-    updated = update_coefficients(prog, compile_bridge(rescaled, args.cut))
-    (args.out / "lcu_updated.json").write_text(program_to_json(updated))
-    same = updated.select_hash == prog.select_hash
-    print(f"coefficient update: select hash unchanged {same}")
-
-    ok = same and mpo_err <= 1e-10 and block_err <= 1e-10 and sol.energies[0] >= res.energy - 1e-10
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        op = parse_pauli_sum(args.operator.read_text())
+        scale = np.random.default_rng(args.seed).uniform(0.5, 2.0, op.n_terms)
+        rescaled = PauliSum.from_rows(op.n_sites, op.rows, op.coeffs * scale)
+        (tmp / "rescaled.pauli").write_text(serialize_pauli_sum(rescaled))
+        for k, stage in enumerate(stages(args, tmp)):
+            if stage[0] != "verify":
+                stage += ["--manifest", str(tmp / f"stage{k}.manifest.json")]
+            print(f"$ paulibridge {' '.join(stage)}")
+            if (code := cli.main(stage)) != 0:
+                print(f"pipeline FAILED at stage {k}: paulibridge {' '.join(stage)} exited {code}")
+                return 1
+        result = json.loads((tmp / "optimize.json").read_text())
+    hashes = {json.loads((args.out / f).read_text())["select_hash"] for f in ("lcu.json", "lcu_updated.json")}
+    ok = len(hashes) == 1 and result["energies"][0] >= result["reference_energy"] - 1e-10
     print(f"pipeline {'ok' if ok else 'FAILED'}; artifacts in {args.out}")
     return 0 if ok else 1
 

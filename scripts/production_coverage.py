@@ -1,8 +1,9 @@
 """List the functions of src/paulibridge that no production entry point enters.
 
-The entry points are the h2 CLI chain (every writing subcommand, both
-``verify`` modes and ``groundstate --max-bond 2``), ``scripts/h2_pipeline.py``
-and ``scripts/energy_sweep.py``. They run in this process under
+The entry points are ``scripts/h2_pipeline.py`` (the h2 chain, through
+``cli.main``), the CLI calls it does not make (``jw``, ``groundstate
+--max-bond 2``, ``optimize --sweep-csv``, each optional flag once) and
+``scripts/energy_sweep.py``. They run in this process under
 ``sys.setprofile``, which records the calls that land in src/paulibridge.
 Each function or method defined there that none of them entered is printed
 as ``module.qualname`` with its line count, then the totals. Every output
@@ -97,31 +98,22 @@ def _script(name: str, args: list[str]) -> None:
 
 
 def production_runs(out: Path) -> None:
-    """The h2 CLI chain, h2_pipeline.py and energy_sweep.py, every output under ``out``."""
+    """h2_pipeline.py, the CLI calls it does not make and energy_sweep.py, every output under ``out``."""
     from paulibridge.cli import main
 
-    p = {name: str(out / name) for name in (
-        "fermion.json", "op.pauli", "jw.pauli", "bridge.json", "mpo.json", "mps.json", "mps2.json",
-        "samples.txt", "pool.txt", "opt.json", "sweep.csv", "lcu.json", "gates.txt", "updated.json")}
-    Path(p["fermion.json"]).write_text((FIXTURES / "number_op.json").read_text())
-    Path(p["op.pauli"]).write_text((FIXTURES / "h2_subset.pauli").read_text())
-    for argv in (
-        ["jw", "--input", p["fermion.json"], "--output", p["jw.pauli"]],
-        ["compile", "--input", p["op.pauli"], "--cut", "2", "--output", p["bridge.json"]],
-        ["mpo", "--input", p["op.pauli"], "--verify", "--output", p["mpo.json"]],
-        ["groundstate", "--input", p["op.pauli"], "--output", p["mps.json"]],
-        ["groundstate", "--input", p["op.pauli"], "--max-bond", "2", "--output", p["mps2.json"]],
-        ["sample", "--state", p["mps.json"], "--n-samples", "400", "--seed", "7", "--output", p["samples.txt"]],
-        ["curate", "--samples", p["samples.txt"], "--output", p["pool.txt"]],
-        ["optimize", "--input", p["op.pauli"], "--state", p["mps.json"], "--pool", p["pool.txt"],
-         "--sweep-csv", p["sweep.csv"], "--sweep-sizes", "10", "25", "--output", p["opt.json"]],
-        ["lcu", "--bridge", p["bridge.json"], "--output", p["lcu.json"], "--gates", p["gates.txt"]],
-        ["update", "--program", p["lcu.json"], "--bridge", p["bridge.json"], "--output", p["updated.json"]],
-        ["verify", "--input", p["op.pauli"]],
-        ["verify", "--input", p["op.pauli"], "--program", p["lcu.json"]],
+    op, h2 = str(FIXTURES / "h2_subset.pauli"), out / "h2"
+    _script("h2_pipeline.py", ["--out", str(h2)])
+    for argv in (  # on the pipeline's files, and each optional flag once
+        ["jw", "--input", str(FIXTURES / "number_op.json"), "--output", str(out / "jw.pauli")],
+        ["mpo", "--input", op, "--tol", "1e-3", "--max-bond", "2", "--output", str(out / "mpo.json")],
+        ["groundstate", "--input", op, "--max-bond", "2", "--output", str(out / "mps2.json")],
+        ["curate", "--samples", str(h2 / "samples.txt"), "--keep-iz", "3", "--output", str(out / "pool.txt")],
+        ["optimize", "--input", op, "--state", str(h2 / "groundstate.json"), "--pool", str(h2 / "pool.txt"),
+         "--n-roots", "2", "--sweep-csv", str(out / "sweep.csv"), "--sweep-sizes", "10", "25",
+         "--output", str(out / "opt.json")],
+        ["verify", "--input", op, "--cut", "1", "--tol", "1e-9"],
     ):
         _cli(main, argv)
-    _script("h2_pipeline.py", ["--out", str(out / "h2")])
     _script("energy_sweep.py", ["--out", str(out / "energy_sweep.csv")])
 
 

@@ -26,8 +26,6 @@ them are real.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy.linalg
 
@@ -66,12 +64,12 @@ def build_mpo_qr(op: PauliSum, rank_tol: float = 0.0) -> Mpo:
     times that threshold, so with ``rank_tol = 0`` the result contracts back
     to the operator up to roundoff; larger tolerances trade bond dimension
     for a controlled truncation of the cut matrices. ``rank_tol`` must be
-    finite and non-negative, and every coefficient finite.
+    in [0, 1), and every coefficient finite.
     """
     if op.n_terms == 0:
         raise EmptyOperator("cannot build an MPO from a sum with no terms")
-    if not (math.isfinite(rank_tol) and rank_tol >= 0):
-        raise ValueError(f"rank_tol must be finite and non-negative, got {rank_tol}")
+    if not 0 <= rank_tol < 1:  # also refuses NaN; at 1 and above no pivot passes, not even R_00
+        raise ValueError(f"rank_tol must be in [0, 1), got {rank_tol}")
     if not np.isfinite(op.coeffs).all():
         raise ValueError("coefficients must not contain infs or NaNs")
     n = op.n_sites

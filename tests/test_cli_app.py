@@ -1425,6 +1425,15 @@ class TestUsageValidation:
         assert "must be a finite number >= 0" in err
         assert not out.exists()
 
+    def test_mpo_tolerance_of_one_or_more_is_data_error(self, pipeline, tmp_path):
+        paths, _ = pipeline
+        out = tmp_path / "mpo.json"
+        rc, stdout, err = run(["mpo", "--input", str(paths["op"]), "--tol", "1.5", "--output", str(out)])
+        assert (rc, stdout, err) == (2, "", "error: rank_tol must be in [0, 1), got 1.5\n")
+        assert list(tmp_path.iterdir()) == []
+        rc, stdout, _ = run(["mpo", "--input", str(paths["op"]), "--tol", "0.999", "--output", str(out)])
+        assert (rc, stdout) == (0, "bond_dims 1 1 1 1 1\n")
+
     def test_empty_operator_file(self, tmp_path):
         empty = tmp_path / "empty.pauli"
         empty.write_text("")

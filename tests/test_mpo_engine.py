@@ -232,6 +232,12 @@ class TestBuild:
         with pytest.raises(ValueError, match="rank_tol"):
             build_mpo_qr(h2_subset, rank_tol=tol)
 
+    @pytest.mark.parametrize("tol", [1.0, 1.5])
+    def test_rank_tol_at_or_above_one_raises(self, h2_subset, tol):
+        # no pivot passes |R_jj| > rank_tol * |R_00| there: refused on entry, not as a vanished cut matrix
+        with pytest.raises(ValueError, match=rf"rank_tol must be in \[0, 1\), got {tol}"):
+            build_mpo_qr(h2_subset, rank_tol=tol)
+
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([24, 40]))
     def test_chain_bonds_are_exact_rank(self, seed, n_sites):

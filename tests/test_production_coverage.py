@@ -65,4 +65,6 @@ def test_the_production_runs_enter_the_shared_reference_solve(tmp_path):
     assert names  # ROADMAP item 4: names only the tests reach are still listed
     assert "mps.lowest_pairs" not in names and "mps.ground_state_reference" not in names
     assert "cli.main" not in names and "varopt.energy_vs_samples_sweep" not in names
+    # each optional CLI flag is passed once: --tol, mpo --max-bond's compression
+    assert not {"cli.tolerance", "mps.compress", "mps._split_left"} & set(names)
     assert (tmp_path / "energy_sweep.csv").is_file() and (tmp_path / "h2" / "groundstate.json").is_file()
