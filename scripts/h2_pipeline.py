@@ -7,11 +7,13 @@ the verify battery and a verify of each program against its operator. The
 eight artifacts are stage outputs; manifests and the other files go to a
 temporary directory. The run stops at the first stage that exits non-zero,
 naming it; it is ok when every stage exits 0, the select hash survives the
-update and the Ritz energy is not below the reference energy.
+update and the Ritz energy is not below the reference energy. A --seed or an
+--operator file it cannot use exits 2 with one error line before any stage.
 """
 
 import argparse
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -46,6 +48,12 @@ def stages(args, tmp: Path) -> list[list[str]]:
     ]
 
 
+def fail(message: str) -> int:
+    """Report a bad flag or input file on one line; the exit code for it."""
+    print(f"h2_pipeline.py: error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--operator", type=Path, default=DEFAULT_OPERATOR)
@@ -54,10 +62,15 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--out", type=Path, default=REPO / "artifacts" / "h2")
     args = ap.parse_args(argv)
+    if not 0 <= args.seed < 2**64:  # a Philox key word is 64 bits
+        return fail(f"--seed must be in 0..2**64-1, got {args.seed}")
+    try:
+        op = parse_pauli_sum(args.operator.read_text())
+    except (OSError, ValueError) as exc:  # a missing or unreadable file, a malformed sum
+        return fail(f"--operator {args.operator}: {exc.strerror if isinstance(exc, OSError) else exc}")
     args.out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        op = parse_pauli_sum(args.operator.read_text())
         scale = np.random.default_rng(args.seed).uniform(0.5, 2.0, op.n_terms)
         rescaled = PauliSum.from_rows(op.n_sites, op.rows, op.coeffs * scale)
         (tmp / "rescaled.pauli").write_text(serialize_pauli_sum(rescaled))

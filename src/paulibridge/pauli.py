@@ -577,51 +577,38 @@ class JsonText(str):
     """Text that json_text places verbatim: a value already laid out at its depth."""
 
 
-_CONTAINERS = (dict, list, tuple, JsonText)
-
-
 @functools.cache
 def _flat_encoder(depth: int):
     """C encoder whose item separator ends in the indent of ``depth`` levels."""
     return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False).encode
 
 
-def _holds_container(values) -> bool:
-    # one issubclass per distinct type; map and set iterate in C
-    return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
-
-
 def _emit(value, depth: int, out: list[str]) -> None:
     """Append the pieces of ``value`` laid out as json.dumps(indent=2) lays it out."""
+    inner = "\n" + "  " * (depth + 1)
     if isinstance(value, JsonText):  # laid out already
         out.append(value)
-        return
-    is_dict = isinstance(value, dict)
-    if not (is_dict or isinstance(value, (list, tuple))) or not value:  # a scalar, "[]" or "{}"
-        out.append(_flat_encoder(depth)(value))
-        return
-    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-    if not _holds_container(value.values() if is_dict else value):
-        # the C encoder lays out a flat container but for its brackets
+    elif isinstance(value, dict) and value:
+        separator = "{" + inner
+        for key, child in value.items():
+            out += (separator, json.encoder.encode_basestring_ascii(key), ": ")
+            separator = "," + inner
+            _emit(child, depth + 1, out)
+        out += ("\n" + "  " * depth, "}")
+    elif isinstance(value, (list, tuple)) and value:  # the C encoder lays it out but for its brackets
         text = _flat_encoder(depth + 1)(value)
-        out += (text[0], inner, text[1:-1], outer, text[-1])
-        return
-    out.append("{" if is_dict else "[")
-    separator = inner
-    for key, child in value.items() if is_dict else enumerate(value):
-        out.append(separator)
-        separator = "," + inner
-        if is_dict:
-            out.append(json.encoder.encode_basestring_ascii(key) + ": ")
-        _emit(child, depth + 1, out)
-    out += (outer, "}" if is_dict else "]")
+        out += (text[0], inner, text[1:-1], "\n" + "  " * depth, text[-1])
+    else:  # a scalar, "[]" or "{}"
+        out.append(_flat_encoder(depth)(value))
 
 
 def json_text(doc) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, encoded in C a container at a time.
+    """``json.dumps(doc, indent=2) + "\\n"``, encoded in C a list or a scalar at a time.
 
-    Byte-identical for every document with string keys; a NaN or an
-    infinity raises ValueError instead of being written as invalid JSON.
+    Byte-identical for every document with string keys whose lists and
+    tuples hold no dict, list or tuple (a row list arrives as a JsonText);
+    a NaN or an infinity raises ValueError instead of being written as
+    invalid JSON.
     """
     out: list[str] = []
     _emit(doc, 0, out)

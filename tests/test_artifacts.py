@@ -16,6 +16,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from paulibridge.mps import ground_state_reference
 from paulibridge.sampler import SamplerConfig, curate, sample_strings
@@ -65,6 +66,47 @@ def test_h2_pipeline_stops_at_the_first_failed_stage_and_names_it(tmp_path, monk
     assert calls[-1][-2:] == ["--program", str(tmp_path / "lcu.json")]
     assert out.splitlines()[-1] == f"pipeline FAILED at stage 10: paulibridge {' '.join(calls[-1])} exited 3"
     assert "pipeline ok" not in out and len(calls) == 11  # the updated program's verify never ran
+
+
+def _operator_files(tmp_path: Path) -> dict[str, Path]:
+    """Operator files a script must refuse: 13 sites, 8- and 9-site labels mixed, and none at all."""
+    files = {name: tmp_path / f"{name}.pauli" for name in ("thirteen", "mixed", "missing")}
+    files["thirteen"].write_text("1.0 " + "X" * 13 + "\n0.5 " + "Z" * 13 + "\n")
+    files["mixed"].write_text("1.0 XXXXXXXX\n0.5 ZZZZZZZZZ\n")
+    return files
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sizes", "10", "0"], "--sizes must be positive, got 0"),
+    (["--max-bond", "0"], "--max-bond must be positive, got 0"),
+    (["--seed", "-1"], "--seed must be in 0..2**64-1, got -1"),
+    (["--n-sites", "0"], "--n-sites must be positive, got 0"),
+    (["--n-terms", "0"], "--n-terms must be positive, got 0"),
+    (["--n-sites", "9"], "--n-sites 9: 9 sites; the sweep is a dense-reference study, use at most 8"),
+    (["--operator", "{thirteen}"],
+     "--operator {thirteen}: 13 sites; the sweep is a dense-reference study, use at most 8"),
+    (["--operator", "{mixed}"], "--operator {mixed}: line 2: string length 9 != 8"),
+    (["--operator", "{missing}"], "--operator {missing}: No such file or directory"),
+])
+def test_energy_sweep_refuses_bad_input_on_one_line(tmp_path, capsys, argv, message):
+    files, out = _operator_files(tmp_path), tmp_path / "sweep.csv"
+    argv = [arg.format(**files) for arg in argv]
+    assert _load_script("energy_sweep").main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"energy_sweep.py: error: {message.format(**files)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "-1"], "--seed must be in 0..2**64-1, got -1"),
+    (["--operator", "{mixed}"], "--operator {mixed}: line 2: string length 9 != 8"),
+    (["--operator", "{missing}"], "--operator {missing}: No such file or directory"),
+])
+def test_h2_pipeline_refuses_bad_input_on_one_line(tmp_path, capsys, argv, message):
+    files, out = _operator_files(tmp_path), tmp_path / "h2"
+    argv = [arg.format(**files) for arg in argv]
+    assert _load_script("h2_pipeline").main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"h2_pipeline.py: error: {message.format(**files)}\n"
+    assert not out.exists()
 
 
 def test_energy_sweep_reproduces_csv_byte_for_byte(tmp_path):

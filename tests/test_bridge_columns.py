@@ -44,7 +44,6 @@ from paulibridge.pauli import (
     SYMBOLS,
     json_document,
     json_field,
-    json_text,
     malformed,
 )
 
@@ -71,6 +70,13 @@ def json_finite(fmt: str, doc, key: str, where: str = "") -> float:
     return float(value)
 
 
+def oracle_json_text(doc) -> str:
+    """The layout every writer promises, ``json.dumps(doc, indent=2) + "\\n"``, refusing a NaN or an
+    infinity with the C encoder's ValueError, as the writers do; row lists are plain lists of dicts here."""
+    json.JSONEncoder(allow_nan=False).encode(doc)
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def oracle_decomposition_to_json(d: BridgeDecomposition) -> str:
     entries = bridge_entries(d.bridge)
     doc = {
@@ -87,7 +93,7 @@ def oracle_decomposition_to_json(d: BridgeDecomposition) -> str:
     right = [len({s[i:] for s in d.right}) for i in range(len(d.right[0]) + 1)]
     for side, sizes, edges in (("left", left, left[1:]), ("right", right, right[:-1])):
         doc[f"graph_{side}"] = {"layer_sizes": sizes, "edge_counts": edges}
-    return json_text(doc)
+    return oracle_json_text(doc)
 
 
 def oracle_labels(fmt: str, doc, key: str, width: int) -> tuple[str, ...]:
@@ -191,7 +197,7 @@ def oracle_program_to_json(program: LcuProgram) -> str:
         ],
         "select_hash": skeleton_hash(program.cut, program.left, program.right, [(a, b) for a, b, *_ in rows]),
     }
-    return json_text(doc)
+    return oracle_json_text(doc)
 
 
 def oracle_program_from_json(text: str) -> LcuProgram:
@@ -257,7 +263,7 @@ def oracle_chain_to_json(fmt: str, m) -> str:
         "gauge": list(m.gauge),
         "tensors": [base64.b64encode(np.ascontiguousarray(t, dtype="<c16").tobytes()).decode() for t in m.tensors],
     }
-    return json_text(doc)
+    return oracle_json_text(doc)
 
 
 # ---------------------------------------------------------------------------

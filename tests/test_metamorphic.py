@@ -1,6 +1,8 @@
 """Relations between runs on jw12, the 12-mode Jordan-Wigner operator, and
-of the dense reference solve and the sampled Ritz sweep on jw8; and, on
-jw12 and on 24- and 40-site chains, the MPO's bonds against the bridge.
+of the dense reference solve and the sampled Ritz sweep on jw8; on jw12
+and on 24- and 40-site chains, the MPO's bonds against the bridge and the
+bridge under label reversal and under an added multiple of the identity;
+and, on random 24- and 40-site states, the sampler's law.
 
 Each relation compares the chain on one operator with the chain on a
 transformed copy, so it needs no second reference and, past the dense
@@ -14,15 +16,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paulibridge.bridge import compile as compile_bridge, structural_hash
+from paulibridge.bridge import BridgeDecomposition, compile as compile_bridge, set_bridge, structural_hash
 from paulibridge.fermion import load_fermion_terms, map_hamiltonian
 from paulibridge.lcu import compile_lcu
 from paulibridge.mpo import build_mpo_qr, mpo_error
-from paulibridge.mps import Mps, ground_state_reference
+from paulibridge.mps import Mps, canonicalize_mps, ground_state_reference, string_expectations
 from paulibridge.pauli import PauliSum, diagonal_rows, label_rows
+from paulibridge.sampler import SamplerConfig, conditional_weights, sample_strings
 from paulibridge.varopt import energy_vs_samples_sweep
 
-from conftest import bridge_matrix, chain_sum, fermion_document, jw12_document, mps_to_dense, row_labels
+from conftest import (
+    bridge_matrix, chain_sum, fermion_document, jw12_document, mps_to_dense, row_codes, row_labels,
+)
 
 CUT = 6
 BONDS = [1, 4, 8, 22, 38, 58, 62, 52, 30, 18, 10, 4, 1]
@@ -59,11 +64,16 @@ def test_term_order_keeps_both_hashes_and_the_operator(jw12):
     assert mpo_error(build_mpo_qr(faulty), jw12) > 1e-10
 
 
+def reversed_sum(op: PauliSum) -> PauliSum:
+    """``op`` with every label read right to left: site j becomes site n - 1 - j."""
+    labels = row_labels(op.rows, op.n_sites)
+    return PauliSum.from_rows(op.n_sites, label_rows([l[::-1] for l in labels], op.n_sites), op.coeffs)
+
+
 def test_label_reversal_mirrors_the_bond_profile(jw12):
     labels = row_labels(jw12.rows, jw12.n_sites)
     assert list(build_mpo_qr(jw12).bond_dims) == BONDS
-    mirrored = PauliSum.from_rows(jw12.n_sites, label_rows([l[::-1] for l in labels], jw12.n_sites), jw12.coeffs)
-    assert list(build_mpo_qr(mirrored).bond_dims) == BONDS[::-1]
+    assert list(build_mpo_qr(reversed_sum(jw12)).bond_dims) == BONDS[::-1]
     # fault: the first two sites swapped after the reversal
     swapped = PauliSum.from_rows(
         jw12.n_sites, label_rows([l[-2::-1] + l[-1] for l in labels], jw12.n_sites), jw12.coeffs)
@@ -178,3 +188,112 @@ def test_chain_bonds_are_the_bridge_ranks(seed, n_sites):
 def test_jw12_bonds_are_the_bridge_ranks(jw12):
     assert bonds_are_bridge_ranks(jw12)
     assert not bonds_are_bridge_ranks(jw12, rank_tol=0.5)
+
+
+def bridge_entries(d: BridgeDecomposition) -> dict[tuple[str, str], complex]:
+    """The bridge as ``{(left fragment, right fragment): coefficient}``, one entry per pair."""
+    return {(d.left[a], d.right[b]): c for (a, b), c in zip(d.bridge.pairs.tolist(), d.bridge.coeffs.tolist())}
+
+
+def is_reversed_transpose(d: BridgeDecomposition, rev: BridgeDecomposition) -> bool:
+    """Whether ``rev``, the reversed sum's bridge at cut n - k, is exactly the transpose of ``d``, the
+    bridge at cut k, once each fragment is mapped to its reversed label."""
+    return bridge_entries(rev) == {(r[::-1], l[::-1]): c for (l, r), c in bridge_entries(d).items()}
+
+
+def swap_two_coeffs(d: BridgeDecomposition) -> BridgeDecomposition:
+    """``d`` with its first coefficient swapped with the first that differs from it."""
+    coeffs = d.bridge.coeffs.copy()
+    k = int(np.flatnonzero(coeffs != coeffs[0])[0])
+    coeffs[[0, k]] = coeffs[[k, 0]]
+    return set_bridge(d, coeffs)
+
+
+def check_reversal_transposes(op: PauliSum) -> None:
+    rev = reversed_sum(op)
+    for k in range(1, op.n_sites):
+        d, d_rev = compile_bridge(op, k), compile_bridge(rev, op.n_sites - k)
+        assert is_reversed_transpose(d, d_rev), k
+        # fault: two bridge coefficients swapped
+        assert not is_reversed_transpose(swap_two_coeffs(d), d_rev), k
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([24, 40]))
+def test_chain_label_reversal_transposes_the_bridge(seed, n_sites):
+    check_reversal_transposes(chain_sum(seed, n_sites))
+
+
+def test_jw12_label_reversal_transposes_the_bridge(jw12):
+    check_reversal_transposes(jw12)
+
+
+def moves_only_the_identity_pair(d: BridgeDecomposition, shifted: BridgeDecomposition, c: float) -> bool:
+    """Whether ``shifted`` keeps the dictionaries of ``d`` and every pair's coefficient but the
+    identity pair's, which becomes the old value plus ``c``, or ``c`` where ``d`` has no such pair."""
+    old = bridge_entries(d)
+    identity = ("I" * d.cut, "I" * (d.n_sites - d.cut))
+    return (structural_hash(shifted) == structural_hash(d)
+            and bridge_entries(shifted) == {**old, identity: old.get(identity, 0) + c})
+
+
+def check_identity_shift(op: PauliSum) -> None:
+    identity = np.zeros((1, op.rows.shape[1]), dtype=np.uint64)
+    shifted = PauliSum.from_rows(op.n_sites, np.concatenate([op.rows, identity]), np.append(op.coeffs, 0.75))
+    for k in range(1, op.n_sites):
+        d, d_shifted = compile_bridge(op, k), compile_bridge(shifted, k)
+        assert moves_only_the_identity_pair(d, d_shifted, 0.75), k
+        # fault: an update that also rescales one other pair, the first that is not (0, 0); the
+        # identity fragments sort first, so (0, 0) is the identity pair wherever it is listed
+        coeffs = d_shifted.bridge.coeffs.copy()
+        coeffs[int(np.flatnonzero(d_shifted.bridge.pairs.any(axis=1))[0])] *= 2
+        assert not moves_only_the_identity_pair(d, set_bridge(d_shifted, coeffs), 0.75), k
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([24, 40]))
+def test_chain_adding_c_identity_moves_the_identity_pair_only(seed, n_sites):
+    check_identity_shift(chain_sum(seed, n_sites))
+
+
+def test_jw12_adding_c_identity_moves_the_identity_pair_only(jw12):
+    check_identity_shift(jw12)
+
+
+def random_mps(seed: int, n_sites: int, chi: int) -> Mps:
+    """A random complex unit-norm state of bond ``chi`` in the full right gauge, built without a dense vector."""
+    rng = np.random.default_rng(seed)
+    bonds = [min(chi, 2**j, 2 ** (n_sites - j)) for j in range(n_sites + 1)]
+    tensors = [rng.standard_normal((l, r, 2)) + 1j * rng.standard_normal((l, r, 2)) for l, r in zip(bonds, bonds[1:])]
+    m = canonicalize_mps(Mps(tensors))
+    return Mps([m.tensors[0] / np.linalg.norm(m.tensors[0]), *m.tensors[1:]], m.gauge)
+
+
+def path_log_weights(m: Mps, codes: np.ndarray) -> np.ndarray:
+    """For each string of symbol ``codes``, the sum of the log conditional weights along its path."""
+    rows = np.arange(len(codes))
+    envs, total = np.ones((len(codes), 1, 1), dtype=np.complex128), np.zeros(len(codes))
+    for j, tensor in enumerate(m.tensors):
+        weights, cand = conditional_weights(tensor, envs)
+        total += np.log(weights[rows, codes[:, j]])
+        envs = cand[rows, codes[:, j]]
+        envs /= np.linalg.norm(envs.reshape(len(codes), -1), axis=1)[:, None, None]
+    return total
+
+
+def sampler_law_holds(m: Mps, strings: np.ndarray) -> bool:
+    """Whether each string's path through the conditional weights has log probability
+    log(<psi|P|psi>^2 / 2^n), the law read off ``string_expectations`` (split at the middle cut), to 1e-10."""
+    law = np.log(np.abs(string_expectations(m, strings)) ** 2) - m.n_sites * np.log(2)
+    return bool(np.all(np.abs(path_log_weights(m, row_codes(strings, m.n_sites)) - law) <= 1e-10))
+
+
+@pytest.mark.parametrize("n_sites", [24, 40])
+def test_sampler_law_at_any_size(n_sites):
+    m = random_mps(n_sites, n_sites, chi=4)
+    strings = sample_strings(m, SamplerConfig(n_samples=50, seed=n_sites))
+    assert sampler_law_holds(m, strings)
+    # fault: one site tensor scaled by 1 + 1e-6 between the draw and the check
+    scaled = [t.copy() for t in m.tensors]
+    scaled[n_sites // 3] *= 1 + 1e-6
+    assert not sampler_law_holds(Mps(scaled), strings)
