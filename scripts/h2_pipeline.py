@@ -3,16 +3,18 @@
 Each stage is one ``paulibridge.cli.main`` call: compile, mpo --verify,
 groundstate, sample, curate, optimize, lcu --gates, a compile of the operator
 with rescaled coefficients and the program's coefficient update to it, then
-the verify battery and a verify of each program against its operator. The
-eight artifacts are stage outputs; manifests and the other files go to a
-temporary directory. The run stops at the first stage that exits non-zero,
-naming it; it is ok when every stage exits 0, the select hash survives the
-update and the Ritz energy is not below the reference energy. A --seed or an
---operator file it cannot use exits 2 with one error line before any stage.
+the verify battery and a verify of each program against its operator. Every
+stage writes into a temporary directory. The run stops at the first stage that
+exits non-zero, naming it; it is ok when every stage exits 0, the select hash
+survives the update and the Ritz energy is not below the reference energy.
+Only then are the eight artifacts, stage outputs, copied into --out: a failed
+run leaves --out as it found it. A --seed or an --operator file it cannot use
+exits 2 with one error line before any stage.
 """
 
 import argparse
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -24,27 +26,28 @@ from paulibridge.pauli import PauliSum, parse_pauli_sum, serialize_pauli_sum
 
 REPO = Path(__file__).resolve().parents[1]
 DEFAULT_OPERATOR = REPO / "tests" / "fixtures" / "h2_subset.pauli"
+ARTIFACTS = ("bridge.json", "mpo.json", "groundstate.json", "samples.txt", "pool.txt", "lcu.json", "gates.txt",
+             "lcu_updated.json")
 
 
 def stages(args, tmp: Path) -> list[list[str]]:
-    """The chain as argv lists: ``args.out`` receives the artifacts, ``tmp`` everything else."""
-    op, cut = str(args.operator), str(args.cut)
-    o, t = (lambda name: str(args.out / name)), (lambda name: str(tmp / name))
+    """The chain as argv lists, every file in ``tmp``."""
+    op, cut, t = str(args.operator), str(args.cut), (lambda name: str(tmp / name))
     return [
-        ["compile", "--input", op, "--cut", cut, "--output", o("bridge.json")],
-        ["mpo", "--input", op, "--verify", "--output", o("mpo.json")],
-        ["groundstate", "--input", op, "--output", o("groundstate.json")],
-        ["sample", "--state", o("groundstate.json"), "--n-samples", str(args.n_samples),
-         "--seed", str(args.seed), "--output", o("samples.txt")],
-        ["curate", "--samples", o("samples.txt"), "--output", o("pool.txt")],
-        ["optimize", "--input", op, "--state", o("groundstate.json"), "--pool", o("pool.txt"),
+        ["compile", "--input", op, "--cut", cut, "--output", t("bridge.json")],
+        ["mpo", "--input", op, "--verify", "--output", t("mpo.json")],
+        ["groundstate", "--input", op, "--output", t("groundstate.json")],
+        ["sample", "--state", t("groundstate.json"), "--n-samples", str(args.n_samples),
+         "--seed", str(args.seed), "--output", t("samples.txt")],
+        ["curate", "--samples", t("samples.txt"), "--output", t("pool.txt")],
+        ["optimize", "--input", op, "--state", t("groundstate.json"), "--pool", t("pool.txt"),
          "--output", t("optimize.json")],
-        ["lcu", "--bridge", o("bridge.json"), "--output", o("lcu.json"), "--gates", o("gates.txt")],
+        ["lcu", "--bridge", t("bridge.json"), "--output", t("lcu.json"), "--gates", t("gates.txt")],
         ["compile", "--input", t("rescaled.pauli"), "--cut", cut, "--output", t("rescaled.json")],
-        ["update", "--program", o("lcu.json"), "--bridge", t("rescaled.json"), "--output", o("lcu_updated.json")],
+        ["update", "--program", t("lcu.json"), "--bridge", t("rescaled.json"), "--output", t("lcu_updated.json")],
         ["verify", "--input", op],
-        ["verify", "--input", op, "--program", o("lcu.json")],
-        ["verify", "--input", t("rescaled.pauli"), "--program", o("lcu_updated.json")],
+        ["verify", "--input", op, "--program", t("lcu.json")],
+        ["verify", "--input", t("rescaled.pauli"), "--program", t("lcu_updated.json")],
     ]
 
 
@@ -68,7 +71,6 @@ def main(argv=None) -> int:
         op = parse_pauli_sum(args.operator.read_text())
     except (OSError, ValueError) as exc:  # a missing or unreadable file, a malformed sum
         return fail(f"--operator {args.operator}: {exc.strerror if isinstance(exc, OSError) else exc}")
-    args.out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         scale = np.random.default_rng(args.seed).uniform(0.5, 2.0, op.n_terms)
@@ -82,10 +84,16 @@ def main(argv=None) -> int:
                 print(f"pipeline FAILED at stage {k}: paulibridge {' '.join(stage)} exited {code}")
                 return 1
         result = json.loads((tmp / "optimize.json").read_text())
-    hashes = {json.loads((args.out / f).read_text())["select_hash"] for f in ("lcu.json", "lcu_updated.json")}
-    ok = len(hashes) == 1 and result["energies"][0] >= result["reference_energy"] - 1e-10
-    print(f"pipeline {'ok' if ok else 'FAILED'}; artifacts in {args.out}")
-    return 0 if ok else 1
+        hashes = {json.loads((tmp / f).read_text())["select_hash"] for f in ("lcu.json", "lcu_updated.json")}
+        ok = len(hashes) == 1 and result["energies"][0] >= result["reference_energy"] - 1e-10
+        if not ok:
+            print("pipeline FAILED; --out left as it was")
+            return 1
+        args.out.mkdir(parents=True, exist_ok=True)
+        for name in ARTIFACTS:
+            shutil.copyfile(tmp / name, args.out / name)
+    print(f"pipeline ok; artifacts in {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

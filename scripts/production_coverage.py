@@ -2,7 +2,8 @@
 
 The entry points are ``scripts/h2_pipeline.py`` (the h2 chain, through
 ``cli.main``), the CLI calls it does not make (``jw``, ``groundstate
---max-bond 2``, ``optimize --sweep-csv``, each optional flag once) and
+--max-bond 2``, ``optimize --sweep-csv``, each optional flag once), one
+malformed input per reader, each exiting with its documented code, and
 ``scripts/energy_sweep.py``. They run in this process under
 ``sys.setprofile``, which records the calls that land in src/paulibridge.
 Each function or method defined there that none of them entered is printed
@@ -21,6 +22,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import json
 import runpy
 import sys
 import tempfile
@@ -76,12 +78,12 @@ def never_entered(paths, run) -> list[tuple[str, int]]:
     return sorted(name for key, name in defined_functions(paths).items() if key not in entered)
 
 
-def _cli(main, argv: list[str]) -> None:
+def _cli(main, argv: list[str], code: int = 0) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
-    if rc != 0:
-        raise RuntimeError(f"{argv[0]} exited {rc}: {err.getvalue().strip()}")
+    if rc != code:
+        raise RuntimeError(f"{argv[0]} exited {rc}, not {code}: {err.getvalue().strip()}")
 
 
 def _script(name: str, args: list[str]) -> None:
@@ -97,8 +99,26 @@ def _script(name: str, args: list[str]) -> None:
         sys.argv = saved
 
 
+def _malformed_inputs(op: str, h2: Path, out: Path) -> list[tuple[list[str], int]]:
+    """One bad input per reader, each built from the pipeline's files under ``out``, with its exit code."""
+    (out / "bad.pauli").write_text(Path(op).read_text() + "0.5x ZZII\n")
+    bridge = json.loads((h2 / "bridge.json").read_text())
+    bridge["bridge"].append(bridge["bridge"][0])  # a repeated pair
+    (out / "bad_bridge.json").write_text(json.dumps(bridge))
+    program = json.loads((h2 / "lcu.json").read_text())
+    program["select"][0]["pl"] = program["left"][program["select"][0]["a"] - 1]  # another fragment's label
+    (out / "bad_lcu.json").write_text(json.dumps(program))
+    return [
+        (["compile", "--input", str(out / "bad.pauli"), "--cut", "2", "--output", str(out / "bad.json")], 2),
+        (["lcu", "--bridge", str(out / "bad_bridge.json"), "--output", str(out / "bad_lcu_out.json")], 2),
+        (["verify", "--input", op, "--program", str(out / "bad_lcu.json")], 2),
+        (["compile", "--input", op, "--cut", "0", "--output", str(out / "bad.json")], 1),
+    ]
+
+
 def production_runs(out: Path) -> None:
-    """h2_pipeline.py, the CLI calls it does not make and energy_sweep.py, every output under ``out``."""
+    """h2_pipeline.py, the CLI calls it does not make, a malformed input per reader and energy_sweep.py,
+    every output under ``out``."""
     from paulibridge.cli import main
 
     op, h2 = str(FIXTURES / "h2_subset.pauli"), out / "h2"
@@ -114,6 +134,8 @@ def production_runs(out: Path) -> None:
         ["verify", "--input", op, "--cut", "1", "--tol", "1e-9"],
     ):
         _cli(main, argv)
+    for argv, code in _malformed_inputs(op, h2, out):
+        _cli(main, argv, code)
     _script("energy_sweep.py", ["--out", str(out / "energy_sweep.csv")])
 
 

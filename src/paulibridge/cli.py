@@ -229,9 +229,9 @@ def cmd_optimize(args) -> tuple[dict[str, str], dict]:
     pool = pool_from_text(_read(args, "pool"))
     if pool.n_sites != op.n_sites:
         raise ValueError(f"pool has {pool.n_sites} sites, operator has {op.n_sites}")
+    reference = float(lowest_pairs(op)[0][0])  # first: it refuses a non-Hermitian operator
     pencil = assemble_pencil(op, pool.strings, state)
     sol = solve_ritz_dense(pencil, n_roots=args.n_roots)
-    reference = float(lowest_pairs(op)[0][0])
     doc = {
         "format": "optimize-v1",
         "solver": "dense",

@@ -28,6 +28,7 @@ from paulibridge.pauli import (
     label_rows,
     malformed,
     packed_product,
+    require_hermitian,
 )
 # Not called here; kept as a module attribute because the benchmark tracer
 # (bench/tracer.py) wraps the function it times by this name.
@@ -41,9 +42,6 @@ __all__ = [
     "load_fermion_terms",
     "map_hamiltonian",
 ]
-
-HERMITIAN_TOL = 1e-12  # relative imaginary residue above which map_hamiltonian warns
-
 
 class NonHermitianInput(UserWarning):
     """The fermionic term list is not Hermitian-closed."""
@@ -112,8 +110,8 @@ def map_hamiltonian(terms: list[FermionTerm], n: int) -> PauliSum:
     """Map a fermionic Hamiltonian to one merged Pauli sum.
 
     Two-body coefficients enter with the conventional 1/2 prefactor.
-    Emits a NonHermitianInput warning when the merged coefficients keep an
-    imaginary part above HERMITIAN_TOL relative to the largest one.
+    Emits a NonHermitianInput warning when ``pauli.require_hermitian`` would
+    refuse the merged sum.
     """
     for idx in (i for term in terms for i in term.indices if not 0 <= i < n):
         raise IndexOutOfRange(f"mode {idx} out of range for {n} modes")
@@ -135,10 +133,11 @@ def map_hamiltonian(terms: list[FermionTerm], n: int) -> PauliSum:
         values.append((scale[:, None] * merged)[keep])
     order = np.argsort(np.concatenate(keys))
     out = PauliSum.from_rows(n, np.concatenate(rows)[order], np.concatenate(values)[order])
-    top, residue = np.abs(out.coeffs).max(initial=0.0), np.abs(out.coeffs.imag).max(initial=0.0)
-    if residue > HERMITIAN_TOL * max(top, 1.0):
+    try:
+        require_hermitian(out)
+    except ValueError:
         warnings.warn(
-            f"mapped coefficients keep imaginary parts up to {residue:.2e}; "
+            f"mapped coefficients keep imaginary parts up to {np.abs(out.coeffs.imag).max():.2e}; "
             "input term list is not Hermitian-closed",
             NonHermitianInput,
             stacklevel=2,

@@ -32,9 +32,7 @@ import scipy.linalg
 
 from paulibridge.bridge import BridgeDecomposition, EmptyOperator, skeleton_hash
 from paulibridge.pauli import (
-    DENSE_LIMIT,
     PauliSum,
-    TooLarge,
     _act,
     dense_string,
     json_columns,
@@ -45,6 +43,7 @@ from paulibridge.pauli import (
     json_text,
     label_rows,
     malformed,
+    require_dense,
 )
 
 __all__ = [
@@ -191,15 +190,9 @@ def _phase_rows(program: LcuProgram) -> np.ndarray:
     return np.repeat(phases, 2**program.n_sites)[:, None]
 
 
-def _check_dense_size(program: LcuProgram) -> None:
-    total = program.a_total + program.n_sites
-    if total > DENSE_LIMIT:
-        raise TooLarge(f"{total} total qubits exceeds dense limit {DENSE_LIMIT}")
-
-
 def select_dense(program: LcuProgram) -> np.ndarray:
     """Monolithic select unitary: Phi times one block per register pair."""
-    _check_dense_size(program)
+    require_dense(program.a_total + program.n_sites, "total qubits")
     cut, n = program.cut, program.n_sites
     left = _fragment_ops(program.left, 2**program.a_left, cut)
     right = _fragment_ops(program.right, 2**program.a_right, n - cut)
@@ -210,23 +203,12 @@ def select_dense(program: LcuProgram) -> np.ndarray:
 
 def block_encoding_dense(program: LcuProgram) -> np.ndarray:
     """Full walk unitary (Prep^dag x I) Select (Prep x I); a test oracle."""
-    _check_dense_size(program)
+    require_dense(program.a_total + program.n_sites, "total qubits")
     dim_sys = 2**program.n_sites
     prep = prep_dense(program)
     sel = select_dense(program)
     lifted = np.kron(prep, np.eye(dim_sys))
     return lifted.conj().T @ sel @ lifted
-
-
-def _block_terms(program: LcuProgram) -> tuple[np.ndarray, np.ndarray]:
-    """The rows S_j and coefficients u_j^2 Phi_j of encoded_block, one per pair, not merged."""
-    a, b, amp, phase = program.columns
-    weights = amp * amp
-    cut, n = program.cut, program.n_sites
-    left = program.left + ("I" * cut,) * (2**program.a_left - len(program.left))
-    right = program.right + ("I" * (n - cut),) * (2**program.a_right - len(program.right))
-    rows = label_rows([left[i] + right[j] for i, j in zip(a.tolist(), b.tolist())], n)
-    return rows, weights / sum(weights.tolist()) * phase
 
 
 def encoded_block(program: LcuProgram) -> PauliSum:
@@ -237,7 +219,13 @@ def encoded_block(program: LcuProgram) -> PauliSum:
     register, so the block is sum_j u_j^2 Phi_j S_j over the table's pairs,
     with S_j the pair's string; a padding half is the identity.
     """
-    return PauliSum.from_rows(program.n_sites, *_block_terms(program))
+    a, b, amp, phase = program.columns
+    weights = amp * amp
+    cut, n = program.cut, program.n_sites
+    left = program.left + ("I" * cut,) * (2**program.a_left - len(program.left))
+    right = program.right + ("I" * (n - cut),) * (2**program.a_right - len(program.right))
+    rows = label_rows([left[i] + right[j] for i, j in zip(a.tolist(), b.tolist())], n)
+    return PauliSum.from_rows(n, rows, weights / sum(weights.tolist()) * phase)
 
 
 def block_error(program: LcuProgram, op: PauliSum) -> float:
@@ -248,11 +236,11 @@ def block_error(program: LcuProgram, op: PauliSum) -> float:
     """
     if program.n_sites != op.n_sites:
         raise ValueError(f"program acts on {program.n_sites} sites, operator has {op.n_sites}")
-    rows, coeffs = _block_terms(program)
+    block = encoded_block(program)
     # -c / lambda one part at a time: numpy's complex division multiplies by 1 / lambda, which rounds otherwise
     target = (op.coeffs.view(np.float64) / -program.lam).view(np.complex128)
-    merged = PauliSum.from_rows(op.n_sites, np.concatenate([rows, op.rows]), np.concatenate([coeffs, target]))
-    return float(sum(map(abs, merged.coeffs.tolist())))
+    rows, coeffs = np.concatenate([block.rows, op.rows]), np.concatenate([block.coeffs, target])
+    return float(sum(map(abs, PauliSum.from_rows(op.n_sites, rows, coeffs).coeffs.tolist())))
 
 
 def success_probability(program: LcuProgram, state: np.ndarray) -> float:

@@ -32,10 +32,9 @@ import scipy.linalg
 from paulibridge.bridge import EmptyOperator
 from paulibridge.mps import TensorChain, chain_from_json, chain_to_json
 from paulibridge.pauli import (
-    DENSE_LIMIT,
     PAULI_MATRICES,
     PauliSum,
-    TooLarge,
+    require_dense,
     site_codes,
 )
 
@@ -132,8 +131,7 @@ def build_mpo_qr(op: PauliSum, rank_tol: float = 0.0) -> Mpo:
 
 def mpo_to_dense(m: Mpo) -> np.ndarray:
     """Contract to the dense matrix (site 0 most significant)."""
-    if m.n_sites > DENSE_LIMIT:
-        raise TooLarge(f"{m.n_sites} sites exceeds dense limit {DENSE_LIMIT}")
+    require_dense(m.n_sites)
     if m.tensors[0].shape[0] != 1 or m.tensors[-1].shape[1] != 1:
         raise ValueError("boundary bond dimensions must be 1")
     acc = np.ones((1, 1, 1), dtype=np.complex128)
@@ -153,8 +151,7 @@ def mpo_error(m: Mpo, op: PauliSum) -> float:
     and ``R`` (chi x 4^(n-c)), into all 4^n coefficients, hence DENSE_LIMIT.
     """
     n = m.n_sites
-    if n > DENSE_LIMIT:
-        raise TooLarge(f"{n} sites exceeds dense limit {DENSE_LIMIT}")
+    require_dense(n)
     if op.n_sites != n:
         raise ValueError(f"MPO has {n} sites, operator has {op.n_sites}")
     if m.tensors[0].shape[0] != 1 or m.tensors[-1].shape[1] != 1:

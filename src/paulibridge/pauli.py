@@ -69,6 +69,7 @@ __all__ = [
     "packed_product",
     "parse_pauli_sum",
     "pauli_product",
+    "require_dense",
     "require_hermitian",
     "rows_fit",
     "serialize_pauli_sum",
@@ -326,10 +327,15 @@ def _act(op: PauliSum, vec: np.ndarray) -> np.ndarray:
     return out
 
 
+def require_dense(n: int, what: str = "sites") -> None:
+    """The one dense ceiling: TooLarge when ``n`` qubits (``what`` names them) exceed DENSE_LIMIT."""
+    if n > DENSE_LIMIT:
+        raise TooLarge(f"{n} {what} exceeds dense limit {DENSE_LIMIT}")
+
+
 def to_dense(op: PauliSum) -> np.ndarray:
     """Dense matrix of a sum; refuses more than DENSE_LIMIT sites."""
-    if op.n_sites > DENSE_LIMIT:
-        raise TooLarge(f"{op.n_sites} sites exceeds dense limit {DENSE_LIMIT}")
+    require_dense(op.n_sites)
     idx = np.arange(2**op.n_sites)
     out = np.zeros((idx.size, idx.size), dtype=np.complex128)
     for masks, diagonals in _flip_groups(op):

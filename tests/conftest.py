@@ -11,10 +11,10 @@ import scipy.linalg
 from hypothesis import settings
 
 from paulibridge.bridge import Bridge, BridgeDecomposition, compile as compile_bridge
-from paulibridge.lcu import LcuProgram, PrepColumns, _check_dense_size, _fragment_ops, _phase_rows, compile_lcu
+from paulibridge.lcu import LcuProgram, PrepColumns, _fragment_ops, _phase_rows, compile_lcu
 from paulibridge import mps as mps_module
 from paulibridge.mps import Mps, canonicalize_mps, dense_to_mps, is_right_canonical_site
-from paulibridge.pauli import PAULI_MATRICES, SYMBOLS, PauliSum, TooLarge, label_rows, parse_pauli_sum
+from paulibridge.pauli import PAULI_MATRICES, SYMBOLS, PauliSum, TooLarge, label_rows, parse_pauli_sum, require_dense
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -298,7 +298,7 @@ def select_factorized_dense(program: LcuProgram) -> np.ndarray:
     depends on a coefficient. Every phase sits in Phi, a diagonal on the
     pair register.
     """
-    _check_dense_size(program)
+    require_dense(program.a_total + program.n_sites, "total qubits")
     cut, n = program.cut, program.n_sites
     dim_l, dim_r = 2**program.a_left, 2**program.a_right
     left = _fragment_ops(program.left, dim_l, cut)

@@ -63,9 +63,23 @@ def test_h2_pipeline_stops_at_the_first_failed_stage_and_names_it(tmp_path, monk
     monkeypatch.setattr(pipeline, "cli", types.SimpleNamespace(main=main))
     assert pipeline.main(["--out", str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert calls[-1][-2:] == ["--program", str(tmp_path / "lcu.json")]
+    assert calls[-1][-2] == "--program" and Path(calls[-1][-1]).name == "lcu.json"
     assert out.splitlines()[-1] == f"pipeline FAILED at stage 10: paulibridge {' '.join(calls[-1])} exited 3"
     assert "pipeline ok" not in out and len(calls) == 11  # the updated program's verify never ran
+    assert not list(tmp_path.iterdir())  # every stage wrote into the temporary directory
+
+
+@pytest.mark.parametrize("argv, stage, code", [
+    (["--n-samples", "0"], "3: paulibridge sample", 1),  # a usage error of the sample stage
+    (["--operator", "{thirteen}"], "1: paulibridge mpo", 2),  # mpo --verify refuses 13 sites
+])
+def test_h2_pipeline_leaves_out_untouched_on_a_failed_stage(tmp_path, capsys, argv, stage, code):
+    files, out = _operator_files(tmp_path), tmp_path / "h2"
+    argv = [arg.format(**files) for arg in argv]
+    assert _load_script("h2_pipeline").main([*argv, "--out", str(out)]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith(f"pipeline FAILED at stage {stage} ") and last.endswith(f" exited {code}")
+    assert not out.exists()
 
 
 def _operator_files(tmp_path: Path) -> dict[str, Path]:

@@ -1253,7 +1253,7 @@ class TestOptimizeHermiticity:
 
     def test_non_hermitian_operator_is_refused(self, tmp_path):
         step, rc, err = optimize_chain(tmp_path, "1.0 XX\n0.5 ZZ\n", "1.0 XX\n0.5i ZZ\n")
-        assert (step, rc, err) == ("optimize", 2, "error: effective Hamiltonian is not Hermitian\n")
+        assert (step, rc, err) == ("optimize", 2, "error: operator is not Hermitian\n")
         pencil = varopt.assemble_pencil(
             parse_pauli_sum("1.0 XX\n0.5i ZZ\n"),
             pool_from_text((tmp_path / "pool.txt").read_text()).strings,

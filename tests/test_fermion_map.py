@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulibridge import bridge, pauli
@@ -195,6 +195,25 @@ def fermion_documents(draw):
         if draw(st.booleans()):
             terms.append(FermionTerm(kind, indices, -coeff))
     return n, terms
+
+
+@settings(deadline=None)
+@given(fermion_documents())
+# an imaginary part of 1e-11 is within require_hermitian's bound, 1e-9 is not
+@example((1, [FermionTerm("one_body", (0, 0), 1 + 1e-11j)]))
+@example((1, [FermionTerm("one_body", (0, 0), 1 + 1e-9j)]))
+def test_warns_exactly_when_require_hermitian_refuses(doc):
+    n, terms = doc
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = map_hamiltonian(terms, n)
+    try:
+        pauli.require_hermitian(out)
+    except ValueError:
+        refused = True
+    else:
+        refused = False
+    assert [w.category for w in caught] == [NonHermitianInput] * refused
 
 
 class TestBatchedMap:

@@ -1,8 +1,9 @@
 """Relations between runs on jw12, the 12-mode Jordan-Wigner operator, and
-of the dense reference solve and the sampled Ritz sweep on jw8; on jw12
-and on 24- and 40-site chains, the MPO's bonds against the bridge and the
-bridge under label reversal and under an added multiple of the identity;
-and, on random 24- and 40-site states, the sampler's law.
+of the dense reference solve and the sampled Ritz sweep on jw8 and on a
+10-site chain; on jw12 and on 24- and 40-site chains, the compiled texts
+under term order, the MPO's bonds against the bridge and the bridge under
+label reversal and under an added multiple of the identity; and, on random
+24- and 40-site states, the sampler's law.
 
 Each relation compares the chain on one operator with the chain on a
 transformed copy, so it needs no second reference and, past the dense
@@ -16,11 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paulibridge.bridge import BridgeDecomposition, compile as compile_bridge, set_bridge, structural_hash
+from paulibridge.bridge import (
+    Bridge, BridgeDecomposition, compile as compile_bridge, decomposition_to_json, set_bridge, structural_hash,
+)
 from paulibridge.fermion import load_fermion_terms, map_hamiltonian
-from paulibridge.lcu import compile_lcu
-from paulibridge.mpo import build_mpo_qr, mpo_error
-from paulibridge.mps import Mps, canonicalize_mps, ground_state_reference, string_expectations
+from paulibridge.lcu import compile_lcu, emit_gates, program_to_json
+from paulibridge.mpo import build_mpo_qr, mpo_error, mpo_to_json
+from paulibridge.mps import DEGENERACY_TOL, Mps, canonicalize_mps, ground_state_reference, string_expectations
 from paulibridge.pauli import PauliSum, diagonal_rows, label_rows
 from paulibridge.sampler import SamplerConfig, conditional_weights, sample_strings
 from paulibridge.varopt import energy_vs_samples_sweep
@@ -62,6 +65,47 @@ def test_term_order_keeps_both_hashes_and_the_operator(jw12):
     coeffs[0] += 1e-3
     faulty = PauliSum.from_rows(jw12.n_sites, permuted.rows, coeffs)
     assert mpo_error(build_mpo_qr(faulty), jw12) > 1e-10
+
+
+def permuted_sum(op: PauliSum, seed: int) -> PauliSum:
+    """``op`` with its terms in a seeded random order."""
+    perm = np.random.default_rng(seed).permutation(op.n_terms)
+    return PauliSum.from_rows(op.n_sites, op.rows[perm], op.coeffs[perm])
+
+
+def compile_in_term_order(op: PauliSum, cut: int) -> BridgeDecomposition:
+    """The fault: a bridge compile that lists fragments and pairs in term order, not label order."""
+    sides = []
+    for part in (slice(None, cut), slice(cut, None)):
+        halves = [label[part] for label in row_labels(op.rows, op.n_sites)]
+        index = {half: k for k, half in enumerate(dict.fromkeys(halves))}
+        sides.append((tuple(index), [index[half] for half in halves]))
+    (left, a), (right, b) = sides
+    return BridgeDecomposition(cut, left, right, Bridge(np.array([a, b], dtype=np.int64).T, op.coeffs.copy()))
+
+
+def compiled_texts(op: PauliSum, compile=compile_bridge) -> tuple[str, ...]:
+    """The bridge at the middle cut, the swept MPO, and the program and gate list compiled from the bridge."""
+    d = compile(op, op.n_sites // 2)
+    program = compile_lcu(d)
+    return decomposition_to_json(d), mpo_to_json(build_mpo_qr(op)), program_to_json(program), emit_gates(program)
+
+
+def check_term_order(op: PauliSum, seed: int) -> None:
+    permuted = permuted_sum(op, seed)
+    assert compiled_texts(permuted) == compiled_texts(op)
+    # fault: a compile that keeps term order
+    assert compiled_texts(permuted, compile_in_term_order) != compiled_texts(op, compile_in_term_order)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([24, 40]))
+def test_chain_term_order_keeps_every_compiled_text(seed, n_sites):
+    check_term_order(chain_sum(seed, n_sites), seed)
+
+
+def test_jw12_term_order_keeps_every_compiled_text(jw12):
+    check_term_order(jw12, 18)
 
 
 def reversed_sum(op: PauliSum) -> PauliSum:
@@ -167,6 +211,25 @@ def test_adding_c_identity_shifts_the_ritz_energies(jw8, jw8_state):
     # fault: c Z on site 0 in place of c I
     z0 = label_rows(["Z" + "I" * 7], 8)
     assert not holds(PauliSum.from_rows(jw8.n_sites, np.concatenate([jw8.rows, z0]), np.append(jw8.coeffs, 0.75)))
+
+
+def test_rescaling_past_8_sites_keeps_the_state_and_scales_the_energies():
+    op = chain_sum(10, 10)
+    scaled = PauliSum.from_rows(op.n_sites, op.rows, 2.5 * op.coeffs)
+    gs, gs_s = ground_state_reference(op), ground_state_reference(scaled)
+    assert gs.gap > DEGENERACY_TOL  # so the ground state is one state, not a basis-dependent pick
+    assert abs(gs_s.energy - 2.5 * gs.energy) <= 1e-12 * abs(2.5 * gs.energy)
+    energies = sweep_energies(op, gs.mps)
+    assert np.all(np.abs(sweep_energies(scaled, gs.mps) - 2.5 * energies) <= 1e-12 * np.abs(2.5 * energies))
+
+    def same_state(m: Mps) -> bool:  # the MPS tensors carry a gauge; the state they contract to does not
+        return bool(np.max(np.abs(mps_to_dense(m) - mps_to_dense(gs.mps))) <= 1e-12)
+
+    assert same_state(gs_s.mps)
+    # fault: one site tensor scaled by 1 + 1e-6
+    tensors = [t.copy() for t in gs_s.mps.tensors]
+    tensors[op.n_sites // 2] *= 1 + 1e-6
+    assert not same_state(Mps(tensors))
 
 
 def bonds_are_bridge_ranks(op: PauliSum, rank_tol: float = 0.0) -> bool:

@@ -59,9 +59,22 @@ def test_a_function_only_a_test_calls_is_flagged(tmp_path):
         "synthetic.helper.inner", "synthetic.only_tested", "synthetic.production"]
 
 
-def test_the_production_runs_enter_the_shared_reference_solve(tmp_path):
+def test_the_production_runs_enter_the_shared_reference_solve(tmp_path, monkeypatch):
+    exits, cli = [], coverage._cli
+
+    def recorded(main, argv, code=0):  # _cli raises unless main exits with ``code``
+        cli(main, argv, code)
+        exits.append((argv[0], code))
+
+    monkeypatch.setattr(coverage, "_cli", recorded)
     names = [name for name, _ in coverage.never_entered(
         sorted(coverage.PACKAGE.glob("*.py")), lambda: coverage.production_runs(tmp_path))]
+    # one malformed input per reader, each with its documented exit code: an operator line,
+    # a bridge with a repeated pair, a program whose select row disagrees with its dictionary, a usage error
+    assert [e for e in exits if e[1]] == [("compile", 2), ("lcu", 2), ("verify", 2), ("compile", 1)]
+    assert not {"bridge._raise_row_error", "lcu._raise_row_error", "pauli._line_error", "pauli._parse_coeff",
+                "pauli.MalformedLine.__init__", "pauli.malformed", "cli.Parser.error"} & set(names)
+    assert "lcu.encoded_block" not in names  # verify measures the block through it
     assert names  # ROADMAP item 4: names only the tests reach are still listed
     assert "mps.lowest_pairs" not in names and "mps.ground_state_reference" not in names
     assert "cli.main" not in names and "varopt.energy_vs_samples_sweep" not in names
