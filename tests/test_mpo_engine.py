@@ -1,8 +1,12 @@
 """MPO construction, canonical forms, compression."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +51,34 @@ from conftest import (
     sum_terms,
     term_dict,
 )
+
+
+TESTS = Path(__file__).resolve().parent
+
+# sha256 of mpo_to_json(build_mpo_qr(op)) on the LAPACK routes the h2 artifact never takes:
+# zgeqp3/zungqr on a complex sum, the blocked dgeqp3/dorgqr code on jw12's cut matrices
+# (wider than one LAPACK block) and a seeded 40-site chain; written at one BLAS thread, as
+# the complex route's bits change with the thread count
+MPO_PINS = {
+    "complex": "339611cc4b9d1baf24ccd890a4ce52d822f60b4141ee89315c7167ee827a2a08",
+    "jw12": "b41acbc6c62e74856df9f188021e1eaa526c5e5126ab51b973da998f8fa72acf",
+    "chain40": "35dbf2b6d0ff6d959a415c81e766b71d4936d753630b06a9c070271659da5969",
+}
+PIN_SCRIPT = """
+import hashlib
+import numpy as np
+from conftest import chain_sum, jw12_document, random_pauli_sum
+from paulibridge.fermion import load_fermion_terms, map_hamiltonian
+from paulibridge.mpo import build_mpo_qr, mpo_to_json
+n_modes, terms = load_fermion_terms(jw12_document())
+ops = {
+    "complex": random_pauli_sum(np.random.default_rng(46), 8, 200, complex_coeffs=True),
+    "jw12": map_hamiltonian(terms, n_modes),
+    "chain40": chain_sum(40, 40),
+}
+for name, op in ops.items():
+    print(name, hashlib.sha256(mpo_to_json(build_mpo_qr(op)).encode()).hexdigest())
+"""
 
 
 def rel_err(a, b):
@@ -295,6 +327,14 @@ class TestBuild:
         for op in ops:
             tensors, _ = reference_sweep(op)
             assert all(np.array_equal(w, ref) for w, ref in zip(build_mpo_qr(op).tensors, tensors))
+
+    def test_lapack_routes_write_the_pinned_bytes(self):
+        # in a fresh process, so that one BLAS thread holds whatever the test run's own count
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", PIN_SCRIPT], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert dict(line.split() for line in proc.stdout.splitlines()) == MPO_PINS
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 18))
