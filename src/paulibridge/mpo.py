@@ -1,10 +1,14 @@
 """Matrix product operators from Pauli sums via pivoted-QR cut matrices.
 
 The left-to-right sweep keeps a carried coefficient matrix over right
-suffixes. At each site the carried matrix is regrouped into the cut matrix
-(rows: occurring (incoming bond, site symbol) pairs; columns: remaining
-suffixes), factored by column-pivoted QR, and the kept columns of Q, the
-only ones formed, become the site tensor while ``R P^T`` is carried on.
+suffixes, numbered right to left before it starts: a presence table over a
+site's ``4 * n_rest`` (symbol, suffix) keys lists the distinct ones in
+sorted order, and its running count numbers them, so no sort is needed. At
+each site the carried matrix is regrouped into the cut matrix (rows: the
+occupied (incoming bond, site symbol) pairs, one flat index ``4 * bond +
+symbol``; columns: remaining suffixes), factored by column-pivoted QR, and
+the kept columns of Q, the only ones formed, become the site tensor through
+that same index while ``R P^T`` is carried on.
 The sweep runs in float64 when every coefficient is real, as a Hermitian
 sum's are, and in complex128 otherwise; the site tensors are complex128.
 Bond dimensions are numerical ranks: for the ``m x k`` cut matrix at site
@@ -72,34 +76,30 @@ def build_mpo_qr(op: PauliSum, rank_tol: float = 0.0) -> Mpo:
     if not np.isfinite(op.coeffs).all():
         raise ValueError("coefficients must not contain infs or NaNs")
     n = op.n_sites
-    # Suffix ids, right to left: the carried columns at site k have keys
-    # code_k * n_rests[k] + (id of the suffix past k), one per term at site
-    # 0 and one per distinct suffix after it. np.unique sorts the keys in
-    # label order, since I < X < Y < Z is code order.
+    # the carried columns at site k have keys code_k * n_rest + (id of the suffix past k):
+    # one per term at site 0, one per distinct key after it, in label order (I < X < Y < Z)
     codes = site_codes(op.rows, n, np.arange(n))
-    ids = np.zeros(op.n_terms, dtype=np.int64)
-    keys, n_rests = [], [1]
+    ids, n_rest, cols = np.zeros(op.n_terms, dtype=np.int64), 1, [None] * n
     for k in range(n - 1, 0, -1):
-        key, ids = np.unique(codes[:, k] * n_rests[-1] + ids, return_inverse=True)
-        keys.append(key)
-        n_rests.append(key.size)
-    keys.append(codes[:, 0] * n_rests[-1] + ids)
-    keys.reverse()
-    n_rests.reverse()
+        key = codes[:, k] * n_rest + ids
+        present = np.zeros(4 * n_rest, dtype=bool)
+        present[key] = True
+        cols[k] = (*np.divmod(np.flatnonzero(present), n_rest), n_rest)  # (symbol, rest, n_rest)
+        count = np.cumsum(present)
+        ids, n_rest = (count - 1)[key], int(count[-1])
+    cols[0] = (codes[:, 0], ids, n_rest)
     # a Hermitian sum's coefficients are real: the sweep then runs in float64
     carried = (op.coeffs if op.coeffs.imag.any() else op.coeffs.real)[None]
     geqp3, orgqr = scipy.linalg.get_lapack_funcs(("geqp3", "orgqr"), (carried,))  # d or z routines
     tensors: list[np.ndarray] = []
-    for site in range(n):
+    for site, (sym, rest, n_rest) in enumerate(cols):
         chi = carried.shape[0]
-        # regroup columns into (bond, symbol) rows over remaining suffixes:
-        # one scatter, as the columns are distinct; += stores -0.0 as 0.0.
-        # take() returns C order (raw[:, bond, code] would not): gamma is F-ordered, factored in place
-        sym, rest = np.divmod(keys[site], n_rests[site])
-        raw = np.zeros((n_rests[site], chi, 4), dtype=carried.dtype)
-        raw[rest, :, sym] += carried.T
-        bond, code = np.nonzero(np.any(raw != 0, axis=0))
-        gamma = raw.reshape(n_rests[site], 4 * chi).take(4 * bond + code, axis=1).T
+        # one scatter, as the columns are distinct (+= stores -0.0 as 0.0); take() returns
+        # C order: gamma, the occupied rows 4 * bond + symbol, is F-ordered, factored in place
+        raw = np.zeros((n_rest, 4 * chi), dtype=carried.dtype)
+        raw.reshape(n_rest, chi, 4)[rest, :, sym] += carried.T
+        occ = np.flatnonzero(raw.any(axis=0))
+        gamma = raw.take(occ, axis=1).T
         if site == n - 1:
             q, rank = gamma, 1  # one column: the last site's tensor takes it whole
         else:
@@ -109,7 +109,10 @@ def build_mpo_qr(op: PauliSum, rank_tol: float = 0.0) -> Mpo:
             diag = np.abs(qr.diagonal())
             floor = max(rank_tol, np.finfo(np.float64).eps * max(gamma.shape) * (site + 1))
             rank = int(np.count_nonzero(diag > floor * diag[0]))
-            r, finite = np.triu(qr[:rank]), np.isfinite(qr).all()  # R's kept rows; every entry of R
+            finite = np.isfinite(qr).all()  # every entry of R, read before orgqr writes Q over it
+            # R's kept rows, zeroed below the diagonal as triu does; geqp3's pivots count from 1
+            carried = np.zeros((rank, n_rest), dtype=raw.dtype)
+            carried[:, piv - 1] = np.where(np.tri(rank, n_rest, -1, dtype=bool), 0, qr[:rank])
             kept, tau = qr[:, : max(rank, 1)], tau[: max(rank, 1)]  # rank 0 is refused below
             lwork = int(orgqr(kept, tau, lwork=-1, overwrite_a=True)[1][0].real)
             q = orgqr(kept, tau, lwork=lwork, overwrite_a=True)[0]
@@ -117,15 +120,11 @@ def build_mpo_qr(op: PauliSum, rank_tol: float = 0.0) -> Mpo:
                 raise ValueError(f"cut matrix at site {site} overflows in the QR")
             if rank == 0:
                 raise EmptyOperator(f"cut matrix at site {site} vanished")
-            carried = np.zeros((rank, n_rests[site]), dtype=raw.dtype)
-            carried[:, piv - 1] = r  # geqp3's pivots count from 1
-        # W[l, r] = sum_c q[(l, c), r] sigma_c: one scatter of the distinct rows,
-        # one product with the Paulis; += stores -0.0 as 0.0
-        coef = np.zeros((chi, rank, 4), dtype=q.dtype)
-        coef[bond, :, code] = q[:, :rank]
-        w = (coef.reshape(-1, 4) @ PAULI_MATRICES.reshape(4, 4)).reshape(chi, rank, 2, 2)
-        w += 0.0
-        tensors.append(w)
+        # W[l, r] = sum_c coef[4 l + c, r] sigma_c, one product with the Paulis; + 0.0 stores -0.0 as 0.0
+        coef = np.zeros((4 * chi, rank), dtype=q.dtype)
+        coef[occ] = q[:, :rank]
+        w = coef.reshape(chi, 4, rank).transpose(0, 2, 1).reshape(-1, 4) @ PAULI_MATRICES.reshape(4, 4)
+        tensors.append(w.reshape(chi, rank, 2, 2) + 0.0)
     return Mpo(tensors)
 
 
