@@ -182,9 +182,6 @@ class PauliSum:
         same_rows = (self.rows[mine] == other.rows[theirs]).all()
         return bool(same_rows and (self.coeffs[mine] == other.coeffs[theirs]).all())
 
-    def __repr__(self) -> str:
-        return f"PauliSum(n_sites={self.n_sites}, n_terms={self.n_terms})"
-
 
 # ---------------------------------------------------------------------------
 # products: the Z2 x Z2 bit-plane rule of Aaronson & Gottesman (PRA 70,

@@ -403,6 +403,10 @@ PROGRAM_MUTATIONS = [
     pytest.param("select[2].phase_re", lambda d: d["select"][2].update(phase_re=float("nan")), id="nan-phase"),
     pytest.param("select[1].phase_im", lambda d: d["select"][1].update(phase_im=True), id="bool-phase"),
     pytest.param("select[0]", lambda d: d["select"][0].update(phase_re=5.0), id="phase-off-unit-circle"),
+    # a modulus 1 + 5e-9, between PHASE_TOL and 10 x PHASE_TOL: the bulk check and the row locator must agree
+    pytest.param("select[1]", lambda d: d["select"][1].update(
+        {key: d["select"][1][key] * (1 + 5e-9) for key in ("phase_re", "phase_im")}),
+        id="phase-modulus-off-by-5e-9"),
     pytest.param("select[2]", lambda d: d["select"][2].update(phase_re=0.0, phase_im=0.0), id="phase-zero"),
     pytest.param("select[0].a", lambda d: d["select"].__setitem__(0, 3), id="select-row-not-object"),
     pytest.param("prep", lambda d: [row.update(amp=2 * row["amp"]) for row in d["prep"]], id="prep-norm-two"),

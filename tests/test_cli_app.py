@@ -599,6 +599,14 @@ class TestWriter:
         assert err == ("warning: patched\n" if command == "compile" else
                        f"warning: spectral gap {0:.3e} below {DEGENERACY_TOL:.3e}\n")
 
+    def test_groundstate_warns_on_a_gap_below_the_tolerance(self, tmp_path):
+        # a gap of 5e-9, between DEGENERACY_TOL / 10 and DEGENERACY_TOL, still gets the warning line
+        src = tmp_path / "op.pauli"
+        src.write_text("-1 ZI\n-2.5e-9 IZ\n")
+        rc, _, err = run(["groundstate", "--input", str(src), "--output", str(tmp_path / "mps.json")])
+        assert rc == 0
+        assert err == f"warning: spectral gap {5e-9:.3e} below {DEGENERACY_TOL:.3e}\n"
+
     def test_update_in_place_records_the_program_it_read(self, tmp_path, h2_text):
         src, scaled = tmp_path / "op.pauli", tmp_path / "scaled.pauli"
         program, bridge, scaled_bridge = tmp_path / "lcu.json", tmp_path / "bridge.json", tmp_path / "scaled.json"

@@ -18,6 +18,7 @@ from paulibridge.bridge import (
     structural_hash,
 )
 from paulibridge.lcu import (
+    PHASE_TOL,
     LcuProgram,
     SupportChanged,
     block_encoding_dense,
@@ -467,6 +468,16 @@ class TestSerialization:
         doc = json.loads(program_to_json(h2_program(h2_subset)))
         doc["select"][0]["pl"] = "XX"
         with pytest.raises(ValueError):
+            program_from_json(json.dumps(doc))
+
+    def test_phase_modulus_past_the_tolerance_names_its_row(self, h2_subset):
+        # off by 5e-9, between PHASE_TOL and 10 x PHASE_TOL: the bulk check refuses the table,
+        # and the row locator must find the row, not fall through to its assertion
+        doc = json.loads(program_to_json(h2_program(h2_subset)))
+        row = doc["select"][1]
+        row.update(phase_re=row["phase_re"] * (1 + 5e-9), phase_im=row["phase_im"] * (1 + 5e-9))
+        assert PHASE_TOL < abs(complex(row["phase_re"], row["phase_im"])) - 1 < 10 * PHASE_TOL
+        with pytest.raises(ValueError, match=r"^lcu-v1 field select\[1\]: phase .* not 1$"):
             program_from_json(json.dumps(doc))
 
     def test_wrong_format_rejected(self, h2_subset):

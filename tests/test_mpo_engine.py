@@ -331,7 +331,8 @@ class TestBuild:
     def test_lapack_routes_write_the_pinned_bytes(self):
         # in a fresh process, so that one BLAS thread holds whatever the test run's own count
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH")]))
+        paths = [str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
         proc = subprocess.run([sys.executable, "-c", PIN_SCRIPT], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert dict(line.split() for line in proc.stdout.splitlines()) == MPO_PINS

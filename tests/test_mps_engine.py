@@ -372,10 +372,14 @@ class TestGroundState:
         b = ground_state_reference(h2_subset)
         np.testing.assert_array_equal(mps_to_dense(a.mps), mps_to_dense(b.mps))
 
-    def test_degenerate_warns(self):
-        op = parse_pauli_sum("1.0 ZI\n")
-        with pytest.warns(DegenerateGroundState):
-            ground_state_reference(op)
+    @pytest.mark.parametrize("text, gap", [
+        ("1.0 ZI\n", 0.0),
+        ("-1 ZI\n-2.5e-9 IZ\n", 5e-9),  # levels -1 -+ 2.5e-9: between DEGENERACY_TOL / 10 and DEGENERACY_TOL
+    ])
+    def test_degenerate_warns(self, text, gap):
+        message = f"spectral gap {gap:.3e} below {DEGENERACY_TOL:.3e}"
+        with pytest.warns(DegenerateGroundState, match=f"^{re.escape(message)}$"):
+            ground_state_reference(parse_pauli_sum(text))
 
     def test_non_hermitian_raises(self):
         op = parse_pauli_sum("1.0i XY\n")
