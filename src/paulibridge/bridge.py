@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import operator
 from dataclasses import dataclass, replace
 from functools import partial
@@ -40,7 +41,6 @@ from paulibridge.pauli import (
     PauliSum,
     _row_labels,
     json_document,
-    json_columns,
     json_field,
     json_rows,
     json_skeleton,
@@ -212,35 +212,35 @@ def decomposition_to_json(d: BridgeDecomposition) -> str:
 
 
 def decomposition_from_json(text: str) -> BridgeDecomposition:
-    """Rebuild a decomposition from its labels and bridge entries.
+    """Rebuild a decomposition from its labels and bridge entries, read row by row in file order.
 
-    Every malformed field raises ValueError naming it, e.g. ``bridge[3].re``.
-    """
+    Every malformed field raises ValueError naming it, e.g. ``bridge[3].re``."""
     doc = json_document(text, FORMAT_NAME)
     cut, left, right = json_skeleton(FORMAT_NAME, doc, "left_fragments", "right_fragments")
-    rows = _field(doc, "bridge", list)
-    columns = json_columns(rows, ("a", "b", "re", "im"), (len(left), len(right), float, float))
-    if columns is None:
-        _raise_row_error(rows, len(left), len(right))
-    order = np.lexsort(columns[1::-1])
-    pairs = np.array(columns[:2], dtype=np.int64).T[order]
-    if (pairs[1:] == pairs[:-1]).all(axis=1).any():  # two rows share a pair
-        _raise_row_error(rows, len(left), len(right))
-    coeffs = np.array(columns[2], dtype=np.complex128)
-    coeffs.imag = columns[3]
-    return BridgeDecomposition(cut, left, right, Bridge(pairs, coeffs[order]))
+    n_left, n_right, seen, values = len(left), len(right), set(), []
+    for k, e in enumerate(_field(doc, "bridge", list)):
+        try:  # a row of exact JSON types that passes its checks reads as _read_row would read it
+            a, b, re, im = e["a"], e["b"], e["re"], e["im"]
+        except (KeyError, TypeError):  # not a dict, or a field missing
+            a = None
+        if not (type(a) is int is type(b) and 0 <= a < n_left and 0 <= b < n_right
+                and type(re) is float is type(im) and math.isfinite(re) and math.isfinite(im)
+                and a * n_right + b not in seen):
+            a, b, re, im = _read_row(e, k, n_left, n_right, seen)
+        seen.add(a * n_right + b)
+        values += a, b, re, im
+    table = np.array(values, dtype=np.float64).reshape(-1, 4)
+    table = table[np.lexsort(table[:, 1::-1].T)]  # by pair, as a C-ordered copy
+    coeffs = table[:, 2:].copy().view(np.complex128).ravel()
+    return BridgeDecomposition(cut, left, right, Bridge(table[:, :2].astype(np.int64), coeffs))
 
 
-def _raise_row_error(rows: list, n_left: int, n_right: int):
-    """Raise the error of the first bridge row that breaks the format."""
-    seen = set()
-    for k, e in enumerate(rows):
-        where = f"bridge[{k}]"
-        a, b = _field(e, "a", int, where + "."), _field(e, "b", int, where + ".")
-        if not (0 <= a < n_left and 0 <= b < n_right):
-            raise IndexOutOfRange(f"{FORMAT_NAME} field {where}: pair ({a}, {b}) outside ({n_left}, {n_right})")
-        if (a, b) in seen:
-            raise _malformed(where, f"pair ({a}, {b}) appears twice")
-        seen.add((a, b))
-        _field(e, "re", float, where + "."), _field(e, "im", float, where + ".")
-    raise AssertionError("every bridge row is well formed")
+def _read_row(e, k: int, n_left: int, n_right: int, seen: set) -> tuple[int, int, float, float]:
+    """The rule for ``bridge[k]``, earlier rows' ``a * n_right + b`` being ``seen``: its values or first error."""
+    where = f"bridge[{k}]."
+    a, b = _field(e, "a", int, where), _field(e, "b", int, where)
+    if not (0 <= a < n_left and 0 <= b < n_right):
+        raise IndexOutOfRange(f"{FORMAT_NAME} field bridge[{k}]: pair ({a}, {b}) outside ({n_left}, {n_right})")
+    if a * n_right + b in seen:
+        raise _malformed(f"bridge[{k}]", f"pair ({a}, {b}) appears twice")
+    return a, b, _field(e, "re", float, where), _field(e, "im", float, where)

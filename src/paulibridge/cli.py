@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 usage error, 2 input or data error, 3 numerical
 failure. A writing subcommand writes nothing unless it succeeds; then it writes
 each output once and a deterministic JSON manifest next to its primary output:
 sha256 of the bytes it read and wrote, parameters, and library versions (no
-timestamps, so reruns are byte identical). ``--manifest PATH`` overrides the
+timestamps; with OPENBLAS_NUM_THREADS=1 reruns are byte identical, as threaded
+QR rounds a complex MPO differently). ``--manifest PATH`` overrides the
 location; one naming an input or output exits 2, as do two outputs naming one
 file. An existing file is overwritten in place, then cut to the new length
 unless it is not a regular file (/dev/null, a FIFO). Warnings go to stderr. The

@@ -35,7 +35,6 @@ from paulibridge.pauli import (
     PauliSum,
     _act,
     dense_string,
-    json_columns,
     json_document,
     json_field,
     json_rows,
@@ -341,40 +340,38 @@ def program_from_json(text: str) -> LcuProgram:
 
 
 def _read_table(preps: list, selects: list, left: tuple[str, ...], right: tuple[str, ...]) -> PrepColumns:
-    """The table of equally long ``prep`` and ``select`` lists, in file order, checked in bulk."""
-    sizes = (len(left), len(right))
-    keys = ("a", "b", "pl", "pr", "phase_re", "phase_im")
-    s_cols = json_columns(selects, keys, (*sizes, str, str, float, float))
-    p_cols = json_columns(preps, keys[:2] + ("amp",), (*sizes, float))
-    if (s_cols is None or p_cols is None or p_cols[:2] != s_cols[:2]
-            or len(np.unique(np.array(s_cols[0], dtype=np.int64) * len(right) + s_cols[1])) < len(selects)
-            or tuple(map(left.__getitem__, s_cols[0])) != s_cols[2]
-            or tuple(map(right.__getitem__, s_cols[1])) != s_cols[3]
-            # np.hypot rounds as abs(complex) does
-            or not (np.abs(np.hypot(s_cols[4], s_cols[5]) - 1) <= PHASE_TOL).all()):
-        _raise_row_error(preps, selects, left, right)
-    phase = np.array(s_cols[4], dtype=np.complex128)
-    phase.imag = s_cols[5]
-    return PrepColumns(*np.array(s_cols[:2], dtype=np.int64).reshape(2, -1), np.array(p_cols[2]), phase)
-
-
-def _raise_row_error(preps: list, selects: list, left: tuple[str, ...], right: tuple[str, ...]):
-    """Raise the error of the first prep/select row pair that breaks the format."""
-    seen = set()
+    """The table of equally long ``prep`` and ``select`` lists, read row pair by row pair in file order."""
+    n_left, n_right, seen, values = len(left), len(right), set(), []
     for k, (p_row, s_row) in enumerate(zip(preps, selects)):
-        where = f"select[{k}]."
-        a, b = _field(s_row, "a", len(left), where), _field(s_row, "b", len(right), where)
-        if _field(s_row, "pl", str, where) != left[a] or _field(s_row, "pr", str, where) != right[b]:
-            raise _malformed(where + "pl/pr", "select row labels disagree with the dictionaries")
-        if (a, b) in seen:
-            raise _malformed(f"select[{k}]", f"pair ({a}, {b}) appears twice")
-        seen.add((a, b))
-        phase = complex(_field(s_row, "phase_re", float, where), _field(s_row, "phase_im", float, where))
-        if abs(abs(phase) - 1) > PHASE_TOL:
-            raise _malformed(f"select[{k}]", f"phase {phase} has modulus {abs(phase):.6g}, not 1")
-        where = f"prep[{k}]."
-        pair = (_field(p_row, "a", len(left), where), _field(p_row, "b", len(right), where))
-        if pair != (a, b):
-            raise _malformed(f"prep[{k}]", f"pair {pair} is not the pair ({a}, {b}) of select[{k}]")
-        _field(p_row, "amp", float, where)
-    raise AssertionError("every prep and select row is well formed")
+        try:  # a row pair of exact JSON types that passes its checks reads as _read_row would read it
+            a, b, re, im, amp = s_row["a"], s_row["b"], s_row["phase_re"], s_row["phase_im"], p_row["amp"]
+            pair = p_row["a"], p_row["b"]
+        except (KeyError, TypeError):  # not a dict, or a field missing
+            a = None
+        if not (type(a) is int is type(b) is type(pair[0]) is type(pair[1]) and 0 <= a < n_left
+                and 0 <= b < n_right and pair == (a, b) and s_row.get("pl") == left[a]
+                and s_row.get("pr") == right[b] and a * n_right + b not in seen and type(re) is float is type(im)
+                and type(amp) is float and math.isfinite(amp) and abs(abs(complex(re, im)) - 1) <= PHASE_TOL):
+            a, b, re, im, amp = _read_row(p_row, s_row, k, left, right, seen)
+        seen.add(a * n_right + b)
+        values += a, b, amp, re, im
+    table = np.array(values, dtype=np.float64).reshape(-1, 5)
+    return PrepColumns(*table[:, :2].T.astype(np.int64), table[:, 2], table[:, 3:].copy().view(np.complex128).ravel())
+
+
+def _read_row(p_row, s_row, k: int, left: tuple[str, ...], right: tuple[str, ...], seen: set) -> tuple:
+    """The rule for row pair ``k``, earlier rows' ``a * len(right) + b`` being ``seen``: its values or first error."""
+    where = f"select[{k}]."
+    a, b = _field(s_row, "a", len(left), where), _field(s_row, "b", len(right), where)
+    if _field(s_row, "pl", str, where) != left[a] or _field(s_row, "pr", str, where) != right[b]:
+        raise _malformed(where + "pl/pr", "select row labels disagree with the dictionaries")
+    if a * len(right) + b in seen:
+        raise _malformed(f"select[{k}]", f"pair ({a}, {b}) appears twice")
+    phase = complex(_field(s_row, "phase_re", float, where), _field(s_row, "phase_im", float, where))
+    if (off := abs(abs(phase) - 1)) > PHASE_TOL:
+        raise _malformed(f"select[{k}]", f"phase is {off:.2g} off the unit circle, past {PHASE_TOL:g}: {phase}")
+    where = f"prep[{k}]."
+    pair = (_field(p_row, "a", len(left), where), _field(p_row, "b", len(right), where))
+    if pair != (a, b):
+        raise _malformed(f"prep[{k}]", f"pair {pair} is not the pair ({a}, {b}) of select[{k}]")
+    return a, b, phase.real, phase.imag, _field(p_row, "amp", float, where)

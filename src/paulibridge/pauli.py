@@ -33,7 +33,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -55,7 +54,6 @@ __all__ = [
     "dense_string",
     "diagonal_rows",
     "json_document",
-    "json_columns",
     "json_field",
     "json_labels",
     "json_skeleton",
@@ -507,9 +505,8 @@ def json_document(text: str, fmt: str) -> dict:
 
 
 def json_field(fmt: str, doc, key: str, kind, where: str = ""):
-    """``doc[key]`` when it is a ``kind``, the kinds read as json_columns reads them: ``float``
-    is a finite number, read as a float, and an int kind is an index below it; ``where``
-    prefixes the field name."""
+    """``doc[key]`` when it is a ``kind``: ``float`` is a finite number, read as a float, and an
+    int kind is an index below it; ``where`` prefixes the field name."""
     value = doc.get(key) if isinstance(doc, dict) else None
     if kind is float:
         try:
@@ -527,41 +524,17 @@ def json_field(fmt: str, doc, key: str, kind, where: str = ""):
     return value
 
 
-def json_columns(rows: list, keys: tuple[str, ...], kinds: tuple) -> list[tuple] | None:
-    """The ``keys`` of every row as one tuple per key, or None unless every row is a dict
-    holding each key as its kind: ``str``, ``float`` (a finite number, read as a float;
-    never a bool) or a size (an int in 0..size-1)."""
-    try:
-        columns = [tuple(map(operator.itemgetter(key), rows)) for key in keys]
-        for j, (column, kind) in enumerate(zip(columns, kinds)):
-            types = set(map(type, column))
-            if kind is float:  # math.isfinite raises OverflowError on an int past the float range
-                if not (types <= {int, float} and all(map(math.isfinite, column))):
-                    return None
-                columns[j] = tuple(map(float, column))
-            elif kind is str and not types <= {str}:
-                return None
-            elif kind is not str and not (types <= {int} and all(map(range(kind).__contains__, column))):
-                return None
-    except (KeyError, TypeError, OverflowError):
-        return None
-    return columns
-
-
 def json_labels(fmt: str, doc, key: str, width: int) -> tuple[str, ...]:
     """``doc[key]`` as a non-empty, strictly increasing list of ``width``-site Pauli labels."""
     labels = json_field(fmt, doc, key, list)
     if not labels:
         raise malformed(fmt, key, "empty fragment dictionary")
-    if (set(map(type, labels)) == {str} and set(map(len, labels)) == {width}
-            and set("".join(labels)) <= set(SYMBOLS) and all(map(operator.lt, labels, labels[1:]))):
-        return tuple(labels)
-    for k, label in enumerate(labels):  # the first bad label
-        if not (isinstance(label, str) and len(label) == width and set(label) <= set(SYMBOLS)):
+    for k, label in enumerate(labels):
+        if not (isinstance(label, str) and len(label) == width and not label.strip(SYMBOLS)):
             raise malformed(fmt, f"{key}[{k}]", f"expected a {width}-site Pauli label, got {label!r}")
         if k and label <= labels[k - 1]:  # ASCII order is the I < X < Y < Z order
             raise malformed(fmt, f"{key}[{k}]", f"not increasing: {label!r} after {labels[k - 1]!r}")
-    raise AssertionError("every label is well formed")
+    return tuple(labels)
 
 
 def json_skeleton(fmt: str, doc, left_key: str, right_key: str) -> tuple[int, tuple[str, ...], tuple[str, ...]]:

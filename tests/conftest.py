@@ -397,14 +397,19 @@ OTHER_SELECT_HASH = compile_lcu(compile_bridge(parse_pauli_sum(OTHER_OPERATOR), 
 # (field named in the error, mutation) for the lcu-v1 program of that bridge
 PROGRAM_MUTATIONS = [
     pytest.param("select[0].a", lambda d: d["select"][0].update(a=99), id="select-index-out-of-range"),
+    # index -1 with the dictionary's last label in both rows: Python would read that label from the end
+    pytest.param("select[0].a: -1 not in 0..5", lambda d: [
+        d["select"][0].update(a=-1, pl=d["left"][-1]), d["prep"][0].update(a=-1)], id="select-index-minus-one"),
+    pytest.param("select[0].b: -1 not in 0..4", lambda d: [
+        d["select"][0].update(b=-1, pr=d["right"][-1]), d["prep"][0].update(b=-1)], id="select-index-b-minus-one"),
     pytest.param("prep[0].amp", lambda d: d["prep"][0].update(amp=None), id="null-amplitude"),
     pytest.param("prep[1].b", lambda d: d["prep"][1].update(b=-1), id="prep-index-negative"),
     pytest.param("prep[0].a", lambda d: d["prep"][0].update(a="0"), id="prep-index-string"),
     pytest.param("select[2].phase_re", lambda d: d["select"][2].update(phase_re=float("nan")), id="nan-phase"),
     pytest.param("select[1].phase_im", lambda d: d["select"][1].update(phase_im=True), id="bool-phase"),
     pytest.param("select[0]", lambda d: d["select"][0].update(phase_re=5.0), id="phase-off-unit-circle"),
-    # a modulus 1 + 5e-9, between PHASE_TOL and 10 x PHASE_TOL: the bulk check and the row locator must agree
-    pytest.param("select[1]", lambda d: d["select"][1].update(
+    # a modulus 1 + 5e-9, between PHASE_TOL and 10 x PHASE_TOL: the shortcut and the rule must both refuse it
+    pytest.param("select[1]: phase is 5e-09 off the unit circle, past 1e-09", lambda d: d["select"][1].update(
         {key: d["select"][1][key] * (1 + 5e-9) for key in ("phase_re", "phase_im")}),
         id="phase-modulus-off-by-5e-9"),
     pytest.param("select[2]", lambda d: d["select"][2].update(phase_re=0.0, phase_im=0.0), id="phase-zero"),

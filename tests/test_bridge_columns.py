@@ -48,6 +48,7 @@ from paulibridge.pauli import (
 )
 
 from conftest import BYTE_IDENTITY, dict_bridge, pauli_sum, prep_columns, prep_rows
+from test_pauli_core import _json_values
 
 # ---------------------------------------------------------------------------
 # oracles: the per-row code
@@ -236,8 +237,9 @@ def oracle_program_from_json(text: str) -> LcuProgram:
         if (a, b) in rows:
             raise malformed(fmt, f"select[{k}]", f"pair ({a}, {b}) appears twice")
         phase = complex(json_finite(fmt, s_row, "phase_re", where), json_finite(fmt, s_row, "phase_im", where))
-        if abs(abs(phase) - 1) > 1e-9:
-            raise malformed(fmt, f"select[{k}]", f"phase {phase} has modulus {abs(phase):.6g}, not 1")
+        off = abs(abs(phase) - 1)
+        if off > 1e-9:
+            raise malformed(fmt, f"select[{k}]", f"phase is {off:.2g} off the unit circle, past 1e-09: {phase}")
         where = f"prep[{k}]."
         pair = (index(p_row, "a", len(left), where), index(p_row, "b", len(right), where))
         if pair != (a, b):
@@ -525,7 +527,7 @@ BRIDGE_CHANGES = [
     _set("bridge", 0, "a", True), _set("bridge", 1, "b", 99), _set("bridge", 0, "a", -1),
     _set("bridge", 2, "re", 10**400),
     _set("bridge", 0, "im", math.nan), _set("bridge", 3, "re", math.inf), _set("bridge", 1, "a", 2**70),
-    _set("bridge", 0, "re", 3), _copy_pair("bridge", 0, 4), _copy_pair("bridge", 5, 2),
+    _set("bridge", 0, "re", 3), _copy_pair("bridge", 0, 4), _copy_pair("bridge", 5, 2), _set("bridge", 2, "b", 1.0),
 ]
 PROGRAM_CHANGES = [
     _set("select", 1, "phase_re", 1.5), _set("select", 0, "phase_im", 10**400), _set("select", 2, "phase_re", math.nan),
@@ -533,6 +535,8 @@ PROGRAM_CHANGES = [
     _set("select", 0, "a", 2**70),
     _set("select", 3, "pr", "ZZZ"), _copy_pair("select", 0, 3), _copy_pair("prep", 1, 2), _scale_amps,
     _set("prep", 0, "amp", 1), _set("select", 0, "phase_re", -1), lambda doc: doc.update(select_hash="0" * 64),
+    _set("select", 1, "b", True), _set("select", 2, "a", 1.0), _set("prep", 1, "b", True), _set("prep", 2, "a", 1.0),
+    lambda doc: [_copy_pair(key, 0, 3)(doc) for key in ("select", "prep")],  # a pair twice, in both lists
 ]
 
 
@@ -595,3 +599,43 @@ def test_an_int_past_the_float_range_is_not_a_finite_number(h2_subset, fmt, key,
     with pytest.raises(ValueError) as info:
         read(json.dumps(doc))
     assert str(info.value) == f"{fmt} field {key}[{k}].{field}: expected a finite number, got {value!r}"
+
+
+# the fields of one prep/select row pair, as (list, field)
+PROGRAM_FIELDS = [("select", f) for f in ("a", "b", "pl", "pr", "phase_re", "phase_im")] + [
+    ("prep", f) for f in ("a", "b", "amp")]
+
+
+@BYTE_IDENTITY
+@given(st.integers(0, 99), st.sampled_from(["a", "b", "re", "im"]), _json_values)
+def test_any_value_in_a_bridge_field_reads_as_the_per_row_reader_reads_it(h2_subset, k, field, value):
+    # the readers take a row of exact JSON types without the rule; that must never change the verdict
+    doc = json.loads(decomposition_to_json(compile_bridge(h2_subset, 2)))
+    doc["bridge"][k % len(doc["bridge"])][field] = value
+    text = json.dumps(doc)
+    got, want = outcome(decomposition_from_json, text), outcome(oracle_decomposition_from_json, text)
+    assert got == want if got[0] != "ok" else want[0] == "ok" and same_decomposition(got[1], want[1])
+
+
+@BYTE_IDENTITY
+@given(st.integers(0, 99), st.sampled_from(PROGRAM_FIELDS), _json_values)
+def test_any_value_in_a_program_field_reads_as_the_per_row_reader_reads_it(h2_subset, k, place, value):
+    doc = json.loads(program_to_json(compile_lcu(compile_bridge(h2_subset, 2))))
+    key, field = place
+    doc[key][k % len(doc[key])][field] = value
+    text = json.dumps(doc)
+    got, want = outcome(program_from_json, text), outcome(oracle_program_from_json, text)
+    assert got == want if got[0] != "ok" else want[0] == "ok" and same_table(got[1], want[1])
+
+
+def test_int_valued_numbers_read_as_floats():
+    # 1 and -1 written as JSON ints go through the rule, which reads them as 1.0 and -1.0
+    d = compile_bridge(pauli_sum(2, [(-1.0, "XZ")]), 1)
+    doc = json.loads(decomposition_to_json(d))
+    doc["bridge"][0]["re"] = 1
+    assert same_decomposition(decomposition_from_json(json.dumps(doc)), set_bridge(d, [1.0]))
+    program = compile_lcu(d)
+    doc = json.loads(program_to_json(program))
+    assert (doc["prep"][0]["amp"], doc["select"][0]["phase_re"]) == (1.0, -1.0)
+    doc["prep"][0]["amp"], doc["select"][0]["phase_re"] = 1, -1
+    assert same_table(program_from_json(json.dumps(doc)), program)

@@ -471,13 +471,14 @@ class TestSerialization:
             program_from_json(json.dumps(doc))
 
     def test_phase_modulus_past_the_tolerance_names_its_row(self, h2_subset):
-        # off by 5e-9, between PHASE_TOL and 10 x PHASE_TOL: the bulk check refuses the table,
-        # and the row locator must find the row, not fall through to its assertion
+        # off by 5e-9, between PHASE_TOL and 10 x PHASE_TOL: the shortcut passes the row to the
+        # rule, which must refuse it and say how far off it is
         doc = json.loads(program_to_json(h2_program(h2_subset)))
         row = doc["select"][1]
         row.update(phase_re=row["phase_re"] * (1 + 5e-9), phase_im=row["phase_im"] * (1 + 5e-9))
         assert PHASE_TOL < abs(complex(row["phase_re"], row["phase_im"])) - 1 < 10 * PHASE_TOL
-        with pytest.raises(ValueError, match=r"^lcu-v1 field select\[1\]: phase .* not 1$"):
+        message = r"^lcu-v1 field select\[1\]: phase is 5e-09 off the unit circle, past 1e-09: "
+        with pytest.raises(ValueError, match=message):
             program_from_json(json.dumps(doc))
 
     def test_wrong_format_rejected(self, h2_subset):

@@ -28,8 +28,6 @@ from paulibridge.pauli import (
     SYMBOLS,
     dense_string,
     diagonal_rows,
-    json_columns,
-    json_field,
     json_text,
     label_rows,
     multiply,
@@ -510,7 +508,8 @@ class TestJsonText:
             json_text(place(value))
 
 
-# any JSON value: ints past the float range and non-finite floats included
+# any JSON value: ints past the float range and non-finite floats included; test_bridge_columns puts
+# one into a row of each cut format
 _json_values = st.recursive(
     st.one_of(
         st.none(), st.booleans(), st.integers(-10**400, 10**400), st.floats(), _json_strings,
@@ -519,35 +518,3 @@ _json_values = st.recursive(
     lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(_json_strings, inner, max_size=3)),
     max_leaves=8,
 )
-# every kind json_field and json_columns both take: a finite number, a string, a size
-_json_kinds = st.sampled_from([float, str, 0, 1, 2, 3, 4])
-
-
-def _field(value, kind) -> tuple | None:
-    """json_field's reading of ``value`` as a one-row column, or None where it refuses it."""
-    try:
-        return (json_field("f", {"k": value}, "k", kind),)
-    except ValueError:
-        return None
-
-
-def _typed(columns):
-    """Each value with its type, so that 5 and 5.0 differ."""
-    return columns if columns is None else [[(type(x), x) for x in column] for column in columns]
-
-
-class TestJsonColumns:
-    @BYTE_IDENTITY
-    @given(_json_kinds, _json_values, _json_kinds, _json_values)
-    @example(10, 5, str, "XY")  # one key: itemgetter("k") gives a bare value, not a 1-tuple
-    @example(float, 10**400, 4, True)
-    def test_reads_exactly_what_json_field_reads(self, kind, value, other_kind, other):
-        first, second = _field(value, kind), _field(other, other_kind)
-        one_key = json_columns([{"k": value}], ("k",), (kind,))
-        assert _typed(one_key) == _typed(first and [first])
-        two_keys = json_columns([{"k": value, "j": other}], ("k", "j"), (kind, other_kind))
-        assert _typed(two_keys) == _typed(first and second and [first, second])
-
-    def test_one_key_table(self):
-        assert json_columns([{"k": 5}], ("k",), (10,)) == [(5,)]
-        assert json_columns([{"k": "XY"}, {"k": "Z"}], ("k",), (str,)) == [("XY", "Z")]
