@@ -180,7 +180,7 @@ def cmd_compile(args) -> tuple[dict[str, str], dict]:
     d = compile_bridge(op, args.cut)
     print(f"left_fragments {len(d.left)}")
     print(f"right_fragments {len(d.right)}")
-    print(f"active_pairs {len(d.bridge.active_pairs)}")
+    print(f"active_pairs {np.count_nonzero(d.bridge.coeffs)}")
     print(f"structural_hash {structural_hash(d)}")
     return {"output": decomposition_to_json(d)}, {"cut": args.cut}
 

@@ -297,11 +297,11 @@ class GroundStateResult:
 
 
 def lowest_pairs(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
-    """The two lowest eigenpairs of dense Hermitian ``op`` (a sum has at least one site): the one
-    dense reference solve. The last sum's read-only pairs are kept, keyed by its exact content (term
-    order too, as ``to_dense`` sums in order), so a second caller on that sum does not solve again."""
+    """The two lowest eigenpairs of dense Hermitian ``op`` (a sum has at least one site): the one dense
+    reference solve, in place on a matrix no caller sees. The last sum's read-only pairs are kept, keyed by
+    its exact content (term order too, as ``to_dense`` sums in order), so a second caller does not solve again."""
     return _memo("lowest_pairs", (op.n_sites, op.rows.tobytes(), op.coeffs.tobytes()),
-                 lambda: scipy.linalg.eigh(to_dense(require_hermitian(op)), subset_by_index=[0, 1]))
+                 lambda: scipy.linalg.eigh(to_dense(require_hermitian(op)), overwrite_a=True, subset_by_index=[0, 1]))
 
 
 def ground_state_reference(op: PauliSum, max_bond: int | None = None) -> GroundStateResult:

@@ -329,10 +329,10 @@ def require_dense(n: int, what: str = "sites") -> None:
 
 
 def to_dense(op: PauliSum) -> np.ndarray:
-    """Dense matrix of a sum; refuses more than DENSE_LIMIT sites."""
+    """Dense matrix of a sum, in Fortran order, which LAPACK solves in place; refuses more than DENSE_LIMIT sites."""
     require_dense(op.n_sites)
     idx = np.arange(2**op.n_sites)
-    out = np.zeros((idx.size, idx.size), dtype=np.complex128)
+    out = np.zeros((idx.size, idx.size), dtype=np.complex128, order="F")
     for masks, diagonals in _flip_groups(op):
         out[idx ^ masks[:, None], idx] = diagonals
     return out
@@ -357,23 +357,17 @@ def apply_string(row: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 def _parse_coeff(token: str) -> complex:
     # float() and complex() also take "_" separators and non-ASCII digits
-    if not token.isascii() or "_" in token:
-        raise PauliError(f"bad coefficient {token!r}")
-    try:
-        value = float(token)
-    except ValueError:
-        pass
-    else:
-        if math.isfinite(value):
-            return complex(value)
-        raise PauliError(f"non-finite coefficient {token!r}")
-    if token.endswith("i"):
+    if token.isascii() and "_" not in token:
         try:
-            value = complex(token[:-1] + "j")
-        except ValueError:
-            raise PauliError(f"bad coefficient {token!r}") from None
-        if math.isfinite(value.real) and math.isfinite(value.imag):
-            return value
+            value = float(token)
+        except ValueError:  # a complex a+bi, or no number
+            with contextlib.suppress(ValueError):
+                if token.endswith("i") and cmath.isfinite(value := complex(token[:-1] + "j")):
+                    return value
+        else:
+            if math.isfinite(value):
+                return complex(value)
+            raise PauliError(f"non-finite coefficient {token!r}")
     raise PauliError(f"bad coefficient {token!r}")
 
 
@@ -412,60 +406,54 @@ def _row_labels(rows: np.ndarray, n_sites: int) -> np.ndarray:
     return points.view(f"U{n_sites}").reshape(-1)
 
 
-def _line_error(body: list[tuple[int, str]], width: int) -> PauliError:
-    """The error of the first body line that breaks the format; ``width`` is the first label's length."""
-    for line_no, line in body:
-        tokens = line.split()
-        column = line.index(tokens[0]) + 1
-        try:
-            if len(tokens) != 2:
-                raise PauliError(f"expected '<coeff> <STRING>', got {len(tokens)} tokens")
-            _parse_coeff(tokens[0])
-            column = line.index(tokens[1], column - 1 + len(tokens[0])) + 1
-            if tokens[1].strip(SYMBOLS):
-                raise PauliError(f"invalid Pauli symbol {tokens[1].strip(SYMBOLS)[0]!r} in {tokens[1]!r}")
-        except PauliError as exc:
-            return MalformedLine(str(exc), line_no, column)
-        if len(tokens[1]) != width:
-            return InconsistentLength(f"line {line_no}: string length {len(tokens[1])} != {width}")
-    raise AssertionError("every line is well formed")
+def _read_line(line: str, line_no: int, width: int) -> tuple[complex, str]:
+    """The rule: a body line's coefficient and label, or the error of its first broken clause."""
+    tokens = line.split()
+    column = line.index(tokens[0]) + 1
+    try:
+        if len(tokens) != 2:
+            raise PauliError(f"expected '<coeff> <STRING>', got {len(tokens)} tokens")
+        coeff = _parse_coeff(tokens[0])
+        column = line.index(tokens[1], column - 1 + len(tokens[0])) + 1
+        if tokens[1].strip(SYMBOLS):
+            raise PauliError(f"invalid Pauli symbol {tokens[1].strip(SYMBOLS)[0]!r} in {tokens[1]!r}")
+    except PauliError as exc:
+        raise MalformedLine(str(exc), line_no, column) from None
+    if len(tokens[1]) != width:
+        raise InconsistentLength(f"line {line_no}: string length {len(tokens[1])} != {width}")
+    return coeff, tokens[1]
 
 
 def parse_pauli_sum(text: str) -> PauliSum:
-    """Parse the line-oriented ``<coeff> <STRING>`` format into a merged sum.
-
-    Raises MalformedLine / InconsistentLength / EmptyInput on bad input,
-    checked in bulk and reported for the first bad line; a merge that
-    overflows is a MalformedLine naming the line that made it overflow.
-    """
-    body = [(no, line) for no, raw in enumerate(text.splitlines(), 1) if (line := raw.split("#", 1)[0]).strip()]
-    if not body:
+    """Parse the line-oriented ``<coeff> <STRING>`` format into a merged sum, each line read once, in
+    file order, by one rule (``_read_line``): MalformedLine or InconsistentLength at the first bad
+    line, EmptyInput if none holds a term; a merge that overflows is a MalformedLine naming its line."""
+    coeffs, labels, line_nos, width = [], [], [], 0
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0] if "#" in raw else raw  # most lines hold no comment to split off
+        if not (tokens := line.split()):
+            continue
+        width = width or len(tokens[-1])
+        try:  # the shortcut: a finite ASCII real with no "_" and an IXYZ label of the width
+            number, label = tokens
+            coeff = float(number)
+        except ValueError:
+            coeff = math.nan
+        if not (math.isfinite(coeff) and number.isascii() and "_" not in number and len(label) == width
+                and label.isascii() and not label.encode().strip(b"IXYZ")):  # faster than str.strip
+            coeff, label = _read_line(line, line_no, width)
+        coeffs.append(coeff)
+        labels.append(label)
+        line_nos.append(line_no)
+    if not labels:
         raise EmptyInput("no terms in input")
-    pairs = [line.split() for _, line in body]
-    width = len(pairs[0][-1])
-    if set(map(len, pairs)) != {2}:
-        raise _line_error(body, width)
-    tokens, labels = zip(*pairs)
-    numbers = "".join(tokens)
-    coeffs = None
-    try:  # real tokens at C speed; a complex one sends every token through _parse_coeff
-        coeffs = np.array(list(map(float, tokens)), dtype=np.complex128)
-    except ValueError:
-        with contextlib.suppress(PauliError):
-            coeffs = np.array(list(map(_parse_coeff, tokens)), dtype=np.complex128)
-    if coeffs is None or not np.isfinite(coeffs).all() or not numbers.isascii() or "_" in numbers:
-        raise _line_error(body, width)
-    try:
-        rows = label_rows(labels, width)
-    except PauliError:
-        raise _line_error(body, width) from None
-    op = PauliSum.from_rows(width, rows, coeffs)
-    if not np.isfinite(op.coeffs).all():
-        # a merge overflowed: replay the merges, one per body line, to name the line
+    op = PauliSum.from_rows(width, label_rows(labels, width), np.array(coeffs, dtype=np.complex128))
+    if not np.isfinite(op.coeffs).all():  # a merge overflowed: replay the merges, one per line, to name it
         totals: dict[str, complex] = {}
-        for (line_no, line), label, coeff in zip(body, labels, coeffs.tolist()):
+        for line_no, label, coeff in zip(line_nos, labels, coeffs):
             totals[label] = totals.get(label, 0j) + coeff
             if not cmath.isfinite(totals[label]):
+                line = text.splitlines()[line_no - 1]
                 message = f"coefficient of {label} is not finite once merged with earlier lines"
                 raise MalformedLine(message, line_no, len(line) - len(line.lstrip()) + 1)
     return op

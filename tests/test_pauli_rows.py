@@ -1,6 +1,6 @@
 """A PauliSum held as packed rows and a coefficient vector.
 
-``PauliSum.from_rows``, the bulk text parser and the all-pairs
+``PauliSum.from_rows``, the text parser and the all-pairs
 ``multiply`` are each checked against a per-term oracle kept here: the
 dict merge, the line-by-line parser and the pair-by-pair product loop that
 the package used before sums were held as arrays. The oracle parser has
@@ -11,12 +11,14 @@ import cmath
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from paulibridge import pauli
 from paulibridge.pauli import (
     EmptyInput,
     InconsistentLength,
@@ -24,6 +26,7 @@ from paulibridge.pauli import (
     PauliError,
     PauliSum,
     SYMBOLS,
+    label_rows,
     multiply,
     n_words,
     parse_pauli_sum,
@@ -319,3 +322,137 @@ class TestAsciiNumerals:
     def test_ascii_literals_still_read(self):
         op = parse_pauli_sum("10 XZ\n3 ZZ\n0.55+10i XX\n+.5e1 YY\n")
         assert op.coeffs.tolist() == [10, 3, 0.55 + 10j, 5]
+
+
+# ---------------------------------------------------------------------------
+# the reader's one rule per line, and its shortcut
+
+# The verdict on each refused text, pinned as the bulk reader that the one rule replaced gave it:
+# (text, class, line, column, message); line and column are None where the class carries none.
+REFUSALS = [
+    # token counts
+    ("1.0\n", MalformedLine, 1, 1, "line 1, column 1: expected '<coeff> <STRING>', got 1 tokens"),
+    ("1.0 XX YY\n", MalformedLine, 1, 1, "line 1, column 1: expected '<coeff> <STRING>', got 3 tokens"),
+    ("1.0 XX\n  XX 1.0 1\n", MalformedLine, 2, 3, "line 2, column 3: expected '<coeff> <STRING>', got 3 tokens"),
+    ("1.0 XX\n\t-2.5\n", MalformedLine, 2, 2, "line 2, column 2: expected '<coeff> <STRING>', got 1 tokens"),
+    ("0.5#c XX\n", MalformedLine, 1, 1, "line 1, column 1: expected '<coeff> <STRING>', got 1 tokens"),
+    # coefficients
+    ("1.0 XX\nnan ZZ\n", MalformedLine, 2, 1, "line 2, column 1: non-finite coefficient 'nan'"),
+    ("1.0 XX\n inf ZZ\n", MalformedLine, 2, 2, "line 2, column 2: non-finite coefficient 'inf'"),
+    ("1.0 XX\n1e400 ZZ\n", MalformedLine, 2, 1, "line 2, column 1: non-finite coefficient '1e400'"),
+    ("1.0 XX\n1+2j ZZ\n", MalformedLine, 2, 1, "line 2, column 1: bad coefficient '1+2j'"),
+    ("1.0 XX\n1_0 ZZ\n", MalformedLine, 2, 1, "line 2, column 1: bad coefficient '1_0'"),
+    ("1.0 XX\n٣ ZZ\n", MalformedLine, 2, 1, "line 2, column 1: bad coefficient '٣'"),
+    ("nan XX\n", MalformedLine, 1, 1, "line 1, column 1: non-finite coefficient 'nan'"),
+    ("1.0 XX\n-inf ZZ\n", MalformedLine, 2, 1, "line 2, column 1: non-finite coefficient '-inf'"),
+    ("1.0 XX\n1e400i ZZ\n", MalformedLine, 2, 1, "line 2, column 1: bad coefficient '1e400i'"),
+    ("1.0 XX\nnan+1i ZZ\n", MalformedLine, 2, 1, "line 2, column 1: bad coefficient 'nan+1i'"),
+    ("1.0 XX\n1+٣i ZZ\n", MalformedLine, 2, 1, "line 2, column 1: bad coefficient '1+٣i'"),
+    # symbols
+    ("1.0 XQ\n", MalformedLine, 1, 5, "line 1, column 5: invalid Pauli symbol 'Q' in 'XQ'"),
+    ("1.0 XX\n1.0 xx\n", MalformedLine, 2, 5, "line 2, column 5: invalid Pauli symbol 'x' in 'xx'"),
+    ("1.0 XX\n  2.0   Zé\n", MalformedLine, 2, 9, "line 2, column 9: invalid Pauli symbol 'é' in 'Zé'"),
+    ("1.0 XX\n1.0 X\ud800\n", MalformedLine, 2, 5, "line 2, column 5: invalid Pauli symbol '\\ud800' in 'X\\ud800'"),
+    ("1.0 XX\n1.0 XX\n2.0 IQZ\n", MalformedLine, 3, 5, "line 3, column 5: invalid Pauli symbol 'Q' in 'IQZ'"),
+    # widths: the first line's last token sets it
+    ("1.0 XX\n1.0 XXX\n", InconsistentLength, None, None, "line 2: string length 3 != 2"),
+    ("1.0 XXX\n\n# c\n0.5 XX\n", InconsistentLength, None, None, "line 4: string length 2 != 3"),
+    ("0.5+1i XX\n  0.25 X # short\n", InconsistentLength, None, None, "line 2: string length 1 != 2"),
+    # comment-only and blank lines
+    ("# only a comment\n\n", EmptyInput, None, None, "no terms in input"),
+    ("", EmptyInput, None, None, "no terms in input"),
+    ("  \n\t\n# 1.0 QQ\n", EmptyInput, None, None, "no terms in input"),
+    ("# head\n\n1.0 XX\n# mid\n1.0 XQ\n", MalformedLine, 5, 5, "line 5, column 5: invalid Pauli symbol 'Q' in 'XQ'"),
+    # line separators: CRLF, and \x0b and \x1c, which str.splitlines also breaks at
+    ("1.0 XX\r\n1.0 XQ\r\n", MalformedLine, 2, 5, "line 2, column 5: invalid Pauli symbol 'Q' in 'XQ'"),
+    ("1.0 XX\x0b1.0 XQ\n", MalformedLine, 2, 5, "line 2, column 5: invalid Pauli symbol 'Q' in 'XQ'"),
+    ("1.0 XX\x1c2.0 ZZ\x1cnan ZZ\n", MalformedLine, 3, 1, "line 3, column 1: non-finite coefficient 'nan'"),
+    ("1.0 XX\r\n\r\n  1.0 XXX\r\n", InconsistentLength, None, None, "line 3: string length 3 != 2"),
+    ("1.0\x0bXX\n", MalformedLine, 1, 1, "line 1, column 1: expected '<coeff> <STRING>', got 1 tokens"),
+    ("1.0\x1cXX\n", MalformedLine, 1, 1, "line 1, column 1: expected '<coeff> <STRING>', got 1 tokens"),
+    # the first bad line wins, whatever its clause
+    ("1.0 XX\n1.0 XQ\n1.0\n", MalformedLine, 2, 5, "line 2, column 5: invalid Pauli symbol 'Q' in 'XQ'"),
+    ("1.0 XX\n1.0 XXX\n1_0 ZZ\n", InconsistentLength, None, None, "line 2: string length 3 != 2"),
+    ("1.0 XX YY\n1_0 ZZ\n", MalformedLine, 1, 1, "line 1, column 1: expected '<coeff> <STRING>', got 3 tokens"),
+    # merges that overflow, named at the line that overflows and its first token
+    ("1e308 XZ\n1e308 XZ\n0.5 ZZ\n", MalformedLine, 2, 1,
+     "line 2, column 1: coefficient of XZ is not finite once merged with earlier lines"),
+    ("0.5 ZZ\n1e308i XZ\n  -1e308+1e308i XZ\n", MalformedLine, 3, 3,
+     "line 3, column 3: coefficient of XZ is not finite once merged with earlier lines"),
+]
+
+
+def rule_parse(text: str) -> PauliSum:
+    """Every body line through the rule alone, merged; the sum parse_pauli_sum must return."""
+    body = [(no, line) for no, raw in enumerate(text.splitlines(), 1) if (line := raw.split("#", 1)[0]).split()]
+    width = len(body[0][1].split()[-1])
+    coeffs, labels = zip(*(pauli._read_line(line, no, width) for no, line in body))
+    return PauliSum.from_rows(width, label_rows(labels, width), np.array(coeffs, dtype=np.complex128))
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid text with one line past the first mutated, and that line's number."""
+    width = draw(st.integers(1, 6))
+    lines = []
+    for _ in range(draw(st.integers(2, 7))):
+        coeff = draw(st.floats(-1e3, 1e3).map(repr) | st.sampled_from(["1", "-.5e1", "0.5-0.25i", "1i", "-0.0+0i"]))
+        label = draw(st.text("IXYZ", min_size=width, max_size=width))
+        lines.append([draw(st.sampled_from(["", " ", "\t"])), coeff, draw(st.sampled_from([" ", "\t "])), label,
+                      draw(st.sampled_from(["", "  ", " # note"]))])
+    k = draw(st.integers(1, len(lines) - 1))
+    pad, coeff, sep, label, tail = lines[k]
+    kind = draw(st.sampled_from(["coeff", "symbol", "length", "count", "cut"]))
+    if kind == "coeff":
+        coeff = draw(TOKENS)
+    elif kind == "symbol":
+        at = draw(st.integers(0, width - 1))
+        label = label[:at] + draw(BAD_SYMBOLS) + label[at + 1 :]
+    elif kind == "length":
+        label = draw(st.sampled_from([label + "Z", label[1:]]))
+    elif kind == "count":
+        label = draw(st.sampled_from(["", label + sep + label, label + " 1"]))
+    lines = ["".join(line) for line in lines]
+    lines[k] = pad + coeff + sep + label + (tail if kind != "cut" else "")
+    if kind == "cut":  # a "#", a whitespace that is not ASCII, or a line break, anywhere in the line
+        at = draw(st.integers(0, len(lines[k])))
+        cut = draw(st.sampled_from(["#", "\x1f", "\u3000", "\x0b", "\x1c", "\x85"]))
+        lines[k] = lines[k][:at] + cut + lines[k][at:]
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n", k + 1
+
+
+class TestLineRule:
+    @pytest.mark.parametrize("text, cls, line, column, message", REFUSALS)
+    def test_refusal_is_the_pinned_verdict(self, text, cls, line, column, message):
+        with pytest.raises(PauliError) as err:
+            parse_pauli_sum(text)
+        assert type(err.value) is cls and str(err.value) == message
+        assert (getattr(err.value, "line", None), getattr(err.value, "column", None)) == (line, column)
+
+    @BYTE_IDENTITY
+    @given(mutated_texts())
+    @example(("1.0 XX\n2.0 X\x0bX\n", 2))
+    @example(("1.0 XX\n\x852.0 ZZ\n", 2))
+    def test_a_mutated_line_is_refused_at_its_number_or_read_by_the_rule(self, case):
+        text, line_no = case
+        try:
+            op = parse_pauli_sum(text)
+        except (MalformedLine, InconsistentLength) as exc:
+            assert re.match(rf"line {line_no}\b", str(exc))
+            assert outcome(rule_parse, text) == (type(exc), str(exc))
+        else:
+            assert same_bytes(op, rule_parse(text))
+
+    @BYTE_IDENTITY
+    @given(st.lists(st.tuples(st.floats(-1e300, 1e300) | SIGNED.map(lambda c: c.real),
+                              st.text("IXYZ", min_size=3, max_size=3)), min_size=1, max_size=8))
+    @example([(-0.0, "XYZ"), (5e-324, "IZZ"), (0.0, "XYZ"), (1.5, "IZZ")])
+    def test_reals_written_as_complex_read_bit_equal_through_the_rule(self, terms):
+        plain = "".join(f"{c!r} {label}\n" for c, label in terms)
+        ruled = "".join(f"{c!r}+0i {label}\n" for c, label in terms)
+        with mock.patch.object(pauli, "_read_line", wraps=pauli._read_line) as rule:
+            op = parse_pauli_sum(plain)
+            assert rule.call_count == 0  # every plain line takes the shortcut
+            ruled_op = parse_pauli_sum(ruled)
+            assert rule.call_count == len(terms)  # and every a+0i line the rule
+        assert op.rows.tobytes() == ruled_op.rows.tobytes() and op.coeffs.tobytes() == ruled_op.coeffs.tobytes()

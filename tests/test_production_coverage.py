@@ -72,7 +72,7 @@ def test_the_production_runs_enter_the_shared_reference_solve(tmp_path, monkeypa
     # one malformed input per reader, each with its documented exit code: an operator line,
     # a bridge with a repeated pair, a program whose select row disagrees with its dictionary, a usage error
     assert [e for e in exits if e[1]] == [("compile", 2), ("lcu", 2), ("verify", 2), ("compile", 1)]
-    assert not {"bridge._read_row", "lcu._read_row", "pauli._line_error", "pauli._parse_coeff",
+    assert not {"bridge._read_row", "lcu._read_row", "pauli._read_line", "pauli._parse_coeff",
                 "pauli.MalformedLine.__init__", "pauli.malformed", "cli.Parser.error"} & set(names)
     assert "lcu.encoded_block" not in names  # verify measures the block through it
     assert names  # ROADMAP item 4: names only the tests reach are still listed
