@@ -1,6 +1,7 @@
 """Sampler correctness: chain rule, distribution, determinism, curation."""
 
 import contextlib
+import hashlib
 import io
 import re
 import tracemalloc
@@ -66,6 +67,28 @@ def exact_probs(vec, n_sites):
 
 def right_canonical_mps(vec):
     return canonicalize_mps(dense_to_mps(vec))
+
+
+def chain_state(seed, n_sites, bond):
+    """A seeded right-canonical unit MPS with bonds capped at ``bond``, built without a dense vector."""
+    rng = np.random.default_rng(seed)
+    bonds = [min(bond, 2**j, 2 ** (n_sites - j)) for j in range(n_sites + 1)]
+    state = canonicalize_mps(Mps([rng.standard_normal((bonds[j], bonds[j + 1], 2))
+                                  + 1j * rng.standard_normal((bonds[j], bonds[j + 1], 2)) for j in range(n_sites)]))
+    state.tensors[0] /= np.linalg.norm(state.tensors[0])
+    return state
+
+
+# sha256 of sample_strings(chain_state(n_sites, n_sites, bond), ...).tobytes(): one- and two-word
+# rows, counts past one and two CHUNK_STRINGS chunks, and a seed past 2**63 (the uint64-key path)
+DRAW_PINS = [
+    (8, 4, 1025, 0, "638d034043501de1f5123e97d5085adaa8a41ed6141b8b686800d0936d875880"),
+    (8, 4, 2049, 2**63 + 5, "310ee9093fb30d979f0580fc9edc9953027f45aad95cf975c6c16dd48af12682"),
+    (33, 3, 1025, 2**63 + 5, "60edf95b965da2248da4ac0f04a83c8118146a39ca1ee1069faf234b726167cc"),
+    (33, 3, 2049, 0, "ff9d682d5ffead4e7947f5e7370fd2c10ecaac2dae31e9adb2a7ce8480fd779d"),
+    (40, 8, 1025, 0, "8510cf64f9ec866886ec0ac87169b28ff461a1388e941c7b13b1f985933f49e6"),
+    (40, 8, 2049, 2**63 + 5, "93c8f66b0a970800c8ebfa2a9831fe302f1de5ae28d86404fa175a6133b853fe"),
+]
 
 
 class TestChainRule:
@@ -223,6 +246,12 @@ class TestSampling:
         probs = exact_probs(mps_to_dense(res.mps), 4)
         assert np.all(probs[samples[:, 0].astype(np.int64)] > 1e-14)
 
+    @pytest.mark.parametrize("n_sites, bond, n_samples, seed, digest", DRAW_PINS)
+    def test_draw_bytes_are_pinned(self, n_sites, bond, n_samples, seed, digest):
+        rows = sample_strings(chain_state(n_sites, n_sites, bond), SamplerConfig(n_samples=n_samples, seed=seed))
+        assert rows.shape == (n_samples, 1 if n_sites <= 32 else 2)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(n_samples=0, seed=1)
@@ -374,7 +403,7 @@ class TestCurate:
         with pytest.raises(PauliError, match=f"do not fit {n_sites} sites"):
             curate(rows, n_sites)
         with pytest.raises(PauliError, match=f"do not fit {n_sites} sites"):
-            samples_to_text(rows, n_sites)
+            samples_to_text(rows, n_sites, seed=0)
 
 
 def reference_pool_text(labels, n_sites, keep_iz):
@@ -579,7 +608,7 @@ class TestSamplesText:
 
     def test_thirty_two_sites_round_trip(self):
         samples = np.array([[2**64 - 1], [0], [0x9E3779B97F4A7C15]], dtype=np.uint64)
-        back, n_sites = samples_from_text(samples_to_text(samples, 32))
+        back, n_sites = samples_from_text(samples_to_text(samples, 32, seed=0))
         assert n_sites == 32
         assert np.array_equal(back, samples)
 
