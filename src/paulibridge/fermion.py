@@ -43,6 +43,10 @@ __all__ = [
     "map_hamiltonian",
 ]
 
+# the mode-operator sequence of each term kind; its length is the kind's index count
+_LADDERS = {"one_body": ("create", "annihilate"), "two_body": ("create", "create", "annihilate", "annihilate")}
+
+
 class NonHermitianInput(UserWarning):
     """The fermionic term list is not Hermitian-closed."""
 
@@ -56,11 +60,11 @@ class FermionTerm:
     coeff: complex
 
     def __post_init__(self) -> None:
-        expected = {"one_body": 2, "two_body": 4}.get(self.kind)
-        if expected is None:
+        ladders = _LADDERS.get(self.kind)
+        if ladders is None:
             raise ValueError(f"unknown term kind {self.kind!r}")
-        if len(self.indices) != expected:
-            raise ValueError(f"{self.kind} needs {expected} indices, got {len(self.indices)}")
+        if len(self.indices) != len(ladders):
+            raise ValueError(f"{self.kind} needs {len(ladders)} indices, got {len(self.indices)}")
 
 
 def jordan_wigner_op(kind: str, p: int, n: int) -> PauliSum:
@@ -79,10 +83,6 @@ def jordan_wigner_op(kind: str, p: int, n: int) -> PauliSum:
 
 # i-exponents of the ladder operators' Y coefficients: -0.5j = 0.5 i^3, 0.5j = 0.5 i^1
 _Y_EXPONENT = {"create": 3, "annihilate": 1}
-_LADDERS = {
-    "one_body": ("create", "annihilate"),
-    "two_body": ("create", "create", "annihilate", "annihilate"),
-}
 
 
 def _term_products(modes: np.ndarray, ladders: tuple[str, ...], table: np.ndarray):

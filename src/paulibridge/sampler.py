@@ -14,9 +14,9 @@ them per site reproduces the joint distribution with no rejection step.
 
 Each sample consumes an independent Philox stream keyed by
 ``(seed, sample_index)``, so sample i is the same regardless of batch
-size or chunking. Samples are packed rows, and so are
-the curated pools, from the draw to the Ritz pencil: any site count fits
-and the layout is pauli's alone.
+size or chunking. Each chunk packs its drawn symbol codes in one step,
+by pauli's rule, so samples and curated pools are packed rows from the
+draw to the Ritz pencil: any site count fits and the layout is pauli's.
 """
 
 from __future__ import annotations
@@ -106,35 +106,31 @@ def _draw(m: Mps, config: SamplerConfig) -> np.ndarray:
                 f"site {j} violates the right gauge condition at {GAUGE_TOL}; "
                 "canonicalize first"
             )
-    # site_rows[j, c]: the row of symbol c alone on site j; a sample ORs one per site
-    codes = np.eye(n, dtype=np.uint8)[:, None, :] * np.arange(4, dtype=np.uint8)[:, None]
-    site_rows = _pack_codes(codes.reshape(4 * n, n)).reshape(n, 4, -1)
     out = np.empty((config.n_samples, n_words(n)), dtype=np.uint64)
     for start in range(0, config.n_samples, mps.CHUNK_STRINGS):
         stop = min(start + mps.CHUNK_STRINGS, config.n_samples)
-        out[start:stop] = _sample_chunk(m, site_rows, config.seed, start, stop - start)
+        out[start:stop] = _sample_chunk(m, config.seed, start, stop - start)
     return out
 
 
-def _sample_chunk(m: Mps, site_rows: np.ndarray, seed: int, start: int, batch: int) -> np.ndarray:
+def _sample_chunk(m: Mps, seed: int, start: int, batch: int) -> np.ndarray:
     n = m.n_sites
     uniforms = np.empty((batch, n))
     for i in range(batch):  # a uint64 key: a list would go through float64 from seed 2**63 on
         gen = np.random.Generator(np.random.Philox(key=np.array([seed, start + i], dtype=np.uint64)))
         uniforms[i] = gen.random(n)
     envs = np.ones((batch, 1, 1), dtype=np.complex128)
-    packed = np.zeros((batch, site_rows.shape[2]), dtype=np.uint64)
+    codes = np.empty((batch, n), dtype=np.uint8)
     rows = np.arange(batch)
     for j, tensor in enumerate(m.tensors):
         weights, cand = conditional_weights(tensor, envs)
         cum = np.cumsum(weights, axis=1)
-        chosen = np.minimum((cum < uniforms[:, j : j + 1]).sum(axis=1), 3)
+        codes[:, j] = chosen = np.minimum((cum < uniforms[:, j : j + 1]).sum(axis=1), 3)
         envs = cand[rows, chosen]
         del cand  # free before the next site's step
         norms = np.linalg.norm(envs.reshape(batch, -1), axis=1)
         envs /= norms[:, None, None]
-        packed |= site_rows[j, chosen]
-    return packed
+    return _pack_codes(codes)
 
 
 @dataclass
@@ -170,13 +166,11 @@ def curate(samples: np.ndarray, n_sites: int, keep_iz: int | None = None) -> Sam
     return SampledPool(n_sites, len(samples), unique[keep], freq[keep])
 
 
-def samples_to_text(samples: np.ndarray, n_sites: int, seed: int | None = None) -> str:
-    """Raw sample listing, one string label per line."""
+def samples_to_text(samples: np.ndarray, n_sites: int, seed: int) -> str:
+    """Raw sample listing, one string label per line, under a header that records the seed."""
     if not rows_fit(samples, n_sites):
         raise PauliError(f"sample rows of shape {samples.shape} do not fit {n_sites} sites")
-    header = f"# samples-v1 n_sites={n_sites} n_samples={len(samples)}"
-    if seed is not None:
-        header += f" seed={seed}"
+    header = f"# samples-v1 n_sites={n_sites} n_samples={len(samples)} seed={seed}"
     return "\n".join([header, *_row_labels(samples, n_sites).tolist()]) + "\n"
 
 
@@ -230,6 +224,7 @@ def pool_from_text(text: str) -> SampledPool:
     may be off count / n_samples by 5e-9, half the last decimal pool_to_text writes."""
     n_sites, n_samples, lines, rows = _read_listing(text, "pool-v1", "count freq label")
     counts: dict[str, int] = {}
+    total = 0
     for line_no, (count_token, freq_token), label in lines:
         numbers = count_token + freq_token  # int() and float() also take "_" and non-ASCII digits
         if not numbers.isascii() or "_" in numbers:
@@ -240,13 +235,13 @@ def pool_from_text(text: str) -> SampledPool:
             raise ValueError(f"line {line_no}: {exc}") from None
         if not 1 <= count < 2**63:  # counts are held as int64
             raise ValueError(f"line {line_no}: count must be at least 1 and below 2**63, got {count}")
+        if (total := total + count) > n_samples:  # before the frequency check: n_samples may be 0
+            raise ValueError(f"line {line_no}: counts sum to {total}, above header n_samples={n_samples}")
         if not 0 <= freq <= 1:
             raise ValueError(f"line {line_no}: frequency must be a finite number in [0, 1], got {freq_token}")
         if label in counts:
             raise ValueError(f"line {line_no}: {label} appears twice")
         counts[label] = count
-    if sum(counts.values()) > n_samples:
-        raise ValueError(f"counts sum to {sum(counts.values())}, above header n_samples={n_samples}")
     for line_no, (_, freq_token), label in lines:
         # 2**-53 covers reading the decimal into a double: 5/512 is written 0.00976562, exactly 5e-9 off
         if abs(float(freq_token) - counts[label] / n_samples) > 5e-9 + 2**-53:

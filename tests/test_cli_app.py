@@ -942,7 +942,7 @@ class TestExitCodes:
         pytest.param("# pool-v1 n_sites=0 n_samples=0\n", "pool-v1 header field n_sites:", id="no-sites"),
         pytest.param("# pool-v1 n_sites=3 n_samples=0\n", "pool has 3 sites, operator has 4",
                      id="site-count-mismatch"),
-        pytest.param("# pool-v1 n_sites=4 n_samples=0\n1 0.5 XXYY\n", "counts sum to 1,",
+        pytest.param("# pool-v1 n_sites=4 n_samples=0\n1 0.5 XXYY\n", "line 2: counts sum to 1,",
                      id="counts-above-samples"),
     ])
     def test_inconsistent_pool_is_data_error(self, pipeline, tmp_path, text, message):

@@ -1,5 +1,7 @@
 import functools
 import itertools
+import json
+import re
 import warnings
 
 import numpy as np
@@ -261,3 +263,14 @@ class TestJsonFormat:
             load_fermion_terms(
                 '{"n": 1, "terms": [{"kind": "three_body", "indices": [0, 0], "coeff": 1.0}]}'
             )
+
+    def test_kind_and_index_count_messages(self):
+        # one table gives each kind its index count; the reader names the entry it refuses
+        cases = [("x", [0], "unknown term kind 'x'"), ("one_body", [0, 0, 0], "one_body needs 2 indices, got 3"),
+                 ("two_body", [0, 0], "two_body needs 4 indices, got 2")]
+        for kind, indices, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                FermionTerm(kind, tuple(indices), 1.0)
+            entries = [{"kind": "one_body", "indices": [0, 0], "coeff": 1.0}, {"kind": kind, "indices": indices, "coeff": 1.0}]
+            with pytest.raises(ValueError, match=f"^{re.escape('fermion field terms[1]: ' + message)}$"):
+                load_fermion_terms(json.dumps({"n": 1, "terms": entries}))

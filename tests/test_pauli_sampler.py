@@ -560,8 +560,11 @@ class TestPoolText:
         assert pool_labels(pool_from_text(text)) == expected
 
     def test_counts_above_zero_samples_raise_before_frequencies(self):
-        with pytest.raises(ValueError, match="^counts sum to 1, above header n_samples=0$"):
+        with pytest.raises(ValueError, match="^line 2: counts sum to 1, above header n_samples=0$"):
             pool_from_text("# pool-v1 n_sites=2 n_samples=0\n1 0.5 XX\n")
+        # the refusal names the line where the running sum first passes n_samples
+        with pytest.raises(ValueError, match="^line 5: counts sum to 3, above header n_samples=2$"):
+            pool_from_text("# pool-v1 n_sites=2 n_samples=2\n1 0.5 XX\n\n1 0.5 YY\n1 0.5 ZZ\n")
 
 
 class TestSamplesText:
@@ -577,8 +580,6 @@ class TestSamplesText:
     def test_header_records_seed(self):
         text = samples_to_text(np.zeros((1, 1), dtype=np.uint64), 2, seed=9)
         assert text.splitlines()[0] == "# samples-v1 n_sites=2 n_samples=1 seed=9"
-        text = samples_to_text(np.zeros((1, 1), dtype=np.uint64), 2)
-        assert text.splitlines()[0] == "# samples-v1 n_sites=2 n_samples=1"
 
     def test_missing_header_raises(self):
         with pytest.raises(ValueError):
