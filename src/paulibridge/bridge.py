@@ -101,7 +101,7 @@ class Bridge:
         return np.array_equal(self.pairs, other.pairs) and np.array_equal(self.coeffs, other.coeffs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BridgeDecomposition:
     """A Pauli sum factored at one cut: dictionaries and bridge.
 

@@ -11,13 +11,19 @@ all 4^n of the MPO's, so it takes up to DENSE_LIMIT (12) sites.
 Exit codes: 0 success, 1 usage error, 2 input or data error, 3 numerical
 failure. A writing subcommand writes nothing unless it succeeds; then it writes
 each output once and a deterministic JSON manifest next to its primary output:
-sha256 of the bytes it read and wrote, parameters, and library versions (no
-timestamps; with OPENBLAS_NUM_THREADS=1 reruns are byte identical, as threaded
-QR rounds a complex MPO differently). ``--manifest PATH`` overrides the
+sha256 of the bytes it read and wrote, parameters, the OPENBLAS_NUM_THREADS
+value the process saw (null when unset) and library versions (no timestamps;
+with OPENBLAS_NUM_THREADS=1 reruns are byte identical, as threaded QR rounds a
+complex MPO differently). ``--manifest PATH`` overrides the
 location; one naming an input or output exits 2, as do two outputs naming one
 file. An existing file is overwritten in place, then cut to the new length
 unless it is not a regular file (/dev/null, a FIFO). Warnings go to stderr. The
 stdout summary is printed after the outputs are written; an error exit prints none.
+
+One process parses each Pauli-text, bridge-v1 and lcu-v1 document once: every
+input is still read and hashed, but bytes equal to the last document of that
+format that ``main`` wrote or read in this process give back the object kept
+from then, as its reader returns the written object field for field.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from paulibridge.mpo import mpo_to_dense  # noqa: F401
 from paulibridge.pauli import to_dense  # noqa: F401
 from paulibridge.mpo import build_mpo_qr, mpo_error, mpo_from_json, mpo_to_json
 from paulibridge.mps import (
+    _memo,
     compress,
     ground_state_reference,
     lowest_pairs,
@@ -84,6 +91,8 @@ NUMERICAL_ERROR = 3
 
 DATA_EXCEPTIONS = (ValueError, KeyError, OSError, MemoryError)
 NUMERICAL_EXCEPTIONS = (np.linalg.LinAlgError,)
+# as OpenBLAS read it, when numpy loaded above: threaded QR rounds a complex MPO differently
+_BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
 
 
 class Parser(argparse.ArgumentParser):
@@ -124,19 +133,23 @@ def tolerance(token: str) -> float:
     return value
 
 
-def _read(args, flag: str) -> str:
-    """The text of the file ``--flag`` names; its bytes are kept in ``args.inputs`` for the manifest."""
+def _read(args, flag: str, reader=None, fmt: str = ""):
+    """The text of the file ``--flag`` names, or ``reader``'s object of it; the bytes are kept in
+    ``args.inputs`` for the manifest. Per ``fmt``, ``mps._memo`` keeps the object of the last bytes this
+    process read or wrote (``_write``), so reading those bytes again returns that object unparsed."""
     data = args.inputs[flag] = Path(getattr(args, flag)).read_bytes()
-    return data.decode()
+    return data.decode() if reader is None else _memo(fmt, (data,), lambda: reader(data.decode()))
 
 
-def _write(args, outputs: dict[str, str], parameters: dict) -> None:
+def _write(args, outputs: dict[str, str], parameters: dict, kept: tuple = ()) -> None:
     """Write each output once, then the manifest of the bytes read and written.
 
     ``outputs`` maps the dest of each output flag (``"output"``,
     ``"sweep_csv"``) to its text. Two outputs naming one file, or a
     manifest naming the same file as an input or an output, are refused
-    before any byte is written.
+    before any byte is written. ``kept``, a ``(fmt, obj)`` pair, names the
+    object the ``--output`` text was written from: it is kept as ``_read``'s
+    object of those bytes, as the format's reader returns it field for field.
     """
     manifest = args.manifest or f"{args.output}.manifest.json"
     written = [(f"--{flag.replace('_', '-')}", getattr(args, flag)) for flag in outputs] + [("manifest", manifest)]
@@ -153,6 +166,7 @@ def _write(args, outputs: dict[str, str], parameters: dict) -> None:
         "inputs": {getattr(args, f): hashlib.sha256(payload).hexdigest() for f, payload in args.inputs.items()},
         "outputs": {p: hashlib.sha256(payload).hexdigest() for p, payload in data.items()},
         "parameters": parameters,
+        "environment": {"OPENBLAS_NUM_THREADS": _BLAS_THREADS},
         "versions": {
             "paulibridge": __version__,
             "numpy": np.__version__,
@@ -165,28 +179,30 @@ def _write(args, outputs: dict[str, str], parameters: dict) -> None:
             f.write(payload)
             if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # /dev/null, a FIFO: written, never truncated
                 f.truncate()
+    if kept:
+        _memo(kept[0], (data[args.output],), lambda: kept[1])
 
 
-def cmd_jw(args) -> tuple[dict[str, str], dict]:
+def cmd_jw(args) -> tuple[dict[str, str], dict, tuple]:
     n_modes, terms = load_fermion_terms(_read(args, "input"))
     op = map_hamiltonian(terms, n_modes)
     print(f"n_sites {op.n_sites}")
     print(f"n_terms {op.n_terms}")
-    return {"output": serialize_pauli_sum(op)}, {}
+    return {"output": serialize_pauli_sum(op)}, {}, ("pauli-text", op)
 
 
-def cmd_compile(args) -> tuple[dict[str, str], dict]:
-    op = parse_pauli_sum(_read(args, "input"))
+def cmd_compile(args) -> tuple[dict[str, str], dict, tuple]:
+    op = _read(args, "input", parse_pauli_sum, "pauli-text")
     d = compile_bridge(op, args.cut)
     print(f"left_fragments {len(d.left)}")
     print(f"right_fragments {len(d.right)}")
     print(f"active_pairs {np.count_nonzero(d.bridge.coeffs)}")
     print(f"structural_hash {structural_hash(d)}")
-    return {"output": decomposition_to_json(d)}, {"cut": args.cut}
+    return {"output": decomposition_to_json(d)}, {"cut": args.cut}, ("bridge-v1", d)
 
 
 def cmd_mpo(args) -> tuple[dict[str, str], dict]:
-    op = parse_pauli_sum(_read(args, "input"))
+    op = _read(args, "input", parse_pauli_sum, "pauli-text")
     m = build_mpo_qr(op, rank_tol=args.tol)
     if args.max_bond is not None:
         m, discarded = compress(m, max_bond=args.max_bond)
@@ -198,7 +214,7 @@ def cmd_mpo(args) -> tuple[dict[str, str], dict]:
 
 
 def cmd_groundstate(args) -> tuple[dict[str, str], dict]:
-    op = parse_pauli_sum(_read(args, "input"))
+    op = _read(args, "input", parse_pauli_sum, "pauli-text")
     res = ground_state_reference(op, max_bond=args.max_bond)
     print(f"energy {res.energy:.12f}")
     print(f"gap {res.gap:.12f}")
@@ -225,7 +241,7 @@ def cmd_curate(args) -> tuple[dict[str, str], dict]:
 
 
 def cmd_optimize(args) -> tuple[dict[str, str], dict]:
-    op = parse_pauli_sum(_read(args, "input"))
+    op = _read(args, "input", parse_pauli_sum, "pauli-text")
     state = mps_from_json(_read(args, "state"))
     pool = pool_from_text(_read(args, "pool"))
     if pool.n_sites != op.n_sites:
@@ -253,31 +269,29 @@ def cmd_optimize(args) -> tuple[dict[str, str], dict]:
     return outputs, {"n_roots": args.n_roots, "seed": args.seed, "sweep_sizes": sweep_sizes}
 
 
-def cmd_lcu(args) -> tuple[dict[str, str], dict]:
-    d = decomposition_from_json(_read(args, "bridge"))
-    prog = compile_lcu(d)
+def cmd_lcu(args) -> tuple[dict[str, str], dict, tuple]:
+    prog = compile_lcu(_read(args, "bridge", decomposition_from_json, "bridge-v1"))
     outputs = {"output": program_to_json(prog)}
     if args.gates:
         outputs["gates"] = emit_gates(prog)
     print(f"lambda {prog.lam:.12f}")
     print(f"ancillas {prog.a_total}")
     print(f"select_hash {prog.select_hash}")
-    return outputs, {}
+    return outputs, {}, ("lcu-v1", prog)
 
 
-def cmd_update(args) -> tuple[dict[str, str], dict]:
-    prog = program_from_json(_read(args, "program"))
-    d = decomposition_from_json(_read(args, "bridge"))
-    updated = update_coefficients(prog, d)
+def cmd_update(args) -> tuple[dict[str, str], dict, tuple]:
+    prog = _read(args, "program", program_from_json, "lcu-v1")
+    updated = update_coefficients(prog, _read(args, "bridge", decomposition_from_json, "bridge-v1"))
     print(f"lambda {updated.lam:.12f}")
     print(f"select_hash {updated.select_hash}")
-    return {"output": program_to_json(updated)}, {}
+    return {"output": program_to_json(updated)}, {}, ("lcu-v1", updated)
 
 
 def cmd_verify(args) -> int:
-    op = parse_pauli_sum(_read(args, "input"))
+    op = _read(args, "input", parse_pauli_sum, "pauli-text")
     if args.program:
-        err = block_error(program_from_json(_read(args, "program")), op)
+        err = block_error(_read(args, "program", program_from_json, "lcu-v1"), op)
         ok = err <= args.tol
         print(f"block_encoding {'PASS' if ok else 'FAIL'} tol {args.tol:g} error {err:.6e}")
         return 0 if ok else NUMERICAL_ERROR
@@ -379,7 +393,7 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         try:
             code, error = args.func(args), None
-            if args.writes:  # a writer returns its outputs and parameters
+            if args.writes:  # a writer returns its outputs and parameters (and what _write keeps)
                 _write(args, *code)
                 code = 0
         except NUMERICAL_EXCEPTIONS as exc:

@@ -61,17 +61,19 @@ DEGENERACY_TOL = 1e-8  # spectral gap below which ground_state_reference warns
 CHUNK_STRINGS = 1024
 
 
-_memos: dict = {}  # per memoised function, its last (key, result)
+_memos: dict = {}  # per memoised function or CLI document format, its last (key, result)
 
 
 def _memo(name: str, key: tuple, compute):
-    """``compute()``, read-only, kept under ``name`` for the last exact-content ``key`` only: the package's
-    one memo rule. Keys hold bytes, not ids (an id can be reused, an ``Mps`` is mutable); a raise keeps nothing."""
+    """``compute()``, kept under ``name`` for the last exact-content ``key`` only: the package's one memo
+    rule. The result is an immutable object, or arrays that this makes read-only. Keys hold bytes, not ids
+    (an id can be reused, an ``Mps`` is mutable); a raise keeps nothing."""
     last = _memos.get(name)
     if last is None or last[0] != key:
         result = compute()
         for a in result if isinstance(result, tuple) else (result,):
-            a.flags.writeable = False
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
         _memos[name] = last = key, result
     return last[1]
 

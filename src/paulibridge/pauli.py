@@ -447,7 +447,8 @@ def parse_pauli_sum(text: str) -> PauliSum:
         line_nos.append(line_no)
     if not labels:
         raise EmptyInput("no terms in input")
-    op = PauliSum.from_rows(width, label_rows(labels, width), np.array(coeffs, dtype=np.complex128))
+    codes = _BYTE_CODES[np.frombuffer("".join(labels).encode(), dtype=np.uint8)]  # each IXYZ of the width
+    op = PauliSum.from_rows(width, _pack_codes(codes.reshape(-1, width)), np.array(coeffs, dtype=np.complex128))
     if not np.isfinite(op.coeffs).all():  # a merge overflowed: replay the merges, one per line, to name it
         totals: dict[str, complex] = {}
         for line_no, label, coeff in zip(line_nos, labels, coeffs):
@@ -460,7 +461,14 @@ def parse_pauli_sum(text: str) -> PauliSum:
 
 
 def serialize_pauli_sum(op: PauliSum) -> str:
-    """Inverse of parse_pauli_sum; exact round trip for every float."""
+    """Inverse of parse_pauli_sum, which reads the text back as ``op`` field for field. A sum that it
+    would refuse, with no terms or a coefficient that is not finite, is refused here."""
+    if not op.n_terms:
+        raise EmptyInput("no terms to write")
+    if not (finite := np.isfinite(op.coeffs)).all():
+        k = int(np.argmin(finite))
+        label = _row_labels(op.rows[k : k + 1], op.n_sites)[0]
+        raise PauliError(f"coefficient {op.coeffs[k]} of {label} is not finite")
     coeffs = map(_format_coeff, op.coeffs.tolist())
     return "\n".join(map("{} {}".format, coeffs, _row_labels(op.rows, op.n_sites).tolist())) + "\n"
 

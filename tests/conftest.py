@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import functools
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from paulibridge.bridge import Bridge, BridgeDecomposition, compile as compile_bridge
 from paulibridge.lcu import LcuProgram, PrepColumns, _fragment_ops, _phase_rows, compile_lcu
@@ -194,9 +195,10 @@ def memo_variants(m: Mps, seed: int) -> dict[str, Mps]:
 
 
 def evict_memos() -> None:
-    """Empty every memo ``mps._memo`` keeps (``lowest_pairs``, ``sample_strings``, ``string_expectations``),
-    so the next call of each computes afresh: a test that compares a recomputation with a first result
-    evicts in between, or it would compare the memo with itself."""
+    """Empty every memo ``mps._memo`` keeps (``lowest_pairs``, ``sample_strings``, ``string_expectations``
+    and the CLI's last ``pauli-text``, ``bridge-v1`` and ``lcu-v1`` documents), so the next call of each
+    computes afresh: a test that compares a recomputation with a first result evicts in between, or it
+    would compare the memo with itself."""
     mps_module._memos.clear()
 
 
@@ -204,6 +206,33 @@ def evict_memos() -> None:
 def cold_memos():
     """Every test starts with empty memos, whatever ran before it."""
     evict_memos()
+
+
+@st.composite
+def from_rows_sums(draw, min_sites: int = 1, part=st.floats(allow_nan=False, allow_infinity=False)) -> PauliSum:
+    """``from_rows`` sums of up to 8 drawn strings on up to 6 sites, repeats merged; each part of a coefficient
+    is a ``part`` (any finite float: signed zeros, subnormals, the largest), so with the default every term
+    may cancel, or a merge overflow."""
+    n = draw(st.integers(min_sites, 6))
+    labels = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=8))
+    return PauliSum.from_rows(n, label_rows(labels, n), np.array([complex(draw(part), draw(part)) for _ in labels]))
+
+
+def field_bytes(obj):
+    """Every field of a ``PauliSum``, ``BridgeDecomposition`` or ``LcuProgram``, in order, down to each array's
+    dtype, shape and bytes: equal ``field_bytes`` are bit-equal fields in equal order (signed zeros included),
+    where ``==`` on sums ignores the term order."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, tuple):  # labels, PrepColumns
+        return type(obj).__name__, tuple(map(field_bytes, obj))
+    if dataclasses.is_dataclass(obj):
+        names = [f.name for f in dataclasses.fields(obj)]
+    elif isinstance(obj, (PauliSum, Bridge)):
+        names = getattr(type(obj), "__slots__", None) or list(vars(obj))
+    else:
+        return type(obj).__name__, obj
+    return type(obj).__name__, tuple((name, field_bytes(getattr(obj, name))) for name in names)
 
 
 def dict_bridge(entries: dict) -> Bridge:

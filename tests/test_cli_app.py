@@ -49,6 +49,7 @@ from conftest import (
     OTHER_OPERATOR,
     POOL_MUTATIONS,
     PROGRAM_MUTATIONS,
+    count_calls,
     count_dense_solves,
     evict_memos,
     jw12_document,
@@ -257,7 +258,7 @@ class TestManifests:
         for key in ("jw_manifest", "compile_manifest"):
             doc = json.loads(paths[key].read_text())
             assert set(doc) == {
-                "command", "inputs", "outputs", "parameters", "versions"
+                "command", "inputs", "outputs", "parameters", "environment", "versions"
             }
 
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
@@ -365,6 +366,75 @@ def test_jw12_update_keeps_select_and_encodes_the_rescaled_operator(tmp_path):
     assert updated["lambda"] != program["lambda"]
     gates = (tmp_path / "gates.txt").read_text().splitlines()
     assert sum(line.startswith("cpauli ") for line in gates) == 1429
+
+
+def refused_jw(root):
+    """jw on the two one-mode documents whose sums the Pauli text cannot hold, each with the error it exits 2
+    with: four terms whose merged coefficients overflow, and two that cancel."""
+    chain = []
+    for name, coeffs, error in (("overflow", [1.7e308] * 4, r"coefficient \(inf\+0j\) of I is not finite"),
+                                ("cancel", [1.0, -1.0], "no terms to write")):
+        terms = [{"kind": "one_body", "indices": [0, 0], "coeff": c} for c in coeffs]
+        (root / f"{name}.json").write_text(json.dumps({"n": 1, "terms": terms}))
+        chain.append((["jw", "--input", str(root / f"{name}.json"), "--output", str(root / f"{name}.pauli")], error))
+    return chain
+
+
+class TestHandoff:
+    """main keeps the last Pauli-text, bridge-v1 and lcu-v1 document it wrote or read, and a later read of
+    the same bytes returns that object unparsed."""
+
+    READERS = ("parse_pauli_sum", "decomposition_from_json", "program_from_json")
+
+    def test_refused_jw_exits_2_and_writes_nothing(self, tmp_path):
+        for argv, error in refused_jw(tmp_path):
+            rc, out, err = run(argv)
+            assert (rc, out) == (2, "") and re.fullmatch(f"error: {error}\n", err), argv
+            assert not Path(argv[-1]).exists() and not Path(f"{argv[-1]}.manifest.json").exists()
+
+    def test_chain_is_byte_identical_with_every_memo_cleared(self, tmp_path, monkeypatch):
+        # jw, compile, mpo, lcu, rescaled compile, update and verify --program on jw12, then both refused jw
+        chain = [argv for argv, _, _ in jw12_chain(tmp_path)]
+        chain[1], chain[2] = chain[2], chain[1]
+        chain.append(["verify", "--input", str(tmp_path / "rescaled.pauli"),
+                      "--program", str(tmp_path / "updated.json")])
+        chain += [argv for argv, _ in refused_jw(tmp_path)]
+        inputs = set(tmp_path.iterdir())
+        runs = []
+        for clear in (False, True):
+            with monkeypatch.context() as m:
+                calls = {name: count_calls(m, cli, name) for name in self.READERS}
+                results = []
+                for argv in chain:
+                    if clear:
+                        evict_memos()
+                    results.append(run(argv))
+            written = sorted(set(tmp_path.iterdir()) - inputs)  # outputs and manifests
+            runs.append((results, {p.name: p.read_bytes() for p in written}, {k: len(v) for k, v in calls.items()}))
+            for path in written:
+                path.unlink()
+        (kept, kept_files, kept_calls), (cleared, cleared_files, cleared_calls) = runs
+        assert kept == cleared and kept_files == cleared_files
+        assert [rc for rc, _, _ in kept] == [0] * 7 + [2, 2]
+        assert len(kept_files) == 2 * 6 + 1  # gates.txt has no manifest of its own
+        # parsed with the memo: only the rescaled operator, which a test wrote; without it, every chain-format read
+        assert kept_calls == {"parse_pauli_sum": 1, "decomposition_from_json": 0, "program_from_json": 0}
+        assert cleared_calls == {"parse_pauli_sum": 4, "decomposition_from_json": 2, "program_from_json": 2}
+
+    def test_manifest_names_the_blas_thread_setting(self, tmp_path):
+        # as the process saw it, null when unset; reruns under one setting stay byte identical
+        (tmp_path / "op.pauli").write_text((FIXTURES / "h2_subset.pauli").read_text())
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "paulibridge.cli", "compile", "--input", "op.pauli", "--cut", "2",
+                "--output", "bridge.json"]
+        manifests = []
+        for value in (None, "1", "1"):
+            extra = {} if value is None else {"OPENBLAS_NUM_THREADS": value}
+            assert subprocess.run(argv, cwd=tmp_path, env=env | extra, capture_output=True).returncode == 0
+            manifests.append((tmp_path / "bridge.json.manifest.json").read_bytes())
+            assert json.loads(manifests[-1])["environment"] == {"OPENBLAS_NUM_THREADS": value}
+        assert manifests[1] == manifests[2] != manifests[0]
 
 
 WRITERS = ("jw", "compile", "mpo", "groundstate", "sample", "curate", "optimize", "lcu", "update")
@@ -487,9 +557,9 @@ class TestWriter:
         # nothing reaches stdout before _write returns; then the summary, as the subcommand printed it
         write, streams, held = cli._write, [], []
 
-        def recording(args, outputs, parameters):
+        def recording(args, *written):
             held.append(streams[-1].getvalue())
-            write(args, outputs, parameters)
+            write(args, *written)
 
         monkeypatch.setattr(cli, "_write", recording)
         select = "select_hash 398428e4002c4beaaa9209d92d80321593cf9b7f73604f6b60ef8d3cefa3b786\n"

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from paulibridge.bridge import (
     EmptyOperator,
@@ -36,7 +36,10 @@ from paulibridge.lcu import (
 from paulibridge.pauli import TooLarge, dense_string, parse_pauli_sum, to_dense
 
 from conftest import (
+    BYTE_IDENTITY,
     bridge_matrix,
+    field_bytes,
+    from_rows_sums,
     int_rows,
     kron_dense,
     pauli_sum,
@@ -452,6 +455,19 @@ class TestSerialization:
         prog = h2_program(h2_subset)
         back = program_from_json(program_to_json(prog))
         assert program_state(back) == program_state(prog)
+
+    @BYTE_IDENTITY
+    @given(from_rows_sums(min_sites=2, part=st.floats(-1e300, 1e300)), st.data())
+    def test_reader_returns_the_written_program(self, op, data):
+        # field for field, in order, for a compiled and an updated program: the CLI hands both on to the next
+        # reader of their bytes. Parts below 1e300 keep lambda finite; factors of modulus >= 1 keep each pair
+        assume(op.n_terms)
+        d = compile_bridge(op, data.draw(st.integers(1, op.n_sites - 1)))
+        factors = data.draw(st.lists(st.sampled_from([-1.0, 2.0, 1j, -3 + 1j]), min_size=op.n_terms,
+                                     max_size=op.n_terms))
+        program = compile_lcu(d)
+        for prog in (program, update_coefficients(program, set_bridge(d, d.bridge.coeffs * factors))):
+            assert field_bytes(program_from_json(program_to_json(prog))) == field_bytes(prog)
 
     def test_json_deterministic(self, h2_subset):
         prog = h2_program(h2_subset)

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from paulibridge.bridge import (
@@ -21,7 +21,16 @@ from paulibridge.bridge import (
 )
 from paulibridge.pauli import parse_pauli_sum
 
-from conftest import bridge_matrix, pauli_sum, random_pauli_sum, sum_terms, term_dict
+from conftest import (
+    BYTE_IDENTITY,
+    bridge_matrix,
+    field_bytes,
+    from_rows_sums,
+    pauli_sum,
+    random_pauli_sum,
+    sum_terms,
+    term_dict,
+)
 
 
 class TestWorkedExample:
@@ -82,6 +91,19 @@ class TestRoundTrips:
         d2 = decomposition_from_json(text)
         assert d2 == d
         assert decomposition_to_json(d2) == text
+
+    @BYTE_IDENTITY
+    @given(from_rows_sums(min_sites=2), st.data())
+    def test_reader_returns_the_written_decomposition(self, op, data):
+        # field for field, in order: the CLI hands compile's decomposition on to the next reader of its bytes
+        assume(op.n_terms and np.isfinite(op.coeffs).all())  # the sums the Pauli text reader returns
+        d = compile(op, data.draw(st.integers(1, op.n_sites - 1)))
+        assert field_bytes(decomposition_from_json(decomposition_to_json(d))) == field_bytes(d)
+
+    def test_decomposition_is_frozen(self, h2_subset):
+        d = compile(h2_subset, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.bridge = compile(h2_subset, 1).bridge
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
